@@ -69,14 +69,24 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:"Executor domain-pool size shared by all requests.")
 
+let stall_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "stall-timeout" ] ~docv:"SECONDS"
+        ~doc:
+          "Drop a client whose socket takes none of its pending replies for this \
+           long. Defaults to 30.")
+
 let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No startup/shutdown chatter.")
 
 let cmd =
   let doc = "serve DISTAL compile-and-run requests over a Unix-domain socket" in
-  let run socket_path queue_limit batch_window plan_cache result_cache domains quiet =
+  let run socket_path queue_limit batch_window plan_cache result_cache domains
+      stall_timeout quiet =
     match
       Server.config ?queue_limit ?batch_window ?plan_cache ?result_cache ?domains
-        ~quiet ~socket_path ()
+        ?stall_timeout ~quiet ~socket_path ()
     with
     | cfg -> (
         match Server.serve cfg with
@@ -90,6 +100,6 @@ let cmd =
     Term.(
       ret
         (const run $ socket_arg $ queue_arg $ window_arg $ cache_arg $ results_arg
-       $ domains_arg $ quiet_arg))
+       $ domains_arg $ stall_arg $ quiet_arg))
 
 let () = exit (Cmd.eval cmd)

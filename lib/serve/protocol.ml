@@ -6,9 +6,9 @@
 
    All JSON goes through the shared lib/support writer/parser, so string
    escaping and float round-tripping are fixed in exactly one place.
-   Dense outputs are serialized as shortest-round-trip decimal floats,
-   which reproduce the bits on parse — the byte-identity guarantee of
-   the serving layer survives the wire. *)
+   Dense outputs travel as base64 of their raw IEEE-754 bytes, which
+   reproduce the bits on decode — the byte-identity guarantee of the
+   serving layer survives the wire. *)
 
 module Api = Distal.Api
 module Dense = Distal_tensor.Dense
@@ -116,13 +116,14 @@ let int_array_of_json ~what = function
 
 let opt_field k = function None -> [] | Some v -> [ (k, v) ]
 
+(* An output travels as its raw little-endian IEEE-754 bytes in base64
+   ("f64le"): every bit survives, including NaN payloads, infinities and
+   signed zeros, and both ends convert at memory speed. *)
 let json_of_dense d =
   Json.Obj
     [
       ("shape", json_of_int_array (Dense.shape d));
-      ( "values",
-        Json.List (List.init (Dense.size d) (fun i -> Json.Float (Dense.get_lin d i)))
-      );
+      ("f64le", Json.String (Distal_support.Base64.encode (Dense.to_le_bytes d)));
     ]
 
 let dense_of_json j =
@@ -131,26 +132,26 @@ let dense_of_json j =
     | Some s -> int_array_of_json ~what:"output shape" s
     | None -> Error "output missing shape"
   in
-  let* values =
-    match Json.member "values" j with
-    | Some (Json.List l) ->
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            match Json.to_float v with
-            | Some f -> Ok (f :: acc)
-            | None -> Error "output values must be numbers")
-          (Ok []) l
-        |> Result.map List.rev
-    | _ -> Error "output missing values"
+  (* The shape comes off the wire: its element count must be a plain
+     non-negative int before anything is sized by it. *)
+  let count =
+    Array.fold_left
+      (fun acc e ->
+        match acc with
+        | Some n when e >= 0 && (e = 0 || n <= max_int / 8 / e) -> Some (n * e)
+        | _ -> None)
+      (Some 1) shape
   in
-  let d = Dense.create shape in
-  if List.length values <> Dense.size d then
-    errf "output carries %d values for shape of %d" (List.length values) (Dense.size d)
-  else begin
-    List.iteri (fun i v -> Dense.set_lin d i v) values;
-    Ok d
-  end
+  if count = None then Error "output shape is negative or too large"
+  else
+    match Json.member "f64le" j with
+    | Some (Json.String b64) -> (
+        match Distal_support.Base64.decode b64 with
+        | Error e -> errf "output payload: %s" e
+        | Ok bytes -> (
+            try Ok (Dense.of_le_bytes shape bytes) with Invalid_argument e -> Error e))
+    | Some _ -> Error "output f64le must be a base64 string"
+    | None -> Error "output missing f64le payload"
 
 let json_of_stats (s : Api.Stats.t) =
   Json.Obj

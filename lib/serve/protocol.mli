@@ -4,9 +4,11 @@
     Client to server: [submit] (a full compilation/run request), [stats]
     and [shutdown]. Server to client: [result] (status [ok], [rejected]
     by admission control, or [error]), [stats] and [shutdown_ack]. All
-    JSON goes through the shared {!Distal_support.Json} writer, whose
-    float rendering round-trips bit-exactly — served outputs survive the
-    wire byte-identical. *)
+    JSON goes through the shared {!Distal_support.Json} writer and
+    parser. A result's output tensor is carried as
+    [{"shape": [...], "f64le": "<base64>"}]: base64 of its raw
+    little-endian IEEE-754 bytes, so served outputs survive the wire
+    byte-identical and convert at memory speed. *)
 
 module Api = Distal.Api
 
@@ -79,4 +81,8 @@ val json_of_stats : Api.Stats.t -> Distal_support.Json.t
 val stats_of_json : Distal_support.Json.t -> (Api.Stats.t, string) result
 
 val json_of_dense : Distal_tensor.Dense.t -> Distal_support.Json.t
+
 val dense_of_json : Distal_support.Json.t -> (Distal_tensor.Dense.t, string) result
+(** Rejects, as an [Error], a shape with a negative extent or an element
+    count that overflows, invalid base64, and a payload that is not 8
+    bytes per element. *)

@@ -11,6 +11,17 @@
    plus K runs (and, for byte-identical requests, one run plus K-1
    result-cache replays). Stats and shutdown messages bypass the queue.
 
+   Replies never block the loop. Client sockets are non-blocking; a reply
+   is framed into the client's outbox and written as far as the kernel
+   takes it, and the rest goes out whenever select reports the socket
+   writable. A client that stops reading (or one thread multiplexing
+   several connections) therefore stalls only itself. While a client's
+   outbox is non-empty its socket is not read, so it cannot queue more
+   work than it takes replies for (pushback, not disconnection): its
+   outbox holds at most the replies to requests it sent before the
+   outbox filled. Only a client whose socket has taken no bytes for
+   stall_timeout seconds while replies wait is dropped.
+
    Clients that die mid-request are detected as EOF (possibly inside a
    frame) or as a failed reply write; either way their queue entries are
    discarded and their admission slots freed — a killed client never
@@ -32,14 +43,16 @@ type config = {
   plan_cache : int;
   result_cache : int;
   domains : int option;
+  stall_timeout : float;
   quiet : bool;
 }
 
 let default_queue_limit = 64
 let default_batch_window = 0.002
+let default_stall_timeout = 30.0
 
 let config ?queue_limit ?batch_window ?plan_cache ?result_cache ?domains
-    ?(quiet = false) ~socket_path () =
+    ?(stall_timeout = default_stall_timeout) ?(quiet = false) ~socket_path () =
   let pick opt env default = match opt with Some v -> v | None -> Option.value (env ()) ~default in
   let queue_limit = pick queue_limit Env.serve_queue default_queue_limit in
   let batch_window = pick batch_window Env.serve_batch_window default_batch_window in
@@ -52,12 +65,27 @@ let config ?queue_limit ?batch_window ?plan_cache ?result_cache ?domains
   if queue_limit < 1 then invalid_arg "Server.config: queue_limit must be >= 1";
   if not (Float.is_finite batch_window) || batch_window < 0.0 then
     invalid_arg "Server.config: batch_window must be >= 0";
-  { socket_path; queue_limit; batch_window; plan_cache; result_cache; domains; quiet }
+  if not (stall_timeout > 0.0) then invalid_arg "Server.config: stall_timeout must be > 0";
+  {
+    socket_path;
+    queue_limit;
+    batch_window;
+    plan_cache;
+    result_cache;
+    domains;
+    stall_timeout;
+    quiet;
+  }
 
 type client = {
   fd : Unix.file_descr;
   dec : Wire.decoder;
   buf : Bytes.t;
+  out : string Queue.t;  (* framed replies not yet fully written, oldest first *)
+  mutable out_off : int;  (* bytes of the head frame already written *)
+  mutable progress : float;
+      (* when the socket last took bytes, or when the outbox last became
+         non-empty *)
 }
 
 type entry = {
@@ -135,12 +163,60 @@ let drop_client t fd ~mid_request =
     set_gauge t "serve.queue_depth" (float_of_int (queue_depth t))
   end
 
+(* Write as much of [c]'s outbox as the socket takes without blocking.
+   False when the write found the client gone (it is dropped). *)
+let rec write_out t c =
+  match Queue.peek_opt c.out with
+  | None -> true
+  | Some frame -> (
+      let len = String.length frame - c.out_off in
+      match Unix.write_substring c.fd frame c.out_off len with
+      | n ->
+          c.out_off <- c.out_off + n;
+          if n > 0 then c.progress <- now ();
+          if n = len then begin
+            ignore (Queue.pop c.out);
+            c.out_off <- 0;
+            write_out t c
+          end
+          else true
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+          true
+      | exception Unix.Unix_error _ ->
+          drop_client t c.fd ~mid_request:true;
+          false)
+
 let send t fd msg =
-  match Wire.send fd (Protocol.encode_server msg) with
-  | () -> true
-  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-      drop_client t fd ~mid_request:true;
-      false
+  match Hashtbl.find_opt t.clients fd with
+  | None -> false
+  | Some c ->
+      let frame = Wire.encode (Protocol.encode_server msg) in
+      if Queue.is_empty c.out then c.progress <- now ();
+      Queue.add frame c.out;
+      write_out t c
+
+let pending_output t =
+  Hashtbl.fold (fun fd c acc -> if Queue.is_empty c.out then acc else fd :: acc) t.clients []
+
+(* Clients whose outbox is empty: the only ones whose requests are read. *)
+let reading t =
+  Hashtbl.fold (fun fd c acc -> if Queue.is_empty c.out then fd :: acc else acc) t.clients []
+
+let drop_stalled t =
+  let cutoff = now () -. t.cfg.stall_timeout in
+  Hashtbl.fold
+    (fun fd c acc -> if (not (Queue.is_empty c.out)) && c.progress < cutoff then fd :: acc else acc)
+    t.clients []
+  |> List.iter (fun fd ->
+         log t "distald: dropping a client that took no reply bytes for %gs\n"
+           t.cfg.stall_timeout;
+         metric t "serve.stalled_clients";
+         drop_client t fd ~mid_request:true)
+
+let write_ready t fds =
+  List.iter
+    (fun fd -> Option.iter (fun c -> ignore (write_out t c)) (Hashtbl.find_opt t.clients fd))
+    fds
 
 (* {2 Message handling} *)
 
@@ -202,7 +278,7 @@ let handle_readable t fd =
   | None -> ()
   | Some c -> (
       match Unix.read c.fd c.buf 0 (Bytes.length c.buf) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
       | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
           drop_client t fd ~mid_request:(Wire.pending c.dec)
       | 0 ->
@@ -231,10 +307,19 @@ let handle_readable t fd =
           drain ())
 
 let accept t =
-  match Unix.accept t.listener with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  match Unix.accept ~cloexec:true t.listener with
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | fd, _ ->
-      Hashtbl.replace t.clients fd { fd; dec = Wire.decoder (); buf = Bytes.create 65536 };
+      Unix.set_nonblock fd;
+      Hashtbl.replace t.clients fd
+        {
+          fd;
+          dec = Wire.decoder ();
+          buf = Bytes.create 65536;
+          out = Queue.create ();
+          out_off = 0;
+          progress = 0.0;
+        };
       metric t "serve.connects"
 
 (* {2 Batched execution} *)
@@ -309,16 +394,35 @@ let step t ~idle_timeout =
     | None -> idle_timeout
     | Some arrived -> Float.max 0.0 (arrived +. t.cfg.batch_window -. now ())
   in
-  let fds = t.listener :: Hashtbl.fold (fun fd _ acc -> fd :: acc) t.clients [] in
-  (match Unix.select fds [] [] timeout with
+  (match Unix.select (t.listener :: reading t) (pending_output t) [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | readable, _, _ ->
+  | readable, writable, _ ->
+      write_ready t writable;
       List.iter
         (fun fd -> if fd = t.listener then accept t else handle_readable t fd)
         readable);
+  drop_stalled t;
   match oldest_arrival t with
   | Some arrived when now () >= arrived +. t.cfg.batch_window -> flush t
   | _ -> ()
+
+(* Before the sockets close, give every queued reply (the shutdown ack
+   included) up to [grace] seconds to reach its client. *)
+let drain_output t ~grace =
+  let deadline = now () +. grace in
+  let rec go () =
+    match pending_output t with
+    | [] -> ()
+    | fds ->
+        let left = deadline -. now () in
+        if left > 0.0 then begin
+          (match Unix.select [] fds [] left with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | _, writable, _ -> write_ready t writable);
+          go ()
+        end
+  in
+  go ()
 
 let close t =
   (try Unix.close t.listener with Unix.Unix_error _ -> ());
@@ -337,7 +441,8 @@ let run t =
      done;
      (* Drain: every admitted request still gets its result before the
         socket disappears. *)
-     if not (Queue.is_empty t.queue) then flush t
+     if not (Queue.is_empty t.queue) then flush t;
+     drain_output t ~grace:5.0
    with e ->
      close t;
      raise e);

@@ -7,8 +7,12 @@
     oldest entry has waited out the batching window. A flush groups the
     queue by plan fingerprint, so same-shape requests arriving within
     one window share a single compile (and byte-identical ones share a
-    single run via the result cache). Clients that die mid-request are
-    detected and their queue slots reclaimed; a killed-and-restarted
+    single run via the result cache). Replies are written without
+    blocking: each client has an outbox drained as its socket accepts
+    bytes, so a client that stops reading stalls only itself. A client
+    with unwritten replies is not read from until they are out (pushback),
+    and one whose socket takes no bytes for [stall_timeout] seconds is
+    dropped. Clients that die mid-request are detected and their queue slots reclaimed; a killed-and-restarted
     server recompiles on miss and reproduces identical results
     (checkpoint-free recovery — the simulator is deterministic). *)
 
@@ -19,11 +23,14 @@ type config = {
   plan_cache : int;
   result_cache : int;
   domains : int option;
+  stall_timeout : float;
+      (** seconds a client may leave replies unread before it is dropped *)
   quiet : bool;
 }
 
 val default_queue_limit : int
 val default_batch_window : float
+val default_stall_timeout : float
 
 val config :
   ?queue_limit:int ->
@@ -31,6 +38,7 @@ val config :
   ?plan_cache:int ->
   ?result_cache:int ->
   ?domains:int ->
+  ?stall_timeout:float ->
   ?quiet:bool ->
   socket_path:string ->
   unit ->
@@ -38,7 +46,9 @@ val config :
 (** Omitted fields fall back to [DISTAL_SERVE_QUEUE],
     [DISTAL_SERVE_BATCH_WINDOW] and [DISTAL_SERVE_CACHE], then to
     built-in defaults (queue 64, window 2 ms, caches per {!Session}).
-    @raise Invalid_argument on a non-positive queue or negative window. *)
+    [stall_timeout] defaults to {!default_stall_timeout} (30 s).
+    @raise Invalid_argument on a non-positive queue or stall timeout, or a
+    negative window. *)
 
 type t
 

@@ -19,7 +19,9 @@
      execution is milliseconds. Inputs are identified by seed
      (random_inputs requests, the distald path) or by a digest of the
      supplied tensors. Cached outputs are returned as copies so callers
-     cannot mutate the cache.
+     cannot mutate the cache. A result whose output is larger than
+     max_cached_result_bytes is served but never cached, which bounds the
+     tier at capacity x that size whatever the traffic.
 
    Both caches are safe under concurrent use from lib/support/pool
    domains (Lru serializes internally; the metrics registry is guarded
@@ -49,6 +51,12 @@ type t = {
 
 let default_plan_capacity = 128
 let default_result_capacity = 1024
+let max_cached_result_bytes = 64 * 1024
+
+let cacheable (r : Api.Exec.result) =
+  match r.Api.Exec.output with
+  | Some d -> Dense.bytes d <= max_cached_result_bytes
+  | None -> true
 
 let create ?plan_cache ?result_cache ?domains () =
   let plan_capacity =
@@ -130,9 +138,7 @@ let data_key = function
           Buffer.add_string buf name;
           Buffer.add_char buf ':';
           Array.iter (fun n -> Buffer.add_string buf (string_of_int n ^ ",")) (Dense.shape d);
-          for i = 0 to Dense.size d - 1 do
-            Buffer.add_int64_le buf (Int64.bits_of_float (Dense.get_lin d i))
-          done;
+          Buffer.add_bytes buf (Dense.to_le_bytes d);
           Buffer.add_char buf ';')
         data;
       "digest:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
@@ -161,11 +167,15 @@ let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
           Ok { result = copy_result r; fingerprint = fp; plan_cached; result_cached = true }
       | None -> (
           count1 t "serve.result_misses";
+          (* A Model-mode run never reads tensor contents (its stats depend
+             only on the spec), so a seed costs nothing there: building
+             the inputs would only spend memory, and at paper-scale sizes
+             more memory than the host has. *)
           let data =
             match data_id with
             | `Data d -> d
-            | `Seed s -> Api.random_inputs ~seed:s plan
-            | `None -> []
+            | `Seed s when mode = Api.Exec.Full -> Api.random_inputs ~seed:s plan
+            | `Seed _ | `None -> []
           in
           (* The run happens outside any cache lock: concurrent misses on
              one key may race, but the simulator is deterministic so the
@@ -180,9 +190,13 @@ let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
                  much of the traffic rode compiled plans. *)
               if mode = Api.Exec.Full && profile = None && Env.plan_reuse () then
                 count1 t "serve.plan_reuse_runs";
-              (match Lru.put t.results key (copy_result result) with
-              | Some _ -> count1 t "serve.result_evictions"
-              | None -> ());
+              (* An oversized result is not even copied. *)
+              if cacheable result then begin
+                match Lru.put t.results key (copy_result result) with
+                | Some _ -> count1 t "serve.result_evictions"
+                | None -> ()
+              end
+              else count1 t "serve.result_uncached";
               gauge_set t "serve.result_entries" (float_of_int (Lru.length t.results));
               Ok { result; fingerprint = fp; plan_cached; result_cached = false }))
 

@@ -7,7 +7,9 @@
     typecheck / schedule / lower once per distinct request shape;
     compilation is single-flight, and plan reuse never re-lowers) and a
     {e result cache} (the simulator is a deterministic pure function of
-    plan x data, so identical requests replay the finished result).
+    plan x data, so identical requests replay the finished result;
+    results with outputs above {!max_cached_result_bytes} are served
+    without being cached).
     Served results are byte-identical to direct [Api.run_exn] — cache
     hits return defensive copies.
 
@@ -26,6 +28,11 @@ val default_plan_capacity : int
 val default_result_capacity : int
 (** 1024 *)
 
+val max_cached_result_bytes : int
+(** 64 KiB: the largest output (in float64 bytes) the result cache keeps.
+    Larger results are served but not cached, so the tier never holds
+    more than capacity x 64 KiB of outputs. *)
+
 val create : ?plan_cache:int -> ?result_cache:int -> ?domains:int -> unit -> t
 (** [plan_cache] defaults to [DISTAL_SERVE_CACHE] (else 128) entries; [0]
     disables caching (every request compiles and runs). [result_cache]
@@ -39,7 +46,9 @@ val metrics : t -> Distal_obs.Metrics.registry
     [_misses]/[_evictions], [serve.result_hits]/[_misses]/[_evictions],
     [serve.plan_reuse_runs] (result-cache misses that executed through the
     plan's cached executable plan — Full mode, no profile, with
-    [DISTAL_PLAN_REUSE] on), and [serve.plan_entries]/
+    [DISTAL_PLAN_REUSE] on), [serve.result_uncached] (results served
+    without caching because their output exceeds
+    {!max_cached_result_bytes}), and the [serve.plan_entries]/
     [serve.result_entries] gauges. *)
 
 val compile :
@@ -67,7 +76,9 @@ val run :
   (outcome, string) result
 (** Serve one request (default mode [Full]). Input data comes from
     [data] when given, else from [Api.random_inputs ~seed] when [seed]
-    is given, else the request runs with no data (the [Model] pattern).
+    is given, else the request runs with no data. A [Model] request never
+    builds inputs from its seed: modeled stats do not read tensor
+    contents.
     The result-cache key covers mode, fault plan and input identity
     (seed, or a bit-exact digest of [data]), so a hit is only ever
     returned for a run that would have produced identical bytes. *)

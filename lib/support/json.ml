@@ -7,21 +7,28 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Runs of characters that need no escaping are copied as one substring,
+   so a long plain string (a base64 payload) costs a scan and a blit. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run)
 
 let float_repr f =
   if not (Float.is_finite f) then "null"
@@ -45,7 +52,7 @@ let rec write ~indent ~level buf t =
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | List [] -> Buffer.add_string buf "[]"
   | List xs ->
@@ -66,7 +73,7 @@ let rec write ~indent ~level buf t =
           if i > 0 then Buffer.add_char buf ',';
           nl (level + 1);
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf (if indent then "\": " else "\":");
           write ~indent ~level:(level + 1) buf v)
         kvs;
@@ -112,50 +119,70 @@ let parse s =
     end
     else fail "at %d: bad literal" !pos
   in
+  (* Plain runs between escapes are copied as substrings; a string with
+     no escapes at all is a single [String.sub]. *)
+  let rec plain_end i =
+    if i >= n then fail "unterminated string"
+    else match String.unsafe_get s i with '"' | '\\' -> i | _ -> plain_end (i + 1)
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* Only BMP code points below 0x80 render as a char; others
-                 become UTF-8. *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              go ()
-          | _ -> fail "bad escape at %d" !pos)
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    let stop = plain_end start in
+    pos := stop + 1;
+    if s.[stop] = '"' then String.sub s start (stop - start)
+    else begin
+      let buf = Buffer.create (stop - start + 16) in
+      Buffer.add_substring buf s start (stop - start);
+      let rec escape_at () =
+        (* [!pos] is just past a backslash. *)
+        (match peek () with
+        | Some '"' -> Buffer.add_char buf '"'; advance ()
+        | Some '\\' -> Buffer.add_char buf '\\'; advance ()
+        | Some '/' -> Buffer.add_char buf '/'; advance ()
+        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
+        | Some 't' -> Buffer.add_char buf '\t'; advance ()
+        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
+        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
+        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
+        | Some 'u' ->
+            advance ();
+            if !pos + 4 > n then fail "bad \\u escape";
+            let hex c =
+              match c with
+              | '0' .. '9' -> Char.code c - Char.code '0'
+              | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+              | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+              | _ -> fail "bad \\u escape at %d" !pos
+            in
+            let code = ref 0 in
+            for i = !pos to !pos + 3 do
+              code := (!code lsl 4) lor hex s.[i]
+            done;
+            let code = !code in
+            pos := !pos + 4;
+            (* Only BMP code points below 0x80 render as a char; others
+               become UTF-8. *)
+            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            else if code < 0x800 then begin
+              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+            else begin
+              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+        | _ -> fail "bad escape at %d" !pos);
+        let start = !pos in
+        let stop = plain_end start in
+        Buffer.add_substring buf s start (stop - start);
+        pos := stop + 1;
+        if s.[stop] = '\\' then escape_at ()
+      in
+      escape_at ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in

@@ -6,8 +6,12 @@
    lanes 1..n-1. Exceptions raised by any lane are re-raised in the
    caller after every lane has finished (first one wins).
 
-   Pools are not reentrant: [run] must not be called from inside a lane
-   body, and pools are meant to be driven from the main domain. *)
+   A pool runs one job at a time. A [run] that finds the pool busy —
+   another domain's job in flight, or a call from inside a lane body —
+   runs its lanes one after another in the caller instead. Lanes are
+   independent by contract, so the result is the same; only the
+   parallelism is lost. Two callers must never share the job slot: each
+   would overwrite the other's job. *)
 
 type t = {
   size : int;
@@ -20,6 +24,7 @@ type t = {
   mutable pending : int;  (* workers still running the current epoch *)
   mutable failed : (exn * Printexc.raw_backtrace) option;
   mutable stop : bool;
+  mutable busy : bool;  (* a multi-lane job owns the workers *)
   mutable workers : unit Domain.t list;  (* spawned on first multi-lane run *)
 }
 
@@ -43,6 +48,7 @@ let create size =
     pending = 0;
     failed = None;
     stop = false;
+    busy = false;
     workers = [];
   }
 
@@ -101,9 +107,20 @@ let shutdown t =
     t.stop <- false
   end
 
+let acquire t =
+  Mutex.lock t.m;
+  let free = not t.busy in
+  if free then t.busy <- true;
+  Mutex.unlock t.m;
+  free
+
 let run t ~lanes f =
   let lanes = max 1 (min lanes t.size) in
   if lanes = 1 then f 0
+  else if not (acquire t) then
+    for lane = 0 to lanes - 1 do
+      f lane
+    done
   else begin
     ensure_started t;
     Mutex.lock t.m;
@@ -122,6 +139,7 @@ let run t ~lanes f =
     let fl = t.failed in
     t.failed <- None;
     t.job <- ignore;
+    t.busy <- false;
     Mutex.unlock t.m;
     match fl with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -131,12 +149,14 @@ let run t ~lanes f =
 (* One shared pool per size, shut down at exit so idle worker domains
    never outlive the main domain. *)
 let pools : (int, t) Hashtbl.t = Hashtbl.create 4
+let pools_m = Mutex.create ()
 let exit_hooked = ref false
 
 let get ?size () =
   let n =
     match size with Some n -> max 1 (min n max_domains) | None -> default_size ()
   in
+  Mutex.protect pools_m @@ fun () ->
   match Hashtbl.find_opt pools n with
   | Some p -> p
   | None ->

@@ -5,8 +5,10 @@
     jobs; the calling domain always participates as lane 0, so a pool of
     size [n] runs [n] lanes on [n] domains total.
 
-    Pools are driven from the main domain and are not reentrant ([run]
-    must not be called from inside a lane body). *)
+    A pool runs one job at a time. Any domain may call {!run}: a call
+    that finds the pool busy (another domain's job, or a call from inside
+    a lane body) runs its lanes one after another on the caller, so
+    concurrent sessions never share a job slot. *)
 
 type t
 
@@ -33,7 +35,9 @@ val run : t -> lanes:int -> (int -> unit) -> unit
     [0 .. min lanes (size t) - 1], concurrently on the pool's domains;
     lane 0 runs on the caller. Returns when every lane has finished. If
     any lane raised, the first exception is re-raised in the caller
-    (after all lanes finished). With [lanes <= 1] this is just [f 0]. *)
+    (after all lanes finished). With [lanes <= 1] this is just [f 0].
+    When the pool is busy the lanes run in order on the caller, and the
+    first exception propagates at once. *)
 
 val shutdown : t -> unit
 (** Join the pool's worker domains. The pool can be reused afterwards

@@ -12,6 +12,12 @@ val next_int64 : t -> int64
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [\[0, bound)]. *)
 
+val fill_float :
+  t -> float -> (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t -> unit
+(** [fill_float t bound a] stores the next [dim a] draws of [float t bound]
+    into [a], in index order, and advances [t] past them: bit-identical to
+    a loop of {!float} calls, without allocating. *)
+
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [\[0, bound)]. Requires [bound > 0]. *)
 

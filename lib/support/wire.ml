@@ -20,7 +20,11 @@ let encode payload =
   let n = String.length payload in
   if n > max_frame then
     invalid_arg (Printf.sprintf "Wire.encode: frame of %d bytes exceeds %d" n max_frame);
-  Printf.sprintf "%08d\n%s\n" n payload
+  let frame = Bytes.create (header_len + n + 1) in
+  Bytes.blit_string (Printf.sprintf "%08d\n" n) 0 frame 0 header_len;
+  Bytes.blit_string payload 0 frame header_len n;
+  Bytes.set frame (header_len + n) '\n';
+  Bytes.unsafe_to_string frame
 
 (* {2 Blocking fd transport} *)
 
@@ -62,12 +66,17 @@ let recv fd =
       match parse_header hdr with
       | Error _ as e -> e
       | Ok n -> (
-          let payload = Bytes.create (n + 1) in
-          match read_exact fd payload 0 (n + 1) with
+          (* The payload is read into its own buffer and handed over
+             without a copy; the trailing newline is read separately. *)
+          let payload = Bytes.create n in
+          match read_exact fd payload 0 n with
           | `Eof _ -> Error "connection closed inside a frame payload"
-          | `Done ->
-              if Bytes.get payload n <> '\n' then Error "frame missing trailing newline"
-              else Ok (Some (Bytes.sub_string payload 0 n))))
+          | `Done -> (
+              match read_exact fd hdr 0 1 with
+              | `Eof _ -> Error "connection closed inside a frame payload"
+              | `Done ->
+                  if Bytes.get hdr 0 <> '\n' then Error "frame missing trailing newline"
+                  else Ok (Some (Bytes.unsafe_to_string payload)))))
 
 (* {2 Incremental decoding (for select-driven loops)} *)
 

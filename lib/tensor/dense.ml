@@ -84,7 +84,32 @@ let copy t =
   A1.blit t.data data;
   { shape = Array.copy t.shape; strides = Array.copy t.strides; data }
 
-let random rng shape = init shape (fun _ -> Distal_support.Rng.float rng 1.0)
+(* One pass over uninitialized storage: the draws land in row-major
+   order, exactly where a coordinate walk of [init] would put them. *)
+let random rng shape =
+  let data = alloc (Ints.prod shape) in
+  Distal_support.Rng.fill_float rng 1.0 data;
+  { shape = Array.copy shape; strides = Ints.row_major_strides shape; data }
+
+let to_le_bytes t =
+  let n = size t in
+  let b = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.bits_of_float (A1.unsafe_get t.data i))
+  done;
+  b
+
+let of_le_bytes shape b =
+  let n = Ints.prod shape in
+  if Bytes.length b <> 8 * n then
+    invalid_arg
+      (Printf.sprintf "Dense.of_le_bytes: %d bytes cannot fill shape %s (%d elements)"
+         (Bytes.length b) (shape_str shape) n);
+  let data = alloc n in
+  for i = 0 to n - 1 do
+    A1.unsafe_set data i (Int64.float_of_bits (Bytes.get_int64_le b (8 * i)))
+  done;
+  { shape = Array.copy shape; strides = Ints.row_major_strides shape; data }
 
 (* Sub-box copies walk whole innermost-dimension rows: the row is
    contiguous in both source and destination, so each one is a single

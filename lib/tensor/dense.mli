@@ -49,7 +49,16 @@ val offset : t -> int array -> int
 val copy : t -> t
 
 val random : Distal_support.Rng.t -> int array -> t
-(** Uniform entries in [\[0, 1)]. *)
+(** Uniform entries in [\[0, 1)], drawn in row-major order. *)
+
+val to_le_bytes : t -> Bytes.t
+(** The elements' IEEE-754 bit patterns, 8 little-endian bytes each, in
+    row-major order: an exact image of the contents (NaN payloads and
+    signed zeros included). *)
+
+val of_le_bytes : int array -> Bytes.t -> t
+(** Inverse of {!to_le_bytes} for a given shape.
+    @raise Invalid_argument when the byte count is not 8 per element. *)
 
 val of_buf : buf -> int array -> t
 (** [of_buf b shape] views the first [prod shape] elements of [b] as a

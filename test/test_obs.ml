@@ -44,8 +44,10 @@ let test_json_errors () =
     (fun s ->
       match Json.parse s with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail (Printf.sprintf "%S must not parse" s))
-    [ "{"; "[1,"; "tru"; "\"unterminated"; "" ]
+      | Ok _ -> Alcotest.fail (Printf.sprintf "%S must not parse" s)
+      | exception e -> Alcotest.failf "%S raised %s" s (Printexc.to_string e))
+    [ "{"; "[1,"; "tru"; "\"unterminated"; ""; "\"\\uzzzz\""; "\"a\\u12\""; "\"a\\q\"";
+      "\"\\u_41_\""; "\"\\u1_2a\""; "\"\\u+041\"" ]
 
 (* {2 Metrics} *)
 

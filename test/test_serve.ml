@@ -336,6 +336,43 @@ let test_session_eviction () =
   Alcotest.(check int) "clear drops plans" 0 (Session.cached_plans session);
   Alcotest.(check int) "clear drops results" 0 (Session.cached_results session)
 
+(* The result tier keeps only outputs of at most max_cached_result_bytes:
+   an 88x88 output (61952 bytes) is cached, a 96x96 one (73728 bytes) is
+   served byte-identically on every request but never cached. *)
+let test_session_result_size_cap () =
+  let session = Session.create ~domains:1 () in
+  let fits = gemm_request ~n:88 ~chunks:4 () and big = gemm_request ~n:96 ~chunks:4 () in
+  Alcotest.(check bool) "88x88 is under the cap" true
+    ((8 * 88 * 88) <= Session.max_cached_result_bytes
+    && 8 * 96 * 96 > Session.max_cached_result_bytes);
+  ignore (Session.run_exn ~seed:1 session fits);
+  Alcotest.(check bool) "small result cached" true
+    (Session.run_exn ~seed:1 session fits).Session.result_cached;
+  let expected = observe_direct ~seed:2 big in
+  List.iter
+    (fun _ ->
+      let o = Session.run_exn ~seed:2 session big in
+      Alcotest.(check bool) "oversized result never cached" false o.Session.result_cached;
+      Alcotest.(check (pair (list int64) string)) "oversized result served" expected
+        (observe_outcome o))
+    [ 1; 2 ];
+  Alcotest.(check int) "one cached result" 1 (Session.cached_results session);
+  Alcotest.(check (option (float 0.0))) "uncached counter" (Some 2.0)
+    (Distal_obs.Metrics.value (Session.metrics session) "serve.result_uncached")
+
+(* A Model request never builds the inputs its seed names: at a size
+   whose inputs alone would need about a terabyte (an allocation the
+   kernel refuses outright), it is still served, with exactly the modeled
+   stats of Api.estimate. *)
+let test_session_model_no_inputs () =
+  let session = Session.create ~domains:1 () in
+  let req = gemm_request ~n:200_000 ~chunks:100_000 () in
+  let o = Session.run_exn ~mode:Exec.Model ~seed:5 session req in
+  Alcotest.(check bool) "no output" true (o.Session.result.Exec.output = None);
+  Alcotest.(check string) "stats = Api.estimate"
+    (Stats.to_string (Api.estimate (Api.compile_request_exn req)))
+    (Stats.to_string o.Session.result.Exec.stats)
+
 (* Caching off: every request is compile + run, and the bytes still
    match. *)
 let test_session_cache_off () =
@@ -558,6 +595,55 @@ let test_protocol_server_roundtrip () =
           | m, g when m = g -> ()
           | _ -> Alcotest.fail "server message round-trip changed the message"))
     msgs
+
+(* Outputs travel as base64 of their raw bytes, so any bit pattern at
+   all — NaN payloads, infinities, signed zeros, subnormals — must come
+   back unchanged, whatever the shape. *)
+let qcheck_output_bits_exact =
+  let reply bits =
+    let out = Dense.create [| List.length bits |] in
+    List.iteri (fun i b -> Dense.set_lin out i (Int64.float_of_bits b)) bits;
+    Protocol.Result
+      { rid = 1; plan_cached = false; result_cached = true; batch = 1;
+        stats = Stats.create (); output = Some out }
+  in
+  QCheck.Test.make ~name:"reply outputs are bit-exact for any float bits" ~count:200
+    QCheck.(list int64)
+    (fun l ->
+      match Protocol.decode_server (Protocol.encode_server (reply l)) with
+      | Ok (Protocol.Result g) -> bits g.Protocol.output = l
+      | _ -> false)
+
+let test_protocol_output_payloads () =
+  let decode output =
+    Protocol.decode_server
+      (Printf.sprintf
+         {|{"type":"result","id":1,"status":"ok","stats":%s,"output":%s}|}
+         (Json.to_string (Protocol.json_of_stats (Stats.create ())))
+         output)
+  in
+  (match decode {|{"shape":[3],"f64le":"AAAAAAAA+D8AAAAAAAAAgAAAAAAAAPB/"}|} with
+  | Ok (Protocol.Result r) ->
+      Alcotest.(check (list int64)) "f64le payload"
+        (List.map Int64.bits_of_float [ 1.5; -0.0; Float.infinity ])
+        (bits r.Protocol.output)
+  | _ -> Alcotest.fail "f64le payload must decode");
+  (* Malformed payloads are errors, never exceptions. *)
+  List.iter
+    (fun (what, output) ->
+      match decode output with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s must be rejected" what
+      | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    [
+      ("short payload", {|{"shape":[3],"f64le":"AAAAAAAA+D8="}|});
+      ("bad base64", {|{"shape":[1],"f64le":"AAAA!AAAAAA="}|});
+      ("non-string payload", {|{"shape":[1],"f64le":[1]}|});
+      ("negative extent", {|{"shape":[-1],"f64le":""}|});
+      ("overflowing shape", {|{"shape":[4611686018427387903,4],"f64le":""}|});
+      ("decimal values", {|{"shape":[1],"values":[1.0]}|});
+      ("missing payload", {|{"shape":[2]}|});
+    ]
 
 (* {2 DISTAL_SERVE_* environment variables} *)
 
@@ -861,6 +947,129 @@ let test_server_killed_and_restarted () =
       stop_server c3 pid2;
       Client.close c3)
 
+(* Replies are written without blocking: a client that submits several
+   large requests and reads nothing (its socket buffer fills after the
+   first reply) must not stall another client, and its own replies must
+   all arrive, whole and in order, once it reads. *)
+let test_server_slow_reader () =
+  with_server (fun socket _pid ->
+      let slow = Client.connect_exn socket in
+      let big = List.init 4 (fun k -> gemm_submit ~id:k ~seed:(k + 1) ~n:192 ~chunks:96 ()) in
+      List.iter
+        (fun s ->
+          match Client.send slow (Protocol.Submit s) with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "send: %s" e)
+        big;
+      let fast = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fast) (fun () ->
+          Unix.connect fast (Unix.ADDR_UNIX socket);
+          let small = gemm_submit ~id:7 () in
+          Wire.send fast (Protocol.encode_client (Protocol.Submit small));
+          (match Unix.select [ fast ] [] [] 20.0 with
+          | [], _, _ -> Alcotest.fail "a client that is not reading stalled the server"
+          | _ -> ());
+          match Wire.recv fast with
+          | Ok (Some payload) -> (
+              match Protocol.decode_server payload with
+              | Ok (Protocol.Result r) ->
+                  Alcotest.(check (pair (list int64) string)) "fast client served"
+                    (submit_expected small)
+                    (bits r.Protocol.output, Stats.to_string r.Protocol.stats)
+              | _ -> Alcotest.fail "fast client got no result")
+          | _ -> Alcotest.fail "fast client got no frame");
+      List.iter
+        (fun (s : Protocol.submit) ->
+          match Client.recv slow with
+          | Ok (Protocol.Result r) ->
+              Alcotest.(check int) "replies in order" s.Protocol.id r.Protocol.rid;
+              Alcotest.(check (list int64)) "slow client's bytes" (fst (submit_expected s))
+                (bits r.Protocol.output)
+          | Ok _ -> Alcotest.fail "slow client got a non-result"
+          | Error e -> Alcotest.failf "slow client: %s" e)
+        big;
+      Client.close slow)
+
+(* An elementwise copy: cheap to run, with an n x n output to carry. *)
+let copy_submit ~id ~n =
+  let t name = { Protocol.td_name = name; td_shape = [| n; n |]; td_dist = "[x,y] -> [x]" } in
+  Protocol.submit ~id ~mode:Exec.Full ~seed:3 ~machine_dims:[| 2 |]
+    ~tensors:[ t "A"; t "B" ] ~stmt:"A(i,j) = B(i,j)" ~schedule:"" ()
+
+let output_digest = function
+  | None -> ""
+  | Some d -> Digest.to_hex (Digest.bytes (Dense.to_le_bytes d))
+
+(* Replies are never dropped for their size: a client that pipelines
+   requests whose replies together exceed one maximum frame (7 outputs
+   of 1024x1024, over 11 MB each as base64) before reading any of them
+   still gets every reply, whole and in order. *)
+let test_server_pipelined_large_replies () =
+  let n = 1024 and k = 7 in
+  Alcotest.(check bool) "replies exceed one frame" true (k * (8 * n * n * 4 / 3) > Wire.max_frame);
+  with_server (fun socket _pid ->
+      let c = Client.connect_exn socket in
+      let subs = List.init k (fun id -> copy_submit ~id ~n) in
+      List.iter
+        (fun s ->
+          match Client.send c (Protocol.Submit s) with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "send: %s" e)
+        subs;
+      let expected =
+        match Protocol.to_request (List.hd subs) with
+        | Error e -> Alcotest.failf "bad submit: %s" e
+        | Ok req ->
+            let plan = Api.compile_request_exn req in
+            let data = Api.random_inputs ~seed:3 plan in
+            output_digest (Api.run_exn ~mode:Exec.Full ~domains:1 plan ~data).Exec.output
+      in
+      List.iter
+        (fun (s : Protocol.submit) ->
+          match Client.recv c with
+          | Ok (Protocol.Result r) ->
+              Alcotest.(check int) "replies in order" s.Protocol.id r.Protocol.rid;
+              Alcotest.(check string) "output bytes" expected (output_digest r.Protocol.output)
+          | Ok _ -> Alcotest.fail "got a non-result"
+          | Error e -> Alcotest.failf "reply %d lost: %s" s.Protocol.id e)
+        subs;
+      Client.close c)
+
+(* A client that leaves a reply unread past the stall timeout is dropped
+   (its socket took none of a 2.8 MB reply), and the server carries on. *)
+let test_server_drops_stalled_client () =
+  with_server ~args:[ "--stall-timeout"; "0.2" ] (fun socket _pid ->
+      let stalled = Client.connect_exn socket in
+      (match Client.send stalled (Protocol.Submit (copy_submit ~id:0 ~n:512)) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %s" e);
+      let c = Client.connect_exn socket in
+      let stalled_count () =
+        match Client.stats c with
+        | Ok (_, _, Json.Obj kvs) -> (
+            match List.assoc_opt "serve.stalled_clients" kvs with
+            | Some (Json.Obj m) -> (
+                match List.assoc_opt "value" m with Some (Json.Float v) -> v | _ -> 0.0)
+            | _ -> 0.0)
+        | Ok _ -> Alcotest.fail "stats reply without metrics"
+        | Error e -> Alcotest.failf "stats: %s" e
+      in
+      let rec wait tries =
+        if stalled_count () < 1.0 then
+          if tries = 0 then Alcotest.fail "the stalled client was never dropped"
+          else begin
+            ignore (Unix.select [] [] [] 0.05);
+            wait (tries - 1)
+          end
+      in
+      wait 200;
+      let s = gemm_submit ~id:(Client.fresh_id c) () in
+      let r = expect_result (Client.submit c s) in
+      Alcotest.(check (list int64)) "server still serves" (fst (submit_expected s))
+        (bits r.Protocol.output);
+      Client.close stalled;
+      Client.close c)
+
 (* Fault plans over the wire (lib/fault tie-in): a served request run
    under kill + checkpoint recovery must produce exactly the fault-free
    bytes — recovery exactness survives serving. *)
@@ -902,6 +1111,8 @@ let suites =
         Alcotest.test_case "session explicit data keys" `Quick test_session_explicit_data_key;
         Alcotest.test_case "session eviction" `Quick test_session_eviction;
         Alcotest.test_case "session cache off" `Quick test_session_cache_off;
+        Alcotest.test_case "session result size cap" `Quick test_session_result_size_cap;
+        Alcotest.test_case "session model builds no inputs" `Quick test_session_model_no_inputs;
         Alcotest.test_case "session concurrent lanes" `Quick test_session_concurrent;
         Test_fuzz.to_alcotest qcheck_serve_identity;
         Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
@@ -909,6 +1120,8 @@ let suites =
         Alcotest.test_case "wire over a socketpair" `Quick test_wire_socketpair;
         Alcotest.test_case "protocol client roundtrip" `Quick test_protocol_client_roundtrip;
         Alcotest.test_case "protocol server roundtrip" `Quick test_protocol_server_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_output_bits_exact;
+        Alcotest.test_case "protocol output payloads" `Quick test_protocol_output_payloads;
         Alcotest.test_case "DISTAL_SERVE_* parsing" `Quick test_env_vars;
         Alcotest.test_case "distald end to end" `Quick test_server_end_to_end;
         Alcotest.test_case "distald batching" `Quick test_server_batching;
@@ -917,5 +1130,11 @@ let suites =
         Alcotest.test_case "distald killed mid-batch and restarted" `Quick
           test_server_killed_and_restarted;
         Alcotest.test_case "distald faulted request" `Quick test_server_faulted_request;
+        Alcotest.test_case "distald slow reader stalls only itself" `Quick
+          test_server_slow_reader;
+        Alcotest.test_case "distald pipelined replies above one frame" `Quick
+          test_server_pipelined_large_replies;
+        Alcotest.test_case "distald drops a stalled client" `Quick
+          test_server_drops_stalled_client;
       ] );
   ]

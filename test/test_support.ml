@@ -85,6 +85,118 @@ let qcheck_linearize =
       let i = seed mod n in
       Ints.linearize ~dims (Ints.delinearize ~dims i) = i)
 
+(* The one-pass fill must reproduce the stream of [Rng.float] calls bit
+   for bit, and leave the generator where those calls would. *)
+let test_rng_fill_float () =
+  List.iter
+    (fun n ->
+      let a = Rng.create 11 and b = Rng.create 11 in
+      let buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+      Rng.fill_float a 2.5 buf;
+      for i = 0 to n - 1 do
+        Alcotest.(check int64)
+          (Printf.sprintf "draw %d of %d" i n)
+          (Int64.bits_of_float (Rng.float b 2.5))
+          (Int64.bits_of_float buf.{i})
+      done;
+      Alcotest.(check int64) "generator advanced past the fill" (Rng.next_int64 b)
+        (Rng.next_int64 a))
+    [ 0; 1; 7; 1000 ]
+
+(* Dense.random fills in one linear pass; it must agree with the
+   coordinate walk it replaced (row-major draws through [Dense.init]). *)
+let test_dense_random_order () =
+  let module Dense = Distal_tensor.Dense in
+  List.iter
+    (fun shape ->
+      let got = Dense.random (Rng.create 5) shape in
+      let rng = Rng.create 5 in
+      let want = Dense.init shape (fun _ -> Rng.float rng 1.0) in
+      Alcotest.(check (list int64))
+        (Ints.to_string shape)
+        (List.init (Dense.size want) (fun i -> Int64.bits_of_float (Dense.get_lin want i)))
+        (List.init (Dense.size got) (fun i -> Int64.bits_of_float (Dense.get_lin got i))))
+    [ [||]; [| 0 |]; [| 5 |]; [| 3; 4 |]; [| 2; 3; 4 |] ]
+
+let test_dense_le_bytes () =
+  let module Dense = Distal_tensor.Dense in
+  let specials = [| 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324; 1.5 |] in
+  let d = Dense.create [| 7 |] in
+  Array.iteri (Dense.set_lin d) specials;
+  Dense.set_lin d 2 (Int64.float_of_bits 0x7FF4000000000001L) (* a NaN payload *);
+  let b = Dense.to_le_bytes d in
+  Alcotest.(check int) "8 bytes per element" 56 (Bytes.length b);
+  Alcotest.(check int64) "little-endian" 0x3FF8000000000000L (Bytes.get_int64_le b 48);
+  let back = Dense.of_le_bytes [| 7 |] b in
+  for i = 0 to 6 do
+    Alcotest.(check int64) "bits survive"
+      (Int64.bits_of_float (Dense.get_lin d i))
+      (Int64.bits_of_float (Dense.get_lin back i))
+  done;
+  match Dense.of_le_bytes [| 2; 4 |] b with
+  | _ -> Alcotest.fail "a wrong byte count must be rejected"
+  | exception Invalid_argument _ -> ()
+
+(* {2 Base64} *)
+
+module Base64 = Distal_support.Base64
+
+let test_base64_vectors () =
+  (* RFC 4648, section 10. *)
+  List.iter
+    (fun (plain, enc) ->
+      Alcotest.(check string) ("encode " ^ plain) enc (Base64.encode (Bytes.of_string plain));
+      Alcotest.(check (result string string))
+        ("decode " ^ enc) (Ok plain)
+        (Result.map Bytes.to_string (Base64.decode enc)))
+    [
+      ("", ""); ("f", "Zg=="); ("fo", "Zm8="); ("foo", "Zm9v"); ("foob", "Zm9vYg==");
+      ("fooba", "Zm9vYmE="); ("foobar", "Zm9vYmFy");
+    ];
+  Alcotest.(check string) "high bytes" "/+8A" (Base64.encode (Bytes.of_string "\xff\xef\x00"));
+  List.iter
+    (fun bad ->
+      match Base64.decode bad with
+      | Ok _ -> Alcotest.failf "%S must be rejected" bad
+      | Error _ -> ())
+    [ "Zg="; "Zg=a"; "Z==="; "===="; "Zm9v!A=="; "Zh=="; "Zm9="; "Zm 9v"; "Zg==Zg==" ]
+
+let qcheck_base64_roundtrip =
+  QCheck.Test.make ~name:"base64 roundtrip" ~count:300 QCheck.string (fun s ->
+      let enc = Base64.encode (Bytes.of_string s) in
+      String.length enc = Base64.encoded_length (String.length s)
+      && Base64.decode enc = Ok (Bytes.of_string s))
+
+(* The JSON writer copies runs of plain characters in bulk and the
+   parser reads them back the same way; any byte string must survive. *)
+let qcheck_json_string_roundtrip =
+  let module Json = Distal_support.Json in
+  QCheck.Test.make ~name:"json string roundtrip" ~count:300 QCheck.string (fun s ->
+      Json.parse (Json.to_string (Json.Obj [ (s, Json.List [ Json.String s ]) ]))
+      = Ok (Json.Obj [ (s, Json.List [ Json.String s ]) ]))
+
+(* {2 Pool} *)
+
+(* Several domains drive one shared pool at once: whichever caller finds
+   it busy runs its lanes itself, and every caller's lanes all run. *)
+let test_pool_concurrent_callers () =
+  let module Pool = Distal_support.Pool in
+  let pool = Pool.create 3 in
+  let callers = 3 and rounds = 50 in
+  let work c =
+    let ok = ref true in
+    for _ = 1 to rounds do
+      let hits = Array.make 3 0 in
+      Pool.run pool ~lanes:3 (fun lane -> hits.(lane) <- hits.(lane) + 1 + c);
+      if hits <> Array.make 3 (1 + c) then ok := false
+    done;
+    !ok
+  in
+  let results = List.map Domain.join (List.init callers (fun c -> Domain.spawn (fun () -> work c))) in
+  Pool.shutdown pool;
+  Alcotest.(check (list bool)) "every lane of every call ran once" (List.init callers (fun _ -> true))
+    results
+
 (* Env: every DISTAL_* knob goes through one parser that rejects
    malformed values loudly instead of silently falling back. *)
 let test_env_parsing () =
@@ -148,5 +260,12 @@ let suites =
         Alcotest.test_case "table" `Quick test_table;
         Alcotest.test_case "DISTAL_* env parsing" `Quick test_env_parsing;
         QCheck_alcotest.to_alcotest qcheck_linearize;
+        Alcotest.test_case "rng fill_float = float stream" `Quick test_rng_fill_float;
+        Alcotest.test_case "dense random row-major" `Quick test_dense_random_order;
+        Alcotest.test_case "dense little-endian bytes" `Quick test_dense_le_bytes;
+        Alcotest.test_case "base64 vectors and rejects" `Quick test_base64_vectors;
+        QCheck_alcotest.to_alcotest qcheck_base64_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_json_string_roundtrip;
+        Alcotest.test_case "pool concurrent callers" `Quick test_pool_concurrent_callers;
       ] );
   ]
