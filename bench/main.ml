@@ -273,22 +273,14 @@ let planner_speedup plan ~reps =
   done;
   if !plan_on > 0.0 then !plan_off /. !plan_on else 1.0
 
-(* Wall clock of a Full (real arithmetic) run on one domain, best of
-   [reps] — the staged-vs-generic leaf comparison below pins the domain
-   count so it measures the evaluator, not the pool. [kernels] selects
-   the leaf kernel registry mode (pinned explicitly so the rows don't
-   depend on DISTAL_KERNELS). *)
-let full_wall ?staged ?kernels plan ~data ~reps =
-  let warm () =
-    match Api.run ~mode:Api.Exec.Full ?staged ?kernels ~domains:1 plan ~data with
-    | Ok _ -> ()
-    | Error e -> failwith ("simperf leaf run failed: " ^ e)
-  in
-  warm ();
+(* Best wall clock of [f] over [reps] timed calls, after one warm-up
+   call. *)
+let best_wall ~reps f =
+  f ();
   let best = ref infinity in
   for _ = 1 to reps do
     let t0 = now () in
-    warm ();
+    f ();
     let w = now () -. t0 in
     if w < !best then best := w
   done;
@@ -407,32 +399,49 @@ let simperf_run ~small () =
         | Some s -> [ (name ^ ".coalesce_speedup", s, "x") ]
         | None -> [])
     specs;
-  (* The staged leaf evaluator against the generic [Expr.eval] loop, on
-     real arithmetic (Full mode), one domain. *)
-  let leaf_plan = if small then simperf_leaf ~n:48 ~grid:2 else simperf_leaf ~n:128 ~grid:2 in
+  (* The executor's leaf dispatch on real arithmetic (a Full run on one
+     domain, so it measures the leaf, not the pool) against the
+     [Expr.eval] evaluator ([Exec.serial_reference] over the same
+     statement). The staged leaf matches the gemm pattern, so it runs the
+     tiled registry kernel. *)
+  let leaf_n = if small then 48 else 128 and leaf_grid = 2 in
+  let leaf_plan = simperf_leaf ~n:leaf_n ~grid:leaf_grid in
   let leaf_data = Api.random_inputs leaf_plan in
   let leaf_reps = if small then 3 else 5 in
-  let off = Api.Kernel_registry.Off in
   let leaf_wall =
-    full_wall ~staged:true ~kernels:off leaf_plan ~data:leaf_data ~reps:leaf_reps
+    best_wall ~reps:leaf_reps (fun () ->
+        match Api.run ~domains:1 leaf_plan ~data:leaf_data with
+        | Ok _ -> ()
+        | Error e -> failwith ("simperf leaf run failed: " ^ e))
   in
   let leaf_generic =
-    full_wall ~staged:false ~kernels:off leaf_plan ~data:leaf_data ~reps:leaf_reps
+    let p = leaf_plan.Api.problem in
+    let shapes = List.map (fun (t : Api.tensor) -> (t.Api.name, t.Api.shape)) p.Api.tensors in
+    best_wall ~reps:leaf_reps (fun () ->
+        ignore (Api.Exec.serial_reference p.Api.stmt ~shapes ~data:leaf_data))
   in
   let leaf_speedup = if leaf_wall > 0.0 then leaf_generic /. leaf_wall else 0.0 in
-  (* The registry microkernels against the staged scalar nest, same plan
-     (the staged leaf matches the gemm pattern and dispatches under
-     [Tiled]); [leaf.gflops] reports the calibrated gemm rate the cost
-     model prices substituted leaves with. *)
-  let leaf_native =
-    full_wall ~staged:true ~kernels:Api.Kernel_registry.Tiled leaf_plan
-      ~data:leaf_data ~reps:leaf_reps
+  (* The tiled registry gemm against the reference loops ([run_named
+     Off]) on one task's leaf operands; [leaf.gflops] reports the
+     calibrated gemm rate the cost model prices substituted leaves
+     with. *)
+  let leaf_kernel mode =
+    let t = leaf_n / leaf_grid and rng = Rng.create 7 in
+    let ops =
+      [ Dense.create [| t; t |]; Dense.random rng [| t; leaf_n |]; Dense.random rng [| leaf_n; t |] ]
+    in
+    best_wall ~reps:(10 * leaf_reps) (fun () ->
+        Api.Kernel_registry.run_named mode ~kernel:"gemm" ops)
   in
-  let leaf_native_speedup = if leaf_native > 0.0 then leaf_wall /. leaf_native else 0.0 in
+  let leaf_native = leaf_kernel Api.Kernel_registry.Tiled in
+  let leaf_reference = leaf_kernel Api.Kernel_registry.Off in
+  let leaf_native_speedup =
+    if leaf_native > 0.0 then leaf_reference /. leaf_native else 0.0
+  in
   let leaf_gflops = Distal_machine.Calibrate.kernel_rate "gemm" /. 1e9 in
   Distal_support.Table.add_row table
     [
-      "leaf (staged vs generic)";
+      "leaf (executor vs Expr.eval)";
       Printf.sprintf "%.3f ms" (leaf_wall *. 1e3);
       Printf.sprintf "%.3f ms" (leaf_generic *. 1e3);
       Printf.sprintf "%.1fx" leaf_speedup;
@@ -440,9 +449,9 @@ let simperf_run ~small () =
     ];
   Distal_support.Table.add_row table
     [
-      "leaf (tiled vs staged)";
+      "leaf kernel (tiled vs off)";
       Printf.sprintf "%.3f ms" (leaf_native *. 1e3);
-      Printf.sprintf "%.3f ms" (leaf_wall *. 1e3);
+      Printf.sprintf "%.3f ms" (leaf_reference *. 1e3);
       Printf.sprintf "%.1fx" leaf_native_speedup;
       "-"; "-"; "-";
       Printf.sprintf "%.2f GF/s" leaf_gflops;
@@ -566,16 +575,16 @@ let simperf_run ~small () =
         ("auto.pool_identical", pool_identical, "bool");
         ("auto.vs_hand_min_ratio", vs_hand, "x");
       ];
-  (* Compiled executable plans (Exec.plan / Exec.run_plan): a Full run
-     that replans everything on each call against a warm run replaying
-     the compiled plan with pooled buffers, on the cyclic GEMM. The
-     speedup is gated >= 1.0 by validate_bench — reusing a plan must
-     never lose to replanning. The alloc rows report the OCaml-heap
-     words each path allocates per run (Gc.quick_stat deltas; bigarray
-     payloads are off-heap): the reuse path's near-zero column is the
-     "no per-fragment allocation on the data path" contract in numbers.
+  (* Compiled executable plans (Exec.plan / Exec.run_plan): a cold Full
+     run ([Exec.execute], which plans then replays once) against a warm
+     run replaying the compiled plan with pooled buffers, on the cyclic
+     GEMM. The speedup is gated >= 1.0 by validate_bench — reusing a plan
+     must never lose to replanning. The alloc rows report the OCaml-heap
+     words each path allocates per run (Gc deltas; bigarray payloads are
+     off-heap): the warm path's near-zero column is the "no per-fragment
+     allocation on the data path" contract in numbers.
      [cyclic-gemm.parallel_efficiency] is informational: (t1/t4)/4 of
-     the reuse path under 4 host domains — near 0.25 on a single-core
+     the warm path under 4 host domains — near 0.25 on a single-core
      container, climbing toward 1 with real cores. *)
   let rp_plan =
     if small then simperf_gemm ~n:64 ~grid:4 ~chunks:8
@@ -583,8 +592,9 @@ let simperf_run ~small () =
   in
   let rp_data = Api.random_inputs rp_plan in
   let rp_reps = if small then 3 else 5 in
+  let rp_spec = Api.spec rp_plan in
   let replan () =
-    match Api.run ~reuse:false ~domains:1 rp_plan ~data:rp_data with
+    match Api.Exec.execute ~domains:1 rp_spec ~data:rp_data with
     | Ok _ -> ()
     | Error e -> failwith ("simperf replan run failed: " ^ e)
   in
@@ -593,16 +603,6 @@ let simperf_run ~small () =
     match Api.Exec.run_plan ~domains ep ~data:rp_data with
     | Ok _ -> ()
     | Error e -> failwith ("simperf reuse run failed: " ^ e)
-  in
-  let best_of f =
-    let best = ref infinity in
-    for _ = 1 to rp_reps do
-      let t0 = now () in
-      f ();
-      let w = now () -. t0 in
-      if w < !best then best := w
-    done;
-    !best
   in
   let alloc_words f =
     (* Gc.minor_words reads the live allocation pointer (quick_stat's
@@ -614,11 +614,9 @@ let simperf_run ~small () =
     let g1 = Gc.quick_stat () in
     Gc.minor_words () -. m0 +. (g1.Gc.major_words -. g0.Gc.major_words)
   in
-  replan ();
-  reuse ~domains:1 ();
-  let replan_wall = best_of replan in
-  let reuse_wall = best_of (reuse ~domains:1) in
-  let reuse_wall_d4 = best_of (reuse ~domains:4) in
+  let replan_wall = best_wall ~reps:rp_reps replan in
+  let reuse_wall = best_wall ~reps:rp_reps (reuse ~domains:1) in
+  let reuse_wall_d4 = best_wall ~reps:rp_reps (reuse ~domains:4) in
   let plan_reuse_speedup = if reuse_wall > 0.0 then replan_wall /. reuse_wall else 0.0 in
   let parallel_efficiency =
     if reuse_wall_d4 > 0.0 then reuse_wall /. reuse_wall_d4 /. 4.0 else 0.0

@@ -149,30 +149,21 @@ let eplan ?(coalesce = true) ?cost ?faults plan =
 let eplan_exn ?coalesce ?cost ?faults plan =
   or_invalid (eplan ?coalesce ?cost ?faults plan)
 
-let run ?mode ?coalesce ?domains ?staged ?kernels ?cost ?trace ?profile ?faults
-    ?reuse plan ~data =
-  let want_reuse =
-    match reuse with
-    | Some b -> b
-    | None -> Distal_support.Env.plan_reuse ()
-  in
-  let full = match mode with None | Some Exec.Full -> true | _ -> false in
-  (* The reuse path serves exactly the calls a compiled plan can satisfy:
-     Full-mode data runs with no tracing or profiling. Everything else —
-     Model mode, copy traces, per-run profiles — re-derives the
-     simulation, which is the thing being asked for. *)
-  if full && want_reuse && Option.is_none trace && Option.is_none profile then
+let run ?(mode = Exec.Full) ?coalesce ?domains ?cost ?trace ?profile ?faults plan
+    ~data =
+  (* Untraced, unprofiled Full runs replay the plan's cached executable
+     plan. Everything else — Model mode, copy traces, per-run profiles —
+     asks for a simulation, which [Exec.execute] runs (and, in Full mode,
+     replays once). *)
+  if mode = Exec.Full && Option.is_none trace && Option.is_none profile then
     let* ep = eplan ?coalesce ?cost ?faults plan in
-    Exec.run_plan ?domains ?staged ?kernels ep ~data
+    Exec.run_plan ?domains ep ~data
   else
-    Exec.execute ?mode ?coalesce ?domains ?staged ?kernels ?trace ?profile
-      ?faults (spec ?cost plan) ~data
+    Exec.execute ~mode ?coalesce ?domains ?trace ?profile ?faults (spec ?cost plan)
+      ~data
 
-let run_exn ?mode ?coalesce ?domains ?staged ?kernels ?cost ?trace ?profile
-    ?faults ?reuse plan ~data =
-  or_invalid
-    (run ?mode ?coalesce ?domains ?staged ?kernels ?cost ?trace ?profile
-       ?faults ?reuse plan ~data)
+let run_exn ?mode ?coalesce ?domains ?cost ?trace ?profile ?faults plan ~data =
+  or_invalid (run ?mode ?coalesce ?domains ?cost ?trace ?profile ?faults plan ~data)
 
 let estimate ?cost ?profile plan =
   match Exec.execute ~mode:Exec.Model ?profile (spec ?cost plan) ~data:[] with

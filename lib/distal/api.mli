@@ -70,7 +70,7 @@ val problem_exn :
 type exec_cache
 (** Per-plan cache of compiled executable plans ({!Exec.eplan}), keyed on
     the (coalesce, cost model, fault plan) options. Created empty by
-    {!compile}; filled lazily by {!eplan} / the {!run} reuse path. *)
+    {!compile}; filled lazily by {!eplan} and by untraced {!run}s. *)
 
 val new_exec_cache : unit -> exec_cache
 
@@ -99,6 +99,10 @@ val default_cost : Machine.t -> Cost_model.t
 (** {!Cost_model.cpu_distal} or {!Cost_model.gpu_distal} by processor
     kind. *)
 
+val spec : ?cost:Cost_model.t -> plan -> Exec.spec
+(** The executor's view of a compiled plan (default cost:
+    {!default_cost}) — what {!run} hands {!Exec.execute}. *)
+
 val eplan :
   ?coalesce:bool ->
   ?cost:Cost_model.t ->
@@ -117,38 +121,33 @@ val run :
   ?mode:Exec.mode ->
   ?coalesce:bool ->
   ?domains:int ->
-  ?staged:bool ->
-  ?kernels:Kernel_registry.mode ->
   ?cost:Cost_model.t ->
   ?trace:Exec.trace_event list ref ->
   ?profile:Obs.Profile.t ->
   ?faults:Fault.t ->
-  ?reuse:bool ->
   plan ->
   data:(string * Dense.t) list ->
   (Exec.result, string) result
 (** With [profile], the execution registers as a run of the profile and
     emits spans, copy events, metrics and a step timeline; [coalesce]
     (default [true]) controls the communication-planning pass; [domains]
-    the host domain-pool size, [staged] the compiled-leaf fast path and
-    [kernels] the leaf kernel registry mode (default [DISTAL_KERNELS],
-    else tiled) — none affects traces, stats or event streams; [faults]
-    injects a deterministic fault plan whose kills are recovered by
-    checkpoint/replay, bit-identically (see {!Exec.execute}).
+    the host domain-pool size, which affects no output, trace, stat or
+    event stream; [faults] injects a deterministic fault plan whose kills
+    are recovered by checkpoint/replay, bit-identically (see
+    {!Exec.execute}).
 
-    [reuse] (default [DISTAL_PLAN_REUSE], on unless set to 0) routes
-    Full-mode calls with no [trace]/[profile] through the plan's cached
+    A Full-mode call with no [trace]/[profile] replays the plan's cached
     executable plan ({!eplan} + {!Exec.run_plan}): plan once, then run
-    each call against its data with pooled buffers. Outputs are
-    byte-identical to the replanning path; the returned stats are the
-    plan-time modeled stats. Model mode, traced and profiled runs always
-    take the replanning path. *)
+    each call against its data with pooled buffers. A traced or profiled
+    Full-mode call compiles a fresh executable plan under the trace and
+    profile and replays that once ({!Exec.execute}); its output bytes are
+    those of the cached path. The returned stats are the plan-time
+    modeled stats either way. *)
 
 val run_exn :
-  ?mode:Exec.mode -> ?coalesce:bool -> ?domains:int -> ?staged:bool ->
-  ?kernels:Kernel_registry.mode ->
+  ?mode:Exec.mode -> ?coalesce:bool -> ?domains:int ->
   ?cost:Cost_model.t -> ?trace:Exec.trace_event list ref ->
-  ?profile:Obs.Profile.t -> ?faults:Fault.t -> ?reuse:bool -> plan ->
+  ?profile:Obs.Profile.t -> ?faults:Fault.t -> plan ->
   data:(string * Dense.t) list -> Exec.result
 
 val estimate : ?cost:Cost_model.t -> ?profile:Obs.Profile.t -> plan -> Stats.t

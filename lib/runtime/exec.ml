@@ -1,10 +1,8 @@
 module Ints = Distal_support.Ints
 module Pool = Distal_support.Pool
-module Env = Distal_support.Env
 module Dense = Distal_tensor.Dense
 module Rect = Distal_tensor.Rect
 module Rect_index = Distal_tensor.Rect_index
-module Kernels = Distal_tensor.Kernels
 module Kreg = Distal_tensor.Kernel_registry
 module Machine = Distal_machine.Machine
 module Cost = Distal_machine.Cost_model
@@ -109,12 +107,12 @@ type fetch_group = {
 
 (* Deferred side effects of one task probe. Index-launch points run
    concurrently on a domain pool, so a task body never touches shared
-   state: it records its compute charges, communication batches and (in
-   Full mode) its local output contribution as an ordered effect list.
-   After the pool joins, the caller replays every task's list in
-   launch-point order — metrics, traces, step accumulators, reduction
-   bookkeeping and the global output store observe exactly the sequence a
-   serial execution produces, whatever the domain count. *)
+   state: it records its compute charges, communication batches and
+   output flushes as an ordered effect list. After the pool joins, the
+   caller replays every task's list in launch-point order — metrics,
+   traces, step accumulators, checkpoints and reduction bookkeeping
+   observe exactly the sequence a serial execution produces, whatever the
+   domain count. *)
 type fx =
   | Fx_compute of { step : int; flops : float; bytes : float }
   | Fx_batch of {
@@ -127,11 +125,9 @@ type fx =
       nfrag : int;
       volume : int;
     }
-  | Fx_red of { step : int; rect : Rect.t; buf : Dense.t option }
-      (* reduction partial: register the contribution, add into the output *)
-  | Fx_out of { step : int; rect : Rect.t; buf : Dense.t option }
-      (* owner-computes delta: add into the output (instances are
-         zero-seeded, so tasks produce deltas and the merge accumulates) *)
+  | Fx_red of { step : int; rect : Rect.t }
+      (* reduction partial: register the contribution *)
+  | Fx_out of { step : int; rect : Rect.t }  (* owner-computes write-back *)
 
 type task_result = { tr_proc : int; tr_fxs : fx list; tr_dyn_max : float }
 
@@ -139,11 +135,11 @@ type task_result = { tr_proc : int; tr_fxs : fx list; tr_dyn_max : float }
 
 (* The data path of one task, recorded during a planning probe. A task's
    control flow — instance footprints, communicate points, leaf schedule —
-   depends only on the spec, never on tensor contents, so a Model-mode
-   probe can record exactly the data operations a Full-mode run performs.
-   [run_plan] replays them against fresh tensor data with pooled buffers;
-   replaying (instead of re-simulating) is what makes the steady state of
-   a compiled plan free of per-fragment allocation. *)
+   depends only on the spec, never on tensor contents, so the simulation
+   records every data operation and [run_plan], the one data path, replays
+   them against tensor data with pooled buffers. Replaying (instead of
+   re-simulating) is what makes the steady state of a compiled plan free
+   of per-fragment allocation. *)
 type drole =
   | R_input  (* instance of an input tensor: fill from the caller's data *)
   | R_output  (* zero-seeded output delta (owner-computes write or
@@ -323,8 +319,23 @@ let ops_per_point (stmt : Expr.stmt) =
   let c = count stmt.rhs + if Expr.reduction_vars stmt <> [] then 1 else 0 in
   max 1 c
 
-let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
-    ?(record : dop list ref array option) ?trace ?profile ?faults spec ~data =
+(* What one simulation hands its caller: the modeled stats, the recorded
+   data operations per launch point (empty unless [record]), and the leaf
+   it validated — the substituted kernel with its operand order, or the
+   scalar loop variables. *)
+type sim = {
+  sim_stats : Stats.t;
+  sim_dops : dop list array;
+  sim_named : (string * string list) option;
+  sim_leaf_vars : string list;
+}
+
+(* The simulator: prices the program on the cost model without touching
+   tensor data. [Model]-mode [execute] is this alone; [Full]-mode
+   [execute] is this with [record] on (a compiled plan) followed by
+   [run_plan]. *)
+let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
+    ?faults spec =
   (* Register this execution as a run of the profile (its own pid, metrics
      registry and timeline slot). Without a profile the registry is private
      to this call; either way it is the single accumulator the final
@@ -398,27 +409,16 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
             | Error e -> errf "invalid distribution for %s: %s" tn e))
       (Ok []) tensors
   in
-  let* () =
-    if mode = Full then
-      List.fold_left
-        (fun acc tn ->
-          let* () = acc in
-          if tn = out_name && (not stmt.accum) && not reads_out then Ok ()
-          else if List.mem_assoc tn data then Ok ()
-          else errf "no data given for tensor %s" tn)
-        (Ok ()) tensors
-    else Ok ()
+  let rec leaf_of = function
+    | Taskir.Launch { body; _ } | Seq_loop { body; _ } | Ensure { body; _ } ->
+        leaf_of body
+    | Leaf l -> l
   in
+  let leaf = leaf_of prog.tree in
   let* named_order =
-    let rec find = function
-      | Taskir.Launch { body; _ } | Seq_loop { body; _ } | Ensure { body; _ } ->
-          find body
-      | Leaf (Named { kernel; _ }) -> Some kernel
-      | Leaf (Scalar_loops _) -> None
-    in
-    match find prog.tree with
-    | None -> Ok None
-    | Some kernel ->
+    match leaf with
+    | Taskir.Scalar_loops _ -> Ok None
+    | Named { kernel; _ } ->
         let* order = Kernel_match.check stmt ~kernel in
         Ok (Some (kernel, order))
   in
@@ -432,8 +432,8 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
      tree names one, else the kernel the statement structurally matches.
      The latter covers unsubstituted leaves, which the registry also runs
      at native speed through staged dispatch — and, crucially, it depends
-     only on the spec (never on the staged/kernels/domains switches), so
-     modeled time keeps the determinism contract. *)
+     only on the spec (never on the domain count), so modeled time keeps
+     the determinism contract. *)
   let priced_kernel =
     match named_order with
     | Some (k, _) -> Some k
@@ -484,26 +484,6 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   let ckpt =
     if checkpointing then Some (Checkpoint.create ~merge:Comm_plan.merge_rects)
     else None
-  in
-  (* Global backing stores. In owner-computes mode the output buffer is
-     seeded from the global store, so for [=] statements the global output
-     starts at zero; for [+=] it starts at the caller-provided value. *)
-  let global : (string, Dense.t) Hashtbl.t = Hashtbl.create 8 in
-  if mode = Full then begin
-    List.iter
-      (fun tn ->
-        if tn <> out_name then Hashtbl.replace global tn (List.assoc tn data))
-      tensors;
-    let out0 =
-      if stmt.accum then Dense.copy (List.assoc out_name data)
-      else Dense.create (Taskir.shape_of prog out_name)
-    in
-    Hashtbl.replace global out_name out0
-  end;
-  (* Immutable source for RHS reads of the output tensor: the caller's
-     data, never the (zero-seeded or partially flushed) global store. *)
-  let out_input =
-    if mode = Full && reads_out then Some (List.assoc out_name data) else None
   in
   let nprocs = Machine.num_procs machine in
   (* Per-linear-processor node and rack ids: link and rack decisions in the
@@ -755,36 +735,6 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   let dyn_peak = Array.make nprocs 0.0 in
   (* {3 Per-task walk} *)
   let ops = ops_per_point stmt in
-  (* Staged leaf evaluation: the statement's scalar loop nest is compiled
-     once per execution into flat loops over precomputed strides
-     ({!Expr_stage}); [Expr.eval] stays the per-point oracle fallback.
-     Plans are immutable, so every lane shares this one. *)
-  let use_staged =
-    match staged with
-    | Some b -> b
-    | None -> Env.bool_var ~default:true "DISTAL_STAGE"
-  in
-  (* Leaf kernel registry mode: explicit argument wins, then the
-     DISTAL_KERNELS environment switch (default tiled). Only Full-mode
-     leaf execution consults it — modeled time depends on (spec, cost)
-     alone, never on which implementation computes the numbers. *)
-  let kmode =
-    match kernels with Some m -> m | None -> Kreg.default_mode ()
-  in
-  let staged_plan =
-    if mode = Full && use_staged then begin
-      let rec leaf_of = function
-        | Taskir.Launch { body; _ } | Seq_loop { body; _ } | Ensure { body; _ } ->
-            leaf_of body
-        | Leaf (Scalar_loops vars) -> Some vars
-        | Leaf (Named _) -> None
-      in
-      match leaf_of prog.tree with
-      | Some vars -> Expr_stage.plan prov ~stmt ~leaf_vars:vars
-      | None -> None
-    end
-    else None
-  in
   let run_task ~fmemo ~pieces_of ~plan_of ?drec (point : int array) =
     let proc_coord = Mapper.proc_of_point machine ~launch_dims:ldims point in
     let proc = Machine.linearize machine proc_coord in
@@ -807,10 +757,10 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
     in
     (* Cached instances record whether they count against dynamic memory
        (instances of locally-owned tiles alias the owned data). *)
-    let cache : (string, Rect.t * Dense.t option * bool) Hashtbl.t = Hashtbl.create 8 in
+    let cache : (string, Rect.t * bool) Hashtbl.t = Hashtbl.create 8 in
     (* Read-only instance of the output tensor for self-referencing
        statements, kept apart from the write instance in [cache]. *)
-    let out_read : (Rect.t * Dense.t option * bool) option ref = ref None in
+    let out_read : (Rect.t * bool) option ref = ref None in
     let dyn = ref 0.0 and dyn_max = ref 0.0 in
     let grow bytes =
       dyn := !dyn +. bytes;
@@ -853,10 +803,10 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
           end)
         (plan_of tn rect)
     in
-    let flush_output ?step rect buf =
+    let flush_output ?step rect =
       demit D_flush;
       let step = match step with Some s -> s | None -> step_of () in
-      if reduction then emit (Fx_red { step; rect; buf })
+      if reduction then emit (Fx_red { step; rect })
       else begin
         if not (proc_owns out_name rect) then
           (* Owner-computes with a remote owner: ship the tile home. *)
@@ -877,7 +827,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
                        volume = Rect.volume piece;
                      }))
             (pieces_of out_name rect);
-        emit (Fx_out { step; rect; buf })
+        emit (Fx_out { step; rect })
       end
     in
     let ensure tn =
@@ -885,9 +835,9 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
       let rect = Bounds.footprint fmemo ~env ~shape tn in
       let fresh =
         match Hashtbl.find_opt cache tn with
-        | Some (r, _, _) when Rect.equal r rect -> false
-        | Some (r, old, counted) ->
-            if tn = out_name then flush_output r old;
+        | Some (r, _) when Rect.equal r rect -> false
+        | Some (r, counted) ->
+            if tn = out_name then flush_output r;
             if counted then shrink (bytes_of_rect r);
             Hashtbl.remove cache tn;
             true
@@ -909,17 +859,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
           if ((not reduction) && stmt.accum) || reads_out then charge_fetch tn rect
         end
         else charge_fetch tn rect;
-        let buf =
-          if mode = Model then None
-          else if tn = out_name then
-            (* Output instances are zero-seeded deltas — reduction partials
-               and owner-computes writes alike. Tasks probe concurrently, so
-               the base value joins exactly once, at merge time, when the
-               delta accumulates into the global store. *)
-            Some (Dense.create (Rect.extents rect))
-          else Some (Dense.extract (Hashtbl.find global tn) rect)
-        in
-        Hashtbl.replace cache tn (rect, buf, counted);
+        Hashtbl.replace cache tn (rect, counted);
         demit
           (D_inst
              {
@@ -929,18 +869,13 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
              });
         if tn = out_name && reads_out then begin
           (match !out_read with
-          | Some (r0, _, counted0) ->
+          | Some (r0, counted0) ->
               if counted0 then shrink (bytes_of_rect r0);
               out_read := None
           | None -> ());
           let counted_r = not (proc_owns tn rect) in
           if counted_r then grow bytes;
-          let rbuf =
-            match out_input with
-            | Some src when mode = Full -> Some (Dense.extract src rect)
-            | _ -> None
-          in
-          out_read := Some (rect, rbuf, counted_r);
+          out_read := Some (rect, counted_r);
           demit (D_inst { tensor = tn; rect; role = R_read_out })
         end
       end
@@ -950,11 +885,11 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
         List.fold_left
           (fun acc tn ->
             match Hashtbl.find_opt cache tn with
-            | Some (r, _, _) -> acc +. bytes_of_rect r
+            | Some (r, _) -> acc +. bytes_of_rect r
             | None -> acc)
           0.0 tensors
       in
-      match !out_read with Some (r, _, _) -> base +. bytes_of_rect r | None -> base
+      match !out_read with Some (r, _) -> base +. bytes_of_rect r | None -> base
     in
     let leaf_points () =
       List.fold_left
@@ -963,7 +898,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
           acc *. float_of_int (max 0 (hi - lo)))
         1.0 (Expr.index_vars stmt)
     in
-    let exec_leaf leaf =
+    let exec_leaf () =
       let step = step_of () in
       emit
         (Fx_compute
@@ -975,156 +910,31 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
       (* Recording: snapshot the variable bindings the leaf runs under
          (launch + sequential vars — leaf vars are bound inside) and, for
          substituted kernels, the slicing plan relative to the cached
-         instances. Both depend only on the spec, so a Model-mode probe
-         records exactly what a Full-mode leaf execution does. *)
-      (match drec with
+         instances. Both depend only on the spec, never on tensor data. *)
+      match drec with
       | None -> ()
       | Some _ ->
-          let slices =
-            match leaf with
-            | Taskir.Scalar_loops _ -> []
-            | Taskir.Named _ ->
-                let _, order =
-                  match named_order with Some ko -> ko | None -> assert false
-                in
-                List.map
-                  (fun tn ->
-                    let r =
-                      match Hashtbl.find_opt cache tn with
-                      | Some (r, _, _) -> r
-                      | None ->
-                          invalid_arg
-                            ("leaf recorded without an instance of " ^ tn)
-                    in
-                    let shape = Taskir.shape_of prog tn in
-                    let need = Bounds.footprint fmemo ~env ~shape tn in
-                    if Rect.equal need r then { ds_tensor = tn; ds_local = None }
-                    else begin
-                      assert (Rect.subset need r);
-                      let local =
-                        Rect.make
-                          ~lo:
-                            (Array.mapi
-                               (fun d x -> x - (r : Rect.t).lo.(d))
-                               (need : Rect.t).lo)
-                          ~hi:
-                            (Array.mapi
-                               (fun d x -> x - (r : Rect.t).lo.(d))
-                               (need : Rect.t).hi)
-                      in
-                      { ds_tensor = tn; ds_local = Some local }
-                    end)
-                  order
+          let slice tn =
+            let r =
+              match Hashtbl.find_opt cache tn with
+              | Some (r, _) -> r
+              | None -> invalid_arg ("leaf recorded without an instance of " ^ tn)
+            in
+            let need = Bounds.footprint fmemo ~env ~shape:(Taskir.shape_of prog tn) tn in
+            if Rect.equal need r then { ds_tensor = tn; ds_local = None }
+            else if not (Rect.subset need r) then
+              invalid_arg ("leaf footprint outside the instance of " ^ tn)
+            else
+              let rel = Array.mapi (fun d x -> x - r.Rect.lo.(d)) in
+              {
+                ds_tensor = tn;
+                ds_local = Some (Rect.make ~lo:(rel need.Rect.lo) ~hi:(rel need.Rect.hi));
+              }
           in
-          demit
-            (D_leaf { denv = Array.of_seq (Hashtbl.to_seq env_tbl); slices }));
-      if mode = Full then begin
-        let buffer tn =
-          match Hashtbl.find_opt cache tn with
-          | Some (r, Some b, _) -> (r, b)
-          | _ -> invalid_arg ("leaf executed without an instance of " ^ tn)
-        in
-        match leaf with
-        | Taskir.Named _ ->
-            let kernel, order =
-              match named_order with Some ko -> ko | None -> assert false
-            in
-            (* A cached instance may cover more than this leaf execution
-               touches (a communicate point above further sequential
-               loops): slice each buffer down to the leaf's footprint and
-               write the output slice back afterwards. *)
-            let sliced tn =
-              let r, buf = buffer tn in
-              let shape = Taskir.shape_of prog tn in
-              let need = Bounds.footprint fmemo ~env ~shape tn in
-              if Rect.equal need r then (buf, None)
-              else begin
-                assert (Rect.subset need r);
-                let local =
-                  Rect.make
-                    ~lo:(Array.mapi (fun d x -> x - (r : Rect.t).lo.(d)) (need : Rect.t).lo)
-                    ~hi:(Array.mapi (fun d x -> x - (r : Rect.t).lo.(d)) (need : Rect.t).hi)
-                in
-                (Dense.extract buf local, Some (buf, local))
-              end
-            in
-            let bufs = List.map sliced order in
-            let b (buf, _) = buf in
-            (* Registry dispatch: [Off] and [Naive] run the reference
-               loops, [Tiled] the blocked microkernels. *)
-            Kreg.run_named kmode ~kernel (List.map b bufs);
-            (* Write back a sliced output. *)
-            (match (order, bufs) with
-            | out :: _, (slice, Some (buf, local)) :: _ when String.equal out out_name ->
-                Dense.blit_into ~src:slice ~dst:buf local
-            | _ -> ())
-        | Taskir.Scalar_loops vars ->
-            (* Fast path: run the compiled nest over the raw instance
-               arrays. Same executed points, order and float operations as
-               the generic loop below — bit-identical output. Falls through
-               to the oracle when this binding cannot be staged. *)
-            let staged_done =
-              match staged_plan with
-              | None -> false
-              | Some sp ->
-                  let slots = Expr_stage.slots sp in
-                  let nslots = Array.length slots in
-                  let inst_of i (a : Expr.access) =
-                    if i < nslots - 1 && reads_out && String.equal a.tensor out_name
-                    then
-                      match !out_read with
-                      | Some (r, Some b, _) -> Some (r, b)
-                      | _ -> None
-                    else
-                      match Hashtbl.find_opt cache a.tensor with
-                      | Some (r, Some b, _) -> Some (r, b)
-                      | _ -> None
-                  in
-                  let insts = Array.mapi inst_of slots in
-                  Array.for_all Option.is_some insts
-                  && Expr_stage.run ~kernels:kmode sp ~env
-                       ~insts:(Array.map Option.get insts)
-            in
-            if not staged_done then begin
-            let extents = Array.of_list (List.map (Provenance.extent prov) vars) in
-            let vars_arr = Array.of_list vars in
-            let lookup (a : Expr.access) coord =
-              (* RHS reads of the output come from the read-only instance:
-                 the write buffer is being mutated by this very loop nest
-                 (and, for [=] statements, started from zero). *)
-              let r, b =
-                if reads_out && String.equal a.tensor out_name then
-                  match !out_read with
-                  | Some (r, Some b, _) -> (r, b)
-                  | _ ->
-                      invalid_arg
-                        ("leaf executed without a read instance of " ^ out_name)
-                else buffer a.tensor
-              in
-              let local = Array.mapi (fun d c -> c - (r : Rect.t).lo.(d)) coord in
-              Dense.get b local
-            in
-            let out_rect, out_buf = buffer out_name in
-            Ints.iter_box extents (fun pt ->
-                Array.iteri (fun i v -> Hashtbl.replace env_tbl v pt.(i)) vars_arr;
-                if Provenance.guards_ok prov ~env then begin
-                  let point v =
-                    match Provenance.raw_point prov ~env v with
-                    | Some x -> x
-                    | None -> invalid_arg ("unbound index variable " ^ v)
-                  in
-                  let v = Expr.eval stmt ~lookup ~point in
-                  let coord =
-                    Array.of_list (List.map point stmt.lhs.indices)
-                  in
-                  let local =
-                    Array.mapi (fun d c -> c - (out_rect : Rect.t).lo.(d)) coord
-                  in
-                  Dense.add_at out_buf local v
-                end);
-            Array.iter (fun v -> Hashtbl.remove env_tbl v) vars_arr
-            end
-      end
+          let slices =
+            match named_order with None -> [] | Some (_, order) -> List.map slice order
+          in
+          demit (D_leaf { denv = Array.of_seq (Hashtbl.to_seq env_tbl); slices })
     in
     let rec walk = function
       | Taskir.Launch { body; _ } -> walk body
@@ -1137,7 +947,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
       | Taskir.Ensure { tensor; body } ->
           ensure tensor;
           walk body
-      | Taskir.Leaf leaf -> exec_leaf leaf
+      | Taskir.Leaf _ -> exec_leaf ()
     in
     walk prog.tree;
     (* Flush the cached output instance (write-back or reduction). The
@@ -1145,7 +955,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
        final step explicitly — it is the step whose end produced this
        state (matters only to fault remapping and checkpoints). *)
     (match Hashtbl.find_opt cache out_name with
-    | Some (r, buf, _) -> flush_output ~step:(nsteps - 1) r buf
+    | Some (r, _) -> flush_output ~step:(nsteps - 1) r
     | None -> ());
     (match drec with Some r -> r := List.rev !r | None -> ());
     { tr_proc = proc; tr_fxs = List.rev !fxs; tr_dyn_max = !dyn_max }
@@ -1158,12 +968,9 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   in
   let npoints = Array.length points in
   (* One recording slot per launch point, when a plan compilation asked
-     for them ([plan] builds the array from the same launch box). *)
-  let drec_of i =
-    match record with
-    | Some arr when Array.length arr = npoints -> Some arr.(i)
-    | _ -> None
-  in
+     for them. *)
+  let drecs = if record then Array.init npoints (fun _ -> ref []) else [||] in
+  let drec_of i = if record then Some drecs.(i) else None in
   (* {3 Parallel probe, serial merge} *)
   (* Launch points are independent by construction (the distribution
      partitions the output), so lanes probe contiguous point ranges
@@ -1188,8 +995,8 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   let compute_wall = Pool.now () -. wall0 in
   (* Host-side wall clock of the probe phase (not simulated time), plus
      pool shape and utilization. Gauges only: these never enter the event
-     stream or the derived [Stats.t], so Full-mode runs stay byte-identical
-     across domain counts. *)
+     stream or the derived [Stats.t], so runs stay byte-identical across
+     domain counts. *)
   Metrics.set (Metrics.gauge reg "exec.compute_wall_s") compute_wall;
   Metrics.set (Metrics.gauge reg "exec.pool_domains") (float_of_int lanes);
   Metrics.set
@@ -1200,8 +1007,8 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   (* {3 Replay after kills} *)
   (* A killed processor loses its in-flight task state, so every launch
      point it was executing is re-probed from scratch — [run_task] is
-     deterministic, so the replayed effects (and thus the final output)
-     are exactly the originals, and the merge below charges them to the
+     deterministic, so the replayed effects (and recorded data ops) are
+     exactly the originals, and the merge below charges them to the
      failover processor via [remap]. The simulated cost of this replay is
      priced in the recovery epilogue. *)
   (match inj with
@@ -1218,7 +1025,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
         results
   | _ -> ());
   (* Replay every task's deferred effects in launch-point order: metrics,
-     traces, step accumulators, reduction bookkeeping and the global output
+     traces, step accumulators, checkpoints and reduction bookkeeping
      observe exactly the sequence a serial execution produces. *)
   Array.iter
     (fun r ->
@@ -1233,7 +1040,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
               let src = remap ~step src and dst = remap ~step dst in
               if src <> dst then
                 add_batch ~step ~tensor ~src ~dst ~pieces ~merged ~nfrag ~volume
-          | Fx_red { step; rect; buf } -> (
+          | Fx_red { step; rect } -> (
               let rproc = remap ~step proc in
               (match ckpt with
               | Some c when not (Rect.is_empty rect) ->
@@ -1247,21 +1054,11 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
                   if not (have_kills && List.mem rproc procs) then
                     Hashtbl.replace red_contribs rect (b, rproc :: procs)
               | None ->
-                  Hashtbl.add red_contribs rect (bytes_of_rect rect, [ rproc ]));
-              match buf with
-              | Some b when not (Rect.is_empty rect) ->
-                  Dense.accumulate_into ~src:b ~dst:(Hashtbl.find global out_name)
-                    rect
-              | _ -> ())
-          | Fx_out { step; rect; buf } -> (
-              (match ckpt with
+                  Hashtbl.add red_contribs rect (bytes_of_rect rect, [ rproc ])))
+          | Fx_out { step; rect } -> (
+              match ckpt with
               | Some c when not (Rect.is_empty rect) ->
                   Checkpoint.record c ~step ~proc:(remap ~step proc) rect
-              | _ -> ());
-              match buf with
-              | Some b when not (Rect.is_empty rect) ->
-                  Dense.accumulate_into ~src:b ~dst:(Hashtbl.find global out_name)
-                    rect
               | _ -> ()))
         tr_fxs;
       if tr_dyn_max > dyn_peak.(proc) then dyn_peak.(proc) <- tr_dyn_max)
@@ -1269,8 +1066,8 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   (* {3 Timing assembly} *)
   (* Deterministic order throughout this phase: steps ascending, copy
      groups sorted by key within each step, processors ascending — so two
-     runs of the same spec (and [Full] vs [Model] of the same spec) produce
-     identical event streams and bit-identical times. Everything is read
+     runs of the same spec produce identical event streams and
+     bit-identical times. Everything is read
      off the flat per-step accumulators; no (step, proc) hashing. *)
   let h_step_time = Metrics.histogram reg "exec.step_time" in
   let start = ref 0.0 in
@@ -1309,8 +1106,7 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
         (* Message faults: a matched drop costs its endpoints a
            retransmission (timeout + full resend), a matched delay holds
            the receiver back. Payload byte/message counts are untouched —
-           the data still arrives, late. Purely plan-driven, so Full and
-           Model mode price faults identically. *)
+           the data still arrives, late. Purely plan-driven. *)
         if have_msg_faults then begin
           let i = Option.get inj in
           List.iter
@@ -1637,9 +1433,8 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   (* Host allocation accounting: OCaml words this execution allocated
      (bigarray payloads live outside the heap and are not counted).
      Gauges only — [Stats.of_registry] reads a fixed name set, so the
-     derived stats and the determinism contract are untouched. The
-     simperf bench compares these between the replan and plan-reuse
-     paths; {!Distal_obs.Report.host_execution} prints them. *)
+     derived stats and the determinism contract are untouched.
+     {!Distal_obs.Report.host_execution} prints them. *)
   let gc1 = Gc.quick_stat () in
   Metrics.set
     (Metrics.gauge reg "exec.alloc_minor_words")
@@ -1647,29 +1442,28 @@ let execute_impl ?(mode = Full) ?(coalesce = true) ?domains ?staged ?kernels
   Metrics.set
     (Metrics.gauge reg "exec.alloc_major_words")
     (gc1.Gc.major_words -. gc0.Gc.major_words);
-  let stats = Stats.of_registry reg in
   (match trace with Some log -> log := List.rev !log | None -> ());
-  let output = if mode = Full then Hashtbl.find_opt global out_name else None in
-  Ok { output; stats }
-
-let execute ?mode ?coalesce ?domains ?staged ?kernels ?trace ?profile ?faults
-    spec ~data =
-  execute_impl ?mode ?coalesce ?domains ?staged ?kernels ?trace ?profile
-    ?faults spec ~data
+  Ok
+    {
+      sim_stats = Stats.of_registry reg;
+      sim_dops = Array.map ( ! ) drecs;
+      sim_named = named_order;
+      sim_leaf_vars =
+        (match leaf with Taskir.Scalar_loops vars -> vars | Named _ -> []);
+    }
 
 (* {2 Compiled executable plans} *)
 
 module Buf_pool = Distal_support.Buf_pool
 
 (* Plan once per (program x schedule x machine x options), run many times
-   against new tensor data. The plan phase is one Model-mode execution
-   with data-op recording switched on: it prices the schedule exactly as
-   [execute] does (stats are byte-identical to a fresh run's stats) and
-   captures, per launch point, the ordered data operations a Full-mode
-   run performs. The run phase replays those operations with buffers from
-   a size-classed pool ({!Buf_pool}) — per-lane arenas during the
-   parallel probe, released back after the serial merge — so a warm run
-   allocates no fragment, reduction or slice buffers at all. *)
+   against new tensor data. The plan phase is one simulation with data-op
+   recording switched on: it prices the schedule exactly as a Model-mode
+   [execute] does and captures, per launch point, the ordered data
+   operations of the run. The run phase replays those operations with
+   buffers from a size-classed pool ({!Buf_pool}) — per-lane arenas during
+   the parallel probe, released back after the serial merge — so a warm
+   run allocates no fragment, reduction or slice buffers at all. *)
 type eplan = {
   ep_spec : spec;
   ep_stats : Stats.t;  (* modeled per-run stats, fixed at plan time *)
@@ -1687,46 +1481,28 @@ type eplan = {
   mutable ep_runs : int;
 }
 
-let plan ?(coalesce = true) ?faults spec =
+let compile_plan ?domains ?coalesce ?faults ?trace ?profile spec =
   let prog = spec.program in
   let stmt = prog.stmt in
-  let _, ldims = Taskir.launch prog in
-  let points =
-    if Array.length ldims = 0 then [| [||] |]
-    else
-      Array.of_list
-        (List.rev (Ints.fold_box ldims ~init:[] ~f:(fun acc c -> c :: acc)))
+  let* sim =
+    execute_impl ?domains ?coalesce ?faults ?trace ?profile ~record:true spec
   in
-  let record = Array.map (fun _ -> ref []) points in
-  let* r = execute_impl ~mode:Model ~coalesce ?faults ~record spec ~data:[] in
-  let rec leaf_of = function
-    | Taskir.Launch { body; _ } | Seq_loop { body; _ } | Ensure { body; _ } ->
-        leaf_of body
-    | Leaf l -> l
-  in
-  let named, leaf_vars =
-    match leaf_of prog.tree with
-    | Taskir.Named { kernel; _ } -> (
-        match Kernel_match.check stmt ~kernel with
-        | Ok order -> (Some (kernel, order), [])
-        | Error _ ->
-            (* the execution above already validated the substitution *)
-            assert false)
-    | Taskir.Scalar_loops vars -> (None, vars)
-  in
-  let staged_plan =
-    match leaf_vars with
+  (* Staged leaf evaluation: the scalar loop nest compiled once into flat
+     loops over precomputed strides ({!Expr_stage}); [None] when staging
+     cannot express the nest, leaving the [Expr.eval] fallback. *)
+  let staged =
+    match sim.sim_leaf_vars with
     | [] -> None
     | vars -> Expr_stage.plan prog.prov ~stmt ~leaf_vars:vars
   in
   Ok
     {
       ep_spec = spec;
-      ep_stats = r.stats;
-      ep_dops = Array.map (fun r -> !r) record;
-      ep_named = named;
-      ep_staged = staged_plan;
-      ep_leaf_vars = leaf_vars;
+      ep_stats = sim.sim_stats;
+      ep_dops = sim.sim_dops;
+      ep_named = sim.sim_named;
+      ep_staged = staged;
+      ep_leaf_vars = sim.sim_leaf_vars;
       ep_reads_out = Expr.reads_output stmt;
       ep_accum = stmt.accum;
       ep_out_name = stmt.lhs.tensor;
@@ -1737,18 +1513,22 @@ let plan ?(coalesce = true) ?faults spec =
       ep_runs = 0;
     }
 
+let plan ?coalesce ?faults ?trace ?profile spec =
+  compile_plan ?coalesce ?faults ?trace ?profile spec
+
 let plan_stats ep = { ep.ep_stats with Stats.time = ep.ep_stats.Stats.time }
 let plan_runs ep = ep.ep_runs
 let plan_pool_stats ep = Buf_pool.stats ep.ep_pool
 
-let run_plan ?domains ?staged ?kernels ep ~data =
+let run_plan ?domains ep ~data =
   let spec = ep.ep_spec in
   let prog = spec.program in
   let stmt = prog.stmt in
   let prov = prog.prov in
   let out_name = ep.ep_out_name in
   let reads_out = ep.ep_reads_out in
-  (* Same input contract as [execute]. *)
+  (* Every tensor the statement reads needs data; the output only when it
+     is accumulated into or read on the right-hand side. *)
   let* () =
     List.fold_left
       (fun acc tn ->
@@ -1758,12 +1538,6 @@ let run_plan ?domains ?staged ?kernels ep ~data =
         else errf "no data given for tensor %s" tn)
       (Ok ()) ep.ep_tensors
   in
-  let use_staged =
-    match staged with
-    | Some b -> b
-    | None -> Env.bool_var ~default:true "DISTAL_STAGE"
-  in
-  let kmode = match kernels with Some m -> m | None -> Kreg.default_mode () in
   (* Runs of one plan serialize: the arenas and the parked free lists are
      per-plan state. Different plans run concurrently without contact. *)
   Mutex.lock ep.ep_m;
@@ -1773,7 +1547,6 @@ let run_plan ?domains ?staged ?kernels ep ~data =
     if ep.ep_accum then Dense.copy (List.assoc out_name data)
     else Dense.create ep.ep_out_shape
   in
-  let out_input = if reads_out then Some (List.assoc out_name data) else None in
   let input_of tn = List.assoc tn data in
   let npoints = Array.length ep.ep_dops in
   (* Per-point merge contributions in flush order: (rect, view, block,
@@ -1804,7 +1577,7 @@ let run_plan ?domains ?staged ?kernels ep ~data =
         match ep.ep_named with
         | Some (kernel, _) ->
             (* Substituted kernel: replay the recorded slicing plan, run
-               the registry kernel, write a sliced output back. *)
+               the tiled registry kernel, write a sliced output back. *)
             let bufs =
               List.map
                 (fun { ds_tensor; ds_local } ->
@@ -1818,7 +1591,7 @@ let run_plan ?domains ?staged ?kernels ep ~data =
                       (sv, Some (v, local, sb)))
                 slices
             in
-            Kreg.run_named kmode ~kernel (List.map fst bufs);
+            Kreg.run_named Kreg.Tiled ~kernel (List.map fst bufs);
             (match (slices, bufs) with
             | { ds_tensor; _ } :: _, (sv, Some (v, local, _)) :: _
               when String.equal ds_tensor out_name ->
@@ -1830,36 +1603,31 @@ let run_plan ?domains ?staged ?kernels ep ~data =
                 | _, None -> ())
               bufs
         | None ->
-            (* Scalar nest: staged fast path, generic oracle fallback —
-               the same gate, slot binding and loop as [execute]'s leaf,
-               so results stay bit-identical. *)
+            (* Scalar nest: the staged plan, which hands nests matching a
+               registry kernel to the tiled kernels (bit-identical: they
+               keep the nest's per-element accumulation order); the
+               generic [Expr.eval] loop only where staging cannot express
+               this binding. *)
             Hashtbl.reset env_tbl;
             Array.iter (fun (v, x) -> Hashtbl.replace env_tbl v x) denv;
             let env v = Hashtbl.find_opt env_tbl v in
             let staged_done =
-              use_staged
-              &&
               match ep.ep_staged with
               | None -> false
               | Some sp ->
                   let slots = Expr_stage.slots sp in
                   let nslots = Array.length slots in
                   let inst_of i (a : Expr.access) =
-                    if
-                      i < nslots - 1 && reads_out
-                      && String.equal a.tensor out_name
-                    then
-                      match !read_inst with
-                      | Some (r, v, _) -> Some (r, v)
-                      | None -> None
-                    else
-                      match Hashtbl.find_opt insts a.tensor with
-                      | Some (r, v, _) -> Some (r, v)
-                      | None -> None
+                    let inst =
+                      if i < nslots - 1 && reads_out && String.equal a.tensor out_name
+                      then !read_inst
+                      else Hashtbl.find_opt insts a.tensor
+                    in
+                    Option.map (fun (r, v, _) -> (r, v)) inst
                   in
                   let sinsts = Array.mapi inst_of slots in
                   Array.for_all Option.is_some sinsts
-                  && Expr_stage.run ~kernels:kmode sp ~env
+                  && Expr_stage.run ~kernels:Kreg.Tiled sp ~env
                        ~insts:(Array.map Option.get sinsts)
             in
             if not staged_done then begin
@@ -1908,30 +1676,20 @@ let run_plan ?domains ?staged ?kernels ep ~data =
           (fun d ->
             match d with
             | D_inst { tensor; rect; role } -> (
+                (* The new instance replaces the task's previous one of
+                   the same tensor and role. *)
+                let old =
+                  match role with
+                  | R_read_out -> !read_inst
+                  | R_input | R_output -> Hashtbl.find_opt insts tensor
+                in
+                Option.iter (fun (_, _, b) -> Buf_pool.release pool arena b) old;
+                let v, b = acquire_view rect in
+                if role = R_output then Dense.fill v 0.0
+                else Dense.extract_into ~src:(input_of tensor) ~dst:v rect;
                 match role with
-                | R_output ->
-                    (match Hashtbl.find_opt insts tensor with
-                    | Some (_, _, old) -> Buf_pool.release pool arena old
-                    | None -> ());
-                    let v, b = acquire_view rect in
-                    Dense.fill v 0.0;
-                    Hashtbl.replace insts tensor (rect, v, b)
-                | R_input ->
-                    (match Hashtbl.find_opt insts tensor with
-                    | Some (_, _, old) -> Buf_pool.release pool arena old
-                    | None -> ());
-                    let v, b = acquire_view rect in
-                    Dense.extract_into ~src:(input_of tensor) ~dst:v rect;
-                    Hashtbl.replace insts tensor (rect, v, b)
-                | R_read_out ->
-                    (match !read_inst with
-                    | Some (_, _, old) -> Buf_pool.release pool arena old
-                    | None -> ());
-                    let v, b = acquire_view rect in
-                    (match out_input with
-                    | Some src -> Dense.extract_into ~src ~dst:v rect
-                    | None -> ());
-                    read_inst := Some (rect, v, b))
+                | R_read_out -> read_inst := Some (rect, v, b)
+                | R_input | R_output -> Hashtbl.replace insts tensor (rect, v, b))
             | D_leaf { denv; slices } -> run_leaf denv slices
             | D_flush -> (
                 match Hashtbl.find_opt insts out_name with
@@ -1950,9 +1708,9 @@ let run_plan ?domains ?staged ?kernels ep ~data =
             read_inst := None
         | None -> ()
       done);
-  (* Serial merge in launch-point order, flush order within a task — the
-     exact accumulation order [execute]'s effect replay uses, so outputs
-     are byte-identical. *)
+  (* Serial merge in launch-point order, flush order within a task: one
+     accumulation order whatever the domain count, so outputs are
+     byte-identical across pool sizes. *)
   for i = 0 to npoints - 1 do
     List.iter
       (fun (rect, v, b, lane) ->
@@ -1963,6 +1721,17 @@ let run_plan ?domains ?staged ?kernels ep ~data =
   done;
   ep.ep_runs <- ep.ep_runs + 1;
   Ok { output = Some out_global; stats = plan_stats ep }
+
+(* {2 One-shot execution} *)
+
+let execute ?(mode = Full) ?coalesce ?domains ?trace ?profile ?faults spec ~data =
+  match mode with
+  | Model ->
+      let* sim = execute_impl ?coalesce ?domains ?trace ?profile ?faults spec in
+      Ok { output = None; stats = sim.sim_stats }
+  | Full ->
+      let* ep = compile_plan ?domains ?coalesce ?faults ?trace ?profile spec in
+      run_plan ?domains ep ~data
 
 (* {2 Redistribution} *)
 

@@ -17,10 +17,13 @@
     destinations in one step are charged as tree broadcasts; distributed
     reductions are tree-reduced in an epilogue.
 
-    [Model] mode skips data movement and arithmetic but keeps the event
-    simulation exact, so weak-scaling experiments can run at the paper's
+    [Model] mode is the simulation alone — no data movement, no
+    arithmetic — so weak-scaling experiments can run at the paper's
     256-node scales where functional execution would be infeasible
-    (see DESIGN.md, substitutions). *)
+    (see DESIGN.md, substitutions). [Full] mode is the same simulation
+    with data-op recording on ({!plan}) followed by one replay of the
+    recorded operations against the caller's data ({!run_plan}): there
+    is one data path. *)
 
 type mode = Full | Model
 
@@ -56,8 +59,6 @@ val execute :
   ?mode:mode ->
   ?coalesce:bool ->
   ?domains:int ->
-  ?staged:bool ->
-  ?kernels:Distal_tensor.Kernel_registry.mode ->
   ?trace:trace_event list ref ->
   ?profile:Distal_obs.Profile.t ->
   ?faults:Distal_fault.Fault.t ->
@@ -77,30 +78,22 @@ val execute :
     price every fragment as its own message (the pre-planning model).
 
     [domains] sets the host domain-pool size used to probe the launch's
-    independent tasks concurrently (default: [DISTAL_NUM_DOMAINS], else
-    the available cores). Determinism contract: results, copy traces,
-    stats and Full-mode event streams are byte-identical for every domain
-    count — tasks record deferred effects that are merged in launch-point
-    order after the pool joins — and simulated time never depends on host
-    parallelism. The host-side probe wall clock and pool utilization are
-    reported as [exec.compute_wall_s] / [exec.pool_domains] /
-    [exec.pool_utilization] gauges.
+    independent tasks concurrently and to replay them (default:
+    [DISTAL_NUM_DOMAINS], else the available cores). Determinism
+    contract: results, copy traces, stats and event streams are
+    byte-identical for every domain count — tasks record deferred effects
+    that are merged in launch-point order after the pool joins — and
+    simulated time never depends on host parallelism. The host-side probe
+    wall clock and pool utilization are reported as [exec.compute_wall_s]
+    / [exec.pool_domains] / [exec.pool_utilization] gauges.
 
-    [staged] (default: on, unless [DISTAL_STAGE=0]) compiles the
-    statement's scalar leaf loop once per execution into flat strided
-    loops ({!Distal_ir.Expr_stage}); shapes that cannot be staged fall
-    back to the generic [Expr.eval] loop. Staged and generic execution are
-    bit-identical.
-
-    [kernels] (default: [DISTAL_KERNELS], else tiled) selects the leaf
-    kernel registry mode ({!Distal_tensor.Kernel_registry}). Substituted
-    leaves run the reference loops under [Off]/[Naive] and the blocked
-    microkernels under [Tiled] (same accumulation per element, different
-    rounding order — agreement within a tolerance). Staged scalar leaves
-    that match a kernel pattern dispatch to the registry under
-    [Naive]/[Tiled]; tiled dispatch preserves the evaluator's per-element
-    operation order, so scalar-path results stay bit-identical across all
-    three modes. Simulated time never depends on [kernels].
+    Leaves have one dispatch ({!run_plan}): substituted leaves run the
+    tiled registry kernels ({!Distal_tensor.Kernel_registry.Tiled}); scalar
+    leaves run their staged loop nest ({!Distal_ir.Expr_stage}), which
+    hands nests matching a registry kernel to the same tiled kernels with
+    the evaluator's per-element operation order (bit-identical), and fall
+    back to the generic [Expr.eval] loop only where staging cannot express
+    the nest.
 
     With [profile], the execution registers itself as a run of the profile
     and emits structured observability data: per-step compute/comm spans
@@ -109,7 +102,9 @@ val execute :
     {!Distal_obs.Critical_path.analyse}, and an [exec.*] metrics registry.
     The event stream is deterministic — [Full] and [Model] runs of the
     same spec produce identical streams — and the timeline's [total]
-    equals the returned [Stats.time] exactly.
+    equals the returned [Stats.time] exactly. A [Full] run's trace and
+    profile come from its planning simulation, so they are those of the
+    [Model] run of the same spec.
 
     [faults] injects a deterministic fault plan ({!Distal_fault.Fault}).
     Killed processors lose their in-flight tasks: the affected launch
@@ -136,10 +131,9 @@ val execute :
     coalesced communication, pricing — on every call, even though all of
     it depends only on the spec, never on tensor contents. A compiled
     executable plan splits that work: {!plan} runs the simulation once
-    (Model mode, stats byte-identical to a fresh run) while recording,
-    per launch point, the ordered data operations a Full-mode run
-    performs; {!run_plan} replays those operations against new tensor
-    data. Run-phase buffers — instance fragments, reduction partials,
+    (stats byte-identical to a [Model] run) while recording, per launch
+    point, the ordered data operations of the run; {!run_plan} replays
+    those operations against new tensor data. Run-phase buffers — instance fragments, reduction partials,
     kernel slices — come from a size-classed pool with per-lane arenas
     ({!Distal_support.Buf_pool}, capped by [DISTAL_POOL_MB]), so a warm
     run performs no per-fragment buffer allocation at all. *)
@@ -150,29 +144,31 @@ type eplan
 val plan :
   ?coalesce:bool ->
   ?faults:Distal_fault.Fault.t ->
+  ?trace:trace_event list ref ->
+  ?profile:Distal_obs.Profile.t ->
   spec ->
   (eplan, string) Stdlib.result
 (** Compile the spec into an executable plan. [coalesce] and [faults]
     affect only the plan-time stats ({!plan_stats}) — the replayed data
     path is fault-oblivious, which is exact: {!execute}'s recovery
     contract makes a killed-and-replayed run's output bit-identical to
-    the fault-free run. Fails exactly when {!execute} would (invalid
-    distributions, fault plans or substitutions). *)
+    the fault-free run. [trace] and [profile] observe the planning
+    simulation exactly as they observe {!execute}. Fails on invalid
+    distributions, fault plans or substitutions. *)
 
 val run_plan :
   ?domains:int ->
-  ?staged:bool ->
-  ?kernels:Distal_tensor.Kernel_registry.mode ->
   eplan ->
   data:(string * Distal_tensor.Dense.t) list ->
   (result, string) Stdlib.result
-(** Execute the plan against [data]. The output is byte-identical to
-    [execute ~mode:Full] of the plan's spec on the same data, for every
-    [domains]/[staged]/[kernels] setting, every pool size and whatever
-    fault plan the plan was compiled with; the returned stats are a copy
-    of the plan-time stats. Runs of one plan serialize on an internal
-    lock (the buffer arenas are per-plan state); distinct plans run
-    concurrently. *)
+(** Execute the plan against [data]: the data path of every [Full]-mode
+    run. [data] supplies the input tensors (and the output's initial
+    value for [+=] or self-reading statements); a missing one is an
+    error. The output is byte-identical for every [domains] setting,
+    every pool size and whatever fault plan the plan was compiled with;
+    the returned stats are a copy of the plan-time stats. Runs of one
+    plan serialize on an internal lock (the buffer arenas are per-plan
+    state); distinct plans run concurrently. *)
 
 val plan_stats : eplan -> Stats.t
 (** Copy of the modeled per-run statistics fixed at plan time. *)

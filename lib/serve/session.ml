@@ -183,13 +183,6 @@ let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
           match Api.run ~mode ?domains:t.domains ?profile ?faults plan ~data with
           | Error e -> Error e
           | Ok result ->
-              (* Full-mode unprofiled runs route through the plan's cached
-                 executable plan (Api.run's reuse path) whenever
-                 DISTAL_PLAN_REUSE is on: a plan-cache hit re-executes
-                 without replanning. Count them so serving metrics show how
-                 much of the traffic rode compiled plans. *)
-              if mode = Api.Exec.Full && profile = None && Env.plan_reuse () then
-                count1 t "serve.plan_reuse_runs";
               (* An oversized result is not even copied. *)
               if cacheable result then begin
                 match Lru.put t.results key (copy_result result) with
@@ -215,7 +208,6 @@ type counters = {
   result_hits : int;
   result_misses : int;
   result_evictions : int;
-  plan_reuse_runs : int;
 }
 
 let counters t =
@@ -233,7 +225,6 @@ let counters t =
     result_hits = c "serve.result_hits";
     result_misses = c "serve.result_misses";
     result_evictions = c "serve.result_evictions";
-    plan_reuse_runs = c "serve.plan_reuse_runs";
   }
 
 let cached_plans t = Lru.length t.plans

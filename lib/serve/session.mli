@@ -44,12 +44,9 @@ val create : ?plan_cache:int -> ?result_cache:int -> ?domains:int -> unit -> t
 val metrics : t -> Distal_obs.Metrics.registry
 (** The [serve.*] registry: [serve.requests], [serve.plan_hits]/
     [_misses]/[_evictions], [serve.result_hits]/[_misses]/[_evictions],
-    [serve.plan_reuse_runs] (result-cache misses that executed through the
-    plan's cached executable plan — Full mode, no profile, with
-    [DISTAL_PLAN_REUSE] on), [serve.result_uncached] (results served
-    without caching because their output exceeds
-    {!max_cached_result_bytes}), and the [serve.plan_entries]/
-    [serve.result_entries] gauges. *)
+    [serve.result_uncached] (results served without caching because
+    their output exceeds {!max_cached_result_bytes}), and the
+    [serve.plan_entries]/[serve.result_entries] gauges. *)
 
 val compile :
   ?profile:Distal_obs.Profile.t -> t -> Api.request -> (Api.plan * bool, string) result
@@ -101,9 +98,6 @@ type counters = {
   result_hits : int;
   result_misses : int;
   result_evictions : int;
-  plan_reuse_runs : int;
-      (** executions served through a cached executable plan (see
-          {!metrics}) *)
 }
 
 val counters : t -> counters

@@ -76,30 +76,13 @@ let serve_batch_window () = non_negative_float_var "DISTAL_SERVE_BATCH_WINDOW"
 
 let serve_cache () = non_negative_int_var "DISTAL_SERVE_CACHE"
 
-(* Leaf-kernel knobs (lib/tensor/kernel_registry, lib/machine/calibrate).
-   The registry's mode type lives in distal_tensor, which depends on this
-   library, so the parsed value is a polymorphic variant. *)
-
-let kernels () =
-  match lookup "DISTAL_KERNELS" with
-  | None -> None
-  | Some s -> (
-      match String.lowercase_ascii s with
-      | "off" -> Some `Off
-      | "naive" -> Some `Naive
-      | "tiled" -> Some `Tiled
-      | _ -> malformed "DISTAL_KERNELS" s "one of off/naive/tiled")
+(* Leaf-kernel knobs (lib/machine/calibrate). *)
 
 let kernel_rate () =
   match non_negative_float_var "DISTAL_KERNEL_RATE" with
   | Some f when f > 0.0 -> Some f
   | Some _ -> malformed "DISTAL_KERNEL_RATE" "0" "a positive flop/s rate"
   | None -> None
-
-(* Executable-plan knobs (lib/runtime/exec, lib/distal/api,
-   lib/support/buf_pool). *)
-
-let plan_reuse () = bool_var ~default:true "DISTAL_PLAN_REUSE"
 
 (* Auto-scheduler knobs (lib/algorithms/auto, lib/machine/calibrate). *)
 

@@ -48,27 +48,10 @@ val serve_cache : unit -> int option
 
 (** {2 Leaf-kernel knobs} *)
 
-val kernels : unit -> [ `Off | `Naive | `Tiled ] option
-(** [DISTAL_KERNELS]: leaf kernel registry mode — [off] (reference loops
-    on substituted leaves, staged plans elsewhere), [naive] (registry
-    dispatch to the reference implementations) or [tiled] (registry
-    dispatch to the cache-blocked microkernels, the default). The
-    registry's own mode type lives above this library, hence the
-    polymorphic variant. *)
-
 val kernel_rate : unit -> float option
 (** [DISTAL_KERNEL_RATE]: flop/s rate (positive) pinned for every leaf
     kernel, overriding the calibration microbenchmarks — reproducible CI
     and what-if modelling of a different host. *)
-
-(** {2 Executable-plan knobs} *)
-
-val plan_reuse : unit -> bool
-(** [DISTAL_PLAN_REUSE] (default on): route Full-mode [Api.run] calls
-    through a cached executable plan ({!val-bool_var} semantics) — plan
-    once per (program x schedule x machine x options) and run against new
-    data with pooled buffers. [DISTAL_POOL_MB] (parsed by
-    {!Buf_pool.create}) caps the bytes each plan's buffer pool parks. *)
 
 (** {2 Auto-scheduler knobs} *)
 

@@ -30,14 +30,6 @@ module A1 = Bigarray.Array1
 
 type mode = Off | Naive | Tiled
 
-let mode_to_string = function Off -> "off" | Naive -> "naive" | Tiled -> "tiled"
-
-let default_mode () =
-  match Distal_support.Env.kernels () with
-  | Some `Off -> Off
-  | Some `Naive -> Naive
-  | Some `Tiled | None -> Tiled
-
 (* {2 The kernel table}
 
    One entry per substitutable kernel: the access letters of the output

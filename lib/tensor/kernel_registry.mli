@@ -20,13 +20,9 @@ type mode = Off | Naive | Tiled
 (** [Off] — the registry is never consulted (substituted leaves run the
     {!Kernels} reference loops, staged leaves run their staged plans).
     [Naive] — registry dispatch to the reference-order implementations.
-    [Tiled] — registry dispatch to the blocked microkernels (default). *)
-
-val mode_to_string : mode -> string
-
-val default_mode : unit -> mode
-(** The mode selected by [DISTAL_KERNELS] ({!Distal_support.Env.kernels});
-    [Tiled] when unset. *)
+    [Tiled] — registry dispatch to the blocked microkernels, the tier the
+    executor runs every leaf with. [Off] and [Naive] remain as reference
+    implementations for tests and benchmarks. *)
 
 (** {2 The kernel table} *)
 

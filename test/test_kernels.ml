@@ -1,15 +1,14 @@
 (* The leaf kernel registry (lib/tensor/kernel_registry): every
    implementation tier must compute the reference contraction, the tiled
    tier bit-identically to the evaluator's accumulation order, and the
-   dispatch/diagnostic surfaces (mode parsing, shape errors, flops
-   pricing, calibrated rates) must behave as documented. *)
+   dispatch/diagnostic surfaces (shape errors, flops pricing, calibrated
+   rates) must behave as documented. *)
 
 module Kreg = Distal_tensor.Kernel_registry
 module Dense = Distal_tensor.Dense
 module Kernels = Distal_tensor.Kernels
 module Cost = Distal_machine.Cost_model
 module Calibrate = Distal_machine.Calibrate
-module Env = Distal_support.Env
 module Rng = Distal_support.Rng
 module Api = Distal.Api
 module Machine = Api.Machine
@@ -242,31 +241,13 @@ let test_shape_diagnostics () =
   with Invalid_argument msg ->
     Alcotest.(check bool) ("names the kernel: " ^ msg) true (contains msg "bogus")
 
-let test_env_modes () =
-  let set v = Unix.putenv "DISTAL_KERNELS" v in
-  set "naive";
-  Alcotest.(check bool) "naive parses" true (Env.kernels () = Some `Naive);
-  Alcotest.(check bool) "default_mode follows env" true (Kreg.default_mode () = Kreg.Naive);
-  set "TILED";
-  Alcotest.(check bool) "case-insensitive" true (Env.kernels () = Some `Tiled);
-  set "off";
-  Alcotest.(check bool) "off parses" true (Env.kernels () = Some `Off);
-  set "bogus";
-  (try
-     ignore (Env.kernels ());
-     Alcotest.fail "malformed DISTAL_KERNELS must raise"
-   with Invalid_argument _ -> ());
-  set "";
-  Alcotest.(check bool) "empty means default" true (Env.kernels () = None);
-  Alcotest.(check bool) "default is tiled" true (Kreg.default_mode () = Kreg.Tiled)
+(* {2 End-to-end: domains}
 
-(* {2 End-to-end: modes x domains}
-
-   The scalar (unsubstituted) path must be bit-identical across every
-   kernels mode and domain count — tiled dispatch replays the staged
-   evaluator's accumulation order. The substituted path runs the
-   reference loops under Off and Naive (bit-identical) and the blocked
-   microkernels under Tiled (documented tolerance). *)
+   The executor has one leaf dispatch: substituted leaves run the tiled
+   microkernels, and staged scalar leaves matching a kernel pattern hand
+   off to the same kernels with the evaluator's per-element accumulation
+   order. Both paths must be bit-identical across domain counts and agree
+   with the serial reference. *)
 
 let gemm_problem ~machine ~n =
   Api.problem_exn ~machine ~stmt:"A(i,j) = B(i,k) * C(k,j)"
@@ -284,16 +265,7 @@ let summa_schedule ~substitute =
    communicate(A, jo); communicate({B,C}, ko)"
   ^ if substitute then ";\nsubstitute({ii,ji,ki}, gemm)" else ""
 
-let run_matrix plan ~data =
-  List.map
-    (fun (kernels, domains) ->
-      let r = Api.run_exn ~mode:Api.Exec.Full ~kernels ~domains plan ~data in
-      ((kernels, domains), Option.get r.Api.Exec.output))
-    (List.concat_map
-       (fun m -> [ (m, 1); (m, 3) ])
-       [ Kreg.Off; Kreg.Naive; Kreg.Tiled ])
-
-let test_modes_end_to_end () =
+let test_domains_end_to_end () =
   let n = 12 in
   let machine = Machine.grid [| 2; 2 |] in
   let p = gemm_problem ~machine ~n in
@@ -305,39 +277,20 @@ let test_modes_end_to_end () =
       ~shapes:[ ("A", [| n; n |]); ("B", [| n; n |]); ("C", [| n; n |]) ]
       ~data
   in
-  (* Scalar path: one output bit pattern across all modes and domains. *)
-  let scalar_runs = run_matrix scalar ~data in
-  let (_, first) = List.hd scalar_runs in
   List.iter
-    (fun ((kernels, domains), out) ->
+    (fun (path, plan) ->
+      let out domains =
+        Option.get (Api.run_exn ~mode:Api.Exec.Full ~domains plan ~data).Api.Exec.output
+      in
+      let first = out 1 and third = out 3 in
       Alcotest.(check bool)
-        (Printf.sprintf "scalar path identical (%s, %d domains)"
-           (Kreg.mode_to_string kernels) domains)
-        true (exactly_equal out first))
-    scalar_runs;
-  Alcotest.(check bool) "scalar path correct" true
-    (Dense.approx_equal ~tol:1e-9 first reference);
-  (* Named path: Off = Naive bitwise; Tiled within tolerance; every
-     domain count bit-identical within a mode. *)
-  let named_runs = run_matrix named ~data in
-  let out_of kernels domains = List.assoc (kernels, domains) named_runs in
-  List.iter
-    (fun m ->
+        (path ^ " path domain-independent")
+        true (exactly_equal first third);
       Alcotest.(check bool)
-        (Printf.sprintf "named %s domain-independent" (Kreg.mode_to_string m))
+        (path ^ " path correct")
         true
-        (exactly_equal (out_of m 1) (out_of m 3)))
-    [ Kreg.Off; Kreg.Naive; Kreg.Tiled ];
-  Alcotest.(check bool) "named off = naive bitwise" true
-    (exactly_equal (out_of Kreg.Off 1) (out_of Kreg.Naive 1));
-  List.iter
-    (fun ((kernels, domains), out) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "named path correct (%s, %d domains)"
-           (Kreg.mode_to_string kernels) domains)
-        true
-        (Dense.approx_equal ~tol:1e-9 out reference))
-    named_runs
+        (Dense.approx_equal ~tol:1e-9 first reference))
+    [ ("scalar", scalar); ("named", named) ]
 
 (* {2 Cost model and calibration} *)
 
@@ -389,8 +342,7 @@ let suites =
         Alcotest.test_case "off never dispatches" `Quick test_off_never_runs;
         Alcotest.test_case "flops table" `Quick test_flops_table;
         Alcotest.test_case "shape diagnostics" `Quick test_shape_diagnostics;
-        Alcotest.test_case "DISTAL_KERNELS parsing" `Quick test_env_modes;
-        Alcotest.test_case "modes x domains end to end" `Quick test_modes_end_to_end;
+        Alcotest.test_case "domains end to end" `Quick test_domains_end_to_end;
         Alcotest.test_case "leaf rates in the cost model" `Quick test_leaf_rates;
         Alcotest.test_case "calibrated kernel rates" `Quick test_calibrated_rates;
       ] );

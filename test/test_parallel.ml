@@ -1,7 +1,6 @@
 (* The parallel executor's determinism contract (see Exec.execute): for
-   any domain count, and with the staged leaf evaluator on or off, a run
-   produces byte-identical results, copy traces, stats and Full-mode
-   event streams. The contract is what makes host parallelism invisible
+   any domain count, a run produces byte-identical results, copy traces,
+   stats and Full-mode event streams. The contract is what makes host parallelism invisible
    to the simulation — checked here both on fixed worst-case plans
    (distributed reductions, cyclic distributions) and property-style on
    the fuzzer's statement x distribution x schedule space. *)
@@ -60,16 +59,16 @@ let test_default_size () =
       | _ -> Alcotest.fail "expected Invalid_argument on a non-integer"
       | exception Invalid_argument _ -> ())
 
-(* {2 Byte-identity across domain counts and leaf evaluators} *)
+(* {2 Byte-identity across domain counts} *)
 
 (* Everything observable about a Full-mode run: output element bits, the
    copy trace, the stats rendering, and the whole profile event stream
    (serialized as Chrome trace JSON, which covers name/cat/track/ts/attrs
    of every event in emission order). *)
-let observe plan ~data ~domains ~staged =
+let observe plan ~data ~domains =
   let profile = Profile.create () in
   let trace = ref [] in
-  let r = Api.run_exn ~mode:Exec.Full ~domains ~staged ~trace ~profile plan ~data in
+  let r = Api.run_exn ~mode:Exec.Full ~domains ~trace ~profile plan ~data in
   let bits =
     match r.Exec.output with
     | None -> []
@@ -81,25 +80,24 @@ let observe plan ~data ~domains ~staged =
     Stats.to_string r.Exec.stats,
     Chrome_trace.to_string (Profile.events profile) )
 
-let configs = [ (1, true); (2, true); (8, true); (1, false); (2, false) ]
+let domain_counts = [ 2; 8 ]
 
 let check_identical ~what plan ~data =
-  let base = observe plan ~data ~domains:1 ~staged:true in
+  let base = observe plan ~data ~domains:1 in
   List.iter
-    (fun (domains, staged) ->
+    (fun domains ->
       let bits0, trace0, stats0, events0 = base in
-      let bits, tr, stats, events = observe plan ~data ~domains ~staged in
+      let bits, tr, stats, events = observe plan ~data ~domains in
       let ctx fmt =
         Printf.ksprintf
-          (fun s ->
-            Alcotest.failf "%s differs (domains=%d staged=%b): %s" what domains staged s)
+          (fun s -> Alcotest.failf "%s differs (domains=%d): %s" what domains s)
           fmt
       in
       if bits <> bits0 then ctx "output bits";
       if tr <> trace0 then ctx "copy trace";
       if not (String.equal stats stats0) then ctx "stats\n%s\nvs\n%s" stats0 stats;
       if not (String.equal events events0) then ctx "event stream")
-    configs
+    domain_counts
 
 (* A distributed reduction with cyclic inputs: tasks contribute partial
    sums that the merge path must fold in launch-point order, and the
@@ -152,8 +150,8 @@ let test_grid_identity () =
   let data = Api.random_inputs plan in
   check_identical ~what:"grid gemm" plan ~data
 
-(* Staged-vs-oracle on its own: accumulating self-referencing statement,
-   where a staging bug would double-count the output base. *)
+(* Accumulating self-referencing statement, where a staging bug would
+   double-count the output base. *)
 let test_staged_accumulate () =
   let machine = Machine.grid [| 2 |] in
   let p =
@@ -202,17 +200,17 @@ let gen_plan seed =
 let identity_once seed =
   let stmt, plan = gen_plan seed in
   let data = Api.random_inputs ~seed plan in
-  let base = observe plan ~data ~domains:1 ~staged:true in
+  let base = observe plan ~data ~domains:1 in
   List.for_all
-    (fun (domains, staged) ->
-      if observe plan ~data ~domains ~staged = base then true
+    (fun domains ->
+      if observe plan ~data ~domains = base then true
       else
-        QCheck.Test.fail_reportf
-          "parallel run diverges for %s (domains=%d staged=%b)" stmt domains staged)
-    configs
+        QCheck.Test.fail_reportf "parallel run diverges for %s (domains=%d)" stmt
+          domains)
+    domain_counts
 
 let qcheck_identity =
-  QCheck.Test.make ~name:"domains x staged leave runs byte-identical" ~count:60
+  QCheck.Test.make ~name:"byte-identity across domain counts" ~count:60
     QCheck.small_nat
     (fun seed -> Test_fuzz.seeded (succ seed) (fun () -> identity_once (succ seed)))
 

@@ -1,11 +1,13 @@
-(* Compiled executable plans (Exec.plan / Exec.run_plan): one plan
-   replayed against many data sets must be byte-identical to fresh
-   Exec.execute calls — for every domain count, coalesce setting, pool
-   state and fault plan — and a warm run must allocate no new pool
-   blocks. The QCheck matrix sweeps domains 1/3 x coalesce on/off x
-   fault plan over three statement shapes (substituted gemm, scalar
-   gemm, accumulating vector add); the deterministic cases pin the
-   steady-state pool contract and the Api routing. *)
+(* Compiled executable plans (Exec.plan / Exec.run_plan), the one data
+   path of every Full-mode run: one plan replayed against many data sets
+   must be byte-identical to the canonical run — a fresh Exec.execute on
+   one domain, coalesced, fault-free — for every domain count, coalesce
+   setting, pool state and fault plan, and agree with the serial
+   reference; a warm run must allocate no new pool blocks. The QCheck
+   matrix sweeps domains 1/3 x coalesce on/off x fault plan over three
+   statement shapes (substituted gemm, scalar gemm, accumulating vector
+   add); the deterministic cases pin the steady-state pool contract, the
+   Api routing and traced runs. *)
 
 module Api = Distal.Api
 module Machine = Api.Machine
@@ -73,19 +75,36 @@ let bits = function
   | None -> []
   | Some d -> List.init (Dense.size d) (fun i -> Int64.bits_of_float (Dense.get_lin d i))
 
-let check_same_result ctx (fresh : Exec.result) (reused : Exec.result) =
-  if bits fresh.Exec.output <> bits reused.Exec.output then
-    QCheck.Test.fail_reportf "%s: output bytes diverge" ctx;
-  let f = Stats.to_string fresh.Exec.stats in
-  let r = Stats.to_string reused.Exec.stats in
-  if not (String.equal f r) then
-    QCheck.Test.fail_reportf "%s: stats diverge\n%s\nvs\n%s" ctx f r;
+(* The canonical run every replay must reproduce byte for byte: a fresh
+   plan-and-replay on one domain, coalesced, fault-free. *)
+let canonical plan ~data =
+  match Exec.execute ~mode:Exec.Full ~domains:1 (Api.spec plan) ~data with
+  | Ok r -> r
+  | Error e -> QCheck.Test.fail_reportf "canonical run failed: %s" e
+
+let reference (plan : Api.plan) ~data =
+  let p = plan.Api.problem in
+  let shapes = List.map (fun (t : Api.tensor) -> (t.Api.name, t.Api.shape)) p.Api.tensors in
+  Exec.serial_reference p.Api.stmt ~shapes ~data
+
+(* Replay [ep] against [data]: output bytes equal to the canonical run's,
+   values within 1e-9 of the serial reference. *)
+let check_replay ctx plan ep ~domains ~data =
+  let reused =
+    match Exec.run_plan ~domains ep ~data with
+    | Ok r -> r
+    | Error e -> QCheck.Test.fail_reportf "%s: run_plan failed: %s" ctx e
+  in
+  if bits reused.Exec.output <> bits (canonical plan ~data).Exec.output then
+    QCheck.Test.fail_reportf "%s: output bytes diverge from the canonical run" ctx;
+  if not (Dense.approx_equal ~tol:1e-9 (Option.get reused.Exec.output) (reference plan ~data))
+  then QCheck.Test.fail_reportf "%s: output differs from the serial reference" ctx;
   true
 
 (* {2 The matrix property}
 
-   One compiled plan, N data sets: each run_plan must match a fresh
-   replanning run (~reuse:false) byte for byte. *)
+   One compiled plan per (domains x coalesce x faults), N data sets: each
+   replay must match the canonical run byte for byte. *)
 
 let reuse_matrix_once seed =
   let variant = seed mod 3 in
@@ -101,27 +120,18 @@ let reuse_matrix_once seed =
   List.for_all
     (fun n ->
       let data = Api.random_inputs ~seed:((7919 * seed) + n) plan in
-      let fresh =
-        match Api.run ~reuse:false ~coalesce ~domains ?faults plan ~data with
-        | Ok r -> r
-        | Error e -> QCheck.Test.fail_reportf "%s: fresh run failed: %s" ctx e
-      in
-      let reused =
-        match Exec.run_plan ~domains ep ~data with
-        | Ok r -> r
-        | Error e -> QCheck.Test.fail_reportf "%s: run_plan failed: %s" ctx e
-      in
-      check_same_result (Printf.sprintf "%s dataset %d" ctx n) fresh reused)
+      check_replay (Printf.sprintf "%s dataset %d" ctx n) plan ep ~domains ~data)
     [ 0; 1; 2 ]
 
 let qcheck_reuse_matrix =
-  QCheck.Test.make ~name:"run_plan == fresh execute (domains x coalesce x faults)"
+  QCheck.Test.make
+    ~name:"run_plan == fresh execute at 1 domain, coalesced, fault-free"
     ~count:48 QCheck.small_nat
     (fun seed -> reuse_matrix_once seed)
 
 (* Same property over random programs: reuse Test_fuzz's statement /
    distribution / schedule generators, then check one compiled plan
-   against fresh replanning runs on two distinct data sets. *)
+   against the canonical run on two distinct data sets. *)
 let random_reuse_once seed =
   let module Rng = Distal_support.Rng in
   let rng = Rng.create ((seed * 31) + 7) in
@@ -158,22 +168,11 @@ let random_reuse_once seed =
           List.for_all
             (fun n ->
               let data = Api.random_inputs ~seed:((131 * seed) + n) plan in
-              let fresh =
-                match Api.run ~reuse:false ~coalesce ~domains ?faults plan ~data with
-                | Ok r -> r
-                | Error e ->
-                    QCheck.Test.fail_reportf "%s: fresh run failed: %s" ctx e
-              in
-              let reused =
-                match Exec.run_plan ~domains ep ~data with
-                | Ok r -> r
-                | Error e -> QCheck.Test.fail_reportf "%s: run_plan failed: %s" ctx e
-              in
-              check_same_result (Printf.sprintf "%s dataset %d" ctx n) fresh reused)
+              check_replay (Printf.sprintf "%s dataset %d" ctx n) plan ep ~domains ~data)
             [ 0; 1 ])
 
 let qcheck_random_reuse =
-  QCheck.Test.make ~name:"random stmt x dist x schedule: plan reuse == replan"
+  QCheck.Test.make ~name:"random stmt x dist x schedule: replay == canonical run"
     ~count:60 QCheck.small_nat
     (fun seed -> random_reuse_once seed)
 
@@ -203,37 +202,54 @@ let test_pool_steady_state () =
     (s3.Distal_support.Buf_pool.hits > s1.Distal_support.Buf_pool.hits);
   Alcotest.(check int) "three completed runs" 3 (Exec.plan_runs ep)
 
-(* The modeled stats fixed at plan time are the stats a fresh Full run
+(* The modeled stats fixed at plan time are the stats a Model run
    reports (the Full/Model parity contract, inherited by plans). *)
 let test_plan_stats_parity () =
   List.iter
     (fun variant ->
       let plan = plan_of_variant variant in
       let ep = Api.eplan_exn plan in
-      let data = Api.random_inputs ~seed:11 plan in
-      let fresh = Api.run_exn ~reuse:false plan ~data in
+      let model = Api.run_exn ~mode:Exec.Model plan ~data:[] in
       Alcotest.(check string)
-        (Printf.sprintf "variant %d plan stats == fresh stats" variant)
-        (Stats.to_string fresh.Exec.stats)
+        (Printf.sprintf "variant %d plan stats == model stats" variant)
+        (Stats.to_string model.Exec.stats)
         (Stats.to_string (Exec.plan_stats ep)))
     [ 0; 1; 2 ]
 
-(* Api.run's reuse path: repeated Full-mode runs on one plan share one
-   cached executable plan; ~reuse:false bypasses it. *)
+(* Api.run's Full-mode path: repeated untraced runs on one plan share one
+   cached executable plan. *)
 let test_api_routes_through_cache () =
   let plan = accum_plan () in
   let d1 = Api.random_inputs ~seed:1 plan in
   let d2 = Api.random_inputs ~seed:2 plan in
-  let r1 = Api.run_exn ~reuse:true plan ~data:d1 in
-  let r2 = Api.run_exn ~reuse:true plan ~data:d2 in
+  let r1 = Api.run_exn plan ~data:d1 in
+  let r2 = Api.run_exn plan ~data:d2 in
   let ep = Api.eplan_exn plan in
   Alcotest.(check int) "both runs used the cached plan" 2 (Exec.plan_runs ep);
-  let f1 = Api.run_exn ~reuse:false plan ~data:d1 in
-  Alcotest.(check int) "reuse:false bypasses the plan" 2 (Exec.plan_runs ep);
-  Alcotest.(check bool) "bytes match the replanning path" true
-    (bits r1.Exec.output = bits f1.Exec.output);
   Alcotest.(check bool) "distinct data, distinct bytes" true
     (bits r1.Exec.output <> bits r2.Exec.output)
+
+(* A traced, profiled Full run plans afresh under the trace and profile
+   and replays once, instead of using the cached plan: its output bytes
+   are the untraced run's, and its copy trace is a Model run's. *)
+let test_traced_full_run () =
+  List.iter
+    (fun variant ->
+      let plan = plan_of_variant variant in
+      let data = Api.random_inputs ~seed:5 plan in
+      let traced mode ~data =
+        let trace = ref [] and profile = Distal_obs.Profile.create () in
+        let r = Api.run_exn ~mode ~trace ~profile plan ~data in
+        (r, List.map Exec.trace_to_string !trace)
+      in
+      let full, full_trace = traced Exec.Full ~data in
+      let _, model_trace = traced Exec.Model ~data:[] in
+      let plain = Api.run_exn plan ~data in
+      let ctx what = Printf.sprintf "variant %d: %s" variant what in
+      Alcotest.(check bool) (ctx "traced bytes == untraced bytes") true
+        (bits full.Exec.output = bits plain.Exec.output);
+      Alcotest.(check (list string)) (ctx "trace == model trace") model_trace full_trace)
+    [ 0; 1; 2 ]
 
 (* Distinct (coalesce, faults) options compile distinct cache entries;
    repeated identical options share one. *)
@@ -256,6 +272,7 @@ let suites =
         Alcotest.test_case "pool steady state" `Quick test_pool_steady_state;
         Alcotest.test_case "plan stats parity" `Quick test_plan_stats_parity;
         Alcotest.test_case "api routes through cache" `Quick test_api_routes_through_cache;
+        Alcotest.test_case "traced full run replays" `Quick test_traced_full_run;
         Alcotest.test_case "eplan cache keys" `Quick test_eplan_cache_keys;
       ] );
   ]
