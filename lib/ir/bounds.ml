@@ -1,69 +1,49 @@
 module Rect = Distal_tensor.Rect
 
-let access_rect prov ~env ~shape (a : Expr.access) =
-  assert (List.length a.indices = Array.length shape);
+let check_rank ~shape (a : Expr.access) =
+  if List.length a.indices <> Array.length shape then
+    invalid_arg
+      (Printf.sprintf "Bounds.access_rect: %s has %d indices but rank %d" a.tensor
+         (List.length a.indices) (Array.length shape))
+
+(* The rect whose dimension [d] is [interval d] clipped to the tensor's
+   extent there. *)
+let clipped_rect ~shape interval =
   let lo = Array.make (Array.length shape) 0 in
   let hi = Array.make (Array.length shape) 0 in
-  List.iteri
-    (fun d v ->
-      let l, h = Provenance.interval prov ~env v in
-      lo.(d) <- min l shape.(d);
-      hi.(d) <- min h shape.(d);
-      hi.(d) <- max hi.(d) lo.(d))
-    a.indices;
+  for d = 0 to Array.length shape - 1 do
+    let l, h = interval d in
+    lo.(d) <- Int.min l shape.(d);
+    hi.(d) <- Int.min h shape.(d);
+    hi.(d) <- Int.max hi.(d) lo.(d)
+  done;
   Rect.make ~lo ~hi
 
-let tensor_footprint prov ~env ~stmt ~shape tensor =
-  let rects =
-    List.filter_map
-      (fun (a : Expr.access) ->
-        if String.equal a.tensor tensor then Some (access_rect prov ~env ~shape a)
-        else None)
-      (Expr.stmt_accesses stmt)
-  in
-  match rects with
+let access_rect prov ~env ~shape (a : Expr.access) =
+  check_rank ~shape a;
+  let vars = Array.of_list a.indices in
+  clipped_rect ~shape (fun d -> Provenance.interval prov ~env vars.(d))
+
+(* The accesses of [tensor] as (first, rest): a footprint is the hull of
+   their rects. *)
+let accesses_of stmt tensor =
+  match
+    List.filter (fun (a : Expr.access) -> String.equal a.tensor tensor) (Expr.stmt_accesses stmt)
+  with
   | [] -> invalid_arg (Printf.sprintf "tensor %s is not accessed by the statement" tensor)
-  | r :: rest -> List.fold_left Rect.hull r rest
+  | a :: rest -> (a, rest)
 
-type memo = {
-  prov : Provenance.t;
-  stmt : Expr.stmt;
-  deps : (string, Ident.t array) Hashtbl.t;  (* tensor -> live vars keying its rect *)
-  cache : (string, (int list, Rect.t) Hashtbl.t) Hashtbl.t;
-}
+let tensor_footprint prov ~env ~stmt ~shape tensor =
+  let a, rest = accesses_of stmt tensor in
+  let rect = access_rect prov ~env ~shape in
+  List.fold_left (fun acc a -> Rect.hull acc (rect a)) (rect a) rest
 
-let memo prov ~stmt =
-  let deps = Hashtbl.create 8 and cache = Hashtbl.create 8 in
-  List.iter
-    (fun tn ->
-      let vars =
-        List.concat_map
-          (fun (a : Expr.access) ->
-            if String.equal a.tensor tn then a.indices else [])
-          (Expr.stmt_accesses stmt)
-        |> List.sort_uniq compare
-      in
-      let dv =
-        List.concat_map (Provenance.deps prov) vars |> List.sort_uniq compare
-      in
-      Hashtbl.replace deps tn (Array.of_list dv);
-      Hashtbl.replace cache tn (Hashtbl.create 64))
-    (Expr.tensors stmt);
-  { prov; stmt; deps; cache }
-
-let footprint m ~env ~shape tensor =
-  match Hashtbl.find_opt m.deps tensor with
-  | None -> tensor_footprint m.prov ~env ~stmt:m.stmt ~shape tensor
-  | Some dv ->
-      let key =
-        Array.fold_right
-          (fun v acc -> (match env v with Some x -> x | None -> -1) :: acc)
-          dv []
-      in
-      let tbl = Hashtbl.find m.cache tensor in
-      (match Hashtbl.find_opt tbl key with
-      | Some r -> r
-      | None ->
-          let r = tensor_footprint m.prov ~env ~stmt:m.stmt ~shape tensor in
-          Hashtbl.add tbl key r;
-          r)
+let footprint_fn prov ~slot ~stmt ~shape tensor =
+  let compile (a : Expr.access) =
+    check_rank ~shape a;
+    Array.of_list (List.map (Provenance.interval_fn prov ~slot) a.indices)
+  in
+  let a, rest = accesses_of stmt tensor in
+  let first = compile a and rest = List.map compile rest in
+  let rect env fns = clipped_rect ~shape (fun d -> fns.(d) env) in
+  fun env -> List.fold_left (fun acc fns -> Rect.hull acc (rect env fns)) (rect env first) rest

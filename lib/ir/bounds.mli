@@ -13,7 +13,9 @@ val access_rect :
   Expr.access ->
   Distal_tensor.Rect.t
 (** Footprint of one access: per index variable, its interval clipped to
-    the tensor's extent in that dimension. *)
+    the tensor's extent in that dimension.
+    @raise Invalid_argument when the access's index count differs from
+    the rank of [shape]. *)
 
 val tensor_footprint :
   Provenance.t ->
@@ -25,28 +27,15 @@ val tensor_footprint :
 (** Hull of the footprints of every access of the named tensor in the
     statement. *)
 
-(** {2 Memoized footprints}
-
-    The runtime recomputes the same footprints for every iteration of its
-    sequential loops (and for every launch point, when a tensor's accesses
-    do not depend on the distributed variables). A memo keys each tensor's
-    footprint by the values of only the live variables its accesses can
-    depend on ({!Provenance.deps}), so identical rects are computed once
-    per execution rather than once per task step. *)
-
-type memo
-
-val memo : Provenance.t -> stmt:Expr.stmt -> memo
-(** A fresh memo for one execution of [stmt]. The environments later passed
-    to {!footprint} must bind live loop variables only (which is what the
-    runtime maintains), and the provenance graph must not change while the
-    memo is in use. *)
-
-val footprint :
-  memo ->
-  env:(Ident.t -> int option) ->
+val footprint_fn :
+  Provenance.t ->
+  slot:(Ident.t -> int option) ->
+  stmt:Expr.stmt ->
   shape:int array ->
   string ->
+  int array ->
   Distal_tensor.Rect.t
-(** Same result as {!tensor_footprint}, cached. [shape] must be the same on
-    every call for a given tensor. *)
+(** {!tensor_footprint} compiled once for environments held in an int
+    array (see {!Provenance.interval_fn}): the runtime's task walk keeps
+    its loop variables in integer slots and calls this on every footprint
+    it has not seen yet. *)

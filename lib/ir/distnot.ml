@@ -160,7 +160,8 @@ let partition_map lvl =
     lvl.machine_axes
 
 let color_of_point lvl ~shape ~mdims point =
-  assert (Array.length point = Array.length shape);
+  if Array.length point <> Array.length shape then
+    invalid_arg "Distnot.color_of_point: point rank differs from the shape";
   List.filter_map
     (fun (m, d) ->
       match d with
@@ -174,7 +175,8 @@ let color_of_point lvl ~shape ~mdims point =
 
 let procs_of_color lvl ~mdims color =
   let parts = List.filter_map (fun (m, d) -> Option.map (fun _ -> m) d) (partition_map lvl) in
-  assert (List.length parts = Array.length color);
+  if List.length parts <> Array.length color then
+    invalid_arg "Distnot.procs_of_color: color rank differs from the partitioned axes";
   let matches coord =
     List.for_all2 (fun m c -> coord.(m) = c) parts (Array.to_list color)
     && List.for_all
@@ -212,16 +214,16 @@ let level_tiles lvl ~mdims ~(rect : Rect.t) seg =
         | None -> ()
         | Some (d, `Block) ->
             let ext = rect.hi.(d) - rect.lo.(d) in
-            let bs = Ints.ceil_div (max ext 1) mdims.(m) in
-            let lo = min rect.hi.(d) (rect.lo.(d) + (seg.(m) * bs)) in
-            let hi = min rect.hi.(d) (rect.lo.(d) + ((seg.(m) + 1) * bs)) in
+            let bs = Ints.ceil_div (Int.max ext 1) mdims.(m) in
+            let lo = Int.min rect.hi.(d) (rect.lo.(d) + (seg.(m) * bs)) in
+            let hi = Int.min rect.hi.(d) (rect.lo.(d) + ((seg.(m) + 1) * bs)) in
             segments.(d) <- (if hi > lo then [ (lo, hi) ] else [])
         | Some (d, `Cyclic b) ->
             let g = mdims.(m) in
             let acc = ref [] in
             let strip = ref (rect.lo.(d) + (seg.(m) * b)) in
             while !strip < rect.hi.(d) do
-              let hi = min rect.hi.(d) (!strip + b) in
+              let hi = Int.min rect.hi.(d) (!strip + b) in
               if hi > !strip then acc := (!strip, hi) :: !acc;
               strip := !strip + (b * g)
             done;
@@ -265,26 +267,32 @@ let rect_of_proc t ~shape ~machine proc =
   match rects_of_proc t ~shape ~machine proc with [ r ] -> Some r | _ -> None
 
 let tiles t ~shape ~machine =
-  (* Tiles are keyed structurally on their bounds — this loop runs once per
-     (processor, tile) pair and cyclic distributions produce tens of
-     thousands of tiles, so no string keys on the hot path. *)
-  let table : (int array * int array, int array list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let order = ref [] in
-  List.iter
-    (fun proc ->
-      List.iter
-        (fun (r : Rect.t) ->
-          match Hashtbl.find_opt table (r.lo, r.hi) with
-          | None ->
-              let owners = ref [ proc ] in
-              Hashtbl.add table (r.lo, r.hi) owners;
-              order := (r, owners) :: !order
-          | Some owners -> owners := proc :: !owners)
-        (rects_of_proc t ~shape ~machine proc))
-    (Machine.proc_coords machine);
-  List.rev_map (fun (r, owners) -> (r, List.rev !owners)) !order
+  let procs = Machine.proc_coords machine in
+  if not (List.exists (fun lvl -> List.mem Bcast lvl.machine_axes) t) then
+    (* Without a broadcast axis no two processors share a tile: blocks and
+       cyclic strips of distinct coordinates are disjoint. *)
+    List.concat_map
+      (fun proc -> List.map (fun r -> (r, [ proc ])) (rects_of_proc t ~shape ~machine proc))
+      procs
+  else begin
+    (* Replicated tiles are merged by their bounds; cyclic distributions
+       produce tens of thousands of tiles, so the table hashes ints. *)
+    let table : int array list ref Rect.Tbl.t = Rect.Tbl.create 64 in
+    let order = ref [] in
+    List.iter
+      (fun proc ->
+        List.iter
+          (fun (r : Rect.t) ->
+            match Rect.Tbl.find table r with
+            | owners -> owners := proc :: !owners
+            | exception Not_found ->
+                let owners = ref [ proc ] in
+                Rect.Tbl.add table r owners;
+                order := (r, owners) :: !order)
+          (rects_of_proc t ~shape ~machine proc))
+      procs;
+    List.rev_map (fun (r, owners) -> (r, List.rev !owners)) !order
+  end
 
 let replication_factor t ~machine =
   let mdims = (machine : Machine.t).dims in

@@ -55,7 +55,9 @@ type kdisp = {
 }
 
 type plan = {
-  prov : Provenance.t;
+  points : (Ident.t, (Ident.t -> int option) -> int option) Hashtbl.t;
+      (* [Provenance.raw_point] of each guarded or accessed variable,
+         compiled once *)
   leaf_vars : Ident.t array;
   extents : int array;  (* per leaf var *)
   leaf_index : (Ident.t, int) Hashtbl.t;
@@ -265,9 +267,14 @@ let plan prov ~(stmt : Expr.stmt) ~leaf_vars =
               :: !a_guards
         | None -> raise Bail)
       (List.sort compare (Provenance.consumed prov));
+    let points = Hashtbl.create 16 in
+    List.iter
+      (fun v -> Hashtbl.replace points v (Provenance.raw_point_fn prov v))
+      (Provenance.consumed prov
+      @ List.concat_map (fun s -> s.s_access.indices) (Array.to_list slots));
     Some
       {
-        prov;
+        points;
         leaf_vars;
         extents = Array.map (Provenance.extent prov) leaf_vars;
         leaf_index;
@@ -286,7 +293,7 @@ let bind ?(kernels = Kreg.Off) p ~env ~(insts : (Rect.t * Dense.t) array) =
   let naccs = Array.length p.slots in
   if Array.length insts <> naccs then invalid_arg "Expr_stage.bind: bad insts";
   let env0 v = if Hashtbl.mem p.leaf_index v then Some 0 else env v in
-  let point0 v = Provenance.raw_point p.prov ~env:env0 v in
+  let point0 v = Hashtbl.find p.points v env0 in
   let exception Bail in
   try
     (* Leaf-constant guards: decided here, once. A failing one excludes

@@ -105,61 +105,106 @@ let rotate t ~target ~by ~result =
 (* Interval analysis. [raw_interval] performs no clipping so that exact
    point reconstruction can detect guard-excluded boundary iterations;
    [interval] clips each consumed variable to its extent, which keeps the
-   result a sound (superset) footprint. *)
+   result a sound (superset) footprint.
 
-let rec raw_interval t ~env ~clipped v =
-  match env v with
-  | Some x -> (x, x + 1)
-  | None -> (
-      let res =
-        match Hashtbl.find_opt t.cons v with
-        | None -> (0, extent t v)
-        | Some (Divided_into { outer; inner; inner_size }) ->
-            let lo_o, hi_o = raw_interval t ~env ~clipped outer in
-            let lo_i, hi_i = raw_interval t ~env ~clipped inner in
-            ((lo_o * inner_size) + lo_i, ((hi_o - 1) * inner_size) + hi_i)
-        | Some (Fused_into { fused; pos }) ->
-            let lo_f, hi_f = raw_interval t ~env ~clipped fused in
-            let eb =
-              match Hashtbl.find_opt t.defs fused with
-              | Some (Fused_of { second; _ }) -> extent t second
-              | _ -> assert false
-            in
-            (match pos with
-            | `First -> (lo_f / eb, ((hi_f - 1) / eb) + 1)
-            | `Second ->
-                if hi_f - lo_f >= eb || (hi_f - 1) / eb <> lo_f / eb then (0, eb)
-                else (lo_f mod eb, ((hi_f - 1) mod eb) + 1))
-        | Some (Rotated_into { result; by }) ->
-            let e = extent t v in
-            let pieces = List.map (fun w -> raw_interval t ~env ~clipped w) (result :: by) in
-            if List.for_all (fun (lo, hi) -> hi = lo + 1) pieces then
-              let s = List.fold_left (fun acc (lo, _) -> acc + lo) 0 pieces in
-              let x = ((s mod e) + e) mod e in
-              (x, x + 1)
-            else (0, e)
-      in
-      if clipped then
+   The analysis is compiled: [compile] resolves every name in the
+   derivation graph once and returns a closure over an environment of any
+   type. [lookup v] says how to read [v]'s binding off that environment
+   ([None]: [v] is never bound there); a read returns [unbound] for an
+   unbound variable. [interval] and [raw_point] compile and run in one
+   go; the simulator compiles once per execution against its slot arrays,
+   and leaves once per plan ([raw_point_fn], [guards_fn]). *)
+
+let unbound = min_int
+
+let rec compile t ~lookup ~clipped v =
+  let sub = compile t ~lookup ~clipped in
+  let res =
+    match Hashtbl.find_opt t.cons v with
+    | None ->
         let e = extent t v in
-        let lo = max 0 (fst res) and hi = min e (snd res) in
-        (lo, max lo hi)
-      else res)
+        fun _ -> (0, e)
+    | Some (Divided_into { outer; inner; inner_size }) ->
+        let fo = sub outer and fi = sub inner in
+        fun env ->
+          let lo_o, hi_o = fo env in
+          let lo_i, hi_i = fi env in
+          ((lo_o * inner_size) + lo_i, ((hi_o - 1) * inner_size) + hi_i)
+    | Some (Fused_into { fused; pos }) -> (
+        let ff = sub fused in
+        let eb =
+          match Hashtbl.find_opt t.defs fused with
+          | Some (Fused_of { second; _ }) -> extent t second
+          | _ ->
+              invalid_arg
+                (Printf.sprintf "Provenance.interval: %s is not a fused variable" fused)
+        in
+        match pos with
+        | `First ->
+            fun env ->
+              let lo_f, hi_f = ff env in
+              (lo_f / eb, ((hi_f - 1) / eb) + 1)
+        | `Second ->
+            fun env ->
+              let lo_f, hi_f = ff env in
+              if hi_f - lo_f >= eb || (hi_f - 1) / eb <> lo_f / eb then (0, eb)
+              else (lo_f mod eb, ((hi_f - 1) mod eb) + 1))
+    | Some (Rotated_into { result; by }) ->
+        let e = extent t v and fs = List.map sub (result :: by) in
+        fun env ->
+          let pieces = List.map (fun f -> f env) fs in
+          if List.for_all (fun (lo, hi) -> hi = lo + 1) pieces then
+            let s = List.fold_left (fun acc (lo, _) -> acc + lo) 0 pieces in
+            let x = ((s mod e) + e) mod e in
+            (x, x + 1)
+          else (0, e)
+  in
+  let res =
+    if clipped then
+      let e = extent t v in
+      fun env ->
+        let lo, hi = res env in
+        let lo = Int.max 0 lo and hi = Int.min e hi in
+        (lo, Int.max lo hi)
+    else res
+  in
+  match lookup v with
+  | None -> res
+  | Some read ->
+      fun env ->
+        let x = read env in
+        if x = unbound then res env else (x, x + 1)
 
+(* Environments keyed by name: every variable may be bound. *)
+let by_name v = Some (fun env -> match env v with Some x -> x | None -> unbound)
+
+let raw_interval t ~env ~clipped v = compile t ~lookup:by_name ~clipped v env
 let interval t ~env v = raw_interval t ~env ~clipped:true v
 
-let raw_point t ~env v =
-  let lo, hi = raw_interval t ~env ~clipped:false v in
-  if hi = lo + 1 then Some lo else None
+let interval_fn t ~slot v =
+  compile t ~clipped:true v ~lookup:(fun v ->
+      match slot v with
+      | Some s -> Some (fun (env : int array) -> if env.(s) < 0 then unbound else env.(s))
+      | None -> None)
 
-let guards_ok t ~env =
-  Hashtbl.fold
-    (fun v _ acc ->
-      acc
-      &&
-      match raw_point t ~env v with
-      | None -> true
-      | Some x -> 0 <= x && x < extent t v)
-    t.defs true
+let raw_point_fn t v =
+  let f = compile t ~lookup:by_name ~clipped:false v in
+  fun env ->
+    let lo, hi = f env in
+    if hi = lo + 1 then Some lo else None
+
+let raw_point t ~env v = raw_point_fn t v env
+
+let guards_fn t =
+  let checks =
+    Hashtbl.fold (fun v _ acc -> (raw_point_fn t v, extent t v) :: acc) t.defs []
+  in
+  fun env ->
+    List.for_all
+      (fun (point, e) -> match point env with None -> true | Some x -> 0 <= x && x < e)
+      checks
+
+let guards_ok t ~env = guards_fn t env
 
 let deps t v =
   let seen = Hashtbl.create 8 in

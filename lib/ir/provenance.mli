@@ -64,15 +64,31 @@ val interval : t -> env:(Ident.t -> int option) -> Ident.t -> int * int
     values for some live variables. Unbound live variables range over their
     full extent. *)
 
+val interval_fn : t -> slot:(Ident.t -> int option) -> Ident.t -> int array -> int * int
+(** {!interval} compiled once for environments held in an int array:
+    [slot v] is the array index of [v]'s binding, [None] for a variable
+    the caller never binds, and a negative entry means unbound. Every name
+    is resolved at compile time, so calls do no hashing; results equal
+    {!interval} under the same bindings. *)
+
 val raw_point : t -> env:(Ident.t -> int option) -> Ident.t -> int option
 (** Exact unclipped reconstruction of a variable's value when the
     environment determines it ([None] otherwise). Values at or above the
     variable's extent indicate guard-excluded boundary iterations. *)
 
+val raw_point_fn : t -> Ident.t -> (Ident.t -> int option) -> int option
+(** [raw_point_fn t v] is [fun env -> raw_point t ~env v] with the walk
+    compiled once: callers that reconstruct the same variable under many
+    environments apply it repeatedly. *)
+
 val guards_ok : t -> env:(Ident.t -> int option) -> bool
 (** Whether every reconstructible variable value is within its extent — the
     boundary guard of one iteration-space point. Requires an environment
     binding all live variables. *)
+
+val guards_fn : t -> (Ident.t -> int option) -> bool
+(** [guards_fn t] is [fun env -> guards_ok t ~env] with every variable's
+    walk compiled once. *)
 
 val deps : t -> Ident.t -> Ident.t list
 (** The live variables whose environment binding can affect {!interval} or

@@ -10,14 +10,20 @@ type t = {
 }
 
 let grid ?node_factors ?(kind = Cpu) ?(mem_per_proc = 256e9) dims =
-  assert (Array.length dims > 0);
-  assert (Array.for_all (fun d -> d > 0) dims);
+  if Array.length dims = 0 then invalid_arg "Machine.grid: a machine needs a dimension";
+  if not (Array.for_all (fun d -> d > 0) dims) then
+    invalid_arg "Machine.grid: dimensions must be positive";
   let node_factors =
     match node_factors with
     | None -> Array.map (fun _ -> 1) dims
     | Some f ->
-        assert (Array.length f = Array.length dims);
-        Array.iteri (fun d fd -> assert (fd > 0 && dims.(d) mod fd = 0)) f;
+        if Array.length f <> Array.length dims then
+          invalid_arg "Machine.grid: node_factors rank differs from dims";
+        Array.iteri
+          (fun d fd ->
+            if fd <= 0 || dims.(d) mod fd <> 0 then
+              invalid_arg "Machine.grid: node factors must divide their dimension")
+          f;
         Array.copy f
   in
   { dims = Array.copy dims; node_factors; kind; mem_per_proc }

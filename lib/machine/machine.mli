@@ -26,7 +26,9 @@ val grid :
   t
 (** A machine organized as the given grid. Defaults: every processor its
     own node, CPU processors, 256 GB per processor. Factors must divide
-    their dimensions. *)
+    their dimensions.
+    @raise Invalid_argument on an empty or non-positive grid, or on node
+    factors of the wrong rank or that do not divide their dimension. *)
 
 val hierarchical :
   node_dims:int array ->

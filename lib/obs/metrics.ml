@@ -1,12 +1,16 @@
-type counter = float ref
+(* A flat float record: updating it stores the float in place, so the
+   simulator's per-effect increments allocate nothing. *)
+type cell = { mutable v : float }
+type counter = cell
+type gauge = cell
 
-type gauge = float ref
+(* Float statistics kept apart from the int fields, again so that
+   [observe] updates them in place. *)
+type hstats = { mutable sum : float; mutable min_v : float; mutable max_v : float }
 
 type histogram = {
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
+  st : hstats;
   buckets : float array;  (* upper bounds, ascending *)
   bucket_counts : int array;  (* one extra slot for +inf *)
 }
@@ -38,26 +42,26 @@ let get_or_create reg name make match_ =
 let counter reg name =
   get_or_create reg name
     (fun () ->
-      let c = ref 0.0 in
+      let c = { v = 0.0 } in
       Hashtbl.replace reg name (Counter c);
       c)
     (function Counter c -> Some c | _ -> None)
 
-let inc c v = c := !c +. v
-let inc_int c v = c := !c +. float_of_int v
-let counter_value c = !c
+let inc c x = c.v <- c.v +. x
+let inc_int c x = c.v <- c.v +. float_of_int x
+let counter_value c = c.v
 
 let gauge reg name =
   get_or_create reg name
     (fun () ->
-      let g = ref 0.0 in
+      let g = { v = 0.0 } in
       Hashtbl.replace reg name (Gauge g);
       g)
     (function Gauge g -> Some g | _ -> None)
 
-let set g v = g := v
-let set_max g v = if v > !g then g := v
-let gauge_value g = !g
+let set g x = g.v <- x
+let set_max g x = if x > g.v then g.v <- x
+let gauge_value g = g.v
 
 let default_buckets =
   Array.init 13 (fun i -> Float.pow 10.0 (float_of_int i))
@@ -68,9 +72,7 @@ let histogram ?(buckets = default_buckets) reg name =
       let h =
         {
           count = 0;
-          sum = 0.0;
-          min_v = infinity;
-          max_v = neg_infinity;
+          st = { sum = 0.0; min_v = infinity; max_v = neg_infinity };
           buckets;
           bucket_counts = Array.make (Array.length buckets + 1) 0;
         }
@@ -81,9 +83,10 @@ let histogram ?(buckets = default_buckets) reg name =
 
 let observe h v =
   h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  if v < h.min_v then h.min_v <- v;
-  if v > h.max_v then h.max_v <- v;
+  let st = h.st in
+  st.sum <- st.sum +. v;
+  if v < st.min_v then st.min_v <- v;
+  if v > st.max_v then st.max_v <- v;
   let rec slot i =
     if i >= Array.length h.buckets then i
     else if v <= h.buckets.(i) then i
@@ -93,29 +96,29 @@ let observe h v =
   h.bucket_counts.(i) <- h.bucket_counts.(i) + 1
 
 let histogram_count h = h.count
-let histogram_sum h = h.sum
+let histogram_sum h = h.st.sum
 
 let value reg name =
   match Hashtbl.find_opt reg name with
-  | Some (Counter c) -> Some !c
-  | Some (Gauge g) -> Some !g
-  | Some (Histogram h) -> Some h.sum
+  | Some (Counter c) -> Some c.v
+  | Some (Gauge g) -> Some g.v
+  | Some (Histogram h) -> Some h.st.sum
   | None -> None
 
 let names reg =
   Hashtbl.fold (fun k _ acc -> k :: acc) reg [] |> List.sort compare
 
 let instrument_to_json = function
-  | Counter c -> Json.Obj [ ("type", Json.String "counter"); ("value", Json.Float !c) ]
-  | Gauge g -> Json.Obj [ ("type", Json.String "gauge"); ("value", Json.Float !g) ]
+  | Counter c -> Json.Obj [ ("type", Json.String "counter"); ("value", Json.Float c.v) ]
+  | Gauge g -> Json.Obj [ ("type", Json.String "gauge"); ("value", Json.Float g.v) ]
   | Histogram h ->
       Json.Obj
         [
           ("type", Json.String "histogram");
           ("count", Json.Int h.count);
-          ("sum", Json.Float h.sum);
-          ("min", if h.count = 0 then Json.Null else Json.Float h.min_v);
-          ("max", if h.count = 0 then Json.Null else Json.Float h.max_v);
+          ("sum", Json.Float h.st.sum);
+          ("min", if h.count = 0 then Json.Null else Json.Float h.st.min_v);
+          ("max", if h.count = 0 then Json.Null else Json.Float h.st.max_v);
           ( "buckets",
             Json.List
               (Array.to_list
@@ -146,11 +149,11 @@ let render reg =
     (List.map
        (fun n ->
          match Hashtbl.find reg n with
-         | Counter c -> Printf.sprintf "%-24s counter  %.6g" n !c
-         | Gauge g -> Printf.sprintf "%-24s gauge    %.6g" n !g
+         | Counter c -> Printf.sprintf "%-24s counter  %.6g" n c.v
+         | Gauge g -> Printf.sprintf "%-24s gauge    %.6g" n g.v
          | Histogram h ->
              Printf.sprintf "%-24s hist     n=%d sum=%.6g min=%.6g max=%.6g" n
-               h.count h.sum
-               (if h.count = 0 then 0.0 else h.min_v)
-               (if h.count = 0 then 0.0 else h.max_v))
+               h.count h.st.sum
+               (if h.count = 0 then 0.0 else h.st.min_v)
+               (if h.count = 0 then 0.0 else h.st.max_v))
        (names reg))

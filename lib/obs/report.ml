@@ -161,9 +161,10 @@ let host_execution reg =
   | Some wall ->
       let v name = Option.value (Metrics.value reg name) ~default:0.0 in
       let alloc =
-        (* OCaml-heap allocation of the run itself (Gc.quick_stat deltas);
-           bigarray payloads live off-heap, so this tracks planning and
-           bookkeeping churn — the words a reused executable plan avoids. *)
+        (* OCaml-heap allocation of the run itself, summed over the pool's
+           lanes; bigarray payloads live off-heap, so this tracks planning
+           and bookkeeping churn — the words a reused executable plan
+           avoids. *)
         match Metrics.value reg "exec.alloc_minor_words" with
         | None -> ""
         | Some minor ->
@@ -171,10 +172,12 @@ let host_execution reg =
               (minor /. 1e6)
               (v "exec.alloc_major_words" /. 1e6)
       in
-      Printf.sprintf "host: probe %.3g s wall on %.0f domain(s), %.0f%% pool utilization%s\n"
-        wall (v "exec.pool_domains")
+      Printf.sprintf
+        "host: set-up %.3g s, probe %.3g s wall on %.0f domain(s) (%.0f%% pool \
+         utilization), merge %.3g s, assembly %.3g s (of which planning %.3g s)%s\n"
+        (v "exec.setup_wall_s") wall (v "exec.pool_domains")
         (100.0 *. v "exec.pool_utilization")
-        alloc
+        (v "exec.merge_wall_s") (v "exec.assembly_wall_s") (v "exec.plan_wall_s") alloc
 
 let run_report (run : Profile.run) =
   let buf = Buffer.create 512 in

@@ -1,16 +1,16 @@
+module Ints = Distal_support.Ints
 module Rect = Distal_tensor.Rect
 module Cost = Distal_machine.Cost_model
 
-type raw = {
+type payload = {
   tensor : string;
   pieces : Rect.t list;
   merged : Rect.t list;
   nfrag : int;
   volume : int;
-  src : int;
-  dst : int;
-  link : Cost.link;
 }
+
+type raw = { payload : payload; src : int; dst : int; link : Cost.link }
 
 type xfer = {
   tensor : string;
@@ -127,10 +127,10 @@ let merge_rects = function
 let batch ~tensor ~src ~dst ~link pieces =
   let nfrag = List.length pieces in
   let volume = List.fold_left (fun acc r -> acc + Rect.volume r) 0 pieces in
-  { tensor; pieces; merged = merge_rects pieces; nfrag; volume; src; dst; link }
+  { payload = { tensor; pieces; merged = merge_rects pieces; nfrag; volume }; src; dst; link }
 
 let compare_xfer a b =
-  let c = String.compare a.tensor b.tensor in
+  let c = if a.tensor == b.tensor then 0 else String.compare a.tensor b.tensor in
   if c <> 0 then c
   else
     let c = icmp a.src b.src in
@@ -165,7 +165,7 @@ let chain_separated rs =
   let rec start = function
     | [] -> true
     | (r : raw) :: tl -> (
-        match hull_of r.merged with None -> start tl | Some b0 -> walk b0 tl)
+        match hull_of r.payload.merged with None -> start tl | Some b0 -> walk b0 tl)
   and walk b0 tl =
     let d = Array.length b0.Rect.lo in
     d <= 62
@@ -174,7 +174,7 @@ let chain_separated rs =
     let rec go (prev : Rect.t) asc desc = function
       | [] -> true
       | (r : raw) :: tl -> (
-          match hull_of r.merged with
+          match hull_of r.payload.merged with
           | None -> go prev asc desc tl
           | Some (b : Rect.t) ->
               let asc = ref asc and desc = ref desc in
@@ -193,89 +193,103 @@ let rec sorted_rect_list = function
   | [] | [ _ ] -> true
   | a :: (b :: _ as rest) -> compare_rect a b <= 0 && sorted_rect_list rest
 
-(* Reusable working tables for [coalesce]: the executor's timing assembly
-   plans one step after another, and reallocating the intern and bucket
-   hashes per step is measurable churn on many-step schedules. A scratch
-   is cleared (capacity kept) at the start of every planning call; it must
-   not be shared between concurrent callers. *)
-type scratch = {
-  s_tensors : (string, int) Hashtbl.t;
-  s_buckets : (int, raw list ref) Hashtbl.t;
-}
+(* One transfer for a run of batches sharing a (tensor, src, dst) triple,
+   in input order. A batch alone reuses its pre-merged payload outright —
+   the common case, since the executor merges each fetch plan once and
+   shares it across tasks. *)
+let xfer_of_batch (r : raw) =
+  make_xfer r.payload.tensor r.src r.dst r.link r.payload.merged r.payload.volume
 
-let scratch () = { s_tensors = Hashtbl.create 8; s_buckets = Hashtbl.create 64 }
-
-let coalesce ?scratch:sc raws =
-  (* Bucket by (tensor, src, dst). Tensor names are interned to small ints
-     so bucket keys are plain ints; consecutive raws usually name the same
-     tensor (the executor emits one task's fetches together), so the
-     intern table is consulted only when the name changes. A bucket
-     holding a single batch reuses the batch's pre-merged payload
-     outright — the common case, since the executor merges each fetch
-     plan once and shares it across tasks. *)
-  let tensors, buckets =
-    match sc with
-    | Some s ->
-        Hashtbl.clear s.s_tensors;
-        Hashtbl.clear s.s_buckets;
-        (s.s_tensors, s.s_buckets)
-    | None -> (Hashtbl.create 8, Hashtbl.create 64)
-  in
-  let last_tn = ref "" and last_id = ref 0 in
-  let intern tn =
-    if tn == !last_tn then !last_id
-    else begin
-      let id =
-        match Hashtbl.find_opt tensors tn with
-        | Some id -> id
-        | None ->
-            let id = Hashtbl.length tensors in
-            Hashtbl.add tensors tn id;
-            id
+let xfer_of_run = function
+  | [] -> invalid_arg "Comm_plan.xfer_of_run: empty run"
+  | [ r ] -> xfer_of_batch r
+  | (r0 : raw) :: _ as rs ->
+      let payload = List.concat_map (fun (r : raw) -> r.payload.merged) rs in
+      let rects =
+        if chain_separated rs then
+          if sorted_rect_list payload then payload else List.sort compare_rect payload
+        else merge_rects payload
       in
-      last_tn := tn;
-      last_id := id;
-      id
-    end
-  in
+      let volume = List.fold_left (fun acc (r : raw) -> acc + r.payload.volume) 0 rs in
+      make_xfer r0.payload.tensor r0.src r0.dst r0.link rects volume
+
+(* The runs of one bucket per destination, in destination order, each
+   in input order. The bucket holds its batches newest first, so a stable
+   sort by descending destination followed by consing restores both. *)
+let runs_by_dst stored =
+  List.stable_sort (fun (a : raw) b -> icmp b.dst a.dst) stored
+  |> List.fold_left
+       (fun acc (r : raw) ->
+         match acc with
+         | ((r' : raw) :: _ as run) :: rest when r'.dst = r.dst -> (r :: run) :: rest
+         | _ -> [ r ] :: acc)
+       []
+
+let coalesce raws =
+  (* Bucket by (tensor, src) packed into one int: tensors are numbered in
+     first-seen order (consecutive batches usually name the same one, so
+     that costs a physical compare) and src takes 22 bits. Within a
+     bucket, each destination's run keeps its batches in input order. *)
+  let ids = ref [] and last = ref "" and last_id = ref 0 in
+  let buckets = Ints.Tbl.create 64 in
   List.iter
     (fun (r : raw) ->
-      let key = (intern r.tensor lsl 44) lor (r.src lsl 22) lor r.dst in
-      match Hashtbl.find_opt buckets key with
-      | Some l -> l := r :: !l
-      | None -> Hashtbl.add buckets key (ref [ r ]))
+      let tn = r.payload.tensor in
+      if tn != !last then begin
+        (match List.assoc_opt tn !ids with
+        | Some id -> last_id := id
+        | None ->
+            last_id := List.length !ids;
+            ids := (tn, !last_id) :: !ids);
+        last := tn
+      end;
+      let key = (!last_id lsl 22) lor r.src in
+      match Ints.Tbl.find buckets key with
+      | rs -> Ints.Tbl.replace buckets key (r :: rs)
+      | exception Not_found -> Ints.Tbl.add buckets key [ r ])
     raws;
-  Hashtbl.fold
-    (fun _ l acc ->
-      match !l with
-      | [ (r : raw) ] -> make_xfer r.tensor r.src r.dst r.link r.merged r.volume :: acc
-      | rev_rs ->
-          (* Buckets cons in reverse discovery order; restoring discovery
-             order usually leaves the concatenated payload already in
-             canonical order, so the no-merge fast path below pays one
-             sortedness sweep instead of a sort. *)
-          let rs = List.rev rev_rs in
-          let (r0 : raw) = List.hd rs in
-          let payload = List.concat_map (fun (r : raw) -> r.merged) rs in
-          let rects =
-            if chain_separated rs then
-              if sorted_rect_list payload then payload
-              else List.sort compare_rect payload
-            else merge_rects payload
-          in
-          let volume = List.fold_left (fun acc (r : raw) -> acc + r.volume) 0 rs in
-          make_xfer r0.tensor r0.src r0.dst r0.link rects volume :: acc)
-    buckets []
-  |> List.sort compare_xfer
+  (* Buckets in (tensor name, src) order: sort keys whose tensor number
+     is replaced by the name's rank, then map them back. *)
+  let n = List.length !ids in
+  let rank = Array.make n 0 and id_of_rank = Array.make n 0 in
+  List.iteri
+    (fun k (_, id) ->
+      rank.(id) <- k;
+      id_of_rank.(k) <- id)
+    (List.sort compare !ids);
+  let swap ids key = (ids.(key lsr 22) lsl 22) lor (key land ((1 lsl 22) - 1)) in
+  let keys =
+    Ints.Tbl.fold (fun key _ acc -> swap rank key :: acc) buckets []
+    |> List.sort icmp |> List.map (swap id_of_rank)
+  in
+  (* One transfer per (tensor, src, dst) run, newest first. The full
+     order also ranks payloads before destinations, which a broadcast
+     (one shared payload, ascending destinations) already satisfies:
+     sort only when some source sends different payloads out of
+     destination order. *)
+  let rev =
+    List.fold_left
+      (fun acc key ->
+        List.fold_left
+          (fun acc run -> xfer_of_run run :: acc)
+          acc
+          (runs_by_dst (Ints.Tbl.find buckets key)))
+      [] keys
+  in
+  let rec descending = function
+    | a :: (b :: _ as rest) -> compare_xfer b a <= 0 && descending rest
+    | _ -> true
+  in
+  if descending rev then List.rev rev else List.stable_sort compare_xfer rev
 
 let uncoalesced raws =
   List.concat_map
     (fun (r : raw) ->
       List.map
-        (fun p -> make_xfer r.tensor r.src r.dst r.link [ p ] (Rect.volume p))
-        r.pieces)
+        (fun p -> make_xfer r.payload.tensor r.src r.dst r.link [ p ] (Rect.volume p))
+        r.payload.pieces)
     raws
-  |> List.sort compare_xfer
+  |> List.stable_sort compare_xfer
 
 let describe = function
   | [] -> "(empty)"

@@ -24,20 +24,25 @@
 module Rect = Distal_tensor.Rect
 module Cost = Distal_machine.Cost_model
 
-type raw = {
+type payload = {
   tensor : string;
   pieces : Rect.t list;  (** disjoint fragments as discovered *)
   merged : Rect.t list;  (** the same elements with adjacent rects unioned *)
   nfrag : int;  (** [List.length pieces] *)
   volume : int;  (** total elements over [pieces] *)
+}
+(** What one fetch pulls from one owner. The executor builds each payload
+    once per distinct (tensor, footprint, owner set) and shares it across
+    tasks and steps, so the per-fragment merging work is not repeated per
+    receiver. *)
+
+type raw = {
+  payload : payload;
   src : int;  (** linear index of the owning processor *)
   dst : int;  (** linear index of the receiving processor *)
   link : Cost.link;
 }
-(** One batch of fragments as discovered by the executor: everything one
-    fetch pulls from one owner. The executor builds each batch once per
-    distinct (tensor, footprint) via {!batch} and shares it across tasks,
-    so the per-fragment merging work is not repeated per receiver. *)
+(** One batch of fragments as discovered by the executor. *)
 
 val batch :
   tensor:string -> src:int -> dst:int -> link:Cost.link -> Rect.t list -> raw
@@ -67,21 +72,12 @@ type xfer = {
 (** One planned transfer: everything [src] sends to [dst] for [tensor] in
     one step, as a single (possibly strided) message. *)
 
-type scratch
-(** Reusable working tables for {!coalesce}. A caller that plans many
-    times in a row (the executor's per-step timing assembly) allocates one
-    scratch and passes it to every call; the tables are cleared — capacity
-    kept — on entry. Not safe to share between concurrent callers. *)
-
-val scratch : unit -> scratch
-
-val coalesce : ?scratch:scratch -> raw list -> xfer list
+val coalesce : raw list -> xfer list
 (** Merge raw batches into maximal block transfers, one per (tensor, src,
     dst) triple. Input order is irrelevant; the result is deterministically
     sorted by (tensor, src, payload, dst), so transfers broadcasting the
     same payload from the same source sit adjacent with ascending
-    destinations. [scratch] reuses working tables across calls; the result
-    is identical with or without it. *)
+    destinations. *)
 
 val uncoalesced : raw list -> xfer list
 (** The identity plan: one single-rectangle transfer per raw fragment, in

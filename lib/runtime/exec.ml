@@ -82,6 +82,13 @@ let serial_reference stmt ~shapes ~data =
 
 (* {2 The distributed executor} *)
 
+(* Words the calling domain has allocated so far: minor (read off the
+   live allocation pointer, so short runs count too) and major (direct
+   major allocations plus promotions). Both counters are per domain. *)
+let alloc_words () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
+
 (* One communication bundle after planning: same payload (one rect, or
    several disjoint rects for a strided run), same source, same step.
    Several receivers make it a broadcast. *)
@@ -97,13 +104,36 @@ type group = {
 (* One owner-group of a memoized fetch plan: the pieces of a footprint a
    given owner set holds, pre-merged into block/strided form. Owners are
    physical linear indices, deduped, in discovery order. *)
-type fetch_group = {
-  fg_owners : int list;
-  fg_pieces : Rect.t list;
-  fg_merged : Rect.t list;
-  fg_nfrag : int;
-  fg_volume : int;
+type fetch_group = { fg_owners : int list; fg_load : Comm_plan.payload }
+
+(* One footprint of one tensor at one site of the task walk, shared by
+   every task of a lane whose dependent loop variables take the same
+   values there. The rect is computed once, the fetch plan on first use. *)
+type fentry = {
+  f_rect : Rect.t;
+  f_bytes : float;
+  mutable f_plan : fetch_group list option;
 }
+
+(* Turns a task's slot environment into one int at a fixed site of the
+   walk: the mixed-radix number of the bound slots a value depends on.
+   The slots bound at a site never change, so equal keys mean equal
+   dependent bindings. *)
+type keyer = { k_slots : int array; k_strides : int array }
+
+let key_of k (env : int array) =
+  let acc = ref 0 in
+  for i = 0 to Array.length k.k_slots - 1 do
+    acc := !acc + (env.(k.k_slots.(i)) * k.k_strides.(i))
+  done;
+  !acc
+
+(* The task tree with names resolved: loop variables to slots, tensors to
+   indices, each [Ensure] to its footprint site. *)
+type node =
+  | N_seq of { slot : int; extent : int; body : node }
+  | N_ensure of { t : int; site : int; body : node }
+  | N_leaf
 
 (* Deferred side effects of one task probe. Index-launch points run
    concurrently on a domain pool, so a task body never touches shared
@@ -114,22 +144,66 @@ type fetch_group = {
    observe exactly the sequence a serial execution produces, whatever the
    domain count. *)
 type fx =
-  | Fx_compute of { step : int; flops : float; bytes : float }
-  | Fx_batch of {
-      step : int;
-      tensor : string;
-      src : int;
-      dst : int;
-      pieces : Rect.t list;
-      merged : Rect.t list;
-      nfrag : int;
-      volume : int;
-    }
+  | Fx_compute of { step : int; at : int }
+      (* leaf compute: flops and bytes touched are [nums.(at)] and
+         [nums.(at + 1)] of the lane's tape *)
+  | Fx_batch of { step : int; raw : Comm_plan.raw }
   | Fx_red of { step : int; rect : Rect.t }
       (* reduction partial: register the contribution *)
   | Fx_out of { step : int; rect : Rect.t }  (* owner-computes write-back *)
 
-type task_result = { tr_proc : int; tr_fxs : fx list; tr_dyn_max : float }
+(* A lane's effects, task after task, in one growable array; compute
+   charges keep their floats unboxed in [nums]. *)
+type tape = {
+  mutable fx : fx array;
+  mutable len : int;
+  mutable nums : float array;
+  mutable nnums : int;
+}
+
+let no_fx = Fx_out { step = 0; rect = Rect.full [||] }
+
+let push tape e =
+  if tape.len = Array.length tape.fx then begin
+    let a = Array.make ((2 * tape.len) + 64) no_fx in
+    Array.blit tape.fx 0 a 0 tape.len;
+    tape.fx <- a
+  end;
+  tape.fx.(tape.len) <- e;
+  tape.len <- tape.len + 1
+
+(* One probed task: its effects are [tr_tape.fx.(tr_lo .. tr_hi - 1)]. *)
+type task_result = {
+  tr_proc : int;
+  tr_tape : tape;
+  tr_lo : int;
+  tr_hi : int;
+  tr_dyn_max : float;
+}
+
+(* Per-lane working state: every mutable cache a task probe touches. *)
+type lane = {
+  cursor : Rect_index.cursor;
+  sites : fentry Ints.Tbl.t array;  (* per footprint site: key -> entry *)
+  by_rect : fentry Rect.Tbl.t array;  (* per tensor: rect -> entry *)
+  ivals : float Ints.Tbl.t array;  (* per leaf index variable: key -> length *)
+  env : int array;  (* slot -> value, -1 when unbound *)
+  tape : tape;
+}
+
+(* The index of [name] in [names] (compared physically first). *)
+let rec name_index (names : string array) name i =
+  if i = Array.length names then invalid_arg ("unknown tensor " ^ name)
+  else if names.(i) == name || String.equal names.(i) name then i
+  else name_index names name (i + 1)
+
+(* Whether [rect] lies within one of [rects]. *)
+let rec within rect = function [] -> false | r :: rs -> Rect.subset rect r || within rect rs
+
+(* The first owner on [node], or -1. *)
+let rec same_node_owner node_of_lin node = function
+  | [] -> -1
+  | o :: os -> if node_of_lin.(o) = node then o else same_node_owner node_of_lin node os
 
 (* {2 Recorded data operations} *)
 
@@ -183,38 +257,33 @@ type step_acc = {
 
 (* Bundle planned transfers that carry the same payload from the same
    source into broadcast groups. [Comm_plan] sorts transfers by (tensor,
-   src, payload, dst), so grouping is one linear scan and each group's
-   receiver list comes out in ascending destination order. Payloads are
-   usually shared sublists (the executor memoizes fetch plans), so the
-   physical-equality check in [compare_rects] makes the scan cheap. *)
+   src, payload, dst), so grouping is one linear scan; scanning from the
+   end builds each group's receiver list in ascending destination order
+   and the group list in transfer order.
+   Payloads are usually shared sublists (the executor memoizes fetch
+   plans), so the physical-equality check in [compare_rects] makes the
+   scan cheap. *)
 let group_transfers (xfers : Comm_plan.xfer list) =
-  let rev =
-    List.fold_left
-      (fun acc (x : Comm_plan.xfer) ->
-        match acc with
-        | g :: _
-          when g.src = x.Comm_plan.src
-               && String.equal g.tensor x.Comm_plan.tensor
-               && Comm_plan.compare_rects g.rects x.Comm_plan.rects = 0 ->
-            g.receivers <- (x.Comm_plan.dst, x.Comm_plan.link) :: g.receivers;
-            acc
-        | _ ->
-            {
-              tensor = x.Comm_plan.tensor;
-              rects = x.Comm_plan.rects;
-              fragments = x.Comm_plan.fragments;
-              src = x.Comm_plan.src;
-              bytes = 8.0 *. float_of_int x.Comm_plan.volume;
-              receivers = [ (x.Comm_plan.dst, x.Comm_plan.link) ];
-            }
-            :: acc)
-      [] xfers
-  in
-  List.rev_map
-    (fun g ->
-      g.receivers <- List.rev g.receivers;
-      g)
-    rev
+  List.fold_left
+    (fun groups (x : Comm_plan.xfer) ->
+      match groups with
+      | g :: _
+        when g.src = x.src
+             && String.equal g.tensor x.tensor
+             && Comm_plan.compare_rects g.rects x.rects = 0 ->
+          g.receivers <- (x.dst, x.link) :: g.receivers;
+          groups
+      | _ ->
+          {
+            tensor = x.tensor;
+            rects = x.rects;
+            fragments = x.fragments;
+            src = x.src;
+            bytes = 8.0 *. float_of_int x.volume;
+            receivers = [ (x.dst, x.link) ];
+          }
+          :: groups)
+    [] (List.rev xfers)
 
 (* Post-planning observability: group counts, merged-run counts and
    per-message payload sizes are recorded after coalescing, so
@@ -257,26 +326,23 @@ let price_groups cost ~send ~recv ~mtouch glist =
         mtouch.(g.src) <- true
       end
       else begin
-        let worst =
-          if List.exists (fun (_, l) -> l = Cost.Inter) g.receivers then Cost.Inter
-          else Cost.Intra
-        in
+        (* A receiver's charges depend only on its link, so each is
+           priced once per link kind. *)
+        let part link =
+          Cost.broadcast_participant_send cost link ~bytes:g.bytes ~receivers:k
+        and bcast link = Cost.broadcast_time cost link ~bytes:g.bytes ~receivers:k in
+        let send_intra = part Cost.Intra and send_inter = part Cost.Inter in
+        let bcast_intra = bcast Cost.Intra and bcast_inter = bcast Cost.Inter in
+        let inter = ref false in
         List.iter
           (fun (dst, link) ->
-            send.(dst) <-
-              send.(dst)
-              +. Cost.broadcast_participant_send cost link ~bytes:g.bytes
-                   ~receivers:k;
-            recv.(dst) <-
-              recv.(dst)
-              +. Cost.broadcast_time cost link ~bytes:g.bytes ~receivers:k
-              +. pack;
+            let is_inter = link = Cost.Inter in
+            if is_inter then inter := true;
+            send.(dst) <- send.(dst) +. if is_inter then send_inter else send_intra;
+            recv.(dst) <- recv.(dst) +. (if is_inter then bcast_inter else bcast_intra) +. pack;
             mtouch.(dst) <- true)
           g.receivers;
-        send.(g.src) <-
-          send.(g.src)
-          +. Cost.broadcast_time cost worst ~bytes:g.bytes ~receivers:k
-          +. pack;
+        send.(g.src) <- send.(g.src) +. (if !inter then bcast_inter else bcast_intra) +. pack;
         mtouch.(g.src) <- true
       end)
     glist;
@@ -344,11 +410,8 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   let reg =
     match prun with Some r -> r.Profile.metrics | None -> Metrics.create ()
   in
-  (* Gc.minor_words reads the live allocation pointer; quick_stat's
-     minor_words only advances at minor collections and misses short
-     runs entirely. *)
-  let gc0_minor = Gc.minor_words () in
-  let gc0 = Gc.quick_stat () in
+  let wall_start = Pool.now () in
+  let alloc0 = alloc_words () in
   let m_flops = Metrics.counter reg "exec.flops" in
   let m_bytes_intra = Metrics.counter reg "exec.bytes_intra" in
   let m_bytes_inter = Metrics.counter reg "exec.bytes_inter" in
@@ -377,13 +440,6 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      separate, immutable instance, never from the buffer being written. *)
   let reads_out = Expr.reads_output stmt in
   let tensors = Expr.tensors stmt in
-  (* Per-operand traffic breakdown for the utilization report. Counters are
-     registered up front so zero-traffic operands still show up. *)
-  let m_bytes_by_tensor =
-    List.map
-      (fun tn -> (tn, Metrics.counter reg ("exec.bytes_by_tensor." ^ tn)))
-      (List.sort_uniq compare tensors)
-  in
   (* Distributions (and index task launches) may target a virtual grid
      larger than the machine; virtual processors fold onto physical ones
      exactly as the mapper folds launch points. *)
@@ -492,6 +548,9 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     Array.init nprocs (fun p -> Machine.node_of machine (Machine.delinearize machine p))
   in
   let rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin in
+  let link_of src dst =
+    if node_of_lin.(src) = node_of_lin.(dst) then Cost.Intra else Cost.Inter
+  in
   (* Placement under faults: effects landing on a processor that is dead
      at their step execute on its failover target instead
      ({!Mapper.fallback} — the next live linear processor, which also
@@ -515,25 +574,33 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     if spec.virtual_grid = None then Machine.linearize machine
     else fun vc -> Machine.linearize vmachine vc mod nprocs_phys
   in
-  let tiles_of : (string, int list Rect_index.t) Hashtbl.t = Hashtbl.create 8 in
-  (* Per-tensor: a spatial index over the distribution's tiles (cyclic
-     distributions produce many), the tiles each physical processor owns
-     (several under over-decomposition), and a memo of needed-rect ->
-     (piece, owners) coverings — the hot lookups of the simulation. Owners
-     are physical linear indices. *)
-  let proc_rects_of : (string, Rect.t list array) Hashtbl.t = Hashtbl.create 8 in
-  (* Tensors sharing a distribution and shape (e.g. both GEMM operands
-     cyclic over the same grid) share one tile sweep, index and owned-tile
-     table — the index is read-only under query interleaving. *)
+  (* {3 Tensor geometry} *)
+  (* Tensors are addressed by their index in [tensors_a] from here on:
+     instance caches, footprint sites and traffic counters are arrays. *)
+  let tensors_a = Array.of_list tensors in
+  let ntensors = Array.length tensors_a in
+  let tensor_index tn = name_index tensors_a tn 0 in
+  let out_t = tensor_index out_name in
+  (* Per-operand traffic breakdown for the utilization report. Counters are
+     registered up front so zero-traffic operands still show up. *)
+  let m_bytes_t =
+    Array.map (fun tn -> Metrics.counter reg ("exec.bytes_by_tensor." ^ tn)) tensors_a
+  in
+  (* Per tensor: a spatial index over the distribution's tiles (cyclic
+     distributions produce many) and the tiles each physical processor
+     owns (several under over-decomposition). Owners are physical linear
+     indices. Tensors sharing a distribution and shape (e.g. both GEMM
+     operands cyclic over the same grid) share one tile sweep, index and
+     owned-tile table — the index is read-only under query interleaving. *)
   let geom_memo : (string, int list Rect_index.t * Rect.t list array) Hashtbl.t =
     Hashtbl.create 8
   in
-  List.iter
-    (fun tn ->
-      let shape = Taskir.shape_of prog tn in
-      let dist = List.assoc tn dists in
-      let key = Distnot.to_string dist ^ "|" ^ Ints.to_string shape in
-      let index, rects =
+  let geom =
+    Array.map
+      (fun tn ->
+        let shape = Taskir.shape_of prog tn in
+        let dist = List.assoc tn dists in
+        let key = Distnot.to_string dist ^ "|" ^ Ints.to_string shape in
         match Hashtbl.find_opt geom_memo key with
         | Some g -> g
         | None ->
@@ -565,83 +632,95 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
               vtiles;
             let g = (index, rects) in
             Hashtbl.add geom_memo key g;
-            g
-      in
-      Hashtbl.replace tiles_of tn index;
-      Hashtbl.replace proc_rects_of tn rects)
-    tensors;
+            g)
+      tensors_a
+  in
+  let index_t = Array.map fst geom and proc_rects_t = Array.map snd geom in
+  (* {3 Slot environment and footprint sites} *)
+  (* The walk binds launch variables (from the point) and sequential loop
+     variables (outermost first), nothing else. Each gets an integer
+     slot; a task's environment is an int array over slots, -1 where
+     unbound. Footprints and intervals are compiled against the slots
+     once, so no name is looked up per task step. *)
+  let nlaunch = List.length lvars in
+  let slot_vars = Array.append (Array.of_list lvars) seq_vars in
+  let slot_ext = Array.append ldims seq_dims in
+  let nslots = Array.length slot_vars in
+  let slot_tbl = Hashtbl.create 16 in
+  Array.iteri (fun s v -> Hashtbl.replace slot_tbl v s) slot_vars;
+  let slot = Hashtbl.find_opt slot_tbl in
+  let bound = Array.init nslots (fun s -> s < nlaunch) in
+  let keyer vars =
+    let slots =
+      List.concat_map (Provenance.deps prov) vars
+      |> List.filter_map (fun v ->
+             match Hashtbl.find_opt slot_tbl v with
+             | Some s when bound.(s) -> Some s
+             | _ -> None)
+      |> List.sort_uniq compare |> Array.of_list
+    in
+    let strides = Array.make (Array.length slots) 1 in
+    for i = Array.length slots - 2 downto 0 do
+      strides.(i) <- strides.(i + 1) * slot_ext.(slots.(i + 1))
+    done;
+    { k_slots = slots; k_strides = strides }
+  in
+  let access_vars t =
+    List.concat_map
+      (fun (a : Expr.access) -> if String.equal a.tensor tensors_a.(t) then a.indices else [])
+      (Expr.stmt_accesses stmt)
+    |> List.sort_uniq compare
+  in
+  (* Footprint sites: one per [Ensure], plus one per tensor at the leaf
+     (the slicing plan a recording run captures). *)
+  let footprint_fns =
+    Array.map
+      (fun tn -> Bounds.footprint_fn prov ~slot ~stmt ~shape:(Taskir.shape_of prog tn) tn)
+      tensors_a
+  in
+  let rev_sites = ref [] and nsites = ref 0 in
+  let new_site t =
+    rev_sites := (t, keyer (access_vars t)) :: !rev_sites;
+    incr nsites;
+    !nsites - 1
+  in
+  let leaf_site = Array.make ntensors (-1) in
+  let rec compile = function
+    | Taskir.Launch { body; _ } -> compile body
+    | Seq_loop { var; extent; body } ->
+        let slot = Hashtbl.find slot_tbl var in
+        bound.(slot) <- true;
+        N_seq { slot; extent; body = compile body }
+    | Ensure { tensor; body } ->
+        let t = tensor_index tensor in
+        let site = new_site t in
+        N_ensure { t; site; body = compile body }
+    | Leaf _ ->
+        Array.iteri (fun t _ -> leaf_site.(t) <- new_site t) leaf_site;
+        N_leaf
+  in
+  let tree = compile prog.tree in
+  let sites = Array.of_list (List.rev !rev_sites) in
+  (* The leaf's iteration count is a product of per-variable interval
+     lengths, each keyed by the slots that variable depends on. *)
+  let ivars = Array.of_list (Expr.index_vars stmt) in
+  let ikeys = Array.map (fun v -> keyer [ v ]) ivars in
+  let ifns = Array.map (Provenance.interval_fn prov ~slot) ivars in
   (* Per-lane working state: every mutable cache a task probe touches.
-     Each pool lane builds its own (memo tables, index cursor, bounds
-     memo), so concurrent tasks never share mutable state; within a lane,
-     tasks hit the same memos a serial run would. [pieces_of] covers a
-     needed rect with (piece, owners) from the spatial index; [plan_of]
-     groups those pieces by owner set and pre-merges each group
-     ([Comm_plan.merge_rects]) — computed once per distinct (tensor,
-     footprint) and shared by every task in the lane that needs that
-     footprint. For cyclic distributions this is where thousands of
-     per-piece decisions collapse into a handful of per-owner batches. *)
-  let make_lane_ctx () =
-    let cursor = Rect_index.cursor () in
-    (* Memo keys are structural (tensor, rect) pairs: rects hash and
-       compare directly, so the hot per-task lookups cost no string
-       rendering — under multi-domain probes that formatting was a
-       measurable source of allocation (and thus shared-GC contention). *)
-    let pieces_memo : (string * Rect.t, (Rect.t * int list) list) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    let pieces_of tn rect =
-      let key = (tn, rect) in
-      match Hashtbl.find_opt pieces_memo key with
-      | Some ps -> ps
-      | None ->
-          let ps = Rect_index.query ~cursor (Hashtbl.find tiles_of tn) rect in
-          Hashtbl.add pieces_memo key ps;
-          ps
-    in
-    let plans_memo : (string * Rect.t, fetch_group list) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let plan_of tn rect =
-      let key = (tn, rect) in
-      match Hashtbl.find_opt plans_memo key with
-      | Some plan -> plan
-      | None ->
-          let ps = pieces_of tn rect in
-          let rec same_owners (a : int list) (b : int list) =
-            match (a, b) with
-            | [], [] -> true
-            | x :: xs, y :: ys -> x = y && same_owners xs ys
-            | _ -> false
-          in
-          let groups : (int list * Rect.t list ref * int ref) list ref = ref [] in
-          List.iter
-            (fun (piece, owners) ->
-              match
-                List.find_opt (fun (os, _, _) -> same_owners os owners) !groups
-              with
-              | Some (_, ps, vol) ->
-                  ps := piece :: !ps;
-                  vol := !vol + Rect.volume piece
-              | None ->
-                  groups := (owners, ref [ piece ], ref (Rect.volume piece)) :: !groups)
-            ps;
-          let plan =
-            List.rev_map
-              (fun (os, ps, vol) ->
-                let pieces = List.rev !ps in
-                {
-                  fg_owners = os;
-                  fg_pieces = pieces;
-                  fg_merged = Comm_plan.merge_rects pieces;
-                  fg_nfrag = List.length pieces;
-                  fg_volume = !vol;
-                })
-              !groups
-          in
-          Hashtbl.add plans_memo key plan;
-          plan
-    in
-    (Bounds.memo prov ~stmt, pieces_of, plan_of)
+     Each pool lane builds its own, so concurrent tasks never share
+     mutable state; within a lane, tasks hit the same memos a serial run
+     would. A footprint reached under different keys (or at different
+     sites) resolves to one entry per (tensor, rect), so its fetch plan is
+     built once per lane. *)
+  let make_lane () =
+    {
+      cursor = Rect_index.cursor ();
+      sites = Array.map (fun _ -> Ints.Tbl.create 64) sites;
+      by_rect = Array.map (fun _ -> Rect.Tbl.create 64) tensors_a;
+      ivals = Array.map (fun _ -> Ints.Tbl.create 16) ivars;
+      env = Array.make nslots (-1);
+      tape = { fx = [||]; len = 0; nums = [||]; nnums = 0 };
+    }
   in
   (* Reduction mode: some distributed loop variable derives from a
      variable summed over (§3.3: "distributing variables used for
@@ -673,7 +752,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
         steps_acc.(step) <- Some a;
         a
   in
-  let red_contribs : (Rect.t, float * int list) Hashtbl.t = Hashtbl.create 16 in
+  let red_contribs : (float * int list) Rect.Tbl.t = Rect.Tbl.create 16 in
   let add_compute ~step ~proc ~flops ~bytes =
     let a = acc_of step in
     a.cflops.(proc) <- a.cflops.(proc) +. flops;
@@ -686,279 +765,311 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      cross-rack accounting see the raw bytes (planning never changes
      totals); the batch itself is planned into wire messages at assembly
      time. Trace consumers still see one event per fragment. *)
-  let add_batch ~step ~tensor ~src ~dst ~pieces ~merged ~nfrag ~volume =
-    if volume > 0 then begin
+  let add_batch ~step (raw : Comm_plan.raw) =
+    let p = raw.payload in
+    if p.volume > 0 then begin
       let a = acc_of step in
-      let bytes = 8.0 *. float_of_int volume in
-      let link =
-        if node_of_lin.(src) = node_of_lin.(dst) then Cost.Intra else Cost.Inter
-      in
-      a.raws <-
-        { Comm_plan.tensor; pieces; merged; nfrag; volume; src; dst; link } :: a.raws;
-      (match link with
+      let bytes = 8.0 *. float_of_int p.volume in
+      a.raws <- raw :: a.raws;
+      (match raw.link with
       | Cost.Intra -> Metrics.inc m_bytes_intra bytes
       | Cost.Inter -> Metrics.inc m_bytes_inter bytes);
-      (match List.assoc_opt tensor m_bytes_by_tensor with
-      | Some c -> Metrics.inc c bytes
-      | None -> ());
-      if rack_of_lin.(src) <> rack_of_lin.(dst) then a.cross <- a.cross +. bytes;
+      Metrics.inc m_bytes_t.(tensor_index p.tensor) bytes;
+      if rack_of_lin.(raw.src) <> rack_of_lin.(raw.dst) then a.cross <- a.cross +. bytes;
       match trace with
       | Some log ->
-          let src_c = Machine.delinearize machine src in
-          let dst_c = Machine.delinearize machine dst in
+          let src = Machine.delinearize machine raw.src in
+          let dst = Machine.delinearize machine raw.dst in
           List.iter
             (fun piece ->
               log :=
-                {
-                  step;
-                  tensor;
-                  piece;
-                  src = src_c;
-                  dst = dst_c;
-                  bytes = bytes_of_rect piece;
-                }
+                { step; tensor = p.tensor; piece; src; dst; bytes = bytes_of_rect piece }
                 :: !log)
-            pieces
+            p.pieces
       | None -> ()
     end
   in
   (* Static per-processor memory: owned tiles of every tensor. *)
   let static_mem = Array.make nprocs 0.0 in
-  List.iter
-    (fun tn ->
-      let rects = Hashtbl.find proc_rects_of tn in
+  Array.iter
+    (fun rects ->
       Array.iteri
         (fun p rs ->
           List.iter (fun r -> static_mem.(p) <- static_mem.(p) +. bytes_of_rect r) rs)
         rects)
-    tensors;
+    proc_rects_t;
   let dyn_peak = Array.make nprocs 0.0 in
   (* {3 Per-task walk} *)
   let ops = ops_per_point stmt in
-  let run_task ~fmemo ~pieces_of ~plan_of ?drec (point : int array) =
+  let rec mem_int (x : int) = function [] -> false | y :: ys -> x = y || mem_int x ys in
+  let run_task lane ?drec (point : int array) =
     let proc_coord = Mapper.proc_of_point machine ~launch_dims:ldims point in
     let proc = Machine.linearize machine proc_coord in
-    let fxs = ref [] in
-    let emit e = fxs := e :: !fxs in
+    let env = lane.env and cursor = lane.cursor and tape = lane.tape in
+    Array.fill env 0 nslots (-1);
+    Array.blit point 0 env 0 nlaunch;
+    let fx_lo = tape.len in
+    let emit e = push tape e in
     (* Data-op recording (plan compilation). Reset on entry so a kill
        replay of this point rewrites an identical list. *)
     (match drec with Some r -> r := [] | None -> ());
     let demit d = match drec with Some r -> r := d :: !r | None -> () in
-    let env_tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    List.iteri (fun i v -> Hashtbl.replace env_tbl v point.(i)) lvars;
-    let env v = Hashtbl.find_opt env_tbl v in
     let step_of () =
       let s = ref 0 in
-      Array.iteri
-        (fun i v ->
-          match env v with Some x -> s := !s + (x * seq_strides.(i)) | None -> ())
-        seq_vars;
+      for i = 0 to Array.length seq_strides - 1 do
+        let x = env.(nlaunch + i) in
+        if x >= 0 then s := !s + (x * seq_strides.(i))
+      done;
       !s
     in
-    (* Cached instances record whether they count against dynamic memory
-       (instances of locally-owned tiles alias the owned data). *)
-    let cache : (string, Rect.t * bool) Hashtbl.t = Hashtbl.create 8 in
-    (* Read-only instance of the output tensor for self-referencing
-       statements, kept apart from the write instance in [cache]. *)
-    let out_read : (Rect.t * bool) option ref = ref None in
-    let dyn = ref 0.0 and dyn_max = ref 0.0 in
+    (* The footprint a site needs under the current bindings. *)
+    let entry site =
+      let t, k = sites.(site) in
+      let tbl = lane.sites.(site) in
+      let key = key_of k env in
+      match Ints.Tbl.find tbl key with
+      | e -> e
+      | exception Not_found ->
+          let rect = footprint_fns.(t) env in
+          let e =
+            match Rect.Tbl.find lane.by_rect.(t) rect with
+            | e -> e
+            | exception Not_found ->
+                let e =
+                  { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None }
+                in
+                Rect.Tbl.add lane.by_rect.(t) rect e;
+                e
+          in
+          Ints.Tbl.add tbl key e;
+          e
+    in
+    (* Cached instances, one per tensor ([no_inst] when absent), and
+       whether each counts against dynamic memory (instances of
+       locally-owned tiles alias the owned data). [out_read] is the
+       read-only instance of the output for self-referencing statements,
+       kept apart from the write instance. *)
+    let no_inst = { f_rect = Rect.full [||]; f_bytes = 0.0; f_plan = None } in
+    let inst = Array.make ntensors no_inst and counted_t = Array.make ntensors false in
+    let out_read = ref no_inst and out_read_counted = ref false in
+    (* [mem.(0)] live dynamic bytes, [mem.(1)] their peak. *)
+    let mem = Array.make 2 0.0 in
     let grow bytes =
-      dyn := !dyn +. bytes;
-      if !dyn > !dyn_max then dyn_max := !dyn
+      mem.(0) <- mem.(0) +. bytes;
+      if mem.(0) > mem.(1) then mem.(1) <- mem.(0)
     in
-    let shrink bytes = dyn := !dyn -. bytes in
-    let proc_owns tn rect =
-      List.exists (fun r -> Rect.subset rect r) (Hashtbl.find proc_rects_of tn).(proc)
+    let shrink bytes = mem.(0) <- mem.(0) -. bytes in
+    let proc_owns t rect = within rect proc_rects_t.(t).(proc) in
+    let pieces_of t e = Rect_index.query ~cursor index_t.(t) e.f_rect in
+    (* The entry's fetch plan: its pieces grouped by owner set, each
+       group pre-merged ([Comm_plan.merge_rects]). For cyclic
+       distributions this is where thousands of per-piece decisions
+       collapse into a handful of per-owner batches. *)
+    let plan_of t e =
+      match e.f_plan with
+      | Some plan -> plan
+      | None ->
+          let rec same_owners (a : int list) (b : int list) =
+            match (a, b) with
+            | [], [] -> true
+            | x :: xs, y :: ys -> x = y && same_owners xs ys
+            | _ -> false
+          in
+          let groups : (int list * Rect.t list ref * int ref) list ref = ref [] in
+          List.iter
+            (fun (piece, owners) ->
+              match List.find_opt (fun (os, _, _) -> same_owners os owners) !groups with
+              | Some (_, ps, vol) ->
+                  ps := piece :: !ps;
+                  vol := !vol + Rect.volume piece
+              | None -> groups := (owners, ref [ piece ], ref (Rect.volume piece)) :: !groups)
+            (pieces_of t e);
+          let plan =
+            List.rev_map
+              (fun (os, ps, vol) ->
+                let pieces = List.rev !ps in
+                {
+                  fg_owners = os;
+                  fg_load =
+                    {
+                      tensor = tensors_a.(t);
+                      pieces;
+                      merged = Comm_plan.merge_rects pieces;
+                      nfrag = List.length pieces;
+                      volume = !vol;
+                    };
+                })
+              !groups
+          in
+          e.f_plan <- Some plan;
+          plan
     in
-    (* Fetch cost: the footprint's memoized fetch plan gives the pieces
-       grouped by owner set; groups the processor itself owns are free,
-       the rest become one fragment batch each (same-node owners
-       preferred). *)
-    let charge_fetch tn rect =
-      let step = step_of () in
-      List.iter
-        (fun g ->
-          if not (List.mem proc g.fg_owners) then begin
+    (* Fetch cost: groups the processor itself owns are free, the rest
+       become one fragment batch each (same-node owners preferred). *)
+    let rec fetch_groups step = function
+      | [] -> ()
+      | g :: gs ->
+          if not (mem_int proc g.fg_owners) then begin
             let src =
-              match
-                List.find_opt
-                  (fun o -> node_of_lin.(o) = node_of_lin.(proc))
-                  g.fg_owners
-              with
-              | Some o -> o
-              | None -> List.hd g.fg_owners
+              match same_node_owner node_of_lin node_of_lin.(proc) g.fg_owners with
+              | -1 -> List.hd g.fg_owners
+              | o -> o
             in
             emit
               (Fx_batch
-                 {
-                   step;
-                   tensor = tn;
-                   src;
-                   dst = proc;
-                   pieces = g.fg_pieces;
-                   merged = g.fg_merged;
-                   nfrag = g.fg_nfrag;
-                   volume = g.fg_volume;
-                 })
-          end)
-        (plan_of tn rect)
+                 { step; raw = { payload = g.fg_load; src; dst = proc; link = link_of src proc } })
+          end;
+          fetch_groups step gs
     in
-    let flush_output ?step rect =
+    let charge_fetch t e = fetch_groups (step_of ()) (plan_of t e) in
+    let flush_output ~step e =
       demit D_flush;
-      let step = match step with Some s -> s | None -> step_of () in
-      if reduction then emit (Fx_red { step; rect })
+      if reduction then emit (Fx_red { step; rect = e.f_rect })
       else begin
-        if not (proc_owns out_name rect) then
+        if not (proc_owns out_t e.f_rect) then
           (* Owner-computes with a remote owner: ship the tile home. *)
           List.iter
             (fun (piece, os) ->
-              let dst = List.hd os in
+              let dst = List.hd os and one = [ piece ] in
               if dst <> proc then
+                let payload =
+                  { Comm_plan.tensor = out_name; pieces = one; merged = one; nfrag = 1;
+                    volume = Rect.volume piece }
+                in
                 emit
-                  (Fx_batch
-                     {
-                       step;
-                       tensor = out_name;
-                       src = proc;
-                       dst;
-                       pieces = [ piece ];
-                       merged = [ piece ];
-                       nfrag = 1;
-                       volume = Rect.volume piece;
-                     }))
-            (pieces_of out_name rect);
-        emit (Fx_out { step; rect })
+                  (Fx_batch { step; raw = { payload; src = proc; dst; link = link_of proc dst } }))
+            (pieces_of out_t e);
+        emit (Fx_out { step; rect = e.f_rect })
       end
     in
-    let ensure tn =
-      let shape = Taskir.shape_of prog tn in
-      let rect = Bounds.footprint fmemo ~env ~shape tn in
+    let ensure t site =
+      let e = entry site in
+      let cur = inst.(t) in
       let fresh =
-        match Hashtbl.find_opt cache tn with
-        | Some (r, _) when Rect.equal r rect -> false
-        | Some (r, counted) ->
-            if tn = out_name then flush_output r;
-            if counted then shrink (bytes_of_rect r);
-            Hashtbl.remove cache tn;
-            true
-        | None -> true
+        if cur == no_inst then true
+        else if Rect.equal cur.f_rect e.f_rect then false
+        else begin
+          if t = out_t then flush_output ~step:(step_of ()) cur;
+          if counted_t.(t) then shrink cur.f_bytes;
+          inst.(t) <- no_inst;
+          true
+        end
       in
       if fresh then begin
-        let bytes = bytes_of_rect rect in
+        let bytes = e.f_bytes in
         (* An instance of a locally-owned subrect aliases the owned tile;
            reduction partials for the output are fresh allocations. *)
-        let counted =
-          (tn = out_name && reduction) || not (proc_owns tn rect)
-        in
+        let counted = (t = out_t && reduction) || not (proc_owns t e.f_rect) in
         if counted then grow bytes;
-        if tn = out_name then begin
+        if t = out_t then begin
           (* Reduction partials start at zero; stationary/owner-computes
              outputs are seeded with current values (which only costs
              communication when the statement accumulates into — or reads —
              a tensor this processor does not own). *)
-          if ((not reduction) && stmt.accum) || reads_out then charge_fetch tn rect
+          if ((not reduction) && stmt.accum) || reads_out then charge_fetch t e
         end
-        else charge_fetch tn rect;
-        Hashtbl.replace cache tn (rect, counted);
-        demit
-          (D_inst
-             {
-               tensor = tn;
-               rect;
-               role = (if tn = out_name then R_output else R_input);
-             });
-        if tn = out_name && reads_out then begin
-          (match !out_read with
-          | Some (r0, counted0) ->
-              if counted0 then shrink (bytes_of_rect r0);
-              out_read := None
-          | None -> ());
-          let counted_r = not (proc_owns tn rect) in
+        else charge_fetch t e;
+        inst.(t) <- e;
+        counted_t.(t) <- counted;
+        if Option.is_some drec then
+          demit
+            (D_inst
+               {
+                 tensor = tensors_a.(t);
+                 rect = e.f_rect;
+                 role = (if t = out_t then R_output else R_input);
+               });
+        if t = out_t && reads_out then begin
+          if !out_read != no_inst then begin
+            if !out_read_counted then shrink !out_read.f_bytes;
+            out_read := no_inst
+          end;
+          let counted_r = not (proc_owns t e.f_rect) in
           if counted_r then grow bytes;
-          out_read := Some (rect, counted_r);
-          demit (D_inst { tensor = tn; rect; role = R_read_out })
+          out_read := e;
+          out_read_counted := counted_r;
+          demit (D_inst { tensor = out_name; rect = e.f_rect; role = R_read_out })
         end
       end
     in
-    let leaf_bytes () =
-      let base =
-        List.fold_left
-          (fun acc tn ->
-            match Hashtbl.find_opt cache tn with
-            | Some (r, _) -> acc +. bytes_of_rect r
-            | None -> acc)
-          0.0 tensors
-      in
-      match !out_read with Some (r, _) -> base +. bytes_of_rect r | None -> base
-    in
-    let leaf_points () =
-      List.fold_left
-        (fun acc v ->
-          let lo, hi = Provenance.interval prov ~env v in
-          acc *. float_of_int (max 0 (hi - lo)))
-        1.0 (Expr.index_vars stmt)
-    in
     let exec_leaf () =
       let step = step_of () in
-      emit
-        (Fx_compute
-           {
-             step;
-             flops = float_of_int ops *. leaf_points ();
-             bytes = leaf_bytes ();
-           });
+      (* Leaf iteration count: a product of per-variable interval lengths. *)
+      let points = ref 1.0 in
+      for i = 0 to Array.length ivars - 1 do
+        let tbl = lane.ivals.(i) and key = key_of ikeys.(i) env in
+        let len =
+          match Ints.Tbl.find tbl key with
+          | len -> len
+          | exception Not_found ->
+              let lo, hi = ifns.(i) env in
+              let len = float_of_int (Int.max 0 (hi - lo)) in
+              Ints.Tbl.add tbl key len;
+              len
+        in
+        points := !points *. len
+      done;
+      let bytes = ref 0.0 in
+      for t = 0 to ntensors - 1 do
+        if inst.(t) != no_inst then bytes := !bytes +. inst.(t).f_bytes
+      done;
+      if !out_read != no_inst then bytes := !bytes +. !out_read.f_bytes;
+      let at = tape.nnums in
+      if at + 2 > Array.length tape.nums then begin
+        let a = Array.make ((2 * at) + 64) 0.0 in
+        Array.blit tape.nums 0 a 0 at;
+        tape.nums <- a
+      end;
+      tape.nums.(at) <- float_of_int ops *. !points;
+      tape.nums.(at + 1) <- !bytes;
+      tape.nnums <- at + 2;
+      emit (Fx_compute { step; at });
       (* Recording: snapshot the variable bindings the leaf runs under
          (launch + sequential vars — leaf vars are bound inside) and, for
          substituted kernels, the slicing plan relative to the cached
          instances. Both depend only on the spec, never on tensor data. *)
-      match drec with
-      | None -> ()
-      | Some _ ->
-          let slice tn =
-            let r =
-              match Hashtbl.find_opt cache tn with
-              | Some (r, _) -> r
-              | None -> invalid_arg ("leaf recorded without an instance of " ^ tn)
-            in
-            let need = Bounds.footprint fmemo ~env ~shape:(Taskir.shape_of prog tn) tn in
-            if Rect.equal need r then { ds_tensor = tn; ds_local = None }
-            else if not (Rect.subset need r) then
-              invalid_arg ("leaf footprint outside the instance of " ^ tn)
-            else
-              let rel = Array.mapi (fun d x -> x - r.Rect.lo.(d)) in
-              {
-                ds_tensor = tn;
-                ds_local = Some (Rect.make ~lo:(rel need.Rect.lo) ~hi:(rel need.Rect.hi));
-              }
-          in
-          let slices =
-            match named_order with None -> [] | Some (_, order) -> List.map slice order
-          in
-          demit (D_leaf { denv = Array.of_seq (Hashtbl.to_seq env_tbl); slices })
+      if Option.is_some drec then begin
+        let slice tn =
+          let t = tensor_index tn in
+          let r = inst.(t).f_rect in
+          if inst.(t) == no_inst then invalid_arg ("leaf recorded without an instance of " ^ tn);
+          let need = (entry leaf_site.(t)).f_rect in
+          if Rect.equal need r then { ds_tensor = tn; ds_local = None }
+          else if not (Rect.subset need r) then
+            invalid_arg ("leaf footprint outside the instance of " ^ tn)
+          else
+            let rel = Array.mapi (fun d x -> x - r.Rect.lo.(d)) in
+            {
+              ds_tensor = tn;
+              ds_local = Some (Rect.make ~lo:(rel need.Rect.lo) ~hi:(rel need.Rect.hi));
+            }
+        in
+        let slices =
+          match named_order with None -> [] | Some (_, order) -> List.map slice order
+        in
+        demit (D_leaf { denv = Array.init nslots (fun s -> (slot_vars.(s), env.(s))); slices })
+      end
     in
     let rec walk = function
-      | Taskir.Launch { body; _ } -> walk body
-      | Taskir.Seq_loop { var; extent; body } ->
+      | N_seq { slot; extent; body } ->
           for x = 0 to extent - 1 do
-            Hashtbl.replace env_tbl var x;
+            env.(slot) <- x;
             walk body
           done;
-          Hashtbl.remove env_tbl var
-      | Taskir.Ensure { tensor; body } ->
-          ensure tensor;
+          env.(slot) <- -1
+      | N_ensure { t; site; body } ->
+          ensure t site;
           walk body
-      | Taskir.Leaf _ -> exec_leaf ()
+      | N_leaf -> exec_leaf ()
     in
-    walk prog.tree;
+    walk tree;
     (* Flush the cached output instance (write-back or reduction). The
        sequential loop vars are gone by now, so attribute the flush to the
        final step explicitly — it is the step whose end produced this
        state (matters only to fault remapping and checkpoints). *)
-    (match Hashtbl.find_opt cache out_name with
-    | Some (r, _) -> flush_output ~step:(nsteps - 1) r
-    | None -> ());
+    if inst.(out_t) != no_inst then flush_output ~step:(nsteps - 1) inst.(out_t);
     (match drec with Some r -> r := List.rev !r | None -> ());
-    { tr_proc = proc; tr_fxs = List.rev !fxs; tr_dyn_max = !dyn_max }
+    { tr_proc = proc; tr_tape = tape; tr_lo = fx_lo; tr_hi = tape.len; tr_dyn_max = mem.(1) }
   in
   let points =
     if Array.length ldims = 0 then [| [||] |]
@@ -982,21 +1093,28 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   let lanes = max 1 (min (Pool.size pool) npoints) in
   let results : task_result option array = Array.make npoints None in
   let lane_busy = Array.make lanes 0.0 in
+  (* Per lane: the words it allocated and the domain it ran on, measured
+     inside the lane (GC counters are per domain). *)
+  let lane_alloc = Array.make lanes (0.0, 0.0) and lane_domain = Array.make lanes 0 in
   let wall0 = Pool.now () in
   Pool.run pool ~lanes (fun lane ->
       let t0 = Pool.now () in
-      let fmemo, pieces_of, plan_of = make_lane_ctx () in
+      let minor0, major0 = alloc_words () in
+      let ctx = make_lane () in
       let lo = lane * npoints / lanes and hi = (lane + 1) * npoints / lanes in
       for i = lo to hi - 1 do
-        results.(i) <-
-          Some (run_task ~fmemo ~pieces_of ~plan_of ?drec:(drec_of i) points.(i))
+        results.(i) <- Some (run_task ctx ?drec:(drec_of i) points.(i))
       done;
+      let minor1, major1 = alloc_words () in
+      lane_alloc.(lane) <- (minor1 -. minor0, major1 -. major0);
+      lane_domain.(lane) <- (Domain.self () :> int);
       lane_busy.(lane) <- Pool.now () -. t0);
   let compute_wall = Pool.now () -. wall0 in
   (* Host-side wall clock of the probe phase (not simulated time), plus
      pool shape and utilization. Gauges only: these never enter the event
      stream or the derived [Stats.t], so runs stay byte-identical across
      domain counts. *)
+  Metrics.set (Metrics.gauge reg "exec.setup_wall_s") (wall0 -. wall_start);
   Metrics.set (Metrics.gauge reg "exec.compute_wall_s") compute_wall;
   Metrics.set (Metrics.gauge reg "exec.pool_domains") (float_of_int lanes);
   Metrics.set
@@ -1004,6 +1122,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     (if compute_wall > 0.0 then
        Array.fold_left ( +. ) 0.0 lane_busy /. (float_of_int lanes *. compute_wall)
      else 1.0);
+  let merge0 = Pool.now () in
   (* {3 Replay after kills} *)
   (* A killed processor loses its in-flight task state, so every launch
      point it was executing is re-probed from scratch — [run_task] is
@@ -1013,15 +1132,12 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      priced in the recovery epilogue. *)
   (match inj with
   | Some i when have_kills ->
-      let fmemo, pieces_of, plan_of = make_lane_ctx () in
+      let ctx = make_lane () in
       Array.iteri
         (fun idx r ->
           let proc = (Option.get r).tr_proc in
           if Injector.ever_dead i ~proc then
-            results.(idx) <-
-              Some
-                (run_task ~fmemo ~pieces_of ~plan_of ?drec:(drec_of idx)
-                   points.(idx)))
+            results.(idx) <- Some (run_task ctx ?drec:(drec_of idx) points.(idx)))
         results
   | _ -> ());
   (* Replay every task's deferred effects in launch-point order: metrics,
@@ -1029,40 +1145,44 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      observe exactly the sequence a serial execution produces. *)
   Array.iter
     (fun r ->
-      let { tr_proc = proc; tr_fxs; tr_dyn_max } = Option.get r in
+      let { tr_proc = proc; tr_tape; tr_lo; tr_hi; tr_dyn_max } = Option.get r in
       Metrics.inc_int m_tasks 1;
-      List.iter
-        (fun e ->
-          match e with
-          | Fx_compute { step; flops; bytes } ->
-              add_compute ~step ~proc:(remap ~step proc) ~flops ~bytes
-          | Fx_batch { step; tensor; src; dst; pieces; merged; nfrag; volume } ->
-              let src = remap ~step src and dst = remap ~step dst in
-              if src <> dst then
-                add_batch ~step ~tensor ~src ~dst ~pieces ~merged ~nfrag ~volume
-          | Fx_red { step; rect } -> (
-              let rproc = remap ~step proc in
-              (match ckpt with
-              | Some c when not (Rect.is_empty rect) ->
-                  Checkpoint.record c ~step ~proc:rproc rect
-              | _ -> ());
-              (match Hashtbl.find_opt red_contribs rect with
-              | Some (b, procs) ->
-                  (* Under kills, remapping can fold two contributors onto
-                     one survivor; count it once. Fault-free, keep every
-                     contribution exactly as before. *)
-                  if not (have_kills && List.mem rproc procs) then
-                    Hashtbl.replace red_contribs rect (b, rproc :: procs)
-              | None ->
-                  Hashtbl.add red_contribs rect (bytes_of_rect rect, [ rproc ])))
-          | Fx_out { step; rect } -> (
-              match ckpt with
-              | Some c when not (Rect.is_empty rect) ->
-                  Checkpoint.record c ~step ~proc:(remap ~step proc) rect
-              | _ -> ()))
-        tr_fxs;
+      for i = tr_lo to tr_hi - 1 do
+        match tr_tape.fx.(i) with
+        | Fx_compute { step; at } ->
+            add_compute ~step ~proc:(remap ~step proc) ~flops:tr_tape.nums.(at)
+              ~bytes:tr_tape.nums.(at + 1)
+        | Fx_batch { step; raw } ->
+            let src = remap ~step raw.src and dst = remap ~step raw.dst in
+            if src <> dst then
+              add_batch ~step
+                (if src = raw.src && dst = raw.dst then raw
+                 else { raw with src; dst; link = link_of src dst })
+        | Fx_red { step; rect } -> (
+            let rproc = remap ~step proc in
+            (match ckpt with
+            | Some c when not (Rect.is_empty rect) ->
+                Checkpoint.record c ~step ~proc:rproc rect
+            | _ -> ());
+            (match Rect.Tbl.find_opt red_contribs rect with
+            | Some (b, procs) ->
+                (* Under kills, remapping can fold two contributors onto
+                   one survivor; count it once. Fault-free, keep every
+                   contribution exactly as before. *)
+                if not (have_kills && List.mem rproc procs) then
+                  Rect.Tbl.replace red_contribs rect (b, rproc :: procs)
+            | None ->
+                Rect.Tbl.add red_contribs rect (bytes_of_rect rect, [ rproc ])))
+        | Fx_out { step; rect } -> (
+            match ckpt with
+            | Some c when not (Rect.is_empty rect) ->
+                Checkpoint.record c ~step ~proc:(remap ~step proc) rect
+            | _ -> ())
+      done;
       if tr_dyn_max > dyn_peak.(proc) then dyn_peak.(proc) <- tr_dyn_max)
     results;
+  let assembly0 = Pool.now () in
+  Metrics.set (Metrics.gauge reg "exec.merge_wall_s") (assembly0 -. merge0);
   (* {3 Timing assembly} *)
   (* Deterministic order throughout this phase: steps ascending, copy
      groups sorted by key within each step, processors ascending — so two
@@ -1074,13 +1194,13 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   let tasks_per_proc = Ints.ceil_div npoints nprocs in
   let overhead = float_of_int tasks_per_proc *. cost.Cost.task_overhead in
   start := overhead;
-  (* Per-step planned copy groups, kept for profile emission below. *)
+  (* Per-processor slots and planned copy groups only feed the profile's
+     timeline and events; without a profile the step cost (the max over
+     processors, which any order computes exactly) is all that is kept. *)
+  let profiling = Option.is_some prun in
   let sorted_groups : (int, group list) Hashtbl.t = Hashtbl.create 64 in
   let total_fragments = ref 0 and total_messages = ref 0 in
   let rev_rows = ref [] in
-  (* One set of planner working tables for the whole assembly: the
-     intern/bucket hashes are cleared, not reallocated, between steps. *)
-  let cscratch = Comm_plan.scratch () in
   for step = 0 to nsteps - 1 do
     match steps_acc.(step) with
     | None -> ()
@@ -1090,11 +1210,11 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
            disabled), then bundle identical payloads into broadcasts. *)
         let t_plan = Pool.now () in
         let plan =
-          if coalesce then Comm_plan.coalesce ~scratch:cscratch a.raws
+          if coalesce then Comm_plan.coalesce a.raws
           else Comm_plan.uncoalesced a.raws
         in
         let glist = group_transfers plan in
-        Hashtbl.replace sorted_groups step glist;
+        if profiling then Hashtbl.replace sorted_groups step glist;
         observe_groups ~m_messages ~m_copy_groups ~m_coalesced ~h_copy_bytes glist;
         (* A processor's communication time in a step combines its send and
            receive occupancies per the cost model's duplex mode (full-duplex
@@ -1138,14 +1258,18 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
         total_fragments :=
           !total_fragments
           + List.fold_left
-              (fun acc (r : Comm_plan.raw) -> acc + r.Comm_plan.nfrag)
+              (fun acc (r : Comm_plan.raw) -> acc + r.payload.nfrag)
               0 a.raws;
         total_messages := !total_messages + !messages;
         (* One timeline step per active step: per-processor occupancies,
            the charged cost (max over processors of overlapped
            compute+comm, or the rack fabric), and the traffic that
            moved. *)
-        let slots = ref [] in
+        let fabric =
+          if a.cross > 0.0 then Cost.fabric_time cost ~cross_rack_bytes:a.cross ~racks
+          else 0.0
+        in
+        let cost_step = ref fabric and slots = ref [] in
         for proc = nprocs - 1 downto 0 do
           if a.ctouch.(proc) || a.mtouch.(proc) then begin
             let cmp =
@@ -1164,24 +1288,13 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
                 Cost.combine_sr cost ~send:a.send.(proc) ~recv:a.recv.(proc)
               else 0.0
             in
-            slots :=
-              {
-                Cp.proc;
-                compute = cmp;
-                comm = cm;
-                busy = Cost.step_time cost ~compute:cmp ~comm:cm;
-              }
-              :: !slots
+            let busy = Cost.step_time cost ~compute:cmp ~comm:cm in
+            cost_step := Float.max !cost_step busy;
+            if profiling then
+              slots := { Cp.proc; compute = cmp; comm = cm; busy } :: !slots
           end
         done;
-        let slots = !slots in
-        let fabric =
-          if a.cross > 0.0 then Cost.fabric_time cost ~cross_rack_bytes:a.cross ~racks
-          else 0.0
-        in
-        let cost_step =
-          List.fold_left (fun acc (sl : Cp.slot) -> Float.max acc sl.Cp.busy) fabric slots
-        in
+        let slots = !slots and cost_step = !cost_step in
         Metrics.observe h_step_time cost_step;
         let row =
           { Cp.index = step; start = !start; cost = cost_step; slots; bytes = !bytes;
@@ -1196,7 +1309,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   in
   (* Reduction epilogue: independent tiles reduce in parallel. *)
   let red_time =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) red_contribs []
+    Rect.Tbl.fold (fun k v acc -> (k, v) :: acc) red_contribs []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.fold_left
          (fun acc (_, (bytes, procs)) ->
@@ -1324,6 +1437,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     Metrics.set_max g_peak m;
     if m > mem_limit then Metrics.set g_oom 1.0
   done;
+  Metrics.set (Metrics.gauge reg "exec.assembly_wall_s") (Pool.now () -. assembly0);
   (* {3 Profile emission} *)
   (match (profile, prun) with
   | Some p, Some run ->
@@ -1434,14 +1548,21 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      (bigarray payloads live outside the heap and are not counted).
      Gauges only — [Stats.of_registry] reads a fixed name set, so the
      derived stats and the determinism contract are untouched.
-     {!Distal_obs.Report.host_execution} prints them. *)
-  let gc1 = Gc.quick_stat () in
-  Metrics.set
-    (Metrics.gauge reg "exec.alloc_minor_words")
-    (Gc.minor_words () -. gc0_minor);
-  Metrics.set
-    (Metrics.gauge reg "exec.alloc_major_words")
-    (gc1.Gc.major_words -. gc0.Gc.major_words);
+     {!Distal_obs.Report.host_execution} prints them. The calling
+     domain's delta covers set-up, merge, assembly and every lane that ran
+     on it; lanes that ran on other pool domains add their own deltas. *)
+  let minor1, major1 = alloc_words () in
+  let self = (Domain.self () :> int) in
+  let minor = ref (minor1 -. fst alloc0) and major = ref (major1 -. snd alloc0) in
+  Array.iteri
+    (fun lane d ->
+      if d <> self then begin
+        minor := !minor +. fst lane_alloc.(lane);
+        major := !major +. snd lane_alloc.(lane)
+      end)
+    lane_domain;
+  Metrics.set (Metrics.gauge reg "exec.alloc_minor_words") !minor;
+  Metrics.set (Metrics.gauge reg "exec.alloc_major_words") !major;
   (match trace with Some log -> log := List.rev !log | None -> ());
   Ok
     {
@@ -1471,6 +1592,9 @@ type eplan = {
   ep_named : (string * string list) option;  (* substituted kernel, order *)
   ep_staged : Expr_stage.plan option;
   ep_leaf_vars : string list;  (* Scalar_loops nest, outermost first *)
+  ep_guards : (string -> int option) -> bool;
+  ep_points : (string * ((string -> int option) -> int option)) list;
+      (* the [Expr.eval] fallback's guard and index points, compiled once *)
   ep_reads_out : bool;
   ep_accum : bool;
   ep_out_name : string;
@@ -1503,6 +1627,9 @@ let compile_plan ?domains ?coalesce ?faults ?trace ?profile spec =
       ep_named = sim.sim_named;
       ep_staged = staged;
       ep_leaf_vars = sim.sim_leaf_vars;
+      ep_guards = Provenance.guards_fn prog.prov;
+      ep_points =
+        List.map (fun v -> (v, Provenance.raw_point_fn prog.prov v)) (Expr.index_vars stmt);
       ep_reads_out = Expr.reads_output stmt;
       ep_accum = stmt.accum;
       ep_out_name = stmt.lhs.tensor;
@@ -1652,9 +1779,9 @@ let run_plan ?domains ep ~data =
               let out_rect, out_buf = buffer out_name in
               Ints.iter_box extents (fun pt ->
                   Array.iteri (fun i v -> Hashtbl.replace env_tbl v pt.(i)) vars_arr;
-                  if Provenance.guards_ok prov ~env then begin
+                  if ep.ep_guards env then begin
                     let point v =
-                      match Provenance.raw_point prov ~env v with
+                      match (List.assoc v ep.ep_points) env with
                       | Some x -> x
                       | None -> invalid_arg ("unbound index variable " ^ v)
                     in
@@ -1791,11 +1918,14 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
                 incr rev_raw_count;
                 raws :=
                   {
-                    Comm_plan.tensor = "";
-                    pieces = [ piece ];
-                    merged = [ piece ];
-                    nfrag = 1;
-                    volume = Rect.volume piece;
+                    Comm_plan.payload =
+                      {
+                        tensor = "";
+                        pieces = [ piece ];
+                        merged = [ piece ];
+                        nfrag = 1;
+                        volume = Rect.volume piece;
+                      };
                     src = s;
                     dst = d;
                     link;

@@ -83,9 +83,13 @@ val execute :
     contract: results, copy traces, stats and event streams are
     byte-identical for every domain count — tasks record deferred effects
     that are merged in launch-point order after the pool joins — and
-    simulated time never depends on host parallelism. The host-side probe
-    wall clock and pool utilization are reported as [exec.compute_wall_s]
-    / [exec.pool_domains] / [exec.pool_utilization] gauges.
+    simulated time never depends on host parallelism. Host-side numbers
+    are gauges, never [Stats]: the wall clock of set-up, probe, merge and
+    assembly ([exec.setup_wall_s], [exec.compute_wall_s],
+    [exec.merge_wall_s], [exec.assembly_wall_s], with planning inside
+    assembly as [exec.plan_wall_s]), [exec.pool_domains],
+    [exec.pool_utilization], and the words every lane allocated
+    ([exec.alloc_minor_words], [exec.alloc_major_words]).
 
     Leaves have one dispatch ({!run_plan}): substituted leaves run the
     tiled registry kernels ({!Distal_tensor.Kernel_registry.Tiled}); scalar

@@ -1,7 +1,7 @@
 let prod a = Array.fold_left ( * ) 1 a
 
 let ceil_div a b =
-  assert (b > 0);
+  if b <= 0 then invalid_arg "Ints.ceil_div: divisor must be positive";
   (a + b - 1) / b
 
 let row_major_strides dims =
@@ -13,11 +13,12 @@ let row_major_strides dims =
   strides
 
 let linearize ~dims coord =
-  assert (Array.length dims = Array.length coord);
+  if Array.length dims <> Array.length coord then
+    invalid_arg "Ints.linearize: coordinate rank differs from dims";
   let acc = ref 0 in
   Array.iteri
     (fun i c ->
-      assert (0 <= c && c < dims.(i));
+      if c < 0 || c >= dims.(i) then invalid_arg "Ints.linearize: coordinate out of range";
       acc := (!acc * dims.(i)) + c)
     coord;
   !acc
@@ -30,7 +31,7 @@ let delinearize ~dims idx =
     coord.(i) <- !rem mod dims.(i);
     rem := !rem / dims.(i)
   done;
-  assert (!rem = 0);
+  if !rem <> 0 || idx < 0 then invalid_arg "Ints.delinearize: index out of range";
   coord
 
 let iter_box dims f =
@@ -45,6 +46,17 @@ let fold_box dims ~init ~f =
   !acc
 
 let equal a b = a = b
+
+let mix h x =
+  let h = (h lxor x) * 0x2127599bf4325c37 in
+  h lxor (h lsr 29)
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = mix 0 x land max_int
+end)
 
 let to_string a =
   "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"

@@ -9,7 +9,8 @@ type t = private { lo : int array; hi : int array }
 
 val make : lo:int array -> hi:int array -> t
 (** Requires [lo] and [hi] of equal length and [lo.(d) <= hi.(d)] for all [d]
-    (empty rects are allowed). *)
+    (empty rects are allowed).
+    @raise Invalid_argument otherwise. *)
 
 val full : int array -> t
 (** The rect covering a whole shape: [0, dims). *)
@@ -20,7 +21,8 @@ val is_empty : t -> bool
 val contains : t -> int array -> bool
 val subset : t -> t -> bool
 (** [subset a b] holds when every point of [a] lies in [b]. An empty [a] is a
-    subset of anything. *)
+    subset of anything. [subset], [inter] and [hull] raise
+    [Invalid_argument] on rects of different rank. *)
 
 val inter : t -> t -> t
 (** Intersection (possibly empty). *)
@@ -30,6 +32,10 @@ val hull : t -> t -> t
 
 val overlaps : t -> t -> bool
 val equal : t -> t -> bool
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by rects, compared and hashed by their bounds
+    without polymorphic hashing. *)
 
 val iter : t -> (int array -> unit) -> unit
 (** Iterate the points of the rect in row-major order; the callback receives a

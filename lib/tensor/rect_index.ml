@@ -15,7 +15,7 @@ type 'a t = {
 }
 
 (* Index of the first element >= x in a sorted array. *)
-let lower_bound a x =
+let lower_bound (a : int array) (x : int) =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -24,7 +24,7 @@ let lower_bound a x =
   !lo
 
 (* Index of the first element > x in a sorted array. *)
-let upper_bound a x =
+let upper_bound (a : int array) (x : int) =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -32,11 +32,36 @@ let upper_bound a x =
   done;
   !lo
 
+(* The sorted distinct values of [vals], and a function from each of
+   them to its position. Tile bounds are coordinates inside a tensor, so
+   they usually span a range not much wider than their count: mark them
+   in a table over that range, which then maps each value to its
+   position directly. Otherwise sort and binary-search. *)
+let cuts_of (vals : int array) =
+  let n = Array.length vals in
+  let lo = Array.fold_left Int.min max_int vals and hi = Array.fold_left Int.max min_int vals in
+  if n = 0 || hi - lo > (4 * n) + 64 then
+    let cuts = Array.of_list (List.sort_uniq Int.compare (Array.to_list vals)) in
+    (cuts, lower_bound cuts)
+  else begin
+    let pos = Array.make (hi - lo + 1) (-1) in
+    Array.iter (fun v -> pos.(v - lo) <- 0) vals;
+    let out = ref [] and m = ref 0 in
+    for i = 0 to hi - lo do
+      if pos.(i) = 0 then begin
+        pos.(i) <- !m;
+        incr m;
+        out := (i + lo) :: !out
+      end
+    done;
+    (Array.of_list (List.rev !out), fun v -> pos.(v - lo))
+  end
+
 let build tile_list =
   let entries = Array.of_list tile_list in
   let n = Array.length entries in
   let dims = if n = 0 then 0 else Rect.dim (fst entries.(0)) in
-  let cuts =
+  let cuts_pos =
     Array.init dims (fun d ->
         let vals = Array.make (2 * n) 0 in
         Array.iteri
@@ -44,33 +69,38 @@ let build tile_list =
             vals.(2 * i) <- r.lo.(d);
             vals.((2 * i) + 1) <- r.hi.(d))
           entries;
-        Array.sort (fun (a : int) b -> if a < b then -1 else if a > b then 1 else 0) vals;
-        (* Dedup the sorted bounds in place. *)
-        let m = ref 0 in
-        for i = 1 to (2 * n) - 1 do
-          if vals.(i) <> vals.(!m) then begin
-            incr m;
-            vals.(!m) <- vals.(i)
-          end
-        done;
-        if n = 0 then [||] else Array.sub vals 0 (!m + 1))
+        cuts_of vals)
   in
+  let cuts = Array.map fst cuts_pos in
+  (* Per dimension, each non-empty tile covers the slab range [a, b);
+     count the slabs' populations first, then fill exact-size buckets in
+     ascending tile-id order. *)
   let buckets =
     Array.init dims (fun d ->
-        let nslabs = max 0 (Array.length cuts.(d) - 1) in
-        let acc = Array.make nslabs [] in
-        (* Reverse id order so each bucket list ends up ascending. *)
-        for id = n - 1 downto 0 do
+        let nslabs = Int.max 0 (Array.length cuts.(d) - 1) in
+        let first = Array.make n 0 and last = Array.make n 0 in
+        let count = Array.make nslabs 0 in
+        for id = 0 to n - 1 do
           let r : Rect.t = fst entries.(id) in
           if not (Rect.is_empty r) then begin
-            let a = lower_bound cuts.(d) r.lo.(d) in
-            let b = lower_bound cuts.(d) r.hi.(d) in
+            let pos = snd cuts_pos.(d) in
+            let a = pos r.lo.(d) and b = pos r.hi.(d) in
+            first.(id) <- a;
+            last.(id) <- b;
             for s = a to b - 1 do
-              acc.(s) <- id :: acc.(s)
+              count.(s) <- count.(s) + 1
             done
           end
         done;
-        Array.map Array.of_list acc)
+        let acc = Array.map (fun c -> Array.make c 0) count in
+        Array.fill count 0 nslabs 0;
+        for id = 0 to n - 1 do
+          for s = first.(id) to last.(id) - 1 do
+            acc.(s).(count.(s)) <- id;
+            count.(s) <- count.(s) + 1
+          done
+        done;
+        acc)
   in
   let prefix =
     Array.map
@@ -92,8 +122,8 @@ let slab_range t d lo hi =
   let nslabs = Array.length cuts - 1 in
   if hi <= lo || nslabs <= 0 then None
   else
-    let b = min nslabs (lower_bound cuts hi) in
-    let a = max 0 (upper_bound cuts lo - 1) in
+    let b = Int.min nslabs (lower_bound cuts hi) in
+    let a = Int.max 0 (upper_bound cuts lo - 1) in
     if a >= b then None else Some (a, b)
 
 let query ?cursor:cur t (rect : Rect.t) =

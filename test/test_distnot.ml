@@ -198,6 +198,41 @@ let qcheck_tiles_cover =
       let total = List.fold_left (fun acc (r, _) -> acc + Rect.volume r) 0 tiles in
       total = s1 * s2)
 
+(* [tiles] against a plain per-rect merge of every processor's tiles, over
+   random flat and two-level distributions (blocked, cyclic, fixed and
+   broadcast axes): same tiles, same order, same owners. *)
+let test_tiles_match_merge () =
+  let merge d ~shape ~machine =
+    let acc = ref [] in
+    List.iter
+      (fun proc ->
+        List.iter
+          (fun r ->
+            match List.find_opt (fun (r', _) -> Rect.equal r r') !acc with
+            | Some (_, owners) -> owners := proc :: !owners
+            | None -> acc := (r, ref [ proc ]) :: !acc)
+          (D.rects_of_proc d ~shape ~machine proc))
+      (Machine.proc_coords machine);
+    List.rev_map (fun (r, owners) -> (r, List.rev !owners)) !acc
+  in
+  for seed = 0 to 199 do
+    let rng = Distal_support.Rng.create seed in
+    let rank = 1 + Distal_support.Rng.int rng 3 in
+    let shape = Array.init rank (fun _ -> 1 + Distal_support.Rng.int rng 9) in
+    let mdims = Array.init 2 (fun _ -> 1 + Distal_support.Rng.int rng 3) in
+    let d =
+      if seed mod 2 = 0 then Test_fuzz.gen_dist2 rng ~rank ~mdims
+      else Test_fuzz.gen_dist rng ~rank ~mdims
+    in
+    let machine = Machine.grid mdims in
+    let show ts = String.concat " " (List.map (fun (r, _) -> Rect.to_string r) ts) in
+    let got = D.tiles d ~shape ~machine and want = merge d ~shape ~machine in
+    if
+      List.length got <> List.length want
+      || not (List.for_all2 (fun (r, o) (r', o') -> Rect.equal r r' && o = o') got want)
+    then Alcotest.failf "%s: tiles %s, merged %s" (D.to_string d) (show got) (show want)
+  done
+
 let suites =
   [
     ( "distribution notation",
@@ -220,5 +255,6 @@ let suites =
         Alcotest.test_case "bytes per proc" `Quick test_bytes_per_proc;
         Alcotest.test_case "lower to cin (§5.3)" `Quick test_lower_to_cin_example;
         QCheck_alcotest.to_alcotest qcheck_tiles_cover;
+        Alcotest.test_case "tiles match a per-rect merge" `Quick test_tiles_match_merge;
       ] );
   ]
