@@ -228,8 +228,81 @@ let check_case c () =
         Alcotest.(check string) (Printf.sprintf "full, %d domains" domains) c.expect_full got)
     [ 1; 4 ]
 
+(* {2 Redistribution} *)
+
+(* [Exec.redistribute] prices one exchange step. Event names are blanked
+   before hashing: the stream is pinned by its tracks, times, kinds and
+   attributes, so only a span's or instant's label may change. *)
+module Cost = Api.Cost_model
+module Event = Distal_obs.Event
+module Metrics = Distal_obs.Metrics
+
+let redistribute_fingerprint machine cost ~shape ~src ~dst =
+  let profile = Profile.create () in
+  let parse = Api.Distnot.parse_exn in
+  let s = Exec.redistribute ~profile machine cost ~shape ~src:(parse src) ~dst:(parse dst) in
+  let run, tl =
+    match Profile.runs profile with
+    | [ ({ Profile.timeline = Some tl; _ } as run) ] -> (run, tl)
+    | _ -> Alcotest.fail "expected exactly one run with a timeline"
+  in
+  let fabric = List.fold_left (fun acc (st : Cp.step) -> acc +. st.fabric) 0.0 tl.steps in
+  let ratio =
+    match Metrics.value run.Profile.metrics "exec.coalesce_ratio" with
+    | Some r -> bits r
+    | None -> "none"
+  in
+  let unnamed = List.map (fun (e : Event.t) -> { e with name = "" }) (Profile.events profile) in
+  Printf.sprintf "%s ratio=%s fabric=%s timeline=%s events=%s" (stats_line s) ratio
+    (bits fabric) (md5 (timeline_text tl))
+    (md5 (Chrome_trace.to_string unnamed))
+
+let redistribute_cases =
+  let gpu4 = Machine.grid ~kind:Machine.Gpu ~mem_per_proc:16e9 [| 4 |] in
+  let racked = Machine.grid ~node_factors:[| 2; 2 |] [| 4; 4 |] in
+  [
+    ( "rows to cols 2x2",
+      (fun () ->
+        redistribute_fingerprint (grid2 2) Cost.cpu_distal ~shape:[| 8; 8 |]
+          ~src:"[x,y] -> [x,*]" ~dst:"[x,y] -> [*,y]"),
+      "time=3ee4feaf4a3f49ee flops=0 intra=0 inter=4080000000000000 msgs=4 peak=0 oom=false tasks=0 steps=1 ratio=3ff0000000000000 fabric=0 timeline=1851f14f86afe92b3bb6341446e244d1 events=6c5f28b94744b79272a782cad62a13f6" );
+    ( "broadcast",
+      (fun () ->
+        redistribute_fingerprint (Machine.grid [| 4 |]) Cost.cpu_distal ~shape:[| 8 |]
+          ~src:"[x] -> [0]" ~dst:"[x] -> [*]"),
+      "time=3ee4faf33165dd50 flops=0 intra=0 inter=4068000000000000 msgs=3 peak=0 oom=false tasks=0 steps=1 ratio=3ff0000000000000 fabric=0 timeline=39207a321c15de3d99fc77296916c485 events=c6e68db51137bc88a78149746c27b9dc" );
+    ( "half-duplex gpu scatter",
+      (fun () ->
+        redistribute_fingerprint gpu4 Cost.gpu_distal ~shape:[| 64 |] ~src:"[x] -> [0]"
+          ~dst:"[x] -> [x]"),
+      "time=3eefa2e06d1584fb flops=0 intra=0 inter=4078000000000000 msgs=3 peak=0 oom=false tasks=0 steps=1 ratio=3ff0000000000000 fabric=0 timeline=58ff9acee9621e00a4d7c3b2f5735021 events=d81436960cfb241eed67275422f6b98e" );
+    ( "ctf matricize all-to-all",
+      (fun () ->
+        redistribute_fingerprint (Machine.grid [| 4 |]) Cost.cpu_ctf ~shape:[| 16; 12; 8 |]
+          ~src:"[x,y,z] -> [x]" ~dst:"[x,y,z] -> [y]"),
+      "time=3eefaad81990064c flops=0 intra=0 inter=40c2000000000000 msgs=12 peak=0 oom=false tasks=0 steps=1 ratio=3ff0000000000000 fabric=0 timeline=d06ae653736969de52474870c4e3598a events=83da1c67c65763aec256fe76b0fdc88e" );
+    ( "cyclic to blocks",
+      (fun () ->
+        redistribute_fingerprint (grid2 2) Cost.cpu_distal ~shape:[| 16; 16 |]
+          ~src:"[x,y] -> [x%1,y%1]" ~dst:"[x,y] -> [x,y]"),
+      "time=3ef476f91ce2a242 flops=0 intra=0 inter=4098000000000000 msgs=12 peak=0 oom=false tasks=0 steps=1 ratio=4030000000000000 fabric=0 timeline=df74846618b2344c103c0ffde034ad07 events=91bbc48fc9e82f12cd1dbdbce46a129b" );
+    ( "two racks",
+      (fun () ->
+        redistribute_fingerprint racked
+          { Cost.cpu_distal with rack_nodes = 2 }
+          ~shape:[| 16; 16 |] ~src:"[x,y] -> [x,*]" ~dst:"[x,y] -> [y,x]"),
+      "time=3ee719d8a652d99a flops=0 intra=4080000000000000 inter=4090000000000000 msgs=12 peak=0 oom=false tasks=0 steps=1 ratio=3ff0000000000000 fabric=3e27e7056f83f2e5 timeline=d46fd1830f792ff51835ebf0b357e085 events=28feb1c3df3b56fcaf4bcd637767bcb5" );
+  ]
+
+let check_redistribute (_, run, expect) () =
+  Alcotest.(check string) "redistribute" expect (run ())
+
 let suites =
   [
     ( "golden modeled stats",
-      List.map (fun c -> Alcotest.test_case c.name `Quick (check_case c)) cases );
+      List.map (fun c -> Alcotest.test_case c.name `Quick (check_case c)) cases
+      @ List.map
+          (fun ((name, _, _) as c) ->
+            Alcotest.test_case ("redistribute " ^ name) `Quick (check_redistribute c))
+          redistribute_cases );
   ]
