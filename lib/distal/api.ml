@@ -45,6 +45,21 @@ let problem ?profile ?virtual_grid ~machine ~stmt ~tensors () =
         Machine.grid ~kind:(Machine.kind machine)
           ~mem_per_proc:(Machine.mem_per_proc_bytes machine) dims
   in
+  (* Extents may come from a client: each must be positive and the element
+     count must fit an int. *)
+  let* _ =
+    List.fold_left
+      (fun acc t ->
+        let* _ = acc in
+        Array.fold_left
+          (fun n e ->
+            let* n = n in
+            if e <= 0 then errf "tensor %s: extent %d is not positive" t.name e
+            else if n > max_int / e then errf "tensor %s: element count overflows" t.name
+            else Ok (n * e))
+          (Ok 1) t.shape)
+      (Ok 1) tensors
+  in
   let* stmt = phase profile "parse" (fun () -> Einsum_parser.parse stmt) in
   let* _ =
     phase profile "typecheck" (fun () ->

@@ -288,7 +288,7 @@ let plan prov ~(stmt : Expr.stmt) ~leaf_vars =
 
 type bound_guard = { coeffs : int array; ext : int; mutable curr : int }
 
-let bind ?(kernels = Kreg.Off) p ~env ~(insts : (Rect.t * Dense.t) array) =
+let bind p ~env ~(insts : (Rect.t * Dense.t) array) =
   let nv = Array.length p.leaf_vars in
   let naccs = Array.length p.slots in
   if Array.length insts <> naccs then invalid_arg "Expr_stage.bind: bad insts";
@@ -353,8 +353,8 @@ let bind ?(kernels = Kreg.Off) p ~env ~(insts : (Rect.t * Dense.t) array) =
        innermost level is >= the extent exactly when the guard's worst
        point stays below its bound, which is the check below. *)
     let dispatch =
-      match (p.kdisp, kernels) with
-      | Some kd, (Kreg.Naive | Kreg.Tiled) ->
+      match p.kdisp with
+      | Some kd ->
           let nonempty = Array.for_all (fun e -> e > 0) p.extents in
           let vacuous =
             List.for_all
@@ -387,7 +387,7 @@ let bind ?(kernels = Kreg.Off) p ~env ~(insts : (Rect.t * Dense.t) array) =
         Some
           (fun () ->
             if c_pass then
-              Kreg.run_views kernels ~kernel:kd.kd_name ~dims views)
+              Kreg.run_views ~kernel:kd.kd_name ~dims views)
     | None ->
         let rhs = p.rhs in
         let body () =
@@ -435,10 +435,8 @@ let bind ?(kernels = Kreg.Off) p ~env ~(insts : (Rect.t * Dense.t) array) =
             if c_pass then if nv = 0 then body () else nest 0)
   with Bail -> None
 
-let dispatches p = Option.map (fun kd -> kd.kd_name) p.kdisp
-
-let run ?kernels p ~env ~insts =
-  match bind ?kernels p ~env ~insts with
+let run p ~env ~insts =
+  match bind p ~env ~insts with
   | Some f ->
       f ();
       true

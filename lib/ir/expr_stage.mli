@@ -14,9 +14,8 @@
 
     When the statement matches a registry kernel pattern with the nest
     mapping one-to-one onto the kernel's iteration space, a plan also
-    records a registry dispatch; a [kernels] mode of
-    {!Distal_tensor.Kernel_registry.Naive} or [Tiled] then hands
-    guard-free leaves to the registry instead of running the nest. The
+    records a registry dispatch, and {!run} hands guard-free leaves to the
+    registry's tiled kernels instead of running the nest. The
     tiled kernels preserve the nest's per-output-element accumulation
     order, so tiled dispatch is bit-identical to the staged nest (see
     DESIGN.md "Leaf kernel registry").
@@ -36,12 +35,7 @@ val slots : plan -> Expr.access array
 (** The buffer slots a run expects: the statement's right-hand-side
     accesses left-to-right, then the left-hand side last. *)
 
-val dispatches : plan -> string option
-(** The registry kernel this plan's leaves dispatch to when a [kernels]
-    mode enables the registry and the bound leaf is guard-free. *)
-
 val run :
-  ?kernels:Distal_tensor.Kernel_registry.mode ->
   plan ->
   env:(Ident.t -> int option) ->
   insts:(Distal_tensor.Rect.t * Distal_tensor.Dense.t) array ->
@@ -49,8 +43,7 @@ val run :
 (** Execute one leaf: [insts.(i)] is the (footprint rect, local buffer)
     instance backing {!slots}[(i)]; [env] binds the launch and sequential
     variables (leaf variables must be unbound). Accumulates into the last
-    slot like the generic path ([Dense.add_at] per point). [kernels]
-    (default [Off]) enables registry dispatch for leaves that qualify.
-    Returns [false] without touching any buffer when the concrete binding
+    slot like the generic path ([Dense.add_at] per point); leaves that
+    qualify run on the registry's kernels. Returns [false] without touching any buffer when the concrete binding
     cannot be staged (the caller runs the oracle); [true] otherwise —
     including when a leaf-constant guard excludes every point. *)

@@ -200,6 +200,18 @@ let rec name_index (names : string array) name i =
 (* Whether [rect] lies within one of [rects]. *)
 let rec within rect = function [] -> false | r :: rs -> Rect.subset rect r || within rect rs
 
+(* The node of each processor, by linear index. *)
+let nodes_of_procs machine =
+  Array.init (Machine.num_procs machine) (fun p ->
+      Machine.node_of machine (Machine.delinearize machine p))
+
+(* One profile track per processor, named by its grid coordinate. *)
+let name_proc_tracks sink ~pid machine =
+  for proc = 0 to Machine.num_procs machine - 1 do
+    Span.thread_name sink ~pid ~tid:proc
+      (Printf.sprintf "proc %d %s" proc (Ints.to_string (Machine.delinearize machine proc)))
+  done
+
 (* The first owner on [node], or -1. *)
 let rec same_node_owner node_of_lin node = function
   | [] -> -1
@@ -255,6 +267,45 @@ type step_acc = {
   mutable cross : float;  (* cross-rack bytes this step *)
 }
 
+let new_step_acc nprocs =
+  {
+    raws = [];
+    cflops = Array.make nprocs 0.0;
+    cbytes = Array.make nprocs 0.0;
+    ctouch = Array.make nprocs false;
+    send = Array.make nprocs 0.0;
+    recv = Array.make nprocs 0.0;
+    mtouch = Array.make nprocs false;
+    cross = 0.0;
+  }
+
+(* The instruments step pricing feeds, registered once per run. *)
+type step_obs = {
+  m_messages : Metrics.counter;
+  m_copy_groups : Metrics.counter;
+  m_coalesced : Metrics.counter;
+  m_plan_host : Metrics.counter;
+  h_copy_bytes : Metrics.histogram;
+  h_step_time : Metrics.histogram;
+}
+
+let step_obs reg =
+  {
+    m_messages = Metrics.counter reg "exec.messages";
+    m_copy_groups = Metrics.counter reg "exec.copy_groups";
+    m_coalesced = Metrics.counter reg "exec.coalesced_groups";
+    (* Host CPU seconds spent planning communication (fragment
+       coalescing, broadcast grouping and message pricing). Wall-clock
+       observability only: like [exec.compute_wall_s] it never feeds
+       events or simulated time, so determinism across pool sizes is
+       untouched. The simperf bench reads it to compare the planner
+       against the planner-off path without the noise of timing whole
+       runs. *)
+    m_plan_host = Metrics.counter reg "exec.plan_wall_s";
+    h_copy_bytes = Metrics.histogram reg "exec.copy_bytes";
+    h_step_time = Metrics.histogram reg "exec.step_time";
+  }
+
 (* Bundle planned transfers that carry the same payload from the same
    source into broadcast groups. [Comm_plan] sorts transfers by (tensor,
    src, payload, dst), so grouping is one linear scan; scanning from the
@@ -290,15 +341,15 @@ let group_transfers (xfers : Comm_plan.xfer list) =
    [exec.messages] counts wire messages, not raw fragments (raw traffic
    totals stay in [exec.bytes_intra]/[exec.bytes_inter], which planning
    never changes). *)
-let observe_groups ~m_messages ~m_copy_groups ~m_coalesced ~h_copy_bytes glist =
+let observe_groups obs glist =
   List.iter
     (fun g ->
-      Metrics.inc_int m_copy_groups 1;
-      if g.fragments > 1 then Metrics.inc_int m_coalesced 1;
+      Metrics.inc_int obs.m_copy_groups 1;
+      if g.fragments > 1 then Metrics.inc_int obs.m_coalesced 1;
       let k = List.length g.receivers in
-      Metrics.inc_int m_messages k;
+      Metrics.inc_int obs.m_messages k;
       for _ = 1 to k do
-        Metrics.observe h_copy_bytes g.bytes
+        Metrics.observe obs.h_copy_bytes g.bytes
       done)
     glist
 
@@ -349,14 +400,13 @@ let price_groups cost ~send ~recv ~mtouch glist =
   (!bytes, !messages)
 
 (* One profile instant per wire message, on the receiver's track. *)
-let emit_copy_instants sink ~pid ~ts ?name glist =
+let emit_copy_instants sink ~pid ~ts glist =
   List.iter
     (fun g ->
       let k = List.length g.receivers in
-      let ev_name = match name with Some n -> n | None -> g.tensor in
       List.iter
         (fun (dst, link) ->
-          Span.instant sink ~name:ev_name ~cat:"copy" ~pid ~tid:dst ~ts
+          Span.instant sink ~name:g.tensor ~cat:"copy" ~pid ~tid:dst ~ts
             ~attrs:
               [
                 ("tensor", Event.Str g.tensor);
@@ -374,6 +424,118 @@ let emit_copy_instants sink ~pid ~ts ?name glist =
             ())
         g.receivers)
     glist
+
+(* The one pricing of a bulk-synchronous step, shared by [execute] and
+   [redistribute]. The step's raw fragments are planned into wire
+   messages (merged into block transfers, or kept one per piece when
+   [coalesce] is off) and identical payloads bundled into broadcasts;
+   their occupancies, and the retransmissions and delays of any message
+   faults, are charged to the endpoints. The step costs the max over
+   processors of overlapped compute and communication, or the rack
+   fabric's occupancy when that is larger. [kernel] prices leaf compute
+   (see [execute_impl]); [msg_faults] is the injector and its counter
+   when the fault plan has message faults. Returns the timeline row (with
+   per-processor slots only when [profiling]) and the planned groups. *)
+let price_step machine cost obs ~coalesce ~kernel ~msg_faults ~profiling ~step ~start a =
+  let t_plan = Pool.now () in
+  let plan = if coalesce then Comm_plan.coalesce a.raws else Comm_plan.uncoalesced a.raws in
+  let glist = group_transfers plan in
+  observe_groups obs glist;
+  (* A processor's communication time in a step combines its send and
+     receive occupancies per the cost model's duplex mode (full-duplex
+     NICs overlap them; framebuffer DMA serializes them). *)
+  let bytes, messages = price_groups cost ~send:a.send ~recv:a.recv ~mtouch:a.mtouch glist in
+  Metrics.inc obs.m_plan_host (Pool.now () -. t_plan);
+  (* Message faults: a matched drop costs its endpoints a retransmission
+     (timeout + full resend), a matched delay holds the receiver back.
+     Payload byte/message counts are untouched — the data still arrives,
+     late. Purely plan-driven. *)
+  (match msg_faults with
+  | None -> ()
+  | Some (inj, m_faults) ->
+      List.iter
+        (fun g ->
+          List.iter
+            (fun (dst, link) ->
+              match Injector.msg_action inj ~step ~tensor:g.tensor ~src:g.src ~dst with
+              | Some Fault.Drop ->
+                  Metrics.inc_int m_faults 1;
+                  let t =
+                    Cost.retransmit_time cost link ~bytes:g.bytes ~fragments:g.fragments
+                  in
+                  a.send.(g.src) <- a.send.(g.src) +. t;
+                  a.recv.(dst) <- a.recv.(dst) +. t;
+                  a.mtouch.(g.src) <- true;
+                  a.mtouch.(dst) <- true
+              | Some (Fault.Delay d) ->
+                  Metrics.inc_int m_faults 1;
+                  a.recv.(dst) <- a.recv.(dst) +. d;
+                  a.mtouch.(dst) <- true
+              | None -> ())
+            g.receivers)
+        glist);
+  let fabric =
+    if a.cross > 0.0 then
+      let racks = Ints.ceil_div (Machine.num_nodes machine) cost.Cost.rack_nodes in
+      Cost.fabric_time cost ~cross_rack_bytes:a.cross ~racks
+    else 0.0
+  in
+  let cost_step = ref fabric and slots = ref [] in
+  for proc = Array.length a.send - 1 downto 0 do
+    if a.ctouch.(proc) || a.mtouch.(proc) then begin
+      let cmp =
+        if a.ctouch.(proc) then
+          match kernel with
+          | Some k ->
+              Cost.leaf_compute_time cost ~kernel:k ~flops:a.cflops.(proc)
+                ~bytes_touched:a.cbytes.(proc)
+          | None -> Cost.compute_time cost ~flops:a.cflops.(proc) ~bytes_touched:a.cbytes.(proc)
+        else 0.0
+      in
+      let cm =
+        if a.mtouch.(proc) then Cost.combine_sr cost ~send:a.send.(proc) ~recv:a.recv.(proc)
+        else 0.0
+      in
+      let busy = Cost.step_time cost ~compute:cmp ~comm:cm in
+      cost_step := Float.max !cost_step busy;
+      if profiling then slots := { Cp.proc; compute = cmp; comm = cm; busy } :: !slots
+    end
+  done;
+  Metrics.observe obs.h_step_time !cost_step;
+  ( { Cp.index = step; start; cost = !cost_step; slots = !slots; bytes; messages; fabric },
+    glist )
+
+(* A priced step's processor tracks: a compute span (with the flops and
+   bytes it touched) and the exposed part of the communication on each
+   busy processor, then one instant per wire message. *)
+let emit_step sink ~pid (row : Cp.step) a glist =
+  List.iter
+    (fun (sl : Cp.slot) ->
+      let proc = sl.Cp.proc in
+      if sl.Cp.compute > 0.0 then
+        Span.complete sink ~name:"compute" ~cat:"compute" ~pid ~tid:proc ~ts:row.Cp.start
+          ~dur:sl.Cp.compute
+          ~attrs:
+            [
+              ("flops", Event.Float a.cflops.(proc));
+              ("bytes_touched", Event.Float a.cbytes.(proc));
+            ]
+          ();
+      let exposed = sl.Cp.busy -. sl.Cp.compute in
+      if exposed > 0.0 then
+        Span.complete sink ~name:"comm" ~cat:"comm" ~pid ~tid:proc
+          ~ts:(row.Cp.start +. sl.Cp.compute) ~dur:exposed
+          ~attrs:[ ("occupancy", Event.Float sl.Cp.comm) ]
+          ())
+    row.Cp.slots;
+  emit_copy_instants sink ~pid ~ts:row.Cp.start glist
+
+(* Raw fragments per wire message (1.0 when no data moved, or when
+   nothing merged). *)
+let set_coalesce_ratio reg ~fragments ~messages =
+  Metrics.set
+    (Metrics.gauge reg "exec.coalesce_ratio")
+    (if messages > 0 then float_of_int fragments /. float_of_int messages else 1.0)
 
 (* Per-statement operation count per iteration-space point: one per binary
    operator plus the reduction accumulate. *)
@@ -415,19 +577,8 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   let m_flops = Metrics.counter reg "exec.flops" in
   let m_bytes_intra = Metrics.counter reg "exec.bytes_intra" in
   let m_bytes_inter = Metrics.counter reg "exec.bytes_inter" in
-  let m_messages = Metrics.counter reg "exec.messages" in
   let m_tasks = Metrics.counter reg "exec.tasks" in
-  let m_copy_groups = Metrics.counter reg "exec.copy_groups" in
-  let m_coalesced = Metrics.counter reg "exec.coalesced_groups" in
-  (* Host CPU seconds spent planning communication (fragment coalescing,
-     broadcast grouping and message pricing). Wall-clock observability
-     only: like [exec.compute_wall_s] it lives in the metrics registry
-     and never feeds events or simulated time, so determinism across
-     pool sizes is untouched. The simperf bench reads it to compare the
-     planner against the planner-off path without the noise of timing
-     whole runs. *)
-  let m_plan_host = Metrics.counter reg "exec.plan_wall_s" in
-  let h_copy_bytes = Metrics.histogram reg "exec.copy_bytes" in
+  let obs = step_obs reg in
   let prog = spec.program in
   let stmt = prog.stmt in
   let prov = prog.prov in
@@ -523,7 +674,6 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     match inj with Some i -> Injector.checkpointing i | None -> false
   in
   let have_kills = match inj with Some i -> Injector.has_kills i | None -> false in
-  let have_msg_faults = inj <> None && fplan.Fault.messages <> [] in
   (* Fault instruments exist only when a plan is active, so inactive runs
      register nothing new. *)
   let m_faults_injected, m_replayed_steps, m_ckpt_bytes, m_restore_bytes =
@@ -535,6 +685,11 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
           Some (Metrics.counter reg "exec.checkpoint_bytes"),
           Some (Metrics.counter reg "exec.restore_bytes") )
   in
+  let msg_faults =
+    match (inj, m_faults_injected) with
+    | Some i, Some m when fplan.Fault.messages <> [] -> Some (i, m)
+    | _ -> None
+  in
   let inc_opt m v = match m with Some m -> Metrics.inc m v | None -> () in
   let inc_opt_int m v = match m with Some m -> Metrics.inc_int m v | None -> () in
   let ckpt =
@@ -544,9 +699,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   let nprocs = Machine.num_procs machine in
   (* Per-linear-processor node and rack ids: link and rack decisions in the
      walk are plain array lookups instead of coordinate arithmetic. *)
-  let node_of_lin =
-    Array.init nprocs (fun p -> Machine.node_of machine (Machine.delinearize machine p))
-  in
+  let node_of_lin = nodes_of_procs machine in
   let rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin in
   let link_of src dst =
     if node_of_lin.(src) = node_of_lin.(dst) then Cost.Intra else Cost.Inter
@@ -737,18 +890,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     match steps_acc.(step) with
     | Some a -> a
     | None ->
-        let a =
-          {
-            raws = [];
-            cflops = Array.make nprocs 0.0;
-            cbytes = Array.make nprocs 0.0;
-            ctouch = Array.make nprocs false;
-            send = Array.make nprocs 0.0;
-            recv = Array.make nprocs 0.0;
-            mtouch = Array.make nprocs false;
-            cross = 0.0;
-          }
-        in
+        let a = new_step_acc nprocs in
         steps_acc.(step) <- Some a;
         a
   in
@@ -760,7 +902,6 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     a.ctouch.(proc) <- true;
     Metrics.inc m_flops flops
   in
-  let racks = Ints.ceil_div (Machine.num_nodes machine) cost.Cost.rack_nodes in
   (* Record one batch of fragments moving src -> dst: traffic metrics and
      cross-rack accounting see the raw bytes (planning never changes
      totals); the batch itself is planned into wire messages at assembly
@@ -930,14 +1071,14 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
           (* Owner-computes with a remote owner: ship the tile home. *)
           List.iter
             (fun (piece, os) ->
-              let dst = List.hd os and one = [ piece ] in
+              let dst = List.hd os in
               if dst <> proc then
-                let payload =
-                  { Comm_plan.tensor = out_name; pieces = one; merged = one; nfrag = 1;
-                    volume = Rect.volume piece }
-                in
                 emit
-                  (Fx_batch { step; raw = { payload; src = proc; dst; link = link_of proc dst } }))
+                  (Fx_batch
+                     { step;
+                       raw =
+                         Comm_plan.batch ~tensor:out_name ~src:proc ~dst
+                           ~link:(link_of proc dst) [ piece ] }))
             (pieces_of out_t e);
         emit (Fx_out { step; rect = e.f_rect })
       end
@@ -1189,118 +1330,31 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      runs of the same spec produce identical event streams and
      bit-identical times. Everything is read
      off the flat per-step accumulators; no (step, proc) hashing. *)
-  let h_step_time = Metrics.histogram reg "exec.step_time" in
-  let start = ref 0.0 in
   let tasks_per_proc = Ints.ceil_div npoints nprocs in
   let overhead = float_of_int tasks_per_proc *. cost.Cost.task_overhead in
-  start := overhead;
+  let start = ref overhead in
   (* Per-processor slots and planned copy groups only feed the profile's
      timeline and events; without a profile the step cost (the max over
      processors, which any order computes exactly) is all that is kept. *)
   let profiling = Option.is_some prun in
-  let sorted_groups : (int, group list) Hashtbl.t = Hashtbl.create 64 in
+  let groups_of_step = Array.make nsteps [] in
   let total_fragments = ref 0 and total_messages = ref 0 in
   let rev_rows = ref [] in
   for step = 0 to nsteps - 1 do
     match steps_acc.(step) with
     | None -> ()
     | Some a ->
-        (* Communication planning: merge this step's raw fragments into
-           block transfers (or keep them one-per-piece when coalescing is
-           disabled), then bundle identical payloads into broadcasts. *)
-        let t_plan = Pool.now () in
-        let plan =
-          if coalesce then Comm_plan.coalesce a.raws
-          else Comm_plan.uncoalesced a.raws
+        let row, glist =
+          price_step machine cost obs ~coalesce ~kernel:priced_kernel ~msg_faults ~profiling
+            ~step ~start:!start a
         in
-        let glist = group_transfers plan in
-        if profiling then Hashtbl.replace sorted_groups step glist;
-        observe_groups ~m_messages ~m_copy_groups ~m_coalesced ~h_copy_bytes glist;
-        (* A processor's communication time in a step combines its send and
-           receive occupancies per the cost model's duplex mode (full-duplex
-           NICs overlap them; framebuffer DMA serializes them). *)
-        let bytes, messages =
-          price_groups cost ~send:a.send ~recv:a.recv ~mtouch:a.mtouch glist
-        in
-        Metrics.inc m_plan_host (Pool.now () -. t_plan);
-        (* Message faults: a matched drop costs its endpoints a
-           retransmission (timeout + full resend), a matched delay holds
-           the receiver back. Payload byte/message counts are untouched —
-           the data still arrives, late. Purely plan-driven. *)
-        if have_msg_faults then begin
-          let i = Option.get inj in
-          List.iter
-            (fun g ->
-              List.iter
-                (fun (dst, link) ->
-                  match
-                    Injector.msg_action i ~step ~tensor:g.tensor ~src:g.src ~dst
-                  with
-                  | Some Fault.Drop ->
-                      inc_opt_int m_faults_injected 1;
-                      let t =
-                        Cost.retransmit_time cost link ~bytes:g.bytes
-                          ~fragments:g.fragments
-                      in
-                      a.send.(g.src) <- a.send.(g.src) +. t;
-                      a.recv.(dst) <- a.recv.(dst) +. t;
-                      a.mtouch.(g.src) <- true;
-                      a.mtouch.(dst) <- true
-                  | Some (Fault.Delay d) ->
-                      inc_opt_int m_faults_injected 1;
-                      a.recv.(dst) <- a.recv.(dst) +. d;
-                      a.mtouch.(dst) <- true
-                  | None -> ())
-                g.receivers)
-            glist
-        end;
-        let bytes = ref bytes and messages = ref messages in
+        if profiling then groups_of_step.(step) <- glist;
         total_fragments :=
-          !total_fragments
-          + List.fold_left
-              (fun acc (r : Comm_plan.raw) -> acc + r.payload.nfrag)
-              0 a.raws;
-        total_messages := !total_messages + !messages;
-        (* One timeline step per active step: per-processor occupancies,
-           the charged cost (max over processors of overlapped
-           compute+comm, or the rack fabric), and the traffic that
-           moved. *)
-        let fabric =
-          if a.cross > 0.0 then Cost.fabric_time cost ~cross_rack_bytes:a.cross ~racks
-          else 0.0
-        in
-        let cost_step = ref fabric and slots = ref [] in
-        for proc = nprocs - 1 downto 0 do
-          if a.ctouch.(proc) || a.mtouch.(proc) then begin
-            let cmp =
-              if a.ctouch.(proc) then
-                match priced_kernel with
-                | Some k ->
-                    Cost.leaf_compute_time cost ~kernel:k
-                      ~flops:a.cflops.(proc) ~bytes_touched:a.cbytes.(proc)
-                | None ->
-                    Cost.compute_time cost ~flops:a.cflops.(proc)
-                      ~bytes_touched:a.cbytes.(proc)
-              else 0.0
-            in
-            let cm =
-              if a.mtouch.(proc) then
-                Cost.combine_sr cost ~send:a.send.(proc) ~recv:a.recv.(proc)
-              else 0.0
-            in
-            let busy = Cost.step_time cost ~compute:cmp ~comm:cm in
-            cost_step := Float.max !cost_step busy;
-            if profiling then
-              slots := { Cp.proc; compute = cmp; comm = cm; busy } :: !slots
-          end
-        done;
-        let slots = !slots and cost_step = !cost_step in
-        Metrics.observe h_step_time cost_step;
-        let row =
-          { Cp.index = step; start = !start; cost = cost_step; slots; bytes = !bytes;
-            messages = !messages; fabric }
-        in
-        start := !start +. cost_step;
+          List.fold_left
+            (fun acc (r : Comm_plan.raw) -> acc + r.payload.nfrag)
+            !total_fragments a.raws;
+        total_messages := !total_messages + row.Cp.messages;
+        start := !start +. row.Cp.cost;
         rev_rows := row :: !rev_rows
   done;
   let step_rows = List.rev !rev_rows in
@@ -1327,7 +1381,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
                  Metrics.inc m_bytes_intra (bytes *. float_of_int (k - 1))
              | Cost.Inter ->
                  Metrics.inc m_bytes_inter (bytes *. float_of_int (k - 1)));
-             Metrics.inc_int m_messages (k - 1);
+             Metrics.inc_int obs.m_messages (k - 1);
              max acc (Cost.reduce_time cost link ~bytes ~contributors:k)
            end)
          0.0
@@ -1421,13 +1475,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   Metrics.set (Metrics.gauge reg "exec.steps") (float_of_int nsteps);
   Metrics.set (Metrics.gauge reg "exec.overhead_time") overhead;
   Metrics.set (Metrics.gauge reg "exec.reduction_time") red_time;
-  (* Raw fragments per wire message, over the whole run (1.0 when no data
-     moved, or when nothing merged). *)
-  Metrics.set
-    (Metrics.gauge reg "exec.coalesce_ratio")
-    (if !total_messages > 0 then
-       float_of_int !total_fragments /. float_of_int !total_messages
-     else 1.0);
+  set_coalesce_ratio reg ~fragments:!total_fragments ~messages:!total_messages;
   (* Memory accounting. *)
   let mem_limit = Machine.mem_per_proc_bytes machine in
   let g_peak = Metrics.gauge reg "exec.peak_mem" in
@@ -1445,19 +1493,12 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
       let pid = run.Profile.pid in
       let rt = nprocs in
       Span.thread_name sink ~pid ~tid:rt "runtime";
-      for proc = 0 to nprocs - 1 do
-        Span.thread_name sink ~pid ~tid:proc
-          (Printf.sprintf "proc %d %s" proc
-             (Ints.to_string (Machine.delinearize machine proc)))
-      done;
+      name_proc_tracks sink ~pid machine;
       if overhead > 0.0 then
         Span.complete sink ~name:"task launch overhead" ~cat:"runtime" ~pid ~tid:rt
           ~ts:0.0 ~dur:overhead
           ~attrs:[ ("tasks_per_proc", Event.Int tasks_per_proc) ]
           ();
-      let copy_groups_of step =
-        match Hashtbl.find_opt sorted_groups step with Some l -> l | None -> []
-      in
       List.iter
         (fun (row : Cp.step) ->
           Span.complete sink
@@ -1472,29 +1513,9 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
             ();
           Span.counter sink ~name:"bytes moved" ~pid ~tid:rt ~ts:row.Cp.start
             row.Cp.bytes;
-          List.iter
-            (fun (sl : Cp.slot) ->
-              if sl.Cp.compute > 0.0 then
-                Span.complete sink ~name:"compute" ~cat:"compute" ~pid ~tid:sl.Cp.proc
-                  ~ts:row.Cp.start ~dur:sl.Cp.compute
-                  ~attrs:
-                    (match steps_acc.(row.Cp.index) with
-                    | Some a when a.ctouch.(sl.Cp.proc) ->
-                        [
-                          ("flops", Event.Float a.cflops.(sl.Cp.proc));
-                          ("bytes_touched", Event.Float a.cbytes.(sl.Cp.proc));
-                        ]
-                    | _ -> [])
-                  ();
-              let exposed = sl.Cp.busy -. sl.Cp.compute in
-              if exposed > 0.0 then
-                Span.complete sink ~name:"comm" ~cat:"comm" ~pid ~tid:sl.Cp.proc
-                  ~ts:(row.Cp.start +. sl.Cp.compute) ~dur:exposed
-                  ~attrs:[ ("occupancy", Event.Float sl.Cp.comm) ]
-                  ())
-            row.Cp.slots;
-          emit_copy_instants sink ~pid ~ts:row.Cp.start
-            (copy_groups_of row.Cp.index))
+          emit_step sink ~pid row
+            (Option.get steps_acc.(row.Cp.index))
+            groups_of_step.(row.Cp.index))
         step_rows;
       if red_time > 0.0 then
         Span.complete sink ~name:"distributed reduction" ~cat:"reduction" ~pid ~tid:rt
@@ -1754,7 +1775,7 @@ let run_plan ?domains ep ~data =
                   in
                   let sinsts = Array.mapi inst_of slots in
                   Array.for_all Option.is_some sinsts
-                  && Expr_stage.run ~kernels:Kreg.Tiled sp ~env
+                  && Expr_stage.run sp ~env
                        ~insts:(Array.map Option.get sinsts)
             in
             if not staged_done then begin
@@ -1864,31 +1885,22 @@ let execute ?(mode = Full) ?coalesce ?domains ?trace ?profile ?faults spec ~data
 
 let redistribute ?profile machine cost ~shape ~src ~dst =
   let prun = Option.map (fun p -> Profile.begin_run ~fallback:"redistribute" p) profile in
-  let reg =
-    match prun with Some r -> r.Profile.metrics | None -> Metrics.create ()
-  in
+  let reg = match prun with Some r -> r.Profile.metrics | None -> Metrics.create () in
   let m_bytes_intra = Metrics.counter reg "exec.bytes_intra" in
   let m_bytes_inter = Metrics.counter reg "exec.bytes_inter" in
-  let m_messages = Metrics.counter reg "exec.messages" in
-  let m_copy_groups = Metrics.counter reg "exec.copy_groups" in
-  let m_coalesced = Metrics.counter reg "exec.coalesced_groups" in
-  let h_copy_bytes = Metrics.histogram reg "exec.copy_bytes" in
   let nprocs = Machine.num_procs machine in
-  let node_of_lin =
-    Array.init nprocs (fun p -> Machine.node_of machine (Machine.delinearize machine p))
-  in
+  let node_of_lin = nodes_of_procs machine in
   let rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin in
-  let lin_owners (r, os) = (r, List.map (Machine.linearize machine) os) in
-  let src_tiles = List.map lin_owners (Distnot.tiles src ~shape ~machine) in
-  let dst_tiles = List.map lin_owners (Distnot.tiles dst ~shape ~machine) in
-  let racks = Ints.ceil_div (Machine.num_nodes machine) cost.Cost.rack_nodes in
-  (* Discover the raw transfer list (same-node owners preferred), then run
-     it through the same planning, broadcast grouping and one-step timing
-     assembly as [execute]: a redistribution is just a one-step execution
-     with no compute. *)
-  let raws = ref [] in
-  let rev_raw_count = ref 0 in
-  let cross = ref 0.0 in
+  let tiles dist =
+    List.map
+      (fun (r, os) -> (r, List.map (Machine.linearize machine) os))
+      (Distnot.tiles dist ~shape ~machine)
+  in
+  let src_tiles = tiles src in
+  (* A redistribution is one exchange step with no compute: every piece a
+     destination owner lacks comes from an owner of the overlapping source
+     tile, a same-node one when there is one. *)
+  let a = new_step_acc nprocs in
   List.iter
     (fun (dr, downers) ->
       List.iter
@@ -1898,118 +1910,34 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
               let piece = Rect.inter dr sr in
               if (not (Rect.is_empty piece)) && not (List.mem d sowners) then begin
                 let s =
-                  match
-                    List.find_opt
-                      (fun o -> node_of_lin.(o) = node_of_lin.(d))
-                      sowners
-                  with
-                  | Some o -> o
-                  | None -> List.hd sowners
+                  match same_node_owner node_of_lin node_of_lin.(d) sowners with
+                  | -1 -> List.hd sowners
+                  | o -> o
                 in
                 let bytes = bytes_of_rect piece in
-                let link =
-                  if node_of_lin.(s) = node_of_lin.(d) then Cost.Intra
-                  else Cost.Inter
-                in
-                (match link with
-                | Cost.Intra -> Metrics.inc m_bytes_intra bytes
-                | Cost.Inter -> Metrics.inc m_bytes_inter bytes);
-                if rack_of_lin.(s) <> rack_of_lin.(d) then cross := !cross +. bytes;
-                incr rev_raw_count;
-                raws :=
-                  {
-                    Comm_plan.payload =
-                      {
-                        tensor = "";
-                        pieces = [ piece ];
-                        merged = [ piece ];
-                        nfrag = 1;
-                        volume = Rect.volume piece;
-                      };
-                    src = s;
-                    dst = d;
-                    link;
-                  }
-                  :: !raws
+                let link = if node_of_lin.(s) = node_of_lin.(d) then Cost.Intra else Cost.Inter in
+                Metrics.inc (if link = Cost.Intra then m_bytes_intra else m_bytes_inter) bytes;
+                if rack_of_lin.(s) <> rack_of_lin.(d) then a.cross <- a.cross +. bytes;
+                a.raws <- Comm_plan.batch ~tensor:"" ~src:s ~dst:d ~link [ piece ] :: a.raws
               end)
             src_tiles)
         downers)
-    dst_tiles;
-  let glist = group_transfers (Comm_plan.coalesce !raws) in
-  observe_groups ~m_messages ~m_copy_groups ~m_coalesced ~h_copy_bytes glist;
-  let send = Array.make nprocs 0.0
-  and recv = Array.make nprocs 0.0
-  and mtouch = Array.make nprocs false in
-  let bytes_moved, messages = price_groups cost ~send ~recv ~mtouch glist in
-  Metrics.set
-    (Metrics.gauge reg "exec.coalesce_ratio")
-    (if messages > 0 then float_of_int !rev_raw_count /. float_of_int messages
-     else 1.0);
-  (* One exchange step, assembled exactly as [execute] assembles a step:
-     send and receive occupancies combine per the cost model's duplex rule,
-     and cross-rack traffic charges the tapered fabric. *)
-  let slots = ref [] in
-  for p = nprocs - 1 downto 0 do
-    if mtouch.(p) then begin
-      let cm = Cost.combine_sr cost ~send:send.(p) ~recv:recv.(p) in
-      slots :=
-        {
-          Cp.proc = p;
-          compute = 0.0;
-          comm = cm;
-          busy = Cost.step_time cost ~compute:0.0 ~comm:cm;
-        }
-        :: !slots
-    end
-  done;
-  let slots = !slots in
-  let fabric =
-    if !cross > 0.0 then Cost.fabric_time cost ~cross_rack_bytes:!cross ~racks
-    else 0.0
+    (tiles dst);
+  let row, glist =
+    price_step machine cost (step_obs reg) ~coalesce:true ~kernel:None ~msg_faults:None
+      ~profiling:(Option.is_some prun) ~step:0 ~start:0.0 a
   in
-  let time =
-    List.fold_left (fun acc (sl : Cp.slot) -> Float.max acc sl.Cp.busy) fabric slots
-  in
-  Metrics.set (Metrics.gauge reg "exec.time") time;
+  Metrics.set (Metrics.gauge reg "exec.time") row.Cp.cost;
   Metrics.set (Metrics.gauge reg "exec.steps") 1.0;
+  set_coalesce_ratio reg ~fragments:(List.length a.raws) ~messages:row.Cp.messages;
   (match (profile, prun) with
   | Some p, Some run ->
-      let sink = Profile.sink p in
-      let pid = run.Profile.pid in
-      for proc = 0 to nprocs - 1 do
-        Span.thread_name sink ~pid ~tid:proc
-          (Printf.sprintf "proc %d %s" proc
-             (Ints.to_string (Machine.delinearize machine proc)))
-      done;
-      List.iter
-        (fun (sl : Cp.slot) ->
-          if sl.Cp.busy > 0.0 then
-            Span.complete sink ~name:"redistribute" ~cat:"comm" ~pid ~tid:sl.Cp.proc
-              ~ts:0.0 ~dur:sl.Cp.busy
-              ~attrs:[ ("occupancy", Event.Float sl.Cp.comm) ]
-              ())
-        slots;
-      emit_copy_instants sink ~pid ~ts:0.0 ~name:"redistribute copy" glist;
+      let sink = Profile.sink p and pid = run.Profile.pid in
+      name_proc_tracks sink ~pid machine;
+      emit_step sink ~pid row a glist;
       run.Profile.timeline <-
         Some
-          {
-            Cp.nprocs;
-            overhead = 0.0;
-            reduction = 0.0;
-            recovery = 0.0;
-            steps =
-              [
-                {
-                  Cp.index = 0;
-                  start = 0.0;
-                  cost = time;
-                  slots;
-                  bytes = bytes_moved;
-                  messages;
-                  fabric;
-                };
-              ];
-            total = time;
-          }
+          { Cp.nprocs; overhead = 0.0; reduction = 0.0; recovery = 0.0; steps = [ row ];
+            total = row.Cp.cost }
   | _ -> ());
   Stats.of_registry reg

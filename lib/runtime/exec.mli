@@ -201,9 +201,11 @@ val redistribute :
   Stats.t
 (** Cost of moving a tensor between two distributed layouts (§1: "easily
     transform data between distributed layouts to match the computation").
-    One bulk-synchronous exchange step, planned ({!Comm_plan}), broadcast
-    grouped, priced and profiled exactly as one step of {!execute} with no
-    compute — per-processor occupancies combine under the cost model's
-    duplex rule and cross-rack traffic charges the rack fabric. With
-    [profile], every transfer is recorded as a copy event and the exchange
-    becomes a one-step timeline. *)
+    One bulk-synchronous exchange step with no compute: the transfers each
+    destination owner needs are discovered tile by tile, then the step is
+    priced and profiled by the executor's own step assembler, the code that
+    prices every step of {!execute} — planning ({!Comm_plan}), broadcast
+    grouping, the duplex rule that combines per-processor occupancies and
+    the rack fabric's charge for cross-rack traffic. With [profile], every
+    transfer is recorded as a copy event and the exchange becomes a
+    one-step timeline. *)

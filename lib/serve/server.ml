@@ -367,7 +367,13 @@ let serve_entry t ~batch e =
                 batch;
                 stats = o.Session.result.Api.Exec.stats;
                 output = o.Session.result.Api.Exec.output;
-              })
+              }
+        | exception exn ->
+            (* Last resort: a request that escapes validation fails alone
+               instead of taking the server down. *)
+            metric t "serve.internal_errors";
+            Protocol.Failed
+              { rid = s.Protocol.id; reason = "internal error: " ^ Printexc.to_string exn })
   in
   if Hashtbl.mem t.clients e.owner then ignore (send t e.owner reply)
 

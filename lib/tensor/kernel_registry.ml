@@ -4,20 +4,16 @@
    deeper than [Kernels]: the same contraction, but cache-blocked and
    register-tiled over the contiguous float64 bigarrays behind [Dense].
 
-   Two implementation tiers sit behind one dispatch surface:
-
-   - [Naive]: the reference loop order of [Kernels] (fresh accumulators,
-     zero-skip on the stationary operand), generalized to strided views.
-   - [Tiled]: cache-blocked kernels whose per-output-element float
-     operations replay the *evaluator's* accumulation order exactly — the
-     accumulator is initialized from the current output element, one
-     multiply-add is applied per reduction point in ascending canonical
-     order, and the value is stored back. Register tiles and KC blocking
-     only interleave *different* output elements' chains (and spill a
-     correctly-rounded double between K blocks), so a tiled run is
-     bit-identical to the staged/generic evaluator on the same leaf. See
-     DESIGN.md "Leaf kernel registry" for the full accumulation-order
-     policy.
+   The kernels are cache-blocked and their per-output-element float
+   operations replay the *evaluator's* accumulation order exactly — the
+   accumulator is initialized from the current output element, one
+   multiply-add is applied per reduction point in ascending canonical
+   order, and the value is stored back. Register tiles and KC blocking
+   only interleave *different* output elements' chains (and spill a
+   correctly-rounded double between K blocks), so a tiled run is
+   bit-identical to the staged/generic evaluator on the same leaf. See
+   DESIGN.md "Leaf kernel registry" for the full accumulation-order
+   policy.
 
    Every kernel works on [view]s — a base offset plus one linear stride
    per index of that operand's access pattern — so sliced instances and
@@ -28,7 +24,7 @@
 
 module A1 = Bigarray.Array1
 
-type mode = Off | Naive | Tiled
+type mode = Off | Tiled
 
 (* {2 The kernel table}
 
@@ -491,129 +487,6 @@ let mttkrp_t ~ni ~nl ~nj ~nk a b c d =
         { d with off = d.off + (l4 * sdl) }
   end
 
-(* {2 Naive tier on views: the [Kernels] reference loop order}
-
-   Same loop structure, zero-skip and fresh-accumulator discipline as
-   the contiguous reference kernels, but through view strides. *)
-
-let gemm_nv ~m ~n ~k a b c =
-  let ab = a.buf and bb = b.buf and cb = c.buf in
-  let sai = a.st.(0) and saj = a.st.(1) in
-  let sbi = b.st.(0) and sbk = b.st.(1) in
-  let sck = c.st.(0) and scj = c.st.(1) in
-  for i = 0 to m - 1 do
-    for p = 0 to k - 1 do
-      let bik = bget bb (b.off + (i * sbi) + (p * sbk)) in
-      if bik <> 0.0 then begin
-        let ao = ref (a.off + (i * sai)) and co = ref (c.off + (p * sck)) in
-        for _j = 0 to n - 1 do
-          bset ab !ao (bget ab !ao +. (bik *. bget cb !co));
-          ao := !ao + saj;
-          co := !co + scj
-        done
-      end
-    done
-  done
-
-let gemv_nv ~m ~k a b c =
-  let ab = a.buf and bb = b.buf and cb = c.buf in
-  let sai = a.st.(0) and sbi = b.st.(0) and sbk = b.st.(1) and sck = c.st.(0) in
-  for i = 0 to m - 1 do
-    let acc = ref 0.0 in
-    let bo = ref (b.off + (i * sbi)) and co = ref c.off in
-    for _p = 0 to k - 1 do
-      acc := !acc +. (bget bb !bo *. bget cb !co);
-      bo := !bo + sbk;
-      co := !co + sck
-    done;
-    let ao = a.off + (i * sai) in
-    bset ab ao (bget ab ao +. !acc)
-  done
-
-let ttv_nv ~ni ~nj ~nk a b c =
-  let ab = a.buf and bb = b.buf and cb = c.buf in
-  let sai = a.st.(0) and saj = a.st.(1) in
-  let sbi = b.st.(0) and sbj = b.st.(1) and sbk = b.st.(2) in
-  let sck = c.st.(0) in
-  for i = 0 to ni - 1 do
-    for j = 0 to nj - 1 do
-      let acc = ref 0.0 in
-      let bo = ref (b.off + (i * sbi) + (j * sbj)) and co = ref c.off in
-      for _p = 0 to nk - 1 do
-        acc := !acc +. (bget bb !bo *. bget cb !co);
-        bo := !bo + sbk;
-        co := !co + sck
-      done;
-      let ao = a.off + (i * sai) + (j * saj) in
-      bset ab ao (bget ab ao +. !acc)
-    done
-  done
-
-let ttm_nv ~ni ~nj ~nl ~nk a b c =
-  let ab = a.buf and bb = b.buf and cb = c.buf in
-  let sai = a.st.(0) and saj = a.st.(1) and sal = a.st.(2) in
-  let sbi = b.st.(0) and sbj = b.st.(1) and sbk = b.st.(2) in
-  let sck = c.st.(0) and scl = c.st.(1) in
-  for i = 0 to ni - 1 do
-    for j = 0 to nj - 1 do
-      for p = 0 to nk - 1 do
-        let bv = bget bb (b.off + (i * sbi) + (j * sbj) + (p * sbk)) in
-        if bv <> 0.0 then begin
-          let ao = ref (a.off + (i * sai) + (j * saj)) in
-          let co = ref (c.off + (p * sck)) in
-          for _l = 0 to nl - 1 do
-            bset ab !ao (bget ab !ao +. (bv *. bget cb !co));
-            ao := !ao + sal;
-            co := !co + scl
-          done
-        end
-      done
-    done
-  done
-
-let mttkrp_nv ~ni ~nl ~nj ~nk a b c d =
-  let ab = a.buf and bb = b.buf and cb = c.buf and db = d.buf in
-  let sai = a.st.(0) and sal = a.st.(1) in
-  let sbi = b.st.(0) and sbj = b.st.(1) and sbk = b.st.(2) in
-  let scj = c.st.(0) and scl = c.st.(1) in
-  let sdk = d.st.(0) and sdl = d.st.(1) in
-  for i = 0 to ni - 1 do
-    for j = 0 to nj - 1 do
-      for p = 0 to nk - 1 do
-        let bv = bget bb (b.off + (i * sbi) + (j * sbj) + (p * sbk)) in
-        if bv <> 0.0 then begin
-          let ao = ref (a.off + (i * sai)) in
-          let co = ref (c.off + (j * scj)) in
-          let dof = ref (d.off + (p * sdk)) in
-          for _l = 0 to nl - 1 do
-            bset ab !ao (bget ab !ao +. (bv *. bget cb !co *. bget db !dof));
-            ao := !ao + sal;
-            co := !co + scl;
-            dof := !dof + sdl
-          done
-        end
-      done
-    done
-  done
-
-let innerprod_nv ~ni ~nj ~nk a x y =
-  let ab = a.buf and xb = x.buf and yb = y.buf in
-  let sxi = x.st.(0) and sxj = x.st.(1) and sxk = x.st.(2) in
-  let syi = y.st.(0) and syj = y.st.(1) and syk = y.st.(2) in
-  let acc = ref 0.0 in
-  for i = 0 to ni - 1 do
-    for j = 0 to nj - 1 do
-      let xo = ref (x.off + (i * sxi) + (j * sxj)) in
-      let yo = ref (y.off + (i * syi) + (j * syj)) in
-      for _p = 0 to nk - 1 do
-        acc := !acc +. (bget xb !xo *. bget yb !yo);
-        xo := !xo + sxk;
-        yo := !yo + syk
-      done
-    done
-  done;
-  bset ab a.off (bget ab a.off +. !acc)
-
 (* {2 Dispatch} *)
 
 (* The shape class picks between the packed micro tier and the simple
@@ -639,39 +512,24 @@ let arity_error kernel views =
   invalid_arg
     (Printf.sprintf "Kernel_registry.%s: %d operands" kernel (Array.length views))
 
-let run_views mode ~kernel ~dims (views : view array) =
-  match mode with
-  | Off -> invalid_arg "Kernel_registry.run_views: mode is off"
-  | Naive -> (
-      match (kernel, views) with
-      | "gemm", [| a; b; c |] -> gemm_nv ~m:dims.(0) ~n:dims.(1) ~k:dims.(2) a b c
-      | "gemv", [| a; b; c |] -> gemv_nv ~m:dims.(0) ~k:dims.(1) a b c
-      | "ttv", [| a; b; c |] -> ttv_nv ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a b c
-      | "ttm", [| a; b; c |] ->
-          ttm_nv ~ni:dims.(0) ~nj:dims.(1) ~nl:dims.(2) ~nk:dims.(3) a b c
-      | "mttkrp", [| a; b; c; d |] ->
-          mttkrp_nv ~ni:dims.(0) ~nl:dims.(1) ~nj:dims.(2) ~nk:dims.(3) a b c d
-      | "innerprod", [| a; x; y |] ->
-          innerprod_nv ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a x y
-      | k, vs -> arity_error k vs)
-  | Tiled -> (
-      let micro = shape_class ~kernel ~dims = `Micro in
-      match (kernel, views) with
-      | "gemm", [| a; b; c |] ->
-          (if micro then gemm_t else gemm_s) ~m:dims.(0) ~n:dims.(1) ~k:dims.(2) a b c
-      | "gemv", [| a; b; c |] ->
-          (if micro then gemv_t else gemv_s) ~m:dims.(0) ~k:dims.(1) a b c
-      | "ttv", [| a; b; c |] ->
-          (if micro then ttv_t else ttv_s) ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a b c
-      | "ttm", [| a; b; c |] ->
-          (if micro then ttm_t else ttm_s)
-            ~ni:dims.(0) ~nj:dims.(1) ~nl:dims.(2) ~nk:dims.(3) a b c
-      | "mttkrp", [| a; b; c; d |] ->
-          (if micro then mttkrp_t else mttkrp_s)
-            ~ni:dims.(0) ~nl:dims.(1) ~nj:dims.(2) ~nk:dims.(3) a b c d
-      | "innerprod", [| a; x; y |] ->
-          innerprod_s ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a x y
-      | k, vs -> arity_error k vs)
+let run_views ~kernel ~dims (views : view array) =
+  let micro = shape_class ~kernel ~dims = `Micro in
+  match (kernel, views) with
+  | "gemm", [| a; b; c |] ->
+      (if micro then gemm_t else gemm_s) ~m:dims.(0) ~n:dims.(1) ~k:dims.(2) a b c
+  | "gemv", [| a; b; c |] ->
+      (if micro then gemv_t else gemv_s) ~m:dims.(0) ~k:dims.(1) a b c
+  | "ttv", [| a; b; c |] ->
+      (if micro then ttv_t else ttv_s) ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a b c
+  | "ttm", [| a; b; c |] ->
+      (if micro then ttm_t else ttm_s)
+        ~ni:dims.(0) ~nj:dims.(1) ~nl:dims.(2) ~nk:dims.(3) a b c
+  | "mttkrp", [| a; b; c; d |] ->
+      (if micro then mttkrp_t else mttkrp_s)
+        ~ni:dims.(0) ~nl:dims.(1) ~nj:dims.(2) ~nk:dims.(3) a b c d
+  | "innerprod", [| a; x; y |] ->
+      innerprod_s ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a x y
+  | k, vs -> arity_error k vs
 
 (* {2 The substitute path: whole [Dense] operands}
 
@@ -711,17 +569,14 @@ let dims_of kernel (ops : Dense.t list) =
     (String.length (letters e))
     (fun i -> Hashtbl.find ext (letters e).[i])
 
-let view_of_dense t (acc : string) =
+let view_of_dense t =
   let st = Distal_support.Ints.row_major_strides (Dense.shape t) in
-  ignore acc;
   { buf = Dense.unsafe_data t; off = 0; st }
 
 let run_named mode ~kernel (ops : Dense.t list) =
   match mode with
-  | Off | Naive -> (
-      (* The contiguous reference kernels: on substituted leaves [off]
-         and [naive] are the same computation (the registry adds nothing
-         over [Kernels] here). *)
+  | Off -> (
+      (* The contiguous reference kernels. *)
       match (kernel, ops) with
       | "gemm", [ a; b; c ] -> Kernels.gemm ~a ~b ~c
       | "gemv", [ a; b; c ] -> Kernels.gemv ~a ~b ~c
@@ -731,9 +586,5 @@ let run_named mode ~kernel (ops : Dense.t list) =
       | "innerprod", [ a; x; y ] -> Dense.add_lin a 0 (Kernels.inner_product x y)
       | k, _ -> invalid_arg ("Kernel_registry.run_named: unknown kernel " ^ k))
   | Tiled ->
-      let e = entry kernel in
       let dims = dims_of kernel ops in
-      let views =
-        Array.of_list (List.map2 view_of_dense ops (e.lhs :: e.factors))
-      in
-      run_views Tiled ~kernel ~dims views
+      run_views ~kernel ~dims (Array.of_list (List.map view_of_dense ops))

@@ -6,23 +6,20 @@
     between cache-blocked, register-tiled microkernels and simple flat
     loops.
 
-    {b Accumulation order.} The [Tiled] tier replays the evaluator's
+    {b Accumulation order.} The kernels replay the evaluator's
     per-output-element operation sequence exactly: the accumulator is
     initialized from the current output element, one multiply-add is
     applied per reduction point in ascending canonical order, and the
     value is stored back. Register tiles and K-blocking only interleave
     chains of {e different} output elements, so a tiled run of a staged
-    leaf is bit-identical to the scalar evaluator. The [Naive] tier
-    instead replays the {!Kernels} reference loop order (fresh
-    accumulators, zero-skip). See DESIGN.md "Leaf kernel registry". *)
+    leaf is bit-identical to the scalar evaluator. See DESIGN.md "Leaf
+    kernel registry". *)
 
-type mode = Off | Naive | Tiled
-(** [Off] — the registry is never consulted (substituted leaves run the
-    {!Kernels} reference loops, staged leaves run their staged plans).
-    [Naive] — registry dispatch to the reference-order implementations.
-    [Tiled] — registry dispatch to the blocked microkernels, the tier the
-    executor runs every leaf with. [Off] and [Naive] remain as reference
-    implementations for tests and benchmarks. *)
+type mode = Off | Tiled
+(** The implementation {!run_named} runs. [Off] — the {!Kernels}
+    reference loops, which the benchmark times the registry against.
+    [Tiled] — the blocked microkernels, which the executor runs every
+    leaf with. *)
 
 (** {2 The kernel table} *)
 
@@ -57,18 +54,18 @@ type view = { buf : Dense.buf; off : int; st : int array }
     of the operand's access pattern. *)
 
 val shape_class : kernel:string -> dims:int array -> [ `Micro | `Simple ]
-(** The implementation tier [Tiled] dispatch selects — a performance
-    choice only; both tiers share the same accumulation order. *)
+(** The implementation {!run_views} selects — a performance choice only;
+    both share the same accumulation order. *)
 
-val run_views : mode -> kernel:string -> dims:int array -> view array -> unit
+val run_views : kernel:string -> dims:int array -> view array -> unit
 (** Run a kernel over strided views, output view first then factors in
     entry order, [dims] in canonical letter order. All kernels accumulate
     into the output ([+=] semantics).
-    @raise Invalid_argument on [Off], unknown kernels, or wrong arity. *)
+    @raise Invalid_argument on unknown kernels or wrong arity. *)
 
 val run_named : mode -> kernel:string -> Dense.t list -> unit
 (** The substitute path: whole contiguous operands, output first. Under
-    [Off] and [Naive] this runs the {!Kernels} reference implementation
-    (identical computations); under [Tiled], the blocked microkernels.
+    [Off] this runs the {!Kernels} reference implementation; under
+    [Tiled], the blocked microkernels.
     @raise Invalid_argument on shape mismatch, naming the kernel and
     every operand shape. *)

@@ -37,6 +37,28 @@ let test_problem_errors () =
    with
   | Ok _ -> Alcotest.fail "transposed extents must conflict"
   | Error _ -> ());
+  (* Extents must be positive and their element count must fit an int;
+     the error names the tensor. *)
+  List.iter
+    (fun (shape, what) ->
+      match
+        Api.problem ~machine ~stmt:"A(i,j) = B(i,j)"
+          ~tensors:
+            [
+              Api.tensor "A" shape ~dist:"[x,y] -> [x,y]";
+              Api.tensor "B" shape ~dist:"[x,y] -> [x,y]";
+            ]
+          ()
+      with
+      | Ok _ -> Alcotest.failf "%s must be rejected" what
+      | Error e ->
+          Alcotest.(check bool) (what ^ " names the tensor: " ^ e) true
+            (Astring_contains.contains e "tensor A"))
+    [
+      ([| -4; 4 |], "a negative extent");
+      ([| 0; 4 |], "a zero extent");
+      ([| max_int / 2; 4 |], "an overflowing element count");
+    ];
   match
     Api.problem ~machine ~stmt:gemm
       ~tensors:

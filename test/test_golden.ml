@@ -230,9 +230,11 @@ let check_case c () =
 
 (* {2 Redistribution} *)
 
-(* [Exec.redistribute] prices one exchange step. Event names are blanked
-   before hashing: the stream is pinned by its tracks, times, kinds and
-   attributes, so only a span's or instant's label may change. *)
+(* [Exec.redistribute] prices one exchange step. These values were
+   recorded while it still carried its own copy of the step pricing.
+   Event names are blanked before hashing: the stream is pinned by its
+   tracks, times, kinds and attributes, so only a span's or instant's
+   label may change. *)
 module Cost = Api.Cost_model
 module Event = Distal_obs.Event
 module Metrics = Distal_obs.Metrics

@@ -92,8 +92,8 @@ let exactly_equal a b = Dense.shape a = Dense.shape b && Dense.max_abs_diff a b 
 
    Random kernels and random canonical extents — including degenerate 0
    and 1 extents and shapes large enough to cross into the register-tiled
-   [`Micro] tier — run through [run_views] in both tiers and through
-   [run_named], against the table-driven reference. *)
+   [`Micro] tier — run through [run_views] and through [run_named],
+   against the table-driven reference. *)
 
 let gen_case =
   QCheck.make
@@ -122,22 +122,14 @@ let qcheck_registry_matches_reference =
       let out, factors = operands rng ~kernel ~dims in
       let reference = Dense.copy out in
       eval_reference ~kernel ~dims reference factors;
-      let run mode =
-        let got = Dense.copy out in
-        Kreg.run_views mode ~kernel ~dims
-          (Array.of_list (full_view got :: List.map full_view factors));
-        got
-      in
-      let tiled = run Kreg.Tiled in
-      let naive = run Kreg.Naive in
+      let tiled = Dense.copy out in
+      Kreg.run_views ~kernel ~dims
+        (Array.of_list (full_view tiled :: List.map full_view factors));
       if not (exactly_equal tiled reference) then
         QCheck.Test.fail_reportf "tiled differs from evaluator order: %s dims=[%s] diff=%g"
           kernel
           (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
           (Dense.max_abs_diff tiled reference);
-      if not (Dense.approx_equal ~tol:1e-9 naive reference) then
-        QCheck.Test.fail_reportf "naive diverged: %s diff=%g" kernel
-          (Dense.max_abs_diff naive reference);
       true)
 
 let qcheck_run_named_matches_views =
@@ -150,7 +142,7 @@ let qcheck_run_named_matches_views =
       in
       let out, factors = operands rng ~kernel ~dims in
       let via_views = Dense.copy out in
-      Kreg.run_views Kreg.Tiled ~kernel ~dims
+      Kreg.run_views ~kernel ~dims
         (Array.of_list (full_view via_views :: List.map full_view factors));
       let via_named = Dense.copy out in
       Kreg.run_named Kreg.Tiled ~kernel (via_named :: factors);
@@ -176,7 +168,7 @@ let test_strided_views () =
   in
   let a_ref = extract ba m n and b_ref = extract bb m k and c_ref = extract bc k n in
   Kreg.run_named Kreg.Tiled ~kernel:"gemm" [ a_ref; b_ref; c_ref ];
-  Kreg.run_views Kreg.Tiled ~kernel:"gemm" ~dims:[| m; n; k |]
+  Kreg.run_views ~kernel:"gemm" ~dims:[| m; n; k |]
     [| window ba; window bb; window bc |];
   let a_got = extract ba m n in
   Alcotest.(check (float 0.0)) "strided gemm exact" 0.0 (Dense.max_abs_diff a_got a_ref)
@@ -197,14 +189,6 @@ let test_shape_class () =
     Alcotest.fail "unknown kernel must raise"
   with Invalid_argument msg ->
     Alcotest.(check bool) ("names the kernel: " ^ msg) true (contains msg "bogus")
-
-let test_off_never_runs () =
-  let a = Dense.create [| 2; 2 |] in
-  try
-    Kreg.run_views Kreg.Off ~kernel:"gemm" ~dims:[| 2; 2; 2 |]
-      [| full_view a; full_view a; full_view a |];
-    Alcotest.fail "Off dispatch must raise"
-  with Invalid_argument _ -> ()
 
 let test_flops_table () =
   Alcotest.(check (float 0.0)) "gemm flops" (2.0 *. 24.0)
@@ -339,7 +323,6 @@ let suites =
         to_alcotest qcheck_run_named_matches_views;
         Alcotest.test_case "strided views" `Quick test_strided_views;
         Alcotest.test_case "shape class" `Quick test_shape_class;
-        Alcotest.test_case "off never dispatches" `Quick test_off_never_runs;
         Alcotest.test_case "flops table" `Quick test_flops_table;
         Alcotest.test_case "shape diagnostics" `Quick test_shape_diagnostics;
         Alcotest.test_case "domains end to end" `Quick test_domains_end_to_end;

@@ -1095,6 +1095,33 @@ let test_server_faulted_request () =
       stop_server c pid;
       Client.close c)
 
+(* A non-positive extent is client input, not a crash: both modes answer
+   [Failed] naming the tensor, and the server keeps serving. *)
+let test_server_bad_extents () =
+  with_server ~args:[ "--batch-window"; "0.001" ] (fun socket pid ->
+      let c = Client.connect_exn socket in
+      List.iter
+        (fun mode ->
+          let good = gemm_submit ~id:(Client.fresh_id c) ~mode () in
+          let bad =
+            { good with
+              Protocol.id = Client.fresh_id c;
+              tensors =
+                List.map
+                  (fun (td : Protocol.tensor_decl) ->
+                    { td with td_shape = (if td.td_name = "C" then [| 4; 4 |] else [| -4; 4 |]) })
+                  good.Protocol.tensors }
+          in
+          (match Client.submit c bad with
+          | Ok (Client.Failed reason) ->
+              Alcotest.(check bool) ("names the tensor: " ^ reason) true
+                (Astring_contains.contains reason "tensor A")
+          | _ -> Alcotest.fail "a negative extent must fail the request");
+          ignore (expect_result (Client.submit c good)))
+        [ Exec.Model; Exec.Full ];
+      stop_server c pid;
+      Client.close c)
+
 let suites =
   [
     ( "serve",
@@ -1130,6 +1157,8 @@ let suites =
         Alcotest.test_case "distald killed mid-batch and restarted" `Quick
           test_server_killed_and_restarted;
         Alcotest.test_case "distald faulted request" `Quick test_server_faulted_request;
+        Alcotest.test_case "distald fails bad extents and keeps serving" `Quick
+          test_server_bad_extents;
         Alcotest.test_case "distald slow reader stalls only itself" `Quick
           test_server_slow_reader;
         Alcotest.test_case "distald pipelined replies above one frame" `Quick
