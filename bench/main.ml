@@ -217,9 +217,9 @@ let now () = Distal_support.Pool.now ()
    [reps] timed runs, keeping the best: the minimum over repetitions is
    the standard de-noising for wall-clock measurement — scheduler and GC
    interference only ever add time. *)
-let simperf_measure ?(coalesce = true) ?domains plan ~reps =
+let simperf_measure ?(coalesce = true) plan ~reps =
   let profile = Profile.create () in
-  (match Api.run ~mode:Api.Exec.Model ~coalesce ?domains ~profile plan ~data:[] with
+  (match Api.run ~mode:Api.Exec.Model ~coalesce ~profile plan ~data:[] with
   | Ok _ -> ()
   | Error e -> failwith ("simperf run failed: " ^ e));
   let metric name run =
@@ -232,7 +232,7 @@ let simperf_measure ?(coalesce = true) ?domains plan ~reps =
   let best = ref infinity in
   for _ = 1 to reps do
     let t0 = now () in
-    (match Api.run ~mode:Api.Exec.Model ~coalesce ?domains plan ~data:[] with
+    (match Api.run ~mode:Api.Exec.Model ~coalesce plan ~data:[] with
     | Ok _ -> ()
     | Error e -> failwith ("simperf run failed: " ^ e));
     let w = now () -. t0 in
@@ -254,7 +254,7 @@ let simperf_measure ?(coalesce = true) ?domains plan ~reps =
 let planner_speedup plan ~reps =
   let run coalesce =
     let profile = Profile.create () in
-    (match Api.run ~mode:Api.Exec.Model ~coalesce ~domains:1 ~profile plan ~data:[] with
+    (match Api.run ~mode:Api.Exec.Model ~coalesce ~profile plan ~data:[] with
     | Ok _ -> ()
     | Error e -> failwith ("simperf run failed: " ^ e));
     let run = List.hd (Profile.runs profile) in
@@ -343,8 +343,8 @@ let simperf_run ~small () =
   let table =
     Distal_support.Table.create
       ~header:
-        [ "workload"; "wall/run"; "uncoalesced"; "speedup"; "wall@2dom"; "wall@4dom";
-          "frag/msg"; "tasks/s"; "copy groups/s" ]
+        [ "workload"; "wall/run"; "uncoalesced"; "speedup"; "frag/msg"; "tasks/s";
+          "copy groups/s" ]
   in
   let metrics = ref [] in
   List.iter
@@ -361,12 +361,6 @@ let simperf_run ~small () =
       let speedup =
         if compare then Some (planner_speedup plan ~reps:(max reps 9)) else None
       in
-      (* Host-domain scaling of the same run. Informational: on a
-         single-core container these show the pool's overhead, on real
-         multi-core hosts its benefit — the [_d] names keep them outside
-         the [*.wall_s] baseline gate for exactly that reason. *)
-      let _, _, _, wall_d2 = simperf_measure ~domains:2 plan ~reps in
-      let _, _, _, wall_d4 = simperf_measure ~domains:4 plan ~reps in
       Distal_support.Table.add_row table
         [
           name;
@@ -375,8 +369,6 @@ let simperf_run ~small () =
           | Some w -> Printf.sprintf "%.3f ms" (w *. 1e3)
           | None -> "-");
           (match speedup with Some s -> Printf.sprintf "%.1fx" s | None -> "-");
-          Printf.sprintf "%.3f ms" (wall_d2 *. 1e3);
-          Printf.sprintf "%.3f ms" (wall_d4 *. 1e3);
           Printf.sprintf "%.1f" ratio;
           Printf.sprintf "%.0f" (per tasks);
           Printf.sprintf "%.0f" (per groups);
@@ -385,8 +377,6 @@ let simperf_run ~small () =
         !metrics
         @ [
             (name ^ ".wall_s", wall, "s");
-            (name ^ ".wall_d2_s", wall_d2, "s");
-            (name ^ ".wall_d4_s", wall_d4, "s");
             (name ^ ".tasks_per_s", per tasks, "tasks/s");
             (name ^ ".copy_groups_per_s", per groups, "groups/s");
             (name ^ ".coalesce_ratio", ratio, "fragments/msg");

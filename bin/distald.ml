@@ -2,13 +2,14 @@
 
    Listens on a Unix-domain socket for length-prefixed JSONL requests
    (see lib/serve/protocol.mli), sharing one plan cache, result cache
-   and executor domain pool across all clients; batches same-shape
-   requests arriving within the batching window into one compile and
-   rejects submits beyond the admission bound with a retry-after.
+   and replay domain pool across all clients. Requests are served as
+   soon as they are read; same-shape requests read together share one
+   compile, and submits beyond the admission bound are rejected with a
+   retry-after.
 
    Example:
 
-     distald --socket /tmp/distald.sock --queue 64 --batch-window 0.002 &
+     distald --socket /tmp/distald.sock --queue 64 &
      distalc --connect /tmp/distald.sock \
        --machine 2x2 --tensor 'A:8x8:[x,y] -> [x,y]' ... \
        --stmt 'A(i,j) = B(i,k) * C(k,j)' --schedule '...'
@@ -35,15 +36,6 @@ let queue_arg =
           "Admission bound: submits beyond $(docv) queued requests are rejected \
            with a retry-after. Defaults to \\$DISTAL_SERVE_QUEUE, else 64.")
 
-let window_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "batch-window" ] ~docv:"SECONDS"
-        ~doc:
-          "How long a queued request may wait for same-shape batch-mates before \
-           the queue is flushed. Defaults to \\$DISTAL_SERVE_BATCH_WINDOW, else 0.002.")
-
 let cache_arg =
   Arg.(
     value
@@ -67,7 +59,10 @@ let domains_arg =
     value
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
-        ~doc:"Executor domain-pool size shared by all requests.")
+        ~doc:
+          "Domain-pool size that replays Full requests, shared by all requests. \
+           Simulation runs on the serving domain. Defaults to \\$DISTAL_NUM_DOMAINS, \
+           else the available cores.")
 
 let stall_arg =
   Arg.(
@@ -82,10 +77,9 @@ let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No startup/shutd
 
 let cmd =
   let doc = "serve DISTAL compile-and-run requests over a Unix-domain socket" in
-  let run socket_path queue_limit batch_window plan_cache result_cache domains
-      stall_timeout quiet =
+  let run socket_path queue_limit plan_cache result_cache domains stall_timeout quiet =
     match
-      Server.config ?queue_limit ?batch_window ?plan_cache ?result_cache ?domains
+      Server.config ?queue_limit ?plan_cache ?result_cache ?domains
         ?stall_timeout ~quiet ~socket_path ()
     with
     | cfg -> (
@@ -99,7 +93,7 @@ let cmd =
     (Cmd.info "distald" ~doc)
     Term.(
       ret
-        (const run $ socket_arg $ queue_arg $ window_arg $ cache_arg $ results_arg
+        (const run $ socket_arg $ queue_arg $ cache_arg $ results_arg
        $ domains_arg $ stall_arg $ quiet_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -58,7 +58,6 @@ let part1 () =
   show_tiles "hierarchical" "[x,y] -> [x,y]; [z,w] -> [z]" [| 8; 8 |] mh;
   (* §5.3: lowering a distribution statement to concrete index notation. *)
   print_endline "Lowering T[x,y] -> M[x] to concrete index notation (§5.3):";
-  Distal_ir.Ident.reset_fresh_counter ();
   let cin =
     Result.get_ok
       (D.lower_to_cin

@@ -24,9 +24,8 @@
    Determinism at every pool size comes from three invariants: the wave
    size is a constant (not the pool size), lanes stripe statically over a
    results array indexed by candidate, and the reduction folds that array
-   in enumeration order. Each probe model-runs with [~domains:1], which
-   short-circuits the executor's own pool use to a direct call — pools
-   are not reentrant, probes already occupy the lanes. *)
+   in enumeration order. Each probe model-runs on its own lane: the
+   simulation itself uses no pool. *)
 
 module Api = Distal.Api
 module Machine = Distal_machine.Machine
@@ -320,11 +319,7 @@ let probe ~stmt ~parsed spec =
   | Some (plan, stats) -> Ok (plan, stats, true)
   | None -> (
       let* plan = compile_spec ~stmt ~parsed spec in
-      (* [~domains:1] short-circuits the executor's pool use: probes may
-         themselves be running inside pool lanes. *)
-      match
-        Api.run ~mode:Api.Exec.Model ~domains:1 ~cost:spec.s_cost plan ~data:[]
-      with
+      match Api.run ~mode:Api.Exec.Model ~cost:spec.s_cost plan ~data:[] with
       | Error e -> Error e
       | Ok r ->
           ignore (Lru.put c spec.s_fp (plan, r.Api.Exec.stats));

@@ -131,8 +131,9 @@ val run :
 (** With [profile], the execution registers as a run of the profile and
     emits spans, copy events, metrics and a step timeline; [coalesce]
     (default [true]) controls the communication-planning pass; [domains]
-    the host domain-pool size, which affects no output, trace, stat or
-    event stream; [faults] injects a deterministic fault plan whose kills
+    the host domain-pool size of a Full run's replay (the simulation
+    always runs on the calling domain), which affects no output, trace,
+    stat or event stream; [faults] injects a deterministic fault plan whose kills
     are recovered by checkpoint/replay, bit-identically (see
     {!Exec.execute}).
 

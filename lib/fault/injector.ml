@@ -1,6 +1,5 @@
 type t = {
   plan : Fault.t;
-  nsteps : int;
   strikes : (int * int) list;  (* (proc, at_step), at_step < nsteps, sorted *)
   dead_spans : (int * int) list array;  (* per proc: [from, until) half-open *)
 }
@@ -13,9 +12,6 @@ let kills t = t.strikes
 
 let dead t ~step ~proc =
   List.exists (fun (k, r) -> step >= k && step < r) t.dead_spans.(proc)
-
-let ever_dead t ~proc =
-  List.exists (fun (k, _) -> k < t.nsteps) t.dead_spans.(proc)
 
 let msg_action t ~step ~tensor ~src ~dst =
   let matches (p : Fault.msg_pred) =
@@ -49,7 +45,7 @@ let create plan ~nprocs ~nsteps =
     |> List.sort_uniq (fun (p1, s1) (p2, s2) ->
            match compare s1 s2 with 0 -> compare p1 p2 | c -> c)
   in
-  let t = { plan; nsteps; strikes; dead_spans } in
+  let t = { plan; strikes; dead_spans } in
   (* The dead set only grows at kill steps, so its maximum is attained at
      one of them: checking each strike step suffices to guarantee a live
      failover target at every step. *)

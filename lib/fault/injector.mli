@@ -31,9 +31,6 @@ val dead : t -> step:int -> proc:int -> bool
 (** Whether [proc] is dead during [step]: some kill struck at or before
     the step and any revival is still in the future. *)
 
-val ever_dead : t -> proc:int -> bool
-(** Whether [proc] dies at any step of the run. *)
-
 val msg_action : t -> step:int -> tensor:string -> src:int -> dst:int ->
   Fault.msg_action option
 (** The first message fault of the plan matching this transfer, if any. *)

@@ -2,10 +2,8 @@ type t = string
 
 let compare = String.compare
 let equal = String.equal
-let counter = ref 0
 
-let fresh base =
-  incr counter;
-  Printf.sprintf "%s'%d" base !counter
+(* Shared by every domain: [Auto] compiles candidates on pool lanes. *)
+let counter = Atomic.make 0
 
-let reset_fresh_counter () = counter := 0
+let fresh base = Printf.sprintf "%s'%d" base (Atomic.fetch_and_add counter 1 + 1)

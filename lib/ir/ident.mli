@@ -10,7 +10,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val fresh : string -> t
 (** [fresh "k"] returns ["k'1"], ["k'2"], ... (the quote cannot appear in
-    parsed source names, so generated names never collide). *)
-
-val reset_fresh_counter : unit -> unit
-(** For deterministic tests. *)
+    parsed source names, so generated names never collide). One counter
+    serves every domain, so concurrent calls never return the same
+    name. *)

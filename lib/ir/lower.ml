@@ -34,7 +34,7 @@ let lower (cin : Cin.t) ~shapes =
     match cin.substituted with
     | Some (svars, kernel) ->
         (svars, fun vars ->
-          assert (vars = svars);
+          if vars <> svars then invalid_arg "Lower.lower: leaf variables differ from the substitution's";
           Taskir.Leaf (Named { kernel; vars }))
     | None -> ([], fun vars -> Taskir.Leaf (Scalar_loops vars))
   in

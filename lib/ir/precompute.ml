@@ -31,7 +31,7 @@ let split (stmt : Expr.stmt) ~factors ~workspace =
             [] hoisted
         in
         let mul_chain = function
-          | [] -> assert false
+          | [] -> invalid_arg "Precompute.split: empty product"
           | a :: rest ->
               List.fold_left
                 (fun e x -> Expr.Mul (e, Expr.Access x))

@@ -152,19 +152,17 @@ let traffic_by_tensor reg =
   end
 
 (* Host-side execution line: the simulated times above never depend on
-   host parallelism, but the probe's own wall clock and how well it kept
-   the domain pool busy are worth a glance when tuning
-   DISTAL_NUM_DOMAINS. *)
+   the host, but where the simulation's own wall clock and allocation go
+   is worth a glance when tuning it. *)
 let host_execution reg =
   match Metrics.value reg "exec.compute_wall_s" with
   | None -> ""
   | Some wall ->
       let v name = Option.value (Metrics.value reg name) ~default:0.0 in
       let alloc =
-        (* OCaml-heap allocation of the run itself, summed over the pool's
-           lanes; bigarray payloads live off-heap, so this tracks planning
-           and bookkeeping churn — the words a reused executable plan
-           avoids. *)
+        (* OCaml-heap allocation of the run itself; bigarray payloads live
+           off-heap, so this tracks planning and bookkeeping churn — the
+           words a reused executable plan avoids. *)
         match Metrics.value reg "exec.alloc_minor_words" with
         | None -> ""
         | Some minor ->
@@ -173,11 +171,9 @@ let host_execution reg =
               (v "exec.alloc_major_words" /. 1e6)
       in
       Printf.sprintf
-        "host: set-up %.3g s, probe %.3g s wall on %.0f domain(s) (%.0f%% pool \
-         utilization), merge %.3g s, assembly %.3g s (of which planning %.3g s)%s\n"
-        (v "exec.setup_wall_s") wall (v "exec.pool_domains")
-        (100.0 *. v "exec.pool_utilization")
-        (v "exec.merge_wall_s") (v "exec.assembly_wall_s") (v "exec.plan_wall_s") alloc
+        "host: set-up %.3g s, probe %.3g s, merge %.3g s, assembly %.3g s (of which \
+         planning %.3g s)%s\n"
+        (v "exec.setup_wall_s") wall (v "exec.merge_wall_s") (v "exec.assembly_wall_s") (v "exec.plan_wall_s") alloc
 
 let run_report (run : Profile.run) =
   let buf = Buffer.create 512 in

@@ -49,6 +49,7 @@ let trace_to_string e =
     (Ints.to_string e.src) (Ints.to_string e.dst) e.bytes
 
 let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
+let now = Unix.gettimeofday
 let ( let* ) = Result.bind
 
 (* Everything the simulator moves or stores is 8-byte floats. *)
@@ -107,8 +108,8 @@ type group = {
 type fetch_group = { fg_owners : int list; fg_load : Comm_plan.payload }
 
 (* One footprint of one tensor at one site of the task walk, shared by
-   every task of a lane whose dependent loop variables take the same
-   values there. The rect is computed once, the fetch plan on first use. *)
+   every task whose dependent loop variables take the same values
+   there. The rect is computed once, the fetch plan on first use. *)
 type fentry = {
   f_rect : Rect.t;
   f_bytes : float;
@@ -134,62 +135,6 @@ type node =
   | N_seq of { slot : int; extent : int; body : node }
   | N_ensure of { t : int; site : int; body : node }
   | N_leaf
-
-(* Deferred side effects of one task probe. Index-launch points run
-   concurrently on a domain pool, so a task body never touches shared
-   state: it records its compute charges, communication batches and
-   output flushes as an ordered effect list. After the pool joins, the
-   caller replays every task's list in launch-point order — metrics,
-   traces, step accumulators, checkpoints and reduction bookkeeping
-   observe exactly the sequence a serial execution produces, whatever the
-   domain count. *)
-type fx =
-  | Fx_compute of { step : int; at : int }
-      (* leaf compute: flops and bytes touched are [nums.(at)] and
-         [nums.(at + 1)] of the lane's tape *)
-  | Fx_batch of { step : int; raw : Comm_plan.raw }
-  | Fx_red of { step : int; rect : Rect.t }
-      (* reduction partial: register the contribution *)
-  | Fx_out of { step : int; rect : Rect.t }  (* owner-computes write-back *)
-
-(* A lane's effects, task after task, in one growable array; compute
-   charges keep their floats unboxed in [nums]. *)
-type tape = {
-  mutable fx : fx array;
-  mutable len : int;
-  mutable nums : float array;
-  mutable nnums : int;
-}
-
-let no_fx = Fx_out { step = 0; rect = Rect.full [||] }
-
-let push tape e =
-  if tape.len = Array.length tape.fx then begin
-    let a = Array.make ((2 * tape.len) + 64) no_fx in
-    Array.blit tape.fx 0 a 0 tape.len;
-    tape.fx <- a
-  end;
-  tape.fx.(tape.len) <- e;
-  tape.len <- tape.len + 1
-
-(* One probed task: its effects are [tr_tape.fx.(tr_lo .. tr_hi - 1)]. *)
-type task_result = {
-  tr_proc : int;
-  tr_tape : tape;
-  tr_lo : int;
-  tr_hi : int;
-  tr_dyn_max : float;
-}
-
-(* Per-lane working state: every mutable cache a task probe touches. *)
-type lane = {
-  cursor : Rect_index.cursor;
-  sites : fentry Ints.Tbl.t array;  (* per footprint site: key -> entry *)
-  by_rect : fentry Rect.Tbl.t array;  (* per tensor: rect -> entry *)
-  ivals : float Ints.Tbl.t array;  (* per leaf index variable: key -> length *)
-  env : int array;  (* slot -> value, -1 when unbound *)
-  tape : tape;
-}
 
 (* The index of [name] in [names] (compared physically first). *)
 let rec name_index (names : string array) name i =
@@ -297,10 +242,9 @@ let step_obs reg =
     (* Host CPU seconds spent planning communication (fragment
        coalescing, broadcast grouping and message pricing). Wall-clock
        observability only: like [exec.compute_wall_s] it never feeds
-       events or simulated time, so determinism across pool sizes is
-       untouched. The simperf bench reads it to compare the planner
-       against the planner-off path without the noise of timing whole
-       runs. *)
+       events or simulated time, so determinism is untouched. The
+       simperf bench reads it to compare the planner against the
+       planner-off path without the noise of timing whole runs. *)
     m_plan_host = Metrics.counter reg "exec.plan_wall_s";
     h_copy_bytes = Metrics.histogram reg "exec.copy_bytes";
     h_step_time = Metrics.histogram reg "exec.step_time";
@@ -437,7 +381,7 @@ let emit_copy_instants sink ~pid ~ts glist =
    when the fault plan has message faults. Returns the timeline row (with
    per-processor slots only when [profiling]) and the planned groups. *)
 let price_step machine cost obs ~coalesce ~kernel ~msg_faults ~profiling ~step ~start a =
-  let t_plan = Pool.now () in
+  let t_plan = now () in
   let plan = if coalesce then Comm_plan.coalesce a.raws else Comm_plan.uncoalesced a.raws in
   let glist = group_transfers plan in
   observe_groups obs glist;
@@ -445,7 +389,7 @@ let price_step machine cost obs ~coalesce ~kernel ~msg_faults ~profiling ~step ~
      receive occupancies per the cost model's duplex mode (full-duplex
      NICs overlap them; framebuffer DMA serializes them). *)
   let bytes, messages = price_groups cost ~send:a.send ~recv:a.recv ~mtouch:a.mtouch glist in
-  Metrics.inc obs.m_plan_host (Pool.now () -. t_plan);
+  Metrics.inc obs.m_plan_host (now () -. t_plan);
   (* Message faults: a matched drop costs its endpoints a retransmission
      (timeout + full resend), a matched delay holds the receiver back.
      Payload byte/message counts are untouched — the data still arrives,
@@ -562,7 +506,7 @@ type sim = {
    tensor data. [Model]-mode [execute] is this alone; [Full]-mode
    [execute] is this with [record] on (a compiled plan) followed by
    [run_plan]. *)
-let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
+let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
     ?faults spec =
   (* Register this execution as a run of the profile (its own pid, metrics
      registry and timeline slot). Without a profile the registry is private
@@ -572,7 +516,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   let reg =
     match prun with Some r -> r.Profile.metrics | None -> Metrics.create ()
   in
-  let wall_start = Pool.now () in
+  let wall_start = now () in
   let alloc0 = alloc_words () in
   let m_flops = Metrics.counter reg "exec.flops" in
   let m_bytes_intra = Metrics.counter reg "exec.bytes_intra" in
@@ -639,7 +583,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      tree names one, else the kernel the statement structurally matches.
      The latter covers unsubstituted leaves, which the registry also runs
      at native speed through staged dispatch — and, crucially, it depends
-     only on the spec (never on the domain count), so modeled time keeps
+     only on the spec (never on the host), so modeled time keeps
      the determinism contract. *)
   let priced_kernel =
     match named_order with
@@ -859,22 +803,16 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   let ivars = Array.of_list (Expr.index_vars stmt) in
   let ikeys = Array.map (fun v -> keyer [ v ]) ivars in
   let ifns = Array.map (Provenance.interval_fn prov ~slot) ivars in
-  (* Per-lane working state: every mutable cache a task probe touches.
-     Each pool lane builds its own, so concurrent tasks never share
-     mutable state; within a lane, tasks hit the same memos a serial run
-     would. A footprint reached under different keys (or at different
-     sites) resolves to one entry per (tensor, rect), so its fetch plan is
-     built once per lane. *)
-  let make_lane () =
-    {
-      cursor = Rect_index.cursor ();
-      sites = Array.map (fun _ -> Ints.Tbl.create 64) sites;
-      by_rect = Array.map (fun _ -> Rect.Tbl.create 64) tensors_a;
-      ivals = Array.map (fun _ -> Ints.Tbl.create 16) ivars;
-      env = Array.make nslots (-1);
-      tape = { fx = [||]; len = 0; nums = [||]; nnums = 0 };
-    }
-  in
+  (* The probe's memos, shared by every task: tasks hit the same
+     footprints, fetch plans and interval lengths whenever their
+     dependent bindings agree. A footprint reached under different keys
+     (or at different sites) resolves to one entry per (tensor, rect), so
+     its fetch plan is built once. *)
+  let cursor = Rect_index.cursor () in
+  let site_memo = Array.map (fun _ -> Ints.Tbl.create 64) sites in
+  let rect_memo = Array.map (fun _ -> Rect.Tbl.create 64) tensors_a in
+  let ival_memo = Array.map (fun _ -> Ints.Tbl.create 16) ivars in
+  let env = Array.make nslots (-1) in
   (* Reduction mode: some distributed loop variable derives from a
      variable summed over (§3.3: "distributing variables used for
      reductions results in distributed reductions into the output"). *)
@@ -940,20 +878,45 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
         rects)
     proc_rects_t;
   let dyn_peak = Array.make nprocs 0.0 in
+  (* A task's effects land as it produces them. Tasks run one after
+     another in launch-point order, so metrics, traces, step
+     accumulators, checkpoints and reduction bookkeeping see one fixed
+     sequence. An effect on a processor that is dead at its step lands
+     on the failover target instead ([remap]); a transfer whose ends
+     collapse onto one processor disappears. *)
+  let charge_batch ~step (raw : Comm_plan.raw) =
+    let src = remap ~step raw.src and dst = remap ~step raw.dst in
+    if src <> dst then
+      add_batch ~step
+        (if src = raw.src && dst = raw.dst then raw
+         else { raw with src; dst; link = link_of src dst })
+  in
+  let checkpoint ~step ~proc rect =
+    match ckpt with
+    | Some c when not (Rect.is_empty rect) -> Checkpoint.record c ~step ~proc rect
+    | _ -> ()
+  in
+  (* A reduction partial: register the contribution. *)
+  let add_red ~step ~proc rect =
+    let rproc = remap ~step proc in
+    checkpoint ~step ~proc:rproc rect;
+    match Rect.Tbl.find_opt red_contribs rect with
+    | Some (b, procs) ->
+        (* Under kills, remapping can fold two contributors onto one
+           survivor; count it once. Fault-free, keep every contribution. *)
+        if not (have_kills && List.mem rproc procs) then
+          Rect.Tbl.replace red_contribs rect (b, rproc :: procs)
+    | None -> Rect.Tbl.add red_contribs rect (bytes_of_rect rect, [ rproc ])
+  in
   (* {3 Per-task walk} *)
   let ops = ops_per_point stmt in
   let rec mem_int (x : int) = function [] -> false | y :: ys -> x = y || mem_int x ys in
-  let run_task lane ?drec (point : int array) =
+  let run_task ?drec (point : int array) =
     let proc_coord = Mapper.proc_of_point machine ~launch_dims:ldims point in
     let proc = Machine.linearize machine proc_coord in
-    let env = lane.env and cursor = lane.cursor and tape = lane.tape in
     Array.fill env 0 nslots (-1);
     Array.blit point 0 env 0 nlaunch;
-    let fx_lo = tape.len in
-    let emit e = push tape e in
-    (* Data-op recording (plan compilation). Reset on entry so a kill
-       replay of this point rewrites an identical list. *)
-    (match drec with Some r -> r := [] | None -> ());
+    (* Data-op recording (plan compilation). *)
     let demit d = match drec with Some r -> r := d :: !r | None -> () in
     let step_of () =
       let s = ref 0 in
@@ -966,20 +929,20 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     (* The footprint a site needs under the current bindings. *)
     let entry site =
       let t, k = sites.(site) in
-      let tbl = lane.sites.(site) in
+      let tbl = site_memo.(site) in
       let key = key_of k env in
       match Ints.Tbl.find tbl key with
       | e -> e
       | exception Not_found ->
           let rect = footprint_fns.(t) env in
           let e =
-            match Rect.Tbl.find lane.by_rect.(t) rect with
+            match Rect.Tbl.find rect_memo.(t) rect with
             | e -> e
             | exception Not_found ->
                 let e =
                   { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None }
                 in
-                Rect.Tbl.add lane.by_rect.(t) rect e;
+                Rect.Tbl.add rect_memo.(t) rect e;
                 e
           in
           Ints.Tbl.add tbl key e;
@@ -1056,16 +1019,14 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
               | -1 -> List.hd g.fg_owners
               | o -> o
             in
-            emit
-              (Fx_batch
-                 { step; raw = { payload = g.fg_load; src; dst = proc; link = link_of src proc } })
+            charge_batch ~step { payload = g.fg_load; src; dst = proc; link = link_of src proc }
           end;
           fetch_groups step gs
     in
     let charge_fetch t e = fetch_groups (step_of ()) (plan_of t e) in
     let flush_output ~step e =
       demit D_flush;
-      if reduction then emit (Fx_red { step; rect = e.f_rect })
+      if reduction then add_red ~step ~proc e.f_rect
       else begin
         if not (proc_owns out_t e.f_rect) then
           (* Owner-computes with a remote owner: ship the tile home. *)
@@ -1073,14 +1034,11 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
             (fun (piece, os) ->
               let dst = List.hd os in
               if dst <> proc then
-                emit
-                  (Fx_batch
-                     { step;
-                       raw =
-                         Comm_plan.batch ~tensor:out_name ~src:proc ~dst
-                           ~link:(link_of proc dst) [ piece ] }))
+                charge_batch ~step
+                  (Comm_plan.batch ~tensor:out_name ~src:proc ~dst ~link:(link_of proc dst)
+                     [ piece ]))
             (pieces_of out_t e);
-        emit (Fx_out { step; rect = e.f_rect })
+        checkpoint ~step ~proc:(remap ~step proc) e.f_rect
       end
     in
     let ensure t site =
@@ -1138,7 +1096,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
       (* Leaf iteration count: a product of per-variable interval lengths. *)
       let points = ref 1.0 in
       for i = 0 to Array.length ivars - 1 do
-        let tbl = lane.ivals.(i) and key = key_of ikeys.(i) env in
+        let tbl = ival_memo.(i) and key = key_of ikeys.(i) env in
         let len =
           match Ints.Tbl.find tbl key with
           | len -> len
@@ -1155,16 +1113,8 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
         if inst.(t) != no_inst then bytes := !bytes +. inst.(t).f_bytes
       done;
       if !out_read != no_inst then bytes := !bytes +. !out_read.f_bytes;
-      let at = tape.nnums in
-      if at + 2 > Array.length tape.nums then begin
-        let a = Array.make ((2 * at) + 64) 0.0 in
-        Array.blit tape.nums 0 a 0 at;
-        tape.nums <- a
-      end;
-      tape.nums.(at) <- float_of_int ops *. !points;
-      tape.nums.(at + 1) <- !bytes;
-      tape.nnums <- at + 2;
-      emit (Fx_compute { step; at });
+      add_compute ~step ~proc:(remap ~step proc) ~flops:(float_of_int ops *. !points)
+        ~bytes:!bytes;
       (* Recording: snapshot the variable bindings the leaf runs under
          (launch + sequential vars — leaf vars are bound inside) and, for
          substituted kernels, the slicing plan relative to the cached
@@ -1210,7 +1160,8 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
        state (matters only to fault remapping and checkpoints). *)
     if inst.(out_t) != no_inst then flush_output ~step:(nsteps - 1) inst.(out_t);
     (match drec with Some r -> r := List.rev !r | None -> ());
-    { tr_proc = proc; tr_tape = tape; tr_lo = fx_lo; tr_hi = tape.len; tr_dyn_max = mem.(1) }
+    Metrics.inc_int m_tasks 1;
+    if mem.(1) > dyn_peak.(proc) then dyn_peak.(proc) <- mem.(1)
   in
   let points =
     if Array.length ldims = 0 then [| [||] |]
@@ -1223,106 +1174,25 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      for them. *)
   let drecs = if record then Array.init npoints (fun _ -> ref []) else [||] in
   let drec_of i = if record then Some drecs.(i) else None in
-  (* {3 Parallel probe, serial merge} *)
-  (* Launch points are independent by construction (the distribution
-     partitions the output), so lanes probe contiguous point ranges
-     concurrently; each result slot is written by exactly one lane, and
-     the pool join orders those writes before the merge below. Simulated
-     time never depends on the lane count: it is assembled from the
-     replayed effects, not from host timing. *)
-  let pool = Pool.get ?size:domains () in
-  let lanes = max 1 (min (Pool.size pool) npoints) in
-  let results : task_result option array = Array.make npoints None in
-  let lane_busy = Array.make lanes 0.0 in
-  (* Per lane: the words it allocated and the domain it ran on, measured
-     inside the lane (GC counters are per domain). *)
-  let lane_alloc = Array.make lanes (0.0, 0.0) and lane_domain = Array.make lanes 0 in
-  let wall0 = Pool.now () in
-  Pool.run pool ~lanes (fun lane ->
-      let t0 = Pool.now () in
-      let minor0, major0 = alloc_words () in
-      let ctx = make_lane () in
-      let lo = lane * npoints / lanes and hi = (lane + 1) * npoints / lanes in
-      for i = lo to hi - 1 do
-        results.(i) <- Some (run_task ctx ?drec:(drec_of i) points.(i))
-      done;
-      let minor1, major1 = alloc_words () in
-      lane_alloc.(lane) <- (minor1 -. minor0, major1 -. major0);
-      lane_domain.(lane) <- (Domain.self () :> int);
-      lane_busy.(lane) <- Pool.now () -. t0);
-  let compute_wall = Pool.now () -. wall0 in
-  (* Host-side wall clock of the probe phase (not simulated time), plus
-     pool shape and utilization. Gauges only: these never enter the event
-     stream or the derived [Stats.t], so runs stay byte-identical across
-     domain counts. *)
+  (* {3 The probe} *)
+  (* One task per launch point, in launch-point order, on the calling
+     domain. Simulated time never depends on the host: it is assembled
+     from the tasks' effects, not from host timing. *)
+  let wall0 = now () in
+  Array.iteri (fun i point -> run_task ?drec:(drec_of i) point) points;
+  let merge0 = now () in
+  (* Host-side wall clocks (not simulated time). Gauges only: they never
+     enter the event stream or the derived [Stats.t]. *)
   Metrics.set (Metrics.gauge reg "exec.setup_wall_s") (wall0 -. wall_start);
-  Metrics.set (Metrics.gauge reg "exec.compute_wall_s") compute_wall;
-  Metrics.set (Metrics.gauge reg "exec.pool_domains") (float_of_int lanes);
-  Metrics.set
-    (Metrics.gauge reg "exec.pool_utilization")
-    (if compute_wall > 0.0 then
-       Array.fold_left ( +. ) 0.0 lane_busy /. (float_of_int lanes *. compute_wall)
-     else 1.0);
-  let merge0 = Pool.now () in
-  (* {3 Replay after kills} *)
-  (* A killed processor loses its in-flight task state, so every launch
-     point it was executing is re-probed from scratch — [run_task] is
-     deterministic, so the replayed effects (and recorded data ops) are
-     exactly the originals, and the merge below charges them to the
-     failover processor via [remap]. The simulated cost of this replay is
-     priced in the recovery epilogue. *)
-  (match inj with
-  | Some i when have_kills ->
-      let ctx = make_lane () in
-      Array.iteri
-        (fun idx r ->
-          let proc = (Option.get r).tr_proc in
-          if Injector.ever_dead i ~proc then
-            results.(idx) <- Some (run_task ctx ?drec:(drec_of idx) points.(idx)))
-        results
-  | _ -> ());
-  (* Replay every task's deferred effects in launch-point order: metrics,
-     traces, step accumulators, checkpoints and reduction bookkeeping
-     observe exactly the sequence a serial execution produces. *)
-  Array.iter
-    (fun r ->
-      let { tr_proc = proc; tr_tape; tr_lo; tr_hi; tr_dyn_max } = Option.get r in
-      Metrics.inc_int m_tasks 1;
-      for i = tr_lo to tr_hi - 1 do
-        match tr_tape.fx.(i) with
-        | Fx_compute { step; at } ->
-            add_compute ~step ~proc:(remap ~step proc) ~flops:tr_tape.nums.(at)
-              ~bytes:tr_tape.nums.(at + 1)
-        | Fx_batch { step; raw } ->
-            let src = remap ~step raw.src and dst = remap ~step raw.dst in
-            if src <> dst then
-              add_batch ~step
-                (if src = raw.src && dst = raw.dst then raw
-                 else { raw with src; dst; link = link_of src dst })
-        | Fx_red { step; rect } -> (
-            let rproc = remap ~step proc in
-            (match ckpt with
-            | Some c when not (Rect.is_empty rect) ->
-                Checkpoint.record c ~step ~proc:rproc rect
-            | _ -> ());
-            (match Rect.Tbl.find_opt red_contribs rect with
-            | Some (b, procs) ->
-                (* Under kills, remapping can fold two contributors onto
-                   one survivor; count it once. Fault-free, keep every
-                   contribution exactly as before. *)
-                if not (have_kills && List.mem rproc procs) then
-                  Rect.Tbl.replace red_contribs rect (b, rproc :: procs)
-            | None ->
-                Rect.Tbl.add red_contribs rect (bytes_of_rect rect, [ rproc ])))
-        | Fx_out { step; rect } -> (
-            match ckpt with
-            | Some c when not (Rect.is_empty rect) ->
-                Checkpoint.record c ~step ~proc:(remap ~step proc) rect
-            | _ -> ())
-      done;
-      if tr_dyn_max > dyn_peak.(proc) then dyn_peak.(proc) <- tr_dyn_max)
-    results;
-  let assembly0 = Pool.now () in
+  Metrics.set (Metrics.gauge reg "exec.compute_wall_s") (merge0 -. wall0);
+  (* {3 Merge} *)
+  (* Every task's reduction partials, in rect order: the order the
+     reduction epilogue folds them in. *)
+  let red_partials =
+    Rect.Tbl.fold (fun k v acc -> (k, v) :: acc) red_contribs []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let assembly0 = now () in
   Metrics.set (Metrics.gauge reg "exec.merge_wall_s") (assembly0 -. merge0);
   (* {3 Timing assembly} *)
   (* Deterministic order throughout this phase: steps ascending, copy
@@ -1363,28 +1233,24 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
   in
   (* Reduction epilogue: independent tiles reduce in parallel. *)
   let red_time =
-    Rect.Tbl.fold (fun k v acc -> (k, v) :: acc) red_contribs []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.fold_left
-         (fun acc (_, (bytes, procs)) ->
-           let k = List.length procs in
-           if k <= 1 then acc
-           else begin
-             let first = List.hd procs in
-             let link =
-               if List.for_all (fun p -> node_of_lin.(p) = node_of_lin.(first)) procs
-               then Cost.Intra
-               else Cost.Inter
-             in
-             (match link with
-             | Cost.Intra ->
-                 Metrics.inc m_bytes_intra (bytes *. float_of_int (k - 1))
-             | Cost.Inter ->
-                 Metrics.inc m_bytes_inter (bytes *. float_of_int (k - 1)));
-             Metrics.inc_int obs.m_messages (k - 1);
-             max acc (Cost.reduce_time cost link ~bytes ~contributors:k)
-           end)
-         0.0
+    List.fold_left
+      (fun acc (_, (bytes, procs)) ->
+        let k = List.length procs in
+        if k <= 1 then acc
+        else begin
+          let first = List.hd procs in
+          let link =
+            if List.for_all (fun p -> node_of_lin.(p) = node_of_lin.(first)) procs
+            then Cost.Intra
+            else Cost.Inter
+          in
+          (match link with
+          | Cost.Intra -> Metrics.inc m_bytes_intra (bytes *. float_of_int (k - 1))
+          | Cost.Inter -> Metrics.inc m_bytes_inter (bytes *. float_of_int (k - 1)));
+          Metrics.inc_int obs.m_messages (k - 1);
+          max acc (Cost.reduce_time cost link ~bytes ~contributors:k)
+        end)
+      0.0 red_partials
   in
   (* {3 Recovery epilogue} *)
   (* Each kill is an independent recovery episode: the failure is
@@ -1485,7 +1351,7 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
     Metrics.set_max g_peak m;
     if m > mem_limit then Metrics.set g_oom 1.0
   done;
-  Metrics.set (Metrics.gauge reg "exec.assembly_wall_s") (Pool.now () -. assembly0);
+  Metrics.set (Metrics.gauge reg "exec.assembly_wall_s") (now () -. assembly0);
   (* {3 Profile emission} *)
   (match (profile, prun) with
   | Some p, Some run ->
@@ -1569,21 +1435,10 @@ let execute_impl ?(coalesce = true) ?domains ?(record = false) ?trace ?profile
      (bigarray payloads live outside the heap and are not counted).
      Gauges only — [Stats.of_registry] reads a fixed name set, so the
      derived stats and the determinism contract are untouched.
-     {!Distal_obs.Report.host_execution} prints them. The calling
-     domain's delta covers set-up, merge, assembly and every lane that ran
-     on it; lanes that ran on other pool domains add their own deltas. *)
+     {!Distal_obs.Report.host_execution} prints them. *)
   let minor1, major1 = alloc_words () in
-  let self = (Domain.self () :> int) in
-  let minor = ref (minor1 -. fst alloc0) and major = ref (major1 -. snd alloc0) in
-  Array.iteri
-    (fun lane d ->
-      if d <> self then begin
-        minor := !minor +. fst lane_alloc.(lane);
-        major := !major +. snd lane_alloc.(lane)
-      end)
-    lane_domain;
-  Metrics.set (Metrics.gauge reg "exec.alloc_minor_words") !minor;
-  Metrics.set (Metrics.gauge reg "exec.alloc_major_words") !major;
+  Metrics.set (Metrics.gauge reg "exec.alloc_minor_words") (minor1 -. fst alloc0);
+  Metrics.set (Metrics.gauge reg "exec.alloc_major_words") (major1 -. snd alloc0);
   (match trace with Some log -> log := List.rev !log | None -> ());
   Ok
     {
@@ -1604,7 +1459,7 @@ module Buf_pool = Distal_support.Buf_pool
    [execute] does and captures, per launch point, the ordered data
    operations of the run. The run phase replays those operations with
    buffers from a size-classed pool ({!Buf_pool}) — per-lane arenas during
-   the parallel probe, released back after the serial merge — so a warm
+   replay, released back after the serial merge — so a warm
    run allocates no fragment, reduction or slice buffers at all. *)
 type eplan = {
   ep_spec : spec;
@@ -1626,11 +1481,11 @@ type eplan = {
   mutable ep_runs : int;
 }
 
-let compile_plan ?domains ?coalesce ?faults ?trace ?profile spec =
+let plan ?coalesce ?faults ?trace ?profile spec =
   let prog = spec.program in
   let stmt = prog.stmt in
   let* sim =
-    execute_impl ?domains ?coalesce ?faults ?trace ?profile ~record:true spec
+    execute_impl ?coalesce ?faults ?trace ?profile ~record:true spec
   in
   (* Staged leaf evaluation: the scalar loop nest compiled once into flat
      loops over precomputed strides ({!Expr_stage}); [None] when staging
@@ -1660,9 +1515,6 @@ let compile_plan ?domains ?coalesce ?faults ?trace ?profile spec =
       ep_m = Mutex.create ();
       ep_runs = 0;
     }
-
-let plan ?coalesce ?faults ?trace ?profile spec =
-  compile_plan ?coalesce ?faults ?trace ?profile spec
 
 let plan_stats ep = { ep.ep_stats with Stats.time = ep.ep_stats.Stats.time }
 let plan_runs ep = ep.ep_runs
@@ -1875,10 +1727,10 @@ let run_plan ?domains ep ~data =
 let execute ?(mode = Full) ?coalesce ?domains ?trace ?profile ?faults spec ~data =
   match mode with
   | Model ->
-      let* sim = execute_impl ?coalesce ?domains ?trace ?profile ?faults spec in
+      let* sim = execute_impl ?coalesce ?trace ?profile ?faults spec in
       Ok { output = None; stats = sim.sim_stats }
   | Full ->
-      let* ep = compile_plan ?domains ?coalesce ?faults ?trace ?profile spec in
+      let* ep = plan ?coalesce ?faults ?trace ?profile spec in
       run_plan ?domains ep ~data
 
 (* {2 Redistribution} *)

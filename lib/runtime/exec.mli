@@ -77,19 +77,18 @@ val execute :
     structure and charged times reflect the merged plan. Pass [false] to
     price every fragment as its own message (the pre-planning model).
 
-    [domains] sets the host domain-pool size used to probe the launch's
-    independent tasks concurrently and to replay them (default:
-    [DISTAL_NUM_DOMAINS], else the available cores). Determinism
-    contract: results, copy traces, stats and event streams are
-    byte-identical for every domain count — tasks record deferred effects
-    that are merged in launch-point order after the pool joins — and
-    simulated time never depends on host parallelism. Host-side numbers
-    are gauges, never [Stats]: the wall clock of set-up, probe, merge and
-    assembly ([exec.setup_wall_s], [exec.compute_wall_s],
+    The simulation runs on the calling domain, one task after another in
+    launch-point order, each task's effects landing as it produces them.
+    [domains] sizes only the host domain pool that replays a [Full] run
+    ({!run_plan}; default: [DISTAL_NUM_DOMAINS], else the available
+    cores). Determinism contract: results, copy traces, stats and event
+    streams are byte-identical for every domain count, and simulated time
+    never depends on the host. Host-side numbers are gauges, never
+    [Stats]: the wall clock of set-up, probe, merge (collating reduction
+    partials) and assembly ([exec.setup_wall_s], [exec.compute_wall_s],
     [exec.merge_wall_s], [exec.assembly_wall_s], with planning inside
-    assembly as [exec.plan_wall_s]), [exec.pool_domains],
-    [exec.pool_utilization], and the words every lane allocated
-    ([exec.alloc_minor_words], [exec.alloc_major_words]).
+    assembly as [exec.plan_wall_s]), and the words the simulation
+    allocated ([exec.alloc_minor_words], [exec.alloc_major_words]).
 
     Leaves have one dispatch ({!run_plan}): substituted leaves run the
     tiled registry kernels ({!Distal_tensor.Kernel_registry.Tiled}); scalar
@@ -111,8 +110,8 @@ val execute :
     [Model] run of the same spec.
 
     [faults] injects a deterministic fault plan ({!Distal_fault.Fault}).
-    Killed processors lose their in-flight tasks: the affected launch
-    points are re-probed and their effects land on the failover processor
+    Killed processors lose their in-flight tasks: the effects of the
+    affected launch points land on the failover processor
     ({!Mapper.fallback}); the simulated clock pays one recovery episode
     per kill — failure detection, checkpoint restore from the buddy
     replica (when the plan enables checkpointing; a full restart

@@ -1,15 +1,17 @@
 (* The distald server engine: a select-driven loop over a Unix-domain
    socket serving concurrent clients from one shared session (one plan
-   cache, one result cache, one executor domain pool).
+   cache, one result cache, one replay domain pool).
 
-   Requests are not served on arrival. A submit is admitted into a
-   bounded queue (or rejected with a retry-after once the bound is hit —
-   overload degrades into explicit backpressure instead of piling up),
-   and the queue is flushed once its oldest entry has waited out the
-   batching window. A flush groups the queue by plan fingerprint, so K
-   same-shape requests that arrived within one window cost one compile
-   plus K runs (and, for byte-identical requests, one run plus K-1
-   result-cache replays). Stats and shutdown messages bypass the queue.
+   Requests are served on arrival. Each select round reads what every
+   ready client sent; a submit is admitted into a bounded queue (or
+   rejected with a retry-after once the bound is hit — overload degrades
+   into explicit backpressure instead of piling up), and the round ends
+   by flushing the queue. A flush groups the queue by plan fingerprint,
+   so K same-shape requests that arrived in one round (for example
+   frames from one read) cost one compile plus K runs (and, for
+   byte-identical requests, one run plus K-1 result-cache replays).
+   Stats and shutdown messages bypass the queue. A request whose Full
+   reply could not fit one wire frame fails at admission.
 
    Replies never block the loop. Client sockets are non-blocking; a reply
    is framed into the client's outbox and written as far as the kernel
@@ -39,7 +41,6 @@ module Env = Distal_support.Env
 type config = {
   socket_path : string;
   queue_limit : int;
-  batch_window : float;
   plan_cache : int;
   result_cache : int;
   domains : int option;
@@ -48,14 +49,12 @@ type config = {
 }
 
 let default_queue_limit = 64
-let default_batch_window = 0.002
 let default_stall_timeout = 30.0
 
-let config ?queue_limit ?batch_window ?plan_cache ?result_cache ?domains
+let config ?queue_limit ?plan_cache ?result_cache ?domains
     ?(stall_timeout = default_stall_timeout) ?(quiet = false) ~socket_path () =
   let pick opt env default = match opt with Some v -> v | None -> Option.value (env ()) ~default in
   let queue_limit = pick queue_limit Env.serve_queue default_queue_limit in
-  let batch_window = pick batch_window Env.serve_batch_window default_batch_window in
   let plan_cache = pick plan_cache Env.serve_cache Session.default_plan_capacity in
   let result_cache =
     match result_cache with
@@ -63,13 +62,10 @@ let config ?queue_limit ?batch_window ?plan_cache ?result_cache ?domains
     | None -> if plan_cache = 0 then 0 else Session.default_result_capacity
   in
   if queue_limit < 1 then invalid_arg "Server.config: queue_limit must be >= 1";
-  if not (Float.is_finite batch_window) || batch_window < 0.0 then
-    invalid_arg "Server.config: batch_window must be >= 0";
   if not (stall_timeout > 0.0) then invalid_arg "Server.config: stall_timeout must be > 0";
   {
     socket_path;
     queue_limit;
-    batch_window;
     plan_cache;
     result_cache;
     domains;
@@ -93,7 +89,6 @@ type entry = {
   request : Api.request;
   fingerprint : string;
   owner : Unix.file_descr;  (* identity of the submitting client *)
-  arrived : float;
 }
 
 type t = {
@@ -186,11 +181,23 @@ let rec write_out t c =
           drop_client t c.fd ~mid_request:true;
           false)
 
+let rid_of = function
+  | Protocol.Result r -> r.Protocol.rid
+  | Rejected { rid; _ } | Failed { rid; _ } -> rid
+  | StatsReply _ | ShutdownAck -> -1
+
 let send t fd msg =
   match Hashtbl.find_opt t.clients fd with
   | None -> false
   | Some c ->
-      let frame = Wire.encode (Protocol.encode_server msg) in
+      let frame =
+        match Wire.encode (Protocol.encode_server msg) with
+        | frame -> frame
+        | exception Invalid_argument reason ->
+            (* A reply the wire cannot carry fails that request alone. *)
+            metric t "serve.internal_errors";
+            Wire.encode (Protocol.encode_server (Protocol.Failed { rid = rid_of msg; reason }))
+      in
       if Queue.is_empty c.out then c.progress <- now ();
       Queue.add frame c.out;
       write_out t c
@@ -229,13 +236,37 @@ let stats_reply t =
       metrics = Obs.Metrics.to_json (Session.metrics t.session);
     }
 
+(* A Full reply carries its output as base64 of 8-byte floats: 4/3 of 8
+   bytes per element before any JSON around it. Known from the output's
+   declared shape before any work runs; [Some reason] when that alone
+   exceeds one wire frame. *)
+let oversize_reply (s : Protocol.submit) =
+  if s.Protocol.mode <> Api.Exec.Full then None
+  else
+    match Distal_ir.Einsum_parser.parse s.Protocol.stmt with
+    | Error _ -> None
+    | Ok stmt -> (
+        let out = stmt.Api.Expr.lhs.tensor in
+        match List.find_opt (fun td -> td.Protocol.td_name = out) s.Protocol.tensors with
+        | None -> None
+        | Some td ->
+            let elems = Array.fold_left (fun acc n -> acc *. float_of_int n) 1.0 td.td_shape in
+            let bytes = elems *. 8.0 *. 4.0 /. 3.0 in
+            if bytes <= float_of_int Wire.max_frame then None
+            else
+              Some
+                (Printf.sprintf
+                   "the output %s needs a reply of at least %.0f bytes, over the %d-byte \
+                    frame limit"
+                   out bytes Wire.max_frame))
+
 let admit t fd (s : Protocol.submit) =
   if queue_depth t >= t.cfg.queue_limit then begin
     metric t "serve.rejected";
-    (* Overloaded: tell the client when the current backlog will have
-       drained a window, rather than letting the queue grow without
-       bound. *)
-    let retry_after_s = t.cfg.batch_window +. 0.001 in
+    (* Overloaded: the queue drains at the end of this round, so the
+       client may retry almost at once — but the queue never grows
+       without bound. *)
+    let retry_after_s = 0.001 in
     ignore
       (send t fd
          (Protocol.Rejected
@@ -248,19 +279,16 @@ let admit t fd (s : Protocol.submit) =
             }))
   end
   else
-    match Protocol.to_request s with
+    match
+      Result.bind (Protocol.to_request s) (fun r ->
+          match oversize_reply s with Some reason -> Error reason | None -> Ok r)
+    with
     | Error reason ->
         metric t "serve.bad_requests";
         ignore (send t fd (Protocol.Failed { rid = s.Protocol.id; reason }))
     | Ok request ->
         Queue.add
-          {
-            submit = s;
-            request;
-            fingerprint = Api.request_fingerprint request;
-            owner = fd;
-            arrived = now ();
-          }
+          { submit = s; request; fingerprint = Api.request_fingerprint request; owner = fd }
           t.queue;
         metric t "serve.admitted";
         set_gauge t "serve.queue_depth" (float_of_int (queue_depth t))
@@ -324,7 +352,7 @@ let accept t =
 
 (* {2 Batched execution} *)
 
-(* Group the drained queue by fingerprint, preserving arrival order of
+(* Group the queue by fingerprint, preserving arrival order of
    first occurrence — each group is one compile (plan-cache single
    flight) plus one run per member (byte-identical members collapse onto
    the result cache). *)
@@ -392,15 +420,10 @@ let flush t =
 
 (* {2 The loop} *)
 
-let oldest_arrival t = Queue.peek_opt t.queue |> Option.map (fun e -> e.arrived)
-
+(* Every round ends with an empty queue: whatever it admitted is served
+   before the next select, a shutdown's round included. *)
 let step t ~idle_timeout =
-  let timeout =
-    match oldest_arrival t with
-    | None -> idle_timeout
-    | Some arrived -> Float.max 0.0 (arrived +. t.cfg.batch_window -. now ())
-  in
-  (match Unix.select (t.listener :: reading t) (pending_output t) [] timeout with
+  (match Unix.select (t.listener :: reading t) (pending_output t) [] idle_timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | readable, writable, _ ->
       write_ready t writable;
@@ -408,9 +431,7 @@ let step t ~idle_timeout =
         (fun fd -> if fd = t.listener then accept t else handle_readable t fd)
         readable);
   drop_stalled t;
-  match oldest_arrival t with
-  | Some arrived when now () >= arrived +. t.cfg.batch_window -> flush t
-  | _ -> ()
+  if not (Queue.is_empty t.queue) then flush t
 
 (* Before the sockets close, give every queued reply (the shutdown ack
    included) up to [grace] seconds to reach its client. *)
@@ -438,16 +459,14 @@ let close t =
     try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ()
 
 let run t =
-  log t "distald: listening on %s (queue %d, window %gs, cache %d plans / %d results)\n"
-    t.cfg.socket_path t.cfg.queue_limit t.cfg.batch_window t.cfg.plan_cache
-    t.cfg.result_cache;
+  log t "distald: listening on %s (queue %d, cache %d plans / %d results)\n"
+    t.cfg.socket_path t.cfg.queue_limit t.cfg.plan_cache t.cfg.result_cache;
   (try
      while not t.stop do
        step t ~idle_timeout:0.5
      done;
-     (* Drain: every admitted request still gets its result before the
-        socket disappears. *)
-     if not (Queue.is_empty t.queue) then flush t;
+     (* Every admitted request has its reply queued by now; give the
+        replies time to leave before the sockets close. *)
      drain_output t ~grace:5.0
    with e ->
      close t;

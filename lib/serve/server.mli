@@ -1,25 +1,27 @@
 (** The [distald] server engine: a select-driven loop over a Unix-domain
     socket serving concurrent clients from one shared {!Session} (one
-    plan cache, one result cache, one executor domain pool).
+    plan cache, one result cache, one replay domain pool).
 
-    Submits are admitted into a bounded queue — or explicitly rejected
-    with a retry-after once the bound is hit — and flushed once the
-    oldest entry has waited out the batching window. A flush groups the
-    queue by plan fingerprint, so same-shape requests arriving within
-    one window share a single compile (and byte-identical ones share a
-    single run via the result cache). Replies are written without
-    blocking: each client has an outbox drained as its socket accepts
-    bytes, so a client that stops reading stalls only itself. A client
-    with unwritten replies is not read from until they are out (pushback),
+    Requests are served on arrival. Submits are admitted into a bounded
+    queue — or explicitly rejected with a retry-after once the bound is
+    hit — and every loop iteration ends by flushing what it admitted. A
+    flush groups the queue by plan fingerprint, so same-shape requests
+    that arrived together (for example in one read) share a single
+    compile (and byte-identical ones share a single run via the result
+    cache). A Full request whose reply could not fit one wire frame
+    fails at admission. Replies are written without blocking: each
+    client has an outbox drained as its socket accepts bytes, so a
+    client that stops reading stalls only itself. A client with
+    unwritten replies is not read from until they are out (pushback),
     and one whose socket takes no bytes for [stall_timeout] seconds is
-    dropped. Clients that die mid-request are detected and their queue slots reclaimed; a killed-and-restarted
-    server recompiles on miss and reproduces identical results
-    (checkpoint-free recovery — the simulator is deterministic). *)
+    dropped. Clients that die mid-request are detected and their queue
+    slots reclaimed; a killed-and-restarted server recompiles on miss and
+    reproduces identical results (checkpoint-free recovery — the
+    simulator is deterministic). *)
 
 type config = {
   socket_path : string;
   queue_limit : int;  (** admission bound; >= 1 *)
-  batch_window : float;  (** seconds a queued request may wait for batch-mates *)
   plan_cache : int;
   result_cache : int;
   domains : int option;
@@ -29,12 +31,10 @@ type config = {
 }
 
 val default_queue_limit : int
-val default_batch_window : float
 val default_stall_timeout : float
 
 val config :
   ?queue_limit:int ->
-  ?batch_window:float ->
   ?plan_cache:int ->
   ?result_cache:int ->
   ?domains:int ->
@@ -43,12 +43,11 @@ val config :
   socket_path:string ->
   unit ->
   config
-(** Omitted fields fall back to [DISTAL_SERVE_QUEUE],
-    [DISTAL_SERVE_BATCH_WINDOW] and [DISTAL_SERVE_CACHE], then to
-    built-in defaults (queue 64, window 2 ms, caches per {!Session}).
+(** Omitted fields fall back to [DISTAL_SERVE_QUEUE] and
+    [DISTAL_SERVE_CACHE], then to built-in defaults (queue 64, caches per
+    {!Session}). [domains] sizes the pool that replays Full requests.
     [stall_timeout] defaults to {!default_stall_timeout} (30 s).
-    @raise Invalid_argument on a non-positive queue or stall timeout, or a
-    negative window. *)
+    @raise Invalid_argument on a non-positive queue or stall timeout. *)
 
 type t
 
@@ -61,13 +60,14 @@ val session : t -> Session.t
 val queue_depth : t -> int
 
 val step : t -> idle_timeout:float -> unit
-(** One iteration of the event loop: wait (at most [idle_timeout]s, or
-    until the batch window expires) for connections/messages, admit or
-    reject, flush a due batch. Exposed for tests; {!run} loops it. *)
+(** One iteration of the event loop: wait at most [idle_timeout]s for
+    connections/messages, admit or reject, then serve everything
+    admitted. Exposed for tests; {!run} loops it. *)
 
 val run : t -> unit
-(** Serve until a [Shutdown] message arrives, then drain the queue,
-    close every connection and unlink the socket. *)
+(** Serve until a [Shutdown] message arrives (requests admitted in the
+    same iteration are still served), then close every connection and
+    unlink the socket. *)
 
 val close : t -> unit
 

@@ -37,9 +37,9 @@ val create : ?plan_cache:int -> ?result_cache:int -> ?domains:int -> unit -> t
 (** [plan_cache] defaults to [DISTAL_SERVE_CACHE] (else 128) entries; [0]
     disables caching (every request compiles and runs). [result_cache]
     defaults to 1024, or [0] whenever the plan cache is disabled.
-    [domains] pins the executor's host domain-pool size — pass [~domains:1]
-    when sessions are driven from inside pool lanes (the pool is not
-    reentrant). *)
+    [domains] pins the host domain-pool size that replays Full requests
+    ({!Distal.Api.Exec.run_plan}); simulation always runs on the calling
+    domain. *)
 
 val metrics : t -> Distal_obs.Metrics.registry
 (** The [serve.*] registry: [serve.requests], [serve.plan_hits]/

@@ -12,7 +12,7 @@
      allocators;
 
    - each pool lane owns an arena of free lists and touches only it
-     during the parallel probe, so acquire/release on the hot path is a
+     during replay, so acquire/release on the hot path is a
      list cons with no lock and no cross-domain traffic;
 
    - a mutex-guarded shared tier backstops the arenas: an arena miss

@@ -4,7 +4,7 @@
     are acquired here instead of allocated fresh, so a steady-state run
     against a compiled plan performs no bigarray allocation at all.
     Capacities round up to powers of two (one free list per class); each
-    pool lane owns an arena it alone touches during the parallel probe
+    pool lane owns an arena it alone touches during replay
     (lock-free acquire/release), with a mutex-guarded shared tier as the
     backstop so buffers migrate when the lane count changes between runs.
 

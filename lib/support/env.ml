@@ -72,8 +72,6 @@ let non_negative_float_var name =
 
 let serve_queue () = positive_int_var "DISTAL_SERVE_QUEUE"
 
-let serve_batch_window () = non_negative_float_var "DISTAL_SERVE_BATCH_WINDOW"
-
 let serve_cache () = non_negative_int_var "DISTAL_SERVE_CACHE"
 
 (* Leaf-kernel knobs (lib/machine/calibrate). *)

@@ -38,10 +38,6 @@ val non_negative_float_var : string -> float option
 val serve_queue : unit -> int option
 (** [DISTAL_SERVE_QUEUE]: admission-control queue bound (positive). *)
 
-val serve_batch_window : unit -> float option
-(** [DISTAL_SERVE_BATCH_WINDOW]: batching window in seconds
-    (non-negative; [0] serves every request immediately). *)
-
 val serve_cache : unit -> int option
 (** [DISTAL_SERVE_CACHE]: plan-cache capacity in entries ([0] disables
     caching). *)

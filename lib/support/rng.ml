@@ -29,7 +29,7 @@ let fill_float t bound (a : (float, Bigarray.float64_elt, Bigarray.c_layout) Big
   t.state <- !s
 
 let int t bound =
-  assert (bound > 0);
+  if bound <= 0 then invalid_arg (Printf.sprintf "Rng.int: bound %d is not positive" bound);
   Int64.to_int (Int64.rem (Int64.shift_right_logical (next_int64 t) 1) (Int64.of_int bound))
 
 let split t = { state = next_int64 t }

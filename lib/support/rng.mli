@@ -19,7 +19,8 @@ val fill_float :
     a loop of {!float} calls, without allocating. *)
 
 val int : t -> int -> int
-(** [int t bound] draws uniformly from [\[0, bound)]. Requires [bound > 0]. *)
+(** [int t bound] draws uniformly from [\[0, bound)].
+    @raise Invalid_argument when [bound <= 0]. *)
 
 val split : t -> t
 (** Derive an independent generator; advances [t]. *)

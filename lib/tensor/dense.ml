@@ -22,14 +22,22 @@ let shape t = Array.copy t.shape
 let size t = A1.dim t.data
 let bytes t = 8 * size t
 
+(* The one checked coordinate-to-flat-index path: [get], [set] and
+   [add_at] all go through it, and the check survives [-noassert]. *)
 let offset t coord =
-  assert (Array.length coord = dims t);
+  let n = Array.length coord in
+  if n <> Array.length t.shape then
+    invalid_arg
+      (Printf.sprintf "Dense.offset: %d coordinates for a rank-%d tensor" n
+         (Array.length t.shape));
   let acc = ref 0 in
-  Array.iteri
-    (fun d c ->
-      assert (0 <= c && c < t.shape.(d));
-      acc := !acc + (c * t.strides.(d)))
-    coord;
+  for d = 0 to n - 1 do
+    let c = coord.(d) in
+    if c < 0 || c >= t.shape.(d) then
+      invalid_arg
+        (Printf.sprintf "Dense.offset: coordinate %d = %d outside extent %d" d c t.shape.(d));
+    acc := !acc + (c * t.strides.(d))
+  done;
   !acc
 
 let get t coord = t.data.{offset t coord}
@@ -167,8 +175,14 @@ let accumulate_into ~src ~dst r =
           (A1.unsafe_get d (doff + i) +. A1.unsafe_get s (soff + i))
       done)
 
+let check_same_shape fn a b =
+  if not (Ints.equal a.shape b.shape) then
+    invalid_arg
+      (Printf.sprintf "Dense.%s: shapes %s and %s differ" fn (shape_str a.shape)
+         (shape_str b.shape))
+
 let map2 f a b =
-  assert (Ints.equal a.shape b.shape);
+  check_same_shape "map2" a b;
   let out = create a.shape in
   for i = 0 to size a - 1 do
     out.data.{i} <- f a.data.{i} b.data.{i}
@@ -183,7 +197,7 @@ let fold f init t =
   !acc
 
 let max_abs_diff a b =
-  assert (Ints.equal a.shape b.shape);
+  check_same_shape "max_abs_diff" a b;
   let m = ref 0.0 in
   for i = 0 to size a - 1 do
     m := max !m (abs_float (a.data.{i} -. b.data.{i}))

@@ -19,6 +19,9 @@ val bytes : t -> int
 (** Size in bytes (8 per element). *)
 
 val get : t -> int array -> float
+(** @raise Invalid_argument when the coordinate's rank differs from the
+    tensor's or a coordinate lies outside its extent (see {!offset}). *)
+
 val set : t -> int array -> float -> unit
 val add_at : t -> int array -> float -> unit
 val fill : t -> float -> unit
@@ -44,7 +47,9 @@ val unsafe_get : t -> int -> float
 val unsafe_set : t -> int -> float -> unit
 
 val offset : t -> int array -> int
-(** Row-major linear offset of a coordinate. *)
+(** Row-major linear offset of a coordinate: the checked path behind
+    {!get}, {!set} and {!add_at}. @raise Invalid_argument on a rank
+    mismatch or an out-of-range coordinate. *)
 
 val copy : t -> t
 
@@ -89,9 +94,12 @@ val accumulate_into : src:t -> dst:t -> Rect.t -> unit
     @raise Invalid_argument on the same precondition violations. *)
 
 val map2 : (float -> float -> float) -> t -> t -> t
+(** @raise Invalid_argument when the shapes differ. *)
+
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Shape equality plus componentwise closeness: |a-b| <= tol * (1 + |a| + |b|). *)
 
 val max_abs_diff : t -> t -> float
+(** @raise Invalid_argument when the shapes differ. *)

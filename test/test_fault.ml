@@ -118,8 +118,6 @@ let test_injector () =
       Alcotest.(check bool) "still dead" true (Injector.dead i ~step:3 ~proc:1);
       Alcotest.(check bool) "revived" false (Injector.dead i ~step:4 ~proc:1);
       Alcotest.(check bool) "others alive" false (Injector.dead i ~step:2 ~proc:0);
-      Alcotest.(check bool) "ever dead" true (Injector.ever_dead i ~proc:1);
-      Alcotest.(check bool) "never dead" false (Injector.ever_dead i ~proc:0);
       Alcotest.(check int) "boundary 5 -> 4" 4 (Injector.last_boundary i ~step:5);
       Alcotest.(check int) "boundary 3 -> 2" 2 (Injector.last_boundary i ~step:3);
       Alcotest.(check int) "boundary 1 -> 0" 0 (Injector.last_boundary i ~step:1));

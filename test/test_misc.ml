@@ -115,11 +115,19 @@ let test_simulation_deterministic () =
   Alcotest.(check int) "same messages" s1.Stats.messages s2.Stats.messages
 
 let test_ident_fresh () =
-  Distal_ir.Ident.reset_fresh_counter ();
   let a = Distal_ir.Ident.fresh "k" in
   let b = Distal_ir.Ident.fresh "k" in
   Alcotest.(check bool) "distinct" true (a <> b);
   Alcotest.(check bool) "derived from base" true (Astring_contains.contains a "k'")
+
+(* [Auto] compiles candidates on pool lanes, so names are drawn from
+   several domains at once; none may repeat. *)
+let test_ident_fresh_domains () =
+  let draw () = List.init 10_000 (fun _ -> Distal_ir.Ident.fresh "x") in
+  let d = Domain.spawn draw in
+  let mine = draw () in
+  let names = Domain.join d @ mine in
+  Alcotest.(check int) "distinct names" 20_000 (List.length (List.sort_uniq compare names))
 
 let suites =
   [
@@ -132,5 +140,6 @@ let suites =
         Alcotest.test_case "random inputs" `Quick test_random_inputs_deterministic;
         Alcotest.test_case "deterministic simulation" `Quick test_simulation_deterministic;
         Alcotest.test_case "fresh idents" `Quick test_ident_fresh;
+        Alcotest.test_case "fresh idents across domains" `Quick test_ident_fresh_domains;
       ] );
   ]

@@ -176,7 +176,7 @@ let test_staged_accumulate () =
    Reuses the fuzz generators (statements over up to 4 variables, block /
    block-cyclic / fixed / broadcast distributions, random distribute /
    split / rotate schedules), so block-cyclic fragment patterns and
-   distributed reductions all flow through the parallel probe. *)
+   distributed reductions all flow through the parallel replay. *)
 
 let gen_plan seed =
   let rng = Rng.create (seed * 31 + 7) in

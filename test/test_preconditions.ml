@@ -7,12 +7,15 @@ module Machine = Distal_machine.Machine
 module Distnot = Distal_ir.Distnot
 module Provenance = Distal_ir.Provenance
 module Bounds = Distal_ir.Bounds
+module Dense = Distal_tensor.Dense
+module Rng = Distal_support.Rng
 
 let r1 = Rect.make ~lo:[| 0 |] ~hi:[| 4 |]
 let r2 = Rect.make ~lo:[| 0; 0 |] ~hi:[| 4; 4 |]
 let lvl = List.hd (Distnot.parse_exn "[x,y] -> [x,y]")
 let prov = Provenance.create [ ("i", 8); ("j", 8) ]
 let no_env _ = None
+let d2 = Dense.create [| 2; 3 |]
 
 (* (function, the calls it must reject) *)
 let cases =
@@ -46,6 +49,20 @@ let cases =
         (fun () -> ignore (Machine.grid [| 2; 0 |]));
         (fun () -> ignore (Machine.grid ~node_factors:[| 1 |] [| 2; 2 |]));
         (fun () -> ignore (Machine.grid ~node_factors:[| 3 |] [| 4 |])) ] );
+    ( "Rng.int",
+      [ (fun () -> ignore (Rng.int (Rng.create 1) 0));
+        (fun () -> ignore (Rng.int (Rng.create 1) (-3))) ] );
+    ( "Dense.get",
+      [ (fun () -> ignore (Dense.get d2 [| 2; 0 |]));
+        (fun () -> ignore (Dense.get d2 [| 0; 3 |]));
+        (fun () -> ignore (Dense.get d2 [| 0; -1 |]));
+        (fun () -> ignore (Dense.get d2 [| 0 |])) ] );
+    ("Dense.set", [ (fun () -> Dense.set d2 [| 1; 3 |] 1.0) ]);
+    ("Dense.add_at", [ (fun () -> Dense.add_at d2 [| 0; 0; 0 |] 1.0) ]);
+    ( "Dense.map2",
+      [ (fun () -> ignore (Dense.map2 ( +. ) d2 (Dense.create [| 3; 2 |]))) ] );
+    ( "Dense.max_abs_diff",
+      [ (fun () -> ignore (Dense.max_abs_diff d2 (Dense.create [| 6 |]))) ] );
   ]
 
 let check (name, calls) () =

@@ -389,7 +389,7 @@ let test_session_cache_off () =
     (observe_outcome o2)
 
 (* One shared session driven concurrently from pool lanes (the session
-   pins ~domains:1 — the pool is not reentrant): every lane must see
+   replays on one domain, leaving the pool to the lanes): every lane must see
    exactly the bytes of a direct run, whatever interleaving of hits,
    misses and single-flight compiles the lanes produce. *)
 let test_session_concurrent () =
@@ -658,12 +658,6 @@ let test_env_vars () =
       Alcotest.(check (option int)) "queue parses" (Some 17) (Env.serve_queue ()));
   with_env "DISTAL_SERVE_QUEUE" "" (fun () ->
       Alcotest.(check (option int)) "blank is unset" None (Env.serve_queue ()));
-  with_env "DISTAL_SERVE_BATCH_WINDOW" "0.25" (fun () ->
-      Alcotest.(check (option (float 0.0))) "window parses" (Some 0.25)
-        (Env.serve_batch_window ()));
-  with_env "DISTAL_SERVE_BATCH_WINDOW" "0" (fun () ->
-      Alcotest.(check (option (float 0.0))) "zero window is valid" (Some 0.0)
-        (Env.serve_batch_window ()));
   with_env "DISTAL_SERVE_CACHE" "0" (fun () ->
       Alcotest.(check (option int)) "cache 0 (disabled) is valid" (Some 0)
         (Env.serve_cache ()));
@@ -680,8 +674,6 @@ let test_env_vars () =
       ("DISTAL_SERVE_QUEUE", "zero", fun () -> ignore (Env.serve_queue ()));
       ("DISTAL_SERVE_QUEUE", "0", fun () -> ignore (Env.serve_queue ()));
       ("DISTAL_SERVE_QUEUE", "-3", fun () -> ignore (Env.serve_queue ()));
-      ("DISTAL_SERVE_BATCH_WINDOW", "-0.1", fun () -> ignore (Env.serve_batch_window ()));
-      ("DISTAL_SERVE_BATCH_WINDOW", "soon", fun () -> ignore (Env.serve_batch_window ()));
       ("DISTAL_SERVE_CACHE", "-1", fun () -> ignore (Env.serve_cache ()));
       ("DISTAL_SERVE_CACHE", "many", fun () -> ignore (Env.serve_cache ()));
     ]
@@ -743,7 +735,7 @@ let submit_expected (s : Protocol.submit) =
   observe_direct ~seed:s.Protocol.seed req
 
 let test_server_end_to_end () =
-  with_server ~args:[ "--batch-window"; "0.001" ] (fun socket pid ->
+  with_server (fun socket pid ->
       let c1 = Client.connect_exn socket in
       let c2 = Client.connect_exn socket in
       let s_small = gemm_submit ~id:(Client.fresh_id c1) () in
@@ -782,115 +774,148 @@ let test_server_end_to_end () =
       Client.close c1;
       Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists socket))
 
-(* Same-shape requests inside one window share a compile: with a wide
-   window and two raw submits in flight before the flush, the second
-   reply must report a batch of 2 and identical bytes. *)
+(* distald serves what each read brings in. Frames written in one
+   [write] arrive in one read, so the server admits them in one round and
+   serves them in one flush: that is how these tests hold requests
+   together without any timing. *)
+let send_together socket frames =
+  (* The server may still be starting up. *)
+  let rec connect tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when tries > 0 ->
+        Unix.close fd;
+        ignore (Unix.select [] [] [] 0.02);
+        connect (tries - 1)
+  in
+  let fd = connect 250 in
+  let bytes = String.concat "" frames in
+  if Unix.write_substring fd bytes 0 (String.length bytes) <> String.length bytes then
+    Alcotest.fail "short write";
+  fd
+
+let client_frame msg = Wire.encode (Protocol.encode_client msg)
+
+let recv_raw fd =
+  match Wire.recv fd with
+  | Ok (Some payload) -> (
+      match Protocol.decode_server payload with
+      | Ok msg -> msg
+      | Error e -> Alcotest.failf "bad reply: %s" e)
+  | Ok None -> Alcotest.fail "server closed the connection"
+  | Error e -> Alcotest.failf "recv: %s" e
+
+(* A metric's value from a stats reply ([0] when absent). *)
+let served_metric c name =
+  match Client.stats c with
+  | Ok (_, _, Json.Obj kvs) -> (
+      match List.assoc_opt name kvs with
+      | Some (Json.Obj m) -> (
+          match List.assoc_opt "value" m with Some (Json.Float v) -> v | _ -> 0.0)
+      | _ -> 0.0)
+  | Ok _ -> Alcotest.fail "stats reply without metrics"
+  | Error e -> Alcotest.failf "stats: %s" e
+
+(* Same-shape requests read together share a compile: the two replies
+   report a batch of 2 and identical bytes, and the second replays the
+   first's run. *)
 let test_server_batching () =
-  with_server ~args:[ "--batch-window"; "0.4" ] (fun socket pid ->
-      let c1 = Client.connect_exn socket in
-      let c2 = Client.connect_exn socket in
-      let s1 = gemm_submit ~id:(Client.fresh_id c1) () in
-      let s2 = { s1 with Protocol.id = 100 } in
-      (match (Client.send c1 (Protocol.Submit s1), Client.send c2 (Protocol.Submit s2)) with
-      | Ok (), Ok () -> ()
-      | _ -> Alcotest.fail "send failed");
-      let r1 =
-        match Client.recv c1 with
-        | Ok (Protocol.Result r) -> r
-        | _ -> Alcotest.fail "expected a result for client 1"
+  with_server (fun socket pid ->
+      let s1 = gemm_submit ~id:1 () in
+      let s2 = { s1 with Protocol.id = 2 } in
+      let fd = send_together socket [ client_frame (Submit s1); client_frame (Submit s2) ] in
+      let result () =
+        match recv_raw fd with
+        | Protocol.Result r -> r
+        | _ -> Alcotest.fail "expected a result"
       in
-      let r2 =
-        match Client.recv c2 with
-        | Ok (Protocol.Result r) -> r
-        | _ -> Alcotest.fail "expected a result for client 2"
-      in
+      let r1 = result () in
+      let r2 = result () in
+      Unix.close fd;
+      Alcotest.(check (pair int int)) "replies in order" (1, 2) (r1.Protocol.rid, r2.Protocol.rid);
       Alcotest.(check int) "one batch of two" 2 r1.Protocol.batch;
       Alcotest.(check int) "both members counted" 2 r2.Protocol.batch;
       Alcotest.(check (list int64)) "batch-mates identical"
         (bits r1.Protocol.output) (bits r2.Protocol.output);
       Alcotest.(check bool) "second member replays the first's run" true
         r2.Protocol.result_cached;
-      stop_server c1 pid;
-      Client.close c1;
-      Client.close c2)
+      let c = Client.connect_exn socket in
+      stop_server c pid;
+      Client.close c)
 
 let test_server_admission () =
-  with_server ~args:[ "--queue"; "1"; "--batch-window"; "3" ] (fun socket pid ->
-      let c1 = Client.connect_exn socket in
-      let c2 = Client.connect_exn socket in
-      let s1 = gemm_submit ~id:(Client.fresh_id c1) () in
-      (match Client.send c1 (Protocol.Submit s1) with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "send failed: %s" e);
-      (* Wait until the first submit occupies the queue slot. *)
-      let rec wait_depth tries =
-        match Client.stats c2 with
-        | Ok (1, _, _) -> ()
-        | Ok _ when tries > 0 ->
-            ignore (Unix.select [] [] [] 0.02);
-            wait_depth (tries - 1)
-        | Ok (d, _, _) -> Alcotest.failf "queue depth stuck at %d" d
-        | Error e -> Alcotest.failf "stats failed: %s" e
-      in
-      wait_depth 100;
-      (* The bound is hit: the next submit is rejected, with a hint. *)
-      (match Client.submit c2 (gemm_submit ~id:(Client.fresh_id c2) ()) with
-      | Ok (Client.Rejected { retry_after_s; reason }) ->
+  with_server ~args:[ "--queue"; "1" ] (fun socket pid ->
+      let s1 = gemm_submit ~id:1 () and s2 = gemm_submit ~id:2 () in
+      let fd = send_together socket [ client_frame (Submit s1); client_frame (Submit s2) ] in
+      (* The first submit takes the only queue slot, so the second is
+         rejected at once, with a hint. *)
+      (match recv_raw fd with
+      | Protocol.Rejected { rid; retry_after_s; reason } ->
+          Alcotest.(check int) "the second submit is rejected" 2 rid;
           Alcotest.(check bool) "positive retry-after" true (retry_after_s > 0.0);
           Alcotest.(check bool) "reason mentions the queue" true
             (Astring_contains.contains reason "queue")
-      | Ok _ -> Alcotest.fail "expected an admission rejection"
-      | Error e -> Alcotest.failf "transport error: %s" e);
-      (* Shutdown drains: the queued request is still answered. *)
-      (match Client.shutdown c2 with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "shutdown failed: %s" e);
-      let r1 =
-        match Client.recv c1 with
-        | Ok (Protocol.Result r) -> r
-        | _ -> Alcotest.fail "queued request must be served on shutdown"
-      in
-      Alcotest.(check (pair (list int64) string)) "drained result bytes"
-        (submit_expected s1)
-        (bits r1.Protocol.output, Stats.to_string r1.Protocol.stats);
-      wait_server pid;
-      Client.close c1;
-      Client.close c2)
+      | _ -> Alcotest.fail "expected an admission rejection");
+      (match recv_raw fd with
+      | Protocol.Result r ->
+          Alcotest.(check int) "the admitted submit is served" 1 r.Protocol.rid
+      | _ -> Alcotest.fail "expected a result");
+      Unix.close fd;
+      (* Shutdown drains: a submit read together with the shutdown is
+         still answered. *)
+      let s3 = gemm_submit ~id:3 ~seed:7 () in
+      let fd = send_together socket [ client_frame (Submit s3); client_frame Shutdown ] in
+      let replies = [ recv_raw fd; recv_raw fd ] in
+      Unix.close fd;
+      if not (List.mem Protocol.ShutdownAck replies) then Alcotest.fail "shutdown not acknowledged";
+      (match List.find_opt (function Protocol.Result _ -> true | _ -> false) replies with
+      | Some (Protocol.Result r) ->
+          Alcotest.(check (pair (list int64) string)) "drained result bytes"
+            (submit_expected s3)
+            (bits r.Protocol.output, Stats.to_string r.Protocol.stats)
+      | _ -> Alcotest.fail "queued request must be served on shutdown");
+      wait_server pid)
 
-(* Clients killed mid-request leak nothing: a queued submit whose client
-   vanishes is discarded (its admission slot freed), and a half-written
-   frame followed by EOF just drops that client. *)
+(* Clients killed mid-request leak nothing: a client whose admitted
+   submit is followed by a malformed frame is dropped before the flush,
+   taking its queue entry (and admission slot) with it, and a
+   half-written frame followed by EOF just drops that client. *)
 let test_server_client_killed () =
-  with_server ~args:[ "--queue"; "1"; "--batch-window"; "0.25" ] (fun socket pid ->
-      let c1 = Client.connect_exn socket in
-      let s1 = gemm_submit ~id:(Client.fresh_id c1) () in
-      (match Client.send c1 (Protocol.Submit s1) with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "send failed: %s" e);
-      ignore (Unix.select [] [] [] 0.05);
-      (* The client dies with its request still queued. *)
-      Client.close c1;
+  with_server ~args:[ "--queue"; "1" ] (fun socket pid ->
+      let s1 = gemm_submit ~id:1 () in
+      let fd =
+        send_together socket [ client_frame (Submit s1); Wire.encode "{not a message" ]
+      in
+      (match recv_raw fd with
+      | Protocol.Failed { rid = -1; _ } -> ()
+      | _ -> Alcotest.fail "a malformed frame must fail");
+      Unix.close fd;
       (* A second client dies mid-frame: header promised more bytes than
          were ever written. *)
-      let c2 = Client.connect_exn socket in
-      let frame = Wire.encode (Protocol.encode_client (Protocol.Submit s1)) in
+      let frame = client_frame (Submit s1) in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX socket);
       ignore (Unix.write_substring fd frame 0 (String.length frame / 2));
       ignore (Unix.select [] [] [] 0.05);
       Unix.close fd;
-      (* The slot freed by the dead client admits new work; the server is
-         alive and the queue empty once the dust settles. *)
-      let rec wait_empty tries =
-        match Client.stats c2 with
-        | Ok (0, _, _) -> ()
-        | Ok _ when tries > 0 ->
+      let c2 = Client.connect_exn socket in
+      let rec wait_admitted tries =
+        if served_metric c2 "serve.admitted" < 1.0 then
+          if tries = 0 then Alcotest.fail "the submit was never admitted"
+          else begin
             ignore (Unix.select [] [] [] 0.02);
-            wait_empty (tries - 1)
-        | Ok (d, _, _) -> Alcotest.failf "dead client's slot leaked (depth %d)" d
-        | Error e -> Alcotest.failf "stats failed: %s" e
+            wait_admitted (tries - 1)
+          end
       in
-      wait_empty 100;
+      wait_admitted 100;
+      Alcotest.(check (float 0.0)) "one submit admitted" 1.0 (served_metric c2 "serve.admitted");
+      Alcotest.(check (float 0.0)) "the dropped client's entry never ran" 0.0
+        (served_metric c2 "serve.requests");
+      (match Client.stats c2 with
+      | Ok (depth, _, _) -> Alcotest.(check int) "no leaked queue slot" 0 depth
+      | Error e -> Alcotest.failf "stats failed: %s" e);
+      (* The slot freed by the dead client admits new work. *)
       let s2 = gemm_submit ~id:(Client.fresh_id c2) () in
       let r = expect_result (Client.submit_wait c2 s2) in
       Alcotest.(check (pair (list int64) string)) "served after client kills"
@@ -899,38 +924,26 @@ let test_server_client_killed () =
       stop_server c2 pid;
       Client.close c2)
 
-(* SIGKILL mid-batch, restart on the same socket: the restarted server
-   has cold caches and no state to recover, yet serves bit-identical
-   results — recompile-on-miss is the whole recovery story. *)
+(* SIGKILL with requests in flight, restart on the same socket: the
+   restarted server has cold caches and no state to recover, yet serves
+   bit-identical results — recompile-on-miss is the whole recovery
+   story. A large Full product (seconds of leaf work) keeps the server
+   busy, and the small request read with it waits behind it. *)
 let test_server_killed_and_restarted () =
   let socket = socket_path () in
-  let pid = spawn_server ~args:[ "--batch-window"; "10" ] socket in
-  let c1 = Client.connect_exn socket in
-  let s1 = gemm_submit ~id:(Client.fresh_id c1) () in
-  (match Client.send c1 (Protocol.Submit s1) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "send failed: %s" e);
-  (* Confirm the request is queued (mid-batch), then kill -9. *)
-  let c2 = Client.connect_exn socket in
-  let rec wait_depth tries =
-    match Client.stats c2 with
-    | Ok (1, _, _) -> ()
-    | Ok _ when tries > 0 ->
-        ignore (Unix.select [] [] [] 0.02);
-        wait_depth (tries - 1)
-    | Ok (d, _, _) -> Alcotest.failf "queue depth stuck at %d" d
-    | Error e -> Alcotest.failf "stats failed: %s" e
-  in
-  wait_depth 100;
+  let pid = spawn_server socket in
+  let s1 = gemm_submit ~id:1 () in
+  let slow = gemm_submit ~id:2 ~n:1024 () in
+  let fd = send_together socket [ client_frame (Submit slow); client_frame (Submit s1) ] in
+  ignore (Unix.select [] [] [] 0.05);
   kill_server pid;
-  (* The killed server takes the in-flight request down with it. *)
-  (match Client.recv c1 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a SIGKILLed server cannot have answered");
-  Client.close c1;
-  Client.close c2;
+  (* The killed server takes the in-flight requests down with it. *)
+  (match Wire.recv fd with
+  | Ok (Some _) -> Alcotest.fail "a SIGKILLed server cannot have answered"
+  | Ok None | Error _ -> ());
+  Unix.close fd;
   (* Restart on the same path; the stale socket file is replaced. *)
-  let pid2 = spawn_server ~args:[ "--batch-window"; "0.001" ] socket in
+  let pid2 = spawn_server socket in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ());
@@ -1044,18 +1057,8 @@ let test_server_drops_stalled_client () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "send: %s" e);
       let c = Client.connect_exn socket in
-      let stalled_count () =
-        match Client.stats c with
-        | Ok (_, _, Json.Obj kvs) -> (
-            match List.assoc_opt "serve.stalled_clients" kvs with
-            | Some (Json.Obj m) -> (
-                match List.assoc_opt "value" m with Some (Json.Float v) -> v | _ -> 0.0)
-            | _ -> 0.0)
-        | Ok _ -> Alcotest.fail "stats reply without metrics"
-        | Error e -> Alcotest.failf "stats: %s" e
-      in
       let rec wait tries =
-        if stalled_count () < 1.0 then
+        if served_metric c "serve.stalled_clients" < 1.0 then
           if tries = 0 then Alcotest.fail "the stalled client was never dropped"
           else begin
             ignore (Unix.select [] [] [] 0.05);
@@ -1074,7 +1077,7 @@ let test_server_drops_stalled_client () =
    under kill + checkpoint recovery must produce exactly the fault-free
    bytes — recovery exactness survives serving. *)
 let test_server_faulted_request () =
-  with_server ~args:[ "--batch-window"; "0.001" ] (fun socket pid ->
+  with_server (fun socket pid ->
       let c = Client.connect_exn socket in
       let clean = gemm_submit ~id:(Client.fresh_id c) () in
       let faulted =
@@ -1098,7 +1101,7 @@ let test_server_faulted_request () =
 (* A non-positive extent is client input, not a crash: both modes answer
    [Failed] naming the tensor, and the server keeps serving. *)
 let test_server_bad_extents () =
-  with_server ~args:[ "--batch-window"; "0.001" ] (fun socket pid ->
+  with_server (fun socket pid ->
       let c = Client.connect_exn socket in
       List.iter
         (fun mode ->
@@ -1119,6 +1122,29 @@ let test_server_bad_extents () =
           | _ -> Alcotest.fail "a negative extent must fail the request");
           ignore (expect_result (Client.submit c good)))
         [ Exec.Model; Exec.Full ];
+      stop_server c pid;
+      Client.close c)
+
+(* A Full reply too large for one wire frame is client input, not a
+   crash: the request fails at admission, naming the frame limit, and the
+   server keeps serving. The same shape in Model mode has no output to
+   carry and is served. *)
+let test_server_oversize_reply () =
+  with_server (fun socket pid ->
+      let c = Client.connect_exn socket in
+      let big = copy_submit ~id:(Client.fresh_id c) ~n:3000 in
+      (match Client.submit c big with
+      | Ok (Client.Failed reason) ->
+          Alcotest.(check bool) ("names the frame limit: " ^ reason) true
+            (Astring_contains.contains reason "frame limit")
+      | _ -> Alcotest.fail "an oversize reply must fail the request");
+      let model = { big with Protocol.id = Client.fresh_id c; mode = Exec.Model } in
+      ignore (expect_result (Client.submit c model));
+      let s = gemm_submit ~id:(Client.fresh_id c) () in
+      let r = expect_result (Client.submit c s) in
+      Alcotest.(check (pair (list int64) string)) "served after the oversize request"
+        (submit_expected s)
+        (bits r.Protocol.output, Stats.to_string r.Protocol.stats);
       stop_server c pid;
       Client.close c)
 
@@ -1159,6 +1185,8 @@ let suites =
         Alcotest.test_case "distald faulted request" `Quick test_server_faulted_request;
         Alcotest.test_case "distald fails bad extents and keeps serving" `Quick
           test_server_bad_extents;
+        Alcotest.test_case "distald fails an oversize reply and keeps serving" `Quick
+          test_server_oversize_reply;
         Alcotest.test_case "distald slow reader stalls only itself" `Quick
           test_server_slow_reader;
         Alcotest.test_case "distald pipelined replies above one frame" `Quick
