@@ -205,7 +205,7 @@ let resilience ?cost ~faults plan =
 
 let resilience_exn ?cost ~faults plan = or_invalid (resilience ?cost ~faults plan)
 
-let random_inputs ?(seed = 42) plan =
+let random_inputs ?alloc ?(seed = 42) plan =
   let rng = Rng.create seed in
   let stmt = plan.problem.stmt in
   let out_name = stmt.lhs.tensor in
@@ -215,7 +215,7 @@ let random_inputs ?(seed = 42) plan =
   List.filter_map
     (fun t ->
       if String.equal t.name out_name && not out_needs_data then None
-      else Some (t.name, Dense.random rng t.shape))
+      else Some (t.name, Dense.random ?alloc rng t.shape))
     plan.problem.tensors
 
 let validate ?(seed = 42) ?(tol = 1e-7) plan =

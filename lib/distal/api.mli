@@ -166,9 +166,12 @@ val resilience :
 val resilience_exn :
   ?cost:Cost_model.t -> faults:Fault.t -> plan -> Stats.t * Stats.t * string
 
-val random_inputs : ?seed:int -> plan -> (string * Dense.t) list
+val random_inputs :
+  ?alloc:(int -> Dense.buf) -> ?seed:int -> plan -> (string * Dense.t) list
 (** Deterministic random data for every tensor of the plan (including the
-    output, for [+=] statements). *)
+    output, for [+=] statements). Each tensor's storage comes from
+    [alloc n] (a block of at least [n] elements; default a fresh one),
+    and the data does not depend on where it lives. *)
 
 val validate : ?seed:int -> ?tol:float -> plan -> (unit, string) result
 (** Run the plan on random data and compare against the serial reference

@@ -20,8 +20,15 @@
      (random_inputs requests, the distald path) or by a digest of the
      supplied tensors. Cached outputs are returned as copies so callers
      cannot mutate the cache. A result whose output is larger than
-     max_cached_result_bytes is served but never cached, which bounds the
-     tier at capacity x that size whatever the traffic.
+     max_cached_result_bytes is served but never cached, and the cached
+     outputs together never exceed max_result_bytes: an insert evicts
+     least-recently-used results until they fit. Seeds that never repeat
+     (fresh data per request) would otherwise fill the tier with results
+     nobody asks for again, growing the process by every one.
+
+   Full inputs drawn from a seed come from a session-owned buffer pool
+   and go back to it when the run ends, failed or not, so a steady
+   stream of seeded requests reuses the same input blocks.
 
    Both caches are safe under concurrent use from lib/support/pool
    domains (Lru serializes internally; the metrics registry is guarded
@@ -33,6 +40,7 @@ module Dense = Distal_tensor.Dense
 module Obs = Distal_obs
 module Lru = Distal_support.Lru
 module Env = Distal_support.Env
+module Buf_pool = Distal_support.Buf_pool
 
 type outcome = {
   result : Api.Exec.result;
@@ -46,17 +54,19 @@ type t = {
   results : (string, Api.Exec.result) Lru.t;
   metrics : Obs.Metrics.registry;
   domains : int option;
-  m : Mutex.t;  (* guards the metrics registry *)
+  inputs : Buf_pool.t;  (* seeded Full inputs; one arena, guarded by [m] *)
+  m : Mutex.t;  (* guards the metrics registry and [inputs] *)
 }
 
 let default_plan_capacity = 128
 let default_result_capacity = 1024
 let max_cached_result_bytes = 64 * 1024
+let max_result_bytes = 128 * max_cached_result_bytes
 
-let cacheable (r : Api.Exec.result) =
-  match r.Api.Exec.output with
-  | Some d -> Dense.bytes d <= max_cached_result_bytes
-  | None -> true
+let output_bytes (r : Api.Exec.result) =
+  match r.Api.Exec.output with Some d -> Dense.bytes d | None -> 0
+
+let cacheable r = output_bytes r <= max_cached_result_bytes
 
 let create ?plan_cache ?result_cache ?domains () =
   let plan_capacity =
@@ -74,9 +84,12 @@ let create ?plan_cache ?result_cache ?domains () =
   in
   {
     plans = Lru.create ~capacity:plan_capacity;
-    results = Lru.create ~capacity:result_capacity;
+    results =
+      Lru.create_weighted ~capacity:result_capacity ~max_weight:max_result_bytes
+        ~weight:output_bytes;
     metrics = Obs.Metrics.create ();
     domains;
+    inputs = Buf_pool.create ();
     m = Mutex.create ();
   }
 
@@ -88,6 +101,10 @@ let count t name v =
   Mutex.unlock t.m
 
 let count1 t name = count t name 1.0
+
+let count_evictions t name = function
+  | [] -> ()
+  | evicted -> count t name (float_of_int (List.length evicted))
 
 let gauge_set t name v =
   Mutex.lock t.m;
@@ -108,13 +125,33 @@ let compile ?profile t req =
       let hit = status = `Hit in
       count1 t (if hit then "serve.plan_hits" else "serve.plan_misses");
       (match status with
-      | `Miss (Some _) -> count1 t "serve.plan_evictions"
-      | _ -> ());
+      | `Miss evicted -> count_evictions t "serve.plan_evictions" evicted
+      | `Hit -> ());
       gauge_set t "serve.plan_entries" (float_of_int (Lru.length t.plans));
       Ok (plan, hit)
 
 let compile_exn ?profile t req =
   match compile ?profile t req with Ok r -> r | Error e -> invalid_arg e
+
+(* {2 Pooled inputs} *)
+
+(* Seeded inputs on pooled blocks, handed to [run], then returned to the
+   pool however [run] ends. Same draws as [Api.random_inputs ~seed]. *)
+let with_seeded_inputs t ~seed plan run =
+  let arena = Buf_pool.arena t.inputs 0 in
+  let taken = ref [] in
+  let alloc n =
+    let b = Mutex.protect t.m (fun () -> Buf_pool.acquire t.inputs arena n) in
+    taken := b :: !taken;
+    b
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect t.m (fun () -> List.iter (Buf_pool.release t.inputs arena) !taken);
+      let s = Buf_pool.stats t.inputs in
+      gauge_set t "serve.input_allocs" (float_of_int s.Buf_pool.allocs);
+      gauge_set t "serve.input_parked_bytes" s.Buf_pool.cached_bytes)
+    (fun () -> run (Api.random_inputs ~alloc ~seed plan))
 
 (* {2 The result tier} *)
 
@@ -167,30 +204,31 @@ let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
           Ok { result = copy_result r; fingerprint = fp; plan_cached; result_cached = true }
       | None -> (
           count1 t "serve.result_misses";
+          (* The run happens outside any cache lock: concurrent misses on
+             one key may race, but the simulator is deterministic so the
+             duplicate results are identical and insertion is idempotent. *)
+          let run data = Api.run ~mode ?domains:t.domains ?profile ?faults plan ~data in
           (* A Model-mode run never reads tensor contents (its stats depend
              only on the spec), so a seed costs nothing there: building
              the inputs would only spend memory, and at paper-scale sizes
              more memory than the host has. *)
-          let data =
+          let ran =
             match data_id with
-            | `Data d -> d
-            | `Seed s when mode = Api.Exec.Full -> Api.random_inputs ~seed:s plan
-            | `Seed _ | `None -> []
+            | `Data d -> run d
+            | `Seed seed when mode = Api.Exec.Full -> with_seeded_inputs t ~seed plan run
+            | `Seed _ | `None -> run []
           in
-          (* The run happens outside any cache lock: concurrent misses on
-             one key may race, but the simulator is deterministic so the
-             duplicate results are identical and insertion is idempotent. *)
-          match Api.run ~mode ?domains:t.domains ?profile ?faults plan ~data with
+          match ran with
           | Error e -> Error e
           | Ok result ->
               (* An oversized result is not even copied. *)
               if cacheable result then begin
-                match Lru.put t.results key (copy_result result) with
-                | Some _ -> count1 t "serve.result_evictions"
-                | None -> ()
+                count_evictions t "serve.result_evictions"
+                  (Lru.put t.results key (copy_result result))
               end
               else count1 t "serve.result_uncached";
               gauge_set t "serve.result_entries" (float_of_int (Lru.length t.results));
+              gauge_set t "serve.result_bytes" (float_of_int (Lru.weight t.results));
               Ok { result; fingerprint = fp; plan_cached; result_cached = false }))
 
 let run_exn ?mode ?faults ?profile ?seed ?data t req =

@@ -9,7 +9,8 @@
     {e result cache} (the simulator is a deterministic pure function of
     plan x data, so identical requests replay the finished result;
     results with outputs above {!max_cached_result_bytes} are served
-    without being cached).
+    without being cached, and the cached outputs total at most
+    {!max_result_bytes}).
     Served results are byte-identical to direct [Api.run_exn] — cache
     hits return defensive copies.
 
@@ -30,8 +31,14 @@ val default_result_capacity : int
 
 val max_cached_result_bytes : int
 (** 64 KiB: the largest output (in float64 bytes) the result cache keeps.
-    Larger results are served but not cached, so the tier never holds
-    more than capacity x 64 KiB of outputs. *)
+    Larger results are served but not cached. *)
+
+val max_result_bytes : int
+(** 8 MiB (128 x {!max_cached_result_bytes}): the most output bytes the
+    result cache holds in total. An insert evicts least-recently-used
+    results until the cached outputs fit, so a stream of seeds that never
+    repeat costs at most this much memory. Model results carry no output
+    and weigh nothing. *)
 
 val create : ?plan_cache:int -> ?result_cache:int -> ?domains:int -> unit -> t
 (** [plan_cache] defaults to [DISTAL_SERVE_CACHE] (else 128) entries; [0]
@@ -45,8 +52,11 @@ val metrics : t -> Distal_obs.Metrics.registry
 (** The [serve.*] registry: [serve.requests], [serve.plan_hits]/
     [_misses]/[_evictions], [serve.result_hits]/[_misses]/[_evictions],
     [serve.result_uncached] (results served without caching because
-    their output exceeds {!max_cached_result_bytes}), and the
-    [serve.plan_entries]/[serve.result_entries] gauges. *)
+    their output exceeds {!max_cached_result_bytes}), the
+    [serve.plan_entries]/[serve.result_entries] gauges, the
+    [serve.result_bytes] gauge (cached output bytes), and the
+    [serve.input_allocs]/[serve.input_parked_bytes] gauges of the pool
+    seeded Full inputs are drawn from. *)
 
 val compile :
   ?profile:Distal_obs.Profile.t -> t -> Api.request -> (Api.plan * bool, string) result
@@ -73,7 +83,9 @@ val run :
   (outcome, string) result
 (** Serve one request (default mode [Full]). Input data comes from
     [data] when given, else from [Api.random_inputs ~seed] when [seed]
-    is given, else the request runs with no data. A [Model] request never
+    is given (on blocks from a session-owned pool, returned when the run
+    ends, whether it succeeded or not), else the request runs with no
+    data. A [Model] request never
     builds inputs from its seed: modeled stats do not read tensor
     contents.
     The result-cache key covers mode, fault plan and input identity

@@ -4,7 +4,9 @@
    (lib/serve): lookups promote to most-recently-used, inserts beyond
    capacity evict the least-recently-used entry, and every operation is
    serialized by an internal mutex so sessions can be driven concurrently
-   from the domains of {!Pool} without external locking.
+   from the domains of {!Pool} without external locking. A weighted
+   cache also bounds the total weight of its values: inserts evict from
+   the LRU end until both the entry count and the total weight fit.
 
    Recency is a doubly-linked list threaded through the entries; the
    hashtable maps keys to their list node, so find/put/remove are O(1).
@@ -16,12 +18,16 @@
 type ('k, 'v) node = {
   key : 'k;
   mutable value : 'v;
+  mutable weight : int;
   mutable prev : ('k, 'v) node option;  (* towards MRU *)
   mutable next : ('k, 'v) node option;  (* towards LRU *)
 }
 
 type ('k, 'v) t = {
   capacity : int;
+  max_weight : int;
+  weigh : 'v -> int;
+  mutable total : int;
   table : ('k, ('k, 'v) node) Hashtbl.t;
   m : Mutex.t;
   mutable head : ('k, 'v) node option;  (* MRU *)
@@ -31,10 +37,13 @@ type ('k, 'v) t = {
   mutable evictions : int;
 }
 
-let create ~capacity =
+let create_weighted ~capacity ~max_weight ~weight =
   if capacity < 0 then invalid_arg "Lru.create: capacity must be >= 0";
   {
     capacity;
+    max_weight;
+    weigh = (fun v -> max 0 (weight v));
+    total = 0;
     table = Hashtbl.create (max 16 capacity);
     m = Mutex.create ();
     head = None;
@@ -44,6 +53,7 @@ let create ~capacity =
     evictions = 0;
   }
 
+let create ~capacity = create_weighted ~capacity ~max_weight:max_int ~weight:(fun _ -> 0)
 let capacity t = t.capacity
 
 let locked t f =
@@ -80,24 +90,34 @@ let promote t n =
       unlink t n;
       push_front t n
 
-let evict_lru t =
-  match t.tail with
-  | None -> None
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.table n.key;
-      t.evictions <- t.evictions + 1;
-      Some (n.key, n.value)
+let drop t n =
+  unlink t n;
+  Hashtbl.remove t.table n.key;
+  t.total <- t.total - n.weight
+
+(* Evict from the LRU end until the count and the weight both fit; the
+   evicted bindings, least recently used first. An entry heavier than
+   [max_weight] on its own ends up evicted too. *)
+let shrink t =
+  let rec go acc =
+    match t.tail with
+    | Some n when Hashtbl.length t.table > t.capacity || t.total > t.max_weight ->
+        drop t n;
+        t.evictions <- t.evictions + 1;
+        go ((n.key, n.value) :: acc)
+    | _ -> List.rev acc
+  in
+  go []
 
 let insert t key value =
-  (* Caller holds the mutex; key known absent. Returns the evicted
-     binding, if inserting overflowed the capacity. *)
-  if t.capacity = 0 then None
+  (* Caller holds the mutex; key known absent. *)
+  if t.capacity = 0 then []
   else begin
-    let n = { key; value; prev = None; next = None } in
+    let n = { key; value; weight = t.weigh value; prev = None; next = None } in
     Hashtbl.replace t.table key n;
+    t.total <- t.total + n.weight;
     push_front t n;
-    if Hashtbl.length t.table > t.capacity then evict_lru t else None
+    shrink t
   end
 
 (* {2 Public operations} *)
@@ -119,9 +139,12 @@ let put t key value =
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some n ->
+          let w = t.weigh value in
+          t.total <- t.total - n.weight + w;
           n.value <- value;
+          n.weight <- w;
           promote t n;
-          None
+          shrink t
       | None -> insert t key value)
 
 let find_or_add t key compute =
@@ -144,17 +167,18 @@ let remove t key =
       match Hashtbl.find_opt t.table key with
       | None -> false
       | Some n ->
-          unlink t n;
-          Hashtbl.remove t.table key;
+          drop t n;
           true)
 
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.table;
       t.head <- None;
-      t.tail <- None)
+      t.tail <- None;
+      t.total <- 0)
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
+let weight t = locked t (fun () -> t.total)
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
 let evictions t = locked t (fun () -> t.evictions)

@@ -94,10 +94,10 @@ let copy t =
 
 (* One pass over uninitialized storage: the draws land in row-major
    order, exactly where a coordinate walk of [init] would put them. *)
-let random rng shape =
-  let data = alloc (Ints.prod shape) in
-  Distal_support.Rng.fill_float rng 1.0 data;
-  { shape = Array.copy shape; strides = Ints.row_major_strides shape; data }
+let random ?(alloc = alloc) rng shape =
+  let t = of_buf (alloc (Ints.prod shape)) shape in
+  Distal_support.Rng.fill_float rng 1.0 t.data;
+  t
 
 let to_le_bytes t =
   let n = size t in
@@ -120,56 +120,70 @@ let of_le_bytes shape b =
   { shape = Array.copy shape; strides = Ints.row_major_strides shape; data }
 
 (* Sub-box copies walk whole innermost-dimension rows: the row is
-   contiguous in both source and destination, so each one is a single
-   [Array1.blit] (extract/blit_into) or a flat unsafe loop
-   (accumulate_into) instead of a per-element coordinate walk. This is
-   the same strided-copy discipline the registry's kernel packing uses. *)
-let rows_iter ~src_shape ~r f =
-  let lo = (r : Rect.t).lo in
-  let ext = Rect.extents r in
-  let nd = Array.length ext in
+   contiguous in both the big tensor and the box-shaped one, so each is a
+   typed flat loop rather than a per-element coordinate walk. Rows are
+   visited in row-major order by an in-place odometer over the outer
+   dimensions; [f big_off box_off len] runs once per row. This is the
+   same strided-copy discipline the registry's kernel packing uses. *)
+let rows_iter ~big_shape ~r f =
+  let lo = (r : Rect.t).lo and hi = r.hi in
+  let nd = Array.length lo in
   if nd = 0 then f 0 0 1
-  else begin
-    let row = ext.(nd - 1) in
-    if row > 0 && Array.for_all (fun e -> e > 0) ext then begin
-      let sstr = Ints.row_major_strides src_shape in
-      let outer = Array.sub ext 0 (nd - 1) in
-      let dstr = Ints.row_major_strides ext in
-      Ints.iter_box outer (fun oc ->
-          let soff = ref lo.(nd - 1) and doff = ref 0 in
-          Array.iteri
-            (fun d c ->
-              soff := !soff + ((lo.(d) + c) * sstr.(d));
-              doff := !doff + (c * dstr.(d)))
-            oc;
-          f !soff !doff row)
-    end
+  else if not (Rect.is_empty r) then begin
+    let str = Ints.row_major_strides big_shape in
+    let row = hi.(nd - 1) - lo.(nd - 1) in
+    let idx = Array.copy lo in
+    let off = ref 0 in
+    for d = 0 to nd - 1 do
+      off := !off + (lo.(d) * str.(d))
+    done;
+    for n = 0 to (Rect.volume r / row) - 1 do
+      f !off (n * row) row;
+      (* Advance the odometer: bump the innermost outer dimension and
+         carry into the ones above it. *)
+      let d = ref (nd - 2) in
+      while !d >= 0 do
+        let k = !d in
+        idx.(k) <- idx.(k) + 1;
+        off := !off + str.(k);
+        if idx.(k) < hi.(k) then d := -1
+        else begin
+          off := !off - ((hi.(k) - lo.(k)) * str.(k));
+          idx.(k) <- lo.(k);
+          decr d
+        end
+      done
+    done
   end
 
-let extract t r =
-  check_subset "extract" r t.shape;
-  let out = create (Rect.extents r) in
-  rows_iter ~src_shape:t.shape ~r (fun soff doff len ->
-      A1.blit (A1.sub t.data soff len) (A1.sub out.data doff len));
-  out
+let copy_rows ~(src : buf) ~(dst : buf) soff doff len =
+  for i = 0 to len - 1 do
+    A1.unsafe_set dst (doff + i) (A1.unsafe_get src (soff + i))
+  done
 
 let extract_into ~src ~dst r =
   check_subset "extract_into" r src.shape;
   check_extents "extract_into" ~what:"destination" dst.shape r;
-  rows_iter ~src_shape:src.shape ~r (fun soff doff len ->
-      A1.blit (A1.sub src.data soff len) (A1.sub dst.data doff len))
+  rows_iter ~big_shape:src.shape ~r (fun soff doff len ->
+      copy_rows ~src:src.data ~dst:dst.data soff doff len)
+
+let extract t r =
+  check_subset "extract" r t.shape;
+  let out = create (Rect.extents r) in
+  extract_into ~src:t ~dst:out r;
+  out
 
 let blit_into ~src ~dst r =
   check_subset "blit_into" r dst.shape;
   check_extents "blit_into" ~what:"source" src.shape r;
-  rows_iter ~src_shape:dst.shape ~r (fun doff soff len ->
-      A1.blit (A1.sub src.data soff len) (A1.sub dst.data doff len))
+  rows_iter ~big_shape:dst.shape ~r (fun doff soff len ->
+      copy_rows ~src:src.data ~dst:dst.data soff doff len)
 
 let accumulate_into ~src ~dst r =
   check_subset "accumulate_into" r dst.shape;
   check_extents "accumulate_into" ~what:"source" src.shape r;
   let s = src.data and d = dst.data in
-  rows_iter ~src_shape:dst.shape ~r (fun doff soff len ->
+  rows_iter ~big_shape:dst.shape ~r (fun doff soff len ->
       for i = 0 to len - 1 do
         A1.unsafe_set d (doff + i)
           (A1.unsafe_get d (doff + i) +. A1.unsafe_get s (soff + i))

@@ -53,8 +53,9 @@ val offset : t -> int array -> int
 
 val copy : t -> t
 
-val random : Distal_support.Rng.t -> int array -> t
-(** Uniform entries in [\[0, 1)], drawn in row-major order. *)
+val random : ?alloc:(int -> buf) -> Distal_support.Rng.t -> int array -> t
+(** Uniform entries in [\[0, 1)], drawn in row-major order into the first
+    elements of [alloc n] (default: a fresh block of [n] elements). *)
 
 val to_le_bytes : t -> Bytes.t
 (** The elements' IEEE-754 bit patterns, 8 little-endian bytes each, in

@@ -82,8 +82,16 @@ let flops ~kernel ~dims =
 
 type view = { buf : Dense.buf; off : int; st : int array }
 
-let bget = A1.unsafe_get
-let bset = A1.unsafe_set
+(* Typed accessors: bound at [Dense.buf], each access compiles to an
+   inline unboxed load or store. A let-bound alias of the polymorphic
+   [A1.unsafe_get] would instead go through a C call that boxes every
+   float it returns. *)
+let[@inline] bget (b : Dense.buf) i = A1.unsafe_get b i
+let[@inline] bset (b : Dense.buf) i (v : float) = A1.unsafe_set b i v
+
+(* The kernels below take each operand as (buffer, base offset, one
+   stride per access letter) rather than a [view], so edge strips and
+   ttm's per-slice calls shift offsets without allocating a record. *)
 
 (* {2 Simple tier: evaluator-order flat loops}
 
@@ -92,16 +100,12 @@ let bset = A1.unsafe_set
    as the edge path of the micro tier (full-K chains and K-blocked
    chains round identically, see the header note). *)
 
-let gemm_s ~m ~n ~k a b c =
-  let ab = a.buf and bb = b.buf and cb = c.buf in
-  let sai = a.st.(0) and saj = a.st.(1) in
-  let sbi = b.st.(0) and sbk = b.st.(1) in
-  let sck = c.st.(0) and scj = c.st.(1) in
+let gemm_s ~m ~n ~k ab ao sai saj bb bo sbi sbk cb co sck scj =
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
-      let ao = a.off + (i * sai) + (j * saj) in
+      let ao = ao + (i * sai) + (j * saj) in
       let acc = ref (bget ab ao) in
-      let bo = ref (b.off + (i * sbi)) and co = ref (c.off + (j * scj)) in
+      let bo = ref (bo + (i * sbi)) and co = ref (co + (j * scj)) in
       for _p = 0 to k - 1 do
         acc := !acc +. (bget bb !bo *. bget cb !co);
         bo := !bo + sbk;
@@ -111,13 +115,11 @@ let gemm_s ~m ~n ~k a b c =
     done
   done
 
-let gemv_s ~m ~k a b c =
-  let ab = a.buf and bb = b.buf and cb = c.buf in
-  let sai = a.st.(0) and sbi = b.st.(0) and sbk = b.st.(1) and sck = c.st.(0) in
+let gemv_s ~m ~k ab ao sai bb bo sbi sbk cb co sck =
   for i = 0 to m - 1 do
-    let ao = a.off + (i * sai) in
+    let ao = ao + (i * sai) in
     let acc = ref (bget ab ao) in
-    let bo = ref (b.off + (i * sbi)) and co = ref c.off in
+    let bo = ref (bo + (i * sbi)) and co = ref co in
     for _p = 0 to k - 1 do
       acc := !acc +. (bget bb !bo *. bget cb !co);
       bo := !bo + sbk;
@@ -126,16 +128,12 @@ let gemv_s ~m ~k a b c =
     bset ab ao !acc
   done
 
-let ttv_s ~ni ~nj ~nk a b c =
-  let ab = a.buf and bb = b.buf and cb = c.buf in
-  let sai = a.st.(0) and saj = a.st.(1) in
-  let sbi = b.st.(0) and sbj = b.st.(1) and sbk = b.st.(2) in
-  let sck = c.st.(0) in
+let ttv_s ~ni ~nj ~nk ab ao sai saj bb bo sbi sbj sbk cb co sck =
   for i = 0 to ni - 1 do
     for j = 0 to nj - 1 do
-      let ao = a.off + (i * sai) + (j * saj) in
+      let ao = ao + (i * sai) + (j * saj) in
       let acc = ref (bget ab ao) in
-      let bo = ref (b.off + (i * sbi) + (j * sbj)) and co = ref c.off in
+      let bo = ref (bo + (i * sbi) + (j * sbj)) and co = ref co in
       for _p = 0 to nk - 1 do
         acc := !acc +. (bget bb !bo *. bget cb !co);
         bo := !bo + sbk;
@@ -145,29 +143,15 @@ let ttv_s ~ni ~nj ~nk a b c =
     done
   done
 
-let ttm_s ~ni ~nj ~nl ~nk a b c =
-  let sai = a.st.(0) and sbi = b.st.(0) in
-  for i = 0 to ni - 1 do
-    gemm_s ~m:nj ~n:nl ~k:nk
-      { a with off = a.off + (i * sai); st = [| a.st.(1); a.st.(2) |] }
-      { b with off = b.off + (i * sbi); st = [| b.st.(1); b.st.(2) |] }
-      c
-  done
-
-let mttkrp_s ~ni ~nl ~nj ~nk a b c d =
-  let ab = a.buf and bb = b.buf and cb = c.buf and db = d.buf in
-  let sai = a.st.(0) and sal = a.st.(1) in
-  let sbi = b.st.(0) and sbj = b.st.(1) and sbk = b.st.(2) in
-  let scj = c.st.(0) and scl = c.st.(1) in
-  let sdk = d.st.(0) and sdl = d.st.(1) in
+let mttkrp_s ~ni ~nl ~nj ~nk ab ao sai sal bb bo sbi sbj sbk cb co scj scl db dof sdk sdl =
   for i = 0 to ni - 1 do
     for l = 0 to nl - 1 do
-      let ao = a.off + (i * sai) + (l * sal) in
+      let ao = ao + (i * sai) + (l * sal) in
       let acc = ref (bget ab ao) in
       for j = 0 to nj - 1 do
-        let cv = bget cb (c.off + (j * scj) + (l * scl)) in
-        let bo = ref (b.off + (i * sbi) + (j * sbj)) in
-        let dof = ref (d.off + (l * sdl)) in
+        let cv = bget cb (co + (j * scj) + (l * scl)) in
+        let bo = ref (bo + (i * sbi) + (j * sbj)) in
+        let dof = ref (dof + (l * sdl)) in
         for _p = 0 to nk - 1 do
           acc := !acc +. (bget bb !bo *. cv *. bget db !dof);
           bo := !bo + sbk;
@@ -202,22 +186,32 @@ let innerprod_s ~ni ~nj ~nk a x y =
    blocks, a packed B panel (4 rows, K-major) and packed C panels (4
    columns per tile, K-major), and a 4x4 register microkernel of explicit
    multiply-add chains. Edge rows/columns route to the simple tier on a
-   shifted view — same per-element operation chain, no packing. *)
+   shifted offset — same per-element operation chain, no packing. *)
 
 let kc_block = 256
 let nc_block = 128
 
-let gemm_t ~m ~n ~k a b c =
+(* Packing panels live in a per-domain scratch, grown on demand and never
+   shrunk, so a warm call allocates nothing. Kernels never nest, so one
+   set of panels per domain suffices. *)
+type scratch = {
+  mutable cp : float array;  (* C panels, K-major per 4-column tile *)
+  mutable bp : float array;  (* 4 rows of B, K-major *)
+  mutable vp : float array;  (* a packed vector (gemv, ttv) *)
+}
+
+let scratch = Domain.DLS.new_key (fun () -> { cp = [||]; bp = [||]; vp = [||] })
+let grown (p : float array) n = if Array.length p >= n then p else Array.make n 0.0
+
+let gemm_t ~m ~n ~k ab ao sai saj bb bo sbi sbk cb co sck scj =
   let m4 = m land lnot 3 and n4 = n land lnot 3 in
-  if m4 = 0 || n4 = 0 then gemm_s ~m ~n ~k a b c
+  if m4 = 0 || n4 = 0 then gemm_s ~m ~n ~k ab ao sai saj bb bo sbi sbk cb co sck scj
   else begin
-    let ab = a.buf and bb = b.buf and cb = c.buf in
-    let sai = a.st.(0) and saj = a.st.(1) in
-    let sbi = b.st.(0) and sbk = b.st.(1) in
-    let sck = c.st.(0) and scj = c.st.(1) in
-    let nc_w = min n4 nc_block in
-    let cp = Array.make (kc_block * nc_w) 0.0 in
-    let bp = Array.make (kc_block * 4) 0.0 in
+    let s = Domain.DLS.get scratch in
+    let kc_max = min kc_block k and nc_w = min n4 nc_block in
+    s.cp <- grown s.cp (kc_max * nc_w);
+    s.bp <- grown s.bp (kc_max * 4);
+    let cp = s.cp and bp = s.bp in
     let jc = ref 0 in
     while !jc < n4 do
       let nc = min nc_block (n4 - !jc) in
@@ -225,12 +219,12 @@ let gemm_t ~m ~n ~k a b c =
       while !k0 < k do
         let kc = min kc_block (k - !k0) in
         (* Pack the C block: one contiguous K-major panel per 4-column
-           tile, gathered through the view's strides. *)
+           tile, gathered through the operand's strides. *)
         for t = 0 to (nc / 4) - 1 do
           let j0 = !jc + (t * 4) in
           let base = t * kc * 4 in
           for p = 0 to kc - 1 do
-            let o = c.off + ((!k0 + p) * sck) + (j0 * scj) in
+            let o = co + ((!k0 + p) * sck) + (j0 * scj) in
             let q = base + (p * 4) in
             Array.unsafe_set cp q (bget cb o);
             Array.unsafe_set cp (q + 1) (bget cb (o + scj));
@@ -243,7 +237,7 @@ let gemm_t ~m ~n ~k a b c =
           let ib = !i0 in
           (* Pack 4 rows of B, K-major. *)
           for p = 0 to kc - 1 do
-            let o = b.off + (ib * sbi) + ((!k0 + p) * sbk) in
+            let o = bo + (ib * sbi) + ((!k0 + p) * sbk) in
             let q = p * 4 in
             Array.unsafe_set bp q (bget bb o);
             Array.unsafe_set bp (q + 1) (bget bb (o + sbi));
@@ -252,7 +246,7 @@ let gemm_t ~m ~n ~k a b c =
           done;
           for t = 0 to (nc / 4) - 1 do
             let j0 = !jc + (t * 4) in
-            let a0 = a.off + (ib * sai) + (j0 * saj) in
+            let a0 = ao + (ib * sai) + (j0 * saj) in
             let a1 = a0 + sai in
             let a2 = a1 + sai in
             let a3 = a2 + sai in
@@ -325,44 +319,38 @@ let gemm_t ~m ~n ~k a b c =
       jc := !jc + nc
     done;
     if m4 < m then
-      gemm_s ~m:(m - m4) ~n ~k
-        { a with off = a.off + (m4 * sai) }
-        { b with off = b.off + (m4 * sbi) }
-        c;
+      gemm_s ~m:(m - m4) ~n ~k ab (ao + (m4 * sai)) sai saj bb (bo + (m4 * sbi)) sbi sbk cb
+        co sck scj;
     if n4 < n then
-      gemm_s ~m:m4 ~n:(n - n4) ~k
-        { a with off = a.off + (n4 * saj) }
-        b
-        { c with off = c.off + (n4 * scj) }
+      gemm_s ~m:m4 ~n:(n - n4) ~k ab (ao + (n4 * saj)) sai saj bb bo sbi sbk cb
+        (co + (n4 * scj)) sck scj
   end
 
-(* Pack a strided vector into a contiguous scratch (reused across every
-   row of the output). *)
-let pack_vec v ~len =
-  let p = Array.make (max 1 len) 0.0 in
-  let o = ref v.off and s = v.st.(0) in
+(* Pack a strided vector into the domain's contiguous scratch (reused
+   across every row of the output). *)
+let pack_vec cb co sck ~len =
+  let s = Domain.DLS.get scratch in
+  s.vp <- grown s.vp len;
+  let p = s.vp in
   for i = 0 to len - 1 do
-    Array.unsafe_set p i (bget v.buf !o);
-    o := !o + s
+    Array.unsafe_set p i (bget cb (co + (i * sck)))
   done;
   p
 
-let gemv_t ~m ~k a b c =
+let gemv_t ~m ~k ab ao sai bb bo sbi sbk cb co sck =
   let m4 = m land lnot 3 in
-  if m4 = 0 then gemv_s ~m ~k a b c
+  if m4 = 0 then gemv_s ~m ~k ab ao sai bb bo sbi sbk cb co sck
   else begin
-    let ab = a.buf and bb = b.buf in
-    let sai = a.st.(0) and sbi = b.st.(0) and sbk = b.st.(1) in
-    let cp = pack_vec c ~len:k in
+    let cp = pack_vec cb co sck ~len:k in
     let i0 = ref 0 in
     while !i0 < m4 do
       let ib = !i0 in
-      let a0 = a.off + (ib * sai) in
+      let a0 = ao + (ib * sai) in
       let r0 = ref (bget ab a0) in
       let r1 = ref (bget ab (a0 + sai)) in
       let r2 = ref (bget ab (a0 + (2 * sai))) in
       let r3 = ref (bget ab (a0 + (3 * sai))) in
-      let bo = ref (b.off + (ib * sbi)) in
+      let bo = ref (bo + (ib * sbi)) in
       for p = 0 to k - 1 do
         let cv = Array.unsafe_get cp p in
         let o = !bo in
@@ -379,30 +367,24 @@ let gemv_t ~m ~k a b c =
       i0 := !i0 + 4
     done;
     if m4 < m then
-      gemv_s ~m:(m - m4) ~k
-        { a with off = a.off + (m4 * sai) }
-        { b with off = b.off + (m4 * sbi) }
-        c
+      gemv_s ~m:(m - m4) ~k ab (ao + (m4 * sai)) sai bb (bo + (m4 * sbi)) sbi sbk cb co sck
   end
 
-let ttv_t ~ni ~nj ~nk a b c =
+let ttv_t ~ni ~nj ~nk ab ao sai saj bb bo sbi sbj sbk cb co sck =
   let j4 = nj land lnot 3 in
-  if j4 = 0 then ttv_s ~ni ~nj ~nk a b c
+  if j4 = 0 then ttv_s ~ni ~nj ~nk ab ao sai saj bb bo sbi sbj sbk cb co sck
   else begin
-    let ab = a.buf and bb = b.buf in
-    let sai = a.st.(0) and saj = a.st.(1) in
-    let sbi = b.st.(0) and sbj = b.st.(1) and sbk = b.st.(2) in
-    let cp = pack_vec c ~len:nk in
+    let cp = pack_vec cb co sck ~len:nk in
     for i = 0 to ni - 1 do
       let jt = ref 0 in
       while !jt < j4 do
         let j0 = !jt in
-        let a0 = a.off + (i * sai) + (j0 * saj) in
+        let a0 = ao + (i * sai) + (j0 * saj) in
         let r0 = ref (bget ab a0) in
         let r1 = ref (bget ab (a0 + saj)) in
         let r2 = ref (bget ab (a0 + (2 * saj))) in
         let r3 = ref (bget ab (a0 + (3 * saj))) in
-        let bo = ref (b.off + (i * sbi) + (j0 * sbj)) in
+        let bo = ref (bo + (i * sbi) + (j0 * sbj)) in
         for p = 0 to nk - 1 do
           let cv = Array.unsafe_get cp p in
           let o = !bo in
@@ -420,47 +402,43 @@ let ttv_t ~ni ~nj ~nk a b c =
       done
     done;
     if j4 < nj then
-      ttv_s ~ni ~nj:(nj - j4) ~nk
-        { a with off = a.off + (j4 * saj) }
-        { b with off = b.off + (j4 * sbj) }
-        c
+      ttv_s ~ni ~nj:(nj - j4) ~nk ab (ao + (j4 * saj)) sai saj bb (bo + (j4 * sbj)) sbi sbj
+        sbk cb co sck
   end
 
-let ttm_t ~ni ~nj ~nl ~nk a b c =
-  let sai = a.st.(0) and sbi = b.st.(0) in
+(* ttm is one gemm per i slice: A(i,:,:) += B(i,:,:) * C. *)
+let ttm ~micro ~ni ~nj ~nl ~nk a b c =
+  let gemm = if micro then gemm_t else gemm_s in
+  let sai = a.st.(0) and saj = a.st.(1) and sal = a.st.(2) in
+  let sbi = b.st.(0) and sbj = b.st.(1) and sbk = b.st.(2) in
+  let sck = c.st.(0) and scl = c.st.(1) in
   for i = 0 to ni - 1 do
-    gemm_t ~m:nj ~n:nl ~k:nk
-      { a with off = a.off + (i * sai); st = [| a.st.(1); a.st.(2) |] }
-      { b with off = b.off + (i * sbi); st = [| b.st.(1); b.st.(2) |] }
-      c
+    gemm ~m:nj ~n:nl ~k:nk a.buf (a.off + (i * sai)) saj sal b.buf (b.off + (i * sbi)) sbj
+      sbk c.buf c.off sck scl
   done
 
-let mttkrp_t ~ni ~nl ~nj ~nk a b c d =
+let mttkrp_t ~ni ~nl ~nj ~nk ab ao sai sal bb bo sbi sbj sbk cb co scj scl db dof sdk sdl =
   let l4 = nl land lnot 3 in
-  if l4 = 0 then mttkrp_s ~ni ~nl ~nj ~nk a b c d
+  if l4 = 0 then
+    mttkrp_s ~ni ~nl ~nj ~nk ab ao sai sal bb bo sbi sbj sbk cb co scj scl db dof sdk sdl
   else begin
-    let ab = a.buf and bb = b.buf and cb = c.buf and db = d.buf in
-    let sai = a.st.(0) and sal = a.st.(1) in
-    let sbi = b.st.(0) and sbj = b.st.(1) and sbk = b.st.(2) in
-    let scj = c.st.(0) and scl = c.st.(1) in
-    let sdk = d.st.(0) and sdl = d.st.(1) in
     for i = 0 to ni - 1 do
       let lt = ref 0 in
       while !lt < l4 do
         let l0 = !lt in
-        let a0 = a.off + (i * sai) + (l0 * sal) in
+        let a0 = ao + (i * sai) + (l0 * sal) in
         let r0 = ref (bget ab a0) in
         let r1 = ref (bget ab (a0 + sal)) in
         let r2 = ref (bget ab (a0 + (2 * sal))) in
         let r3 = ref (bget ab (a0 + (3 * sal))) in
         for j = 0 to nj - 1 do
-          let co = c.off + (j * scj) + (l0 * scl) in
+          let co = co + (j * scj) + (l0 * scl) in
           let c0 = bget cb co in
           let c1 = bget cb (co + scl) in
           let c2 = bget cb (co + (2 * scl)) in
           let c3 = bget cb (co + (3 * scl)) in
-          let bo = ref (b.off + (i * sbi) + (j * sbj)) in
-          let dof = ref (d.off + (l0 * sdl)) in
+          let bo = ref (bo + (i * sbi) + (j * sbj)) in
+          let dof = ref (dof + (l0 * sdl)) in
           for _p = 0 to nk - 1 do
             let bv = bget bb !bo in
             let o = !dof in
@@ -480,11 +458,8 @@ let mttkrp_t ~ni ~nl ~nj ~nk a b c d =
       done
     done;
     if l4 < nl then
-      mttkrp_s ~ni ~nl:(nl - l4) ~nj ~nk
-        { a with off = a.off + (l4 * sal) }
-        b
-        { c with off = c.off + (l4 * scl) }
-        { d with off = d.off + (l4 * sdl) }
+      mttkrp_s ~ni ~nl:(nl - l4) ~nj ~nk ab (ao + (l4 * sal)) sai sal bb bo sbi sbj sbk cb
+        (co + (l4 * scl)) scj scl db (dof + (l4 * sdl)) sdk sdl
   end
 
 (* {2 Dispatch} *)
@@ -516,17 +491,24 @@ let run_views ~kernel ~dims (views : view array) =
   let micro = shape_class ~kernel ~dims = `Micro in
   match (kernel, views) with
   | "gemm", [| a; b; c |] ->
-      (if micro then gemm_t else gemm_s) ~m:dims.(0) ~n:dims.(1) ~k:dims.(2) a b c
+      (if micro then gemm_t else gemm_s)
+        ~m:dims.(0) ~n:dims.(1) ~k:dims.(2) a.buf a.off a.st.(0) a.st.(1) b.buf b.off
+        b.st.(0) b.st.(1) c.buf c.off c.st.(0) c.st.(1)
   | "gemv", [| a; b; c |] ->
-      (if micro then gemv_t else gemv_s) ~m:dims.(0) ~k:dims.(1) a b c
+      (if micro then gemv_t else gemv_s)
+        ~m:dims.(0) ~k:dims.(1) a.buf a.off a.st.(0) b.buf b.off b.st.(0) b.st.(1) c.buf
+        c.off c.st.(0)
   | "ttv", [| a; b; c |] ->
-      (if micro then ttv_t else ttv_s) ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a b c
+      (if micro then ttv_t else ttv_s)
+        ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a.buf a.off a.st.(0) a.st.(1) b.buf b.off
+        b.st.(0) b.st.(1) b.st.(2) c.buf c.off c.st.(0)
   | "ttm", [| a; b; c |] ->
-      (if micro then ttm_t else ttm_s)
-        ~ni:dims.(0) ~nj:dims.(1) ~nl:dims.(2) ~nk:dims.(3) a b c
+      ttm ~micro ~ni:dims.(0) ~nj:dims.(1) ~nl:dims.(2) ~nk:dims.(3) a b c
   | "mttkrp", [| a; b; c; d |] ->
       (if micro then mttkrp_t else mttkrp_s)
-        ~ni:dims.(0) ~nl:dims.(1) ~nj:dims.(2) ~nk:dims.(3) a b c d
+        ~ni:dims.(0) ~nl:dims.(1) ~nj:dims.(2) ~nk:dims.(3) a.buf a.off a.st.(0) a.st.(1)
+        b.buf b.off b.st.(0) b.st.(1) b.st.(2) c.buf c.off c.st.(0) c.st.(1) d.buf d.off
+        d.st.(0) d.st.(1)
   | "innerprod", [| a; x; y |] ->
       innerprod_s ~ni:dims.(0) ~nj:dims.(1) ~nk:dims.(2) a x y
   | k, vs -> arity_error k vs

@@ -94,6 +94,47 @@ let test_unstaged_leaf_budget () =
   let words = Gc.minor_words () -. w0 in
   if words > 408_300.0 then Alcotest.failf "allocated %.0f minor words" words
 
+(* Warm Full-mode replays of two of the served benchmark's shapes: SUMMA
+   n=128 on 2x2 and TTV over an i-cyclic B (512x32x32) on 4 processors
+   over-decomposed onto 128. Replay allocates no float per element, no
+   packing panel per leaf and no array per copied row; what is left is
+   per task and per instance. Before that, the SUMMA run allocated
+   710,513 minor and 557,826 major words and the TTV run 1,821,121 minor
+   and 3,975 major; now they allocate 2,044 + 7 and 60,359 + 2,440. The
+   budgets are those totals plus 20%. *)
+let replay_words plan =
+  let data = Api.random_inputs ~seed:1 plan in
+  let ep = Api.eplan_exn plan in
+  let run () = ignore (Result.get_ok (Exec.run_plan ~domains:1 ep ~data)) in
+  run ();
+  let mi0, _, ma0 = Gc.counters () in
+  run ();
+  let mi1, _, ma1 = Gc.counters () in
+  (mi1 -. mi0, ma1 -. ma0)
+
+let cyclic_ttv () =
+  let p =
+    Api.problem_exn ~machine:(Api.Machine.grid [| 4 |]) ~virtual_grid:[| 128 |]
+      ~stmt:"A(i,j) = B(i,j,k) * c(k)"
+      ~tensors:
+        [
+          Api.tensor "A" [| 512; 32 |] ~dist:"[x,y] -> [x%1]";
+          Api.tensor "B" [| 512; 32; 32 |] ~dist:"[x,y,z] -> [x%1]";
+          Api.tensor "c" [| 32 |] ~dist:"[x] -> [*]";
+        ]
+      ()
+  in
+  Api.compile_script_exn p
+    ~schedule:"divide(i, io, ii, 128); distribute(io); communicate({A,B,c}, io)"
+
+let test_replay_budget () =
+  List.iter
+    (fun (name, plan, budget) ->
+      let minor, major = replay_words plan in
+      if minor +. major > budget then
+        Alcotest.failf "%s replay allocated %.0f minor + %.0f major words" name minor major)
+    [ ("summa", summa ~n:128 ~g:2, 2_461.0); ("cyclic ttv", cyclic_ttv (), 75_359.0) ]
+
 let suites =
   [
     ( "host gauges",
@@ -101,5 +142,6 @@ let suites =
         Alcotest.test_case "phase wall gauges" `Quick test_phase_gauges;
         Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
         Alcotest.test_case "unstaged leaf allocation budget" `Quick test_unstaged_leaf_budget;
+        Alcotest.test_case "replay allocation budget" `Quick test_replay_budget;
       ] );
   ]

@@ -173,6 +173,59 @@ let test_strided_views () =
   let a_got = extract ba m n in
   Alcotest.(check (float 0.0)) "strided gemm exact" 0.0 (Dense.max_abs_diff a_got a_ref)
 
+(* {2 Allocation}
+
+   A warm kernel call allocates nothing: every element access is an
+   unboxed load or store, the packing panels come from a per-domain
+   scratch, and edge strips shift offsets instead of building views.
+   Each kernel runs at one shape per tier (innerprod has only the simple
+   tier, so it runs at a small and a large shape); the micro shapes have
+   ragged edges, so the simple-tier edge paths run too. *)
+
+let alloc_shapes =
+  [
+    ("gemm", [| 18; 17; 9 |], [| 4; 4; 4 |]);
+    ("gemv", [| 33; 20 |], [| 5; 5 |]);
+    ("ttv", [| 4; 34; 32 |], [| 2; 3; 4 |]);
+    ("ttm", [| 2; 9; 10; 8 |], [| 2; 2; 2; 2 |]);
+    ("mttkrp", [| 3; 10; 5; 6 |], [| 2; 2; 2; 2 |]);
+    ("innerprod", [| 8; 8; 16 |], [| 2; 3; 4 |]);
+  ]
+
+(* Minor and major words [f] allocates, net of the measurement's own. *)
+let words_of f =
+  let measure f =
+    let mi0, _, ma0 = Gc.counters () in
+    f ();
+    let mi1, _, ma1 = Gc.counters () in
+    (mi1 -. mi0, ma1 -. ma0)
+  in
+  let bmi, bma = measure ignore in
+  let mi, ma = measure f in
+  (mi -. bmi, ma -. bma)
+
+let test_kernels_allocate_nothing () =
+  let rng = Rng.create 3 in
+  List.iter
+    (fun (kernel, micro, simple) ->
+      List.iter
+        (fun (tier, dims) ->
+          if tier = "micro" then
+            Alcotest.(check bool)
+              (kernel ^ " micro shape dispatches to the micro tier")
+              true
+              (Kreg.shape_class ~kernel ~dims = `Micro);
+          let out, factors = operands rng ~kernel ~dims in
+          let views = Array.of_list (full_view out :: List.map full_view factors) in
+          let call () = Kreg.run_views ~kernel ~dims views in
+          call ();
+          let minor, major = words_of call in
+          Alcotest.(check (pair (float 0.0) (float 0.0)))
+            (Printf.sprintf "%s %s words" kernel tier)
+            (0.0, 0.0) (minor, major))
+        [ ((if kernel = "innerprod" then "simple" else "micro"), micro); ("simple", simple) ])
+    alloc_shapes
+
 (* {2 Dispatch surfaces} *)
 
 let contains s sub = Astring_contains.contains s sub
@@ -322,6 +375,7 @@ let suites =
         to_alcotest qcheck_registry_matches_reference;
         to_alcotest qcheck_run_named_matches_views;
         Alcotest.test_case "strided views" `Quick test_strided_views;
+        Alcotest.test_case "warm calls allocate nothing" `Quick test_kernels_allocate_nothing;
         Alcotest.test_case "shape class" `Quick test_shape_class;
         Alcotest.test_case "flops table" `Quick test_flops_table;
         Alcotest.test_case "shape diagnostics" `Quick test_shape_diagnostics;

@@ -25,16 +25,16 @@ module Client = Distal_serve.Client
 
 let test_lru_eviction_order () =
   let t = Lru.create ~capacity:2 in
-  Alcotest.(check (option (pair string int))) "no eviction" None (Lru.put t "a" 1);
-  Alcotest.(check (option (pair string int))) "no eviction" None (Lru.put t "b" 2);
+  Alcotest.(check (list (pair string int))) "no eviction" [] (Lru.put t "a" 1);
+  Alcotest.(check (list (pair string int))) "no eviction" [] (Lru.put t "b" 2);
   (* Touching [a] promotes it, so the next overflow evicts [b]. *)
   Alcotest.(check (option int)) "a hits" (Some 1) (Lru.find t "a");
-  Alcotest.(check (option (pair string int)))
-    "LRU binding evicted" (Some ("b", 2)) (Lru.put t "c" 3);
+  Alcotest.(check (list (pair string int)))
+    "LRU binding evicted" [ ("b", 2) ] (Lru.put t "c" 3);
   Alcotest.(check (list string)) "MRU order" [ "c"; "a" ] (Lru.keys_mru t);
   Alcotest.(check (option int)) "b is gone" None (Lru.find t "b");
   (* Overwrite keeps the key and promotes. *)
-  Alcotest.(check (option (pair string int))) "overwrite" None (Lru.put t "a" 10);
+  Alcotest.(check (list (pair string int))) "overwrite" [] (Lru.put t "a" 10);
   Alcotest.(check (list string)) "overwrite promotes" [ "a"; "c" ] (Lru.keys_mru t);
   Alcotest.(check int) "hits" 1 (Lru.hits t);
   Alcotest.(check int) "misses" 1 (Lru.misses t);
@@ -42,11 +42,11 @@ let test_lru_eviction_order () =
 
 let test_lru_capacity_zero () =
   let t = Lru.create ~capacity:0 in
-  Alcotest.(check (option (pair string int))) "put drops" None (Lru.put t "a" 1);
+  Alcotest.(check (list (pair string int))) "put drops" [] (Lru.put t "a" 1);
   Alcotest.(check (option int)) "always miss" None (Lru.find t "a");
   Alcotest.(check int) "empty" 0 (Lru.length t);
   (match Lru.find_or_add t "a" (fun () -> Ok 7) with
-  | Ok (7, `Miss None) -> ()
+  | Ok (7, `Miss []) -> ()
   | _ -> Alcotest.fail "capacity-0 find_or_add must compute and evict nothing");
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Lru.create: capacity must be >= 0") (fun () ->
@@ -57,14 +57,14 @@ let test_lru_find_or_add () =
   let computes = ref 0 in
   let compute v () = incr computes; Ok v in
   (match Lru.find_or_add t "a" (compute 1) with
-  | Ok (1, `Miss None) -> ()
+  | Ok (1, `Miss []) -> ()
   | _ -> Alcotest.fail "first lookup computes");
   (match Lru.find_or_add t "a" (compute 99) with
   | Ok (1, `Hit) -> ()
   | _ -> Alcotest.fail "second lookup hits the cached value");
   Alcotest.(check int) "computed once" 1 !computes;
   (match Lru.find_or_add t "b" (compute 2) with
-  | Ok (2, `Miss (Some ("a", 1))) -> ()
+  | Ok (2, `Miss [ ("a", 1) ]) -> ()
   | _ -> Alcotest.fail "overflow reports the evicted binding");
   (* Error results are not cached. *)
   (match Lru.find_or_add t "c" (fun () -> Error "boom") with
@@ -93,8 +93,8 @@ let test_lru_promote_mru () =
   Alcotest.(check (option int)) "tail hit" (Some 1) (Lru.find t "a");
   Alcotest.(check (list string)) "tail promoted" [ "a"; "c"; "b" ] (Lru.keys_mru t);
   (* ...and the eviction order reflects the promotions, not insertion. *)
-  Alcotest.(check (option (pair string int)))
-    "lru evicted" (Some ("b", 2)) (Lru.put t "d" 4);
+  Alcotest.(check (list (pair string int)))
+    "lru evicted" [ ("b", 2) ] (Lru.put t "d" 4);
   (* Single-entry cache: the only entry is permanently MRU; hammering it
      must neither corrupt the list nor lose counter updates. *)
   let s = Lru.create ~capacity:1 in
@@ -102,6 +102,37 @@ let test_lru_promote_mru () =
   for _ = 1 to 100 do ignore (Lru.find s "x") done;
   Alcotest.(check int) "single-entry hits" 100 (Lru.hits s);
   Alcotest.(check (list string)) "single-entry order" [ "x" ] (Lru.keys_mru s)
+
+(* A weighted cache evicts from the LRU end until the total weight fits,
+   reports every eviction (least recently used first), and still bounds
+   the entry count. An entry heavier than the whole budget is dropped. *)
+let test_lru_weighted () =
+  let t = Lru.create_weighted ~capacity:10 ~max_weight:10 ~weight:Fun.id in
+  let put k v = Lru.put t k v in
+  let evicted = Alcotest.(check (list (pair string int))) in
+  evicted "a fits" [] (put "a" 4);
+  evicted "b fits" [] (put "b" 4);
+  evicted "c pushes a out" [ ("a", 4) ] (put "c" 4);
+  Alcotest.(check int) "weight after c" 8 (Lru.weight t);
+  ignore (Lru.find t "b");
+  evicted "d pushes out c, not the promoted b" [ ("c", 4) ] (put "d" 5);
+  evicted "e needs two evictions" [ ("b", 4); ("d", 5) ] (put "e" 9);
+  Alcotest.(check (list string)) "only e left" [ "e" ] (Lru.keys_mru t);
+  evicted "an overweight entry evicts everything, itself too" [ ("e", 9); ("big", 11) ]
+    (put "big" 11);
+  Alcotest.(check int) "empty weight" 0 (Lru.weight t);
+  evicted "x fits" [] (put "x" 3);
+  evicted "overwrite reweighs" [] (put "x" 8);
+  Alcotest.(check int) "overwritten weight" 8 (Lru.weight t);
+  Alcotest.(check bool) "remove" true (Lru.remove t "x");
+  Alcotest.(check int) "remove drops the weight" 0 (Lru.weight t);
+  Alcotest.(check int) "evictions counted" 6 (Lru.evictions t);
+  let c = Lru.create_weighted ~capacity:2 ~max_weight:100 ~weight:Fun.id in
+  ignore (Lru.put c "p" 1);
+  ignore (Lru.put c "q" 1);
+  evicted "the entry count still binds" [ ("p", 1) ] (Lru.put c "r" 1);
+  Lru.clear c;
+  Alcotest.(check int) "clear drops the weight" 0 (Lru.weight c)
 
 (* {2 QCheck: the LRU against an association-list model}
 
@@ -152,10 +183,10 @@ let lru_model_once ~capacity ops =
           let got = Lru.put t k v in
           let without = List.remove_assoc k !model in
           let expect_evicted =
-            if capacity = 0 then None
+            if capacity = 0 then []
             else if List.mem_assoc k !model || List.length without < capacity then begin
               model := (k, v) :: without;
-              None
+              []
             end
             else begin
               let rec split_last = function
@@ -168,7 +199,7 @@ let lru_model_once ~capacity ops =
               let kept, last = split_last without in
               incr evictions;
               model := (k, v) :: kept;
-              Some last
+              [ last ]
             end
           in
           if got <> expect_evicted then fail "eviction mismatch")
@@ -359,6 +390,67 @@ let test_session_result_size_cap () =
   Alcotest.(check int) "one cached result" 1 (Session.cached_results session);
   Alcotest.(check (option (float 0.0))) "uncached counter" (Some 2.0)
     (Distal_obs.Metrics.value (Session.metrics session) "serve.result_uncached")
+
+(* The result tier's byte budget: results whose seed never repeats fill
+   it to max_result_bytes and no further. Each insert past the budget
+   evicts least-recently-used results, the newest result still hits, and
+   Model results, which carry no output, weigh nothing. *)
+let test_session_result_byte_budget () =
+  let session = Session.create ~domains:1 () in
+  let req = gemm_request ~n:88 ~chunks:4 () in
+  let per = 8 * 88 * 88 in
+  let fit = Session.max_result_bytes / per in
+  let metric name =
+    Option.value ~default:0.0 (Distal_obs.Metrics.value (Session.metrics session) name)
+  in
+  Alcotest.(check int) "budget is 128 capped results" (128 * Session.max_cached_result_bytes)
+    Session.max_result_bytes;
+  for seed = 1 to fit + 5 do
+    ignore (Session.run_exn ~seed session req)
+  done;
+  Alcotest.(check int) "as many results as fit" fit (Session.cached_results session);
+  Alcotest.(check (float 0.0)) "cached bytes" (float_of_int (fit * per))
+    (metric "serve.result_bytes");
+  Alcotest.(check bool) "within the budget" true
+    (metric "serve.result_bytes" <= float_of_int Session.max_result_bytes);
+  Alcotest.(check (float 0.0)) "evictions counted" 5.0 (metric "serve.result_evictions");
+  Alcotest.(check int) "evictions in counters" 5
+    (Session.counters session).Session.result_evictions;
+  Alcotest.(check bool) "newest still hits" true
+    (Session.run_exn ~seed:(fit + 5) session req).Session.result_cached;
+  ignore (Session.run_exn ~mode:Exec.Model ~seed:1 session req);
+  Alcotest.(check bool) "model result cached" true
+    (Session.run_exn ~mode:Exec.Model ~seed:1 session req).Session.result_cached;
+  Alcotest.(check (float 0.0)) "model results weigh nothing" (float_of_int (fit * per))
+    (metric "serve.result_bytes");
+  Alcotest.(check (float 0.0)) "and evict nothing" 5.0 (metric "serve.result_evictions")
+
+(* Seeded Full inputs come from the session's buffer pool. Outputs served
+   on reused blocks are bit-identical to Api.run on fresh
+   Api.random_inputs, and a run that fails after drawing its inputs
+   still returns them: later runs of the shape allocate nothing new. *)
+let test_session_pooled_inputs () =
+  let session = Session.create ~domains:1 () in
+  let req = gemm_request ~n:16 () in
+  let metric name =
+    match Distal_obs.Metrics.value (Session.metrics session) name with
+    | Some v -> v
+    | None -> Alcotest.failf "%s missing" name
+  in
+  let bad = Api.Fault.plan ~kills:[ Api.Fault.kill ~proc:99 ~step:0 () ] () in
+  (match Session.run ~faults:bad ~seed:1 session req with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a kill on a missing processor must fail the run");
+  Alcotest.(check (float 0.0)) "B and C drawn" 2.0 (metric "serve.input_allocs");
+  Alcotest.(check (float 0.0)) "and returned" (float_of_int (2 * 8 * 16 * 16))
+    (metric "serve.input_parked_bytes");
+  for seed = 2 to 6 do
+    Alcotest.(check (pair (list int64) string))
+      (Printf.sprintf "seed %d on reused blocks = direct run" seed)
+      (observe_direct ~seed req)
+      (observe_outcome (Session.run_exn ~seed session req))
+  done;
+  Alcotest.(check (float 0.0)) "no new blocks" 2.0 (metric "serve.input_allocs")
 
 (* A Model request never builds the inputs its seed names: at a size
    whose inputs alone would need about a terabyte (an allocation the
@@ -1157,6 +1249,7 @@ let suites =
         Alcotest.test_case "lru find_or_add" `Quick test_lru_find_or_add;
         Alcotest.test_case "lru promote keeps MRU hits cheap and ordered" `Quick
           test_lru_promote_mru;
+        Alcotest.test_case "lru weighted" `Quick test_lru_weighted;
         QCheck_alcotest.to_alcotest qcheck_lru_model;
         Alcotest.test_case "request fingerprint" `Quick test_fingerprint;
         Alcotest.test_case "session byte identity" `Quick test_session_identity;
@@ -1165,6 +1258,8 @@ let suites =
         Alcotest.test_case "session eviction" `Quick test_session_eviction;
         Alcotest.test_case "session cache off" `Quick test_session_cache_off;
         Alcotest.test_case "session result size cap" `Quick test_session_result_size_cap;
+        Alcotest.test_case "session result byte budget" `Quick test_session_result_byte_budget;
+        Alcotest.test_case "session pooled inputs" `Quick test_session_pooled_inputs;
         Alcotest.test_case "session model builds no inputs" `Quick test_session_model_no_inputs;
         Alcotest.test_case "session concurrent lanes" `Quick test_session_concurrent;
         Test_fuzz.to_alcotest qcheck_serve_identity;

@@ -99,6 +99,53 @@ let test_dense_invalid_args () =
   Dense.extract_into ~src:t ~dst:sub (rect [| 1; 1 |] [| 3; 3 |]);
   Alcotest.(check (float 0.0)) "extract_into" 4.0 (Dense.get sub [| 1; 1 |])
 
+(* Sub-box copies against a per-element reference, ranks 0-4. Per
+   dimension the rect spans the whole extent, touches the upper edge,
+   is one wide, is random, or is empty; an empty rect must leave the
+   destination untouched. Every comparison is bit-exact. *)
+let test_row_copies () =
+  let rng = Rng.create 11 in
+  let bits t = Dense.to_le_bytes t in
+  let check op ~got ~want r =
+    if not (Bytes.equal (bits got) (bits want)) then
+      Alcotest.failf "%s differs from the per-element reference on %s" op (Rect.to_string r)
+  in
+  for case = 0 to 299 do
+    let rank = case mod 5 in
+    let shape = Array.init rank (fun _ -> 1 + Rng.int rng 5) in
+    let bounds e =
+      match Rng.int rng 5 with
+      | 0 -> (0, e)
+      | 1 -> (e - 1, e)
+      | 2 ->
+          let lo = Rng.int rng e in
+          (lo, lo + 1)
+      | 3 ->
+          let lo = Rng.int rng e in
+          (lo, lo + Rng.int rng (e - lo + 1))
+      | _ ->
+          let lo = Rng.int rng (e + 1) in
+          (lo, lo)
+    in
+    let b = Array.map bounds shape in
+    let r = rect (Array.map fst b) (Array.map snd b) in
+    let local c = Array.mapi (fun d x -> x - (Array.map fst b).(d)) c in
+    let big = Dense.random rng shape and small = Dense.random rng (Rect.extents r) in
+    let got = Dense.copy small and want = Dense.copy small in
+    Dense.extract_into ~src:big ~dst:got r;
+    Rect.iter r (fun c -> Dense.set want (local c) (Dense.get big c));
+    check "extract_into" ~got ~want r;
+    let got = Dense.copy big and want = Dense.copy big in
+    Dense.blit_into ~src:small ~dst:got r;
+    Rect.iter r (fun c -> Dense.set want c (Dense.get small (local c)));
+    check "blit_into" ~got ~want r;
+    let got = Dense.copy big and want = Dense.copy big in
+    Dense.accumulate_into ~src:small ~dst:got r;
+    Rect.iter r (fun c -> Dense.add_at want c (Dense.get small (local c)));
+    check "accumulate_into" ~got ~want r;
+    if Rect.is_empty r then check "empty rect" ~got ~want:big r
+  done
+
 let test_dense_scalar () =
   let t = Dense.create [||] in
   Alcotest.(check int) "size" 1 (Dense.size t);
@@ -229,6 +276,7 @@ let suites =
         Alcotest.test_case "get/set" `Quick test_dense_get_set;
         Alcotest.test_case "extract/blit" `Quick test_dense_extract_blit;
         Alcotest.test_case "invalid args" `Quick test_dense_invalid_args;
+        Alcotest.test_case "row copies" `Quick test_row_copies;
         Alcotest.test_case "scalar" `Quick test_dense_scalar;
         Alcotest.test_case "approx_equal" `Quick test_approx_equal;
         QCheck_alcotest.to_alcotest qcheck_extract_blit_roundtrip;
