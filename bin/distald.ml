@@ -34,7 +34,7 @@ let queue_arg =
     & info [ "queue" ] ~docv:"N"
         ~doc:
           "Admission bound: submits beyond $(docv) queued requests are rejected \
-           with a retry-after. Defaults to \\$DISTAL_SERVE_QUEUE, else 64.")
+           with a retry-after. Defaults to 64.")
 
 let cache_arg =
   Arg.(
@@ -43,7 +43,7 @@ let cache_arg =
     & info [ "cache" ] ~docv:"N"
         ~doc:
           "Plan-cache capacity (distinct request shapes); 0 disables caching. \
-           Defaults to \\$DISTAL_SERVE_CACHE, else 128.")
+           Defaults to 128.")
 
 let results_arg =
   Arg.(

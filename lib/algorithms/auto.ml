@@ -40,7 +40,6 @@ module Ident = Distal_ir.Ident
 module Ints = Distal_support.Ints
 module Lru = Distal_support.Lru
 module Pool = Distal_support.Pool
-module Env = Distal_support.Env
 
 type candidate = {
   dist_vars : Distal_ir.Ident.t list;
@@ -70,14 +69,11 @@ let ( let* ) = Result.bind
    tensor distributions, cost model — so a hit is exactly the value the
    probe would recompute. *)
 
-let cache : (string, Api.plan * Stats.t) Lru.t Lazy.t =
-  lazy (Lru.create ~capacity:(Option.value (Env.auto_cache ()) ~default:512))
+let cache : (string, Api.plan * Stats.t) Lru.t = Lru.create ~capacity:512
 
-let cache_stats () =
-  let c = Lazy.force cache in
-  (Lru.hits c, Lru.misses c, Lru.evictions c)
+let cache_stats () = (Lru.hits cache, Lru.misses cache, Lru.evictions cache)
 
-let clear_cache () = Lru.clear (Lazy.force cache)
+let clear_cache () = Lru.clear cache
 
 (* {2 Enumeration} *)
 
@@ -314,15 +310,14 @@ let compile_spec ~stmt ~parsed spec =
       | Error _ -> Ok plan)
 
 let probe ~stmt ~parsed spec =
-  let c = Lazy.force cache in
-  match Lru.find c spec.s_fp with
+  match Lru.find cache spec.s_fp with
   | Some (plan, stats) -> Ok (plan, stats, true)
   | None -> (
       let* plan = compile_spec ~stmt ~parsed spec in
       match Api.run ~mode:Api.Exec.Model ~cost:spec.s_cost plan ~data:[] with
       | Error e -> Error e
       | Ok r ->
-          ignore (Lru.put c spec.s_fp (plan, r.Api.Exec.stats));
+          ignore (Lru.put cache spec.s_fp (plan, r.Api.Exec.stats));
           Ok (plan, r.Api.Exec.stats, false))
 
 (* {2 The search driver} *)

@@ -23,7 +23,7 @@
     and model-run in fixed-size waves on the {!Distal_support.Pool}
     domain pool, with probes memoized process-wide in an
     {!Distal_support.Lru} keyed on the candidate's request fingerprint
-    plus the cost model digest ([DISTAL_AUTO_CACHE] sets the capacity).
+    plus the cost model digest (512 entries).
     The chosen plan is byte-identical at every pool size: waves have a
     constant width, lanes stripe into a results array by candidate
     index, and the reduction folds that array in enumeration order.

@@ -92,17 +92,16 @@ let or_invalid = function Ok x -> x | Error e -> invalid_arg e
 let problem_exn ?profile ?virtual_grid ~machine ~stmt ~tensors () =
   or_invalid (problem ?profile ?virtual_grid ~machine ~stmt ~tensors ())
 
-(* Lazily compiled executable plans, keyed on everything that changes the
-   compiled artefact (coalesce setting, cost-model digest, fault plan).
-   Lives on the plan itself so every consumer of the same [plan] value —
-   repeated [run] calls, the serving layer's plan cache — shares the
-   compiled artefacts. Compilation is single-flight under the mutex. *)
-type exec_cache = {
-  ec_m : Mutex.t;
-  mutable ec_entries : (string * Exec.eplan) list;
-}
+(* The lazily compiled executable plan of the default options
+   (coalesced, the machine's cost model, no faults). Lives on the plan
+   itself so every consumer of the same [plan] value — repeated [run]
+   calls, the serving layer's plan cache — shares it. One entry per
+   plan: other options would let a client grow the cache without bound,
+   one replay buffer pool per fault plan. Compilation is single-flight
+   under the mutex. *)
+type exec_cache = { ec_m : Mutex.t; mutable ec_plan : Exec.eplan option }
 
-let new_exec_cache () = { ec_m = Mutex.create (); ec_entries = [] }
+let new_exec_cache () = { ec_m = Mutex.create (); ec_plan = None }
 
 type plan = {
   problem : problem;
@@ -144,34 +143,31 @@ let spec ?cost plan =
     virtual_grid = plan.problem.virtual_grid;
   }
 
-let eplan ?(coalesce = true) ?cost ?faults plan =
-  let sp = spec ?cost plan in
-  let key =
-    Printf.sprintf "%b|%s|%s" coalesce
-      (Cost_model.digest sp.Exec.cost)
-      (match faults with Some f -> Fault.to_string f | None -> "-")
-  in
+let eplan plan =
   let c = plan.exec_cache in
-  Mutex.lock c.ec_m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.ec_m) @@ fun () ->
-  match List.assoc_opt key c.ec_entries with
+  Mutex.protect c.ec_m @@ fun () ->
+  match c.ec_plan with
   | Some ep -> Ok ep
   | None ->
-      let* ep = Exec.plan ~coalesce ?faults sp in
-      c.ec_entries <- (key, ep) :: c.ec_entries;
+      let* ep = Exec.plan (spec plan) in
+      c.ec_plan <- Some ep;
       Ok ep
 
-let eplan_exn ?coalesce ?cost ?faults plan =
-  or_invalid (eplan ?coalesce ?cost ?faults plan)
+let eplan_exn plan = or_invalid (eplan plan)
 
 let run ?(mode = Exec.Full) ?coalesce ?domains ?cost ?trace ?profile ?faults plan
     ~data =
-  (* Untraced, unprofiled Full runs replay the plan's cached executable
-     plan. Everything else — Model mode, copy traces, per-run profiles —
-     asks for a simulation, which [Exec.execute] runs (and, in Full mode,
-     replays once). *)
-  if mode = Exec.Full && Option.is_none trace && Option.is_none profile then
-    let* ep = eplan ?coalesce ?cost ?faults plan in
+  (* Full runs with the default options and no trace or profile replay
+     the plan's cached executable plan. Everything else — Model mode,
+     other options, copy traces, per-run profiles — asks for a
+     simulation, which [Exec.execute] runs (and, in Full mode, replays
+     once). *)
+  let default_options =
+    coalesce <> Some false && Option.is_none cost && Option.is_none faults
+    && Option.is_none trace && Option.is_none profile
+  in
+  if mode = Exec.Full && default_options then
+    let* ep = eplan plan in
     Exec.run_plan ?domains ep ~data
   else
     Exec.execute ~mode ?coalesce ?domains ?trace ?profile ?faults (spec ?cost plan)

@@ -68,9 +68,9 @@ val problem_exn :
   stmt:string -> tensors:tensor list -> unit -> problem
 
 type exec_cache
-(** Per-plan cache of compiled executable plans ({!Exec.eplan}), keyed on
-    the (coalesce, cost model, fault plan) options. Created empty by
-    {!compile}; filled lazily by {!eplan} and by untraced {!run}s. *)
+(** Per-plan cache of the default-options executable plan
+    ({!Exec.eplan}). Created empty by {!compile}; filled lazily by
+    {!eplan} and by default-options Full {!run}s. *)
 
 val new_exec_cache : unit -> exec_cache
 
@@ -103,19 +103,14 @@ val spec : ?cost:Cost_model.t -> plan -> Exec.spec
 (** The executor's view of a compiled plan (default cost:
     {!default_cost}) — what {!run} hands {!Exec.execute}. *)
 
-val eplan :
-  ?coalesce:bool ->
-  ?cost:Cost_model.t ->
-  ?faults:Fault.t ->
-  plan ->
-  (Exec.eplan, string) result
-(** The compiled executable plan for the given options, compiled on
-    first use and cached on the plan's {!exec_cache} (single-flight).
-    Repeated {!run} calls on one plan — and serving-layer hits on a
-    cached plan — replan nothing. *)
+val eplan : plan -> (Exec.eplan, string) result
+(** The executable plan of the default options (coalesced, the machine's
+    cost model, no faults), compiled on first use and cached on the
+    plan's {!exec_cache} (single-flight). Repeated {!run} calls on one
+    plan — and serving-layer hits on a cached plan — replan nothing.
+    Other options are not cached: {!run} plans them afresh. *)
 
-val eplan_exn :
-  ?coalesce:bool -> ?cost:Cost_model.t -> ?faults:Fault.t -> plan -> Exec.eplan
+val eplan_exn : plan -> Exec.eplan
 
 val run :
   ?mode:Exec.mode ->
@@ -137,13 +132,14 @@ val run :
     are recovered by checkpoint/replay, bit-identically (see
     {!Exec.execute}).
 
-    A Full-mode call with no [trace]/[profile] replays the plan's cached
+    A Full-mode call with the default options (no [trace], [profile],
+    [cost] or [faults], [coalesce] not [false]) replays the plan's cached
     executable plan ({!eplan} + {!Exec.run_plan}): plan once, then run
-    each call against its data with pooled buffers. A traced or profiled
-    Full-mode call compiles a fresh executable plan under the trace and
-    profile and replays that once ({!Exec.execute}); its output bytes are
-    those of the cached path. The returned stats are the plan-time
-    modeled stats either way. *)
+    each call against its data with pooled buffers. Any other Full-mode
+    call compiles a fresh executable plan under its options and replays
+    that once ({!Exec.execute}); its output bytes are those of the
+    cached path. The returned stats are the plan-time modeled stats
+    either way. *)
 
 val run_exn :
   ?mode:Exec.mode -> ?coalesce:bool -> ?domains:int ->

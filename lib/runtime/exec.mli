@@ -138,7 +138,7 @@ val execute :
     point, the ordered data operations of the run; {!run_plan} replays
     those operations against new tensor data. Run-phase buffers — instance fragments, reduction partials,
     kernel slices — come from a size-classed pool with per-lane arenas
-    ({!Distal_support.Buf_pool}, capped by [DISTAL_POOL_MB]), so a warm
+    ({!Distal_support.Buf_pool}, capped at 64 MiB), so a warm
     run performs no per-fragment buffer allocation at all. *)
 
 type eplan

@@ -36,7 +36,6 @@
 module Api = Distal.Api
 module Obs = Distal_obs
 module Wire = Distal_support.Wire
-module Env = Distal_support.Env
 
 type config = {
   socket_path : string;
@@ -53,9 +52,8 @@ let default_stall_timeout = 30.0
 
 let config ?queue_limit ?plan_cache ?result_cache ?domains
     ?(stall_timeout = default_stall_timeout) ?(quiet = false) ~socket_path () =
-  let pick opt env default = match opt with Some v -> v | None -> Option.value (env ()) ~default in
-  let queue_limit = pick queue_limit Env.serve_queue default_queue_limit in
-  let plan_cache = pick plan_cache Env.serve_cache Session.default_plan_capacity in
+  let queue_limit = Option.value queue_limit ~default:default_queue_limit in
+  let plan_cache = Option.value plan_cache ~default:Session.default_plan_capacity in
   let result_cache =
     match result_cache with
     | Some c -> c

@@ -43,8 +43,7 @@ val config :
   socket_path:string ->
   unit ->
   config
-(** Omitted fields fall back to [DISTAL_SERVE_QUEUE] and
-    [DISTAL_SERVE_CACHE], then to built-in defaults (queue 64, caches per
+(** Omitted fields take the built-in defaults (queue 64, caches per
     {!Session}). [domains] sizes the pool that replays Full requests.
     [stall_timeout] defaults to {!default_stall_timeout} (30 s).
     @raise Invalid_argument on a non-positive queue or stall timeout. *)

@@ -39,7 +39,6 @@ module Api = Distal.Api
 module Dense = Distal_tensor.Dense
 module Obs = Distal_obs
 module Lru = Distal_support.Lru
-module Env = Distal_support.Env
 module Buf_pool = Distal_support.Buf_pool
 
 type outcome = {
@@ -68,22 +67,17 @@ let output_bytes (r : Api.Exec.result) =
 
 let cacheable r = output_bytes r <= max_cached_result_bytes
 
-let create ?plan_cache ?result_cache ?domains () =
-  let plan_capacity =
-    match plan_cache with
-    | Some c -> c
-    | None -> Option.value (Env.serve_cache ()) ~default:default_plan_capacity
-  in
+let create ?(plan_cache = default_plan_capacity) ?result_cache ?domains () =
   let result_capacity =
     (* Caching results only makes sense while plans are cached too; a
        plan_cache of 0 (caching off) disables both unless the result
        capacity was given explicitly. *)
     match result_cache with
     | Some c -> c
-    | None -> if plan_capacity = 0 then 0 else default_result_capacity
+    | None -> if plan_cache = 0 then 0 else default_result_capacity
   in
   {
-    plans = Lru.create ~capacity:plan_capacity;
+    plans = Lru.create ~capacity:plan_cache;
     results =
       Lru.create_weighted ~capacity:result_capacity ~max_weight:max_result_bytes
         ~weight:output_bytes;

@@ -41,9 +41,9 @@ val max_result_bytes : int
     and weigh nothing. *)
 
 val create : ?plan_cache:int -> ?result_cache:int -> ?domains:int -> unit -> t
-(** [plan_cache] defaults to [DISTAL_SERVE_CACHE] (else 128) entries; [0]
-    disables caching (every request compiles and runs). [result_cache]
-    defaults to 1024, or [0] whenever the plan cache is disabled.
+(** [plan_cache] defaults to 128 entries; [0] disables caching (every
+    request compiles and runs). [result_cache] defaults to 1024, or [0]
+    whenever the plan cache is disabled.
     [domains] pins the host domain-pool size that replays Full requests
     ({!Distal.Api.Exec.run_plan}); simulation always runs on the calling
     domain. *)

@@ -13,18 +13,14 @@
 
    - each pool lane owns an arena of free lists and touches only it
      during replay, so acquire/release on the hot path is a
-     list cons with no lock and no cross-domain traffic;
-
-   - a mutex-guarded shared tier backstops the arenas: an arena miss
-     pulls from it before allocating fresh, so buffers migrate between
-     lanes when the lane count changes between runs.
+     list cons with no lock and no cross-domain traffic.
 
    The pool hands out raw [Bigarray.Array1] blocks (this library sits
    below [Distal_tensor]); callers wrap them into tensor views. Blocks
    live outside the OCaml heap, so parked buffers cost address space and
-   RSS but no GC work; [max_bytes] caps the total bytes parked across
-   arenas and the shared tier — a release that would exceed the cap drops
-   the buffer to the GC instead of parking it. *)
+   RSS but no GC work; [max_bytes] (64 MiB) caps the total bytes parked
+   across arenas — a release that would exceed the cap drops the buffer
+   to the GC instead of parking it. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -40,9 +36,9 @@ let max_lanes = 64
 type stats = {
   allocs : int;  (** fresh bigarray allocations since [create] *)
   alloc_bytes : float;  (** bytes of those allocations *)
-  hits : int;  (** acquisitions served from an arena or the shared tier *)
+  hits : int;  (** acquisitions served from an arena *)
   cached_bytes : float;  (** bytes currently parked in free lists *)
-  dropped : int;  (** releases discarded because [max_bytes] was reached *)
+  dropped : int;  (** releases discarded because the byte cap was reached *)
 }
 
 type arena = {
@@ -52,12 +48,9 @@ type arena = {
 
 type t = {
   arenas : arena array;
-  shared : buf list array;  (* per class, guarded by [m] *)
-  m : Mutex.t;
-  max_bytes : int;
   (* Counters cross domains (lanes release concurrently), so they are
-     atomics, not plain ints. [cached] is advisory: the cap check reads
-     it without the lock, so the cap is approximate by design. *)
+     atomics, not plain ints. [cached] is advisory: the cap check and the
+     update are separate steps, so the cap is approximate by design. *)
   cached : int Atomic.t;
   allocs : int Atomic.t;
   alloc_bytes : int Atomic.t;
@@ -65,27 +58,13 @@ type t = {
   dropped : int Atomic.t;
 }
 
-let default_max_mb = 64
+let max_bytes = 64 * 1024 * 1024
 
-let default_max_bytes () =
-  let mb =
-    match Env.non_negative_int_var "DISTAL_POOL_MB" with
-    | Some mb -> mb
-    | None -> default_max_mb
-  in
-  mb * 1024 * 1024
-
-let create ?max_bytes () =
-  let max_bytes =
-    match max_bytes with Some b -> max 0 b | None -> default_max_bytes ()
-  in
+let create () =
   {
     arenas =
       Array.init max_lanes (fun owner ->
           { free = Array.make nclasses []; owner });
-    shared = Array.make nclasses [];
-    m = Mutex.create ();
-    max_bytes;
     cached = Atomic.make 0;
     allocs = Atomic.make 0;
     alloc_bytes = Atomic.make 0;
@@ -122,40 +101,17 @@ let acquire t arena n =
       ignore (Atomic.fetch_and_add t.cached (-class_bytes c));
       Atomic.incr t.hits;
       b
-  | [] -> (
-      Mutex.lock t.m;
-      match t.shared.(c) with
-      | b :: rest ->
-          t.shared.(c) <- rest;
-          Mutex.unlock t.m;
-          ignore (Atomic.fetch_and_add t.cached (-class_bytes c));
-          Atomic.incr t.hits;
-          b
-      | [] ->
-          Mutex.unlock t.m;
-          alloc_class t c)
+  | [] -> alloc_class t c
 
 let release t arena b =
   let n = Bigarray.Array1.dim b in
   let c = class_of n in
   (* Only blocks the pool itself sized (exact class capacities) are
      parked; anything else would lie about its capacity on reuse. *)
-  if 1 lsl c <> n || Atomic.get t.cached + class_bytes c > t.max_bytes then
+  if 1 lsl c <> n || Atomic.get t.cached + class_bytes c > max_bytes then
     Atomic.incr t.dropped
   else begin
     arena.free.(c) <- b :: arena.free.(c);
-    ignore (Atomic.fetch_and_add t.cached (class_bytes c))
-  end
-
-let release_shared t b =
-  let n = Bigarray.Array1.dim b in
-  let c = class_of n in
-  if 1 lsl c <> n || Atomic.get t.cached + class_bytes c > t.max_bytes then
-    Atomic.incr t.dropped
-  else begin
-    Mutex.lock t.m;
-    t.shared.(c) <- b :: t.shared.(c);
-    Mutex.unlock t.m;
     ignore (Atomic.fetch_and_add t.cached (class_bytes c))
   end
 

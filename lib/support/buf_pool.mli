@@ -5,13 +5,12 @@
     against a compiled plan performs no bigarray allocation at all.
     Capacities round up to powers of two (one free list per class); each
     pool lane owns an arena it alone touches during replay
-    (lock-free acquire/release), with a mutex-guarded shared tier as the
-    backstop so buffers migrate when the lane count changes between runs.
+    (lock-free acquire/release).
 
-    Total parked bytes are capped ([max_bytes], default [DISTAL_POOL_MB]
-    megabytes, 64 when unset): a release that would exceed the cap drops
-    the block to the GC. The cap check is advisory (read without the
-    lock), so the ceiling is approximate by design. *)
+    Total parked bytes are capped at 64 MiB: a release that would
+    exceed the cap drops the block to the GC. The cap check is advisory
+    (not atomic with the update), so the ceiling is approximate by
+    design. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Same backing type as [Distal_tensor.Dense.buf]; this library sits
@@ -23,15 +22,13 @@ type arena
 type stats = {
   allocs : int;  (** fresh bigarray allocations since [create] *)
   alloc_bytes : float;  (** bytes of those allocations *)
-  hits : int;  (** acquisitions served from an arena or the shared tier *)
+  hits : int;  (** acquisitions served from an arena *)
   cached_bytes : float;  (** bytes currently parked in free lists *)
-  dropped : int;  (** releases discarded because [max_bytes] was reached *)
+  dropped : int;  (** releases discarded because the byte cap was reached *)
 }
 
-val create : ?max_bytes:int -> unit -> t
-(** A fresh pool. [max_bytes] caps the total bytes parked across every
-    free list; default [DISTAL_POOL_MB] (megabytes) when set, else 64 MB.
-    @raise Invalid_argument when [DISTAL_POOL_MB] is set but malformed. *)
+val create : unit -> t
+(** A fresh, empty pool. *)
 
 val arena : t -> int -> arena
 (** The arena of the given pool lane (0-based, below
@@ -42,17 +39,13 @@ val arena : t -> int -> arena
 
 val acquire : t -> arena -> int -> buf
 (** [acquire t a n] returns a block of capacity at least [n] elements
-    (the smallest power-of-two class), preferring the arena's free list,
-    then the shared tier, then a fresh allocation. Contents are
-    unspecified — callers overwrite or zero-fill. *)
+    (the smallest power-of-two class), from the arena's free list when
+    it has one, else freshly allocated. Contents are unspecified —
+    callers overwrite or zero-fill. *)
 
 val release : t -> arena -> buf -> unit
 (** Park a block on the arena's free list (or drop it when the pool is
     at its byte cap). Only blocks that came from {!acquire} should be
     released; the block must not be used after release. *)
-
-val release_shared : t -> buf -> unit
-(** Like {!release} but parks on the shared tier — for releases that
-    happen outside any lane (the serial merge phase). *)
 
 val stats : t -> stats

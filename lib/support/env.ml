@@ -67,13 +67,6 @@ let non_negative_float_var name =
       | Some f when Float.is_finite f && f >= 0.0 -> Some f
       | Some _ | None -> malformed name s "a non-negative finite number")
 
-(* The serving knobs (lib/serve, bin/distald). Parsed here so distald,
-   the session layer and the tests agree on the validation rules. *)
-
-let serve_queue () = positive_int_var "DISTAL_SERVE_QUEUE"
-
-let serve_cache () = non_negative_int_var "DISTAL_SERVE_CACHE"
-
 (* Leaf-kernel knobs (lib/machine/calibrate). *)
 
 let kernel_rate () =
@@ -82,9 +75,7 @@ let kernel_rate () =
   | Some _ -> malformed "DISTAL_KERNEL_RATE" "0" "a positive flop/s rate"
   | None -> None
 
-(* Auto-scheduler knobs (lib/algorithms/auto, lib/machine/calibrate). *)
-
-let auto_cache () = non_negative_int_var "DISTAL_AUTO_CACHE"
+(* Packing knob (lib/machine/calibrate). *)
 
 let pack_overhead () =
   match non_negative_float_var "DISTAL_PACK_OVERHEAD" with

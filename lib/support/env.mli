@@ -29,19 +29,6 @@ val non_negative_int_var : string -> int option
 val non_negative_float_var : string -> float option
 (** @raise Invalid_argument when set but not a finite number [>= 0]. *)
 
-(** {2 Serving knobs}
-
-    The [distald]/[lib/serve] configuration variables, validated here so
-    every consumer rejects malformed values identically. See the README's
-    environment-variable table for semantics and defaults. *)
-
-val serve_queue : unit -> int option
-(** [DISTAL_SERVE_QUEUE]: admission-control queue bound (positive). *)
-
-val serve_cache : unit -> int option
-(** [DISTAL_SERVE_CACHE]: plan-cache capacity in entries ([0] disables
-    caching). *)
-
 (** {2 Leaf-kernel knobs} *)
 
 val kernel_rate : unit -> float option
@@ -49,11 +36,7 @@ val kernel_rate : unit -> float option
     kernel, overriding the calibration microbenchmarks — reproducible CI
     and what-if modelling of a different host. *)
 
-(** {2 Auto-scheduler knobs} *)
-
-val auto_cache : unit -> int option
-(** [DISTAL_AUTO_CACHE]: probe-memoization LRU capacity for the
-    auto-scheduler ([0] disables memoization). *)
+(** {2 Packing knob} *)
 
 val pack_overhead : unit -> float option
 (** [DISTAL_PACK_OVERHEAD]: per-fragment packing cost in seconds,

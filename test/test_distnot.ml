@@ -224,8 +224,8 @@ let test_tiles_match_merge () =
     let shape = Array.init rank (fun _ -> 1 + Distal_support.Rng.int rng 9) in
     let mdims = Array.init 2 (fun _ -> 1 + Distal_support.Rng.int rng 3) in
     let d =
-      if seed mod 2 = 0 then Test_fuzz.gen_dist2 rng ~rank ~mdims
-      else Test_fuzz.gen_dist rng ~rank ~mdims
+      if seed mod 2 = 0 then Test_oracle.gen_dist2 rng ~rank ~mdims
+      else Test_oracle.gen_dist rng ~rank ~mdims
     in
     let machine = Machine.grid mdims in
     let show ts = String.concat " " (List.map (fun (r, _) -> Rect.to_string r) ts) in

@@ -6,7 +6,6 @@
    it holds across domain counts and the communication-planner switch. *)
 
 module Api = Distal.Api
-module Machine = Api.Machine
 module Dense = Api.Dense
 module Exec = Api.Exec
 module Stats = Api.Stats
@@ -205,7 +204,10 @@ let test_random_kill_deterministic () =
 
 (* {2 Executor contract} *)
 
-(* Everything observable about a Full-mode run, as in Test_parallel. *)
+let grid_plan () = Api.compile_request_exn Test_oracle.grid_gemm
+let reduction_plan () = Api.compile_request_exn Test_oracle.reduction
+
+(* Everything observable about a Full-mode run. *)
 let observe ?faults ?(coalesce = true) ?(domains = 1) plan ~data =
   let profile = Profile.create () in
   let trace = ref [] in
@@ -252,8 +254,8 @@ let check_fault_free_identity plan ~what =
     ]
 
 let test_fault_free_identity () =
-  check_fault_free_identity (Test_parallel.grid_plan ()) ~what:"grid gemm";
-  check_fault_free_identity (Test_parallel.reduction_plan ())
+  check_fault_free_identity (grid_plan ()) ~what:"grid gemm";
+  check_fault_free_identity (reduction_plan ())
     ~what:"distributed reduction"
 
 let kill_plan ?(checkpoint = true) () =
@@ -275,10 +277,10 @@ let test_kill_recovers_bit_identically () =
             (Printf.sprintf "coalesce=%b domains=%d" coalesce domains)
             true (b = clean_bits))
         [ (false, 1); (true, 3); (false, 3) ])
-    [ Test_parallel.grid_plan (); Test_parallel.reduction_plan () ]
+    [ grid_plan (); reduction_plan () ]
 
 let test_kill_prices_recovery () =
-  let plan = Test_parallel.grid_plan () in
+  let plan = grid_plan () in
   let t_clean = metric plan "exec.time" in
   let faults = kill_plan () in
   Alcotest.(check bool) "faulted run is slower" true
@@ -299,7 +301,7 @@ let test_kill_prices_recovery () =
     (Stats.to_string model.Exec.stats)
 
 let test_checkpoint_shortens_replay () =
-  let plan = Test_parallel.grid_plan () in
+  let plan = grid_plan () in
   let with_ck = metric ~faults:(kill_plan ()) plan "exec.replayed_steps" in
   let without = metric ~faults:(kill_plan ~checkpoint:false ()) plan "exec.replayed_steps" in
   (* The kill strikes step 2: with per-step boundaries only that step
@@ -311,7 +313,7 @@ let test_checkpoint_shortens_replay () =
     > metric ~faults:(kill_plan ()) plan "exec.recovery_time")
 
 let test_message_faults_cost_time_not_bytes () =
-  let plan = Test_parallel.grid_plan () in
+  let plan = grid_plan () in
   let t_clean = metric plan "exec.time" in
   let drop = Fault.plan ~messages:[ Fault.drop () ] () in
   let delay = Fault.plan ~messages:[ Fault.delay 1e-3 () ] () in
@@ -333,7 +335,7 @@ let test_message_faults_cost_time_not_bytes () =
     (Stats.to_string model.Exec.stats)
 
 let test_faulted_timeline_consistent () =
-  let plan = Test_parallel.grid_plan () in
+  let plan = grid_plan () in
   let profile = Profile.create () in
   let faults = kill_plan () in
   let r = Api.run_exn ~mode:Exec.Model ~profile ~faults plan ~data:[] in
@@ -351,53 +353,13 @@ let test_faulted_timeline_consistent () =
   | runs -> Alcotest.failf "expected one run, got %d" (List.length runs)
 
 let test_resilience_report () =
-  let plan = Test_parallel.grid_plan () in
+  let plan = grid_plan () in
   let clean, faulted, report = Api.resilience_exn ~faults:(kill_plan ()) plan in
   Alcotest.(check bool) "faulted slower" true (faulted.Stats.time > clean.Stats.time);
   let has sub = Astring_contains.contains report sub in
   Alcotest.(check bool) "report header" true (has "resilience report");
   Alcotest.(check bool) "report names runs" true (has "fault-free" && has "faulted");
   Alcotest.(check bool) "report counts faults" true (has "faults injected: 1")
-
-(* {2 Property: any single kill is recovered bit-identically}
-
-   Over the fuzzer's statement x distribution x schedule space: a
-   seed-driven single-processor kill (checkpointing on) replays to the
-   same output bits as the fault-free run, for coalescing on/off and
-   domain pools of 1 and 3. *)
-
-let bits_of (r : Exec.result) =
-  match r.Exec.output with
-  | None -> []
-  | Some out ->
-      List.init (Dense.size out) (fun i -> Int64.bits_of_float (Dense.get_lin out i))
-
-let fault_identity_once seed =
-  let stmt, plan = Test_parallel.gen_plan seed in
-  let nprocs = Machine.num_procs plan.Api.problem.Api.machine in
-  if nprocs < 2 then true (* a lone processor has no failover target *)
-  else begin
-    let data = Api.random_inputs ~seed plan in
-    let clean = bits_of (Api.run_exn ~mode:Exec.Full plan ~data) in
-    let faults = Fault.random_kill ~seed ~nprocs ~nsteps:4 in
-    List.for_all
-      (fun (coalesce, domains) ->
-        match Api.run ~mode:Exec.Full ~coalesce ~domains ~faults plan ~data with
-        | Error e -> QCheck.Test.fail_reportf "faulted run failed for %s: %s" stmt e
-        | Ok r ->
-            if bits_of r = clean then true
-            else
-              QCheck.Test.fail_reportf
-                "kill+replay diverges for %s under [%s] (coalesce=%b domains=%d)"
-                stmt (Fault.to_string faults) coalesce domains)
-      [ (true, 1); (true, 3); (false, 1); (false, 3) ]
-  end
-
-let qcheck_kill_identity =
-  QCheck.Test.make ~name:"single kill + replay is byte-identical" ~count:40
-    QCheck.small_nat
-    (fun seed ->
-      Test_fuzz.seeded (succ seed) (fun () -> fault_identity_once (succ seed)))
 
 let suites =
   [
@@ -423,6 +385,5 @@ let suites =
         Alcotest.test_case "faulted timeline stays consistent" `Quick
           test_faulted_timeline_consistent;
         Alcotest.test_case "resilience report" `Quick test_resilience_report;
-        Test_fuzz.to_alcotest qcheck_kill_identity;
       ] );
   ]

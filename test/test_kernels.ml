@@ -10,8 +10,6 @@ module Kernels = Distal_tensor.Kernels
 module Cost = Distal_machine.Cost_model
 module Calibrate = Distal_machine.Calibrate
 module Rng = Distal_support.Rng
-module Api = Distal.Api
-module Machine = Api.Machine
 
 let entry_of name = List.find (fun (e : Kreg.entry) -> e.name = name) Kreg.entries
 let letters s = List.init (String.length s) (String.get s)
@@ -192,16 +190,25 @@ let alloc_shapes =
     ("innerprod", [| 8; 8; 16 |], [| 2; 3; 4 |]);
   ]
 
-(* Minor and major words [f] allocates, net of the measurement's own. *)
+(* Minor and major words one call of [f] allocates, net of the
+   measurement's own: the least of three windows. When a minor collection
+   runs inside a window, the OCaml 5.1 runtime can credit it with words
+   allocated elsewhere (about 115k per live domain), never with fewer, so
+   the least window holds the call's own count. *)
 let words_of f =
-  let measure f =
+  let window f =
     let mi0, _, ma0 = Gc.counters () in
     f ();
     let mi1, _, ma1 = Gc.counters () in
     (mi1 -. mi0, ma1 -. ma0)
   in
-  let bmi, bma = measure ignore in
-  let mi, ma = measure f in
+  let least f =
+    List.fold_left
+      (fun (a, b) (c, d) -> (Float.min a c, Float.min b d))
+      (window f) [ window f; window f ]
+  in
+  let bmi, bma = least ignore in
+  let mi, ma = least f in
   (mi -. bmi, ma -. bma)
 
 let test_kernels_allocate_nothing () =
@@ -278,57 +285,6 @@ let test_shape_diagnostics () =
   with Invalid_argument msg ->
     Alcotest.(check bool) ("names the kernel: " ^ msg) true (contains msg "bogus")
 
-(* {2 End-to-end: domains}
-
-   The executor has one leaf dispatch: substituted leaves run the tiled
-   microkernels, and staged scalar leaves matching a kernel pattern hand
-   off to the same kernels with the evaluator's per-element accumulation
-   order. Both paths must be bit-identical across domain counts and agree
-   with the serial reference. *)
-
-let gemm_problem ~machine ~n =
-  Api.problem_exn ~machine ~stmt:"A(i,j) = B(i,k) * C(k,j)"
-    ~tensors:
-      [
-        Api.tensor "A" [| n; n |] ~dist:"[x,y] -> [x,y]";
-        Api.tensor "B" [| n; n |] ~dist:"[x,y] -> [x,y]";
-        Api.tensor "C" [| n; n |] ~dist:"[x,y] -> [x,y]";
-      ]
-    ()
-
-let summa_schedule ~substitute =
-  "distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]);\n\
-   split(k, ko, ki, 4); reorder(ko, ii, ji, ki);\n\
-   communicate(A, jo); communicate({B,C}, ko)"
-  ^ if substitute then ";\nsubstitute({ii,ji,ki}, gemm)" else ""
-
-let test_domains_end_to_end () =
-  let n = 12 in
-  let machine = Machine.grid [| 2; 2 |] in
-  let p = gemm_problem ~machine ~n in
-  let scalar = Api.compile_script_exn p ~schedule:(summa_schedule ~substitute:false) in
-  let named = Api.compile_script_exn p ~schedule:(summa_schedule ~substitute:true) in
-  let data = Api.random_inputs scalar in
-  let reference =
-    Api.Exec.serial_reference scalar.Api.problem.Api.stmt
-      ~shapes:[ ("A", [| n; n |]); ("B", [| n; n |]); ("C", [| n; n |]) ]
-      ~data
-  in
-  List.iter
-    (fun (path, plan) ->
-      let out domains =
-        Option.get (Api.run_exn ~mode:Api.Exec.Full ~domains plan ~data).Api.Exec.output
-      in
-      let first = out 1 and third = out 3 in
-      Alcotest.(check bool)
-        (path ^ " path domain-independent")
-        true (exactly_equal first third);
-      Alcotest.(check bool)
-        (path ^ " path correct")
-        true
-        (Dense.approx_equal ~tol:1e-9 first reference))
-    [ ("scalar", scalar); ("named", named) ]
-
 (* {2 Cost model and calibration} *)
 
 let test_leaf_rates () =
@@ -363,23 +319,17 @@ let test_calibrated_rates () =
     Alcotest.fail "unknown kernel must raise"
   with Invalid_argument _ -> ()
 
-let to_alcotest test =
-  match Distal_support.Env.int_var "DISTAL_SEED" with
-  | Some s -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| s |]) test
-  | None -> QCheck_alcotest.to_alcotest test
-
 let suites =
   [
     ( "kernel registry",
       [
-        to_alcotest qcheck_registry_matches_reference;
-        to_alcotest qcheck_run_named_matches_views;
+        Test_oracle.to_alcotest ~long:false qcheck_registry_matches_reference;
+        Test_oracle.to_alcotest ~long:false qcheck_run_named_matches_views;
         Alcotest.test_case "strided views" `Quick test_strided_views;
         Alcotest.test_case "warm calls allocate nothing" `Quick test_kernels_allocate_nothing;
         Alcotest.test_case "shape class" `Quick test_shape_class;
         Alcotest.test_case "flops table" `Quick test_flops_table;
         Alcotest.test_case "shape diagnostics" `Quick test_shape_diagnostics;
-        Alcotest.test_case "domains end to end" `Quick test_domains_end_to_end;
         Alcotest.test_case "leaf rates in the cost model" `Quick test_leaf_rates;
         Alcotest.test_case "calibrated kernel rates" `Quick test_calibrated_rates;
       ] );

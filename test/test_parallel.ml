@@ -1,21 +1,9 @@
-(* The parallel executor's determinism contract (see Exec.execute): for
-   any domain count, a run produces byte-identical results, copy traces,
-   stats and Full-mode event streams. The contract is what makes host parallelism invisible
-   to the simulation — checked here both on fixed worst-case plans
-   (distributed reductions, cyclic distributions) and property-style on
-   the fuzzer's statement x distribution x schedule space. *)
+(* The host domain pool behind Full-mode replay: every lane runs, lane
+   exceptions propagate, and DISTAL_NUM_DOMAINS sizes the default pool.
+   That replay is byte-identical at every pool size is the differential
+   oracle's business (test_oracle). *)
 
-module Api = Distal.Api
-module Machine = Api.Machine
-module Dense = Api.Dense
-module Exec = Api.Exec
-module Stats = Api.Stats
-module Rng = Distal_support.Rng
 module Pool = Distal_support.Pool
-module Profile = Distal_obs.Profile
-module Chrome_trace = Distal_obs.Chrome_trace
-
-(* {2 Pool unit tests} *)
 
 let test_pool_lanes () =
   let pool = Pool.create 4 in
@@ -59,161 +47,6 @@ let test_default_size () =
       | _ -> Alcotest.fail "expected Invalid_argument on a non-integer"
       | exception Invalid_argument _ -> ())
 
-(* {2 Byte-identity across domain counts} *)
-
-(* Everything observable about a Full-mode run: output element bits, the
-   copy trace, the stats rendering, and the whole profile event stream
-   (serialized as Chrome trace JSON, which covers name/cat/track/ts/attrs
-   of every event in emission order). *)
-let observe plan ~data ~domains =
-  let profile = Profile.create () in
-  let trace = ref [] in
-  let r = Api.run_exn ~mode:Exec.Full ~domains ~trace ~profile plan ~data in
-  let bits =
-    match r.Exec.output with
-    | None -> []
-    | Some out ->
-        List.init (Dense.size out) (fun i -> Int64.bits_of_float (Dense.get_lin out i))
-  in
-  ( bits,
-    List.map Exec.trace_to_string !trace,
-    Stats.to_string r.Exec.stats,
-    Chrome_trace.to_string (Profile.events profile) )
-
-let domain_counts = [ 2; 8 ]
-
-let check_identical ~what plan ~data =
-  let base = observe plan ~data ~domains:1 in
-  List.iter
-    (fun domains ->
-      let bits0, trace0, stats0, events0 = base in
-      let bits, tr, stats, events = observe plan ~data ~domains in
-      let ctx fmt =
-        Printf.ksprintf
-          (fun s -> Alcotest.failf "%s differs (domains=%d): %s" what domains s)
-          fmt
-      in
-      if bits <> bits0 then ctx "output bits";
-      if tr <> trace0 then ctx "copy trace";
-      if not (String.equal stats stats0) then ctx "stats\n%s\nvs\n%s" stats0 stats;
-      if not (String.equal events events0) then ctx "event stream")
-    domain_counts
-
-(* A distributed reduction with cyclic inputs: tasks contribute partial
-   sums that the merge path must fold in launch-point order, and the
-   staged evaluator sees strided leaf footprints. *)
-let reduction_plan () =
-  let machine = Machine.grid [| 4 |] in
-  let n = 16 in
-  let p =
-    Api.problem_exn ~machine ~stmt:"A(i,j) = B(i,k) * C(k,j)"
-      ~tensors:
-        [
-          Api.tensor "A" [| n; n |] ~dist:"[x,y] -> [0]";
-          Api.tensor "B" [| n; n |] ~dist:"[x,y] -> [x%2]";
-          Api.tensor "C" [| n; n |] ~dist:"[x,y] -> [y%2]";
-        ]
-      ()
-  in
-  Api.compile_script_exn p
-    ~schedule:
-      "divide(k, ko, ki, 4); reorder(ko, i, j, ki); distribute(ko);\n\
-       communicate({A,B,C}, ko)"
-
-let test_reduction_identity () =
-  let plan = reduction_plan () in
-  let data = Api.random_inputs plan in
-  check_identical ~what:"distributed reduction" plan ~data
-
-(* An owner-computes GEMM over a 2-D grid: many independent points, no
-   reduction epilogue — the pure parallel-probe path. *)
-let grid_plan () =
-  let machine = Machine.grid [| 2; 2 |] in
-  let n = 12 in
-  let p =
-    Api.problem_exn ~machine ~stmt:"A(i,j) = B(i,k) * C(k,j)"
-      ~tensors:
-        [
-          Api.tensor "A" [| n; n |] ~dist:"[x,y] -> [x,y]";
-          Api.tensor "B" [| n; n |] ~dist:"[x,y] -> [x%1,y%1]";
-          Api.tensor "C" [| n; n |] ~dist:"[x,y] -> [x%1,y%1]";
-        ]
-      ()
-  in
-  Api.compile_script_exn p
-    ~schedule:
-      "distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); split(k, ko, ki, 3);\n\
-       reorder(ko, ii, ji, ki); communicate(A, jo); communicate({B,C}, ko)"
-
-let test_grid_identity () =
-  let plan = grid_plan () in
-  let data = Api.random_inputs plan in
-  check_identical ~what:"grid gemm" plan ~data
-
-(* Accumulating self-referencing statement, where a staging bug would
-   double-count the output base. *)
-let test_staged_accumulate () =
-  let machine = Machine.grid [| 2 |] in
-  let p =
-    Api.problem_exn ~machine ~stmt:"A(i) += B(i,k) + A(i)"
-      ~tensors:
-        [
-          Api.tensor "A" [| 10 |] ~dist:"[x] -> [x]";
-          Api.tensor "B" [| 10; 6 |] ~dist:"[x,y] -> [x]";
-        ]
-      ()
-  in
-  let plan =
-    Api.compile_script_exn p
-      ~schedule:"divide(i, io, ii, 2); distribute(io); communicate({A,B}, io)"
-  in
-  (match Api.validate plan with Ok () -> () | Error e -> Alcotest.fail e);
-  check_identical ~what:"self-referencing accumulation" plan
-    ~data:(Api.random_inputs plan)
-
-(* {2 Property: identity over the fuzzer's plan distribution}
-
-   Reuses the fuzz generators (statements over up to 4 variables, block /
-   block-cyclic / fixed / broadcast distributions, random distribute /
-   split / rotate schedules), so block-cyclic fragment patterns and
-   distributed reductions all flow through the parallel replay. *)
-
-let gen_plan seed =
-  let rng = Rng.create (seed * 31 + 7) in
-  let stmt, shapes, lhs_vars, rhs_vars = Test_fuzz.gen_stmt rng in
-  let mdims = Array.init (1 + Rng.int rng 2) (fun _ -> 1 + Rng.int rng 3) in
-  let machine = Machine.grid mdims in
-  let tensors =
-    List.map
-      (fun (name, shape) ->
-        Api.tensor_d name shape (Test_fuzz.gen_dist rng ~rank:(Array.length shape) ~mdims))
-      shapes
-  in
-  match Api.problem ~machine ~stmt ~tensors () with
-  | Error e -> QCheck.Test.fail_reportf "problem construction failed: %s" e
-  | Ok problem -> (
-      let schedule = Test_fuzz.gen_schedule rng ~lhs_vars ~rhs_vars in
-      match Api.compile problem ~schedule with
-      | Error e -> QCheck.Test.fail_reportf "compile failed for %s: %s" stmt e
-      | Ok plan -> (stmt, plan))
-
-let identity_once seed =
-  let stmt, plan = gen_plan seed in
-  let data = Api.random_inputs ~seed plan in
-  let base = observe plan ~data ~domains:1 in
-  List.for_all
-    (fun domains ->
-      if observe plan ~data ~domains = base then true
-      else
-        QCheck.Test.fail_reportf "parallel run diverges for %s (domains=%d)" stmt
-          domains)
-    domain_counts
-
-let qcheck_identity =
-  QCheck.Test.make ~name:"byte-identity across domain counts" ~count:60
-    QCheck.small_nat
-    (fun seed -> Test_fuzz.seeded (succ seed) (fun () -> identity_once (succ seed)))
-
 let suites =
   [
     ( "parallel",
@@ -221,9 +54,5 @@ let suites =
         Alcotest.test_case "pool runs every lane" `Quick test_pool_lanes;
         Alcotest.test_case "pool re-raises lane exceptions" `Quick test_pool_exception;
         Alcotest.test_case "DISTAL_NUM_DOMAINS parsing" `Quick test_default_size;
-        Alcotest.test_case "reduction identity" `Quick test_reduction_identity;
-        Alcotest.test_case "grid gemm identity" `Quick test_grid_identity;
-        Alcotest.test_case "staged accumulation identity" `Quick test_staged_accumulate;
-        Test_fuzz.to_alcotest qcheck_identity;
       ] );
   ]

@@ -4,7 +4,6 @@
 
 module Api = Distal.Api
 module Machine = Api.Machine
-module S = Api.Schedule
 
 let validate_or_fail plan =
   match Api.validate plan with Ok () -> () | Error e -> Alcotest.fail e
@@ -240,53 +239,6 @@ let test_hierarchical_machine_gemm () =
   in
   validate_or_fail plan
 
-(* Property: random small gemm-like schedules all agree with the serial
-   reference. *)
-let qcheck_random_schedules =
-  QCheck.Test.make ~name:"random schedules preserve semantics" ~count:40
-    QCheck.(
-      quad (int_range 1 3) (int_range 1 3) (int_range 1 4) (int_range 1 8))
-    (fun (gx, gy, chunk, seed) ->
-      let n = 4 + (seed mod 5) in
-      let machine = Machine.grid [| gx; gy |] in
-      let p = gemm_problem ~machine ~n ~dists:tiled in
-      let schedule =
-        [
-          S.Distribute_onto
-            {
-              targets = [ "i"; "j" ];
-              dist = [ "io"; "jo" ];
-              local = [ "ii"; "ji" ];
-              grid = [| gx; gy |];
-            };
-          S.Split ("k", "ko", "ki", chunk);
-          S.Reorder [ "ko"; "ii"; "ji"; "ki" ];
-          S.Communicate ([ "A" ], "jo");
-          S.Communicate ([ "B"; "C" ], "ko");
-        ]
-      in
-      let plan = Api.compile_exn p ~schedule in
-      Result.is_ok (Api.validate ~seed plan))
-
-let qcheck_rotate_preserves =
-  QCheck.Test.make ~name:"rotate preserves semantics" ~count:20
-    QCheck.(pair (int_range 1 3) (int_range 1 20))
-    (fun (g, seed) ->
-      let n = 4 + (seed mod 4) in
-      let machine = Machine.grid [| g; g |] in
-      let p = gemm_problem ~machine ~n ~dists:tiled in
-      let plan =
-        Api.compile_script_exn p
-          ~schedule:
-            (Printf.sprintf
-               "distribute_onto({i,j}, {io,jo}, {ii,ji}, [%d,%d]);\n\
-                divide(k, ko, ki, %d); reorder(ko, ii, ji, ki);\n\
-                rotate(ko, {io,jo}, kos); communicate(A, jo);\n\
-                communicate({B,C}, kos); substitute({ii,ji,ki}, gemm)"
-               g g g)
-      in
-      Result.is_ok (Api.validate ~seed plan))
-
 let suites =
   [
     ( "semantics",
@@ -303,7 +255,5 @@ let suites =
         Alcotest.test_case "accumulate" `Quick test_accumulate_statement;
         Alcotest.test_case "elementwise add" `Quick test_elementwise_add;
         Alcotest.test_case "hierarchical machine" `Quick test_hierarchical_machine_gemm;
-        QCheck_alcotest.to_alcotest qcheck_random_schedules;
-        QCheck_alcotest.to_alcotest qcheck_rotate_preserves;
       ] );
   ]

@@ -15,7 +15,6 @@ module Stats = Api.Stats
 module Pool = Distal_support.Pool
 module Lru = Distal_support.Lru
 module Wire = Distal_support.Wire
-module Env = Distal_support.Env
 module Json = Distal_support.Json
 module Session = Distal_serve.Session
 module Protocol = Distal_serve.Protocol
@@ -505,41 +504,6 @@ let test_session_concurrent () =
   (* Single-flight: each distinct shape compiled exactly once. *)
   Alcotest.(check int) "one compile per shape" (Array.length reqs) c.Session.plan_misses
 
-(* {2 QCheck: random request sequences, cache on/off x domains 1/3} *)
-
-let serve_sequence_once seed =
-  let rng = Random.State.make [| seed |] in
-  let shapes =
-    [| gemm_request ~chunks:2 (); gemm_request ~chunks:4 (); gemm_request ~n:16 ();
-       gemm_request ~dist:"[x,y] -> [x%1,y%1]" () |]
-  in
-  let len = 2 + Random.State.int rng 5 in
-  let sequence =
-    List.init len (fun _ ->
-        (Random.State.int rng (Array.length shapes), 1 + Random.State.int rng 2))
-  in
-  let expected =
-    List.map (fun (i, seed) -> observe_direct ~seed shapes.(i)) sequence
-  in
-  List.iter
-    (fun (cache, domains) ->
-      let session = Session.create ~plan_cache:cache ~domains () in
-      List.iter2
-        (fun (i, seed) exp ->
-          let o = Session.run_exn ~seed session shapes.(i) in
-          if observe_outcome o <> exp then
-            QCheck.Test.fail_reportf
-              "served bytes diverge (cache=%d domains=%d request=%d seed=%d)" cache
-              domains i seed)
-        sequence expected)
-    [ (128, 1); (0, 1); (128, 3); (0, 3) ];
-  true
-
-let qcheck_serve_identity =
-  QCheck.Test.make ~name:"served sequences byte-identical to direct runs" ~count:20
-    QCheck.small_nat
-    (fun seed -> Test_fuzz.seeded (succ seed) (fun () -> serve_sequence_once (succ seed)))
-
 (* {2 Wire framing} *)
 
 let test_wire_roundtrip () =
@@ -735,39 +699,6 @@ let test_protocol_output_payloads () =
       ("overflowing shape", {|{"shape":[4611686018427387903,4],"f64le":""}|});
       ("decimal values", {|{"shape":[1],"values":[1.0]}|});
       ("missing payload", {|{"shape":[2]}|});
-    ]
-
-(* {2 DISTAL_SERVE_* environment variables} *)
-
-let with_env name value f =
-  let old = Option.value (Sys.getenv_opt name) ~default:"" in
-  Fun.protect ~finally:(fun () -> Unix.putenv name old) (fun () ->
-      Unix.putenv name value;
-      f ())
-
-let test_env_vars () =
-  with_env "DISTAL_SERVE_QUEUE" "17" (fun () ->
-      Alcotest.(check (option int)) "queue parses" (Some 17) (Env.serve_queue ()));
-  with_env "DISTAL_SERVE_QUEUE" "" (fun () ->
-      Alcotest.(check (option int)) "blank is unset" None (Env.serve_queue ()));
-  with_env "DISTAL_SERVE_CACHE" "0" (fun () ->
-      Alcotest.(check (option int)) "cache 0 (disabled) is valid" (Some 0)
-        (Env.serve_cache ()));
-  (* Malformed values raise, naming the variable. *)
-  List.iter
-    (fun (name, value, read) ->
-      with_env name value (fun () ->
-          match read () with
-          | _ -> Alcotest.failf "%s=%S must raise" name value
-          | exception Invalid_argument msg ->
-              if not (Astring_contains.contains msg name) then
-                Alcotest.failf "error for %s does not name the variable: %s" name msg))
-    [
-      ("DISTAL_SERVE_QUEUE", "zero", fun () -> ignore (Env.serve_queue ()));
-      ("DISTAL_SERVE_QUEUE", "0", fun () -> ignore (Env.serve_queue ()));
-      ("DISTAL_SERVE_QUEUE", "-3", fun () -> ignore (Env.serve_queue ()));
-      ("DISTAL_SERVE_CACHE", "-1", fun () -> ignore (Env.serve_cache ()));
-      ("DISTAL_SERVE_CACHE", "many", fun () -> ignore (Env.serve_cache ()));
     ]
 
 (* {2 distald end to end}
@@ -1262,7 +1193,6 @@ let suites =
         Alcotest.test_case "session pooled inputs" `Quick test_session_pooled_inputs;
         Alcotest.test_case "session model builds no inputs" `Quick test_session_model_no_inputs;
         Alcotest.test_case "session concurrent lanes" `Quick test_session_concurrent;
-        Test_fuzz.to_alcotest qcheck_serve_identity;
         Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
         Alcotest.test_case "wire bad headers" `Quick test_wire_bad_header;
         Alcotest.test_case "wire over a socketpair" `Quick test_wire_socketpair;
@@ -1270,7 +1200,6 @@ let suites =
         Alcotest.test_case "protocol server roundtrip" `Quick test_protocol_server_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_output_bits_exact;
         Alcotest.test_case "protocol output payloads" `Quick test_protocol_output_payloads;
-        Alcotest.test_case "DISTAL_SERVE_* parsing" `Quick test_env_vars;
         Alcotest.test_case "distald end to end" `Quick test_server_end_to_end;
         Alcotest.test_case "distald batching" `Quick test_server_batching;
         Alcotest.test_case "distald admission control" `Quick test_server_admission;
