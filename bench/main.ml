@@ -246,11 +246,13 @@ let simperf_measure ?(coalesce = true) plan ~reps =
    says more about the scheduler and the GC than about the planner —
    planning is a percent or two of a run that is otherwise identical on
    both sides. So the ratio comes from the executor's own
-   [exec.plan_wall_s] metric, which times exactly the stage the
-   [~coalesce] switch controls (fragment coalescing, broadcast grouping,
-   message pricing): best-of-[reps] per side over interleaved runs —
-   the minimum discards samples where a GC pause landed inside the
-   stage's timing window. *)
+   [exec.plan_wall_s] metric: the per-step pass that turns each step's
+   message table into broadcast groups (unioning payloads per triple, or
+   one message per piece without [~coalesce]) plus pricing them. Filling
+   the tables during the task walk costs the same either way and is not
+   in it. Best-of-[reps] per side over interleaved runs — the minimum
+   discards samples where a GC pause landed inside the stage's timing
+   window. *)
 let planner_speedup plan ~reps =
   let run coalesce =
     let profile = Profile.create () in

@@ -229,21 +229,21 @@ let level_tiles lvl ~mdims ~(rect : Rect.t) seg =
             done;
             segments.(d) <- List.rev !acc)
       (partition_map lvl);
-    (* Cartesian product of the segment choices. *)
+    (* Cartesian product of the segment choices, dimension 0 varying
+       fastest. *)
+    let lo = Array.make rank 0 and hi = Array.make rank 0 and acc = ref [] in
     let rec product d =
-      if d = rank then [ [] ]
+      if d < 0 then acc := Rect.make ~lo:(Array.copy lo) ~hi:(Array.copy hi) :: !acc
       else
-        List.concat_map
-          (fun rest -> List.map (fun s -> s :: rest) segments.(d))
-          (product (d + 1))
+        List.iter
+          (fun (l, h) ->
+            lo.(d) <- l;
+            hi.(d) <- h;
+            product (d - 1))
+          segments.(d)
     in
-    List.map
-      (fun segs ->
-        let segs = Array.of_list segs in
-        Rect.make
-          ~lo:(Array.map fst segs)
-          ~hi:(Array.map snd segs))
-      (product 0)
+    product (rank - 1);
+    List.rev !acc
   end
 
 let rects_of_proc t ~shape ~machine proc =

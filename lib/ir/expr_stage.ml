@@ -7,8 +7,8 @@ module A1 = Bigarray.Array1
 (* Staged leaf evaluation.
 
    The generic leaf loop walks every point of the leaf box, re-resolves
-   each index variable through [Provenance.raw_point], re-checks
-   [Provenance.guards_ok], and evaluates the statement tree with a
+   each index variable through [Provenance.raw_point_fn], re-checks
+   [Provenance.guards_fn], and evaluates the statement tree with a
    hashtable-backed environment — per element. All of that is loop
    structure, not data: for a fixed statement and leaf-variable nest,
    every access coordinate is an affine function of the leaf variables
@@ -56,7 +56,7 @@ type kdisp = {
 
 type plan = {
   points : (Ident.t, (Ident.t -> int option) -> int option) Hashtbl.t;
-      (* [Provenance.raw_point] of each guarded or accessed variable,
+      (* [Provenance.raw_point_fn] of each guarded or accessed variable,
          compiled once *)
   leaf_vars : Ident.t array;
   extents : int array;  (* per leaf var *)
@@ -251,7 +251,7 @@ let plan prov ~(stmt : Expr.stmt) ~leaf_vars =
     let slots =
       Array.of_list (List.map slot_of (Expr.accesses stmt.rhs @ [ stmt.lhs ]))
     in
-    (* Guard set: exactly the consumed variables ([Provenance.guards_ok]
+    (* Guard set: exactly the consumed variables ([Provenance.guards_fn]
        auto-passes live ones). Sorted for a deterministic plan layout. *)
     let c_guards = ref [] and a_guards = ref [] in
     List.iter

@@ -2,8 +2,8 @@
     run it as flat loops over precomputed linear strides.
 
     The generic leaf path ([Ints.iter_box] + {!Expr.eval}) re-derives
-    every access coordinate through {!Provenance.raw_point} and re-checks
-    {!Provenance.guards_ok} for each iteration-space point. For a fixed
+    every access coordinate through {!Provenance.raw_point_fn} and re-checks
+    {!Provenance.guards_fn} for each iteration-space point. For a fixed
     statement and leaf-variable nest those are affine functions of the
     leaf variables, so a plan precomputes per-access linear strides and
     turns boundary guards into loop-bound clamps. The staged nest

@@ -102,18 +102,18 @@ let rotate t ~target ~by ~result =
   Hashtbl.replace t.cons target (Rotated_into { result; by });
   Ok ()
 
-(* Interval analysis. [raw_interval] performs no clipping so that exact
-   point reconstruction can detect guard-excluded boundary iterations;
-   [interval] clips each consumed variable to its extent, which keeps the
-   result a sound (superset) footprint.
+(* Interval analysis. Unclipped ([raw_point_fn]), it lets exact point
+   reconstruction detect guard-excluded boundary iterations; clipped
+   ([interval], [interval_fn]), each consumed variable stays within its
+   extent, which keeps the result a sound (superset) footprint.
 
    The analysis is compiled: [compile] resolves every name in the
    derivation graph once and returns a closure over an environment of any
    type. [lookup v] says how to read [v]'s binding off that environment
    ([None]: [v] is never bound there); a read returns [unbound] for an
-   unbound variable. [interval] and [raw_point] compile and run in one
-   go; the simulator compiles once per execution against its slot arrays,
-   and leaves once per plan ([raw_point_fn], [guards_fn]). *)
+   unbound variable. [interval] compiles and runs in one go; the
+   simulator compiles once per execution against its slot arrays, and
+   leaves once per plan ([raw_point_fn], [guards_fn]). *)
 
 let unbound = min_int
 
@@ -178,8 +178,7 @@ let rec compile t ~lookup ~clipped v =
 (* Environments keyed by name: every variable may be bound. *)
 let by_name v = Some (fun env -> match env v with Some x -> x | None -> unbound)
 
-let raw_interval t ~env ~clipped v = compile t ~lookup:by_name ~clipped v env
-let interval t ~env v = raw_interval t ~env ~clipped:true v
+let interval t ~env v = compile t ~lookup:by_name ~clipped:true v env
 
 let interval_fn t ~slot v =
   compile t ~clipped:true v ~lookup:(fun v ->
@@ -193,8 +192,6 @@ let raw_point_fn t v =
     let lo, hi = f env in
     if hi = lo + 1 then Some lo else None
 
-let raw_point t ~env v = raw_point_fn t v env
-
 let guards_fn t =
   let checks =
     Hashtbl.fold (fun v _ acc -> (raw_point_fn t v, extent t v) :: acc) t.defs []
@@ -204,15 +201,13 @@ let guards_fn t =
       (fun (point, e) -> match point env with None -> true | Some x -> 0 <= x && x < e)
       checks
 
-let guards_ok t ~env = guards_fn t env
-
-let deps t v =
+let key_deps t ~bound v =
   let seen = Hashtbl.create 8 in
   let acc = ref [] in
   let rec go v =
     if not (Hashtbl.mem seen v) then begin
       Hashtbl.replace seen v ();
-      if is_live t v then acc := v :: !acc
+      if is_live t v then (if bound v then acc := ([ v ], extent t v) :: !acc)
       else
         match Hashtbl.find_opt t.cons v with
         | None -> ()
@@ -221,8 +216,10 @@ let deps t v =
             go inner
         | Some (Fused_into { fused; _ }) -> go fused
         | Some (Rotated_into { result; by }) ->
-            go result;
-            List.iter go by
+            let vs = result :: by in
+            if List.for_all (fun u -> is_live t u && bound u) vs then
+              acc := (vs, extent t v) :: !acc
+            else List.iter go vs
     end
   in
   go v;

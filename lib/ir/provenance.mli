@@ -37,7 +37,7 @@ val consumption : t -> Ident.t -> consumption option
 
 val consumed : t -> Ident.t list
 (** Every consumed variable, in unspecified order. These are exactly the
-    variables {!guards_ok} can reject. *)
+    variables {!guards_fn} can reject. *)
 
 val copy : t -> t
 val mem : t -> Ident.t -> bool
@@ -71,31 +71,30 @@ val interval_fn : t -> slot:(Ident.t -> int option) -> Ident.t -> int array -> i
     is resolved at compile time, so calls do no hashing; results equal
     {!interval} under the same bindings. *)
 
-val raw_point : t -> env:(Ident.t -> int option) -> Ident.t -> int option
-(** Exact unclipped reconstruction of a variable's value when the
-    environment determines it ([None] otherwise). Values at or above the
-    variable's extent indicate guard-excluded boundary iterations. *)
-
 val raw_point_fn : t -> Ident.t -> (Ident.t -> int option) -> int option
-(** [raw_point_fn t v] is [fun env -> raw_point t ~env v] with the walk
-    compiled once: callers that reconstruct the same variable under many
-    environments apply it repeatedly. *)
-
-val guards_ok : t -> env:(Ident.t -> int option) -> bool
-(** Whether every reconstructible variable value is within its extent — the
-    boundary guard of one iteration-space point. Requires an environment
-    binding all live variables. *)
+(** [raw_point_fn t v env] is the exact unclipped reconstruction of [v]'s
+    value when [env] determines it ([None] otherwise). Values at or above
+    the variable's extent indicate guard-excluded boundary iterations. The
+    walk is compiled once, when [v] is applied: callers that reconstruct
+    the same variable under many environments apply it repeatedly. *)
 
 val guards_fn : t -> (Ident.t -> int option) -> bool
-(** [guards_fn t] is [fun env -> guards_ok t ~env] with every variable's
-    walk compiled once. *)
+(** [guards_fn t env]: whether every reconstructible variable value is
+    within its extent — the boundary guard of one iteration-space point.
+    Requires an environment binding all live variables. Every variable's
+    walk is compiled once, when [t] is applied. *)
 
-val deps : t -> Ident.t -> Ident.t list
-(** The live variables whose environment binding can affect {!interval} or
-    {!raw_point} of [v] — its derivation chain followed through every
-    consumption, including rotate [by] shifts (which {!roots_of} ignores).
-    Sound only for environments that bind live variables, i.e. actual loop
-    variables, which is what the runtime's task walk maintains. *)
+val key_deps : t -> bound:(Ident.t -> bool) -> Ident.t -> (Ident.t list * int) list
+(** What {!interval} of [v] depends on in environments that bind exactly
+    the live variables [bound] accepts, as components [(vars, m)]: the
+    sum of [vars]' bindings modulo [m]. A bound live variable [u] on
+    [v]'s derivation chain (followed through every consumption, including
+    rotate [by] shifts) is [([u], extent u)]. A rotated variable whose
+    [result] and [by] variables are all bound is one component
+    [(result :: by, extent)], its rotated value: however many bindings of
+    those variables produce one value, they give one interval. Sound only
+    for environments that bind live variables, i.e. actual loop variables,
+    which is what the runtime's task walk maintains. *)
 
 val roots_of : t -> Ident.t -> Ident.t list
 (** Root variables a variable's value contributes to (rotate [by] variables

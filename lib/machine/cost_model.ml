@@ -1,5 +1,10 @@
 type link = Intra | Inter
 
+(* Stdlib's [max]/[min] at type float: the comparison compiles inline
+   instead of calling the polymorphic compare, with the same results. *)
+let max (a : float) b = if a >= b then a else b
+let min (a : float) b = if a <= b then a else b
+
 type duplex = Full | Half
 
 type t = {
@@ -131,9 +136,11 @@ let compute_time t ~flops ~bytes_touched =
    arm keeps the machine's bandwidth — the measured rate already folds
    the kernel's own cache behaviour into its compute arm. *)
 let leaf_rate t ~kernel =
-  match List.assoc_opt kernel t.kernel_rates with
-  | Some r -> r
-  | None -> t.compute_rate
+  let rec find = function
+    | [] -> t.compute_rate
+    | (k, r) :: rest -> if String.equal k kernel then r else find rest
+  in
+  find t.kernel_rates
 
 let leaf_compute_time t ~kernel ~flops ~bytes_touched =
   max (flops /. leaf_rate t ~kernel) (bytes_touched /. t.mem_bw)

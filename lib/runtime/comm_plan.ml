@@ -10,16 +10,13 @@ type payload = {
   volume : int;
 }
 
-type raw = { payload : payload; src : int; dst : int; link : Cost.link }
-
-type xfer = {
+type group = {
   tensor : string;
-  src : int;
-  dst : int;
-  link : Cost.link;
   rects : Rect.t list;
   fragments : int;
-  volume : int;
+  src : int;
+  bytes : float;
+  mutable receivers : (int * Cost.link) list;
 }
 
 let icmp (a : int) (b : int) = if a < b then -1 else if a > b then 1 else 0
@@ -124,34 +121,20 @@ let merge_rects = function
       if not (sorted_by compare_rect res) then Array.sort compare_rect res;
       Array.to_list res
 
-let batch ~tensor ~src ~dst ~link pieces =
-  let nfrag = List.length pieces in
+let payload tensor pieces =
   let volume = List.fold_left (fun acc r -> acc + Rect.volume r) 0 pieces in
-  { payload = { tensor; pieces; merged = merge_rects pieces; nfrag; volume }; src; dst; link }
-
-let compare_xfer a b =
-  let c = if a.tensor == b.tensor then 0 else String.compare a.tensor b.tensor in
-  if c <> 0 then c
-  else
-    let c = icmp a.src b.src in
-    if c <> 0 then c
-    else
-      let c = compare_rects a.rects b.rects in
-      if c <> 0 then c else icmp a.dst b.dst
-
-let make_xfer tensor src dst link rects volume =
-  { tensor; src; dst; link; rects; fragments = List.length rects; volume }
+  { tensor; pieces; merged = merge_rects pieces; nfrag = List.length pieces; volume }
 
 let hull_of = function
   | [] -> None
   | (r : Rect.t) :: rest -> Some (List.fold_left Rect.hull r rest)
 
-(* No rect of a batch with bounding box [a] can ever merge with one of a
-   batch with bounding box [b] when some dimension leaves a strict gap
+(* No rect of a payload with bounding box [a] can ever merge with one of a
+   payload with bounding box [b] when some dimension leaves a strict gap
    between the boxes: merging requires abutting coordinates ([hi = lo],
    bounds are exclusive) in one dimension and equal bounds in every
    other, and a gap rules both out — including transitively, since a
-   merged rect stays inside its batch's box.
+   merged rect stays inside its payload's box.
 
    A strict gap along one {e fixed} dimension chains: if consecutive
    boxes in the list keep a strict gap along dimension [k], every pair
@@ -161,11 +144,10 @@ let hull_of = function
    this constantly (each task's fetch plan is a distinct stripe of the
    owner's data, discovered in stripe order); anything irregular falls
    back to the full merge, which stays correct, just slower. *)
-let chain_separated rs =
+let chain_separated loads =
   let rec start = function
     | [] -> true
-    | (r : raw) :: tl -> (
-        match hull_of r.payload.merged with None -> start tl | Some b0 -> walk b0 tl)
+    | (p : payload) :: tl -> ( match hull_of p.merged with None -> start tl | Some b0 -> walk b0 tl)
   and walk b0 tl =
     let d = Array.length b0.Rect.lo in
     d <= 62
@@ -173,8 +155,8 @@ let chain_separated rs =
     let full = (1 lsl d) - 1 in
     let rec go (prev : Rect.t) asc desc = function
       | [] -> true
-      | (r : raw) :: tl -> (
-          match hull_of r.payload.merged with
+      | (p : payload) :: tl -> (
+          match hull_of p.merged with
           | None -> go prev asc desc tl
           | Some (b : Rect.t) ->
               let asc = ref asc and desc = ref desc in
@@ -187,109 +169,162 @@ let chain_separated rs =
     in
     go b0 full full tl
   in
-  start rs
+  start loads
 
-let rec sorted_rect_list = function
-  | [] | [ _ ] -> true
-  | a :: (b :: _ as rest) -> compare_rect a b <= 0 && sorted_rect_list rest
+let rec sorted cmp = function
+  | a :: (b :: _ as rest) -> cmp a b <= 0 && sorted cmp rest
+  | _ -> true
 
-(* One transfer for a run of batches sharing a (tensor, src, dst) triple,
-   in input order. A batch alone reuses its pre-merged payload outright —
-   the common case, since the executor merges each fetch plan once and
-   shares it across tasks. *)
-let xfer_of_batch (r : raw) =
-  make_xfer r.payload.tensor r.src r.dst r.link r.payload.merged r.payload.volume
+(* The one message of a triple that received several payloads (newest
+   first): their union, in canonical order. *)
+let union loads =
+  let rects = List.concat_map (fun (p : payload) -> p.merged) loads in
+  if chain_separated loads then
+    if sorted compare_rect rects then rects else List.sort compare_rect rects
+  else merge_rects rects
 
-let xfer_of_run = function
-  | [] -> invalid_arg "Comm_plan.xfer_of_run: empty run"
-  | [ r ] -> xfer_of_batch r
-  | (r0 : raw) :: _ as rs ->
-      let payload = List.concat_map (fun (r : raw) -> r.payload.merged) rs in
-      let rects =
-        if chain_separated rs then
-          if sorted_rect_list payload then payload else List.sort compare_rect payload
-        else merge_rects payload
-      in
-      let volume = List.fold_left (fun acc (r : raw) -> acc + r.payload.volume) 0 rs in
-      make_xfer r0.payload.tensor r0.src r0.dst r0.link rects volume
+(* A step's fetches in charge order: the payloads, and beside them their
+   (tensor, src, dst) triples packed into one int each — 22 bits each for
+   src and dst, the tensor number above. Appending touches two arrays,
+   whatever the step's size; the triples are keyed when the step is
+   priced, in one pass that stays in cache. *)
+type table = {
+  mutable loads : payload array;
+  mutable ends : int array;
+  mutable n : int;
+  mutable frags : int;
+}
 
-(* The runs of one bucket per destination, in destination order, each
-   in input order. The bucket holds its batches newest first, so a stable
-   sort by descending destination followed by consing restores both. *)
-let runs_by_dst stored =
-  List.stable_sort (fun (a : raw) b -> icmp b.dst a.dst) stored
-  |> List.fold_left
-       (fun acc (r : raw) ->
-         match acc with
-         | ((r' : raw) :: _ as run) :: rest when r'.dst = r.dst -> (r :: run) :: rest
-         | _ -> [ r ] :: acc)
-       []
+let bits = 22
+let mask = (1 lsl bits) - 1
+let table () = { loads = [||]; ends = [||]; n = 0; frags = 0 }
+let fragments tab = tab.frags
 
-let coalesce raws =
-  (* Bucket by (tensor, src) packed into one int: tensors are numbered in
-     first-seen order (consecutive batches usually name the same one, so
-     that costs a physical compare) and src takes 22 bits. Within a
-     bucket, each destination's run keeps its batches in input order. *)
-  let ids = ref [] and last = ref "" and last_id = ref 0 in
-  let buckets = Ints.Tbl.create 64 in
-  List.iter
-    (fun (r : raw) ->
-      let tn = r.payload.tensor in
-      if tn != !last then begin
-        (match List.assoc_opt tn !ids with
-        | Some id -> last_id := id
-        | None ->
-            last_id := List.length !ids;
-            ids := (tn, !last_id) :: !ids);
-        last := tn
-      end;
-      let key = (!last_id lsl 22) lor r.src in
-      match Ints.Tbl.find buckets key with
-      | rs -> Ints.Tbl.replace buckets key (r :: rs)
-      | exception Not_found -> Ints.Tbl.add buckets key [ r ])
-    raws;
-  (* Buckets in (tensor name, src) order: sort keys whose tensor number
-     is replaced by the name's rank, then map them back. *)
-  let n = List.length !ids in
-  let rank = Array.make n 0 and id_of_rank = Array.make n 0 in
+let add tab ~t ~src ~dst (p : payload) =
+  if (src lor dst) lsr bits <> 0 then invalid_arg "Comm_plan.add: processor index out of range";
+  if tab.n = Array.length tab.ends then begin
+    let cap = Int.max 16 (2 * tab.n) in
+    let loads = Array.make cap p and ends = Array.make cap 0 in
+    Array.blit tab.loads 0 loads 0 tab.n;
+    Array.blit tab.ends 0 ends 0 tab.n;
+    tab.loads <- loads;
+    tab.ends <- ends
+  end;
+  tab.loads.(tab.n) <- p;
+  tab.ends.(tab.n) <- (((t lsl bits) lor src) lsl bits) lor dst;
+  tab.n <- tab.n + 1;
+  tab.frags <- tab.frags + p.nfrag
+
+(* [groups]' working arrays, one set per domain, grown as needed and
+   kept for the domain's life: the fetch indices bucketed, and the bucket
+   bounds. Allocating them per step costs more than the grouping: at a
+   few hundred fetches they land on the major heap. *)
+type scratch = { mutable order : int array; mutable count : int array }
+
+let scratch = Domain.DLS.new_key (fun () -> { order = [||]; count = [||] })
+
+(* Sort [a.(lo .. hi-1)] by [key], in place; equal keys keep their order.
+   Buckets are usually in order already. *)
+let sort_range key a lo hi =
+  let rec ordered i = i >= hi || (key a.(i - 1) <= key a.(i) && ordered (i + 1)) in
+  if not (ordered (lo + 1)) then begin
+    let sub = Array.sub a lo (hi - lo) in
+    Array.stable_sort (fun x y -> icmp (key x) (key y)) sub;
+    Array.blit sub 0 a lo (hi - lo)
+  end
+
+(* One pass in canonical order: the fetches are bucketed by (tensor name,
+   src) with a counting sort, and each bucket is sorted by destination,
+   charge order kept, so a triple's payloads sit together. Buckets and
+   their messages are visited backwards and consed, so groups come out in
+   (tensor, src, payload) order and receivers ascending. A bucket's
+   messages are sorted by payload only when they are not already in
+   order, as a broadcast's are: they share one payload value. *)
+let groups ~coalesce ~link tab =
+  let n = tab.n and ends = tab.ends and loads = tab.loads in
+  let tensor i = ends.(i) lsr (2 * bits) and src i = (ends.(i) lsr bits) land mask in
+  let nt = ref 0 and nsrc = ref 0 in
+  for i = 0 to n - 1 do
+    nt := Int.max !nt (tensor i + 1);
+    nsrc := Int.max !nsrc (src i + 1)
+  done;
+  let names = Array.make !nt "" and rank = Array.make !nt 0 in
+  for i = 0 to n - 1 do
+    names.(tensor i) <- loads.(i).tensor
+  done;
   List.iteri
-    (fun k (_, id) ->
-      rank.(id) <- k;
-      id_of_rank.(k) <- id)
-    (List.sort compare !ids);
-  let swap ids key = (ids.(key lsr 22) lsl 22) lor (key land ((1 lsl 22) - 1)) in
-  let keys =
-    Ints.Tbl.fold (fun key _ acc -> swap rank key :: acc) buckets []
-    |> List.sort icmp |> List.map (swap id_of_rank)
-  in
-  (* One transfer per (tensor, src, dst) run, newest first. The full
-     order also ranks payloads before destinations, which a broadcast
-     (one shared payload, ascending destinations) already satisfies:
-     sort only when some source sends different payloads out of
-     destination order. *)
-  let rev =
-    List.fold_left
-      (fun acc key ->
-        List.fold_left
-          (fun acc run -> xfer_of_run run :: acc)
-          acc
-          (runs_by_dst (Ints.Tbl.find buckets key)))
-      [] keys
-  in
-  let rec descending = function
-    | a :: (b :: _ as rest) -> compare_xfer b a <= 0 && descending rest
-    | _ -> true
-  in
-  if descending rev then List.rev rev else List.stable_sort compare_xfer rev
-
-let uncoalesced raws =
-  List.concat_map
-    (fun (r : raw) ->
-      List.map
-        (fun p -> make_xfer r.payload.tensor r.src r.dst r.link [ p ] (Rect.volume p))
-        r.payload.pieces)
-    raws
-  |> List.stable_sort compare_xfer
+    (fun r t -> rank.(t) <- r)
+    (List.sort (fun a b -> String.compare names.(a) names.(b)) (List.init !nt Fun.id));
+  let nb = !nt * !nsrc and sc = Domain.DLS.get scratch in
+  if Array.length sc.order < n then sc.order <- Array.make (2 * n) 0;
+  if Array.length sc.count < nb + 1 then sc.count <- Array.make (2 * (nb + 1)) 0;
+  let order = sc.order and count = sc.count and bucket i = (rank.(tensor i) * !nsrc) + src i in
+  Array.fill count 0 (nb + 1) 0;
+  for i = 0 to n - 1 do
+    let b = bucket i in
+    count.(b + 1) <- count.(b + 1) + 1
+  done;
+  for b = 1 to nb do
+    count.(b) <- count.(b) + count.(b - 1)
+  done;
+  (* Bucket [b] fills [count.(b) .. count.(b+1)-1], leaving [count.(b)]
+     at its end. *)
+  for i = 0 to n - 1 do
+    let b = bucket i in
+    order.(count.(b)) <- i;
+    count.(b) <- count.(b) + 1
+  done;
+  let dst i = ends.(i) land mask and out = ref [] in
+  for b = nb - 1 downto 0 do
+    let lo = if b = 0 then 0 else count.(b - 1) and hi = count.(b) in
+    if hi > lo then begin
+      sort_range dst order lo hi;
+      let t = tensor order.(lo) and s = src order.(lo) in
+      (* The bucket's messages, (payload, volume, dst), descending. *)
+      let msgs = ref [] and k = ref lo in
+      while !k < hi do
+        let d = dst order.(!k) and j = ref !k in
+        while !j < hi && dst order.(!j) = d do
+          incr j
+        done;
+        let p = loads.(order.(!k)) in
+        (if not coalesce then
+           for m = !k to !j - 1 do
+             List.iter
+               (fun r -> msgs := ([ r ], Rect.volume r, d) :: !msgs)
+               loads.(order.(m)).pieces
+           done
+         else if !j = !k + 1 then msgs := (p.merged, p.volume, d) :: !msgs
+         else begin
+           (* Several payloads on one triple: their union, newest first. *)
+           let run = ref [] and volume = ref 0 in
+           for m = !k to !j - 1 do
+             let p = loads.(order.(m)) in
+             run := p :: !run;
+             volume := !volume + p.volume
+           done;
+           msgs := (union !run, !volume, d) :: !msgs
+         end);
+        k := !j
+      done;
+      let desc (r1, _, d1) (r2, _, d2) =
+        let c = compare_rects r2 r1 in
+        if c <> 0 then c else icmp d2 d1
+      in
+      let msgs = if sorted desc !msgs then !msgs else List.stable_sort desc !msgs in
+      List.iter
+        (fun (rects, volume, d) ->
+          match !out with
+          | g :: _ when g.src = s && g.tensor == names.(t) && compare_rects g.rects rects = 0 ->
+              g.receivers <- (d, link s d) :: g.receivers
+          | _ ->
+              let bytes = 8.0 *. float_of_int volume and fragments = List.length rects in
+              let receivers = [ (d, link s d) ] in
+              out := { tensor = names.(t); rects; fragments; src = s; bytes; receivers } :: !out)
+        msgs
+    end
+  done;
+  !out
 
 let describe = function
   | [] -> "(empty)"

@@ -1,25 +1,33 @@
-(** Communication planning: coalesce per-piece transfers into block copies.
+(** Communication planning: one step's fetches folded into wire messages.
 
-    The executor discovers data movement one piece at a time — for an
-    over-decomposed cyclic distribution ([A[x%1]]-style notation) that means
-    thousands of single-element fragments per step, each of which would be
-    priced as its own message. Real runtimes batch these into strided block
-    transfers; this pass does the same at planning time. Fragments that
-    share a (tensor, source, destination) triple become one transfer:
-    adjacent rectangles are unioned into larger rectangles, and whatever
-    cannot be unioned (a cyclic pattern that is contiguous in owner-space
-    but strided in index-space) stays as an explicit strided run — one
-    transfer carrying several disjoint rectangles, priced as one message
-    with a per-fragment packing overhead
-    ({!Distal_machine.Cost_model.strided_copy_time}).
+    The executor discovers data movement one fetch at a time — for an
+    over-decomposed cyclic distribution ([A[x%1]]-style notation) one fetch
+    can gather thousands of single-element fragments. Real runtimes batch
+    these into strided block transfers; this module does the same when a
+    simulated step is priced.
 
-    Planning never changes which bytes land where: a coalesced plan moves
-    exactly the same multiset of (tensor, element, src, dst) as the raw
-    fragments. One deliberate modelling choice: transfers are merged per
+    Each fetch lands in its step's {!table} under its (tensor, source,
+    destination) triple, carrying a {!payload}: the fragments it pulls from
+    one owner, pre-merged once and shared by every task that makes the same
+    fetch. When the step is priced, {!groups} turns the table into wire
+    messages. A triple that received one payload sends it as it is. A
+    triple that received several (two tasks of one processor fetching from
+    the same owner) sends their union: adjacent rectangles are merged, and
+    whatever cannot be merged (a cyclic pattern that is contiguous in
+    owner-space but strided in index-space) stays an explicit strided run —
+    one message carrying several disjoint rectangles, priced with a
+    per-fragment packing overhead
+    ({!Distal_machine.Cost_model.strided_copy_time}). Messages carrying the
+    same payload from the same source are then bundled into one broadcast
+    group.
+
+    Planning never changes which bytes land where: the groups move exactly
+    the same multiset of (tensor, element, src, dst) as the fetched
+    fragments. One deliberate modelling choice: payloads are merged per
     destination {e before} broadcast grouping, so two receivers share a
-    broadcast group only when their merged payloads are identical. A
-    receiver that needs a strict subset of another's data is priced as its
-    own (smaller) message rather than riding a broadcast. *)
+    group only when their merged payloads are identical. A receiver that
+    needs a strict subset of another's data is priced as its own (smaller)
+    message rather than riding a broadcast. *)
 
 module Rect = Distal_tensor.Rect
 module Cost = Distal_machine.Cost_model
@@ -36,18 +44,9 @@ type payload = {
     tasks and steps, so the per-fragment merging work is not repeated per
     receiver. *)
 
-type raw = {
-  payload : payload;
-  src : int;  (** linear index of the owning processor *)
-  dst : int;  (** linear index of the receiving processor *)
-  link : Cost.link;
-}
-(** One batch of fragments as discovered by the executor. *)
-
-val batch :
-  tensor:string -> src:int -> dst:int -> link:Cost.link -> Rect.t list -> raw
-(** Make a batch from disjoint fragments: computes [merged], [nfrag] and
-    [volume]. *)
+val payload : string -> Rect.t list -> payload
+(** [payload tensor pieces] from disjoint fragments: computes [merged],
+    [nfrag] and [volume]. *)
 
 val merge_rects : Rect.t list -> Rect.t list
 (** Union adjacent rects of a disjoint set to a fixed point: rectangles
@@ -58,31 +57,38 @@ val merge_rects : Rect.t list -> Rect.t list
 val compare_rects : Rect.t list -> Rect.t list -> int
 (** Lexicographic order on canonical rect lists; [0] iff equal payloads. *)
 
-type xfer = {
+type table
+(** One step's fetches, keyed by (tensor, source, destination). *)
+
+val table : unit -> table
+
+val add : table -> t:int -> src:int -> dst:int -> payload -> unit
+(** Record that [dst] fetches [payload] from [src]; [t] numbers the
+    payload's tensor. Processors are linear indices below [2{^22}].
+    @raise Invalid_argument otherwise. *)
+
+val fragments : table -> int
+(** Fragments added so far, summed over payloads ([nfrag]). *)
+
+type group = {
   tensor : string;
-  src : int;
-  dst : int;
-  link : Cost.link;
   rects : Rect.t list;
-      (** the merged payload, in canonical order; a single-element list is
-          a plain contiguous block copy *)
+      (** the payload, in canonical order; a single-element list is a
+          plain contiguous block copy *)
   fragments : int;  (** [List.length rects] *)
-  volume : int;  (** total elements over [rects] *)
+  src : int;
+  bytes : float;  (** payload bytes, 8 per element *)
+  mutable receivers : (int * Cost.link) list;  (** in ascending order *)
 }
-(** One planned transfer: everything [src] sends to [dst] for [tensor] in
-    one step, as a single (possibly strided) message. *)
+(** One payload sent from one source: a point-to-point message, or a
+    broadcast when it has several receivers. *)
 
-val coalesce : raw list -> xfer list
-(** Merge raw batches into maximal block transfers, one per (tensor, src,
-    dst) triple. Input order is irrelevant; the result is deterministically
-    sorted by (tensor, src, payload, dst), so transfers broadcasting the
-    same payload from the same source sit adjacent with ascending
-    destinations. *)
-
-val uncoalesced : raw list -> xfer list
-(** The identity plan: one single-rectangle transfer per raw fragment, in
-    the same deterministic order as {!coalesce} uses. Reproduces
-    pre-planning behaviour ([~coalesce:false]). *)
+val groups : coalesce:bool -> link:(int -> int -> Cost.link) -> table -> group list
+(** The step's wire messages, grouped into broadcasts: one message per
+    (tensor, src, dst) triple, or one per fragment when [coalesce] is off
+    (the uncoalesced baseline). [link src dst] is the link a message
+    takes. The order is canonical — by tensor name, src, then payload —
+    whatever order the fetches arrived in. *)
 
 val describe : Rect.t list -> string
 (** Human-readable payload label for profiles: the rectangle itself for a

@@ -90,18 +90,6 @@ let alloc_words () =
   let _, _, major = Gc.counters () in
   (Gc.minor_words (), major)
 
-(* One communication bundle after planning: same payload (one rect, or
-   several disjoint rects for a strided run), same source, same step.
-   Several receivers make it a broadcast. *)
-type group = {
-  tensor : string;
-  rects : Rect.t list;
-  fragments : int;
-  src : int;
-  bytes : float;
-  mutable receivers : (int * Cost.link) list;
-}
-
 (* One owner-group of a memoized fetch plan: the pieces of a footprint a
    given owner set holds, pre-merged into block/strided form. Owners are
    physical linear indices, deduped, in discovery order. *)
@@ -117,15 +105,28 @@ type fentry = {
 }
 
 (* Turns a task's slot environment into one int at a fixed site of the
-   walk: the mixed-radix number of the bound slots a value depends on.
-   The slots bound at a site never change, so equal keys mean equal
-   dependent bindings. *)
-type keyer = { k_slots : int array; k_strides : int array }
+   walk: the mixed-radix number of the values a footprint or interval
+   depends on ({!Provenance.key_deps}) — a bound slot, or the rotated
+   value (sum of bound slots, mod the extent) of a variable [rotate]
+   replaced. The slots bound at a site never change, so equal keys mean
+   equal dependent values. *)
+type keyer = { k_slots : int array array; k_mods : int array; k_strides : int array }
 
 let key_of k (env : int array) =
   let acc = ref 0 in
   for i = 0 to Array.length k.k_slots - 1 do
-    acc := !acc + (env.(k.k_slots.(i)) * k.k_strides.(i))
+    let s = k.k_slots.(i) in
+    let x =
+      if Array.length s = 1 then env.(s.(0))
+      else begin
+        let sum = ref 0 in
+        for j = 0 to Array.length s - 1 do
+          sum := !sum + env.(s.(j))
+        done;
+        !sum mod k.k_mods.(i)
+      end
+    in
+    acc := !acc + (x * k.k_strides.(i))
   done;
   !acc
 
@@ -142,6 +143,8 @@ let rec name_index (names : string array) name i =
   else if names.(i) == name || String.equal names.(i) name then i
   else name_index names name (i + 1)
 
+let rec mem_int (x : int) = function [] -> false | y :: ys -> x = y || mem_int x ys
+
 (* Whether [rect] lies within one of [rects]. *)
 let rec within rect = function [] -> false | r :: rs -> Rect.subset rect r || within rect rs
 
@@ -156,6 +159,10 @@ let name_proc_tracks sink ~pid machine =
     Span.thread_name sink ~pid ~tid:proc
       (Printf.sprintf "proc %d %s" proc (Ints.to_string (Machine.delinearize machine proc)))
   done
+
+(* The link between two processors, given each one's node. *)
+let link_between node_of_lin src dst =
+  if node_of_lin.(src) = node_of_lin.(dst) then Cost.Intra else Cost.Inter
 
 (* The first owner on [node], or -1. *)
 let rec same_node_owner node_of_lin node = function
@@ -199,29 +206,29 @@ type dop =
 (* Per-step accumulators, preallocated per physical processor. One record
    per *active* step (a step some copy or compute touched), so the timing
    assembly walks flat arrays instead of hashing (step, proc) pairs and
-   sorting the result. Copies are accumulated raw (one record per piece)
-   and planned into groups at assembly time by [Comm_plan]. *)
+   sorting the result. Copies land in the step's message table as they
+   are charged ([Comm_plan.add]) and become groups when it is priced. *)
 type step_acc = {
-  mutable raws : Comm_plan.raw list;
+  msgs : Comm_plan.table;
   cflops : float array;
   cbytes : float array;
   ctouch : bool array;
   send : float array;
   recv : float array;
   mtouch : bool array;
-  mutable cross : float;  (* cross-rack bytes this step *)
+  cross : float array;  (* cross-rack bytes this step, in one unboxed cell *)
 }
 
 let new_step_acc nprocs =
   {
-    raws = [];
+    msgs = Comm_plan.table ();
     cflops = Array.make nprocs 0.0;
     cbytes = Array.make nprocs 0.0;
     ctouch = Array.make nprocs false;
     send = Array.make nprocs 0.0;
     recv = Array.make nprocs 0.0;
     mtouch = Array.make nprocs false;
-    cross = 0.0;
+    cross = [| 0.0 |];
   }
 
 (* The instruments step pricing feeds, registered once per run. *)
@@ -239,55 +246,28 @@ let step_obs reg =
     m_messages = Metrics.counter reg "exec.messages";
     m_copy_groups = Metrics.counter reg "exec.copy_groups";
     m_coalesced = Metrics.counter reg "exec.coalesced_groups";
-    (* Host CPU seconds spent planning communication (fragment
-       coalescing, broadcast grouping and message pricing). Wall-clock
-       observability only: like [exec.compute_wall_s] it never feeds
-       events or simulated time, so determinism is untouched. The
-       simperf bench reads it to compare the planner against the
-       planner-off path without the noise of timing whole runs. *)
+    (* Host seconds spent turning each step's message table into
+       broadcast groups ([Comm_plan.groups]: unioning multi-payload
+       triples, grouping, sorting) and charging them ([price_groups]).
+       Filling the tables happens during the task walk and is not
+       included. Wall-clock observability only: like
+       [exec.compute_wall_s] it never feeds events or simulated time, so
+       determinism is untouched. The simperf bench reads it to compare
+       the planner against the planner-off path without the noise of
+       timing whole runs. *)
     m_plan_host = Metrics.counter reg "exec.plan_wall_s";
     h_copy_bytes = Metrics.histogram reg "exec.copy_bytes";
     h_step_time = Metrics.histogram reg "exec.step_time";
   }
 
-(* Bundle planned transfers that carry the same payload from the same
-   source into broadcast groups. [Comm_plan] sorts transfers by (tensor,
-   src, payload, dst), so grouping is one linear scan; scanning from the
-   end builds each group's receiver list in ascending destination order
-   and the group list in transfer order.
-   Payloads are usually shared sublists (the executor memoizes fetch
-   plans), so the physical-equality check in [compare_rects] makes the
-   scan cheap. *)
-let group_transfers (xfers : Comm_plan.xfer list) =
-  List.fold_left
-    (fun groups (x : Comm_plan.xfer) ->
-      match groups with
-      | g :: _
-        when g.src = x.src
-             && String.equal g.tensor x.tensor
-             && Comm_plan.compare_rects g.rects x.rects = 0 ->
-          g.receivers <- (x.dst, x.link) :: g.receivers;
-          groups
-      | _ ->
-          {
-            tensor = x.tensor;
-            rects = x.rects;
-            fragments = x.fragments;
-            src = x.src;
-            bytes = 8.0 *. float_of_int x.volume;
-            receivers = [ (x.dst, x.link) ];
-          }
-          :: groups)
-    [] (List.rev xfers)
-
 (* Post-planning observability: group counts, merged-run counts and
-   per-message payload sizes are recorded after coalescing, so
+   per-message payload sizes are recorded after grouping, so
    [exec.messages] counts wire messages, not raw fragments (raw traffic
    totals stay in [exec.bytes_intra]/[exec.bytes_inter], which planning
    never changes). *)
 let observe_groups obs glist =
   List.iter
-    (fun g ->
+    (fun (g : Comm_plan.group) ->
       Metrics.inc_int obs.m_copy_groups 1;
       if g.fragments > 1 then Metrics.inc_int obs.m_coalesced 1;
       let k = List.length g.receivers in
@@ -305,7 +285,7 @@ let observe_groups obs glist =
 let price_groups cost ~send ~recv ~mtouch glist =
   let bytes = ref 0.0 and messages = ref 0 in
   List.iter
-    (fun g ->
+    (fun (g : Comm_plan.group) ->
       let k = List.length g.receivers in
       bytes := !bytes +. (g.bytes *. float_of_int k);
       messages := !messages + k;
@@ -346,7 +326,7 @@ let price_groups cost ~send ~recv ~mtouch glist =
 (* One profile instant per wire message, on the receiver's track. *)
 let emit_copy_instants sink ~pid ~ts glist =
   List.iter
-    (fun g ->
+    (fun (g : Comm_plan.group) ->
       let k = List.length g.receivers in
       List.iter
         (fun (dst, link) ->
@@ -370,8 +350,8 @@ let emit_copy_instants sink ~pid ~ts glist =
     glist
 
 (* The one pricing of a bulk-synchronous step, shared by [execute] and
-   [redistribute]. The step's raw fragments are planned into wire
-   messages (merged into block transfers, or kept one per piece when
+   [redistribute]. The step's message table is planned into wire
+   messages (one per (tensor, src, dst), or one per piece when
    [coalesce] is off) and identical payloads bundled into broadcasts;
    their occupancies, and the retransmissions and delays of any message
    faults, are charged to the endpoints. The step costs the max over
@@ -380,10 +360,9 @@ let emit_copy_instants sink ~pid ~ts glist =
    (see [execute_impl]); [msg_faults] is the injector and its counter
    when the fault plan has message faults. Returns the timeline row (with
    per-processor slots only when [profiling]) and the planned groups. *)
-let price_step machine cost obs ~coalesce ~kernel ~msg_faults ~profiling ~step ~start a =
+let price_step machine cost obs ~coalesce ~link ~kernel ~msg_faults ~profiling ~step ~start a =
   let t_plan = now () in
-  let plan = if coalesce then Comm_plan.coalesce a.raws else Comm_plan.uncoalesced a.raws in
-  let glist = group_transfers plan in
+  let glist = Comm_plan.groups ~coalesce ~link a.msgs in
   observe_groups obs glist;
   (* A processor's communication time in a step combines its send and
      receive occupancies per the cost model's duplex mode (full-duplex
@@ -398,7 +377,7 @@ let price_step machine cost obs ~coalesce ~kernel ~msg_faults ~profiling ~step ~
   | None -> ()
   | Some (inj, m_faults) ->
       List.iter
-        (fun g ->
+        (fun (g : Comm_plan.group) ->
           List.iter
             (fun (dst, link) ->
               match Injector.msg_action inj ~step ~tensor:g.tensor ~src:g.src ~dst with
@@ -419,9 +398,9 @@ let price_step machine cost obs ~coalesce ~kernel ~msg_faults ~profiling ~step ~
             g.receivers)
         glist);
   let fabric =
-    if a.cross > 0.0 then
+    if a.cross.(0) > 0.0 then
       let racks = Ints.ceil_div (Machine.num_nodes machine) cost.Cost.rack_nodes in
-      Cost.fabric_time cost ~cross_rack_bytes:a.cross ~racks
+      Cost.fabric_time cost ~cross_rack_bytes:a.cross.(0) ~racks
     else 0.0
   in
   let cost_step = ref fabric and slots = ref [] in
@@ -645,9 +624,7 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
      walk are plain array lookups instead of coordinate arithmetic. *)
   let node_of_lin = nodes_of_procs machine in
   let rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin in
-  let link_of src dst =
-    if node_of_lin.(src) = node_of_lin.(dst) then Cost.Intra else Cost.Inter
-  in
+  let link_of src dst = link_between node_of_lin src dst in
   (* Placement under faults: effects landing on a processor that is dead
      at their step execute on its failover target instead
      ({!Mapper.fallback} — the next live linear processor, which also
@@ -709,7 +686,7 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
                   List.fold_left
                     (fun acc o ->
                       let l = lin_of_virtual o in
-                      if List.mem l acc then acc else l :: acc)
+                      if mem_int l acc then acc else l :: acc)
                     [] owners
                   |> List.rev
             in
@@ -748,19 +725,20 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
   let slot = Hashtbl.find_opt slot_tbl in
   let bound = Array.init nslots (fun s -> s < nlaunch) in
   let keyer vars =
-    let slots =
-      List.concat_map (Provenance.deps prov) vars
-      |> List.filter_map (fun v ->
-             match Hashtbl.find_opt slot_tbl v with
-             | Some s when bound.(s) -> Some s
-             | _ -> None)
+    let bound_var v = match slot v with Some s -> bound.(s) | None -> false in
+    let comps =
+      List.concat_map (Provenance.key_deps prov ~bound:bound_var) vars
+      |> List.map (fun (vs, m) ->
+             match List.sort compare (List.filter_map slot vs) with
+             | [ s ] -> ([| s |], slot_ext.(s))
+             | ss -> (Array.of_list ss, m))
       |> List.sort_uniq compare |> Array.of_list
     in
-    let strides = Array.make (Array.length slots) 1 in
-    for i = Array.length slots - 2 downto 0 do
-      strides.(i) <- strides.(i + 1) * slot_ext.(slots.(i + 1))
+    let strides = Array.make (Array.length comps) 1 in
+    for i = Array.length comps - 2 downto 0 do
+      strides.(i) <- strides.(i + 1) * snd comps.(i + 1)
     done;
-    { k_slots = slots; k_strides = strides }
+    { k_slots = Array.map fst comps; k_mods = Array.map snd comps; k_strides = strides }
   in
   let access_vars t =
     List.concat_map
@@ -812,6 +790,7 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
   let site_memo = Array.map (fun _ -> Ints.Tbl.create 64) sites in
   let rect_memo = Array.map (fun _ -> Rect.Tbl.create 64) tensors_a in
   let ival_memo = Array.map (fun _ -> Ints.Tbl.create 16) ivars in
+  let footprints = ref 0 in
   let env = Array.make nslots (-1) in
   (* Reduction mode: some distributed loop variable derives from a
      variable summed over (§3.3: "distributing variables used for
@@ -840,25 +819,25 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
     a.ctouch.(proc) <- true;
     Metrics.inc m_flops flops
   in
-  (* Record one batch of fragments moving src -> dst: traffic metrics and
-     cross-rack accounting see the raw bytes (planning never changes
-     totals); the batch itself is planned into wire messages at assembly
-     time. Trace consumers still see one event per fragment. *)
-  let add_batch ~step (raw : Comm_plan.raw) =
-    let p = raw.payload in
+  (* Record one payload of tensor [t] moving src -> dst: traffic metrics
+     and cross-rack accounting see the raw bytes (planning never changes
+     totals); the payload joins its step's message table, which is
+     planned into wire messages at assembly time. Trace consumers still
+     see one event per fragment. *)
+  let add_batch ~step ~t ~src ~dst (p : Comm_plan.payload) =
     if p.volume > 0 then begin
       let a = acc_of step in
       let bytes = 8.0 *. float_of_int p.volume in
-      a.raws <- raw :: a.raws;
-      (match raw.link with
+      Comm_plan.add a.msgs ~t ~src ~dst p;
+      (match link_of src dst with
       | Cost.Intra -> Metrics.inc m_bytes_intra bytes
       | Cost.Inter -> Metrics.inc m_bytes_inter bytes);
-      Metrics.inc m_bytes_t.(tensor_index p.tensor) bytes;
-      if rack_of_lin.(raw.src) <> rack_of_lin.(raw.dst) then a.cross <- a.cross +. bytes;
+      Metrics.inc m_bytes_t.(t) bytes;
+      if rack_of_lin.(src) <> rack_of_lin.(dst) then a.cross.(0) <- a.cross.(0) +. bytes;
       match trace with
       | Some log ->
-          let src = Machine.delinearize machine raw.src in
-          let dst = Machine.delinearize machine raw.dst in
+          let src = Machine.delinearize machine src in
+          let dst = Machine.delinearize machine dst in
           List.iter
             (fun piece ->
               log :=
@@ -884,12 +863,9 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
      sequence. An effect on a processor that is dead at its step lands
      on the failover target instead ([remap]); a transfer whose ends
      collapse onto one processor disappears. *)
-  let charge_batch ~step (raw : Comm_plan.raw) =
-    let src = remap ~step raw.src and dst = remap ~step raw.dst in
-    if src <> dst then
-      add_batch ~step
-        (if src = raw.src && dst = raw.dst then raw
-         else { raw with src; dst; link = link_of src dst })
+  let charge_batch ~step ~t ~src ~dst p =
+    let src = remap ~step src and dst = remap ~step dst in
+    if src <> dst then add_batch ~step ~t ~src ~dst p
   in
   let checkpoint ~step ~proc rect =
     match ckpt with
@@ -910,7 +886,6 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
   in
   (* {3 Per-task walk} *)
   let ops = ops_per_point stmt in
-  let rec mem_int (x : int) = function [] -> false | y :: ys -> x = y || mem_int x ys in
   let run_task ?drec (point : int array) =
     let proc_coord = Mapper.proc_of_point machine ~launch_dims:ldims point in
     let proc = Machine.linearize machine proc_coord in
@@ -929,19 +904,18 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
     (* The footprint a site needs under the current bindings. *)
     let entry site =
       let t, k = sites.(site) in
-      let tbl = site_memo.(site) in
       let key = key_of k env in
+      let tbl = site_memo.(site) in
       match Ints.Tbl.find tbl key with
       | e -> e
       | exception Not_found ->
           let rect = footprint_fns.(t) env in
+          incr footprints;
           let e =
             match Rect.Tbl.find rect_memo.(t) rect with
             | e -> e
             | exception Not_found ->
-                let e =
-                  { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None }
-                in
+                let e = { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None } in
                 Rect.Tbl.add rect_memo.(t) rect e;
                 e
           in
@@ -979,30 +953,17 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
             | x :: xs, y :: ys -> x = y && same_owners xs ys
             | _ -> false
           in
-          let groups : (int list * Rect.t list ref * int ref) list ref = ref [] in
+          let groups : (int list * Rect.t list ref) list ref = ref [] in
           List.iter
             (fun (piece, owners) ->
-              match List.find_opt (fun (os, _, _) -> same_owners os owners) !groups with
-              | Some (_, ps, vol) ->
-                  ps := piece :: !ps;
-                  vol := !vol + Rect.volume piece
-              | None -> groups := (owners, ref [ piece ], ref (Rect.volume piece)) :: !groups)
+              match List.find_opt (fun (os, _) -> same_owners os owners) !groups with
+              | Some (_, ps) -> ps := piece :: !ps
+              | None -> groups := (owners, ref [ piece ]) :: !groups)
             (pieces_of t e);
           let plan =
             List.rev_map
-              (fun (os, ps, vol) ->
-                let pieces = List.rev !ps in
-                {
-                  fg_owners = os;
-                  fg_load =
-                    {
-                      tensor = tensors_a.(t);
-                      pieces;
-                      merged = Comm_plan.merge_rects pieces;
-                      nfrag = List.length pieces;
-                      volume = !vol;
-                    };
-                })
+              (fun (os, ps) ->
+                { fg_owners = os; fg_load = Comm_plan.payload tensors_a.(t) (List.rev !ps) })
               !groups
           in
           e.f_plan <- Some plan;
@@ -1010,7 +971,7 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
     in
     (* Fetch cost: groups the processor itself owns are free, the rest
        become one fragment batch each (same-node owners preferred). *)
-    let rec fetch_groups step = function
+    let rec fetch_groups step t = function
       | [] -> ()
       | g :: gs ->
           if not (mem_int proc g.fg_owners) then begin
@@ -1019,11 +980,11 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
               | -1 -> List.hd g.fg_owners
               | o -> o
             in
-            charge_batch ~step { payload = g.fg_load; src; dst = proc; link = link_of src proc }
+            charge_batch ~step ~t ~src ~dst:proc g.fg_load
           end;
-          fetch_groups step gs
+          fetch_groups step t gs
     in
-    let charge_fetch t e = fetch_groups (step_of ()) (plan_of t e) in
+    let charge_fetch t e = fetch_groups (step_of ()) t (plan_of t e) in
     let flush_output ~step e =
       demit D_flush;
       if reduction then add_red ~step ~proc e.f_rect
@@ -1034,9 +995,7 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
             (fun (piece, os) ->
               let dst = List.hd os in
               if dst <> proc then
-                charge_batch ~step
-                  (Comm_plan.batch ~tensor:out_name ~src:proc ~dst ~link:(link_of proc dst)
-                     [ piece ]))
+                charge_batch ~step ~t:out_t ~src:proc ~dst (Comm_plan.payload out_name [ piece ]))
             (pieces_of out_t e);
         checkpoint ~step ~proc:(remap ~step proc) e.f_rect
       end
@@ -1102,11 +1061,11 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
           | len -> len
           | exception Not_found ->
               let lo, hi = ifns.(i) env in
-              let len = float_of_int (Int.max 0 (hi - lo)) in
+              let len = Int.max 0 (hi - lo) in
               Ints.Tbl.add tbl key len;
               len
         in
-        points := !points *. len
+        points := !points *. float_of_int len
       done;
       let bytes = ref 0.0 in
       for t = 0 to ntensors - 1 do
@@ -1215,14 +1174,11 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
     | None -> ()
     | Some a ->
         let row, glist =
-          price_step machine cost obs ~coalesce ~kernel:priced_kernel ~msg_faults ~profiling
-            ~step ~start:!start a
+          price_step machine cost obs ~coalesce ~link:link_of ~kernel:priced_kernel ~msg_faults
+            ~profiling ~step ~start:!start a
         in
         if profiling then groups_of_step.(step) <- glist;
-        total_fragments :=
-          List.fold_left
-            (fun acc (r : Comm_plan.raw) -> acc + r.payload.nfrag)
-            !total_fragments a.raws;
+        total_fragments := !total_fragments + Comm_plan.fragments a.msgs;
         total_messages := !total_messages + row.Cp.messages;
         start := !start +. row.Cp.cost;
         rev_rows := row :: !rev_rows
@@ -1439,6 +1395,8 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
   let minor1, major1 = alloc_words () in
   Metrics.set (Metrics.gauge reg "exec.alloc_minor_words") (minor1 -. fst alloc0);
   Metrics.set (Metrics.gauge reg "exec.alloc_major_words") (major1 -. snd alloc0);
+  (* Footprints the walk computed, one per distinct key per site. *)
+  Metrics.set (Metrics.gauge reg "exec.footprints") (float_of_int !footprints);
   (match trace with Some log -> log := List.rev !log | None -> ());
   Ok
     {
@@ -1743,6 +1701,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
   let nprocs = Machine.num_procs machine in
   let node_of_lin = nodes_of_procs machine in
   let rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin in
+  let link_of src dst = link_between node_of_lin src dst in
   let tiles dist =
     List.map
       (fun (r, os) -> (r, List.map (Machine.linearize machine) os))
@@ -1767,21 +1726,20 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
                   | o -> o
                 in
                 let bytes = bytes_of_rect piece in
-                let link = if node_of_lin.(s) = node_of_lin.(d) then Cost.Intra else Cost.Inter in
-                Metrics.inc (if link = Cost.Intra then m_bytes_intra else m_bytes_inter) bytes;
-                if rack_of_lin.(s) <> rack_of_lin.(d) then a.cross <- a.cross +. bytes;
-                a.raws <- Comm_plan.batch ~tensor:"" ~src:s ~dst:d ~link [ piece ] :: a.raws
+                Metrics.inc (if link_of s d = Cost.Intra then m_bytes_intra else m_bytes_inter) bytes;
+                if rack_of_lin.(s) <> rack_of_lin.(d) then a.cross.(0) <- a.cross.(0) +. bytes;
+                Comm_plan.add a.msgs ~t:0 ~src:s ~dst:d (Comm_plan.payload "" [ piece ])
               end)
             src_tiles)
         downers)
     (tiles dst);
   let row, glist =
-    price_step machine cost (step_obs reg) ~coalesce:true ~kernel:None ~msg_faults:None
+    price_step machine cost (step_obs reg) ~coalesce:true ~link:link_of ~kernel:None ~msg_faults:None
       ~profiling:(Option.is_some prun) ~step:0 ~start:0.0 a
   in
   Metrics.set (Metrics.gauge reg "exec.time") row.Cp.cost;
   Metrics.set (Metrics.gauge reg "exec.steps") 1.0;
-  set_coalesce_ratio reg ~fragments:(List.length a.raws) ~messages:row.Cp.messages;
+  set_coalesce_ratio reg ~fragments:(Comm_plan.fragments a.msgs) ~messages:row.Cp.messages;
   (match (profile, prun) with
   | Some p, Some run ->
       let sink = Profile.sink p and pid = run.Profile.pid in

@@ -70,9 +70,9 @@ val execute :
     and [output] is [None]. With [trace], every copy event is appended to
     the list (in issue order) — the communication pattern of Fig. 8/12.
 
-    [coalesce] (default [true]) runs {!Comm_plan} over each step's raw
-    transfers, merging same-source/same-destination fragments into block
-    or strided-run messages before they are priced — functional results,
+    [coalesce] (default [true]) has {!Comm_plan} send each step's
+    fetches as one block or strided-run message per (tensor, source,
+    destination) before they are priced — functional results,
     traces and byte totals are unchanged; message counts, copy-group
     structure and charged times reflect the merged plan. Pass [false] to
     price every fragment as its own message (the pre-planning model).

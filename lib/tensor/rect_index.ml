@@ -9,8 +9,9 @@ type 'a t = {
   entries : (Rect.t * 'a) array;
   dims : int;
   cuts : int array array;  (* per dim: sorted distinct tile boundaries *)
-  buckets : int array array array;  (* per dim: slab -> tile ids, ascending *)
-  prefix : int array array;  (* per dim: prefix sums of bucket sizes *)
+  buckets : int array array;
+      (* per dim: every slab's tile ids, ascending, slab after slab *)
+  prefix : int array array;  (* per dim: where each slab's ids start *)
   default_cursor : cursor;  (* used when the caller doesn't pass one *)
 }
 
@@ -73,43 +74,33 @@ let build tile_list =
   in
   let cuts = Array.map fst cuts_pos in
   (* Per dimension, each non-empty tile covers the slab range [a, b);
-     count the slabs' populations first, then fill exact-size buckets in
-     ascending tile-id order. *)
-  let buckets =
+     count the slabs' populations first, then fill the slabs in one flat
+     array in ascending tile-id order. *)
+  let slabs d f =
+    let pos = snd cuts_pos.(d) in
+    for id = 0 to n - 1 do
+      let r : Rect.t = fst entries.(id) in
+      if not (Rect.is_empty r) then
+        for s = pos r.lo.(d) to pos r.hi.(d) - 1 do
+          f id s
+        done
+    done
+  in
+  let built =
     Array.init dims (fun d ->
         let nslabs = Int.max 0 (Array.length cuts.(d) - 1) in
-        let first = Array.make n 0 and last = Array.make n 0 in
-        let count = Array.make nslabs 0 in
-        for id = 0 to n - 1 do
-          let r : Rect.t = fst entries.(id) in
-          if not (Rect.is_empty r) then begin
-            let pos = snd cuts_pos.(d) in
-            let a = pos r.lo.(d) and b = pos r.hi.(d) in
-            first.(id) <- a;
-            last.(id) <- b;
-            for s = a to b - 1 do
-              count.(s) <- count.(s) + 1
-            done
-          end
+        let start = Array.make (nslabs + 1) 0 in
+        slabs d (fun _ s -> start.(s + 1) <- start.(s + 1) + 1);
+        for s = 1 to nslabs do
+          start.(s) <- start.(s) + start.(s - 1)
         done;
-        let acc = Array.map (fun c -> Array.make c 0) count in
-        Array.fill count 0 nslabs 0;
-        for id = 0 to n - 1 do
-          for s = first.(id) to last.(id) - 1 do
-            acc.(s).(count.(s)) <- id;
-            count.(s) <- count.(s) + 1
-          done
-        done;
-        acc)
+        let ids = Array.make start.(nslabs) 0 and fill = Array.sub start 0 nslabs in
+        slabs d (fun id s ->
+            ids.(fill.(s)) <- id;
+            fill.(s) <- fill.(s) + 1);
+        (ids, start))
   in
-  let prefix =
-    Array.map
-      (fun bs ->
-        let p = Array.make (Array.length bs + 1) 0 in
-        Array.iteri (fun i b -> p.(i + 1) <- p.(i) + Array.length b) bs;
-        p)
-      buckets
-  in
+  let buckets = Array.map fst built and prefix = Array.map snd built in
   { entries; dims; cuts; buckets; prefix; default_cursor = cursor () }
 
 let length t = Array.length t.entries
@@ -165,13 +156,12 @@ let query ?cursor:cur t (rect : Rect.t) =
         c.stamp <- c.stamp + 1;
         let seen = c.seen and stamp = c.stamp in
         let min_id = ref max_int and max_id = ref (-1) in
-        for s = a to b - 1 do
-          Array.iter
-            (fun id ->
-              seen.(id) <- stamp;
-              if id < !min_id then min_id := id;
-              if id > !max_id then max_id := id)
-            t.buckets.(d).(s)
+        let ids = t.buckets.(d) in
+        for k = t.prefix.(d).(a) to t.prefix.(d).(b) - 1 do
+          let id = ids.(k) in
+          seen.(id) <- stamp;
+          if id < !min_id then min_id := id;
+          if id > !max_id then max_id := id
         done;
         let overlaps (r : Rect.t) =
           let rec go i =

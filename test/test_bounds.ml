@@ -41,13 +41,13 @@ let check_soundness (cin : Cin.t) ~bound_prefix =
       Ints.iter_box free_dims (fun inner ->
           let full_env_list = outer_env @ List.mapi (fun i v -> (v, inner.(i))) free in
           let fenv v = List.assoc_opt v full_env_list in
-          if Provenance.guards_ok prov ~env:fenv then
+          if Provenance.guards_fn prov fenv then
             List.iter
               (fun (a : Distal_ir.Expr.access) ->
                 let coord =
                   Array.of_list
                     (List.map
-                       (fun v -> Option.get (Provenance.raw_point prov ~env:fenv v))
+                       (fun v -> Option.get (Provenance.raw_point_fn prov v fenv))
                        a.indices)
                 in
                 let rect = List.assoc a.tensor rects in

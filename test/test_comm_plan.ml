@@ -1,6 +1,6 @@
 (* Communication planning must be invisible to semantics: a coalesced
    plan moves exactly the same multiset of (tensor, element, src, dst) as
-   the raw fragments, Full-mode results are byte-identical with the pass
+   the fetched fragments, Full-mode results are byte-identical with the pass
    on or off, and a redistribution prices exactly like the equivalent
    single-step execution. *)
 
@@ -66,20 +66,42 @@ let points (r : Rect.t) =
   go 0;
   !acc
 
-(* The multiset a plan moves: one (tensor, point, src, dst) per element. *)
-let elements xfers =
+(* The multiset a plan moves: one (tensor, point, src, dst) per element
+   per receiver. *)
+let elements groups =
   List.concat_map
-    (fun (x : Comm_plan.xfer) ->
+    (fun (g : Comm_plan.group) ->
       List.concat_map
-        (fun r -> List.map (fun p -> (x.Comm_plan.tensor, p, x.Comm_plan.src, x.Comm_plan.dst)) (points r))
-        x.Comm_plan.rects)
-    xfers
+        (fun (dst, _) ->
+          List.concat_map
+            (fun r -> List.map (fun p -> (g.Comm_plan.tensor, p, g.Comm_plan.src, dst)) (points r))
+            g.Comm_plan.rects)
+        g.Comm_plan.receivers)
+    groups
   |> List.sort compare
+
+(* The multiset the fetches themselves move. *)
+let fetched batches =
+  List.concat_map
+    (fun (_, src, dst, (p : Comm_plan.payload)) ->
+      List.concat_map
+        (fun r -> List.map (fun pt -> (p.Comm_plan.tensor, pt, src, dst)) (points r))
+        p.Comm_plan.pieces)
+    batches
+  |> List.sort compare
+
+let link src dst = if src / 2 = dst / 2 then Cost.Intra else Cost.Inter
+
+(* One step's plan: the batches added to a table in order, then grouped. *)
+let plan ~coalesce batches =
+  let tab = Comm_plan.table () in
+  List.iter (fun (t, src, dst, p) -> Comm_plan.add tab ~t ~src ~dst p) batches;
+  Comm_plan.groups ~coalesce ~link tab
 
 (* Random batches: disjoint unit cells of a small box per batch, random
    (tensor, src, dst) per batch — collisions across batches exercise the
-   multi-batch buckets of [coalesce]. *)
-let gen_raws rng =
+   triples that receive several payloads in one step. *)
+let gen_batches rng =
   let dims = 1 + Rng.int rng 3 in
   let extent = 2 + Rng.int rng 4 in
   let nbatches = 1 + Rng.int rng 4 in
@@ -102,39 +124,100 @@ let gen_raws rng =
       in
       sweep 0;
       let pieces = if !cells = [] then [ rect [ 0 ] [ 1 ] ] else !cells in
-      let src = Rng.int rng 4 and dst = Rng.int rng 4 in
-      Comm_plan.batch
-        ~tensor:(if Rng.int rng 2 = 0 then "A" else "B")
-        ~src ~dst
-        ~link:(if src = dst then Cost.Intra else Cost.Inter)
-        pieces)
+      let t = Rng.int rng 2 in
+      (t, Rng.int rng 4, Rng.int rng 4, Comm_plan.payload (if t = 0 then "A" else "B") pieces))
+
+let key (g : Comm_plan.group) = (g.Comm_plan.tensor, g.Comm_plan.src, g.Comm_plan.rects)
 
 let fuzz_multiset seed =
   let rng = Rng.create (seed * 257) in
-  let raws = gen_raws rng in
-  let planned = Comm_plan.coalesce raws in
-  let raw = Comm_plan.uncoalesced raws in
-  if elements planned <> elements raw then
+  let batches = gen_batches rng in
+  let planned = plan ~coalesce:true batches in
+  let raw = plan ~coalesce:false batches in
+  let expected = fetched batches in
+  if elements planned <> expected then
     QCheck.Test.fail_reportf "coalesced plan moves a different element multiset";
-  (* Internal consistency of every planned transfer. *)
+  if elements raw <> expected then
+    QCheck.Test.fail_reportf "one-message-per-piece plan moves a different element multiset";
+  (* Internal consistency of every planned group. *)
   List.iter
-    (fun (x : Comm_plan.xfer) ->
-      if x.Comm_plan.fragments <> List.length x.Comm_plan.rects then
-        QCheck.Test.fail_reportf "fragments /= |rects| in %s" (show x.Comm_plan.rects);
-      let vol = List.fold_left (fun acc r -> acc + Rect.volume r) 0 x.Comm_plan.rects in
-      if vol <> x.Comm_plan.volume then
-        QCheck.Test.fail_reportf "volume %d /= payload volume %d" x.Comm_plan.volume vol)
-    planned;
-  let total p = List.fold_left (fun acc (x : Comm_plan.xfer) -> acc + x.Comm_plan.volume) 0 p in
-  if total planned <> total raw then
-    QCheck.Test.fail_reportf "coalescing changed total volume";
-  List.length planned <= List.length raw
-  || QCheck.Test.fail_reportf "more transfers after coalescing"
+    (fun (g : Comm_plan.group) ->
+      if g.Comm_plan.fragments <> List.length g.Comm_plan.rects then
+        QCheck.Test.fail_reportf "fragments /= |rects| in %s" (show g.Comm_plan.rects);
+      let vol = List.fold_left (fun acc r -> acc + Rect.volume r) 0 g.Comm_plan.rects in
+      if g.Comm_plan.bytes <> 8.0 *. float_of_int vol then
+        QCheck.Test.fail_reportf "bytes %g /= 8 x payload volume %d" g.Comm_plan.bytes vol;
+      let dsts = List.map fst g.Comm_plan.receivers in
+      if List.sort compare dsts <> dsts then
+        QCheck.Test.fail_reportf "receivers out of order in %s" (show g.Comm_plan.rects))
+    (planned @ raw);
+  (* Canonical order: strictly ascending (tensor, src, payload)... *)
+  let rec ascending = function
+    | a :: (b :: _ as rest) ->
+        let ta, sa, ra = key a and tb, sb, rb = key b in
+        let c = compare (ta, sa) (tb, sb) in
+        (c < 0 || (c = 0 && Comm_plan.compare_rects ra rb < 0)) && ascending rest
+    | _ -> true
+  in
+  if not (ascending planned && ascending raw) then
+    QCheck.Test.fail_reportf "groups out of canonical order";
+  (* ...whatever order the batches arrived in. *)
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2
+         (fun (x : Comm_plan.group) (y : Comm_plan.group) ->
+           key x = key y && x.Comm_plan.receivers = y.Comm_plan.receivers)
+         a b
+  in
+  if not (same planned (plan ~coalesce:true (List.rev batches))) then
+    QCheck.Test.fail_reportf "plan depends on the order batches arrived in";
+  (* One message per (tensor, src, dst) triple. *)
+  let messages =
+    List.concat_map
+      (fun (g : Comm_plan.group) ->
+        List.map (fun (d, _) -> (g.Comm_plan.tensor, g.Comm_plan.src, d)) g.Comm_plan.receivers)
+      planned
+  in
+  let triples =
+    List.map (fun (_, s, d, (p : Comm_plan.payload)) -> (p.Comm_plan.tensor, s, d)) batches
+  in
+  List.sort compare messages = List.sort_uniq compare triples
+  || QCheck.Test.fail_reportf "coalesced plan is not one message per triple"
 
 let qcheck_multiset =
   QCheck.Test.make ~name:"coalesced == raw element multiset" ~count:500
     QCheck.small_nat
     (fun seed -> fuzz_multiset (succ seed))
+
+(* Two batches on one (tensor, src, dst) triple in one step become one
+   message: their union. *)
+let single_message batches =
+  match plan ~coalesce:true batches with
+  | [ g ] -> g
+  | gs -> Alcotest.failf "expected one group, got %d" (List.length gs)
+
+let test_two_batches_separated () =
+  (* Hulls [0,2) and [4,6) leave a gap: no rect of one can merge with one
+     of the other, so the union is their canonical concatenation. *)
+  let a = Comm_plan.payload "A" [ rect [ 4 ] [ 5 ]; rect [ 5 ] [ 6 ] ] in
+  let b = Comm_plan.payload "A" [ rect [ 0 ] [ 1 ]; rect [ 1 ] [ 2 ] ] in
+  let g = single_message [ (0, 1, 2, a); (0, 1, 2, b) ] in
+  Alcotest.(check string) "strided run" "[0,2) (+1 fragments)" (show g.Comm_plan.rects);
+  Alcotest.(check int) "fragments" 2 g.Comm_plan.fragments;
+  Alcotest.(check (float 0.0)) "bytes" 32.0 g.Comm_plan.bytes;
+  Alcotest.(check (list int)) "receivers" [ 2 ] (List.map fst g.Comm_plan.receivers)
+
+let test_two_batches_overlapping () =
+  (* Hulls [0,3) and [1,4) overlap: the union goes through [merge_rects],
+     which closes the interleaved cells into one block. *)
+  let a = Comm_plan.payload "A" [ rect [ 0 ] [ 1 ]; rect [ 2 ] [ 3 ] ] in
+  let b = Comm_plan.payload "A" [ rect [ 1 ] [ 2 ]; rect [ 3 ] [ 4 ] ] in
+  let g = single_message [ (0, 1, 2, a); (0, 1, 2, b) ] in
+  Alcotest.(check string) "one block" "[0,4)" (show g.Comm_plan.rects);
+  Alcotest.(check int) "fragments" 1 g.Comm_plan.fragments;
+  Alcotest.(check (float 0.0)) "bytes" 32.0 g.Comm_plan.bytes;
+  (* Uncoalesced, every piece stays its own message. *)
+  Alcotest.(check int) "pieces" 4 (List.length (plan ~coalesce:false [ (0, 1, 2, a); (0, 1, 2, b) ]))
 
 (* {2 Full-mode byte identity} *)
 
@@ -271,6 +354,10 @@ let suites =
         Alcotest.test_case "adjacent rects merge" `Quick test_merge_units;
         Alcotest.test_case "cyclic stride stays a strided run" `Quick test_merge_strided;
         QCheck_alcotest.to_alcotest qcheck_multiset;
+        Alcotest.test_case "chain-separated batches on one triple" `Quick
+          test_two_batches_separated;
+        Alcotest.test_case "overlapping batches on one triple" `Quick
+          test_two_batches_overlapping;
         Alcotest.test_case "Full output byte-identical on/off" `Quick test_full_identity;
         Alcotest.test_case "redistribute == single-step execute" `Quick
           test_redistribute_parity;

@@ -118,10 +118,10 @@ let test_guards () =
   let p = Provenance.create [ ("i", 10) ] in
   Result.get_ok (Provenance.divide p "i" ~outer:"io" ~inner:"ii" ~parts:3);
   Alcotest.(check bool) "interior ok" true
-    (Provenance.guards_ok p ~env:(env_of [ ("io", 2); ("ii", 1) ]));
+    (Provenance.guards_fn p (env_of [ ("io", 2); ("ii", 1) ]));
   (* io=2, ii=3 reconstructs i = 11 >= 10: guard-excluded. *)
   Alcotest.(check bool) "boundary excluded" false
-    (Provenance.guards_ok p ~env:(env_of [ ("io", 2); ("ii", 3) ]))
+    (Provenance.guards_fn p (env_of [ ("io", 2); ("ii", 3) ]))
 
 let test_rotate_value () =
   let p = Provenance.create [ ("i", 3); ("j", 3); ("k", 3) ] in
@@ -132,7 +132,14 @@ let test_rotate_value () =
   Alcotest.(check (pair int int)) "unbound by" (0, 3)
     (Provenance.interval p ~env:(env_of [ ("ks", 2) ]) "k");
   Alcotest.(check (option int)) "raw point" (Some 1)
-    (Provenance.raw_point p ~env:(env_of [ ("ks", 2); ("i", 1); ("j", 1) ]) "k")
+    (Provenance.raw_point_fn p "k" (env_of [ ("ks", 2); ("i", 1); ("j", 1) ]));
+  (* With ks, i and j bound, k's interval depends on their sum mod 3 only;
+     with j unbound the key falls back to the bound variables themselves. *)
+  let deps bound = Provenance.key_deps p ~bound:(fun v -> List.mem v bound) "k" in
+  Alcotest.(check (list (pair (list string) int))) "rotated value"
+    [ ([ "ks"; "i"; "j" ], 3) ] (deps [ "ks"; "i"; "j" ]);
+  Alcotest.(check (list (pair (list string) int))) "by unbound"
+    [ ([ "ks" ], 3); ([ "i" ], 3) ] (deps [ "ks"; "i" ])
 
 let test_rotate_is_time_permutation () =
   (* For fixed i, the map ks -> k is a bijection on [0,e): every iteration
@@ -142,7 +149,7 @@ let test_rotate_is_time_permutation () =
   for i = 0 to 4 do
     let seen = Array.make 5 false in
     for ks = 0 to 4 do
-      match Provenance.raw_point p ~env:(env_of [ ("i", i); ("ks", ks) ]) "k" with
+      match Provenance.raw_point_fn p "k" (env_of [ ("i", i); ("ks", ks) ]) with
       | Some k -> seen.(k) <- true
       | None -> Alcotest.fail "rotate should reconstruct a point"
     done;
