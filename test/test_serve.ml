@@ -701,6 +701,111 @@ let test_protocol_output_payloads () =
       ("missing payload", {|{"shape":[2]}|});
     ]
 
+(* {2 Golden wire frames}
+
+   The exact frames of one message of each kind, as the encoder wrote
+   them before replies were rendered in place. Outputs of 0-4 elements
+   cover every element count mod 3 (the payload's base64 ends with no,
+   one or two '='); the special values, a 2-D and a scalar shape, a
+   result without output and the other replies complete the set. *)
+
+let golden_stats () =
+  let s = Stats.create () in
+  s.Stats.time <- 0.125;
+  s.Stats.flops <- 4096.0;
+  s.Stats.bytes_intra <- 1024.0;
+  s.Stats.bytes_inter <- 1e9;
+  s.Stats.messages <- 12;
+  s.Stats.peak_mem <- 65536.0;
+  s.Stats.tasks <- 4;
+  s.Stats.steps <- 2;
+  s
+
+let golden_result shape values =
+  let output =
+    Option.map
+      (fun values ->
+        let d = Dense.create shape in
+        List.iteri (Dense.set_lin d) values;
+        d)
+      values
+  in
+  Protocol.Result
+    { rid = 7; plan_cached = true; result_cached = false; batch = 2;
+      stats = golden_stats (); output }
+
+let frame len payload = Printf.sprintf "%08d\n%s\n" len payload
+
+(* Every golden result shares its fields up to the output. *)
+let result_frame len output =
+  frame len
+    ({|{"type":"result","id":7,"status":"ok","plan_cached":true,"result_cached":false,|}
+   ^ {|"batch":2,"stats":{"time":0.125,"flops":4096.0,"bytes_intra":1024.0,|}
+   ^ {|"bytes_inter":1000000000.0,"messages":12,"peak_mem":65536.0,"oom":false,|}
+   ^ {|"tasks":4,"steps":2},"output":|} ^ output ^ "}")
+
+let golden_frames =
+  [
+    ( "0 elements",
+      golden_result [| 0 |] (Some []),
+      result_frame 274 {|{"shape":[0],"f64le":""}|} );
+    ( "1 element",
+      golden_result [| 1 |] (Some [ 1.5 ]),
+      result_frame 286 {|{"shape":[1],"f64le":"AAAAAAAA+D8="}|} );
+    ( "2 elements",
+      golden_result [| 2 |] (Some [ 1.5; -2.25 ]),
+      result_frame 298 {|{"shape":[2],"f64le":"AAAAAAAA+D8AAAAAAAACwA=="}|} );
+    ( "3 elements",
+      golden_result [| 3 |] (Some [ 0.1; 2.0; 3e300 ]),
+      result_frame 306 {|{"shape":[3],"f64le":"mpmZmZmZuT8AAAAAAAAAQDVYAGYt61F+"}|} );
+    ( "4 elements",
+      golden_result [| 4 |] (Some [ 1.0; 2.0; 3.0; 4.0 ]),
+      result_frame 318 {|{"shape":[4],"f64le":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhAAAAAAAAAEEA="}|} );
+    ( "special values",
+      golden_result [| 5 |]
+        (Some
+           [ Int64.float_of_bits 0x7FF4000000000001L; -0.0; Float.infinity;
+             Float.neg_infinity; 4.9e-324 ]),
+      result_frame 330 {|{"shape":[5],"f64le":"AQAAAAAA9H8AAAAAAAAAgAAAAAAAAPB/AAAAAAAA8P8BAAAAAAAAAA=="}|} );
+    ( "2-D shape",
+      golden_result [| 2; 3 |] (Some [ 1.0; -1.0; 0.5; 0.25; 1e-3; 7.0 ]),
+      result_frame 340 {|{"shape":[2,3],"f64le":"AAAAAAAA8D8AAAAAAADwvwAAAAAAAOA/AAAAAAAA0D/8qfHSTWJQPwAAAAAAABxA"}|} );
+    ( "scalar shape",
+      golden_result [||] (Some [ 42.0 ]),
+      result_frame 285 {|{"shape":[],"f64le":"AAAAAAAARUA="}|} );
+    ("no output", golden_result [||] None, result_frame 254 {|null|});
+    ( "failed",
+      Protocol.Failed { rid = 3; reason = "bad \"json\"\n" },
+      frame 66 {|{"type":"result","id":3,"status":"error","error":"bad \"json\"\n"}|} );
+    ( "rejected",
+      Protocol.Rejected
+        { rid = 4; retry_after_s = 0.001; reason = "queue full (depth 64, limit 64)" },
+      frame 108 {|{"type":"result","id":4,"status":"rejected","retry_after_s":0.001,"error":"queue full (depth 64, limit 64)"}|} );
+    ( "stats",
+      Protocol.StatsReply
+        { queue_depth = 1; served = 5;
+          metrics = Json.Obj [ ("serve.requests", Json.Float 5.0); ("serve.admitted", Json.Int 5) ] },
+      frame 95 {|{"type":"stats","queue_depth":1,"served":5,"metrics":{"serve.requests":5.0,"serve.admitted":5}}|} );
+    ("shutdown ack", Protocol.ShutdownAck, frame 23 {|{"type":"shutdown_ack"}|});
+  ]
+
+let test_protocol_golden_frames () =
+  List.iter
+    (fun (what, msg, frame) ->
+      Alcotest.(check string) what frame (Wire.encode (Protocol.encode_server msg));
+      let payload = String.sub frame 9 (String.length frame - 10) in
+      match (msg, Protocol.decode_server payload) with
+      | Protocol.Result r, Ok (Protocol.Result g) ->
+          Alcotest.(check (list int64)) (what ^ " decodes") (bits r.Protocol.output)
+            (bits g.Protocol.output);
+          Alcotest.(check (option (array int))) (what ^ " shape")
+            (Option.map Dense.shape r.Protocol.output)
+            (Option.map Dense.shape g.Protocol.output)
+      | Protocol.Result _, _ -> Alcotest.failf "%s must decode to a result" what
+      | _, Ok _ -> ()
+      | _, Error e -> Alcotest.failf "%s must decode: %s" what e)
+    golden_frames
+
 (* {2 distald end to end}
 
    These tests drive the real server binary (built as a test dependency)
@@ -1200,6 +1305,7 @@ let suites =
         Alcotest.test_case "protocol server roundtrip" `Quick test_protocol_server_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_output_bits_exact;
         Alcotest.test_case "protocol output payloads" `Quick test_protocol_output_payloads;
+        Alcotest.test_case "protocol golden frames" `Quick test_protocol_golden_frames;
         Alcotest.test_case "distald end to end" `Quick test_server_end_to_end;
         Alcotest.test_case "distald batching" `Quick test_server_batching;
         Alcotest.test_case "distald admission control" `Quick test_server_admission;
