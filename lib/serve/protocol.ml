@@ -8,11 +8,20 @@
    escaping and float round-tripping are fixed in exactly one place.
    Dense outputs travel as base64 of their raw IEEE-754 bytes, which
    reproduce the bits on decode — the byte-identity guarantee of the
-   serving layer survives the wire. *)
+   serving layer survives the wire.
+
+   A result's payload moves between the output's bigarray and the frame
+   in one pass on each side: the encoder writes it straight into the
+   one allocation that becomes the frame, and the decoder reads it from
+   the received frame straight into a fresh tensor; only the small JSON
+   around it is rendered or parsed as a tree. The bytes on the wire are
+   those of rendering the whole message as one JSON tree. *)
 
 module Api = Distal.Api
 module Dense = Distal_tensor.Dense
 module Json = Distal_support.Json
+module Base64 = Distal_support.Base64
+module Wire = Distal_support.Wire
 
 let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
 let ( let* ) = Result.bind
@@ -118,40 +127,53 @@ let opt_field k = function None -> [] | Some v -> [ (k, v) ]
 
 (* An output travels as its raw little-endian IEEE-754 bytes in base64
    ("f64le"): every bit survives, including NaN payloads, infinities and
-   signed zeros, and both ends convert at memory speed. *)
-let json_of_dense d =
-  Json.Obj
-    [
-      ("shape", json_of_int_array (Dense.shape d));
-      ("f64le", Json.String (Distal_support.Base64.encode (Dense.to_le_bytes d)));
-    ]
+   signed zeros. The tree holds the output's shape and an empty payload;
+   the encoder writes the payload between those quotes and the decoder
+   reads it from the frame, each in one pass (see {2 Wire payloads}). *)
+let json_of_output shape =
+  Json.Obj [ ("shape", json_of_int_array shape); ("f64le", Json.String "") ]
 
-let dense_of_json j =
+(* The element count of a shape off the wire, when it is a plain
+   non-negative int whose bytes do not overflow. *)
+let elements shape =
+  Array.fold_left
+    (fun acc e ->
+      match acc with
+      | Some n when e >= 0 && (e = 0 || n <= max_int / 8 / e) -> Some (n * e)
+      | _ -> None)
+    (Some 1) shape
+
+let output_length shape =
+  if Array.exists (fun e -> e < 0) shape then None
+  else
+    let wrapper = String.length (Json.to_string (json_of_output shape)) in
+    match elements shape with
+    | Some n when n <= max_int / 16 -> Some (wrapper + Base64.f64_length n)
+    | _ -> Some max_int
+
+(* [span] is where the payload's characters are when the decoder cut
+   them out of the frame before parsing; otherwise they are the tree's. *)
+let dense_of_json ~span j =
   let* shape =
     match Json.member "shape" j with
     | Some s -> int_array_of_json ~what:"output shape" s
     | None -> Error "output missing shape"
   in
-  (* The shape comes off the wire: its element count must be a plain
-     non-negative int before anything is sized by it. *)
-  let count =
-    Array.fold_left
-      (fun acc e ->
-        match acc with
-        | Some n when e >= 0 && (e = 0 || n <= max_int / 8 / e) -> Some (n * e)
-        | _ -> None)
-      (Some 1) shape
-  in
-  if count = None then Error "output shape is negative or too large"
-  else
-    match Json.member "f64le" j with
-    | Some (Json.String b64) -> (
-        match Distal_support.Base64.decode b64 with
-        | Error e -> errf "output payload: %s" e
-        | Ok bytes -> (
-            try Ok (Dense.of_le_bytes shape bytes) with Invalid_argument e -> Error e))
-    | Some _ -> Error "output f64le must be a base64 string"
-    | None -> Error "output missing f64le payload"
+  match (elements shape, Json.member "f64le" j) with
+  | None, _ -> Error "output shape is negative or too large"
+  | Some n, Some (Json.String b64) -> (
+      let s, off, len = Option.value span ~default:(b64, 0, String.length b64) in
+      (* The length is checked before anything is sized by the shape. *)
+      if Option.is_some span && b64 <> "" then Error "output payload is not where it was cut"
+      else if n > len || len <> Base64.f64_length n then
+        errf "output payload: %d base64 characters cannot carry %d float64 values" len n
+      else
+        let buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+        match Base64.decode_f64 s off len buf with
+        | Ok () -> Ok (Dense.of_buf buf shape)
+        | Error e -> errf "output payload: %s" e)
+  | Some _, Some _ -> Error "output f64le must be a base64 string"
+  | Some _, None -> Error "output missing f64le payload"
 
 let json_of_stats (s : Api.Stats.t) =
   Json.Obj
@@ -344,6 +366,7 @@ let client_msg_of_json j =
   | Some (Json.String t) -> errf "unknown client message type %S" t
   | _ -> Error "client message missing type"
 
+(* The message's tree, with any output's payload left empty. *)
 let server_msg_to_json = function
   | Result r ->
       Json.Obj
@@ -355,7 +378,7 @@ let server_msg_to_json = function
           ("result_cached", Json.Bool r.result_cached);
           ("batch", Json.Int r.batch);
           ("stats", json_of_stats r.stats);
-          ("output", match r.output with None -> Json.Null | Some d -> json_of_dense d);
+          ("output", match r.output with None -> Json.Null | Some d -> json_of_output (Dense.shape d));
         ]
   | Rejected { rid; retry_after_s; reason } ->
       Json.Obj
@@ -384,7 +407,7 @@ let server_msg_to_json = function
         ]
   | ShutdownAck -> Json.Obj [ ("type", Json.String "shutdown_ack") ]
 
-let server_msg_of_json j =
+let server_msg_of_json ~span j =
   match Json.member "type" j with
   | Some (Json.String "shutdown_ack") -> Ok ShutdownAck
   | Some (Json.String "stats") ->
@@ -425,7 +448,7 @@ let server_msg_of_json j =
           let* output =
             match Json.member "output" j with
             | None | Some Json.Null -> Ok None
-            | Some d -> Result.map Option.some (dense_of_json d)
+            | Some d -> Result.map Option.some (dense_of_json ~span d)
           in
           Ok (Result { rid; plan_cached; result_cached; batch; stats; output })
       | Some (Json.String "rejected") ->
@@ -447,13 +470,139 @@ let server_msg_of_json j =
   | Some (Json.String t) -> errf "unknown server message type %S" t
   | _ -> Error "server message missing type"
 
-(* {2 Wire payloads} *)
+(* {2 Wire payloads}
+
+   A result's payload is nearly all of its bytes, so it never passes
+   through a JSON string or an intermediate byte buffer. The encoder
+   renders the small tree around it, sizes the reply exactly and writes
+   the base64 straight from the output's bigarray into the one
+   allocation that becomes the frame. The decoder finds the payload's
+   span in the received frame, parses only the text around it and
+   decodes the span straight into a fresh tensor. The bytes on the wire
+   are exactly what rendering the whole tree would give. *)
+
+(* The exact length of [m] and a writer for it at an offset. With an
+   output, the tree renders as [..."f64le":""}}]: the output is the
+   result's last field and the payload its last, so the payload goes
+   before the closing three bytes. *)
+let render m =
+  let text = Json.to_string (server_msg_to_json m) in
+  let n = String.length text in
+  match m with
+  | Result { output = Some d; _ } ->
+      let data = Dense.unsafe_data d in
+      let len = n + Base64.f64_length (Bigarray.Array1.dim data) in
+      ( len,
+        fun b off ->
+          Bytes.blit_string text 0 b off (n - 3);
+          Base64.encode_f64 data b (off + n - 3);
+          Bytes.blit_string text (n - 3) b (off + len - 3) 3 )
+  | _ -> (n, fun b off -> Bytes.blit_string text 0 b off n)
+
+let encode_server m =
+  let len, write = render m in
+  let b = Bytes.create len in
+  write b 0;
+  Bytes.unsafe_to_string b
+
+let frame_server m =
+  let len, write = render m in
+  Wire.frame len write
 
 let encode_client m = Json.to_string (client_msg_to_json m)
-let encode_server m = Json.to_string (server_msg_to_json m)
 
 let decode payload parse =
   match Json.parse payload with Error e -> errf "invalid JSON: %s" e | Ok j -> parse j
 
 let decode_client payload = decode payload client_msg_of_json
-let decode_server payload = decode payload server_msg_of_json
+
+(* {3 Locating the payload}
+
+   A walk over the frame's structure — strings with their escapes,
+   brackets by depth, the first occurrence of each key as [Json.member]
+   takes it — finds where the string at ["output"]["f64le"] opens. It
+   does not validate: [Json.parse] does, on what is left. A key with an
+   escape stops the walk. *)
+
+let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+let rec skip_ws s i = if i < String.length s && is_ws s.[i] then skip_ws s (i + 1) else i
+
+(* Index just past the string whose contents start at [i]; -1 if it
+   does not end. *)
+let rec string_end s i =
+  if i >= String.length s then -1
+  else
+    match String.unsafe_get s i with
+    | '"' -> i + 1
+    | '\\' -> string_end s (i + 2)
+    | _ -> string_end s (i + 1)
+
+(* Index just past the value at [i]; -1 if it does not end. *)
+let value_end s i =
+  let n = String.length s in
+  let rec container j depth =
+    if j >= n then -1
+    else
+      match s.[j] with
+      | '"' ->
+          let e = string_end s (j + 1) in
+          if e < 0 then -1 else container e depth
+      | '{' | '[' -> container (j + 1) (depth + 1)
+      | '}' | ']' -> if depth = 1 then j + 1 else container (j + 1) (depth - 1)
+      | _ -> container (j + 1) depth
+  in
+  let rec scalar j =
+    if j >= n then j
+    else match s.[j] with ',' | '}' | ']' -> j | c when is_ws c -> j | _ -> scalar (j + 1)
+  in
+  if i >= n then -1
+  else match s.[i] with '"' -> string_end s (i + 1) | '{' | '[' -> container (i + 1) 1 | _ -> scalar i
+
+(* Where the value of key [k] starts in the object at [i]; -1 if absent. *)
+let field s i k =
+  let n = String.length s in
+  let rec member j =
+    let j = skip_ws s j in
+    if j >= n || s.[j] <> '"' then -1
+    else
+      let e = string_end s (j + 1) in
+      if e < 0 || String.contains (String.sub s j (e - j - 1)) '\\' then -1
+      else
+        let colon = skip_ws s e in
+        if colon >= n || s.[colon] <> ':' then -1
+        else
+          let v = skip_ws s (colon + 1) in
+          if e - j - 2 = String.length k && String.sub s (j + 1) (e - j - 2) = k then v
+          else
+            let next = value_end s v in
+            let next = if next < 0 then n else skip_ws s next in
+            if next < n && s.[next] = ',' then member (next + 1) else -1
+  in
+  if i < 0 || i >= n || s.[i] <> '{' then -1 else member (i + 1)
+
+(* The frame with the payload cut out, and the payload's span — when
+   the payload string is the frame's last one. The span is a guess until
+   its characters decode: a '"' or '\\' in it (a later string, or an
+   escape) is outside the base64 alphabet, and the whole frame is then
+   parsed instead. *)
+let cut_payload s =
+  let lo = field s (field s (skip_ws s 0) "output") "f64le" in
+  if lo < 0 || lo >= String.length s || s.[lo] <> '"' then None
+  else
+    match String.rindex_opt s '"' with
+    | Some hi when hi > lo ->
+        let skeleton = Bytes.create (String.length s - (hi - lo - 1)) in
+        Bytes.blit_string s 0 skeleton 0 (lo + 1);
+        Bytes.blit_string s hi skeleton (lo + 1) (String.length s - hi);
+        Some (Bytes.unsafe_to_string skeleton, (s, lo + 1, hi - lo - 1))
+    | _ -> None
+
+let decode_server payload =
+  let whole () = decode payload (server_msg_of_json ~span:None) in
+  match cut_payload payload with
+  | None -> whole ()
+  | Some (skeleton, span) -> (
+      (* Only a decoded output vouches for the span. *)
+      match decode skeleton (server_msg_of_json ~span:(Some span)) with
+      | Ok (Result { output = Some _; _ }) as ok -> ok
+      | _ -> whole ())

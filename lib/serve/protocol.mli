@@ -8,7 +8,10 @@
     parser. A result's output tensor is carried as
     [{"shape": [...], "f64le": "<base64>"}]: base64 of its raw
     little-endian IEEE-754 bytes, so served outputs survive the wire
-    byte-identical and convert at memory speed. *)
+    byte-identical. The payload moves between the output's bigarray and
+    the frame in one pass on each side ({!Distal_support.Base64.encode_f64}
+    and [decode_f64]); only the JSON around it is rendered or parsed as
+    a tree. *)
 
 module Api = Distal.Api
 
@@ -67,22 +70,30 @@ val to_request : submit -> (Api.request, string) result
 (** Materialize the machine and tensor declarations; fails on a bad
     distribution or grid. *)
 
-val client_msg_to_json : client_msg -> Distal_support.Json.t
-val client_msg_of_json : Distal_support.Json.t -> (client_msg, string) result
-val server_msg_to_json : server_msg -> Distal_support.Json.t
-val server_msg_of_json : Distal_support.Json.t -> (server_msg, string) result
-
 val encode_client : client_msg -> string
 val decode_client : string -> (client_msg, string) result
+
 val encode_server : server_msg -> string
+(** The message's JSON document, sized exactly and written in one
+    allocation; an output's payload goes straight from its bigarray into
+    it. *)
+
+val frame_server : server_msg -> string
+(** The {!Distal_support.Wire} frame of {!encode_server}'s document, in
+    one allocation. @raise Invalid_argument beyond the frame limit,
+    before allocating. *)
+
 val decode_server : string -> (server_msg, string) result
+(** Accepts keys in any order, any whitespace and any JSON escape; an
+    output's payload is decoded from the document's bytes straight into
+    a fresh tensor. Rejects, as an [Error], an output shape with a
+    negative extent or an element count that overflows, invalid base64,
+    and a payload that is not 8 bytes per element. *)
+
+val output_length : int array -> int option
+(** The exact bytes an output of this shape takes in a result reply,
+    [{"shape":[...],"f64le":"<base64>"}]; saturates at [max_int] when
+    the element count overflows. [None] for a negative extent. *)
 
 val json_of_stats : Api.Stats.t -> Distal_support.Json.t
 val stats_of_json : Distal_support.Json.t -> (Api.Stats.t, string) result
-
-val json_of_dense : Distal_tensor.Dense.t -> Distal_support.Json.t
-
-val dense_of_json : Distal_support.Json.t -> (Distal_tensor.Dense.t, string) result
-(** Rejects, as an [Error], a shape with a negative extent or an element
-    count that overflows, invalid base64, and a payload that is not 8
-    bytes per element. *)

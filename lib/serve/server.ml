@@ -189,12 +189,12 @@ let send t fd msg =
   | None -> false
   | Some c ->
       let frame =
-        match Wire.encode (Protocol.encode_server msg) with
+        match Protocol.frame_server msg with
         | frame -> frame
         | exception Invalid_argument reason ->
             (* A reply the wire cannot carry fails that request alone. *)
             metric t "serve.internal_errors";
-            Wire.encode (Protocol.encode_server (Protocol.Failed { rid = rid_of msg; reason }))
+            Protocol.frame_server (Protocol.Failed { rid = rid_of msg; reason })
       in
       if Queue.is_empty c.out then c.progress <- now ();
       Queue.add frame c.out;
@@ -234,10 +234,10 @@ let stats_reply t =
       metrics = Obs.Metrics.to_json (Session.metrics t.session);
     }
 
-(* A Full reply carries its output as base64 of 8-byte floats: 4/3 of 8
-   bytes per element before any JSON around it. Known from the output's
-   declared shape before any work runs; [Some reason] when that alone
-   exceeds one wire frame. *)
+(* A Full reply carries its output as [Protocol.output_length] bytes of
+   JSON before anything around it. Known from the output's declared shape
+   before any work runs; [Some reason] when that alone exceeds one wire
+   frame. A negative extent is left to [Api.problem] to name. *)
 let oversize_reply (s : Protocol.submit) =
   if s.Protocol.mode <> Api.Exec.Full then None
   else
@@ -247,16 +247,15 @@ let oversize_reply (s : Protocol.submit) =
         let out = stmt.Api.Expr.lhs.tensor in
         match List.find_opt (fun td -> td.Protocol.td_name = out) s.Protocol.tensors with
         | None -> None
-        | Some td ->
-            let elems = Array.fold_left (fun acc n -> acc *. float_of_int n) 1.0 td.td_shape in
-            let bytes = elems *. 8.0 *. 4.0 /. 3.0 in
-            if bytes <= float_of_int Wire.max_frame then None
-            else
-              Some
-                (Printf.sprintf
-                   "the output %s needs a reply of at least %.0f bytes, over the %d-byte \
-                    frame limit"
-                   out bytes Wire.max_frame))
+        | Some td -> (
+            match Protocol.output_length td.td_shape with
+            | Some bytes when bytes > Wire.max_frame ->
+                Some
+                  (Printf.sprintf
+                     "the output %s alone takes %d bytes of the reply, over the %d-byte \
+                      frame limit"
+                     out bytes Wire.max_frame)
+            | _ -> None))
 
 let admit t fd (s : Protocol.submit) =
   if queue_depth t >= t.cfg.queue_limit then begin

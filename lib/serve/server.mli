@@ -58,6 +58,11 @@ val session : t -> Session.t
 
 val queue_depth : t -> int
 
+val oversize_reply : Protocol.submit -> string option
+(** [Some reason] when a Full submit's declared output alone, at
+    {!Protocol.output_length} bytes, exceeds one wire frame: such a
+    request fails at admission. *)
+
 val step : t -> idle_timeout:float -> unit
 (** One iteration of the event loop: wait at most [idle_timeout]s for
     connections/messages, admit or reject, then serve everything

@@ -16,15 +16,18 @@
 let max_frame = 64 * 1024 * 1024
 let header_len = 9 (* 8 digits + '\n' *)
 
-let encode payload =
-  let n = String.length payload in
+let frame n write =
   if n > max_frame then
-    invalid_arg (Printf.sprintf "Wire.encode: frame of %d bytes exceeds %d" n max_frame);
+    invalid_arg (Printf.sprintf "Wire.frame: frame of %d bytes exceeds %d" n max_frame);
   let frame = Bytes.create (header_len + n + 1) in
   Bytes.blit_string (Printf.sprintf "%08d\n" n) 0 frame 0 header_len;
-  Bytes.blit_string payload 0 frame header_len n;
+  write frame header_len;
   Bytes.set frame (header_len + n) '\n';
   Bytes.unsafe_to_string frame
+
+let encode payload =
+  let n = String.length payload in
+  frame n (fun b off -> Bytes.blit_string payload 0 b off n)
 
 (* {2 Blocking fd transport} *)
 

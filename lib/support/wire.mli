@@ -12,6 +12,11 @@ val encode : string -> string
 (** The full frame for a payload.
     @raise Invalid_argument beyond {!max_frame}. *)
 
+val frame : int -> (Bytes.t -> int -> unit) -> string
+(** [frame n write] is the frame of an [n]-byte payload that [write b off]
+    puts at [off] of [b]: one allocation, no copy of the payload.
+    @raise Invalid_argument beyond {!max_frame}, before allocating. *)
+
 val send : Unix.file_descr -> string -> unit
 (** Write one frame, handling short writes and [EINTR].
     @raise Unix.Unix_error as [Unix.write] does (e.g. [EPIPE] when the

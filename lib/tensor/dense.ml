@@ -107,18 +107,6 @@ let to_le_bytes t =
   done;
   b
 
-let of_le_bytes shape b =
-  let n = Ints.prod shape in
-  if Bytes.length b <> 8 * n then
-    invalid_arg
-      (Printf.sprintf "Dense.of_le_bytes: %d bytes cannot fill shape %s (%d elements)"
-         (Bytes.length b) (shape_str shape) n);
-  let data = alloc n in
-  for i = 0 to n - 1 do
-    A1.unsafe_set data i (Int64.float_of_bits (Bytes.get_int64_le b (8 * i)))
-  done;
-  { shape = Array.copy shape; strides = Ints.row_major_strides shape; data }
-
 (* Sub-box copies walk whole innermost-dimension rows: the row is
    contiguous in both the big tensor and the box-shaped one, so each is a
    typed flat loop rather than a per-element coordinate walk. Rows are

@@ -62,10 +62,6 @@ val to_le_bytes : t -> Bytes.t
     row-major order: an exact image of the contents (NaN payloads and
     signed zeros included). *)
 
-val of_le_bytes : int array -> Bytes.t -> t
-(** Inverse of {!to_le_bytes} for a given shape.
-    @raise Invalid_argument when the byte count is not 8 per element. *)
-
 val of_buf : buf -> int array -> t
 (** [of_buf b shape] views the first [prod shape] elements of [b] as a
     tensor of that shape, sharing storage — no copy. The bridge from

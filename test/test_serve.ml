@@ -806,6 +806,251 @@ let test_protocol_golden_frames () =
       | _, Error e -> Alcotest.failf "%s must decode: %s" what e)
     golden_frames
 
+(* {2 The one-pass reply path} *)
+
+(* The server's frame is written in one allocation, byte for byte the
+   golden frame. *)
+let test_protocol_frame_server () =
+  List.iter
+    (fun (what, msg, frame) ->
+      Alcotest.(check string) what frame (Protocol.frame_server msg))
+    golden_frames;
+  match Wire.frame (Wire.max_frame + 1) (fun _ _ -> Alcotest.fail "wrote an oversize frame") with
+  | _ -> Alcotest.fail "an oversize frame must be refused"
+  | exception Invalid_argument _ -> ()
+
+let one_d_submit ~mode n =
+  Protocol.submit ~id:1 ~mode ~machine_dims:[| 2 |]
+    ~tensors:
+      [
+        { Protocol.td_name = "A"; td_shape = [| n |]; td_dist = "[x] -> [x]" };
+        { Protocol.td_name = "B"; td_shape = [| n |]; td_dist = "[x] -> [x]" };
+      ]
+    ~stmt:"A(i) = B(i)" ~schedule:"" ()
+
+(* [Protocol.output_length] is what an output adds to a reply, and
+   admission turns a Full request away exactly when that exceeds one
+   frame. *)
+let test_protocol_output_length () =
+  let length output =
+    String.length
+      (Protocol.encode_server
+         (Protocol.Result
+            { rid = 1; plan_cached = false; result_cached = false; batch = 1;
+              stats = golden_stats (); output }))
+  in
+  List.iter
+    (fun shape ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "output_length [%s]"
+           (String.concat "," (List.map string_of_int (Array.to_list shape))))
+        (Some (length (Some (Dense.create shape)) - length None + String.length "null"))
+        (Protocol.output_length shape))
+    [ [||]; [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |]; [| 10 |]; [| 3; 4 |]; [| 2; 0; 5 |]; [| 128; 128 |] ];
+  Alcotest.(check (option int)) "negative extent" None (Protocol.output_length [| 3; -1 |]);
+  Alcotest.(check (option int)) "overflowing count" (Some max_int)
+    (Protocol.output_length [| max_int / 2; 4 |]);
+  (* The largest 1-D output that fits one frame, found by bisection. *)
+  let fits n =
+    match Protocol.output_length [| n |] with Some l -> l <= Wire.max_frame | None -> false
+  in
+  let rec bisect lo hi = if hi - lo <= 1 then lo else
+      let mid = (lo + hi) / 2 in
+      if fits mid then bisect mid hi else bisect lo mid
+  in
+  let k = bisect 0 Wire.max_frame in
+  Alcotest.(check bool) "boundary" true (fits k && not (fits (k + 1)));
+  Alcotest.(check (option string)) "largest output admitted" None
+    (Distal_serve.Server.oversize_reply (one_d_submit ~mode:Exec.Full k));
+  (match Distal_serve.Server.oversize_reply (one_d_submit ~mode:Exec.Full (k + 1)) with
+  | Some reason ->
+      Alcotest.(check bool) ("names the frame limit: " ^ reason) true
+        (Astring_contains.contains reason "frame limit")
+  | None -> Alcotest.fail "one element more must be refused");
+  Alcotest.(check (option string)) "a Model request carries no output" None
+    (Distal_serve.Server.oversize_reply (one_d_submit ~mode:Exec.Model (k + 1)));
+  Alcotest.(check (option string)) "a negative extent is left to Api.problem" None
+    (Distal_serve.Server.oversize_reply (one_d_submit ~mode:Exec.Full (-1)))
+
+(* A warm 128x128 reply: encoding allocates the frame and a small
+   constant, decoding only a small constant (the output's bigarray lies
+   outside the OCaml heap). Before, each side copied the payload through
+   a byte buffer, a base64 string and a JSON string: about 5 frames'
+   worth of words. The constants are the measured 799 and 1,476 words
+   plus about 30%. *)
+let test_protocol_reply_allocation () =
+  let d = Dense.random (Distal_support.Rng.create 3) [| 128; 128 |] in
+  let msg =
+    Protocol.Result
+      { rid = 1; plan_cached = true; result_cached = false; batch = 1;
+        stats = golden_stats (); output = Some d }
+  in
+  let frame = Protocol.frame_server msg in
+  let payload = String.sub frame 9 (String.length frame - 10) in
+  let words f =
+    let minor, major = Test_kernels.words_of (fun () -> ignore (Sys.opaque_identity (f ()))) in
+    minor +. major
+  in
+  let frame_words = float_of_int ((String.length frame / 8) + 2) in
+  let enc = words (fun () -> Protocol.frame_server msg) in
+  if enc > frame_words +. 1_040.0 then
+    Alcotest.failf "encoding allocated %.0f words for a %.0f-word frame" enc frame_words;
+  let dec = words (fun () -> Protocol.decode_server payload) in
+  if dec > 1_920.0 then Alcotest.failf "decoding allocated %.0f words" dec
+
+(* {3 Differential decoding}
+
+   Valid replies are mutated — a truncated payload or document, a
+   character outside the alphabet or an inner '=', nonzero pad bits,
+   reordered keys, added whitespace, a '/' written as '\/', a repeated
+   or escaped key, an error status — and [decode_server] must agree with
+   a reference built from the whole document's [Json.parse],
+   [Base64.decode] and [Int64.float_of_bits]: the same message, or an
+   error on both sides, never an exception. *)
+
+module Base64 = Distal_support.Base64
+
+let reference_decode doc =
+  let ( let* ) = Result.bind in
+  let* j = Json.parse doc in
+  let without_output = function
+    | Json.Obj kvs ->
+        Json.Obj (List.map (fun (k, v) -> if k = "output" then (k, Json.Null) else (k, v)) kvs)
+    | v -> v
+  in
+  let* msg = Protocol.decode_server (Json.to_string (without_output j)) in
+  let ok_status = Json.member "status" j = Some (Json.String "ok") in
+  match (msg, Json.member "output" j) with
+  | Protocol.Result r, Some o when ok_status && o <> Json.Null ->
+      let* shape =
+        match Json.member "shape" o with
+        | Some (Json.List l) ->
+            if List.for_all (function Json.Int _ -> true | _ -> false) l then
+              Ok (Array.of_list (List.map (function Json.Int i -> i | _ -> 0) l))
+            else Error "shape"
+        | _ -> Error "shape"
+      in
+      let count =
+        Array.fold_left
+          (fun acc e ->
+            match acc with
+            | Some n when e >= 0 && (e = 0 || n <= max_int / 8 / e) -> Some (n * e)
+            | _ -> None)
+          (Some 1) shape
+      in
+      let* n = Option.to_result ~none:"count" count in
+      let* b64 = match Json.member "f64le" o with Some (Json.String s) -> Ok s | _ -> Error "f64le" in
+      let* bytes = Base64.decode b64 in
+      if Bytes.length bytes <> 8 * n then Error "length"
+      else
+        let d = Dense.create shape in
+        for i = 0 to n - 1 do
+          Dense.set_lin d i (Int64.float_of_bits (Bytes.get_int64_le bytes (8 * i)))
+        done;
+        Ok (Protocol.Result { r with output = Some d })
+  | _ -> Ok msg
+
+let same_message a b =
+  match (a, b) with
+  | Protocol.Result r, Protocol.Result g ->
+      bits r.Protocol.output = bits g.Protocol.output
+      && Option.map Dense.shape r.Protocol.output = Option.map Dense.shape g.Protocol.output
+      && Stats.to_string r.Protocol.stats = Stats.to_string g.Protocol.stats
+      && (r.rid, r.plan_cached, r.result_cached, r.batch)
+         = (g.rid, g.plan_cached, g.result_cached, g.batch)
+  | a, b -> a = b
+
+let mutated_reply seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let shape = Array.init (int 3) (fun _ -> int 5) in
+  let d = Dense.create shape in
+  for i = 0 to Dense.size d - 1 do
+    Dense.set_lin d i (Int64.float_of_bits (Random.State.int64 rng Int64.max_int))
+  done;
+  let doc =
+    Protocol.encode_server
+      (Protocol.Result
+         { rid = int 100; plan_cached = int 2 = 0; result_cached = false; batch = 1;
+           stats = golden_stats (); output = (if int 8 = 0 then None else Some d) })
+  in
+  (* The payload's span, when there is one: [lo, hi) between its quotes. *)
+  let span doc =
+    match Astring_contains.find doc {|"f64le":"|} with
+    | Some i -> Option.map (fun hi -> (i + 9, hi)) (String.index_from_opt doc (i + 9) '"')
+    | None -> None
+  in
+  let in_payload doc f =
+    match span doc with
+    | Some (lo, hi) when hi > lo -> f lo hi
+    | _ -> doc
+  in
+  let splice doc at len text =
+    String.sub doc 0 at ^ text ^ String.sub doc (at + len) (String.length doc - at - len)
+  in
+  let rec shuffle = function
+    | Json.Obj kvs ->
+        let kvs = List.map (fun (k, v) -> (k, shuffle v)) kvs in
+        let keyed = List.map (fun kv -> (Random.State.bits rng, kv)) kvs in
+        Json.Obj (List.map snd (List.sort compare keyed))
+    | v -> v
+  in
+  let retree doc render =
+    match Json.parse doc with Ok j -> render j | Error _ -> doc
+  in
+  let mutate doc =
+    match int 11 with
+    | 0 -> in_payload doc (fun lo hi -> splice doc (hi - 1 - int (hi - lo)) 1 "")
+    | 1 ->
+        let bad = [| "!"; "*"; " "; "-"; "_"; "\000"; "\""; "\\"; "\n"; "\xc3\xa9" |] in
+        in_payload doc (fun lo hi -> splice doc (lo + int (hi - lo)) 1 bad.(int (Array.length bad)))
+    | 2 -> in_payload doc (fun lo hi -> splice doc (lo + int (hi - lo)) 1 "=")
+    | 3 ->
+        (* The character before the padding gets a nonzero low bit. *)
+        in_payload doc (fun lo hi ->
+            let p = if doc.[hi - 2] = '=' then hi - 3 else hi - 2 in
+            let alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/" in
+            match String.index_opt alphabet doc.[max p 0] with
+            | Some v when p >= lo && doc.[hi - 1] = '=' ->
+                splice doc p 1 (String.make 1 alphabet.[v lor 1])
+            | _ -> doc)
+    | 4 -> retree doc (fun j -> Json.to_string (shuffle j))
+    | 5 -> retree doc (fun j -> " \t\r\n" ^ Json.to_string_pretty j ^ "\n ")
+    | 6 ->
+        in_payload doc (fun lo hi ->
+            let p = String.sub doc lo (hi - lo) in
+            let escaped = String.concat {|\/|} (String.split_on_char '/' p) in
+            splice doc lo (hi - lo) escaped)
+    | 7 -> splice doc (String.length doc - 1) 0 {|,"output":null|}
+    | 8 -> splice doc 1 0 {|"output":{"shape":[1],"f64le":"AAAAAAAA8D8="},|}
+    | 9 -> (
+        (* An error result: its output, if any, is never decoded. *)
+        match Astring_contains.find doc {|"status":"ok"|} with
+        | Some i -> splice doc i 13 {|"status":"error","error":"e"|}
+        | None -> doc)
+    | _ -> (
+        match Astring_contains.find doc {|"output"|} with
+        | Some i -> splice doc i 8 {|"outp\u0075t"|}
+        | None -> doc)
+  in
+  let mutate doc =
+    (* Sometimes the document itself is cut short, anywhere. *)
+    if int 12 = 0 then String.sub doc 0 (int (String.length doc + 1)) else mutate doc
+  in
+  let rec apply doc k = if k = 0 then doc else apply (mutate doc) (k - 1) in
+  apply doc (1 + int 3)
+
+let qcheck_decode_differential =
+  QCheck.Test.make ~name:"decode_server agrees with the reference decoder" ~count:2000
+    (QCheck.make ~print:mutated_reply QCheck.Gen.int)
+    (fun seed ->
+      let doc = mutated_reply seed in
+      match (Protocol.decode_server doc, reference_decode doc) with
+      | Ok a, Ok b -> same_message a b
+      | Error _, Error _ -> true
+      | _ -> false
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* {2 distald end to end}
 
    These tests drive the real server binary (built as a test dependency)
@@ -1306,6 +1551,10 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_output_bits_exact;
         Alcotest.test_case "protocol output payloads" `Quick test_protocol_output_payloads;
         Alcotest.test_case "protocol golden frames" `Quick test_protocol_golden_frames;
+        Alcotest.test_case "protocol frames in one allocation" `Quick test_protocol_frame_server;
+        Alcotest.test_case "protocol exact output length" `Quick test_protocol_output_length;
+        Alcotest.test_case "protocol reply allocation" `Quick test_protocol_reply_allocation;
+        QCheck_alcotest.to_alcotest qcheck_decode_differential;
         Alcotest.test_case "distald end to end" `Quick test_server_end_to_end;
         Alcotest.test_case "distald batching" `Quick test_server_batching;
         Alcotest.test_case "distald admission control" `Quick test_server_admission;

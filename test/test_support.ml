@@ -118,8 +118,11 @@ let test_dense_random_order () =
         (List.init (Dense.size got) (fun i -> Int64.bits_of_float (Dense.get_lin got i))))
     [ [||]; [| 0 |]; [| 5 |]; [| 3; 4 |]; [| 2; 3; 4 |] ]
 
+(* The float codec writes exactly the base64 of a tensor's little-endian
+   bytes, at an offset, and reads them back bit for bit. *)
 let test_dense_le_bytes () =
   let module Dense = Distal_tensor.Dense in
+  let module Base64 = Distal_support.Base64 in
   let specials = [| 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324; 1.5 |] in
   let d = Dense.create [| 7 |] in
   Array.iteri (Dense.set_lin d) specials;
@@ -127,15 +130,25 @@ let test_dense_le_bytes () =
   let b = Dense.to_le_bytes d in
   Alcotest.(check int) "8 bytes per element" 56 (Bytes.length b);
   Alcotest.(check int64) "little-endian" 0x3FF8000000000000L (Bytes.get_int64_le b 48);
-  let back = Dense.of_le_bytes [| 7 |] b in
+  let n = Base64.f64_length 7 in
+  Alcotest.(check int) "f64_length" (Base64.encoded_length 56) n;
+  let out = Bytes.make (n + 4) '#' in
+  Base64.encode_f64 (Dense.unsafe_data d) out 2;
+  let text = Bytes.to_string out in
+  Alcotest.(check string) "base64 of the bytes" ("##" ^ Base64.encode b ^ "##") text;
+  let back = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 7 in
+  (match Base64.decode_f64 text 2 n back with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "decode_f64: %s" e);
   for i = 0 to 6 do
     Alcotest.(check int64) "bits survive"
       (Int64.bits_of_float (Dense.get_lin d i))
-      (Int64.bits_of_float (Dense.get_lin back i))
+      (Int64.bits_of_float back.{i})
   done;
-  match Dense.of_le_bytes [| 2; 4 |] b with
-  | _ -> Alcotest.fail "a wrong byte count must be rejected"
-  | exception Invalid_argument _ -> ()
+  let wrong = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 8 in
+  match Base64.decode_f64 text 2 n wrong with
+  | Ok () -> Alcotest.fail "a wrong element count must be rejected"
+  | Error _ -> ()
 
 (* {2 Base64} *)
 
