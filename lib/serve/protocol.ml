@@ -378,7 +378,8 @@ let server_msg_to_json = function
           ("result_cached", Json.Bool r.result_cached);
           ("batch", Json.Int r.batch);
           ("stats", json_of_stats r.stats);
-          ("output", match r.output with None -> Json.Null | Some d -> json_of_output (Dense.shape d));
+          ( "output",
+            match r.output with None -> Json.Null | Some d -> json_of_output (Dense.shape d) );
         ]
   | Rejected { rid; retry_after_s; reason } ->
       Json.Obj
@@ -556,7 +557,11 @@ let value_end s i =
     else match s.[j] with ',' | '}' | ']' -> j | c when is_ws c -> j | _ -> scalar (j + 1)
   in
   if i >= n then -1
-  else match s.[i] with '"' -> string_end s (i + 1) | '{' | '[' -> container (i + 1) 1 | _ -> scalar i
+  else
+    match s.[i] with
+    | '"' -> string_end s (i + 1)
+    | '{' | '[' -> container (i + 1) 1
+    | _ -> scalar i
 
 (* Where the value of key [k] starts in the object at [i]; -1 if absent. *)
 let field s i k =

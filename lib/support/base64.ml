@@ -135,7 +135,8 @@ external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 (* The two characters of every 12-bit value, side by side: a 16-bit
    load from it and a 16-bit store put both in place, in either byte
    order. *)
-let pairs = String.init 8192 (fun i -> alphabet.[if i land 1 = 0 then i lsr 7 else (i lsr 1) land 63])
+let pairs =
+  String.init 8192 (fun i -> alphabet.[if i land 1 = 0 then i lsr 7 else (i lsr 1) land 63])
 
 (* The group [w] as four characters at [o]. *)
 let[@inline] put out o w =
@@ -188,13 +189,15 @@ let[@inline] swap w = ((w land 0xFF) lsl 16) lor (w land 0xFF00) lor (w lsr 16)
 let[@inline] float_of low top =
   Int64.float_of_bits (Int64.logor (Int64.of_int low) (Int64.shift_left (Int64.of_int top) 56))
 
+let cannot_carry len n =
+  Error (Printf.sprintf "%d base64 characters cannot carry %d float64 values" len n)
+
 let decode_f64 s off len (buf : buf) =
   let n = A1.dim buf in
   if off < 0 || len < 0 || off > String.length s - len then
     invalid_arg "Base64.decode_f64: span outside the string";
   if len mod 4 <> 0 then bad_length len
-  else if n > len || len <> f64_length n then
-    Error (Printf.sprintf "%d base64 characters cannot carry %d float64 values" len n)
+  else if n > len || len <> f64_length n then cannot_carry len n
   else begin
     let triples = n / 3 in
     let rec go t =
@@ -209,7 +212,9 @@ let decode_f64 s off len (buf : buf) =
         else begin
           let k = 3 * t in
           A1.unsafe_set buf k
-            (float_of (swap g0 lor (swap g1 lsl 24) lor ((g2 lsr 16) lsl 48)) ((g2 lsr 8) land 0xFF));
+            (float_of
+               (swap g0 lor (swap g1 lsl 24) lor ((g2 lsr 16) lsl 48))
+               ((g2 lsr 8) land 0xFF));
           A1.unsafe_set buf (k + 1)
             (float_of ((g2 land 0xFF) lor (swap g3 lsl 8) lor (swap g4 lsl 32)) (g5 lsr 16));
           A1.unsafe_set buf (k + 2)
@@ -231,8 +236,7 @@ let decode_f64 s off len (buf : buf) =
         let p = off + (32 * triples) in
         match decode_span s ~origin:off p (off + len - p) with
         | Error _ as e -> e
-        | Ok b when Bytes.length b <> 8 * (n - (3 * triples)) ->
-            Error (Printf.sprintf "%d base64 characters cannot carry %d float64 values" len n)
+        | Ok b when Bytes.length b <> 8 * (n - (3 * triples)) -> cannot_carry len n
         | Ok b ->
             for j = 0 to n - (3 * triples) - 1 do
               buf.{(3 * triples) + j} <- Int64.float_of_bits (Bytes.get_int64_le b (8 * j))

@@ -846,7 +846,8 @@ let test_protocol_output_length () =
            (String.concat "," (List.map string_of_int (Array.to_list shape))))
         (Some (length (Some (Dense.create shape)) - length None + String.length "null"))
         (Protocol.output_length shape))
-    [ [||]; [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |]; [| 10 |]; [| 3; 4 |]; [| 2; 0; 5 |]; [| 128; 128 |] ];
+    [ [||]; [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |]; [| 10 |]; [| 3; 4 |]; [| 2; 0; 5 |];
+      [| 128; 128 |] ];
   Alcotest.(check (option int)) "negative extent" None (Protocol.output_length [| 3; -1 |]);
   Alcotest.(check (option int)) "overflowing count" (Some max_int)
     (Protocol.output_length [| max_int / 2; 4 |]);
@@ -854,7 +855,9 @@ let test_protocol_output_length () =
   let fits n =
     match Protocol.output_length [| n |] with Some l -> l <= Wire.max_frame | None -> false
   in
-  let rec bisect lo hi = if hi - lo <= 1 then lo else
+  let rec bisect lo hi =
+    if hi - lo <= 1 then lo
+    else
       let mid = (lo + hi) / 2 in
       if fits mid then bisect mid hi else bisect lo mid
   in
@@ -874,10 +877,11 @@ let test_protocol_output_length () =
 
 (* A warm 128x128 reply: encoding allocates the frame and a small
    constant, decoding only a small constant (the output's bigarray lies
-   outside the OCaml heap). Before, each side copied the payload through
-   a byte buffer, a base64 string and a JSON string: about 5 frames'
-   worth of words. The constants are the measured 799 and 1,476 words
-   plus about 30%. *)
+   outside the OCaml heap). Measured on OCaml 5.1: 104 words beyond the
+   frame to encode, 188 to decode. A payload copied through a byte
+   buffer, a base64 string or a JSON string would add at least 16,384
+   words, a float boxed per element 49,152; the 512-word bounds leave
+   room for other compiler versions and nothing for either. *)
 let test_protocol_reply_allocation () =
   let d = Dense.random (Distal_support.Rng.create 3) [| 128; 128 |] in
   let msg =
@@ -892,11 +896,15 @@ let test_protocol_reply_allocation () =
     minor +. major
   in
   let frame_words = float_of_int ((String.length frame / 8) + 2) in
-  let enc = words (fun () -> Protocol.frame_server msg) in
-  if enc > frame_words +. 1_040.0 then
-    Alcotest.failf "encoding allocated %.0f words for a %.0f-word frame" enc frame_words;
+  List.iter
+    (fun (what, encode) ->
+      let enc = words encode in
+      if enc > frame_words +. 512.0 then
+        Alcotest.failf "%s allocated %.0f words for a %.0f-word frame" what enc frame_words)
+    [ ("frame_server", fun () -> Protocol.frame_server msg);
+      ("encode_server", fun () -> Protocol.encode_server msg) ];
   let dec = words (fun () -> Protocol.decode_server payload) in
-  if dec > 1_920.0 then Alcotest.failf "decoding allocated %.0f words" dec
+  if dec > 512.0 then Alcotest.failf "decoding allocated %.0f words" dec
 
 (* {3 Differential decoding}
 
@@ -939,7 +947,9 @@ let reference_decode doc =
           (Some 1) shape
       in
       let* n = Option.to_result ~none:"count" count in
-      let* b64 = match Json.member "f64le" o with Some (Json.String s) -> Ok s | _ -> Error "f64le" in
+      let* b64 =
+        match Json.member "f64le" o with Some (Json.String s) -> Ok s | _ -> Error "f64le"
+      in
       let* bytes = Base64.decode b64 in
       if Bytes.length bytes <> 8 * n then Error "length"
       else
