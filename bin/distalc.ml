@@ -120,6 +120,35 @@ let parse_remote_tensor s =
       Ok { Serve.Protocol.td_name = name; td_shape = shape; td_dist = dist }
   | _ -> errf "bad tensor declaration %S (expected name:dims:dist)" s
 
+(* One line per served-path stamp: requests through the layer and their
+   mean wall time. *)
+let print_layer_stamps (metrics : Distal_support.Json.t) =
+  let module J = Distal_support.Json in
+  let num = function J.Int n -> Some (float_of_int n) | J.Float f -> Some f | _ -> None in
+  match metrics with
+  | J.Obj kvs ->
+      List.iter
+        (fun name ->
+          match List.assoc_opt name kvs with
+          | Some (J.Obj h) -> (
+              match
+                ( Option.bind (List.assoc_opt "count" h) num,
+                  Option.bind (List.assoc_opt "sum" h) num )
+              with
+              | Some n, Some sum when n > 0.0 ->
+                  Printf.printf "%-16s n=%-8.0f mean %.3f ms\n" name n (1e3 *. sum /. n)
+              | _ -> ())
+          | _ -> ())
+        [
+          "serve.decode_s";
+          "serve.compile_s";
+          "serve.inputs_s";
+          "serve.run_s";
+          "serve.copy_s";
+          "serve.reply_s";
+        ]
+  | _ -> ()
+
 let run_connect ~socket ~serve_stats ~serve_shutdown ~machine_dims ~gpu ~tensors ~stmt
     ~schedule ~estimate ~seed ~faults =
   let* client = Serve.Client.connect socket in
@@ -131,8 +160,9 @@ let run_connect ~socket ~serve_stats ~serve_shutdown ~machine_dims ~gpu ~tensors
     Ok (print_endline "distald: shutdown acknowledged")
   else if serve_stats then
     let* queue_depth, served, metrics = Serve.Client.stats client in
-    Printf.printf "queue depth: %d\nserved: %d\n%s\n" queue_depth served
-      (Distal_support.Json.to_string_pretty metrics);
+    Printf.printf "queue depth: %d\nserved: %d\n" queue_depth served;
+    print_layer_stamps metrics;
+    print_endline (Distal_support.Json.to_string_pretty metrics);
     Ok ()
   else
     let* stmt =

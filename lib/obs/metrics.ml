@@ -66,6 +66,8 @@ let gauge_value g = g.v
 let default_buckets =
   Array.init 13 (fun i -> Float.pow 10.0 (float_of_int i))
 
+let seconds_buckets = Array.init 8 (fun i -> Float.pow 10.0 (float_of_int (i - 6)))
+
 let histogram ?(buckets = default_buckets) reg name =
   get_or_create reg name
     (fun () ->

@@ -38,6 +38,9 @@ val gauge_value : gauge -> float
 val default_buckets : float array
 (** Decade buckets 1, 10, ..., 1e12 (suits both bytes and flops). *)
 
+val seconds_buckets : float array
+(** Decade buckets 1e-6, 1e-5, ..., 10 (suits wall-clock seconds). *)
+
 val histogram : ?buckets:float array -> registry -> string -> histogram
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int

@@ -114,6 +114,16 @@ let set_gauge t name v =
 let observe t name v =
   Obs.Metrics.observe (Obs.Metrics.histogram (Session.metrics t.session) name) v
 
+(* [f ()], with its wall seconds observed into the histogram [name]. *)
+let timed t name f =
+  let t0 = now () in
+  let r = f () in
+  Obs.Metrics.observe
+    (Obs.Metrics.histogram ~buckets:Obs.Metrics.seconds_buckets (Session.metrics t.session)
+       name)
+    (now () -. t0);
+  r
+
 let queue_depth t = Queue.length t.queue
 
 let create cfg =
@@ -184,10 +194,13 @@ let rid_of = function
   | Rejected { rid; _ } | Failed { rid; _ } -> rid
   | StatsReply _ | ShutdownAck -> -1
 
+(* Frame [msg] into [fd]'s outbox and write what the socket takes; the
+   frame and that first write are stamped as [serve.reply_s]. *)
 let send t fd msg =
   match Hashtbl.find_opt t.clients fd with
   | None -> false
   | Some c ->
+      timed t "serve.reply_s" @@ fun () ->
       let frame =
         match Protocol.frame_server msg with
         | frame -> frame
@@ -317,7 +330,7 @@ let handle_readable t fd =
               match Wire.next c.dec with
               | Ok None -> ()
               | Ok (Some payload) -> (
-                  match Protocol.decode_client payload with
+                  match timed t "serve.decode_s" (fun () -> Protocol.decode_client payload) with
                   | Ok msg ->
                       handle_message t fd msg;
                       drain ()

@@ -17,7 +17,12 @@
     dropped. Clients that die mid-request are detected and their queue
     slots reclaimed; a killed-and-restarted server recompiles on miss and
     reproduces identical results (checkpoint-free recovery — the
-    simulator is deterministic). *)
+    simulator is deterministic).
+
+    The loop stamps its own layers into the session's registry, always
+    on: [serve.decode_s] (decoding each client frame) and
+    [serve.reply_s] (framing each reply and its first write), beside the
+    session's per-request stamps (see {!Session.metrics}). *)
 
 type config = {
   socket_path : string;

@@ -105,6 +105,18 @@ let gauge_set t name v =
   Obs.Metrics.set (Obs.Metrics.gauge t.metrics name) v;
   Mutex.unlock t.m
 
+(* [f ()], with its wall seconds observed into the histogram [name]: the
+   always-on stamps of the layers a request passes through. *)
+let timed t name f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  Mutex.protect t.m (fun () ->
+      Obs.Metrics.observe
+        (Obs.Metrics.histogram ~buckets:Obs.Metrics.seconds_buckets t.metrics name)
+        dt);
+  r
+
 (* {2 The plan tier} *)
 
 let compile ?profile t req =
@@ -145,7 +157,7 @@ let with_seeded_inputs t ~seed plan run =
       let s = Buf_pool.stats t.inputs in
       gauge_set t "serve.input_allocs" (float_of_int s.Buf_pool.allocs);
       gauge_set t "serve.input_parked_bytes" s.Buf_pool.cached_bytes)
-    (fun () -> run (Api.random_inputs ~alloc ~seed plan))
+    (fun () -> run (timed t "serve.inputs_s" (fun () -> Api.random_inputs ~alloc ~seed plan)))
 
 (* {2 The result tier} *)
 
@@ -181,7 +193,7 @@ let result_key ~fp ~mode ~faults ~data =
 
 let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
   count1 t "serve.requests";
-  match compile ?profile t req with
+  match timed t "serve.compile_s" (fun () -> compile ?profile t req) with
   | Error e -> Error e
   | Ok (plan, plan_cached) -> (
       let fp = Api.request_fingerprint req in
@@ -195,13 +207,17 @@ let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
       match Lru.find t.results key with
       | Some r ->
           count1 t "serve.result_hits";
-          Ok { result = copy_result r; fingerprint = fp; plan_cached; result_cached = true }
+          let result = timed t "serve.copy_s" (fun () -> copy_result r) in
+          Ok { result; fingerprint = fp; plan_cached; result_cached = true }
       | None -> (
           count1 t "serve.result_misses";
           (* The run happens outside any cache lock: concurrent misses on
              one key may race, but the simulator is deterministic so the
              duplicate results are identical and insertion is idempotent. *)
-          let run data = Api.run ~mode ?domains:t.domains ?profile ?faults plan ~data in
+          let run data =
+            timed t "serve.run_s" (fun () ->
+                Api.run ~mode ?domains:t.domains ?profile ?faults plan ~data)
+          in
           (* A Model-mode run never reads tensor contents (its stats depend
              only on the spec), so a seed costs nothing there: building
              the inputs would only spend memory, and at paper-scale sizes
@@ -218,7 +234,7 @@ let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
               (* An oversized result is not even copied. *)
               if cacheable result then begin
                 count_evictions t "serve.result_evictions"
-                  (Lru.put t.results key (copy_result result))
+                  (Lru.put t.results key (timed t "serve.copy_s" (fun () -> copy_result result)))
               end
               else count1 t "serve.result_uncached";
               gauge_set t "serve.result_entries" (float_of_int (Lru.length t.results));

@@ -56,7 +56,14 @@ val metrics : t -> Distal_obs.Metrics.registry
     [serve.plan_entries]/[serve.result_entries] gauges, the
     [serve.result_bytes] gauge (cached output bytes), and the
     [serve.input_allocs]/[serve.input_parked_bytes] gauges of the pool
-    seeded Full inputs are drawn from. *)
+    seeded Full inputs are drawn from.
+
+    {!run} also stamps the wall seconds of each layer a request passes
+    through, always on, as histograms: [serve.compile_s] (the plan tier,
+    every request), [serve.inputs_s] (drawing seeded Full inputs, on a
+    result miss), [serve.run_s] (replay or simulation, on a result miss)
+    and [serve.copy_s] (copying a result into or out of the result
+    cache). *)
 
 val compile :
   ?profile:Distal_obs.Profile.t -> t -> Api.request -> (Api.plan * bool, string) result

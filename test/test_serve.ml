@@ -451,6 +451,37 @@ let test_session_pooled_inputs () =
   done;
   Alcotest.(check (float 0.0)) "no new blocks" 2.0 (metric "serve.input_allocs")
 
+(* The session stamps each layer a request passes through, always on:
+   every request is compiled, a result miss draws seeded Full inputs and
+   runs, and a result is copied into the cache on a cacheable miss and
+   out of it on a hit. *)
+let test_session_stamps () =
+  let session = Session.create ~domains:1 () in
+  let req = gemm_request () in
+  let count name =
+    Distal_obs.Metrics.histogram_count
+      (Distal_obs.Metrics.histogram ~buckets:Distal_obs.Metrics.seconds_buckets
+         (Session.metrics session) name)
+  in
+  let bad = Api.Fault.plan ~kills:[ Api.Fault.kill ~proc:99 ~step:0 () ] () in
+  ignore (Session.run_exn ~seed:1 session req);
+  ignore (Session.run_exn ~seed:1 session req);
+  ignore (Session.run_exn ~mode:Exec.Model ~seed:2 session req);
+  let plan, _ = Session.compile_exn session req in
+  ignore (Session.run_exn ~data:(Api.random_inputs ~seed:3 plan) session req);
+  (match Session.run ~faults:bad ~seed:4 session req with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a kill on a missing processor must fail the run");
+  (match Session.run session { req with Api.req_stmt = "A(i,j) = " } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a statement that does not parse must fail");
+  Alcotest.(check (list (pair string int)))
+    "requests through each layer"
+    [ ("serve.compile_s", 6); ("serve.inputs_s", 2); ("serve.run_s", 4); ("serve.copy_s", 4) ]
+    (List.map
+       (fun n -> (n, count n))
+       [ "serve.compile_s"; "serve.inputs_s"; "serve.run_s"; "serve.copy_s" ])
+
 (* A Model request never builds the inputs its seed names: at a size
    whose inputs alone would need about a terabyte (an allocation the
    kernel refuses outright), it is still served, with exactly the modeled
@@ -1200,6 +1231,36 @@ let served_metric c name =
   | Ok _ -> Alcotest.fail "stats reply without metrics"
   | Error e -> Alcotest.failf "stats: %s" e
 
+(* A histogram's count from a stats reply ([-1] when absent). *)
+let served_count c name =
+  match Client.stats c with
+  | Ok (_, _, Json.Obj kvs) -> (
+      match List.assoc_opt name kvs with
+      | Some (Json.Obj m) -> (
+          match List.assoc_opt "count" m with Some (Json.Int n) -> n | _ -> -1)
+      | _ -> -1)
+  | Ok _ -> Alcotest.fail "stats reply without metrics"
+  | Error e -> Alcotest.failf "stats: %s" e
+
+(* distald stamps its own layers beside the session's: every client
+   frame is decoded and every reply framed and written. A stats request
+   is decoded before its reply snapshots the registry, and replied to
+   after. *)
+let test_server_stamps () =
+  with_server (fun socket pid ->
+      let c = Client.connect_exn socket in
+      let submit s = ignore (expect_result (Client.submit c s)) in
+      submit (gemm_submit ~id:(Client.fresh_id c) ());
+      submit (gemm_submit ~id:(Client.fresh_id c) ());
+      submit (gemm_submit ~id:(Client.fresh_id c) ~mode:Exec.Model ~seed:7 ());
+      Alcotest.(check int) "frames decoded" 4 (served_count c "serve.decode_s");
+      Alcotest.(check int) "replies sent" 4 (served_count c "serve.reply_s");
+      Alcotest.(check int) "requests compiled" 3 (served_count c "serve.compile_s");
+      Alcotest.(check int) "inputs drawn" 1 (served_count c "serve.inputs_s");
+      Alcotest.(check int) "requests run" 2 (served_count c "serve.run_s");
+      stop_server c pid;
+      Client.close c)
+
 (* Same-shape requests read together share a compile: the two replies
    report a batch of 2 and identical bytes, and the second replays the
    first's run. *)
@@ -1553,6 +1614,7 @@ let suites =
         Alcotest.test_case "session pooled inputs" `Quick test_session_pooled_inputs;
         Alcotest.test_case "session model builds no inputs" `Quick test_session_model_no_inputs;
         Alcotest.test_case "session concurrent lanes" `Quick test_session_concurrent;
+        Alcotest.test_case "session layer stamps" `Quick test_session_stamps;
         Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
         Alcotest.test_case "wire bad headers" `Quick test_wire_bad_header;
         Alcotest.test_case "wire over a socketpair" `Quick test_wire_socketpair;
@@ -1567,6 +1629,7 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_decode_differential;
         Alcotest.test_case "distald end to end" `Quick test_server_end_to_end;
         Alcotest.test_case "distald batching" `Quick test_server_batching;
+        Alcotest.test_case "distald layer stamps" `Quick test_server_stamps;
         Alcotest.test_case "distald admission control" `Quick test_server_admission;
         Alcotest.test_case "distald client killed mid-request" `Quick test_server_client_killed;
         Alcotest.test_case "distald killed mid-batch and restarted" `Quick
