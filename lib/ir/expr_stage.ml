@@ -22,10 +22,12 @@ module A1 = Bigarray.Array1
    as constant / affine / neither, compiles the statement into a closure
    over the instances' bigarray buffers and precomputed slot offsets, and
    turns affine guards into per-level upper clamps. [bind] then
-   specializes a plan to one leaf execution — concrete outer environment
-   and buffer instances — producing flat loops whose executed points,
-   order, and float operations match the generic path exactly;
-   non-affine shapes fall back to the caller's oracle ([Expr.eval]).
+   specializes a plan to one leaf — concrete outer environment and
+   instance geometry, both known when the executable plan is compiled —
+   producing flat loops over per-slot offsets and strides; [run_nest]
+   runs them over the buffers of one run. Executed points, order and
+   float operations match the generic path exactly; non-affine shapes
+   fall back to the caller's oracle ([Expr.eval]).
 
    On top of the nest, [plan] also asks [Kernel_match] whether the
    statement is one of the registry's leaf kernels with the nest mapping
@@ -35,9 +37,9 @@ module A1 = Bigarray.Array1
    cache-blocked tiled kernels preserve the nest's per-output-element
    operation order, so the dispatch is bit-identical (see DESIGN.md).
 
-   Nothing here mutates shared state: plans are immutable and [bind]'s
-   scratch is per-call, so staged execution is safe from concurrent
-   domains. *)
+   Plans are immutable and safe to share between domains. A bound nest
+   keeps its loop state (current offsets and guard values) as scratch,
+   so one bound nest runs on one domain at a time. *)
 
 type cls = C | A of int array  (* per-leaf-var coefficients, all >= 0 *)
 
@@ -286,19 +288,41 @@ let plan prov ~(stmt : Expr.stmt) ~leaf_vars =
       }
   with Bail -> None
 
-type bound_guard = { coeffs : int array; ext : int; mutable curr : int }
+type geom = { src : int; rect : Rect.t; base : int; strides : int array }
+type operand = { src : int; off : int; st : int array }
 
-let bind p ~env ~(insts : (Rect.t * Dense.t) array) =
+(* An affine guard bound to one leaf: [curr] is its value at the nest's
+   current point, [start] its value at the leaf's first point. *)
+type bound_guard = { coeffs : int array; ext : int; start : int; mutable curr : int }
+
+type nest = {
+  srcs : int array;  (* per slot *)
+  rhs : Dense.buf array -> int array -> float;
+  extents : int array;  (* per leaf var *)
+  base_offs : int array;  (* per slot: offset of the leaf's first point *)
+  offs : int array;  (* per slot: offset of the current point (scratch) *)
+  str : int array array;  (* slot -> leaf var -> linear stride *)
+  guards : bound_guard list;
+  clamps : bound_guard array array;  (* per leaf var *)
+  bumps : bound_guard array array;  (* per leaf var *)
+}
+
+type bound =
+  | Kernel of { kernel : string; dims : int array; operands : operand array }
+  | Nest of nest
+  | Empty
+
+let bind p ~env ~(geoms : geom array) =
   let nv = Array.length p.leaf_vars in
   let naccs = Array.length p.slots in
-  if Array.length insts <> naccs then invalid_arg "Expr_stage.bind: bad insts";
+  if Array.length geoms <> naccs then invalid_arg "Expr_stage.bind: bad geoms";
   let env0 v = if Hashtbl.mem p.leaf_index v then Some 0 else env v in
   let point0 v = Hashtbl.find p.points v env0 in
   let exception Bail in
   try
     (* Leaf-constant guards: decided here, once. A failing one excludes
-       every point, so the bound closure is a no-op (not a bail: the
-       generic path would execute nothing too). *)
+       every point, so the leaf binds to [Empty] (not a bail: the generic
+       path would execute nothing too). *)
     let c_pass =
       List.for_all
         (fun (v, ext) ->
@@ -312,7 +336,7 @@ let bind p ~env ~(insts : (Rect.t * Dense.t) array) =
         (fun (v, g) ->
           match point0 v with
           | Some base when base >= 0 ->
-              (g, { coeffs = g.g_coeffs; ext = g.g_ext; curr = base })
+              (g, { coeffs = g.g_coeffs; ext = g.g_ext; start = base; curr = base })
           | _ -> raise Bail)
         p.a_guards
     in
@@ -323,25 +347,22 @@ let bind p ~env ~(insts : (Rect.t * Dense.t) array) =
                (fun (g, b) -> if f g l then Some b else None)
                guards))
     in
-    let clamps = select (fun g l -> g.g_dmax = l) in
-    let bumps = select (fun g l -> g.g_coeffs.(l) > 0 && g.g_dmax > l) in
-    (* Per-slot buffers, base offsets, and per-level linear strides. *)
-    let data = Array.map (fun (_, b) -> Dense.unsafe_data b) insts in
+    (* Per-slot base offsets and per-level linear strides in the slot's
+       buffer. *)
     let offs = Array.make naccs 0 in
     let str = Array.make_matrix naccs nv 0 in
     Array.iteri
       (fun i s ->
-        let r = fst insts.(i) in
-        let dstr = Ints.row_major_strides (Dense.shape (snd insts.(i))) in
-        let off = ref 0 in
+        let g = geoms.(i) in
+        let off = ref g.base in
         List.iteri
           (fun d v ->
             let x0 = match point0 v with Some x -> x | None -> raise Bail in
-            let local = x0 - (r : Rect.t).lo.(d) in
+            let local = x0 - g.rect.Rect.lo.(d) in
             if local < 0 then raise Bail;
-            off := !off + (local * dstr.(d));
+            off := !off + (local * g.strides.(d));
             for l = 0 to nv - 1 do
-              str.(i).(l) <- str.(i).(l) + (s.s_coeffs.(d).(l) * dstr.(d))
+              str.(i).(l) <- str.(i).(l) + (s.s_coeffs.(d).(l) * g.strides.(d))
             done)
           s.s_access.indices;
         offs.(i) <- !off)
@@ -359,7 +380,7 @@ let bind p ~env ~(insts : (Rect.t * Dense.t) array) =
           let vacuous =
             List.for_all
               (fun (_, (b : bound_guard)) ->
-                let worst = ref b.curr in
+                let worst = ref b.start in
                 Array.iteri
                   (fun l c -> worst := !worst + (c * (p.extents.(l) - 1)))
                   b.coeffs;
@@ -369,75 +390,90 @@ let bind p ~env ~(insts : (Rect.t * Dense.t) array) =
           if nonempty && vacuous then Some kd else None
       | _ -> None
     in
-    match dispatch with
-    | Some kd ->
-        let dims = Array.map (fun l -> p.extents.(l)) kd.kd_lv in
-        let view slot lvs =
-          {
-            Kreg.buf = data.(slot);
-            off = offs.(slot);
-            st = Array.map (fun l -> str.(slot).(l)) lvs;
-          }
-        in
-        let views =
-          Array.init naccs (fun i ->
-              if i = 0 then view oslot kd.kd_slot_lv.(oslot)
-              else view (i - 1) kd.kd_slot_lv.(i - 1))
-        in
-        Some
-          (fun () ->
-            if c_pass then
-              Kreg.run_views ~kernel:kd.kd_name ~dims views)
-    | None ->
-        let rhs = p.rhs in
-        let body () =
-          let v = rhs data offs in
-          let od = data.(oslot) in
-          let o = offs.(oslot) in
-          A1.unsafe_set od o (A1.unsafe_get od o +. v)
-        in
-        let rec nest l =
-          let hi = ref p.extents.(l) in
-          Array.iter
-            (fun g ->
-              let room = g.ext - 1 - g.curr in
-              let h = if room < 0 then 0 else (room / g.coeffs.(l)) + 1 in
-              if h < !hi then hi := h)
-            clamps.(l);
-          let hi = !hi in
-          if l = nv - 1 then begin
-            for _ = 1 to hi do
-              body ();
-              for a = 0 to naccs - 1 do
-                offs.(a) <- offs.(a) + str.(a).(l)
-              done
-            done;
-            for a = 0 to naccs - 1 do
-              offs.(a) <- offs.(a) - (hi * str.(a).(l))
-            done
-          end
-          else begin
-            for _ = 1 to hi do
-              nest (l + 1);
-              for a = 0 to naccs - 1 do
-                offs.(a) <- offs.(a) + str.(a).(l)
-              done;
-              Array.iter (fun g -> g.curr <- g.curr + g.coeffs.(l)) bumps.(l)
-            done;
-            for a = 0 to naccs - 1 do
-              offs.(a) <- offs.(a) - (hi * str.(a).(l))
-            done;
-            Array.iter (fun g -> g.curr <- g.curr - (hi * g.coeffs.(l))) bumps.(l)
-          end
-        in
-        Some
-          (fun () ->
-            if c_pass then if nv = 0 then body () else nest 0)
+    if not c_pass then Some Empty
+    else
+      match dispatch with
+      | Some kd ->
+          let operand slot =
+            {
+              src = geoms.(slot).src;
+              off = offs.(slot);
+              st = Array.map (fun l -> str.(slot).(l)) kd.kd_slot_lv.(slot);
+            }
+          in
+          Some
+            (Kernel
+               {
+                 kernel = kd.kd_name;
+                 dims = Array.map (fun l -> p.extents.(l)) kd.kd_lv;
+                 operands =
+                   Array.init naccs (fun i -> operand (if i = 0 then oslot else i - 1));
+               })
+      | None ->
+          Some
+            (Nest
+               {
+                 srcs = Array.map (fun (g : geom) -> g.src) geoms;
+                 rhs = p.rhs;
+                 extents = p.extents;
+                 base_offs = offs;
+                 offs = Array.copy offs;
+                 str;
+                 guards = List.map snd guards;
+                 clamps = select (fun g l -> g.g_dmax = l);
+                 bumps = select (fun g l -> g.g_coeffs.(l) > 0 && g.g_dmax > l);
+               })
   with Bail -> None
 
-let run p ~env ~insts =
-  match bind p ~env ~insts with
-  | Some f ->
-      f ();
-      true
-  | None -> false
+(* The flat loops of a bound nest. Offsets and guard values start from
+   the leaf's first point and each level undoes its own advance, so
+   every run starts from the same state. *)
+let run_nest n buf_of =
+  let data = Array.map buf_of n.srcs in
+  let naccs = Array.length n.offs in
+  let nv = Array.length n.extents in
+  let offs = n.offs and str = n.str in
+  Array.blit n.base_offs 0 offs 0 naccs;
+  List.iter (fun g -> g.curr <- g.start) n.guards;
+  let oslot = naccs - 1 in
+  let body () =
+    let v = n.rhs data offs in
+    let od = data.(oslot) in
+    let o = offs.(oslot) in
+    A1.unsafe_set od o (A1.unsafe_get od o +. v)
+  in
+  let rec nest l =
+    let hi = ref n.extents.(l) in
+    Array.iter
+      (fun g ->
+        let room = g.ext - 1 - g.curr in
+        let h = if room < 0 then 0 else (room / g.coeffs.(l)) + 1 in
+        if h < !hi then hi := h)
+      n.clamps.(l);
+    let hi = !hi in
+    if l = nv - 1 then begin
+      for _ = 1 to hi do
+        body ();
+        for a = 0 to naccs - 1 do
+          offs.(a) <- offs.(a) + str.(a).(l)
+        done
+      done;
+      for a = 0 to naccs - 1 do
+        offs.(a) <- offs.(a) - (hi * str.(a).(l))
+      done
+    end
+    else begin
+      for _ = 1 to hi do
+        nest (l + 1);
+        for a = 0 to naccs - 1 do
+          offs.(a) <- offs.(a) + str.(a).(l)
+        done;
+        Array.iter (fun g -> g.curr <- g.curr + g.coeffs.(l)) n.bumps.(l)
+      done;
+      for a = 0 to naccs - 1 do
+        offs.(a) <- offs.(a) - (hi * str.(a).(l))
+      done;
+      Array.iter (fun g -> g.curr <- g.curr - (hi * g.coeffs.(l))) n.bumps.(l)
+    end
+  in
+  if nv = 0 then body () else nest 0

@@ -14,14 +14,14 @@
 
     When the statement matches a registry kernel pattern with the nest
     mapping one-to-one onto the kernel's iteration space, a plan also
-    records a registry dispatch, and {!run} hands guard-free leaves to the
-    registry's tiled kernels instead of running the nest. The
+    records a registry dispatch, and {!bind} hands guard-free leaves to
+    the registry's tiled kernels instead of running the nest. The
     tiled kernels preserve the nest's per-output-element accumulation
     order, so tiled dispatch is bit-identical to the staged nest (see
     DESIGN.md "Leaf kernel registry").
 
-    Plans are immutable and runs use only per-call scratch, so one plan
-    may be used from several domains concurrently. *)
+    Plans are immutable, so one plan may be used from several domains
+    concurrently; a bound nest runs on one domain at a time. *)
 
 type plan
 
@@ -35,15 +35,38 @@ val slots : plan -> Expr.access array
 (** The buffer slots a run expects: the statement's right-hand-side
     accesses left-to-right, then the left-hand side last. *)
 
-val run :
-  plan ->
-  env:(Ident.t -> int option) ->
-  insts:(Distal_tensor.Rect.t * Distal_tensor.Dense.t) array ->
-  bool
-(** Execute one leaf: [insts.(i)] is the (footprint rect, local buffer)
-    instance backing {!slots}[(i)]; [env] binds the launch and sequential
-    variables (leaf variables must be unbound). Accumulates into the last
-    slot like the generic path ([Dense.add_at] per point); leaves that
-    qualify run on the registry's kernels. Returns [false] without touching any buffer when the concrete binding
-    cannot be staged (the caller runs the oracle); [true] otherwise —
-    including when a leaf-constant guard excludes every point. *)
+type geom = { src : int; rect : Distal_tensor.Rect.t; base : int; strides : int array }
+(** Where a slot's instance lives: in the caller's buffer [src], element
+    [x] (global coordinates) of the instance [rect] is at
+    [base + Σ (x.(d) - rect.lo.(d)) * strides.(d)]. A block of the
+    instance's own shape has [base = 0] and row-major strides; an
+    instance read in place from its full tensor has the tensor's strides
+    and the offset of [rect.lo] as [base]. *)
+
+type operand = { src : int; off : int; st : int array }
+(** A registry kernel operand: the buffer it reads, the offset of its
+    first element and one stride per letter of its access pattern
+    ({!Distal_tensor.Kernel_registry.view} with the buffer named). *)
+
+type nest
+(** A leaf bound to its loop nest: per-slot offsets, strides and guard
+    clamps, plus the loop state it runs with. *)
+
+type bound =
+  | Kernel of { kernel : string; dims : int array; operands : operand array }
+      (** run {!Distal_tensor.Kernel_registry.run_views} over [operands]
+          (output first, then factors in kernel order) *)
+  | Nest of nest  (** run {!run_nest} *)
+  | Empty  (** a leaf-constant guard excludes every point *)
+
+val bind : plan -> env:(Ident.t -> int option) -> geoms:geom array -> bound option
+(** Bind one leaf: [geoms.(i)] locates the instance backing {!slots}[(i)];
+    [env] binds the launch and sequential variables (leaf variables must
+    be unbound). Leaves that qualify bind to a registry [Kernel]. [None]
+    when the concrete binding cannot be staged (the caller runs the
+    oracle). *)
+
+val run_nest : nest -> (int -> Distal_tensor.Dense.buf) -> unit
+(** Run a bound nest, reading each slot's buffer by its [src],
+    accumulating into the last slot like the generic path
+    ([Dense.add_at] per point). *)

@@ -1415,29 +1415,118 @@ module Buf_pool = Distal_support.Buf_pool
    against new tensor data. The plan phase is one simulation with data-op
    recording switched on: it prices the schedule exactly as a Model-mode
    [execute] does and captures, per launch point, the ordered data
-   operations of the run. The run phase replays those operations with
-   buffers from a size-classed pool ({!Buf_pool}) — per-lane arenas during
-   replay, released back after the serial merge — so a warm
-   run allocates no fragment, reduction or slice buffers at all. *)
+   operations of the run. Binding then resolves every recorded leaf
+   against the instance geometry the recording fixes: its tier, its
+   kernel or loop nest, and where each operand lives. Input and
+   read-out instances are views of the caller's tensors — the same
+   values a copy would hold, read in place — so the run phase only
+   zero-fills output instances, from a size-classed pool ({!Buf_pool})
+   with per-lane arenas, calls the bound leaves and merges. *)
+
+(* The replayed operations of one launch point. A leaf is bound to its
+   tier: [B_leaf] a registry kernel or a staged nest whose operands are
+   located by buffer ([src]: a tensor's index in [ep_tensors], or
+   [out_src] for the task's current output instance), offset and
+   strides; [B_eval] the [Expr.eval] fallback, whose table holds the
+   recorded launch and sequential bindings and, as it runs, the leaf
+   variables. *)
+type bop =
+  | B_out of Rect.t  (* a zero-filled output instance *)
+  | B_leaf of Expr_stage.bound
+  | B_eval of (string, int) Hashtbl.t
+  | B_flush  (* the current output instance becomes a merge contribution *)
+
+let out_src = -1
+
 type eplan = {
   ep_spec : spec;
   ep_stats : Stats.t;  (* modeled per-run stats, fixed at plan time *)
-  ep_dops : dop list array;  (* per launch point, launch-point order *)
-  ep_named : (string * string list) option;  (* substituted kernel, order *)
-  ep_staged : Expr_stage.plan option;
-  ep_leaf_vars : string list;  (* Scalar_loops nest, outermost first *)
+  ep_ops : bop array array;  (* per launch point, launch-point order *)
+  ep_tensors : string array;  (* sorted; a [src] indexes it *)
+  ep_shapes : int array array;
   ep_guards : (string -> int option) -> bool;
   ep_points : (string * ((string -> int option) -> int option)) list;
       (* the [Expr.eval] fallback's guard and index points, compiled once *)
+  ep_leaf_vars : string array;  (* Scalar_loops nest, outermost first *)
   ep_reads_out : bool;
   ep_accum : bool;
   ep_out_name : string;
-  ep_out_shape : int array;
-  ep_tensors : string list;
   ep_pool : Buf_pool.t;
-  ep_m : Mutex.t;  (* one run at a time: arenas are per-plan state *)
+  ep_m : Mutex.t;  (* one run at a time: arenas and bound nests are per-plan state *)
   mutable ep_runs : int;
 }
+
+(* Bind one launch point's recorded operations, tracking each tensor's
+   current instance: inputs and the read-out instance are located in
+   the caller's tensor at its own strides, the output instance in a
+   block of the instance's shape. *)
+let bind_point ~stmt ~named ~staged ~tensors ~shapes dops =
+  let out_name = stmt.Expr.lhs.tensor in
+  let idx tn = name_index tensors tn 0 in
+  let inst = Array.make (Array.length tensors) None in
+  let out = ref None and read_out = ref None in
+  let geom tn src = function
+    | None -> invalid_arg ("plan leaf executed without an instance of " ^ tn)
+    | Some (r : Rect.t) when src = out_src ->
+        { Expr_stage.src; rect = r; base = 0; strides = Ints.row_major_strides (Rect.extents r) }
+    | Some r ->
+        let strides = Ints.row_major_strides shapes.(src) in
+        let base = ref 0 in
+        Array.iteri (fun d lo -> base := !base + (lo * strides.(d))) r.lo;
+        { src; rect = r; base = !base; strides }
+  in
+  let geom_of tn =
+    if String.equal tn out_name then geom tn out_src !out
+    else geom tn (idx tn) inst.(idx tn)
+  in
+  let bind_leaf denv slices =
+    match (named, staged) with
+    | Some kernel, _ ->
+        (* A slice [local] of the instance starts [local.lo] into it. *)
+        let operand { ds_tensor; ds_local } =
+          let g = geom_of ds_tensor in
+          let lo, box =
+            match ds_local with
+            | Some l -> (l.Rect.lo, Rect.extents l)
+            | None -> (Array.map (fun _ -> 0) g.rect.lo, Rect.extents g.rect)
+          in
+          let off = ref g.base in
+          Array.iteri (fun d x -> off := !off + (x * g.strides.(d))) lo;
+          ({ Expr_stage.src = g.src; off = !off; st = g.strides }, box)
+        in
+        let ops = List.map operand slices in
+        let dims = Kreg.dims ~kernel (List.map snd ops) in
+        B_leaf (Expr_stage.Kernel { kernel; dims; operands = Array.of_list (List.map fst ops) })
+    | None, sp -> (
+        let env = Hashtbl.create 16 in
+        Array.iter (fun (v, x) -> Hashtbl.replace env v x) denv;
+        let geoms sp =
+          let slots = Expr_stage.slots sp in
+          Array.mapi
+            (fun i (a : Expr.access) ->
+              if i < Array.length slots - 1 && String.equal a.tensor out_name then
+                geom out_name (idx out_name) !read_out
+              else geom_of a.tensor)
+            slots
+        in
+        match Option.bind sp (fun sp -> Expr_stage.bind sp ~env:(Hashtbl.find_opt env) ~geoms:(geoms sp)) with
+        | Some b -> B_leaf b
+        | None -> B_eval env)
+  in
+  let ops = ref [] in
+  List.iter
+    (function
+      | D_inst { tensor; rect; role = R_input } -> inst.(idx tensor) <- Some rect
+      | D_inst { rect; role = R_read_out; _ } -> read_out := Some rect
+      | D_inst { rect; role = R_output; _ } ->
+          out := Some rect;
+          ops := B_out rect :: !ops
+      | D_leaf { denv; slices } -> ops := bind_leaf denv slices :: !ops
+      | D_flush ->
+          out := None;
+          ops := B_flush :: !ops)
+    dops;
+  Array.of_list (List.rev !ops)
 
 let plan ?coalesce ?faults ?trace ?profile spec =
   let prog = spec.program in
@@ -1453,60 +1542,83 @@ let plan ?coalesce ?faults ?trace ?profile spec =
     | [] -> None
     | vars -> Expr_stage.plan prog.prov ~stmt ~leaf_vars:vars
   in
+  let tensors = Array.of_list (List.sort_uniq compare (Expr.tensors stmt)) in
+  let shapes = Array.map (Taskir.shape_of prog) tensors in
+  let named = Option.map fst sim.sim_named in
   Ok
     {
       ep_spec = spec;
       ep_stats = sim.sim_stats;
-      ep_dops = sim.sim_dops;
-      ep_named = sim.sim_named;
-      ep_staged = staged;
-      ep_leaf_vars = sim.sim_leaf_vars;
+      ep_ops = Array.map (bind_point ~stmt ~named ~staged ~tensors ~shapes) sim.sim_dops;
+      ep_tensors = tensors;
+      ep_shapes = shapes;
       ep_guards = Provenance.guards_fn prog.prov;
       ep_points =
         List.map (fun v -> (v, Provenance.raw_point_fn prog.prov v)) (Expr.index_vars stmt);
+      ep_leaf_vars = Array.of_list sim.sim_leaf_vars;
       ep_reads_out = Expr.reads_output stmt;
       ep_accum = stmt.accum;
       ep_out_name = stmt.lhs.tensor;
-      ep_out_shape = Taskir.shape_of prog stmt.lhs.tensor;
-      ep_tensors = List.sort_uniq compare (Expr.tensors stmt);
       ep_pool = Buf_pool.create ();
       ep_m = Mutex.create ();
       ep_runs = 0;
     }
 
+type leaf_tiers = { tiled : int; staged : int; eval : int }
+
+let plan_leaf_tiers ep =
+  Array.fold_left
+    (Array.fold_left (fun t -> function
+       | B_leaf (Expr_stage.Kernel _) -> { t with tiled = t.tiled + 1 }
+       | B_leaf (Expr_stage.Nest _ | Expr_stage.Empty) -> { t with staged = t.staged + 1 }
+       | B_eval _ -> { t with eval = t.eval + 1 }
+       | B_out _ | B_flush -> t))
+    { tiled = 0; staged = 0; eval = 0 } ep.ep_ops
+
 let plan_stats ep = { ep.ep_stats with Stats.time = ep.ep_stats.Stats.time }
 let plan_runs ep = ep.ep_runs
 let plan_pool_stats ep = Buf_pool.stats ep.ep_pool
 
+(* The buffer a tensor the run does not read stands in for. *)
+let no_data = Dense.create [| 0 |]
+
 let run_plan ?domains ep ~data =
-  let spec = ep.ep_spec in
-  let prog = spec.program in
-  let stmt = prog.stmt in
-  let prov = prog.prov in
+  let stmt = ep.ep_spec.program.stmt and prov = ep.ep_spec.program.prov in
   let out_name = ep.ep_out_name in
-  let reads_out = ep.ep_reads_out in
-  (* Every tensor the statement reads needs data; the output only when it
-     is accumulated into or read on the right-hand side. *)
-  let* () =
-    List.fold_left
-      (fun acc tn ->
-        let* () = acc in
-        if tn = out_name && (not ep.ep_accum) && not reads_out then Ok ()
-        else if List.mem_assoc tn data then Ok ()
-        else errf "no data given for tensor %s" tn)
-      (Ok ()) ep.ep_tensors
+  (* Every tensor the statement reads needs data of the spec's shape; the
+     output only when it is accumulated into or read on the right-hand
+     side. Reading in place relies on the shapes: instance offsets are
+     fixed against them at plan time. *)
+  let caller = Array.make (Array.length ep.ep_tensors) no_data in
+  let rec gather t =
+    if t = Array.length ep.ep_tensors then Ok ()
+    else
+      let tn = ep.ep_tensors.(t) in
+      match List.assoc_opt tn data with
+      | Some d when Ints.equal (Dense.shape d) ep.ep_shapes.(t) ->
+          caller.(t) <- d;
+          gather (t + 1)
+      | Some d ->
+          errf "data for tensor %s has shape %s, the spec declares %s" tn
+            (Ints.to_string (Dense.shape d))
+            (Ints.to_string ep.ep_shapes.(t))
+      | None ->
+          if tn = out_name && (not ep.ep_accum) && not ep.ep_reads_out then gather (t + 1)
+          else errf "no data given for tensor %s" tn
   in
-  (* Runs of one plan serialize: the arenas and the parked free lists are
-     per-plan state. Different plans run concurrently without contact. *)
+  let* () = gather 0 in
+  let bufs = Array.map Dense.unsafe_data caller in
+  (* Runs of one plan serialize: the arenas, the parked free lists and
+     the bound nests' loop state are per-plan state. Different plans run
+     concurrently without contact. *)
   Mutex.lock ep.ep_m;
   Fun.protect ~finally:(fun () -> Mutex.unlock ep.ep_m) @@ fun () ->
   let pool = ep.ep_pool in
   let out_global =
     if ep.ep_accum then Dense.copy (List.assoc out_name data)
-    else Dense.create ep.ep_out_shape
+    else Dense.create ep.ep_shapes.(name_index ep.ep_tensors out_name 0)
   in
-  let input_of tn = List.assoc tn data in
-  let npoints = Array.length ep.ep_dops in
+  let npoints = Array.length ep.ep_ops in
   (* Per-point merge contributions in flush order: (rect, view, block,
      acquiring lane). Blocks outlive their task — they are released to
      their lane's arena only after the serial merge reads them. *)
@@ -1517,154 +1629,72 @@ let run_plan ?domains ep ~data =
   let lanes = max 1 (min (Pool.size hpool) npoints) in
   Pool.run hpool ~lanes (fun lane ->
       let arena = Buf_pool.arena pool lane in
-      let insts : (string, Rect.t * Dense.t * Buf_pool.buf) Hashtbl.t =
-        Hashtbl.create 8
+      let out : (Rect.t * Dense.t * Buf_pool.buf) option ref = ref None in
+      let cur_out () =
+        match !out with
+        | Some o -> o
+        | None -> invalid_arg ("plan leaf executed without an instance of " ^ out_name)
       in
-      let read_inst : (Rect.t * Dense.t * Buf_pool.buf) option ref = ref None in
-      let env_tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-      let acquire_view rect =
-        let b = Buf_pool.acquire pool arena (Rect.volume rect) in
-        (Dense.of_buf b (Rect.extents rect), b)
+      let buf_of src =
+        if src = out_src then
+          let _, _, b = cur_out () in
+          b
+        else bufs.(src)
       in
-      let buffer tn =
-        match Hashtbl.find_opt insts tn with
-        | Some (r, v, _) -> (r, v)
-        | None -> invalid_arg ("plan leaf executed without an instance of " ^ tn)
-      in
-      let run_leaf denv slices =
-        match ep.ep_named with
-        | Some (kernel, _) ->
-            (* Substituted kernel: replay the recorded slicing plan, run
-               the tiled registry kernel, write a sliced output back. *)
-            let bufs =
-              List.map
-                (fun { ds_tensor; ds_local } ->
-                  let _, v = buffer ds_tensor in
-                  match ds_local with
-                  | None -> (v, None)
-                  | Some local ->
-                      let sb = Buf_pool.acquire pool arena (Rect.volume local) in
-                      let sv = Dense.of_buf sb (Rect.extents local) in
-                      Dense.extract_into ~src:v ~dst:sv local;
-                      (sv, Some (v, local, sb)))
-                slices
-            in
-            Kreg.run_named Kreg.Tiled ~kernel (List.map fst bufs);
-            (match (slices, bufs) with
-            | { ds_tensor; _ } :: _, (sv, Some (v, local, _)) :: _
-              when String.equal ds_tensor out_name ->
-                Dense.blit_into ~src:sv ~dst:v local
-            | _ -> ());
-            List.iter
-              (function
-                | _, Some (_, _, sb) -> Buf_pool.release pool arena sb
-                | _, None -> ())
-              bufs
-        | None ->
-            (* Scalar nest: the staged plan, which hands nests matching a
-               registry kernel to the tiled kernels (bit-identical: they
-               keep the nest's per-element accumulation order); the
-               generic [Expr.eval] loop only where staging cannot express
-               this binding. *)
-            Hashtbl.reset env_tbl;
-            Array.iter (fun (v, x) -> Hashtbl.replace env_tbl v x) denv;
-            let env v = Hashtbl.find_opt env_tbl v in
-            let staged_done =
-              match ep.ep_staged with
-              | None -> false
-              | Some sp ->
-                  let slots = Expr_stage.slots sp in
-                  let nslots = Array.length slots in
-                  let inst_of i (a : Expr.access) =
-                    let inst =
-                      if i < nslots - 1 && reads_out && String.equal a.tensor out_name
-                      then !read_inst
-                      else Hashtbl.find_opt insts a.tensor
-                    in
-                    Option.map (fun (r, v, _) -> (r, v)) inst
-                  in
-                  let sinsts = Array.mapi inst_of slots in
-                  Array.for_all Option.is_some sinsts
-                  && Expr_stage.run sp ~env
-                       ~insts:(Array.map Option.get sinsts)
-            in
-            if not staged_done then begin
-              let vars_arr = Array.of_list ep.ep_leaf_vars in
-              let extents = Array.map (Provenance.extent prov) vars_arr in
-              let lookup (a : Expr.access) coord =
-                let r, v =
-                  if reads_out && String.equal a.tensor out_name then
-                    match !read_inst with
-                    | Some (r, v, _) -> (r, v)
-                    | None ->
-                        invalid_arg
-                          ("plan leaf executed without a read instance of "
-                         ^ out_name)
-                  else buffer a.tensor
-                in
-                let local =
-                  Array.mapi (fun d c -> c - (r : Rect.t).lo.(d)) coord
-                in
-                Dense.get v local
+      let eval_leaf env =
+        (* The generic loop, for nests staging cannot express: every
+           point's guards, index points and statement tree evaluated
+           through the environment. *)
+        let out_rect, out_v, _ = cur_out () in
+        let envf = Hashtbl.find_opt env in
+        let lookup (a : Expr.access) coord =
+          Dense.get caller.(name_index ep.ep_tensors a.tensor 0) coord
+        in
+        Ints.iter_box (Array.map (Provenance.extent prov) ep.ep_leaf_vars) (fun pt ->
+            Array.iteri (fun i v -> Hashtbl.replace env v pt.(i)) ep.ep_leaf_vars;
+            if ep.ep_guards envf then begin
+              let point v =
+                match (List.assoc v ep.ep_points) envf with
+                | Some x -> x
+                | None -> invalid_arg ("unbound index variable " ^ v)
               in
-              let out_rect, out_buf = buffer out_name in
-              Ints.iter_box extents (fun pt ->
-                  Array.iteri (fun i v -> Hashtbl.replace env_tbl v pt.(i)) vars_arr;
-                  if ep.ep_guards env then begin
-                    let point v =
-                      match (List.assoc v ep.ep_points) env with
-                      | Some x -> x
-                      | None -> invalid_arg ("unbound index variable " ^ v)
-                    in
-                    let value = Expr.eval stmt ~lookup ~point in
-                    let coord = Array.of_list (List.map point stmt.lhs.indices) in
-                    let local =
-                      Array.mapi
-                        (fun d c -> c - (out_rect : Rect.t).lo.(d))
-                        coord
-                    in
-                    Dense.add_at out_buf local value
-                  end)
-            end
+              let value = Expr.eval stmt ~lookup ~point in
+              let coord = Array.of_list (List.map point stmt.lhs.indices) in
+              let local = Array.mapi (fun d c -> c - (out_rect : Rect.t).lo.(d)) coord in
+              Dense.add_at out_v local value
+            end)
+      in
+      let release () =
+        Option.iter (fun (_, _, b) -> Buf_pool.release pool arena b) !out;
+        out := None
       in
       let lo = lane * npoints / lanes and hi = (lane + 1) * npoints / lanes in
       for i = lo to hi - 1 do
         let out_contribs = ref [] in
-        List.iter
-          (fun d ->
-            match d with
-            | D_inst { tensor; rect; role } -> (
-                (* The new instance replaces the task's previous one of
-                   the same tensor and role. *)
-                let old =
-                  match role with
-                  | R_read_out -> !read_inst
-                  | R_input | R_output -> Hashtbl.find_opt insts tensor
-                in
-                Option.iter (fun (_, _, b) -> Buf_pool.release pool arena b) old;
-                let v, b = acquire_view rect in
-                if role = R_output then Dense.fill v 0.0
-                else Dense.extract_into ~src:(input_of tensor) ~dst:v rect;
-                match role with
-                | R_read_out -> read_inst := Some (rect, v, b)
-                | R_input | R_output -> Hashtbl.replace insts tensor (rect, v, b))
-            | D_leaf { denv; slices } -> run_leaf denv slices
-            | D_flush -> (
-                match Hashtbl.find_opt insts out_name with
-                | Some (rect, v, b) ->
-                    Hashtbl.remove insts out_name;
-                    out_contribs := (rect, v, b, lane) :: !out_contribs
-                | None -> ()))
-          ep.ep_dops.(i);
+        Array.iter
+          (function
+            | B_out rect ->
+                release ();
+                let b = Buf_pool.acquire pool arena (Rect.volume rect) in
+                let v = Dense.of_buf b (Rect.extents rect) in
+                Dense.fill v 0.0;
+                out := Some (rect, v, b)
+            | B_leaf (Expr_stage.Kernel { kernel; dims; operands }) ->
+                Kreg.run_views ~kernel ~dims
+                  (Array.map
+                     (fun (o : Expr_stage.operand) -> { Kreg.buf = buf_of o.src; off = o.off; st = o.st })
+                     operands)
+            | B_leaf (Expr_stage.Nest nest) -> Expr_stage.run_nest nest buf_of
+            | B_leaf Expr_stage.Empty -> ()
+            | B_eval env -> eval_leaf env
+            | B_flush ->
+                Option.iter
+                  (fun (rect, v, b) -> out_contribs := (rect, v, b, lane) :: !out_contribs)
+                  !out;
+                out := None)
+          ep.ep_ops.(i);
         contribs.(i) <- List.rev !out_contribs;
-        (* Input instances die with the task. *)
-        Hashtbl.iter (fun _ (_, _, b) -> Buf_pool.release pool arena b) insts;
-        Hashtbl.reset insts;
-        match !read_inst with
-        | Some (_, _, b) ->
-            Buf_pool.release pool arena b;
-            read_inst := None
-        | None -> ()
+        release ()
       done);
   (* Serial merge in launch-point order, flush order within a task: one
      accumulation order whatever the domain count, so outputs are

@@ -182,6 +182,15 @@ val plan_runs : eplan -> int
 val plan_pool_stats : eplan -> Distal_support.Buf_pool.stats
 (** Buffer-pool counters — steady state shows hits and no new allocs. *)
 
+type leaf_tiers = { tiled : int; staged : int; eval : int }
+
+val plan_leaf_tiers : eplan -> leaf_tiers
+(** How the plan's leaves run, counted over every launch point when the
+    plan was bound: [tiled] leaves call a registry kernel (substituted
+    leaves, and staged nests the registry runs), [staged] leaves run
+    their staged loop nest (a nest a leaf-constant guard empties
+    included), [eval] leaves take the generic [Expr.eval] loop. *)
+
 val serial_reference :
   Distal_ir.Expr.stmt ->
   shapes:(string * int array) list ->

@@ -144,28 +144,15 @@ let rows_iter ~big_shape ~r f =
     done
   end
 
-let copy_rows ~(src : buf) ~(dst : buf) soff doff len =
-  for i = 0 to len - 1 do
-    A1.unsafe_set dst (doff + i) (A1.unsafe_get src (soff + i))
-  done
-
-let extract_into ~src ~dst r =
-  check_subset "extract_into" r src.shape;
-  check_extents "extract_into" ~what:"destination" dst.shape r;
-  rows_iter ~big_shape:src.shape ~r (fun soff doff len ->
-      copy_rows ~src:src.data ~dst:dst.data soff doff len)
-
 let extract t r =
   check_subset "extract" r t.shape;
   let out = create (Rect.extents r) in
-  extract_into ~src:t ~dst:out r;
+  let s = t.data and d = out.data in
+  rows_iter ~big_shape:t.shape ~r (fun soff doff len ->
+      for i = 0 to len - 1 do
+        A1.unsafe_set d (doff + i) (A1.unsafe_get s (soff + i))
+      done);
   out
-
-let blit_into ~src ~dst r =
-  check_subset "blit_into" r dst.shape;
-  check_extents "blit_into" ~what:"source" src.shape r;
-  rows_iter ~big_shape:dst.shape ~r (fun doff soff len ->
-      copy_rows ~src:src.data ~dst:dst.data soff doff len)
 
 let accumulate_into ~src ~dst r =
   check_subset "accumulate_into" r dst.shape;

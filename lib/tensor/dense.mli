@@ -75,20 +75,11 @@ val extract : t -> Rect.t -> t
     instance. @raise Invalid_argument when [r] is not inside [t]'s shape
     (message carries the rect and the shape). *)
 
-val extract_into : src:t -> dst:t -> Rect.t -> unit
-(** Allocation-free {!extract}: copies the sub-box [r] of [src] into
-    [dst], which must be shaped [Rect.extents r]. The run phase's fill
-    for pooled instance buffers. @raise Invalid_argument on a rect
-    outside [src] or a destination shape mismatch. *)
-
-val blit_into : src:t -> dst:t -> Rect.t -> unit
-(** [blit_into ~src ~dst r] writes [src] (shaped [Rect.extents r]) into the
-    sub-box [r] of [dst]. @raise Invalid_argument on a rect outside [dst]
-    or a source shape mismatch. *)
-
 val accumulate_into : src:t -> dst:t -> Rect.t -> unit
-(** Like {!blit_into} but adds into the destination (reduction write-back).
-    @raise Invalid_argument on the same precondition violations. *)
+(** [accumulate_into ~src ~dst r] adds [src] (shaped [Rect.extents r]) into
+    the sub-box [r] of [dst] (reduction write-back). @raise
+    Invalid_argument on a rect outside [dst] or a source shape
+    mismatch. *)
 
 val map2 : (float -> float -> float) -> t -> t -> t
 (** @raise Invalid_argument when the shapes differ. *)

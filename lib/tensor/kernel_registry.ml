@@ -520,10 +520,9 @@ let run_views ~kernel ~dims (views : view array) =
    [Invalid_argument] naming the kernel and every shape, like
    [Kernels]. *)
 
-let dims_of kernel (ops : Dense.t list) =
+let dims ~kernel shapes =
   let e = entry kernel in
   let accs = e.lhs :: e.factors in
-  let shapes = List.map Dense.shape ops in
   let bad () =
     invalid_arg
       (Printf.sprintf "Kernel_registry.%s: incompatible shapes %s" kernel
@@ -535,7 +534,7 @@ let dims_of kernel (ops : Dense.t list) =
                  ^ "]")
                shapes)))
   in
-  if List.length accs <> List.length ops then bad ();
+  if List.length accs <> List.length shapes then bad ();
   let ext : (char, int) Hashtbl.t = Hashtbl.create 8 in
   List.iter2
     (fun acc shape ->
@@ -568,5 +567,5 @@ let run_named mode ~kernel (ops : Dense.t list) =
       | "innerprod", [ a; x; y ] -> Dense.add_lin a 0 (Kernels.inner_product x y)
       | k, _ -> invalid_arg ("Kernel_registry.run_named: unknown kernel " ^ k))
   | Tiled ->
-      let dims = dims_of kernel ops in
+      let dims = dims ~kernel (List.map Dense.shape ops) in
       run_views ~kernel ~dims (Array.of_list (List.map view_of_dense ops))

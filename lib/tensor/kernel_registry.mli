@@ -63,6 +63,12 @@ val run_views : kernel:string -> dims:int array -> view array -> unit
     into the output ([+=] semantics).
     @raise Invalid_argument on unknown kernels or wrong arity. *)
 
+val dims : kernel:string -> int array list -> int array
+(** The canonical [dims] of a kernel over operands of these shapes,
+    output first then factors in entry order.
+    @raise Invalid_argument on shape mismatch, naming the kernel and
+    every operand shape. *)
+
 val run_named : mode -> kernel:string -> Dense.t list -> unit
 (** The substitute path: whole contiguous operands, output first. Under
     [Off] this runs the {!Kernels} reference implementation; under

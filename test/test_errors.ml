@@ -107,6 +107,33 @@ let test_run_errors () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
+(* Replay reads inputs in place at offsets fixed against the spec's
+   shapes, so data of any other shape — smaller, larger or of another
+   rank, an accumulated output included — fails the run, naming the
+   tensor, before anything is read. *)
+let test_data_shape_errors () =
+  let p = Api.problem_exn ~machine ~stmt:"A(i,j) += B(i,k) * C(k,j)" ~tensors () in
+  let plan =
+    Api.compile_script_exn p
+      ~schedule:"distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); communicate({A,B,C}, jo)"
+  in
+  let data = Api.random_inputs plan in
+  let ep = Api.eplan_exn plan in
+  List.iter
+    (fun (name, shape) ->
+      let data =
+        List.map
+          (fun (n, d) -> if n = name then (n, Api.Dense.create shape) else (n, d))
+          data
+      in
+      match Api.Exec.run_plan ep ~data with
+      | Ok _ -> Alcotest.failf "%s shaped %s must be rejected" name (Distal_support.Ints.to_string shape)
+      | Error e ->
+          Alcotest.(check bool) (e ^ " names the tensor") true
+            (Astring_contains.contains e ("tensor " ^ name)))
+    [ ("B", [| 8; 4 |]); ("C", [| 16; 16 |]); ("B", [| 64 |]); ("A", [| 4; 8 |]) ];
+  match Api.run plan ~data with Ok _ -> () | Error e -> Alcotest.fail e
+
 let test_distribution_parse_errors () =
   List.iter
     (fun s ->
@@ -159,6 +186,7 @@ let suites =
         Alcotest.test_case "problem errors" `Quick test_problem_errors;
         Alcotest.test_case "compile errors" `Quick test_compile_errors;
         Alcotest.test_case "run errors" `Quick test_run_errors;
+        Alcotest.test_case "data shape errors" `Quick test_data_shape_errors;
         Alcotest.test_case "distribution parse errors" `Quick test_distribution_parse_errors;
         Alcotest.test_case "adversarial distributions" `Quick
           test_validate_catches_bad_distribution_pairing;

@@ -119,8 +119,11 @@ let test_unstaged_leaf_budget () =
    packing panel per leaf and no array per copied row; what is left is
    per task and per instance. Before that, the SUMMA run allocated
    710,513 minor and 557,826 major words and the TTV run 1,821,121 minor
-   and 3,975 major; now they allocate 2,044 + 7 and 60,359 + 2,440. The
-   budgets are those totals plus 20%. *)
+   and 3,975 major; then 2,044 + 7 and 60,359 + 2,440. Binding every
+   leaf when the plan is compiled and reading inputs in place removed
+   the per-leaf offset, stride and clamp arrays and the input instance
+   views: now they allocate 150 + 7 and 2,064 + 7. The budgets are those
+   totals plus 20%. *)
 let replay_words plan =
   let data = Api.random_inputs ~seed:1 plan in
   let ep = Api.eplan_exn plan in
@@ -149,7 +152,7 @@ let test_replay_budget () =
       let minor, major = replay_words plan in
       if minor +. major > budget then
         Alcotest.failf "%s replay allocated %.0f minor + %.0f major words" name minor major)
-    [ ("summa", summa ~n:128 ~g:2, 2_461.0); ("cyclic ttv", cyclic_ttv (), 75_359.0) ]
+    [ ("summa", summa ~n:128 ~g:2, 189.0); ("cyclic ttv", cyclic_ttv (), 2_486.0) ]
 
 let suites =
   [

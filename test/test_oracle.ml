@@ -20,6 +20,8 @@
       stats.
    4. Copy traces and the Chrome event stream are identical at 1 and 3
       domains.
+   5. No Full run writes the caller's tensors: replay reads inputs in
+      place, so every tensor handed to a run keeps its bits.
 
    A case runs a seeded sample of the axis points in which every axis
    value appears. Generated cases and the named worst-case plans go
@@ -347,6 +349,33 @@ let unstaged_collapse =
     ~tensors:(List.map (fun t -> Api.tensor t [| 8; 8 |] ~dist:tiled) [ "A"; "B"; "C" ])
     ~schedule:"distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); collapse(ii, ji, f)" ()
 
+(* Aliasing: replay reads input and read-out instances in place from
+   the caller's tensors, so these must come back bit-identical. An
+   accumulating substituted GEMM, whose output base is a caller tensor;
+   a self-reading statement over a cyclic input, whose read-out instance
+   aliases the caller's output; and a substituted GEMM whose leaf writes
+   a slice of its output instance (the leaf walks half of each j tile). *)
+let aliasing_accumulate =
+  Api.request ~machine:(Machine.grid [| 2; 2 |]) ~stmt:"A(i,j) += B(i,k) * C(k,j)"
+    ~tensors:(List.map (fun t -> Api.tensor t [| 12; 12 |] ~dist:tiled) [ "A"; "B"; "C" ])
+    ~schedule:(summa ~chunk:4 ~substitute:true) ()
+
+let aliasing_self_reference =
+  Api.request ~machine:(Machine.grid [| 2; 2 |]) ~stmt:"A(i,j) = A(i,j) * B(i,j) + C(i,j)"
+    ~tensors:
+      [
+        Api.tensor "A" [| 8; 8 |] ~dist:tiled;
+        Api.tensor "B" [| 8; 8 |] ~dist:"[x,y] -> [x%2,y%2]";
+        Api.tensor "C" [| 8; 8 |] ~dist:tiled;
+      ]
+    ~schedule:"distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); communicate({A,B,C}, jo)" ()
+
+let aliasing_sliced_output =
+  gemm ~grid:[| 2; 2 |] ~n:8 ~dists:(tiled, tiled, tiled)
+    "distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); split(ji, jio, jii, 2); \
+     reorder(jio, ii, jii, k); communicate(A, jo); communicate({B,C}, jio); \
+     substitute({ii,jii,k}, gemm)"
+
 let named =
   [
     ("reduction", reduction);
@@ -359,6 +388,9 @@ let named =
     ("staged accumulate", staged_accumulate);
     ("virtual grid collision", virtual_grid_collision);
     ("unstaged collapse", unstaged_collapse);
+    ("aliasing accumulate", aliasing_accumulate);
+    ("aliasing self-reference", aliasing_self_reference);
+    ("aliasing sliced output", aliasing_sliced_output);
   ]
 
 (* {2 The harness} *)
@@ -391,7 +423,13 @@ let check ~rng ~seed req =
   let plan = get "compile" (Api.compile_request req) in
   let spec = Api.spec plan in
   let seed2 = seed + 1 in
-  let data seed = Api.random_inputs ~seed plan in
+  (* Every tensor handed to a run, with its bits when it was made. *)
+  let handed = ref [] in
+  let data seed =
+    let d = Api.random_inputs ~seed plan in
+    handed := List.map (fun (name, t) -> (name, t, Dense.to_le_bytes t)) d @ !handed;
+    d
+  in
   (* 1. The canonical run, per data seed, against the serial reference. *)
   let canonical seed =
     get "canonical run" (Exec.execute ~mode:Exec.Full ~domains:1 spec ~data:(data seed))
@@ -491,7 +529,13 @@ let check ~rng ~seed req =
   let f = faults 2 and d = domains () in
   let session = Session.create ~plan_cache:0 ~domains:d () in
   let o = get "Session.run" (Session.run ?faults:f ~seed session req) in
-  expect (label f "uncached Session, %d domains" d) ~coalesce:true f ~seed o.Session.result
+  expect (label f "uncached Session, %d domains" d) ~coalesce:true f ~seed o.Session.result;
+  (* 5. The caller's tensors kept their bits. *)
+  List.iter
+    (fun (name, t, before) ->
+      if not (Bytes.equal (Dense.to_le_bytes t) before) then
+        fail "a Full run wrote the caller's tensor %s" name)
+    !handed
 
 let oracle_once seed =
   let rng = Rng.create seed in

@@ -148,6 +148,41 @@ let test_fault_plans_not_cached () =
     Alcotest.failf "200 fault plans grew the heap by %d words (one plan: %d)" grown plan_words;
   Alcotest.(check bool) "the cached plan is unchanged" true (ep == Api.eplan_exn plan)
 
+(* The tier every leaf takes is resolved when the plan is bound. SUMMA's
+   substituted leaves call the tiled kernel, and so do the staged nests
+   of the served cyclic GEMM (16x16 tiles of a 64x64 GEMM on 4x4, k in
+   chunks of 8), which match the gemm kernel with no guard left to
+   clamp. A sum matches no kernel, so its leaves run the staged nest.
+   Collapsing the local loops of an elementwise sum leaves a fused
+   variable in the nest, so those leaves evaluate point by point. *)
+let test_leaf_tiers () =
+  let cyclic_gemm =
+    Api.request ~machine:(Api.Machine.grid [| 4; 4 |]) ~stmt:"A(i,j) = B(i,k) * C(k,j)"
+      ~tensors:
+        [
+          Api.tensor "A" [| 64; 64 |] ~dist:"[x,y] -> [x,y]";
+          Api.tensor "B" [| 64; 64 |] ~dist:"[x,y] -> [x%1,y%1]";
+          Api.tensor "C" [| 64; 64 |] ~dist:"[x,y] -> [x%1,y%1]";
+        ]
+      ~schedule:
+        "distribute_onto({i,j}, {io,jo}, {ii,ji}, [4,4]); split(k, ko, ki, 8); \
+         reorder(ko, ii, ji, ki); communicate(A, jo); communicate({B,C}, ko)"
+      ()
+  in
+  List.iter
+    (fun (name, req, (tiled, staged, eval)) ->
+      let t = Exec.plan_leaf_tiers (Api.eplan_exn (compile req)) in
+      Alcotest.(check (list int))
+        (name ^ ": tiled, staged, eval leaves")
+        [ tiled; staged; eval ]
+        [ t.Exec.tiled; t.Exec.staged; t.Exec.eval ])
+    [
+      ("summa 2x2", Test_oracle.summa_gemm ~substitute:true, (12, 0, 0));
+      ("cyclic gemm", cyclic_gemm, (128, 0, 0));
+      ("staged accumulate", Test_oracle.staged_accumulate, (0, 2, 0));
+      ("unstaged collapse", Test_oracle.unstaged_collapse, (0, 0, 4));
+    ]
+
 let suites =
   [
     ( "plan_reuse",
@@ -158,5 +193,6 @@ let suites =
         Alcotest.test_case "traced full run replays" `Quick test_traced_full_run;
         Alcotest.test_case "eplan cache keys" `Quick test_eplan_cache_keys;
         Alcotest.test_case "fault plans are not cached" `Quick test_fault_plans_not_cached;
+        Alcotest.test_case "leaf tiers" `Quick test_leaf_tiers;
       ] );
   ]

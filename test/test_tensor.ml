@@ -46,7 +46,7 @@ let test_dense_get_set () =
   Alcotest.(check (float 0.0)) "other zero" 0.0 (Dense.get t [| 0; 0 |]);
   Alcotest.(check int) "bytes" 48 (Dense.bytes t)
 
-let test_dense_extract_blit () =
+let test_dense_extract_accumulate () =
   let t = Dense.init [| 4; 4 |] (fun c -> float_of_int ((c.(0) * 10) + c.(1))) in
   let r = rect [| 1; 2 |] [| 3; 4 |] in
   let sub = Dense.extract t r in
@@ -54,8 +54,8 @@ let test_dense_extract_blit () =
   Alcotest.(check (float 0.0)) "corner" 12.0 (Dense.get sub [| 0; 0 |]);
   Alcotest.(check (float 0.0)) "last" 23.0 (Dense.get sub [| 1; 1 |]);
   let dst = Dense.create [| 4; 4 |] in
-  Dense.blit_into ~src:sub ~dst r;
-  Alcotest.(check (float 0.0)) "blit back" 23.0 (Dense.get dst [| 2; 3 |]);
+  Dense.accumulate_into ~src:sub ~dst r;
+  Alcotest.(check (float 0.0)) "into zeros" 23.0 (Dense.get dst [| 2; 3 |]);
   Dense.accumulate_into ~src:sub ~dst r;
   Alcotest.(check (float 0.0)) "accumulate" 46.0 (Dense.get dst [| 2; 3 |])
 
@@ -79,15 +79,12 @@ let test_dense_invalid_args () =
   expect_invalid "extract" "[2,5)x[2,4)" (fun () -> Dense.extract t oob);
   let sub = Dense.create [| 2; 2 |] in
   let inb = rect [| 0; 0 |] [| 2; 2 |] in
-  expect_invalid "blit_into" "[2,5)x[2,4)" (fun () ->
-      Dense.blit_into ~src:sub ~dst:t oob);
   expect_invalid "accumulate_into" "[2,5)x[2,4)" (fun () ->
       Dense.accumulate_into ~src:sub ~dst:t oob);
   (* Shape/extent mismatch: a 2x2 rect against a 3x1 source. *)
   let wrong = Dense.create [| 3; 1 |] in
-  expect_invalid "blit_into" "3x1" (fun () -> Dense.blit_into ~src:wrong ~dst:t inb);
-  expect_invalid "extract_into" "3x1" (fun () ->
-      Dense.extract_into ~src:t ~dst:wrong inb);
+  expect_invalid "accumulate_into" "3x1" (fun () ->
+      Dense.accumulate_into ~src:wrong ~dst:t inb);
   (* of_buf needs prod(shape) elements. *)
   let b = Dense.unsafe_data (Dense.create [| 3 |]) in
   expect_invalid "of_buf" "2x3" (fun () -> Dense.of_buf b [| 2; 3 |]);
@@ -96,8 +93,8 @@ let test_dense_invalid_args () =
   Dense.set v [| 1 |] 9.0;
   Alcotest.(check (float 0.0)) "of_buf shares storage" 9.0
     (Bigarray.Array1.get b 1);
-  Dense.extract_into ~src:t ~dst:sub (rect [| 1; 1 |] [| 3; 3 |]);
-  Alcotest.(check (float 0.0)) "extract_into" 4.0 (Dense.get sub [| 1; 1 |])
+  Alcotest.(check (float 0.0)) "extract" 4.0
+    (Dense.get (Dense.extract t (rect [| 1; 1 |] [| 3; 3 |])) [| 1; 1 |])
 
 (* Sub-box copies against a per-element reference, ranks 0-4. Per
    dimension the rect spans the whole extent, touches the upper edge,
@@ -131,14 +128,9 @@ let test_row_copies () =
     let r = rect (Array.map fst b) (Array.map snd b) in
     let local c = Array.mapi (fun d x -> x - (Array.map fst b).(d)) c in
     let big = Dense.random rng shape and small = Dense.random rng (Rect.extents r) in
-    let got = Dense.copy small and want = Dense.copy small in
-    Dense.extract_into ~src:big ~dst:got r;
+    let got = Dense.extract big r and want = Dense.copy small in
     Rect.iter r (fun c -> Dense.set want (local c) (Dense.get big c));
-    check "extract_into" ~got ~want r;
-    let got = Dense.copy big and want = Dense.copy big in
-    Dense.blit_into ~src:small ~dst:got r;
-    Rect.iter r (fun c -> Dense.set want c (Dense.get small (local c)));
-    check "blit_into" ~got ~want r;
+    check "extract" ~got ~want r;
     let got = Dense.copy big and want = Dense.copy big in
     Dense.accumulate_into ~src:small ~dst:got r;
     Rect.iter r (fun c -> Dense.add_at want c (Dense.get small (local c)));
@@ -250,15 +242,15 @@ let test_flops () =
   Alcotest.(check (float 0.0)) "gemm flops" 2000.0 (Kernels.flops "gemm" [| 10; 10; 10 |]);
   Alcotest.(check (float 0.0)) "mttkrp flops" 3000.0 (Kernels.flops "mttkrp" [| 10; 10; 10 |])
 
-let qcheck_extract_blit_roundtrip =
-  QCheck.Test.make ~name:"extract/blit roundtrip" ~count:100
+let qcheck_extract_accumulate_roundtrip =
+  QCheck.Test.make ~name:"sub-box roundtrip" ~count:100
     QCheck.(pair (int_range 1 6) (int_range 1 6))
     (fun (h, w) ->
       let rng = Rng.create ((h * 17) + w) in
       let t = Dense.random rng [| h; w |] in
       let r = Rect.full [| h; w |] in
       let copy = Dense.create [| h; w |] in
-      Dense.blit_into ~src:(Dense.extract t r) ~dst:copy r;
+      Dense.accumulate_into ~src:(Dense.extract t r) ~dst:copy r;
       Dense.approx_equal t copy)
 
 let suites =
@@ -274,12 +266,12 @@ let suites =
     ( "dense",
       [
         Alcotest.test_case "get/set" `Quick test_dense_get_set;
-        Alcotest.test_case "extract/blit" `Quick test_dense_extract_blit;
+        Alcotest.test_case "extract/accumulate" `Quick test_dense_extract_accumulate;
         Alcotest.test_case "invalid args" `Quick test_dense_invalid_args;
         Alcotest.test_case "row copies" `Quick test_row_copies;
         Alcotest.test_case "scalar" `Quick test_dense_scalar;
         Alcotest.test_case "approx_equal" `Quick test_approx_equal;
-        QCheck_alcotest.to_alcotest qcheck_extract_blit_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_extract_accumulate_roundtrip;
       ] );
     ( "kernels",
       [
