@@ -1452,7 +1452,7 @@ type eplan = {
   ep_accum : bool;
   ep_out_name : string;
   ep_pool : Buf_pool.t;
-  ep_m : Mutex.t;  (* one run at a time: arenas and bound nests are per-plan state *)
+  ep_m : Mutex.t;  (* one run at a time: arenas and bound leaves' loop state are per-plan *)
   mutable ep_runs : int;
 }
 
@@ -1609,8 +1609,8 @@ let run_plan ?domains ep ~data =
   let* () = gather 0 in
   let bufs = Array.map Dense.unsafe_data caller in
   (* Runs of one plan serialize: the arenas, the parked free lists and
-     the bound nests' loop state are per-plan state. Different plans run
-     concurrently without contact. *)
+     the bound leaves' loop state (nest offsets, eval environments) are
+     per-plan state. Different plans run concurrently without contact. *)
   Mutex.lock ep.ep_m;
   Fun.protect ~finally:(fun () -> Mutex.unlock ep.ep_m) @@ fun () ->
   let pool = ep.ep_pool in

@@ -136,10 +136,13 @@ val execute :
     executable plan splits that work: {!plan} runs the simulation once
     (stats byte-identical to a [Model] run) while recording, per launch
     point, the ordered data operations of the run; {!run_plan} replays
-    those operations against new tensor data. Run-phase buffers — instance fragments, reduction partials,
-    kernel slices — come from a size-classed pool with per-lane arenas
-    ({!Distal_support.Buf_pool}, capped at 64 MiB), so a warm
-    run performs no per-fragment buffer allocation at all. *)
+    those operations against new tensor data. Every leaf is bound when
+    the plan is compiled: its tier ({!plan_leaf_tiers}), its kernel or
+    loop nest, and each operand's buffer, offset and strides. Input
+    instances are read in place from the caller's tensors; output
+    instances and reduction partials come from a size-classed pool with
+    per-lane arenas ({!Distal_support.Buf_pool}, capped at 64 MiB), so a
+    warm run performs no per-fragment buffer allocation at all. *)
 
 type eplan
 (** A compiled executable plan for one (spec, coalesce, faults) triple. *)
@@ -167,11 +170,14 @@ val run_plan :
 (** Execute the plan against [data]: the data path of every [Full]-mode
     run. [data] supplies the input tensors (and the output's initial
     value for [+=] or self-reading statements); a missing one is an
-    error. The output is byte-identical for every [domains] setting,
+    error, and so is one whose shape differs from the spec's, naming
+    the tensor. The caller's tensors are read in place and never
+    written: the output is a fresh tensor. The output is byte-identical for every [domains] setting,
     every pool size and whatever fault plan the plan was compiled with;
     the returned stats are a copy of the plan-time stats. Runs of one
-    plan serialize on an internal lock (the buffer arenas are per-plan
-    state); distinct plans run concurrently. *)
+    plan serialize on an internal lock (the buffer arenas and the bound
+    leaves' loop state are per-plan state); distinct plans run
+    concurrently. *)
 
 val plan_stats : eplan -> Stats.t
 (** Copy of the modeled per-run statistics fixed at plan time. *)

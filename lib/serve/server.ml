@@ -114,16 +114,6 @@ let set_gauge t name v =
 let observe t name v =
   Obs.Metrics.observe (Obs.Metrics.histogram (Session.metrics t.session) name) v
 
-(* [f ()], with its wall seconds observed into the histogram [name]. *)
-let timed t name f =
-  let t0 = now () in
-  let r = f () in
-  Obs.Metrics.observe
-    (Obs.Metrics.histogram ~buckets:Obs.Metrics.seconds_buckets (Session.metrics t.session)
-       name)
-    (now () -. t0);
-  r
-
 let queue_depth t = Queue.length t.queue
 
 let create cfg =
@@ -200,7 +190,7 @@ let send t fd msg =
   match Hashtbl.find_opt t.clients fd with
   | None -> false
   | Some c ->
-      timed t "serve.reply_s" @@ fun () ->
+      Session.timed t.session "serve.reply_s" @@ fun () ->
       let frame =
         match Protocol.frame_server msg with
         | frame -> frame
@@ -330,7 +320,7 @@ let handle_readable t fd =
               match Wire.next c.dec with
               | Ok None -> ()
               | Ok (Some payload) -> (
-                  match timed t "serve.decode_s" (fun () -> Protocol.decode_client payload) with
+                  match Session.timed t.session "serve.decode_s" (fun () -> Protocol.decode_client payload) with
                   | Ok msg ->
                       handle_message t fd msg;
                       drain ()

@@ -65,6 +65,10 @@ val metrics : t -> Distal_obs.Metrics.registry
     and [serve.copy_s] (copying a result into or out of the result
     cache). *)
 
+val timed : t -> string -> (unit -> 'a) -> 'a
+(** [timed t name f] runs [f] and observes its wall seconds into the
+    histogram [name] of {!metrics} (decade buckets from 1 µs). *)
+
 val compile :
   ?profile:Distal_obs.Profile.t -> t -> Api.request -> (Api.plan * bool, string) result
 (** The plan tier alone: the compiled plan and whether it was a cache

@@ -1,7 +1,7 @@
 (** Size-classed pool of float64 bigarray buffers with per-lane arenas.
 
-    Backs the executor's run phase: fragment, reduction and slice buffers
-    are acquired here instead of allocated fresh, so a steady-state run
+    Backs the executor's run phase: output instances and reduction
+    partials are acquired here instead of allocated fresh, so a steady-state run
     against a compiled plan performs no bigarray allocation at all.
     Capacities round up to powers of two (one free list per class); each
     pool lane owns an arena it alone touches during replay
