@@ -122,32 +122,19 @@ let parse_remote_tensor s =
 
 (* One line per served-path stamp: requests through the layer and their
    mean wall time. *)
-let print_layer_stamps (metrics : Distal_support.Json.t) =
+let print_layer_stamps metrics =
   let module J = Distal_support.Json in
-  let num = function J.Int n -> Some (float_of_int n) | J.Float f -> Some f | _ -> None in
-  match metrics with
-  | J.Obj kvs ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name kvs with
-          | Some (J.Obj h) -> (
-              match
-                ( Option.bind (List.assoc_opt "count" h) num,
-                  Option.bind (List.assoc_opt "sum" h) num )
-              with
-              | Some n, Some sum when n > 0.0 ->
-                  Printf.printf "%-16s n=%-8.0f mean %.3f ms\n" name n (1e3 *. sum /. n)
-              | _ -> ())
-          | _ -> ())
-        [
-          "serve.decode_s";
-          "serve.compile_s";
-          "serve.inputs_s";
-          "serve.run_s";
-          "serve.copy_s";
-          "serve.reply_s";
-        ]
-  | _ -> ()
+  let field name f = Option.bind (Option.bind (J.member name metrics) (J.member f)) J.to_float in
+  List.iter
+    (fun name ->
+      match (field name "count", field name "sum") with
+      | Some n, Some sum when n > 0.0 ->
+          Printf.printf "%-16s n=%-8.0f mean %.3f ms\n" name n (1e3 *. sum /. n)
+      | _ -> ())
+    [
+      "serve.decode_s"; "serve.compile_s"; "serve.inputs_s"; "serve.run_s"; "serve.copy_s";
+      "serve.reply_s";
+    ]
 
 let run_connect ~socket ~serve_stats ~serve_shutdown ~machine_dims ~gpu ~tensors ~stmt
     ~schedule ~estimate ~seed ~faults =

@@ -1075,8 +1075,11 @@ let mutated_reply seed =
         | None -> doc)
   in
   let mutate doc =
-    (* Sometimes the document itself is cut short, anywhere. *)
-    if int 12 = 0 then String.sub doc 0 (int (String.length doc + 1)) else mutate doc
+    (* Sometimes the document itself is cut short, anywhere. A document
+       cut to nothing has no place left to splice into. *)
+    if int 12 = 0 then String.sub doc 0 (int (String.length doc + 1))
+    else if doc = "" then doc
+    else mutate doc
   in
   let rec apply doc k = if k = 0 then doc else apply (mutate doc) (k - 1) in
   apply doc (1 + int 3)
