@@ -1509,7 +1509,8 @@ let bind_point ~stmt ~named ~staged ~tensors ~shapes dops =
               else geom_of a.tensor)
             slots
         in
-        match Option.bind sp (fun sp -> Expr_stage.bind sp ~env:(Hashtbl.find_opt env) ~geoms:(geoms sp)) with
+        let env_of = Hashtbl.find_opt env in
+        match Option.bind sp (fun sp -> Expr_stage.bind sp ~env:env_of ~geoms:(geoms sp)) with
         | Some b -> B_leaf b
         | None -> B_eval env)
   in
@@ -1680,10 +1681,10 @@ let run_plan ?domains ep ~data =
                 Dense.fill v 0.0;
                 out := Some (rect, v, b)
             | B_leaf (Expr_stage.Kernel { kernel; dims; operands }) ->
-                Kreg.run_views ~kernel ~dims
-                  (Array.map
-                     (fun (o : Expr_stage.operand) -> { Kreg.buf = buf_of o.src; off = o.off; st = o.st })
-                     operands)
+                let view (o : Expr_stage.operand) =
+                  { Kreg.buf = buf_of o.src; off = o.off; st = o.st }
+                in
+                Kreg.run_views ~kernel ~dims (Array.map view operands)
             | B_leaf (Expr_stage.Nest nest) -> Expr_stage.run_nest nest buf_of
             | B_leaf Expr_stage.Empty -> ()
             | B_eval env -> eval_leaf env

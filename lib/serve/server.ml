@@ -320,7 +320,8 @@ let handle_readable t fd =
               match Wire.next c.dec with
               | Ok None -> ()
               | Ok (Some payload) -> (
-                  match Session.timed t.session "serve.decode_s" (fun () -> Protocol.decode_client payload) with
+                  let decode () = Protocol.decode_client payload in
+                  match Session.timed t.session "serve.decode_s" decode with
                   | Ok msg ->
                       handle_message t fd msg;
                       drain ()

@@ -127,7 +127,9 @@ let test_data_shape_errors () =
           data
       in
       match Api.Exec.run_plan ep ~data with
-      | Ok _ -> Alcotest.failf "%s shaped %s must be rejected" name (Distal_support.Ints.to_string shape)
+      | Ok _ ->
+          Alcotest.failf "%s shaped %s must be rejected" name
+            (Distal_support.Ints.to_string shape)
       | Error e ->
           Alcotest.(check bool) (e ^ " names the tensor") true
             (Astring_contains.contains e ("tensor " ^ name)))
