@@ -227,19 +227,28 @@ let observe ?faults ?(coalesce = true) ?(domains = 1) plan ~data =
     Stats.to_string r.Exec.stats,
     Chrome_trace.to_string (Profile.events profile) )
 
-let metric ?faults plan name =
+(* The metrics registry of one profiled Model run. *)
+let model_registry ?faults plan =
   let profile = Profile.create () in
   (match Api.run ~mode:Exec.Model ~profile ?faults plan ~data:[] with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "model run failed: %s" e);
   match Profile.runs profile with
-  | [ run ] -> Option.value (Metrics.value run.Profile.metrics name) ~default:0.0
+  | [ run ] -> run.Profile.metrics
   | runs -> Alcotest.failf "expected one run, got %d" (List.length runs)
+
+let metric ?faults plan name =
+  Option.value (Metrics.value (model_registry ?faults plan) name) ~default:0.0
 
 (* An absent plan, the empty plan, and checkpointing with no faults must
    all be byte-identical in results, traces, stats and event streams —
-   the fault machinery may not perturb fault-free execution. *)
+   the fault machinery may not perturb fault-free execution. An empty plan
+   also registers no instrument a run without one lacks. *)
 let check_fault_free_identity plan ~what =
+  Alcotest.(check (list string))
+    (what ^ ": metric names with the empty plan")
+    (Metrics.names (model_registry plan))
+    (Metrics.names (model_registry ~faults:Fault.empty plan));
   let data = Api.random_inputs plan in
   let base = observe plan ~data in
   List.iter
