@@ -171,9 +171,8 @@ let host_execution reg =
               (v "exec.alloc_major_words" /. 1e6)
       in
       Printf.sprintf
-        "host: set-up %.3g s, probe %.3g s, merge %.3g s, assembly %.3g s (of which \
-         planning %.3g s)%s\n"
-        (v "exec.setup_wall_s") wall (v "exec.merge_wall_s") (v "exec.assembly_wall_s") (v "exec.plan_wall_s") alloc
+        "host: resolve %.3g s, walk %.3g s, price %.3g s (of which planning %.3g s)%s\n"
+        (v "exec.setup_wall_s") wall (v "exec.assembly_wall_s") (v "exec.plan_wall_s") alloc
 
 let run_report (run : Profile.run) =
   let buf = Buffer.create 512 in

@@ -169,39 +169,41 @@ let rec same_node_owner node_of_lin node = function
   | [] -> -1
   | o :: os -> if node_of_lin.(o) = node then o else same_node_owner node_of_lin node os
 
-(* {2 Recorded data operations} *)
+(* {2 Bound operations} *)
 
-(* The data path of one task, recorded during a planning probe. A task's
-   control flow — instance footprints, communicate points, leaf schedule —
-   depends only on the spec, never on tensor contents, so the simulation
-   records every data operation and [run_plan], the one data path, replays
-   them against tensor data with pooled buffers. Replaying (instead of
-   re-simulating) is what makes the steady state of a compiled plan free
-   of per-fragment allocation. *)
-type drole =
-  | R_input  (* instance of an input tensor: fill from the caller's data *)
-  | R_output  (* zero-seeded output delta (owner-computes write or
-                 reduction partial); the base value joins at merge time *)
-  | R_read_out
-      (* read-only instance of the output for self-referencing statements:
-         fill from the caller's output data *)
+(* The data path of one launch point, bound while the planning walk runs.
+   A task's control flow — instance footprints, communicate points, leaf
+   schedule — depends only on the spec, never on tensor contents, so the
+   walk binds every data operation as it reaches it and [run_plan], the
+   one data path, replays them against tensor data with pooled buffers.
+   A leaf is bound to its tier: [B_leaf] a registry kernel or a staged
+   nest whose operands are located by buffer ([src]: a tensor's index in
+   [ep_tensors], or [out_src] for the task's current output instance),
+   offset and strides; [B_eval] the [Expr.eval] fallback, whose table
+   holds the launch and sequential bindings and, as it runs, the leaf
+   variables. *)
+type bop =
+  | B_out of Rect.t  (* a zero-filled output instance *)
+  | B_leaf of Expr_stage.bound
+  | B_eval of (string, int) Hashtbl.t
+  | B_flush  (* the current output instance becomes a merge contribution *)
 
-type dslice = {
-  ds_tensor : string;
-  ds_local : Rect.t option;
-      (* [None]: the leaf uses the whole cached instance. [Some local]: the
-         instance covers more than this leaf execution touches — copy the
-         [local] sub-box out and, for the output operand, write it back. *)
+let out_src = -1
+
+(* A non-empty fault plan resolved against the run: the injector, the
+   checkpoint store when the plan checkpoints, whether it has message
+   faults, and the fault instruments. An absent or empty plan resolves to
+   none, so a fault-free run takes the identity path everywhere and
+   registers no fault metric. *)
+type faults = {
+  inj : Injector.t;
+  ckpt : Checkpoint.t option;
+  msg_faults : bool;
+  m_injected : Metrics.counter;
+  m_replayed : Metrics.counter;
+  m_ckpt_bytes : Metrics.counter;
+  m_restore_bytes : Metrics.counter;
 }
-
-type dop =
-  | D_inst of { tensor : string; rect : Rect.t; role : drole }
-      (* materialize an instance at a communicate point *)
-  | D_leaf of { denv : (string * int) array; slices : dslice list }
-      (* run the leaf under the recorded launch/sequential-variable
-         bindings; [slices] is the kernel-order slicing plan for
-         substituted leaves (empty for scalar nests) *)
-  | D_flush  (* the current output instance becomes a merge contribution *)
 
 (* Per-step accumulators, preallocated per physical processor. One record
    per *active* step (a step some copy or compute touched), so the timing
@@ -357,10 +359,9 @@ let emit_copy_instants sink ~pid ~ts glist =
    faults, are charged to the endpoints. The step costs the max over
    processors of overlapped compute and communication, or the rack
    fabric's occupancy when that is larger. [kernel] prices leaf compute
-   (see [execute_impl]); [msg_faults] is the injector and its counter
-   when the fault plan has message faults. Returns the timeline row (with
-   per-processor slots only when [profiling]) and the planned groups. *)
-let price_step machine cost obs ~coalesce ~link ~kernel ~msg_faults ~profiling ~step ~start a =
+   (see [resolve]). Returns the timeline row (with per-processor slots
+   only when [profiling]) and the planned groups. *)
+let price_step machine cost obs ~coalesce ~link ~kernel ~faults ~profiling ~step ~start a =
   let t_plan = now () in
   let glist = Comm_plan.groups ~coalesce ~link a.msgs in
   observe_groups obs glist;
@@ -373,16 +374,15 @@ let price_step machine cost obs ~coalesce ~link ~kernel ~msg_faults ~profiling ~
      (timeout + full resend), a matched delay holds the receiver back.
      Payload byte/message counts are untouched — the data still arrives,
      late. Purely plan-driven. *)
-  (match msg_faults with
-  | None -> ()
-  | Some (inj, m_faults) ->
+  (match faults with
+  | Some f when f.msg_faults ->
       List.iter
         (fun (g : Comm_plan.group) ->
           List.iter
             (fun (dst, link) ->
-              match Injector.msg_action inj ~step ~tensor:g.tensor ~src:g.src ~dst with
+              match Injector.msg_action f.inj ~step ~tensor:g.tensor ~src:g.src ~dst with
               | Some Fault.Drop ->
-                  Metrics.inc_int m_faults 1;
+                  Metrics.inc_int f.m_injected 1;
                   let t =
                     Cost.retransmit_time cost link ~bytes:g.bytes ~fragments:g.fragments
                   in
@@ -391,12 +391,13 @@ let price_step machine cost obs ~coalesce ~link ~kernel ~msg_faults ~profiling ~
                   a.mtouch.(g.src) <- true;
                   a.mtouch.(dst) <- true
               | Some (Fault.Delay d) ->
-                  Metrics.inc_int m_faults 1;
+                  Metrics.inc_int f.m_injected 1;
                   a.recv.(dst) <- a.recv.(dst) +. d;
                   a.mtouch.(dst) <- true
               | None -> ())
             g.receivers)
-        glist);
+        glist
+  | _ -> ());
   let fabric =
     if a.cross.(0) > 0.0 then
       let racks = Ints.ceil_div (Machine.num_nodes machine) cost.Cost.rack_nodes in
@@ -470,31 +471,173 @@ let ops_per_point (stmt : Expr.stmt) =
   let c = count stmt.rhs + if Expr.reduction_vars stmt <> [] then 1 else 0 in
   max 1 c
 
-(* What one simulation hands its caller: the modeled stats, the recorded
-   data operations per launch point (empty unless [record]), and the leaf
-   it validated — the substituted kernel with its operand order, or the
-   scalar loop variables. *)
-type sim = {
-  sim_stats : Stats.t;
-  sim_dops : dop list array;
-  sim_named : (string * string list) option;
-  sim_leaf_vars : string list;
+(* {2 The simulator}
+
+   One simulation prices the program on the cost model without touching
+   tensor data, in four phases over one resolved context: [resolve]
+   checks the spec and fixes everything that depends on it alone; [walk]
+   runs one task per launch point into per-step tables, reduction
+   contributions and memory peaks, binding each leaf as it reaches it
+   when a plan is being compiled; [price] turns the tables into simulated
+   time; [emit] writes the profile. [Model]-mode [execute] is exactly
+   this; {!plan} is this with recording on, and [Full]-mode [execute] is
+   {!plan} followed by [run_plan]. *)
+
+(* Everything the walk, pricing and emission read, fixed by [resolve],
+   and the tables the walk fills. Tensors are addressed by their index in
+   [tensors] (statement order); processors by physical linear index. The
+   walk binds launch variables (from the point) and sequential loop
+   variables (outermost first), each in its own slot of [env], -1 where
+   unbound. *)
+type ctx = {
+  machine : Machine.t;
+  cost : Cost.t;
+  stmt : Expr.stmt;
+  coalesce : bool;
+  trace : trace_event list ref option;
+  profile : (Profile.t * Profile.run) option;
+  reg : Metrics.registry;
+  faults : faults option;
+  named : (string * string list) option;  (* substituted kernel, operand order *)
+  priced_kernel : string option;
+  leaf_vars : string list;  (* the scalar leaf's loops, outermost first *)
+  reads_out : bool;
+  reduction : bool;
+  ops : int;  (* operations per leaf iteration point *)
+  nprocs : int;
+  node_of_lin : int array;
+  rack_of_lin : int array;
+  tensors : string array;
+  out_t : int;
+  index_t : int list Rect_index.t array;  (* tiles to their owners *)
+  proc_rects_t : Rect.t list array array;  (* the tiles each processor owns *)
+  points : int array array;  (* launch points, in launch-point order *)
+  ldims : int array;
+  seq_strides : int array;
+  nsteps : int;
+  slot_vars : string array;
+  env : int array;
+  tree : node;
+  sites : (int * keyer) array;  (* footprint sites: tensor and key *)
+  leaf_site : int array;  (* per tensor, its site at the leaf *)
+  footprint_fns : (int array -> Rect.t) array;
+  ikeys : keyer array;  (* per index variable: its interval's key and function *)
+  ifns : (int array -> int * int) array;
+  cursor : Rect_index.cursor;
+  site_memo : fentry Ints.Tbl.t array;
+  rect_memo : fentry Rect.Tbl.t array;
+  ival_memo : int Ints.Tbl.t array;
+  mutable footprints : int;
+  steps_acc : step_acc option array;
+  red_contribs : (float * int list) Rect.Tbl.t;
+  dyn_peak : float array;
+  m_flops : Metrics.counter;
+  m_bytes_intra : Metrics.counter;
+  m_bytes_inter : Metrics.counter;
+  m_tasks : Metrics.counter;
+  m_bytes_t : Metrics.counter array;
+  obs : step_obs;
+  alloc0 : float * float;
 }
 
-(* The simulator: prices the program on the cost model without touching
-   tensor data. [Model]-mode [execute] is this alone; [Full]-mode
-   [execute] is this with [record] on (a compiled plan) followed by
-   [run_plan]. *)
-let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
-    ?faults spec =
+(* Plan compilation: what binding a leaf needs, and the bound operations
+   of the task being walked, newest first. *)
+type recorder = {
+  staged : Expr_stage.plan option;  (* the scalar nest, staged once *)
+  src : int array;  (* per tensor: its index among the plan's sorted tensors *)
+  strides : int array array;  (* per tensor: the caller's row-major strides *)
+  order : int array;  (* a substituted kernel's operands, kernel order *)
+  slot_t : int array;  (* the tensor of each slot of the staged nest *)
+  mutable bops : bop list;
+}
+
+(* The task being walked: its processor; the instance it holds of each
+   tensor ([no_inst] when none) and whether that instance counts against
+   dynamic memory (instances of locally-owned tiles alias the owned
+   data); the read-only instance of the output a self-referencing
+   statement reads, kept apart from the write instance; [mem.(0)] live
+   dynamic bytes, [mem.(1)] their peak. One record per walk, reset per
+   task. *)
+type task = {
+  mutable proc : int;
+  inst : fentry array;
+  counted : bool array;
+  mutable out_read : fentry;
+  mutable out_read_counted : bool;
+  mem : float array;
+  record : recorder option;
+}
+
+let no_inst = { f_rect = Rect.full [||]; f_bytes = 0.0; f_plan = None }
+
+(* {3 Resolve} *)
+
+let rec leaf_of = function
+  | Taskir.Launch { body; _ } | Seq_loop { body; _ } | Ensure { body; _ } -> leaf_of body
+  | Leaf l -> l
+
+let rec seq_loops = function
+  | Taskir.Launch { body; _ } | Ensure { body; _ } -> seq_loops body
+  | Seq_loop { var; extent; body } -> (var, extent) :: seq_loops body
+  | Leaf _ -> []
+
+(* Per tensor: a spatial index over the distribution's tiles (cyclic
+   distributions produce many) and the tiles each physical processor
+   owns (several under over-decomposition). Owners are physical linear
+   indices. Tensors sharing a distribution and shape (e.g. both GEMM
+   operands cyclic over the same grid) share one tile sweep, index and
+   owned-tile table — the index is read-only under query interleaving. *)
+let tile_geometry prog ~dists ~vmachine ~nprocs ~lin_of_virtual tensors =
+  let memo = Hashtbl.create 8 in
+  let geom tn =
+    let shape = Taskir.shape_of prog tn in
+    let dist = List.assoc tn dists in
+    let key = Distnot.to_string dist ^ "|" ^ Ints.to_string shape in
+    match Hashtbl.find_opt memo key with
+    | Some g -> g
+    | None ->
+        let vtiles = Distnot.tiles dist ~shape ~machine:vmachine in
+        let dedup owners =
+          match owners with
+          | [ o ] -> [ lin_of_virtual o ]
+          | _ ->
+              List.fold_left
+                (fun acc o ->
+                  let l = lin_of_virtual o in
+                  if mem_int l acc then acc else l :: acc)
+                [] owners
+              |> List.rev
+        in
+        let index = Rect_index.build (List.map (fun (r, owners) -> (r, dedup owners)) vtiles) in
+        (* The owned-tile lists fall out of the same tile sweep ([tiles]
+           already ran [rects_of_proc] for every virtual processor). *)
+        let rects = Array.make nprocs [] in
+        List.iter
+          (fun (r, owners) ->
+            List.iter
+              (fun vc ->
+                let p = lin_of_virtual vc in
+                rects.(p) <- r :: rects.(p))
+              owners)
+          vtiles;
+        Hashtbl.add memo key (index, rects);
+        (index, rects)
+  in
+  let g = Array.map geom tensors in
+  (Array.map fst g, Array.map snd g)
+
+(* Checks the spec — distributions, the substituted kernel, the fault
+   plan — and fixes everything the walk needs that depends on the spec
+   alone: machine maps, tile geometry, slots, footprint sites and the
+   compiled task tree. Registers the run's instruments (fault instruments
+   only for a non-empty fault plan). *)
+let resolve ?(coalesce = true) ?trace ?profile ?faults spec =
   (* Register this execution as a run of the profile (its own pid, metrics
      registry and timeline slot). Without a profile the registry is private
      to this call; either way it is the single accumulator the final
      [Stats.t] view derives from. *)
-  let prun = Option.map (fun p -> Profile.begin_run ~fallback:"execute" p) profile in
-  let reg =
-    match prun with Some r -> r.Profile.metrics | None -> Metrics.create ()
-  in
+  let profile = Option.map (fun p -> (p, Profile.begin_run ~fallback:"execute" p)) profile in
+  let reg = match profile with Some (_, r) -> r.Profile.metrics | None -> Metrics.create () in
   let wall_start = now () in
   let alloc0 = alloc_words () in
   let m_flops = Metrics.counter reg "exec.flops" in
@@ -513,7 +656,7 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
      output, exactly as [serial_reference] does: those reads come from a
      separate, immutable instance, never from the buffer being written. *)
   let reads_out = Expr.reads_output stmt in
-  let tensors = Expr.tensors stmt in
+  let tensor_list = Expr.tensors stmt in
   (* Distributions (and index task launches) may target a virtual grid
      larger than the machine; virtual processors fold onto physical ones
      exactly as the mapper folds launch points. *)
@@ -524,8 +667,7 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
         Machine.grid ~kind:(Machine.kind machine)
           ~mem_per_proc:(Machine.mem_per_proc_bytes machine) dims
   in
-  let nprocs_phys = Machine.num_procs machine in
-  (* Validate distributions. *)
+  let nprocs = Machine.num_procs machine in
   let* dists =
     List.fold_left
       (fun acc tn ->
@@ -537,15 +679,10 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
             match Distnot.validate d ~tensor_rank:rank ~machine:vmachine with
             | Ok () -> Ok ((tn, d) :: acc)
             | Error e -> errf "invalid distribution for %s: %s" tn e))
-      (Ok []) tensors
-  in
-  let rec leaf_of = function
-    | Taskir.Launch { body; _ } | Seq_loop { body; _ } | Ensure { body; _ } ->
-        leaf_of body
-    | Leaf l -> l
+      (Ok []) tensor_list
   in
   let leaf = leaf_of prog.tree in
-  let* named_order =
+  let* named =
     match leaf with
     | Taskir.Scalar_loops _ -> Ok None
     | Named { kernel; _ } ->
@@ -553,177 +690,62 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
         Ok (Some (kernel, order))
   in
   let* () =
-    match named_order with
+    match named with
     | Some _ when reads_out ->
         errf "substituted kernels cannot read their output tensor %s" out_name
     | _ -> Ok ()
   in
-  (* The kernel leaf compute is priced as: the substituted kernel when the
-     tree names one, else the kernel the statement structurally matches.
-     The latter covers unsubstituted leaves, which the registry also runs
-     at native speed through staged dispatch — and, crucially, it depends
-     only on the spec (never on the host), so modeled time keeps
-     the determinism contract. *)
-  let priced_kernel =
-    match named_order with
-    | Some (k, _) -> Some k
-    | None -> Kernel_match.infer stmt
-  in
   let lvars, ldims = Taskir.launch prog in
-  let rec seq_loops = function
-    | Taskir.Launch { body; _ } | Ensure { body; _ } -> seq_loops body
-    | Seq_loop { var; extent; body } -> (var, extent) :: seq_loops body
-    | Leaf _ -> []
-  in
   let seqs = seq_loops prog.tree in
   let seq_vars = Array.of_list (List.map fst seqs) in
   let seq_dims = Array.of_list (List.map snd seqs) in
-  let seq_strides = Ints.row_major_strides seq_dims in
   let nsteps = max 1 (Ints.prod seq_dims) in
-  (* {3 Fault plan resolution} *)
-  (* An absent or empty plan (no events, checkpointing off) takes the
-     identity path everywhere below: no injector, no checkpoint store, no
-     fault metrics — results, traces, stats and event streams are
-     byte-identical to an executor without fault support. *)
-  let fplan = match faults with Some f -> f | None -> Fault.empty in
-  let* inj =
+  let* faults =
+    let fplan = Option.value faults ~default:Fault.empty in
     if Fault.is_empty fplan then Ok None
     else
-      match Injector.create fplan ~nprocs:nprocs_phys ~nsteps with
-      | Ok i -> Ok (Some i)
+      match Injector.create fplan ~nprocs ~nsteps with
       | Error e -> errf "invalid fault plan: %s" e
+      | Ok inj ->
+          Ok
+            (Some
+               {
+                 inj;
+                 ckpt =
+                   (if Injector.checkpointing inj then
+                      Some (Checkpoint.create ~merge:Comm_plan.merge_rects)
+                    else None);
+                 msg_faults = fplan.Fault.messages <> [];
+                 m_injected = Metrics.counter reg "exec.faults_injected";
+                 m_replayed = Metrics.counter reg "exec.replayed_steps";
+                 m_ckpt_bytes = Metrics.counter reg "exec.checkpoint_bytes";
+                 m_restore_bytes = Metrics.counter reg "exec.restore_bytes";
+               })
   in
-  let checkpointing =
-    match inj with Some i -> Injector.checkpointing i | None -> false
-  in
-  let have_kills = match inj with Some i -> Injector.has_kills i | None -> false in
-  (* Fault instruments exist only when a plan is active, so inactive runs
-     register nothing new. *)
-  let m_faults_injected, m_replayed_steps, m_ckpt_bytes, m_restore_bytes =
-    match inj with
-    | None -> (None, None, None, None)
-    | Some _ ->
-        ( Some (Metrics.counter reg "exec.faults_injected"),
-          Some (Metrics.counter reg "exec.replayed_steps"),
-          Some (Metrics.counter reg "exec.checkpoint_bytes"),
-          Some (Metrics.counter reg "exec.restore_bytes") )
-  in
-  let msg_faults =
-    match (inj, m_faults_injected) with
-    | Some i, Some m when fplan.Fault.messages <> [] -> Some (i, m)
-    | _ -> None
-  in
-  let inc_opt m v = match m with Some m -> Metrics.inc m v | None -> () in
-  let inc_opt_int m v = match m with Some m -> Metrics.inc_int m v | None -> () in
-  let ckpt =
-    if checkpointing then Some (Checkpoint.create ~merge:Comm_plan.merge_rects)
-    else None
-  in
-  let nprocs = Machine.num_procs machine in
   (* Per-linear-processor node and rack ids: link and rack decisions in the
      walk are plain array lookups instead of coordinate arithmetic. *)
   let node_of_lin = nodes_of_procs machine in
-  let rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin in
-  let link_of src dst = link_between node_of_lin src dst in
-  (* Placement under faults: effects landing on a processor that is dead
-     at their step execute on its failover target instead
-     ({!Mapper.fallback} — the next live linear processor, which also
-     holds the checkpoint replica). Transfers whose endpoints collapse to
-     the same processor after remapping become local and disappear.
-     Fault-free runs take the identity path. *)
-  let remap =
-    match inj with
-    | Some i when have_kills ->
-        fun ~step p ->
-          if Injector.dead i ~step ~proc:p then
-            Mapper.fallback ~nprocs
-              ~dead:(fun q -> Injector.dead i ~step ~proc:q)
-              p
-          else p
-    | _ -> fun ~step:_ p -> p
-  in
   (* Folding a virtual owner to a physical linear index needs no coordinate
      round-trip: delinearize and linearize on the same machine cancel. *)
   let lin_of_virtual =
     if spec.virtual_grid = None then Machine.linearize machine
-    else fun vc -> Machine.linearize vmachine vc mod nprocs_phys
+    else fun vc -> Machine.linearize vmachine vc mod nprocs
   in
-  (* {3 Tensor geometry} *)
-  (* Tensors are addressed by their index in [tensors_a] from here on:
-     instance caches, footprint sites and traffic counters are arrays. *)
-  let tensors_a = Array.of_list tensors in
-  let ntensors = Array.length tensors_a in
-  let tensor_index tn = name_index tensors_a tn 0 in
-  let out_t = tensor_index out_name in
-  (* Per-operand traffic breakdown for the utilization report. Counters are
-     registered up front so zero-traffic operands still show up. *)
-  let m_bytes_t =
-    Array.map (fun tn -> Metrics.counter reg ("exec.bytes_by_tensor." ^ tn)) tensors_a
+  let tensors = Array.of_list tensor_list in
+  let tensor_index tn = name_index tensors tn 0 in
+  let index_t, proc_rects_t =
+    tile_geometry prog ~dists ~vmachine ~nprocs ~lin_of_virtual tensors
   in
-  (* Per tensor: a spatial index over the distribution's tiles (cyclic
-     distributions produce many) and the tiles each physical processor
-     owns (several under over-decomposition). Owners are physical linear
-     indices. Tensors sharing a distribution and shape (e.g. both GEMM
-     operands cyclic over the same grid) share one tile sweep, index and
-     owned-tile table — the index is read-only under query interleaving. *)
-  let geom_memo : (string, int list Rect_index.t * Rect.t list array) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let geom =
-    Array.map
-      (fun tn ->
-        let shape = Taskir.shape_of prog tn in
-        let dist = List.assoc tn dists in
-        let key = Distnot.to_string dist ^ "|" ^ Ints.to_string shape in
-        match Hashtbl.find_opt geom_memo key with
-        | Some g -> g
-        | None ->
-            let vtiles = Distnot.tiles dist ~shape ~machine:vmachine in
-            let dedup owners =
-              match owners with
-              | [ o ] -> [ lin_of_virtual o ]
-              | _ ->
-                  List.fold_left
-                    (fun acc o ->
-                      let l = lin_of_virtual o in
-                      if mem_int l acc then acc else l :: acc)
-                    [] owners
-                  |> List.rev
-            in
-            let index =
-              Rect_index.build (List.map (fun (r, owners) -> (r, dedup owners)) vtiles)
-            in
-            (* The owned-tile lists fall out of the same tile sweep ([tiles]
-               already ran [rects_of_proc] for every virtual processor). *)
-            let rects = Array.make nprocs [] in
-            List.iter
-              (fun (r, owners) ->
-                List.iter
-                  (fun vc ->
-                    let p = lin_of_virtual vc in
-                    rects.(p) <- r :: rects.(p))
-                  owners)
-              vtiles;
-            let g = (index, rects) in
-            Hashtbl.add geom_memo key g;
-            g)
-      tensors_a
-  in
-  let index_t = Array.map fst geom and proc_rects_t = Array.map snd geom in
-  (* {3 Slot environment and footprint sites} *)
-  (* The walk binds launch variables (from the point) and sequential loop
-     variables (outermost first), nothing else. Each gets an integer
-     slot; a task's environment is an int array over slots, -1 where
-     unbound. Footprints and intervals are compiled against the slots
-     once, so no name is looked up per task step. *)
-  let nlaunch = List.length lvars in
+  (* {3 Slots and footprint sites} *)
+  (* Footprints and intervals are compiled against the slots once, so no
+     name is looked up per task step. *)
   let slot_vars = Array.append (Array.of_list lvars) seq_vars in
   let slot_ext = Array.append ldims seq_dims in
   let nslots = Array.length slot_vars in
   let slot_tbl = Hashtbl.create 16 in
   Array.iteri (fun s v -> Hashtbl.replace slot_tbl v s) slot_vars;
   let slot = Hashtbl.find_opt slot_tbl in
-  let bound = Array.init nslots (fun s -> s < nlaunch) in
+  let bound = Array.init nslots (fun s -> s < Array.length ldims) in
   let keyer vars =
     let bound_var v = match slot v with Some s -> bound.(s) | None -> false in
     let comps =
@@ -742,24 +764,19 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
   in
   let access_vars t =
     List.concat_map
-      (fun (a : Expr.access) -> if String.equal a.tensor tensors_a.(t) then a.indices else [])
+      (fun (a : Expr.access) -> if String.equal a.tensor tensors.(t) then a.indices else [])
       (Expr.stmt_accesses stmt)
     |> List.sort_uniq compare
   in
   (* Footprint sites: one per [Ensure], plus one per tensor at the leaf
-     (the slicing plan a recording run captures). *)
-  let footprint_fns =
-    Array.map
-      (fun tn -> Bounds.footprint_fn prov ~slot ~stmt ~shape:(Taskir.shape_of prog tn) tn)
-      tensors_a
-  in
+     (the slicing plan a recording walk binds). *)
   let rev_sites = ref [] and nsites = ref 0 in
   let new_site t =
     rev_sites := (t, keyer (access_vars t)) :: !rev_sites;
     incr nsites;
     !nsites - 1
   in
-  let leaf_site = Array.make ntensors (-1) in
+  let leaf_site = Array.make (Array.length tensors) (-1) in
   let rec compile = function
     | Taskir.Launch { body; _ } -> compile body
     | Seq_loop { var; extent; body } ->
@@ -779,547 +796,624 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
   (* The leaf's iteration count is a product of per-variable interval
      lengths, each keyed by the slots that variable depends on. *)
   let ivars = Array.of_list (Expr.index_vars stmt) in
-  let ikeys = Array.map (fun v -> keyer [ v ]) ivars in
-  let ifns = Array.map (Provenance.interval_fn prov ~slot) ivars in
-  (* The probe's memos, shared by every task: tasks hit the same
-     footprints, fetch plans and interval lengths whenever their
-     dependent bindings agree. A footprint reached under different keys
-     (or at different sites) resolves to one entry per (tensor, rect), so
-     its fetch plan is built once. *)
-  let cursor = Rect_index.cursor () in
-  let site_memo = Array.map (fun _ -> Ints.Tbl.create 64) sites in
-  let rect_memo = Array.map (fun _ -> Rect.Tbl.create 64) tensors_a in
-  let ival_memo = Array.map (fun _ -> Ints.Tbl.create 16) ivars in
-  let footprints = ref 0 in
-  let env = Array.make nslots (-1) in
+  (* Leaf compute is priced as the substituted kernel when the tree names
+     one, else the kernel the statement structurally matches. The latter
+     covers unsubstituted leaves, which the registry also runs at native
+     speed through staged dispatch — and, crucially, it depends only on
+     the spec (never on the host), so modeled time keeps the determinism
+     contract. *)
+  let priced_kernel = match named with Some (k, _) -> Some k | None -> Kernel_match.infer stmt in
   (* Reduction mode: some distributed loop variable derives from a
      variable summed over (§3.3: "distributing variables used for
      reductions results in distributed reductions into the output"). *)
   let reduction =
-    let red_roots = Expr.reduction_vars stmt in
-    List.exists
-      (fun lv -> List.exists (fun r -> Provenance.derives_from prov lv ~root:r) red_roots)
-      lvars
+    let roots = Expr.reduction_vars stmt in
+    let derives lv = List.exists (fun r -> Provenance.derives_from prov lv ~root:r) roots in
+    List.exists derives lvars
   in
-  (* Event log: one preallocated accumulator per active step. *)
-  let steps_acc : step_acc option array = Array.make nsteps None in
-  let acc_of step =
-    match steps_acc.(step) with
-    | Some a -> a
-    | None ->
-        let a = new_step_acc nprocs in
-        steps_acc.(step) <- Some a;
-        a
+  let c =
+    { machine; cost; stmt; coalesce; trace; profile; reg; faults; named; priced_kernel;
+      leaf_vars = (match leaf with Taskir.Scalar_loops vars -> vars | Named _ -> []);
+      reads_out; reduction; ops = ops_per_point stmt; nprocs; node_of_lin;
+      rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin;
+      tensors; out_t = tensor_index out_name; index_t; proc_rects_t;
+      points =
+        (if Array.length ldims = 0 then [| [||] |]
+         else Array.of_list (List.rev (Ints.fold_box ldims ~init:[] ~f:(fun acc c -> c :: acc))));
+      ldims; seq_strides = Ints.row_major_strides seq_dims; nsteps; slot_vars;
+      env = Array.make nslots (-1); tree; sites; leaf_site;
+      footprint_fns =
+        Array.map
+          (fun tn -> Bounds.footprint_fn prov ~slot ~stmt ~shape:(Taskir.shape_of prog tn) tn)
+          tensors;
+      ikeys = Array.map (fun v -> keyer [ v ]) ivars;
+      ifns = Array.map (Provenance.interval_fn prov ~slot) ivars;
+      (* The walk's memos, shared by every task: tasks hit the same
+         footprints, fetch plans and interval lengths whenever their
+         dependent bindings agree. A footprint reached under different
+         keys (or at different sites) resolves to one entry per (tensor,
+         rect), so its fetch plan is built once. *)
+      cursor = Rect_index.cursor ();
+      site_memo = Array.map (fun _ -> Ints.Tbl.create 64) sites;
+      rect_memo = Array.map (fun _ -> Rect.Tbl.create 64) tensors;
+      ival_memo = Array.map (fun _ -> Ints.Tbl.create 16) ivars;
+      footprints = 0; steps_acc = Array.make nsteps None; red_contribs = Rect.Tbl.create 16;
+      dyn_peak = Array.make nprocs 0.0; m_flops; m_bytes_intra; m_bytes_inter; m_tasks;
+      (* Per-operand traffic for the utilization report, registered up
+         front so zero-traffic operands still show up. *)
+      m_bytes_t =
+        Array.map (fun tn -> Metrics.counter reg ("exec.bytes_by_tensor." ^ tn)) tensors;
+      obs; alloc0 }
   in
-  let red_contribs : (float * int list) Rect.Tbl.t = Rect.Tbl.create 16 in
-  let add_compute ~step ~proc ~flops ~bytes =
-    let a = acc_of step in
-    a.cflops.(proc) <- a.cflops.(proc) +. flops;
-    a.cbytes.(proc) <- a.cbytes.(proc) +. bytes;
-    a.ctouch.(proc) <- true;
-    Metrics.inc m_flops flops
-  in
-  (* Record one payload of tensor [t] moving src -> dst: traffic metrics
-     and cross-rack accounting see the raw bytes (planning never changes
-     totals); the payload joins its step's message table, which is
-     planned into wire messages at assembly time. Trace consumers still
-     see one event per fragment. *)
-  let add_batch ~step ~t ~src ~dst (p : Comm_plan.payload) =
-    if p.volume > 0 then begin
-      let a = acc_of step in
-      let bytes = 8.0 *. float_of_int p.volume in
-      Comm_plan.add a.msgs ~t ~src ~dst p;
-      (match link_of src dst with
-      | Cost.Intra -> Metrics.inc m_bytes_intra bytes
-      | Cost.Inter -> Metrics.inc m_bytes_inter bytes);
-      Metrics.inc m_bytes_t.(t) bytes;
-      if rack_of_lin.(src) <> rack_of_lin.(dst) then a.cross.(0) <- a.cross.(0) +. bytes;
-      match trace with
-      | Some log ->
-          let src = Machine.delinearize machine src in
-          let dst = Machine.delinearize machine dst in
-          List.iter
-            (fun piece ->
-              log :=
-                { step; tensor = p.tensor; piece; src; dst; bytes = bytes_of_rect piece }
-                :: !log)
-            p.pieces
-      | None -> ()
+  Metrics.set (Metrics.gauge reg "exec.setup_wall_s") (now () -. wall_start);
+  Ok c
+
+(* {3 Walk} *)
+
+(* A task's effects land as it produces them. Tasks run one after
+   another in launch-point order, so metrics, traces, step accumulators,
+   checkpoints and reduction bookkeeping see one fixed sequence. *)
+
+(* The bulk-synchronous step of the current bindings. *)
+let step_of c =
+  let s = ref 0 in
+  for i = 0 to Array.length c.seq_strides - 1 do
+    let x = c.env.(Array.length c.ldims + i) in
+    if x >= 0 then s := !s + (x * c.seq_strides.(i))
+  done;
+  !s
+
+(* The step's accumulator, preallocated on first touch. *)
+let acc_of c step =
+  match c.steps_acc.(step) with
+  | Some a -> a
+  | None ->
+      let a = new_step_acc c.nprocs in
+      c.steps_acc.(step) <- Some a;
+      a
+
+(* The footprint a site needs under the current bindings. *)
+let entry c site =
+  let t, k = c.sites.(site) in
+  let key = key_of k c.env in
+  let tbl = c.site_memo.(site) in
+  match Ints.Tbl.find tbl key with
+  | e -> e
+  | exception Not_found ->
+      let rect = c.footprint_fns.(t) c.env in
+      c.footprints <- c.footprints + 1;
+      let e =
+        match Rect.Tbl.find c.rect_memo.(t) rect with
+        | e -> e
+        | exception Not_found ->
+            let e = { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None } in
+            Rect.Tbl.add c.rect_memo.(t) rect e;
+            e
+      in
+      Ints.Tbl.add tbl key e;
+      e
+
+(* Placement under faults: an effect landing on a processor that is dead
+   at its step executes on its failover target instead ({!Mapper.fallback}
+   — the next live linear processor, which also holds the checkpoint
+   replica). *)
+let remap c ~step p =
+  match c.faults with
+  | Some f when Injector.has_kills f.inj && Injector.dead f.inj ~step ~proc:p ->
+      Mapper.fallback ~nprocs:c.nprocs ~dead:(fun q -> Injector.dead f.inj ~step ~proc:q) p
+  | _ -> p
+
+(* Record one payload of tensor [t] moving src -> dst, after remapping; a
+   transfer whose ends collapse onto one processor disappears. Traffic
+   metrics and cross-rack accounting see the raw bytes (planning never
+   changes totals); the payload joins its step's message table, which
+   [price] plans into wire messages. Trace consumers see one event per
+   fragment. *)
+let charge_batch c ~step ~t ~src ~dst (p : Comm_plan.payload) =
+  let src = remap c ~step src and dst = remap c ~step dst in
+  if src <> dst && p.volume > 0 then begin
+    let a = acc_of c step in
+    let bytes = 8.0 *. float_of_int p.volume in
+    Comm_plan.add a.msgs ~t ~src ~dst p;
+    (match link_between c.node_of_lin src dst with
+    | Cost.Intra -> Metrics.inc c.m_bytes_intra bytes
+    | Cost.Inter -> Metrics.inc c.m_bytes_inter bytes);
+    Metrics.inc c.m_bytes_t.(t) bytes;
+    if c.rack_of_lin.(src) <> c.rack_of_lin.(dst) then a.cross.(0) <- a.cross.(0) +. bytes;
+    match c.trace with
+    | Some log ->
+        let src = Machine.delinearize c.machine src in
+        let dst = Machine.delinearize c.machine dst in
+        List.iter
+          (fun piece ->
+            log :=
+              { step; tensor = p.tensor; piece; src; dst; bytes = bytes_of_rect piece } :: !log)
+          p.pieces
+    | None -> ()
+  end
+
+let checkpoint c ~step ~proc rect =
+  match c.faults with
+  | Some { ckpt = Some ck; _ } when not (Rect.is_empty rect) ->
+      Checkpoint.record ck ~step ~proc rect
+  | _ -> ()
+
+(* A reduction partial: register the contribution. *)
+let add_red c ~step ~proc rect =
+  let rproc = remap c ~step proc in
+  checkpoint c ~step ~proc:rproc rect;
+  match Rect.Tbl.find_opt c.red_contribs rect with
+  | Some (b, procs) ->
+      (* Under kills, remapping can fold two contributors onto one
+         survivor; count it once. Fault-free, keep every contribution. *)
+      let kills = match c.faults with Some f -> Injector.has_kills f.inj | None -> false in
+      if not (kills && List.mem rproc procs) then
+        Rect.Tbl.replace c.red_contribs rect (b, rproc :: procs)
+  | None -> Rect.Tbl.add c.red_contribs rect (bytes_of_rect rect, [ rproc ])
+
+let proc_owns c tk t rect = within rect c.proc_rects_t.(t).(tk.proc)
+let pieces_of c t e = Rect_index.query ~cursor:c.cursor c.index_t.(t) e.f_rect
+
+let rec same_owners (a : int list) (b : int list) =
+  match (a, b) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> x = y && same_owners xs ys
+  | _ -> false
+
+(* The entry's fetch plan: its pieces grouped by owner set, each group
+   pre-merged ([Comm_plan.merge_rects]). For cyclic distributions this is
+   where thousands of per-piece decisions collapse into a handful of
+   per-owner batches. *)
+let plan_of c t e =
+  match e.f_plan with
+  | Some plan -> plan
+  | None ->
+      let groups : (int list * Rect.t list ref) list ref = ref [] in
+      List.iter
+        (fun (piece, owners) ->
+          match List.find_opt (fun (os, _) -> same_owners os owners) !groups with
+          | Some (_, ps) -> ps := piece :: !ps
+          | None -> groups := (owners, ref [ piece ]) :: !groups)
+        (pieces_of c t e);
+      let plan =
+        List.rev_map
+          (fun (os, ps) ->
+            { fg_owners = os; fg_load = Comm_plan.payload c.tensors.(t) (List.rev !ps) })
+          !groups
+      in
+      e.f_plan <- Some plan;
+      plan
+
+(* Fetch cost: groups the processor itself owns are free, the rest
+   become one fragment batch each (same-node owners preferred). *)
+let rec fetch_groups c ~proc ~step t = function
+  | [] -> ()
+  | g :: gs ->
+      if not (mem_int proc g.fg_owners) then begin
+        let src =
+          match same_node_owner c.node_of_lin c.node_of_lin.(proc) g.fg_owners with
+          | -1 -> List.hd g.fg_owners
+          | o -> o
+        in
+        charge_batch c ~step ~t ~src ~dst:proc g.fg_load
+      end;
+      fetch_groups c ~proc ~step t gs
+
+let charge_fetch c tk t e = fetch_groups c ~proc:tk.proc ~step:(step_of c) t (plan_of c t e)
+
+(* The output instance is done: a reduction partial, or (owner-computes)
+   its tile shipped home when a remote processor owns it. *)
+let flush_output c tk ~step e =
+  (match tk.record with Some r -> r.bops <- B_flush :: r.bops | None -> ());
+  if c.reduction then add_red c ~step ~proc:tk.proc e.f_rect
+  else begin
+    if not (proc_owns c tk c.out_t e.f_rect) then
+      List.iter
+        (fun (piece, os) ->
+          let dst = List.hd os in
+          if dst <> tk.proc then
+            charge_batch c ~step ~t:c.out_t ~src:tk.proc ~dst
+              (Comm_plan.payload c.stmt.lhs.tensor [ piece ]))
+        (pieces_of c c.out_t e);
+    checkpoint c ~step ~proc:(remap c ~step tk.proc) e.f_rect
+  end
+
+let grow tk bytes =
+  tk.mem.(0) <- tk.mem.(0) +. bytes;
+  if tk.mem.(0) > tk.mem.(1) then tk.mem.(1) <- tk.mem.(0)
+
+let shrink tk bytes = tk.mem.(0) <- tk.mem.(0) -. bytes
+
+(* Materialize the footprint of [site] as the task's instance of tensor
+   [t], unless the task already holds exactly that instance. *)
+let ensure c tk t site =
+  let e = entry c site in
+  let cur = tk.inst.(t) in
+  let fresh =
+    if cur == no_inst then true
+    else if Rect.equal cur.f_rect e.f_rect then false
+    else begin
+      if t = c.out_t then flush_output c tk ~step:(step_of c) cur;
+      if tk.counted.(t) then shrink tk cur.f_bytes;
+      tk.inst.(t) <- no_inst;
+      true
     end
   in
-  (* Static per-processor memory: owned tiles of every tensor. *)
-  let static_mem = Array.make nprocs 0.0 in
-  Array.iter
-    (fun rects ->
-      Array.iteri
-        (fun p rs ->
-          List.iter (fun r -> static_mem.(p) <- static_mem.(p) +. bytes_of_rect r) rs)
-        rects)
-    proc_rects_t;
-  let dyn_peak = Array.make nprocs 0.0 in
-  (* A task's effects land as it produces them. Tasks run one after
-     another in launch-point order, so metrics, traces, step
-     accumulators, checkpoints and reduction bookkeeping see one fixed
-     sequence. An effect on a processor that is dead at its step lands
-     on the failover target instead ([remap]); a transfer whose ends
-     collapse onto one processor disappears. *)
-  let charge_batch ~step ~t ~src ~dst p =
-    let src = remap ~step src and dst = remap ~step dst in
-    if src <> dst then add_batch ~step ~t ~src ~dst p
+  if fresh then begin
+    (* An instance of a locally-owned subrect aliases the owned tile;
+       reduction partials for the output are fresh allocations. *)
+    let counted = (t = c.out_t && c.reduction) || not (proc_owns c tk t e.f_rect) in
+    if counted then grow tk e.f_bytes;
+    if t = c.out_t then begin
+      (* Reduction partials start at zero; stationary/owner-computes
+         outputs are seeded with current values (which only costs
+         communication when the statement accumulates into — or reads —
+         a tensor this processor does not own). *)
+      if ((not c.reduction) && c.stmt.accum) || c.reads_out then charge_fetch c tk t e;
+      match tk.record with Some r -> r.bops <- B_out e.f_rect :: r.bops | None -> ()
+    end
+    else charge_fetch c tk t e;
+    tk.inst.(t) <- e;
+    tk.counted.(t) <- counted;
+    if t = c.out_t && c.reads_out then begin
+      if tk.out_read != no_inst && tk.out_read_counted then shrink tk tk.out_read.f_bytes;
+      let counted_r = not (proc_owns c tk t e.f_rect) in
+      if counted_r then grow tk e.f_bytes;
+      tk.out_read <- e;
+      tk.out_read_counted <- counted_r
+    end
+  end
+
+(* Bind the leaf the walk has reached against the instances the task
+   holds and the bindings in [env]. Inputs, and the output a
+   self-referencing statement reads, are read in place from the caller's
+   tensors; the output is written into the block of its instance. *)
+let bind_leaf c tk r =
+  let held t (e : fentry) =
+    if e == no_inst then invalid_arg ("leaf recorded without an instance of " ^ c.tensors.(t));
+    e.f_rect
   in
-  let checkpoint ~step ~proc rect =
-    match ckpt with
-    | Some c when not (Rect.is_empty rect) -> Checkpoint.record c ~step ~proc rect
-    | _ -> ()
+  let offset st lo =
+    let off = ref 0 in
+    Array.iteri (fun d x -> off := !off + (x * st.(d))) lo;
+    !off
   in
-  (* A reduction partial: register the contribution. *)
-  let add_red ~step ~proc rect =
-    let rproc = remap ~step proc in
-    checkpoint ~step ~proc:rproc rect;
-    match Rect.Tbl.find_opt red_contribs rect with
-    | Some (b, procs) ->
-        (* Under kills, remapping can fold two contributors onto one
-           survivor; count it once. Fault-free, keep every contribution. *)
-        if not (have_kills && List.mem rproc procs) then
-          Rect.Tbl.replace red_contribs rect (b, rproc :: procs)
-    | None -> Rect.Tbl.add red_contribs rect (bytes_of_rect rect, [ rproc ])
-  in
-  (* {3 Per-task walk} *)
-  let ops = ops_per_point stmt in
-  let run_task ?drec (point : int array) =
-    let proc_coord = Mapper.proc_of_point machine ~launch_dims:ldims point in
-    let proc = Machine.linearize machine proc_coord in
-    Array.fill env 0 nslots (-1);
-    Array.blit point 0 env 0 nlaunch;
-    (* Data-op recording (plan compilation). *)
-    let demit d = match drec with Some r -> r := d :: !r | None -> () in
-    let step_of () =
-      let s = ref 0 in
-      for i = 0 to Array.length seq_strides - 1 do
-        let x = env.(nlaunch + i) in
-        if x >= 0 then s := !s + (x * seq_strides.(i))
-      done;
-      !s
-    in
-    (* The footprint a site needs under the current bindings. *)
-    let entry site =
-      let t, k = sites.(site) in
-      let key = key_of k env in
-      let tbl = site_memo.(site) in
-      match Ints.Tbl.find tbl key with
-      | e -> e
-      | exception Not_found ->
-          let rect = footprint_fns.(t) env in
-          incr footprints;
-          let e =
-            match Rect.Tbl.find rect_memo.(t) rect with
-            | e -> e
-            | exception Not_found ->
-                let e = { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None } in
-                Rect.Tbl.add rect_memo.(t) rect e;
-                e
-          in
-          Ints.Tbl.add tbl key e;
-          e
-    in
-    (* Cached instances, one per tensor ([no_inst] when absent), and
-       whether each counts against dynamic memory (instances of
-       locally-owned tiles alias the owned data). [out_read] is the
-       read-only instance of the output for self-referencing statements,
-       kept apart from the write instance. *)
-    let no_inst = { f_rect = Rect.full [||]; f_bytes = 0.0; f_plan = None } in
-    let inst = Array.make ntensors no_inst and counted_t = Array.make ntensors false in
-    let out_read = ref no_inst and out_read_counted = ref false in
-    (* [mem.(0)] live dynamic bytes, [mem.(1)] their peak. *)
-    let mem = Array.make 2 0.0 in
-    let grow bytes =
-      mem.(0) <- mem.(0) +. bytes;
-      if mem.(0) > mem.(1) then mem.(1) <- mem.(0)
-    in
-    let shrink bytes = mem.(0) <- mem.(0) -. bytes in
-    let proc_owns t rect = within rect proc_rects_t.(t).(proc) in
-    let pieces_of t e = Rect_index.query ~cursor index_t.(t) e.f_rect in
-    (* The entry's fetch plan: its pieces grouped by owner set, each
-       group pre-merged ([Comm_plan.merge_rects]). For cyclic
-       distributions this is where thousands of per-piece decisions
-       collapse into a handful of per-owner batches. *)
-    let plan_of t e =
-      match e.f_plan with
-      | Some plan -> plan
-      | None ->
-          let rec same_owners (a : int list) (b : int list) =
-            match (a, b) with
-            | [], [] -> true
-            | x :: xs, y :: ys -> x = y && same_owners xs ys
-            | _ -> false
-          in
-          let groups : (int list * Rect.t list ref) list ref = ref [] in
-          List.iter
-            (fun (piece, owners) ->
-              match List.find_opt (fun (os, _) -> same_owners os owners) !groups with
-              | Some (_, ps) -> ps := piece :: !ps
-              | None -> groups := (owners, ref [ piece ]) :: !groups)
-            (pieces_of t e);
-          let plan =
-            List.rev_map
-              (fun (os, ps) ->
-                { fg_owners = os; fg_load = Comm_plan.payload tensors_a.(t) (List.rev !ps) })
-              !groups
-          in
-          e.f_plan <- Some plan;
-          plan
-    in
-    (* Fetch cost: groups the processor itself owns are free, the rest
-       become one fragment batch each (same-node owners preferred). *)
-    let rec fetch_groups step t = function
-      | [] -> ()
-      | g :: gs ->
-          if not (mem_int proc g.fg_owners) then begin
-            let src =
-              match same_node_owner node_of_lin node_of_lin.(proc) g.fg_owners with
-              | -1 -> List.hd g.fg_owners
-              | o -> o
-            in
-            charge_batch ~step ~t ~src ~dst:proc g.fg_load
-          end;
-          fetch_groups step t gs
-    in
-    let charge_fetch t e = fetch_groups (step_of ()) t (plan_of t e) in
-    let flush_output ~step e =
-      demit D_flush;
-      if reduction then add_red ~step ~proc e.f_rect
-      else begin
-        if not (proc_owns out_t e.f_rect) then
-          (* Owner-computes with a remote owner: ship the tile home. *)
-          List.iter
-            (fun (piece, os) ->
-              let dst = List.hd os in
-              if dst <> proc then
-                charge_batch ~step ~t:out_t ~src:proc ~dst (Comm_plan.payload out_name [ piece ]))
-            (pieces_of out_t e);
-        checkpoint ~step ~proc:(remap ~step proc) e.f_rect
-      end
-    in
-    let ensure t site =
-      let e = entry site in
-      let cur = inst.(t) in
-      let fresh =
-        if cur == no_inst then true
-        else if Rect.equal cur.f_rect e.f_rect then false
-        else begin
-          if t = out_t then flush_output ~step:(step_of ()) cur;
-          if counted_t.(t) then shrink cur.f_bytes;
-          inst.(t) <- no_inst;
-          true
-        end
+  match c.named with
+  | Some (kernel, _) ->
+      (* A substituted kernel runs over the leaf's footprint of each
+         operand: an input's starts at its [lo] in the caller's tensor,
+         the output's at [lo] minus the instance's [lo] in the block. *)
+      let operand t =
+        let inst = held t tk.inst.(t) in
+        let need = (entry c c.leaf_site.(t)).f_rect in
+        if not (Rect.subset need inst) then
+          invalid_arg ("leaf footprint outside the instance of " ^ c.tensors.(t));
+        let op =
+          if t = c.out_t then
+            let st = Ints.row_major_strides (Rect.extents inst) in
+            let lo = Array.mapi (fun d x -> x - inst.lo.(d)) need.lo in
+            { Expr_stage.src = out_src; off = offset st lo; st }
+          else { src = r.src.(t); off = offset r.strides.(t) need.lo; st = r.strides.(t) }
+        in
+        (op, Rect.extents need)
       in
-      if fresh then begin
-        let bytes = e.f_bytes in
-        (* An instance of a locally-owned subrect aliases the owned tile;
-           reduction partials for the output are fresh allocations. *)
-        let counted = (t = out_t && reduction) || not (proc_owns t e.f_rect) in
-        if counted then grow bytes;
-        if t = out_t then begin
-          (* Reduction partials start at zero; stationary/owner-computes
-             outputs are seeded with current values (which only costs
-             communication when the statement accumulates into — or reads —
-             a tensor this processor does not own). *)
-          if ((not reduction) && stmt.accum) || reads_out then charge_fetch t e
-        end
-        else charge_fetch t e;
-        inst.(t) <- e;
-        counted_t.(t) <- counted;
-        if Option.is_some drec then
-          demit
-            (D_inst
-               {
-                 tensor = tensors_a.(t);
-                 rect = e.f_rect;
-                 role = (if t = out_t then R_output else R_input);
-               });
-        if t = out_t && reads_out then begin
-          if !out_read != no_inst then begin
-            if !out_read_counted then shrink !out_read.f_bytes;
-            out_read := no_inst
-          end;
-          let counted_r = not (proc_owns t e.f_rect) in
-          if counted_r then grow bytes;
-          out_read := e;
-          out_read_counted := counted_r;
-          demit (D_inst { tensor = out_name; rect = e.f_rect; role = R_read_out })
-        end
-      end
+      let ops = Array.map operand r.order in
+      let dims = Kreg.dims ~kernel (Array.to_list (Array.map snd ops)) in
+      B_leaf (Expr_stage.Kernel { kernel; dims; operands = Array.map fst ops })
+  | None -> (
+      let in_caller t rect =
+        { Expr_stage.src = r.src.(t); rect; base = offset r.strides.(t) rect.Rect.lo;
+          strides = r.strides.(t) }
+      in
+      let geom i t =
+        if t <> c.out_t then in_caller t (held t tk.inst.(t))
+        else if i < Array.length r.slot_t - 1 then in_caller t (held t tk.out_read)
+        else
+          let rect = held t tk.inst.(t) in
+          { src = out_src; rect; base = 0; strides = Ints.row_major_strides (Rect.extents rect) }
+      in
+      let rec slot_env v s =
+        if s = Array.length c.slot_vars then None
+        else if String.equal c.slot_vars.(s) v then Some c.env.(s)
+        else slot_env v (s + 1)
+      in
+      let bind sp =
+        Expr_stage.bind sp ~env:(fun v -> slot_env v 0) ~geoms:(Array.mapi geom r.slot_t)
+      in
+      match Option.bind r.staged bind with
+      | Some b -> B_leaf b
+      | None ->
+          let env = Hashtbl.create 16 in
+          Array.iteri (fun s v -> Hashtbl.replace env v c.env.(s)) c.slot_vars;
+          B_eval env)
+
+let exec_leaf c tk =
+  let step = step_of c in
+  (* Leaf iteration count: a product of per-variable interval lengths. *)
+  let points = ref 1.0 in
+  for i = 0 to Array.length c.ikeys - 1 do
+    let tbl = c.ival_memo.(i) and key = key_of c.ikeys.(i) c.env in
+    let len =
+      match Ints.Tbl.find tbl key with
+      | len -> len
+      | exception Not_found ->
+          let lo, hi = c.ifns.(i) c.env in
+          let len = Int.max 0 (hi - lo) in
+          Ints.Tbl.add tbl key len;
+          len
     in
-    let exec_leaf () =
-      let step = step_of () in
-      (* Leaf iteration count: a product of per-variable interval lengths. *)
-      let points = ref 1.0 in
-      for i = 0 to Array.length ivars - 1 do
-        let tbl = ival_memo.(i) and key = key_of ikeys.(i) env in
-        let len =
-          match Ints.Tbl.find tbl key with
-          | len -> len
-          | exception Not_found ->
-              let lo, hi = ifns.(i) env in
-              let len = Int.max 0 (hi - lo) in
-              Ints.Tbl.add tbl key len;
-              len
-        in
-        points := !points *. float_of_int len
-      done;
-      let bytes = ref 0.0 in
-      for t = 0 to ntensors - 1 do
-        if inst.(t) != no_inst then bytes := !bytes +. inst.(t).f_bytes
-      done;
-      if !out_read != no_inst then bytes := !bytes +. !out_read.f_bytes;
-      add_compute ~step ~proc:(remap ~step proc) ~flops:(float_of_int ops *. !points)
-        ~bytes:!bytes;
-      (* Recording: snapshot the variable bindings the leaf runs under
-         (launch + sequential vars — leaf vars are bound inside) and, for
-         substituted kernels, the slicing plan relative to the cached
-         instances. Both depend only on the spec, never on tensor data. *)
-      if Option.is_some drec then begin
-        let slice tn =
-          let t = tensor_index tn in
-          let r = inst.(t).f_rect in
-          if inst.(t) == no_inst then invalid_arg ("leaf recorded without an instance of " ^ tn);
-          let need = (entry leaf_site.(t)).f_rect in
-          if Rect.equal need r then { ds_tensor = tn; ds_local = None }
-          else if not (Rect.subset need r) then
-            invalid_arg ("leaf footprint outside the instance of " ^ tn)
-          else
-            let rel = Array.mapi (fun d x -> x - r.Rect.lo.(d)) in
-            {
-              ds_tensor = tn;
-              ds_local = Some (Rect.make ~lo:(rel need.Rect.lo) ~hi:(rel need.Rect.hi));
-            }
-        in
-        let slices =
-          match named_order with None -> [] | Some (_, order) -> List.map slice order
-        in
-        demit (D_leaf { denv = Array.init nslots (fun s -> (slot_vars.(s), env.(s))); slices })
-      end
-    in
-    let rec walk = function
-      | N_seq { slot; extent; body } ->
-          for x = 0 to extent - 1 do
-            env.(slot) <- x;
-            walk body
-          done;
-          env.(slot) <- -1
-      | N_ensure { t; site; body } ->
-          ensure t site;
-          walk body
-      | N_leaf -> exec_leaf ()
-    in
-    walk tree;
-    (* Flush the cached output instance (write-back or reduction). The
-       sequential loop vars are gone by now, so attribute the flush to the
-       final step explicitly — it is the step whose end produced this
-       state (matters only to fault remapping and checkpoints). *)
-    if inst.(out_t) != no_inst then flush_output ~step:(nsteps - 1) inst.(out_t);
-    (match drec with Some r -> r := List.rev !r | None -> ());
-    Metrics.inc_int m_tasks 1;
-    if mem.(1) > dyn_peak.(proc) then dyn_peak.(proc) <- mem.(1)
-  in
-  let points =
-    if Array.length ldims = 0 then [| [||] |]
-    else
-      Array.of_list
-        (List.rev (Ints.fold_box ldims ~init:[] ~f:(fun acc c -> c :: acc)))
-  in
-  let npoints = Array.length points in
-  (* One recording slot per launch point, when a plan compilation asked
-     for them. *)
-  let drecs = if record then Array.init npoints (fun _ -> ref []) else [||] in
-  let drec_of i = if record then Some drecs.(i) else None in
-  (* {3 The probe} *)
-  (* One task per launch point, in launch-point order, on the calling
-     domain. Simulated time never depends on the host: it is assembled
-     from the tasks' effects, not from host timing. *)
-  let wall0 = now () in
-  Array.iteri (fun i point -> run_task ?drec:(drec_of i) point) points;
-  let merge0 = now () in
-  (* Host-side wall clocks (not simulated time). Gauges only: they never
-     enter the event stream or the derived [Stats.t]. *)
-  Metrics.set (Metrics.gauge reg "exec.setup_wall_s") (wall0 -. wall_start);
-  Metrics.set (Metrics.gauge reg "exec.compute_wall_s") (merge0 -. wall0);
-  (* {3 Merge} *)
-  (* Every task's reduction partials, in rect order: the order the
-     reduction epilogue folds them in. *)
-  let red_partials =
-    Rect.Tbl.fold (fun k v acc -> (k, v) :: acc) red_contribs []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let assembly0 = now () in
-  Metrics.set (Metrics.gauge reg "exec.merge_wall_s") (assembly0 -. merge0);
-  (* {3 Timing assembly} *)
-  (* Deterministic order throughout this phase: steps ascending, copy
-     groups sorted by key within each step, processors ascending — so two
-     runs of the same spec produce identical event streams and
-     bit-identical times. Everything is read
-     off the flat per-step accumulators; no (step, proc) hashing. *)
-  let tasks_per_proc = Ints.ceil_div npoints nprocs in
-  let overhead = float_of_int tasks_per_proc *. cost.Cost.task_overhead in
-  let start = ref overhead in
-  (* Per-processor slots and planned copy groups only feed the profile's
-     timeline and events; without a profile the step cost (the max over
-     processors, which any order computes exactly) is all that is kept. *)
-  let profiling = Option.is_some prun in
-  let groups_of_step = Array.make nsteps [] in
-  let total_fragments = ref 0 and total_messages = ref 0 in
-  let rev_rows = ref [] in
-  for step = 0 to nsteps - 1 do
-    match steps_acc.(step) with
-    | None -> ()
-    | Some a ->
-        let row, glist =
-          price_step machine cost obs ~coalesce ~link:link_of ~kernel:priced_kernel ~msg_faults
-            ~profiling ~step ~start:!start a
-        in
-        if profiling then groups_of_step.(step) <- glist;
-        total_fragments := !total_fragments + Comm_plan.fragments a.msgs;
-        total_messages := !total_messages + row.Cp.messages;
-        start := !start +. row.Cp.cost;
-        rev_rows := row :: !rev_rows
+    points := !points *. float_of_int len
   done;
-  let step_rows = List.rev !rev_rows in
-  let time =
-    List.fold_left (fun acc (r : Cp.step) -> acc +. r.Cp.cost) 0.0 step_rows
+  let bytes = ref 0.0 in
+  for t = 0 to Array.length tk.inst - 1 do
+    if tk.inst.(t) != no_inst then bytes := !bytes +. tk.inst.(t).f_bytes
+  done;
+  if tk.out_read != no_inst then bytes := !bytes +. tk.out_read.f_bytes;
+  let proc = remap c ~step tk.proc and flops = float_of_int c.ops *. !points in
+  let a = acc_of c step in
+  a.cflops.(proc) <- a.cflops.(proc) +. flops;
+  a.cbytes.(proc) <- a.cbytes.(proc) +. !bytes;
+  a.ctouch.(proc) <- true;
+  Metrics.inc c.m_flops flops;
+  match tk.record with Some r -> r.bops <- bind_leaf c tk r :: r.bops | None -> ()
+
+let rec walk_node c tk = function
+  | N_seq { slot; extent; body } ->
+      for x = 0 to extent - 1 do
+        c.env.(slot) <- x;
+        walk_node c tk body
+      done;
+      c.env.(slot) <- -1
+  | N_ensure { t; site; body } ->
+      ensure c tk t site;
+      walk_node c tk body
+  | N_leaf -> exec_leaf c tk
+
+let run_task c tk point =
+  let proc =
+    Machine.linearize c.machine (Mapper.proc_of_point c.machine ~launch_dims:c.ldims point)
   in
-  (* Reduction epilogue: independent tiles reduce in parallel. *)
-  let red_time =
-    List.fold_left
-      (fun acc (_, (bytes, procs)) ->
-        let k = List.length procs in
-        if k <= 1 then acc
-        else begin
-          let first = List.hd procs in
-          let link =
-            if List.for_all (fun p -> node_of_lin.(p) = node_of_lin.(first)) procs
-            then Cost.Intra
-            else Cost.Inter
-          in
-          (match link with
-          | Cost.Intra -> Metrics.inc m_bytes_intra (bytes *. float_of_int (k - 1))
-          | Cost.Inter -> Metrics.inc m_bytes_inter (bytes *. float_of_int (k - 1)));
-          Metrics.inc_int obs.m_messages (k - 1);
-          max acc (Cost.reduce_time cost link ~bytes ~contributors:k)
-        end)
-      0.0 red_partials
+  tk.proc <- proc;
+  Array.fill tk.inst 0 (Array.length tk.inst) no_inst;
+  Array.fill tk.counted 0 (Array.length tk.counted) false;
+  tk.out_read <- no_inst;
+  tk.out_read_counted <- false;
+  tk.mem.(0) <- 0.0;
+  tk.mem.(1) <- 0.0;
+  Array.fill c.env 0 (Array.length c.env) (-1);
+  Array.blit point 0 c.env 0 (Array.length c.ldims);
+  walk_node c tk c.tree;
+  (* Flush the cached output instance (write-back or reduction). The
+     sequential loop vars are gone by now, so attribute the flush to the
+     final step explicitly — it is the step whose end produced this state
+     (matters only to fault remapping and checkpoints). *)
+  if tk.inst.(c.out_t) != no_inst then flush_output c tk ~step:(c.nsteps - 1) tk.inst.(c.out_t);
+  Metrics.inc_int c.m_tasks 1;
+  if tk.mem.(1) > c.dyn_peak.(proc) then c.dyn_peak.(proc) <- tk.mem.(1)
+
+(* One task per launch point, in launch-point order, on the calling
+   domain. Simulated time never depends on the host: it is assembled from
+   the tasks' effects, not from host timing. Returns each point's bound
+   operations when recording, empty ones otherwise. *)
+let walk c record =
+  let t0 = now () in
+  let n = Array.length c.tensors in
+  let tk =
+    { proc = 0; inst = Array.make n no_inst; counted = Array.make n false; out_read = no_inst;
+      out_read_counted = false; mem = Array.make 2 0.0; record }
   in
-  (* {3 Recovery epilogue} *)
-  (* Each kill is an independent recovery episode: the failure is
-     detected (a heartbeat timeout), every processor rolls back to the
-     last checkpoint boundary — restoring from its buddy replica the
-     snapshots the replayed steps will rewrite — and the steps from the
-     boundary through the kill step are replayed at their assembled cost.
-     Without checkpointing the rollback is a restart: replay from step 0
-     with nothing to restore. The simulated clock pays for all of it;
-     checkpoint *writes* are assumed overlapped with the run (their
-     modeled cost is reported as [exec.checkpoint_time], never added to
-     [exec.time]), which keeps fault-free runs with checkpointing on
-     byte-identical to plain runs. *)
+  let bops =
+    Array.map
+      (fun point ->
+        run_task c tk point;
+        match record with
+        | Some r ->
+            let ops = Array.of_list (List.rev r.bops) in
+            r.bops <- [];
+            ops
+        | None -> [||])
+      c.points
+  in
+  Metrics.set (Metrics.gauge c.reg "exec.compute_wall_s") (now () -. t0);
+  bops
+
+(* {3 Price} *)
+
+(* What pricing hands emission. *)
+type priced = {
+  overhead : float;
+  tasks_per_proc : int;
+  rows : Cp.step list;
+  groups : Comm_plan.group list array;  (* per step, when profiling *)
+  time : float;  (* of the steps *)
+  red_time : float;
+  episodes : (int * int * int * float * float * float) list;
+      (* per kill, in strike order: proc, kill step, replay-from, detect,
+         restore, replay *)
+  recovery : float;
+  total : float;
+}
+
+(* Each kill is an independent recovery episode: the failure is detected
+   (a heartbeat timeout), every processor rolls back to the last
+   checkpoint boundary — restoring from its buddy replica the snapshots
+   the replayed steps will rewrite — and the steps from the boundary
+   through the kill step are replayed at their assembled cost. Without
+   checkpointing the rollback is a restart: replay from step 0 with
+   nothing to restore. The simulated clock pays for all of it; checkpoint
+   *writes* are assumed overlapped with the run (their modeled cost is
+   reported as [exec.checkpoint_time], never added to [exec.time]), which
+   keeps fault-free runs with checkpointing on byte-identical to plain
+   runs. *)
+let recover c f rows =
   let buddy_link q =
-    let b = (q + 1) mod nprocs in
-    if node_of_lin.(q) = node_of_lin.(b) then Cost.Intra else Cost.Inter
+    let b = (q + 1) mod c.nprocs in
+    if c.node_of_lin.(q) = c.node_of_lin.(b) then Cost.Intra else Cost.Inter
   in
-  (* (proc, kill step, replay-from, detect, restore, replay) per kill,
-     in strike order — the profile emission below walks the same list. *)
+  (* The worst over processors of [time] on [bytes q] (where nonzero). *)
+  let worst bytes time =
+    let w = ref 0.0 in
+    for q = 0 to c.nprocs - 1 do
+      let b = bytes q in
+      if b > 0.0 then begin
+        let t = time q b in
+        if t > !w then w := t
+      end
+    done;
+    !w
+  in
   let episodes =
-    match inj with
-    | Some i when have_kills ->
-        let row_cost = Array.make nsteps 0.0 in
-        List.iter
-          (fun (r : Cp.step) -> row_cost.(r.Cp.index) <- r.Cp.cost)
-          step_rows;
-        List.map
-          (fun (proc, k) ->
-            inc_opt_int m_faults_injected 1;
-            let b = Injector.last_boundary i ~step:k in
-            inc_opt_int m_replayed_steps (k - b + 1);
-            let replay = ref 0.0 in
-            for s = b to k do
-              replay := !replay +. row_cost.(s)
-            done;
-            let restore =
-              match ckpt with
-              | Some c ->
-                  let worst = ref 0.0 in
-                  for q = 0 to nprocs - 1 do
-                    let bytes =
-                      Checkpoint.range_bytes c ~from_step:b ~to_step:k ~proc:q
-                    in
-                    if bytes > 0.0 then begin
-                      inc_opt m_restore_bytes bytes;
-                      let t = Cost.restore_time cost (buddy_link q) ~bytes in
-                      if t > !worst then worst := t
-                    end
-                  done;
-                  !worst
-              | None -> 0.0
-            in
-            (proc, k, b, Cost.detect_time cost, restore, !replay))
-          (Injector.kills i)
-    | _ -> []
+    if not (Injector.has_kills f.inj) then []
+    else begin
+      let row_cost = Array.make c.nsteps 0.0 in
+      List.iter (fun (r : Cp.step) -> row_cost.(r.Cp.index) <- r.Cp.cost) rows;
+      List.map
+        (fun (proc, k) ->
+          Metrics.inc_int f.m_injected 1;
+          let b = Injector.last_boundary f.inj ~step:k in
+          Metrics.inc_int f.m_replayed (k - b + 1);
+          let replay = ref 0.0 in
+          for s = b to k do
+            replay := !replay +. row_cost.(s)
+          done;
+          let restore =
+            match f.ckpt with
+            | Some ck ->
+                worst
+                  (fun q ->
+                    let bytes = Checkpoint.range_bytes ck ~from_step:b ~to_step:k ~proc:q in
+                    if bytes > 0.0 then Metrics.inc f.m_restore_bytes bytes;
+                    bytes)
+                  (fun q bytes -> Cost.restore_time c.cost (buddy_link q) ~bytes)
+            | None -> 0.0
+          in
+          (proc, k, b, Cost.detect_time c.cost, restore, !replay))
+        (Injector.kills f.inj)
+    end
   in
-  let recovery_time =
-    List.fold_left
-      (fun acc (_, _, _, detect, restore, replay) ->
-        acc +. detect +. restore +. replay)
-      0.0 episodes
-  in
-  (match ckpt with
-  | Some c ->
-      inc_opt m_ckpt_bytes (Checkpoint.total_bytes c);
+  (match f.ckpt with
+  | Some ck ->
+      Metrics.inc f.m_ckpt_bytes (Checkpoint.total_bytes ck);
       (* Modeled cost of streaming every step snapshot to its buddy:
          informational only (see above). *)
       let wtime =
         List.fold_left
           (fun acc s ->
-            let worst = ref 0.0 in
-            for q = 0 to nprocs - 1 do
-              let bytes = Checkpoint.bytes c ~step:s ~proc:q in
-              if bytes > 0.0 then begin
-                let t = Cost.checkpoint_time cost (buddy_link q) ~bytes in
-                if t > !worst then worst := t
-              end
-            done;
-            acc +. !worst)
-          0.0 (Checkpoint.write_steps c)
+            acc
+            +. worst
+                 (fun q -> Checkpoint.bytes ck ~step:s ~proc:q)
+                 (fun q bytes -> Cost.checkpoint_time c.cost (buddy_link q) ~bytes))
+          0.0 (Checkpoint.write_steps ck)
       in
-      Metrics.set (Metrics.gauge reg "exec.checkpoint_time") wtime
+      Metrics.set (Metrics.gauge c.reg "exec.checkpoint_time") wtime
   | None -> ());
-  if inj <> None then
-    Metrics.set (Metrics.gauge reg "exec.recovery_time") recovery_time;
-  let total_time = overhead +. time +. red_time +. recovery_time in
-  Metrics.set (Metrics.gauge reg "exec.time") total_time;
-  Metrics.set (Metrics.gauge reg "exec.steps") (float_of_int nsteps);
+  episodes
+
+(* Deterministic order throughout: steps ascending, copy groups sorted by
+   key within each step, processors ascending — so two runs of the same
+   spec produce identical event streams and bit-identical times.
+   Everything is read off the flat per-step accumulators. *)
+let price c =
+  let t0 = now () in
+  let cost = c.cost and nprocs = c.nprocs in
+  let tasks_per_proc = Ints.ceil_div (Array.length c.points) nprocs in
+  let overhead = float_of_int tasks_per_proc *. cost.Cost.task_overhead in
+  let start = ref overhead in
+  (* Per-processor slots and planned copy groups only feed the profile's
+     timeline and events; without a profile the step cost (the max over
+     processors, which any order computes exactly) is all that is kept. *)
+  let profiling = Option.is_some c.profile in
+  let groups = Array.make c.nsteps [] in
+  let total_fragments = ref 0 and total_messages = ref 0 in
+  let rev_rows = ref [] in
+  for step = 0 to c.nsteps - 1 do
+    match c.steps_acc.(step) with
+    | None -> ()
+    | Some a ->
+        let row, glist =
+          price_step c.machine cost c.obs ~coalesce:c.coalesce
+            ~link:(link_between c.node_of_lin) ~kernel:c.priced_kernel ~faults:c.faults
+            ~profiling ~step ~start:!start a
+        in
+        if profiling then groups.(step) <- glist;
+        total_fragments := !total_fragments + Comm_plan.fragments a.msgs;
+        total_messages := !total_messages + row.Cp.messages;
+        start := !start +. row.Cp.cost;
+        rev_rows := row :: !rev_rows
+  done;
+  let rows = List.rev !rev_rows in
+  let time = List.fold_left (fun acc (r : Cp.step) -> acc +. r.Cp.cost) 0.0 rows in
+  (* Reduction epilogue: independent tiles reduce in parallel, folded in
+     rect order. *)
+  let red_time =
+    Rect.Tbl.fold (fun k v acc -> (k, v) :: acc) c.red_contribs []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.fold_left
+         (fun acc (_, (bytes, procs)) ->
+           let k = List.length procs in
+           if k <= 1 then acc
+           else begin
+             let first = List.hd procs in
+             let link =
+               if List.for_all (fun p -> c.node_of_lin.(p) = c.node_of_lin.(first)) procs
+               then Cost.Intra
+               else Cost.Inter
+             in
+             (match link with
+             | Cost.Intra -> Metrics.inc c.m_bytes_intra (bytes *. float_of_int (k - 1))
+             | Cost.Inter -> Metrics.inc c.m_bytes_inter (bytes *. float_of_int (k - 1)));
+             Metrics.inc_int c.obs.m_messages (k - 1);
+             max acc (Cost.reduce_time cost link ~bytes ~contributors:k)
+           end)
+         0.0
+  in
+  let episodes = match c.faults with Some f -> recover c f rows | None -> [] in
+  let recovery =
+    List.fold_left
+      (fun acc (_, _, _, detect, restore, replay) -> acc +. detect +. restore +. replay)
+      0.0 episodes
+  in
+  let reg = c.reg in
+  if Option.is_some c.faults then Metrics.set (Metrics.gauge reg "exec.recovery_time") recovery;
+  let total = overhead +. time +. red_time +. recovery in
+  Metrics.set (Metrics.gauge reg "exec.time") total;
+  Metrics.set (Metrics.gauge reg "exec.steps") (float_of_int c.nsteps);
   Metrics.set (Metrics.gauge reg "exec.overhead_time") overhead;
   Metrics.set (Metrics.gauge reg "exec.reduction_time") red_time;
   set_coalesce_ratio reg ~fragments:!total_fragments ~messages:!total_messages;
-  (* Memory accounting. *)
-  let mem_limit = Machine.mem_per_proc_bytes machine in
+  (* Memory accounting: the owned tiles of every tensor, plus the walk's
+     dynamic peak. *)
+  let static_mem = Array.make nprocs 0.0 in
+  Array.iter
+    (Array.iteri (fun p rs ->
+         List.iter (fun r -> static_mem.(p) <- static_mem.(p) +. bytes_of_rect r) rs))
+    c.proc_rects_t;
+  let mem_limit = Machine.mem_per_proc_bytes c.machine in
   let g_peak = Metrics.gauge reg "exec.peak_mem" in
   let g_oom = Metrics.gauge reg "exec.oom" in
   for p = 0 to nprocs - 1 do
-    let m = static_mem.(p) +. dyn_peak.(p) in
+    let m = static_mem.(p) +. c.dyn_peak.(p) in
     Metrics.set_max g_peak m;
     if m > mem_limit then Metrics.set g_oom 1.0
   done;
-  Metrics.set (Metrics.gauge reg "exec.assembly_wall_s") (now () -. assembly0);
-  (* {3 Profile emission} *)
-  (match (profile, prun) with
-  | Some p, Some run ->
-      let sink = Profile.sink p in
+  Metrics.set (Metrics.gauge reg "exec.assembly_wall_s") (now () -. t0);
+  { overhead; tasks_per_proc; rows; groups; time; red_time; episodes; recovery; total }
+
+(* {3 Emit} *)
+
+let emit c p =
+  match c.profile with
+  | None -> ()
+  | Some (profile, run) ->
+      let sink = Profile.sink profile in
       let pid = run.Profile.pid in
-      let rt = nprocs in
+      let rt = c.nprocs in
       Span.thread_name sink ~pid ~tid:rt "runtime";
-      name_proc_tracks sink ~pid machine;
-      if overhead > 0.0 then
-        Span.complete sink ~name:"task launch overhead" ~cat:"runtime" ~pid ~tid:rt
-          ~ts:0.0 ~dur:overhead
-          ~attrs:[ ("tasks_per_proc", Event.Int tasks_per_proc) ]
+      name_proc_tracks sink ~pid c.machine;
+      if p.overhead > 0.0 then
+        Span.complete sink ~name:"task launch overhead" ~cat:"runtime" ~pid ~tid:rt ~ts:0.0
+          ~dur:p.overhead
+          ~attrs:[ ("tasks_per_proc", Event.Int p.tasks_per_proc) ]
           ();
       List.iter
         (fun (row : Cp.step) ->
@@ -1333,110 +1427,82 @@ let execute_impl ?(coalesce = true) ?(record = false) ?trace ?profile
                 ("fabric", Event.Float row.Cp.fabric);
               ]
             ();
-          Span.counter sink ~name:"bytes moved" ~pid ~tid:rt ~ts:row.Cp.start
-            row.Cp.bytes;
+          Span.counter sink ~name:"bytes moved" ~pid ~tid:rt ~ts:row.Cp.start row.Cp.bytes;
           emit_step sink ~pid row
-            (Option.get steps_acc.(row.Cp.index))
-            groups_of_step.(row.Cp.index))
-        step_rows;
-      if red_time > 0.0 then
+            (Option.get c.steps_acc.(row.Cp.index))
+            p.groups.(row.Cp.index))
+        p.rows;
+      if p.red_time > 0.0 then
         Span.complete sink ~name:"distributed reduction" ~cat:"reduction" ~pid ~tid:rt
-          ~ts:(overhead +. time) ~dur:red_time ();
+          ~ts:(p.overhead +. p.time) ~dur:p.red_time ();
       (* Fault lanes: a kill instant on the victim's own track at the step
          it strikes, and one recovery span per episode (detect + restore +
          replay) chained after the reduction epilogue. Only emitted when a
          kill actually strikes, so fault-free event streams are untouched. *)
-      if episodes <> [] then begin
-        let start_of k =
-          match List.find_opt (fun (r : Cp.step) -> r.Cp.index = k) step_rows with
-          | Some r -> r.Cp.start
-          | None -> overhead
-        in
-        let cursor = ref (overhead +. time +. red_time) in
-        List.iter
-          (fun (proc, k, b, detect, restore, replay) ->
-            Span.instant sink
-              ~name:(Printf.sprintf "kill proc %d" proc)
-              ~cat:"fault" ~pid ~tid:proc ~ts:(start_of k)
-              ~attrs:[ ("step", Event.Int k) ]
-              ();
-            let dur = detect +. restore +. replay in
-            Span.complete sink
-              ~name:(Printf.sprintf "recover proc %d: replay steps %d..%d" proc b k)
-              ~cat:"fault" ~pid ~tid:rt ~ts:!cursor ~dur
-              ~attrs:
-                [
-                  ("detect", Event.Float detect);
-                  ("restore", Event.Float restore);
-                  ("replay", Event.Float replay);
-                  ("from_step", Event.Int b);
-                  ("kill_step", Event.Int k);
-                ]
-              ();
-            cursor := !cursor +. dur)
-          episodes
-      end;
+      let start_of k =
+        match List.find_opt (fun (r : Cp.step) -> r.Cp.index = k) p.rows with
+        | Some r -> r.Cp.start
+        | None -> p.overhead
+      in
+      let cursor = ref (p.overhead +. p.time +. p.red_time) in
+      List.iter
+        (fun (proc, k, b, detect, restore, replay) ->
+          Span.instant sink
+            ~name:(Printf.sprintf "kill proc %d" proc)
+            ~cat:"fault" ~pid ~tid:proc ~ts:(start_of k)
+            ~attrs:[ ("step", Event.Int k) ]
+            ();
+          let dur = detect +. restore +. replay in
+          Span.complete sink
+            ~name:(Printf.sprintf "recover proc %d: replay steps %d..%d" proc b k)
+            ~cat:"fault" ~pid ~tid:rt ~ts:!cursor ~dur
+            ~attrs:
+              [
+                ("detect", Event.Float detect);
+                ("restore", Event.Float restore);
+                ("replay", Event.Float replay);
+                ("from_step", Event.Int b);
+                ("kill_step", Event.Int k);
+              ]
+            ();
+          cursor := !cursor +. dur)
+        p.episodes;
       run.Profile.timeline <-
         Some
           {
-            Cp.nprocs;
-            overhead;
-            reduction = red_time;
-            recovery = recovery_time;
-            steps = step_rows;
-            total = total_time;
+            Cp.nprocs = c.nprocs;
+            overhead = p.overhead;
+            reduction = p.red_time;
+            recovery = p.recovery;
+            steps = p.rows;
+            total = p.total;
           }
-  | _ -> ());
-  (* Host allocation accounting: OCaml words this execution allocated
+
+(* Price and emit a walked simulation; its modeled stats. *)
+let finish c =
+  emit c (price c);
+  (* Host allocation accounting: OCaml words this simulation allocated
      (bigarray payloads live outside the heap and are not counted).
      Gauges only — [Stats.of_registry] reads a fixed name set, so the
      derived stats and the determinism contract are untouched.
      {!Distal_obs.Report.host_execution} prints them. *)
   let minor1, major1 = alloc_words () in
-  Metrics.set (Metrics.gauge reg "exec.alloc_minor_words") (minor1 -. fst alloc0);
-  Metrics.set (Metrics.gauge reg "exec.alloc_major_words") (major1 -. snd alloc0);
+  Metrics.set (Metrics.gauge c.reg "exec.alloc_minor_words") (minor1 -. fst c.alloc0);
+  Metrics.set (Metrics.gauge c.reg "exec.alloc_major_words") (major1 -. snd c.alloc0);
   (* Footprints the walk computed, one per distinct key per site. *)
-  Metrics.set (Metrics.gauge reg "exec.footprints") (float_of_int !footprints);
-  (match trace with Some log -> log := List.rev !log | None -> ());
-  Ok
-    {
-      sim_stats = Stats.of_registry reg;
-      sim_dops = Array.map ( ! ) drecs;
-      sim_named = named_order;
-      sim_leaf_vars =
-        (match leaf with Taskir.Scalar_loops vars -> vars | Named _ -> []);
-    }
+  Metrics.set (Metrics.gauge c.reg "exec.footprints") (float_of_int c.footprints);
+  (match c.trace with Some log -> log := List.rev !log | None -> ());
+  Stats.of_registry c.reg
 
 (* {2 Compiled executable plans} *)
 
 module Buf_pool = Distal_support.Buf_pool
 
 (* Plan once per (program x schedule x machine x options), run many times
-   against new tensor data. The plan phase is one simulation with data-op
-   recording switched on: it prices the schedule exactly as a Model-mode
-   [execute] does and captures, per launch point, the ordered data
-   operations of the run. Binding then resolves every recorded leaf
-   against the instance geometry the recording fixes: its tier, its
-   kernel or loop nest, and where each operand lives. Input and
-   read-out instances are views of the caller's tensors — the same
-   values a copy would hold, read in place — so the run phase only
+   against new tensor data. The plan is one simulation whose walk binds
+   every data operation as it reaches it ([bop]), so the run phase only
    zero-fills output instances, from a size-classed pool ({!Buf_pool})
    with per-lane arenas, calls the bound leaves and merges. *)
-
-(* The replayed operations of one launch point. A leaf is bound to its
-   tier: [B_leaf] a registry kernel or a staged nest whose operands are
-   located by buffer ([src]: a tensor's index in [ep_tensors], or
-   [out_src] for the task's current output instance), offset and
-   strides; [B_eval] the [Expr.eval] fallback, whose table holds the
-   recorded launch and sequential bindings and, as it runs, the leaf
-   variables. *)
-type bop =
-  | B_out of Rect.t  (* a zero-filled output instance *)
-  | B_leaf of Expr_stage.bound
-  | B_eval of (string, int) Hashtbl.t
-  | B_flush  (* the current output instance becomes a merge contribution *)
-
-let out_src = -1
 
 type eplan = {
   ep_spec : spec;
@@ -1456,114 +1522,36 @@ type eplan = {
   mutable ep_runs : int;
 }
 
-(* Bind one launch point's recorded operations, tracking each tensor's
-   current instance: inputs and the read-out instance are located in
-   the caller's tensor at its own strides, the output instance in a
-   block of the instance's shape. *)
-let bind_point ~stmt ~named ~staged ~tensors ~shapes dops =
-  let out_name = stmt.Expr.lhs.tensor in
-  let idx tn = name_index tensors tn 0 in
-  let inst = Array.make (Array.length tensors) None in
-  let out = ref None and read_out = ref None in
-  let geom tn src = function
-    | None -> invalid_arg ("plan leaf executed without an instance of " ^ tn)
-    | Some (r : Rect.t) when src = out_src ->
-        { Expr_stage.src; rect = r; base = 0; strides = Ints.row_major_strides (Rect.extents r) }
-    | Some r ->
-        let strides = Ints.row_major_strides shapes.(src) in
-        let base = ref 0 in
-        Array.iteri (fun d lo -> base := !base + (lo * strides.(d))) r.lo;
-        { src; rect = r; base = !base; strides }
-  in
-  let geom_of tn =
-    if String.equal tn out_name then geom tn out_src !out
-    else geom tn (idx tn) inst.(idx tn)
-  in
-  let bind_leaf denv slices =
-    match (named, staged) with
-    | Some kernel, _ ->
-        (* A slice [local] of the instance starts [local.lo] into it. *)
-        let operand { ds_tensor; ds_local } =
-          let g = geom_of ds_tensor in
-          let lo, box =
-            match ds_local with
-            | Some l -> (l.Rect.lo, Rect.extents l)
-            | None -> (Array.map (fun _ -> 0) g.rect.lo, Rect.extents g.rect)
-          in
-          let off = ref g.base in
-          Array.iteri (fun d x -> off := !off + (x * g.strides.(d))) lo;
-          ({ Expr_stage.src = g.src; off = !off; st = g.strides }, box)
-        in
-        let ops = List.map operand slices in
-        let dims = Kreg.dims ~kernel (List.map snd ops) in
-        B_leaf (Expr_stage.Kernel { kernel; dims; operands = Array.of_list (List.map fst ops) })
-    | None, sp -> (
-        let env = Hashtbl.create 16 in
-        Array.iter (fun (v, x) -> Hashtbl.replace env v x) denv;
-        let geoms sp =
-          let slots = Expr_stage.slots sp in
-          Array.mapi
-            (fun i (a : Expr.access) ->
-              if i < Array.length slots - 1 && String.equal a.tensor out_name then
-                geom out_name (idx out_name) !read_out
-              else geom_of a.tensor)
-            slots
-        in
-        let env_of = Hashtbl.find_opt env in
-        match Option.bind sp (fun sp -> Expr_stage.bind sp ~env:env_of ~geoms:(geoms sp)) with
-        | Some b -> B_leaf b
-        | None -> B_eval env)
-  in
-  let ops = ref [] in
-  List.iter
-    (function
-      | D_inst { tensor; rect; role = R_input } -> inst.(idx tensor) <- Some rect
-      | D_inst { rect; role = R_read_out; _ } -> read_out := Some rect
-      | D_inst { rect; role = R_output; _ } ->
-          out := Some rect;
-          ops := B_out rect :: !ops
-      | D_leaf { denv; slices } -> ops := bind_leaf denv slices :: !ops
-      | D_flush ->
-          out := None;
-          ops := B_flush :: !ops)
-    dops;
-  Array.of_list (List.rev !ops)
-
 let plan ?coalesce ?faults ?trace ?profile spec =
   let prog = spec.program in
   let stmt = prog.stmt in
-  let* sim =
-    execute_impl ?coalesce ?faults ?trace ?profile ~record:true spec
-  in
+  let* c = resolve ?coalesce ?faults ?trace ?profile spec in
+  let tensors = Array.of_list (List.sort_uniq compare (Expr.tensors stmt)) in
+  let index tn = name_index c.tensors tn 0 in
   (* Staged leaf evaluation: the scalar loop nest compiled once into flat
      loops over precomputed strides ({!Expr_stage}); [None] when staging
      cannot express the nest, leaving the [Expr.eval] fallback. *)
   let staged =
-    match sim.sim_leaf_vars with
-    | [] -> None
-    | vars -> Expr_stage.plan prog.prov ~stmt ~leaf_vars:vars
+    match c.leaf_vars with [] -> None | vars -> Expr_stage.plan prog.prov ~stmt ~leaf_vars:vars
   in
-  let tensors = Array.of_list (List.sort_uniq compare (Expr.tensors stmt)) in
-  let shapes = Array.map (Taskir.shape_of prog) tensors in
-  let named = Option.map fst sim.sim_named in
+  let order = match c.named with Some (_, o) -> Array.of_list (List.map index o) | None -> [||] in
+  let slot_t =
+    match staged with
+    | Some sp -> Array.map (fun (a : Expr.access) -> index a.tensor) (Expr_stage.slots sp)
+    | None -> [||]
+  in
+  let src = Array.map (fun tn -> name_index tensors tn 0) c.tensors in
+  let strides = Array.map (fun tn -> Ints.row_major_strides (Taskir.shape_of prog tn)) c.tensors in
+  let ep_ops = walk c (Some { staged; src; strides; order; slot_t; bops = [] }) in
   Ok
-    {
-      ep_spec = spec;
-      ep_stats = sim.sim_stats;
-      ep_ops = Array.map (bind_point ~stmt ~named ~staged ~tensors ~shapes) sim.sim_dops;
-      ep_tensors = tensors;
-      ep_shapes = shapes;
+    { ep_spec = spec; ep_stats = finish c; ep_ops; ep_tensors = tensors;
+      ep_shapes = Array.map (Taskir.shape_of prog) tensors;
       ep_guards = Provenance.guards_fn prog.prov;
       ep_points =
         List.map (fun v -> (v, Provenance.raw_point_fn prog.prov v)) (Expr.index_vars stmt);
-      ep_leaf_vars = Array.of_list sim.sim_leaf_vars;
-      ep_reads_out = Expr.reads_output stmt;
-      ep_accum = stmt.accum;
-      ep_out_name = stmt.lhs.tensor;
-      ep_pool = Buf_pool.create ();
-      ep_m = Mutex.create ();
-      ep_runs = 0;
-    }
+      ep_leaf_vars = Array.of_list c.leaf_vars; ep_reads_out = c.reads_out;
+      ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor; ep_pool = Buf_pool.create ();
+      ep_m = Mutex.create (); ep_runs = 0 }
 
 type leaf_tiers = { tiled : int; staged : int; eval : int }
 
@@ -1716,8 +1704,9 @@ let run_plan ?domains ep ~data =
 let execute ?(mode = Full) ?coalesce ?domains ?trace ?profile ?faults spec ~data =
   match mode with
   | Model ->
-      let* sim = execute_impl ?coalesce ?trace ?profile ?faults spec in
-      Ok { output = None; stats = sim.sim_stats }
+      let* c = resolve ?coalesce ?trace ?profile ?faults spec in
+      ignore (walk c None);
+      Ok { output = None; stats = finish c }
   | Full ->
       let* ep = plan ?coalesce ?faults ?trace ?profile spec in
       run_plan ?domains ep ~data
@@ -1765,7 +1754,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
         downers)
     (tiles dst);
   let row, glist =
-    price_step machine cost (step_obs reg) ~coalesce:true ~link:link_of ~kernel:None ~msg_faults:None
+    price_step machine cost (step_obs reg) ~coalesce:true ~link:link_of ~kernel:None ~faults:None
       ~profiling:(Option.is_some prun) ~step:0 ~start:0.0 a
   in
   Metrics.set (Metrics.gauge reg "exec.time") row.Cp.cost;

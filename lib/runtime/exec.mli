@@ -20,10 +20,12 @@
     [Model] mode is the simulation alone — no data movement, no
     arithmetic — so weak-scaling experiments can run at the paper's
     256-node scales where functional execution would be infeasible
-    (see DESIGN.md, substitutions). [Full] mode is the same simulation
-    with data-op recording on ({!plan}) followed by one replay of the
-    recorded operations against the caller's data ({!run_plan}): there
-    is one data path. *)
+    (see DESIGN.md, substitutions). The simulation runs in phases over
+    one resolved context: resolve the spec, walk the tasks, price the
+    steps, emit the profile. [Full] mode is the same simulation with
+    recording on ({!plan}), whose walk binds each data operation as it
+    reaches it, followed by one replay of the bound operations against
+    the caller's data ({!run_plan}): there is one data path. *)
 
 type mode = Full | Model
 
@@ -84,11 +86,11 @@ val execute :
     cores). Determinism contract: results, copy traces, stats and event
     streams are byte-identical for every domain count, and simulated time
     never depends on the host. Host-side numbers are gauges, never
-    [Stats]: the wall clock of set-up, probe, merge (collating reduction
-    partials) and assembly ([exec.setup_wall_s], [exec.compute_wall_s],
-    [exec.merge_wall_s], [exec.assembly_wall_s], with planning inside
-    assembly as [exec.plan_wall_s]), and the words the simulation
-    allocated ([exec.alloc_minor_words], [exec.alloc_major_words]).
+    [Stats]: the wall clock of the simulator's resolve, walk and price
+    phases ([exec.setup_wall_s], [exec.compute_wall_s],
+    [exec.assembly_wall_s], with step planning inside pricing as
+    [exec.plan_wall_s]), and the words the simulation allocated
+    ([exec.alloc_minor_words], [exec.alloc_major_words]).
 
     Leaves have one dispatch ({!run_plan}): substituted leaves run the
     tiled registry kernels ({!Distal_tensor.Kernel_registry.Tiled}); scalar
@@ -134,11 +136,12 @@ val execute :
     coalesced communication, pricing — on every call, even though all of
     it depends only on the spec, never on tensor contents. A compiled
     executable plan splits that work: {!plan} runs the simulation once
-    (stats byte-identical to a [Model] run) while recording, per launch
-    point, the ordered data operations of the run; {!run_plan} replays
-    those operations against new tensor data. Every leaf is bound when
-    the plan is compiled: its tier ({!plan_leaf_tiers}), its kernel or
-    loop nest, and each operand's buffer, offset and strides. Input
+    (stats byte-identical to a [Model] run), and its walk emits, per
+    launch point, the ordered data operations of the run already bound;
+    {!run_plan} replays those operations against new tensor data. Each
+    leaf is bound where the walk reaches it, holding every instance: its
+    tier ({!plan_leaf_tiers}), its kernel or loop nest, and each
+    operand's buffer, offset and strides. Input
     instances are read in place from the caller's tensors; output
     instances and reduction partials come from a size-classed pool with
     per-lane arenas ({!Distal_support.Buf_pool}, capped at 64 MiB), so a

@@ -1,5 +1,6 @@
-(* Host-side gauges of a simulation: the per-phase wall clocks and the
-   allocation counts. They describe the host, never the modeled run, so
+(* Host-side gauges of a simulation: the per-phase wall clocks (resolve,
+   walk and price, with step planning inside price) and the allocation
+   counts. They describe the host, never the modeled run, so
    they must not move [Stats], and a fixed Model run must stay within a
    word budget. *)
 
@@ -42,12 +43,11 @@ let test_phase_gauges () =
     [
       "exec.setup_wall_s";
       "exec.compute_wall_s";
-      "exec.merge_wall_s";
       "exec.assembly_wall_s";
       "exec.plan_wall_s";
     ];
   if gauge reg "exec.plan_wall_s" > gauge reg "exec.assembly_wall_s" then
-    Alcotest.fail "planning is part of assembly";
+    Alcotest.fail "planning is part of pricing";
   let without = (Api.run_exn ~mode:Exec.Model plan ~data:[]).Exec.stats in
   Alcotest.(check (list int64))
     "stats with and without a profile" (stats_bits without) (stats_bits with_profile)
