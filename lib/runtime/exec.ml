@@ -1214,6 +1214,10 @@ let walk c record =
         | None -> [||])
       c.points
   in
+  (* Pricing needs none of the walk's memos: let them go before it runs. *)
+  Array.iter Ints.Tbl.reset c.site_memo;
+  Array.iter Rect.Tbl.reset c.rect_memo;
+  Array.iter Ints.Tbl.reset c.ival_memo;
   Metrics.set (Metrics.gauge c.reg "exec.compute_wall_s") (now () -. t0);
   bops
 
