@@ -206,8 +206,8 @@ type faults = {
 }
 
 (* Per-step accumulators, preallocated per physical processor. One record
-   per *active* step (a step some copy or compute touched), so the timing
-   assembly walks flat arrays instead of hashing (step, proc) pairs and
+   per *active* step (a step some copy or compute touched), so pricing
+   walks flat arrays instead of hashing (step, proc) pairs and
    sorting the result. Copies land in the step's message table as they
    are charged ([Comm_plan.add]) and become groups when it is priced. *)
 type step_acc = {
