@@ -121,6 +121,24 @@ let test_instance_cache_avoids_recommunication () =
   Alcotest.(check (float 0.0)) "C fetched once" (4.0 *. 4.0 *. 8.0)
     (s.Stats.bytes_inter +. s.Stats.bytes_intra)
 
+(* Inputs cached at jo and a substituted gemm inside the k chunks: each
+   leaf reads one chunk of its B and C instances, so its operands start
+   at the chunk, not at the instance. *)
+let test_sliced_input_leaves () =
+  let p =
+    Api.problem_exn ~machine:(Machine.grid [| 2; 2 |]) ~stmt:"A(i,j) = B(i,k) * C(k,j)"
+      ~tensors:(List.map (fun t -> Api.tensor t [| 8; 8 |] ~dist:"[x,y] -> [x,y]") [ "A"; "B"; "C" ])
+      ()
+  in
+  let plan =
+    Api.compile_script_exn p
+      ~schedule:
+        "distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); split(k, ko, ki, 4); \
+         reorder(ko, ii, ji, ki); communicate({A,B,C}, jo); substitute({ii,ji,ki}, gemm)"
+  in
+  Alcotest.(check int) "tiled leaves" 8 (Exec.plan_leaf_tiers (Api.eplan_exn plan)).Exec.tiled;
+  match Api.validate plan with Ok () -> () | Error e -> Alcotest.fail e
+
 (* A [=] statement whose output appears on the RHS reads the caller's
    value of the output, not the zero-seeded buffer it is writing. *)
 let self_ref_plan machine =
@@ -222,6 +240,7 @@ let suites =
         Alcotest.test_case "over-decomposition" `Quick test_overdecomposition_doubles_work_per_proc;
         Alcotest.test_case "accumulate + reduction" `Quick test_accumulate_into_reduction;
         Alcotest.test_case "instance cache" `Quick test_instance_cache_avoids_recommunication;
+        Alcotest.test_case "sliced input leaves" `Quick test_sliced_input_leaves;
         Alcotest.test_case "no trace by default" `Quick test_trace_disabled_by_default;
         Alcotest.test_case "self-reference reads input" `Quick
           test_self_reference_reads_input;
