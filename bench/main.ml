@@ -851,7 +851,7 @@ let fig9 () =
       M.summa ~n ~machine:m2 ();
       M.johnson ~n ~machine:m3 ();
       M.solomonik ~n ~machine:m3;
-      M.cosma ~n ~machine:m3 ();
+      M.cosma ~n ~machine:m3;
     ];
   Distal_support.Table.print table;
   print_endline "(schedules printed by examples/algorithms_tour.exe)";
@@ -923,7 +923,7 @@ let profile_fig9 profile =
       M.summa ~n ~machine:m2 ();
       M.johnson ~n ~machine:m3 ();
       M.solomonik ~n ~machine:m3;
-      M.cosma ~n ~machine:m3 ();
+      M.cosma ~n ~machine:m3;
     ]
 
 let profile_targets profile =

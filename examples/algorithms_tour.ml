@@ -52,7 +52,7 @@ let () =
       Result.get_ok (M.summa ~n ~machine:m2 ());
       Result.get_ok (M.johnson ~n ~machine:m3 ());
       Result.get_ok (M.solomonik ~n ~machine:m3);
-      Result.get_ok (M.cosma ~n ~machine:cosma_machine ());
+      Result.get_ok (M.cosma ~n ~machine:cosma_machine);
     ];
   (* The systolic-vs-broadcast contrast the paper draws (§7.1.2): same
      communication volume, different pattern. *)

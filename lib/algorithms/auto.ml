@@ -178,9 +178,10 @@ let fingerprint ~machine ~cost ~stmt ~tensors ~schedule =
   Api.request_fingerprint req ^ "+" ^ Cost.digest cost
 
 (* Expand every stage, canonicalize, dedup by grid form and then by full
-   fingerprint, and attach stat bounds. Returns specs in enumeration
-   order plus the [enumerated]/[deduped] counts. *)
-let enumerate ~max_dist_vars ~cost ~machine_of ~procs ~stmt ~shapes ~parsed ~extents =
+   fingerprint, and attach stat bounds. Candidates distribute at most
+   three index variables. Returns specs in enumeration order plus the
+   [enumerated]/[deduped] counts. *)
+let enumerate ~cost ~machine_of ~procs ~stmt ~shapes ~parsed ~extents =
   let vars = Expr.index_vars parsed in
   let accesses = Expr.stmt_accesses parsed in
   let first_access tn =
@@ -201,7 +202,7 @@ let enumerate ~max_dist_vars ~cost ~machine_of ~procs ~stmt ~shapes ~parsed ~ext
     in
     2 * placements
   in
-  for k = 1 to min max_dist_vars (List.length vars) do
+  for k = 1 to min 3 (List.length vars) do
     List.iter
       (fun dist_vars ->
         List.iter
@@ -354,14 +355,14 @@ let prunable st spec =
   | None -> false
   | Some bt -> (not spec.s_bounds.Tensor_stats.mem_ok) || spec.s_bounds.Tensor_stats.time_lb >= bt
 
-let run_search ?(max_dist_vars = 3) ?cost ?domains ~machine_of ~procs ~stmt ~shapes () =
+let run_search ?cost ?domains ~machine_of ~procs ~stmt ~shapes () =
   let t0 = Pool.now () in
   let* parsed = Distal_ir.Einsum_parser.parse stmt in
   let* extents = Distal_ir.Typecheck.check parsed ~shapes in
   let vars = Expr.index_vars parsed in
   let* () = if vars = [] then Error "statement has no index variables" else Ok () in
   let specs, enumerated, deduped =
-    enumerate ~max_dist_vars ~cost ~machine_of ~procs ~stmt ~shapes ~parsed ~extents
+    enumerate ~cost ~machine_of ~procs ~stmt ~shapes ~parsed ~extents
   in
   (* Probe promising candidates first — the sooner the best tightens, the
      more the bounds prune. Lower bound then enumeration order: total and
@@ -481,12 +482,12 @@ let run_search ?(max_dist_vars = 3) ?cost ?domains ~machine_of ~procs ~stmt ~sha
 
 let search_report = run_search
 
-let search ?max_dist_vars ?cost ?domains ~machine_of ~procs ~stmt ~shapes () =
-  let* cs, _ = run_search ?max_dist_vars ?cost ?domains ~machine_of ~procs ~stmt ~shapes () in
+let search ?cost ?domains ~machine_of ~procs ~stmt ~shapes () =
+  let* cs, _ = run_search ?cost ?domains ~machine_of ~procs ~stmt ~shapes () in
   Ok cs
 
-let best ?max_dist_vars ?cost ?domains ~machine_of ~procs ~stmt ~shapes () =
-  let* cs = search ?max_dist_vars ?cost ?domains ~machine_of ~procs ~stmt ~shapes () in
+let best ?cost ?domains ~machine_of ~procs ~stmt ~shapes () =
+  let* cs = search ?cost ?domains ~machine_of ~procs ~stmt ~shapes () in
   Ok (List.hd cs)
 
 let describe c =

@@ -6,8 +6,8 @@
     A staged, cost-guided search with the simulator's own cost model as
     the objective. Candidates are enumerated lazily by stage —
 
-    - which index variables to distribute (including reduction variables,
-      which induces distributed reductions);
+    - which index variables to distribute, at most three (including
+      reduction variables, which induces distributed reductions);
     - how to factor the processors into a machine grid over them
       (grids canonicalized: size-1 dimensions drop with their variable,
       so equivalent candidates are probed once and counted as dedups);
@@ -56,7 +56,6 @@ type report = {
 }
 
 val search :
-  ?max_dist_vars:int ->
   ?cost:Distal_machine.Cost_model.t ->
   ?domains:int ->
   machine_of:(int array -> Distal_machine.Machine.t) ->
@@ -75,7 +74,6 @@ val search :
     error. *)
 
 val search_report :
-  ?max_dist_vars:int ->
   ?cost:Distal_machine.Cost_model.t ->
   ?domains:int ->
   machine_of:(int array -> Distal_machine.Machine.t) ->
@@ -87,7 +85,6 @@ val search_report :
 (** {!search} plus the search's counters and wall time. *)
 
 val best :
-  ?max_dist_vars:int ->
   ?cost:Distal_machine.Cost_model.t ->
   ?domains:int ->
   machine_of:(int array -> Distal_machine.Machine.t) ->

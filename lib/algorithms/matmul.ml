@@ -119,10 +119,11 @@ let solomonik ~n ~machine =
       ]
     ()
 
-let cosma ?(steps = 4) ~n ~machine () =
+let cosma ~n ~machine =
   let* () = require_dims machine 3 "COSMA" in
   let g3 = machine.Machine.dims.(2) in
-  let chunk = max 1 (Ints.ceil_div (Ints.ceil_div n g3) steps) in
+  (* Each processor's k range runs in four steps. *)
+  let chunk = max 1 (Ints.ceil_div (Ints.ceil_div n g3) 4) in
   make ~name:"cosma" ~year:2019 ~machine ~n ~dists:faces3
     ~schedule:
       [

@@ -36,9 +36,9 @@ val solomonik : n:int -> machine:Distal_machine.Machine.t -> (t, string) result
 (** 2.5D: machine dims [| g; g; c |]; the third dimension is the
     replication depth c. *)
 
-val cosma :
-  ?steps:int -> n:int -> machine:Distal_machine.Machine.t -> unit -> (t, string) result
-(** The machine should come from {!Cosma_scheduler.find}'s grid. *)
+val cosma : n:int -> machine:Distal_machine.Machine.t -> (t, string) result
+(** The machine should come from {!Cosma_scheduler.find}'s grid. Each
+    processor's share of the k range runs in four steps. *)
 
 val all_2d : (string * (n:int -> machine:Distal_machine.Machine.t -> (t, string) result)) list
 (** Name -> constructor for the 2-D family. *)

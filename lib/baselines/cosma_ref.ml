@@ -7,7 +7,7 @@ module Cs = Distal_algorithms.Cosma_scheduler
 let ( let* ) = Result.bind
 
 let run_decomposition ~machine ~cost ~n =
-  let* alg = M.cosma ~n ~machine () in
+  let* alg = M.cosma ~n ~machine in
   let* r = Api.run ~mode:Api.Exec.Model ~cost alg.M.plan ~data:[] in
   Ok r.Api.Exec.stats
 

@@ -1,31 +1,17 @@
 module Api = Distal.Api
 module Machine = Distal_machine.Machine
 module Cost = Distal_machine.Cost_model
-module Stats = Distal_runtime.Stats
 module M = Distal_algorithms.Matmul
 module Cs = Distal_algorithms.Cosma_scheduler
 
 let ( let* ) = Result.bind
 
-let grid_of = Cs.best_pair
-
-let gemm ?(redistribute_inputs = false) ~nodes ~n () =
+let gemm ~nodes ~n =
   (* Four MPI ranks per node (§7.1), arranged in the most balanced 2-D
-     process grid. *)
-  let gx, gy = grid_of (4 * nodes) in
+     process grid: the source of the paper's "performance variability due
+     to non-square machine grids". *)
+  let gx, gy = Cs.best_pair (4 * nodes) in
   let machine = Machine.with_ppn ~kind:Machine.Cpu ~mem_per_proc:64e9 [| gx; gy |] ~ppn:4 in
   let* alg = M.summa ~n ~machine () in
   let* r = Api.run ~mode:Api.Exec.Model ~cost:Cost.cpu_rank_no_overlap alg.M.plan ~data:[] in
-  let stats = r.Api.Exec.stats in
-  if redistribute_inputs then begin
-    (* The caller's row-major data must enter ScaLAPACK's 2-D layout
-       first: one exchange per input matrix. *)
-    let rows = Api.Distnot.parse_exn "[x,y] -> [x,*]" in
-    let tiles = Api.Distnot.parse_exn "[x,y] -> [x,y]" in
-    let re =
-      Api.redistribute ~machine ~cost:Cost.cpu_rank_no_overlap ~shape:[| n; n |] ~src:rows
-        ~dst:tiles ()
-    in
-    Ok (Stats.add stats (Stats.add re re))
-  end
-  else Ok stats
+  Ok r.Api.Exec.stats

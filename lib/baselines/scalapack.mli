@@ -3,17 +3,6 @@
     ScaLAPACK's PDGEMM implements SUMMA on a 2-D process grid. The model
     runs exactly our SUMMA plan, but with a cost model that does not
     overlap communication with computation (ScaLAPACK's synchronous
-    broadcasts) and, optionally, with the block-cyclic input
-    redistribution ScaLAPACK requires when the caller's data is not
-    already in its layout (§1). CPU only, as in the paper. *)
+    broadcasts). CPU only, as in the paper. *)
 
-val gemm :
-  ?redistribute_inputs:bool ->
-  nodes:int ->
-  n:int ->
-  unit ->
-  (Distal_runtime.Stats.t, string) result
-
-val grid_of : int -> int * int
-(** The most balanced 2-D process grid for a node count (the source of the
-    paper's "performance variability due to non-square machine grids"). *)
+val gemm : nodes:int -> n:int -> (Distal_runtime.Stats.t, string) result

@@ -214,8 +214,12 @@ let random_inputs ?alloc ?(seed = 42) plan =
       else Some (t.name, Dense.random ?alloc rng t.shape))
     plan.problem.tensors
 
-let validate ?(seed = 42) ?(tol = 1e-7) plan =
-  let data = random_inputs ~seed plan in
+(* The data seed and the tolerance of [validate] and [validate_pipeline]. *)
+let validate_seed = 42
+let validate_tol = 1e-7
+
+let validate plan =
+  let data = random_inputs ~seed:validate_seed plan in
   let* result = run plan ~data in
   let expected =
     Exec.serial_reference plan.problem.stmt ~shapes:(shapes_of plan.problem.tensors)
@@ -224,7 +228,7 @@ let validate ?(seed = 42) ?(tol = 1e-7) plan =
   match result.Exec.output with
   | None -> Error "validate: execution produced no output"
   | Some got ->
-      if Dense.approx_equal ~tol got expected then Ok ()
+      if Dense.approx_equal ~tol:validate_tol got expected then Ok ()
       else
         errf "distributed result differs from serial reference (max |diff| = %g)"
           (Dense.max_abs_diff got expected)
@@ -359,10 +363,10 @@ let estimate_pipeline ?cost pl =
   List.fold_left (fun acc plan -> Stats.add acc (estimate ?cost plan)) (Stats.create ())
     pl.stages
 
-let validate_pipeline ?(seed = 42) ?(tol = 1e-7) pl =
+let validate_pipeline pl =
   (* Random data for every tensor no stage produces. *)
   let produced = List.map stage_output pl.stages in
-  let rng = Rng.create seed in
+  let rng = Rng.create validate_seed in
   let data =
     List.filter_map
       (fun t ->
@@ -380,7 +384,7 @@ let validate_pipeline ?(seed = 42) ?(tol = 1e-7) pl =
         let expected = Exec.serial_reference stmt ~shapes ~data:(expected_env @ data) in
         let name = stage_output plan in
         let got = List.assoc name outputs in
-        if Dense.approx_equal ~tol got expected then
+        if Dense.approx_equal ~tol:validate_tol got expected then
           Ok ((name, expected) :: expected_env)
         else
           errf "pipeline stage %s differs from serial reference (max |diff| = %g)"

@@ -72,8 +72,6 @@ type exec_cache
     ({!Exec.eplan}). Created empty by {!compile}; filled lazily by
     {!eplan} and by default-options Full {!run}s. *)
 
-val new_exec_cache : unit -> exec_cache
-
 type plan = {
   problem : problem;
   cin : Distal_ir.Cin.t;  (** the scheduled concrete index notation *)
@@ -169,10 +167,11 @@ val random_inputs :
     [alloc n] (a block of at least [n] elements; default a fresh one),
     and the data does not depend on where it lives. *)
 
-val validate : ?seed:int -> ?tol:float -> plan -> (unit, string) result
-(** Run the plan on random data and compare against the serial reference
-    interpreter — the end-to-end check that scheduling only affects
-    performance, never results (§3.3). *)
+val validate : plan -> (unit, string) result
+(** Run the plan on random data (seed 42) and compare against the serial
+    reference interpreter ({!Dense.approx_equal} with [tol] 1e-7) — the
+    end-to-end check that scheduling only affects performance, never
+    results (§3.3). *)
 
 val describe : plan -> string
 (** The scheduled concrete index notation and the generated task-IR
@@ -254,9 +253,9 @@ val run_pipeline :
 
 val estimate_pipeline : ?cost:Cost_model.t -> pipeline -> Stats.t
 
-val validate_pipeline : ?seed:int -> ?tol:float -> pipeline -> (unit, string) result
+val validate_pipeline : pipeline -> (unit, string) result
 (** Run the pipeline on random data and compare every stage output against
-    the serial reference chain. *)
+    the serial reference chain, as {!validate} does. *)
 
 val redistribute :
   machine:Machine.t ->

@@ -52,9 +52,6 @@ val empty : t
 
 val is_empty : t -> bool
 
-val has_events : t -> bool
-(** Whether the plan contains any kill or message fault. *)
-
 val plan :
   ?checkpoint:bool ->
   ?interval:int ->

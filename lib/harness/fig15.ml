@@ -69,7 +69,7 @@ let distal_series ?profile ?fig ~make ~mem ~cost ~procs ~norm_nodes ~n () =
     ("our-pumma", fun () -> M.pumma ~n ~machine:m2);
     ("our-johnson", fun () -> M.johnson ?virtual_cube:johnson_cube ~n ~machine:johnson_machine ());
     ("our-solomonik", fun () -> M.solomonik ~n ~machine:solomonik_machine);
-    ("our-cosma", fun () -> M.cosma ~n ~machine:cosma_machine ());
+    ("our-cosma", fun () -> M.cosma ~n ~machine:cosma_machine);
   ]
   |> List.map (fun (name, f) ->
          let label =
@@ -115,7 +115,7 @@ let cpu ?profile ?(nodes = default_nodes) ?(base_n = 8192) () =
         baseline "cosma-restricted" (fun () ->
             Cosma_ref.gemm_cpu ~restricted:true ~nodes:nd ~n ());
         baseline "ctf" (fun () -> Ctf.gemm ~nodes:nd ~n);
-        baseline "scalapack" (fun () -> Scalapack.gemm ~nodes:nd ~n ());
+        baseline "scalapack" (fun () -> Scalapack.gemm ~nodes:nd ~n);
       ]
   in
   {

@@ -45,7 +45,7 @@ let gemm ?(nodes = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]) ?n ~kind () =
       ("cannon", time_of (M.cannon ~n ~machine:m2) ~cost);
       ("johnson", time_of (M.johnson ~n ~machine:(make [| q; q; q |]) ()) ~cost);
       ("solomonik", time_of (M.solomonik ~n ~machine:m25) ~cost);
-      ("cosma", time_of (M.cosma ~n ~machine:mc ()) ~cost);
+      ("cosma", time_of (M.cosma ~n ~machine:mc) ~cost);
     ]
   in
   let per_node = List.map (fun nd -> (nd, times_of_nodes nd)) nodes in

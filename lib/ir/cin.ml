@@ -31,8 +31,6 @@ let find_loop t v =
   in
   go 0 t.loops
 
-let has_loop t v = find_loop t v <> None
-
 let communicated_tensors _t loop =
   List.filter_map (function Communicate tn -> Some tn | _ -> None) loop.annots
 

@@ -28,7 +28,6 @@ val of_stmt : Expr.stmt -> shapes:(string * int array) list -> (t, string) resul
 
 val loop_vars : t -> Ident.t list
 val find_loop : t -> Ident.t -> int option
-val has_loop : t -> Ident.t -> bool
 
 val communicated_tensors : t -> loop -> string list
 val is_distributed : loop -> bool

@@ -22,7 +22,6 @@ let dedup xs =
 
 let tensors s = dedup (List.map (fun a -> a.tensor) (stmt_accesses s))
 let index_vars s = dedup (List.concat_map (fun a -> a.indices) (stmt_accesses s))
-let free_vars s = s.lhs.indices
 
 let reduction_vars s =
   List.filter (fun v -> not (List.mem v s.lhs.indices)) (index_vars s)
@@ -62,5 +61,3 @@ let to_string s =
   Printf.sprintf "%s %s %s" (access_to_string s.lhs)
     (if s.accum then "+=" else "=")
     (expr_to_string s.rhs)
-
-let pp_stmt fmt s = Stdlib.Format.pp_print_string fmt (to_string s)

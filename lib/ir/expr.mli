@@ -41,13 +41,9 @@ val reads_output : stmt -> bool
     (e.g. [A(i,j) = A(i,j) + B(i,j)]). Such statements read the caller's
     value of the output even when they do not accumulate. *)
 
-val free_vars : stmt -> Ident.t list
-(** Variables of the lhs. *)
-
 val eval : stmt -> lookup:(access -> int array -> float) -> point:(Ident.t -> int) -> float
 (** Evaluate the rhs at one iteration-space point. [lookup] resolves tensor
     reads; [point] gives each index variable's value. *)
 
 val to_string : stmt -> string
 val access_to_string : access -> string
-val pp_stmt : Stdlib.Format.formatter -> stmt -> unit

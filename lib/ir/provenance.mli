@@ -96,8 +96,6 @@ val key_deps : t -> bound:(Ident.t -> bool) -> Ident.t -> (Ident.t list * int) l
     for environments that bind live variables, i.e. actual loop variables,
     which is what the runtime's task walk maintains. *)
 
-val roots_of : t -> Ident.t -> Ident.t list
-(** Root variables a variable's value contributes to (rotate [by] variables
-    only shift time, so they do not count as contributing). *)
-
 val derives_from : t -> Ident.t -> root:Ident.t -> bool
+(** Whether a variable's value derives from [root] (rotate [by] variables
+    only shift time, so they do not count as contributing). *)

@@ -38,14 +38,11 @@ type t =
   | Parallelize of Ident.t
   | Substitute of Ident.t list * string
       (** Bind the innermost loops to a named local kernel (Fig. 2's
-          [.substitute({ii, ji, ki}, CuBLAS::GeMM)]). *)
+          [.substitute({ii, ji, ki}, CuBLAS::GeMM)]): one of gemm, gemv,
+          ttv, ttm, mttkrp, innerprod. *)
 
 val apply : Cin.t -> t -> (Cin.t, string) result
 val apply_all : Cin.t -> t list -> (Cin.t, string) result
-
-val known_leaf_kernels : string list
-(** Kernel names accepted by [Substitute]:
-    gemm, gemv, ttv, ttm, mttkrp, innerprod. *)
 
 val to_string : t -> string
 

@@ -25,10 +25,6 @@ val calibrated : Cost_model.t -> Cost_model.t
 (** [calibrated cost] is [cost] with its [pack_overhead] and
     [kernel_rates] replaced by the measured values. *)
 
-val measure_pack_overhead : unit -> float
-(** Run the microbenchmark unconditionally (no cache, no env override) —
-    exposed for the calibration report in [bench]. *)
-
 val kernel_rate : string -> float
 (** The calibrated achieved flop/s of a registry leaf kernel: the
     [DISTAL_KERNEL_RATE] override if set, else a timed run of the tiled
@@ -38,7 +34,3 @@ val kernel_rate : string -> float
 
 val kernel_rates : unit -> (string * float) list
 (** {!kernel_rate} for every registry kernel, in registry order. *)
-
-val measure_kernel_rate : string -> float
-(** Run the kernel-rate microbenchmark unconditionally (no cache, no env
-    override) — exposed for the calibration report in [bench]. *)

@@ -6,9 +6,6 @@
     counter tracks. Timestamps are exported in microseconds as the format
     requires (simulated seconds × 1e6). *)
 
-val json_of_events : Event.t list -> Json.t
-(** The [{"traceEvents": [...], ...}] object form. *)
-
 val to_string : Event.t list -> string
 val of_profile : Profile.t -> string
 val save : file:string -> Profile.t -> unit

@@ -63,10 +63,6 @@ let step_bottleneck s =
          (or, with no slots at all, pure fabric traffic). *)
       { step = s.index; resource = "fabric"; compute = 0.0; comm = s.cost; cost = s.cost }
 
-let bound_steps tl resource =
-  List.length
-    (List.filter (fun s -> (step_bottleneck s).resource = resource) tl.steps)
-
 let analyse tl =
   let step_nodes = List.map step_bottleneck tl.steps in
   let nodes =

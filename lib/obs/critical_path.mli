@@ -70,7 +70,3 @@ val analyse : timeline -> t
 
 val step_bottleneck : step -> node
 (** The slowest resource of one step and its compute/comm attribution. *)
-
-val bound_steps : timeline -> string -> int
-(** [bound_steps tl resource] counts steps whose bottleneck is
-    [resource]. *)

@@ -49,7 +49,6 @@ let counter reg name =
 
 let inc c x = c.v <- c.v +. x
 let inc_int c x = c.v <- c.v +. float_of_int x
-let counter_value c = c.v
 
 let gauge reg name =
   get_or_create reg name
@@ -61,7 +60,6 @@ let gauge reg name =
 
 let set g x = g.v <- x
 let set_max g x = if x > g.v then g.v <- x
-let gauge_value g = g.v
 
 let default_buckets =
   Array.init 13 (fun i -> Float.pow 10.0 (float_of_int i))
@@ -98,7 +96,6 @@ let observe h v =
   h.bucket_counts.(i) <- h.bucket_counts.(i) + 1
 
 let histogram_count h = h.count
-let histogram_sum h = h.st.sum
 
 let value reg name =
   match Hashtbl.find_opt reg name with

@@ -26,25 +26,21 @@ val counter : registry -> string -> counter
 
 val inc : counter -> float -> unit
 val inc_int : counter -> int -> unit
-val counter_value : counter -> float
 
 val gauge : registry -> string -> gauge
 val set : gauge -> float -> unit
 val set_max : gauge -> float -> unit
 (** Keep the larger of the current and given values (peaks). *)
 
-val gauge_value : gauge -> float
-
-val default_buckets : float array
-(** Decade buckets 1, 10, ..., 1e12 (suits both bytes and flops). *)
-
 val seconds_buckets : float array
 (** Decade buckets 1e-6, 1e-5, ..., 10 (suits wall-clock seconds). *)
 
 val histogram : ?buckets:float array -> registry -> string -> histogram
+(** Get or create. [buckets] defaults to the decades 1, 10, ..., 1e12
+    (suits both bytes and flops). *)
+
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 val value : registry -> string -> float option
 (** Counter value, gauge value, or histogram sum, by name. *)

@@ -19,17 +19,15 @@ let sink t = t.sink
 
 let set_next_run_name t name = t.pending_name <- Some name
 
-let begin_run ?name ?fallback t =
+let begin_run ~fallback t =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   let name =
-    match (name, t.pending_name, fallback) with
-    | Some n, _, _ -> n
-    | None, Some n, _ ->
+    match t.pending_name with
+    | Some n ->
         t.pending_name <- None;
         n
-    | None, None, Some n -> Printf.sprintf "%s%d" n pid
-    | None, None, None -> Printf.sprintf "run%d" pid
+    | None -> Printf.sprintf "%s%d" fallback pid
   in
   let run = { pid; name; metrics = Metrics.create (); timeline = None } in
   t.rev_runs <- run :: t.rev_runs;
@@ -37,5 +35,4 @@ let begin_run ?name ?fallback t =
   run
 
 let runs t = List.rev t.rev_runs
-let find_run t name = List.find_opt (fun r -> r.name = name) (runs t)
 let events t = Event.events t.sink

@@ -22,16 +22,15 @@ val sink : t -> Event.sink
 val set_next_run_name : t -> string -> unit
 (** Name the next run registered by a layer that cannot name it itself
     (e.g. the harness labelling the simulator's runs). Consumed by the next
-    {!begin_run} without an explicit [name]. *)
+    {!begin_run}. *)
 
-val begin_run : ?name:string -> ?fallback:string -> t -> run
+val begin_run : fallback:string -> t -> run
 (** Register a run: allocates the next pid, emits its process-name
-    metadata. Precedence for the name: explicit [name], then a pending
-    {!set_next_run_name}, then ["<fallback><pid>"], then ["run<pid>"]. *)
+    metadata. The run is named by a pending {!set_next_run_name}, else
+    ["<fallback><pid>"]. *)
 
 val runs : t -> run list
 (** In registration order. *)
 
-val find_run : t -> string -> run option
 val events : t -> Event.t list
 (** The full stream, in emission order. *)

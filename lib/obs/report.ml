@@ -260,10 +260,3 @@ let run_to_json (run : Profile.run) =
           ]
       | None -> [])
     @ [ ("metrics", Metrics.to_json run.Profile.metrics) ])
-
-let profile_to_json p =
-  Json.Obj
-    [
-      ("schema", Json.String "distal-profile/v1");
-      ("runs", Json.List (List.map run_to_json (Profile.runs p)));
-    ]

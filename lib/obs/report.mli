@@ -5,24 +5,19 @@
     communication, traffic, and the step's bottleneck resource — plus a
     critical-path summary and JSON forms for the bench trajectory. *)
 
-val step_table : Critical_path.timeline -> string
-(** One row per bulk-synchronous step: charged cost, number of active
-    processors, mean utilization (busy/cost averaged over all processors),
-    bottleneck compute and exposed-comm split, bytes moved, message count,
-    and the bottleneck resource. *)
-
-val critical_path_summary : Critical_path.t -> string
-(** Total/compute/comm/overhead/reduction split, the dominating resource,
-    and the three laziest processors (most slack). *)
-
-val traffic_by_tensor : Metrics.registry -> string
-(** Per-tensor traffic breakdown read off the [exec.bytes_by_tensor.*]
-    counters, largest mover first with its share of all traffic; empty
-    when the run moved nothing. *)
-
 val run_report : Profile.run -> string
-(** [step_table] + [critical_path_summary] + [traffic_by_tensor] + metric
-    snapshot for one run. *)
+(** One run's report:
+    - a step table, one row per bulk-synchronous step: charged cost,
+      number of active processors, mean utilization (busy/cost averaged
+      over all processors), bottleneck compute and exposed-comm split,
+      bytes moved, message count, and the bottleneck resource;
+    - a critical-path summary: total/compute/comm/overhead/reduction
+      split, the dominating resource, and the three laziest processors
+      (most slack);
+    - the per-tensor traffic read off the [exec.bytes_by_tensor.*]
+      counters, largest mover first with its share of all traffic (empty
+      when the run moved nothing);
+    - a metric snapshot. *)
 
 val resilience_report : baseline:Profile.run -> faulty:Profile.run -> string
 (** Side-by-side of the same schedule fault-free vs. under a fault plan
@@ -31,8 +26,6 @@ val resilience_report : baseline:Profile.run -> faulty:Profile.run -> string
     [exec.recovery_time]) and the checkpoint traffic
     ([exec.checkpoint_bytes] / [exec.restore_bytes]). *)
 
-val timeline_to_json : Critical_path.timeline -> Json.t
 val run_to_json : Profile.run -> Json.t
-val profile_to_json : Profile.t -> Json.t
-(** Every run's timeline, critical path and metrics (no raw events — those
+(** The run's timeline, critical path and metrics (no raw events — those
     are {!Chrome_trace}'s job). *)

@@ -66,7 +66,7 @@ let submit t (s : Protocol.submit) =
       Ok (Failed reason)
   | Ok _ -> Error "server reply does not match the request id"
 
-let submit_wait ?(attempts = 20) t s =
+let submit_wait t s =
   (* Retry admission-control rejections after the server's suggested
      backoff; anything else is final. *)
   let rec go left =
@@ -77,7 +77,7 @@ let submit_wait ?(attempts = 20) t s =
         go (left - 1)
     | Ok r -> Ok r
   in
-  go attempts
+  go 20
 
 let stats t =
   match rpc t Protocol.Stats with

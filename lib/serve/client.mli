@@ -27,9 +27,9 @@ type response =
 val submit : t -> Protocol.submit -> (response, string) result
 (** Send one submit and wait for its matching reply. *)
 
-val submit_wait : ?attempts:int -> t -> Protocol.submit -> (response, string) result
+val submit_wait : t -> Protocol.submit -> (response, string) result
 (** Like {!submit}, but sleeps out admission-control rejections
-    ([retry_after_s]) and retries, up to [attempts] times. *)
+    ([retry_after_s]) and retries, up to 20 times. *)
 
 val stats : t -> (int * int * Distal_support.Json.t, string) result
 (** [(queue_depth, served, metrics)]. *)

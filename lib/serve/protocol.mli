@@ -96,4 +96,3 @@ val output_length : int array -> int option
     the element count overflows. [None] for a negative extent. *)
 
 val json_of_stats : Api.Stats.t -> Distal_support.Json.t
-val stats_of_json : Distal_support.Json.t -> (Api.Stats.t, string) result

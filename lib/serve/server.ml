@@ -41,26 +41,19 @@ type config = {
   socket_path : string;
   queue_limit : int;
   plan_cache : int;
-  result_cache : int;
+  result_cache : int option;
   domains : int option;
   stall_timeout : float;
   quiet : bool;
 }
 
-let default_queue_limit = 64
-let default_stall_timeout = 30.0
-
-let config ?queue_limit ?plan_cache ?result_cache ?domains
-    ?(stall_timeout = default_stall_timeout) ?(quiet = false) ~socket_path () =
-  let queue_limit = Option.value queue_limit ~default:default_queue_limit in
-  let plan_cache = Option.value plan_cache ~default:Session.default_plan_capacity in
-  let result_cache =
-    match result_cache with
-    | Some c -> c
-    | None -> if plan_cache = 0 then 0 else Session.default_result_capacity
-  in
+let config ?(queue_limit = 64) ?(plan_cache = Session.default_plan_capacity) ?result_cache
+    ?domains ?(stall_timeout = 30.0) ?(quiet = false) ~socket_path () =
   if queue_limit < 1 then invalid_arg "Server.config: queue_limit must be >= 1";
   if not (stall_timeout > 0.0) then invalid_arg "Server.config: stall_timeout must be > 0";
+  if plan_cache < 0 then invalid_arg "Server.config: plan_cache must be >= 0";
+  if Option.fold ~none:false ~some:(fun c -> c < 0) result_cache then
+    invalid_arg "Server.config: result_cache must be >= 0";
   {
     socket_path;
     queue_limit;
@@ -128,7 +121,7 @@ let create cfg =
     cfg;
     listener;
     session =
-      Session.create ~plan_cache:cfg.plan_cache ~result_cache:cfg.result_cache
+      Session.create ~plan_cache:cfg.plan_cache ?result_cache:cfg.result_cache
         ?domains:cfg.domains ();
     clients = Hashtbl.create 16;
     queue = Queue.create ();
@@ -461,7 +454,7 @@ let close t =
 
 let run t =
   log t "distald: listening on %s (queue %d, cache %d plans / %d results)\n"
-    t.cfg.socket_path t.cfg.queue_limit t.cfg.plan_cache t.cfg.result_cache;
+    t.cfg.socket_path t.cfg.queue_limit t.cfg.plan_cache (Session.result_capacity t.session);
   (try
      while not t.stop do
        step t ~idle_timeout:0.5

@@ -28,15 +28,12 @@ type config = {
   socket_path : string;
   queue_limit : int;  (** admission bound; >= 1 *)
   plan_cache : int;
-  result_cache : int;
+  result_cache : int option;  (** [None]: {!Session.create}'s default *)
   domains : int option;
   stall_timeout : float;
       (** seconds a client may leave replies unread before it is dropped *)
   quiet : bool;
 }
-
-val default_queue_limit : int
-val default_stall_timeout : float
 
 val config :
   ?queue_limit:int ->
@@ -48,10 +45,11 @@ val config :
   socket_path:string ->
   unit ->
   config
-(** Omitted fields take the built-in defaults (queue 64, caches per
-    {!Session}). [domains] sizes the pool that replays Full requests.
-    [stall_timeout] defaults to {!default_stall_timeout} (30 s).
-    @raise Invalid_argument on a non-positive queue or stall timeout. *)
+(** Omitted fields take the built-in defaults (queue 64, stall timeout
+    30 s, caches per {!Session.create}). [domains] sizes the pool that
+    replays Full requests.
+    @raise Invalid_argument on a non-positive queue or stall timeout, or a
+    negative cache capacity. *)
 
 type t
 

@@ -10,18 +10,17 @@
      single-flight find_or_add, so concurrent misses on one shape compile
      exactly once and plan reuse never re-lowers.
 
-   - the result cache maps fingerprint x run options x input identity to
-     the finished Exec.result. The simulator is a deterministic pure
+   - the result cache maps fingerprint x run options x data seed to the
+     finished Exec.result. The simulator is a deterministic pure
      function of plan x data (the determinism contract of Exec.execute),
      so replaying a cached result is semantically identical to re-running
      — this is what makes a hot serving path orders of magnitude faster
      than compile+execute, since compilation is microseconds while
-     execution is milliseconds. Inputs are identified by seed
-     (random_inputs requests, the distald path) or by a digest of the
-     supplied tensors. Cached outputs are returned as copies so callers
-     cannot mutate the cache. A result whose output is larger than
-     max_cached_result_bytes is served but never cached, and the cached
-     outputs together never exceed max_result_bytes: an insert evicts
+     execution is milliseconds. The seed names the deterministic
+     random_inputs stream. Cached outputs are returned as copies so
+     callers cannot mutate the cache. A result whose output is larger
+     than max_cached_result_bytes is served but never cached, and the
+     cached outputs together never exceed max_result_bytes: an insert evicts
      least-recently-used results until they fit. Seeds that never repeat
      (fresh data per request) would otherwise fill the tier with results
      nobody asks for again, growing the process by every one.
@@ -32,8 +31,7 @@
 
    Both caches are safe under concurrent use from lib/support/pool
    domains (Lru serializes internally; the metrics registry is guarded
-   here). Counters surface through lib/obs as serve.* metrics; with a
-   profile, each plan-cache lookup is a span on the compiler track. *)
+   here). Counters surface through lib/obs as serve.* metrics. *)
 
 module Api = Distal.Api
 module Dense = Distal_tensor.Dense
@@ -119,13 +117,9 @@ let timed t name f =
 
 (* {2 The plan tier} *)
 
-let compile ?profile t req =
+let compile t req =
   let fp = Api.request_fingerprint req in
-  let sink = Option.map Obs.Profile.sink profile in
-  let lookup () =
-    Lru.find_or_add t.plans fp (fun () -> Api.compile_request ?profile req)
-  in
-  match Obs.Span.wall sink ~name:"plan cache" ~cat:"compile" lookup with
+  match Lru.find_or_add t.plans fp (fun () -> Api.compile_request req) with
   | Error e -> Error e
   | Ok (plan, status) ->
       let hit = status = `Hit in
@@ -136,8 +130,8 @@ let compile ?profile t req =
       gauge_set t "serve.plan_entries" (float_of_int (Lru.length t.plans));
       Ok (plan, hit)
 
-let compile_exn ?profile t req =
-  match compile ?profile t req with Ok r -> r | Error e -> invalid_arg e
+let compile_exn t req =
+  match compile t req with Ok r -> r | Error e -> invalid_arg e
 
 (* {2 Pooled inputs} *)
 
@@ -169,41 +163,18 @@ let copy_result (r : Api.Exec.result) =
     stats = copy_stats r.Api.Exec.stats;
   }
 
-(* Inputs become part of the result key: a seed names the deterministic
-   random_inputs stream; explicit tensors are digested bit-exactly. *)
-let data_key = function
-  | `Seed seed -> Printf.sprintf "seed:%d" seed
-  | `None -> "nodata"
-  | `Data data ->
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun (name, d) ->
-          Buffer.add_string buf name;
-          Buffer.add_char buf ':';
-          Array.iter (fun n -> Buffer.add_string buf (string_of_int n ^ ",")) (Dense.shape d);
-          Buffer.add_bytes buf (Dense.to_le_bytes d);
-          Buffer.add_char buf ';')
-        data;
-      "digest:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let result_key ~fp ~mode ~faults ~data =
+let result_key ~fp ~mode ~faults ~seed =
   let mode_s = match mode with Api.Exec.Model -> "model" | Api.Exec.Full -> "full" in
   let faults_s = match faults with None -> "-" | Some f -> Api.Fault.to_string f in
-  String.concat "|" [ fp; mode_s; faults_s; data_key data ]
+  String.concat "|" [ fp; mode_s; faults_s; Printf.sprintf "seed:%d" seed ]
 
-let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
+let run ?(mode = Api.Exec.Full) ?faults ~seed t req =
   count1 t "serve.requests";
-  match timed t "serve.compile_s" (fun () -> compile ?profile t req) with
+  match timed t "serve.compile_s" (fun () -> compile t req) with
   | Error e -> Error e
   | Ok (plan, plan_cached) -> (
       let fp = Api.request_fingerprint req in
-      let data_id =
-        match (data, seed) with
-        | Some d, _ -> `Data d
-        | None, Some s -> `Seed s
-        | None, None -> `None
-      in
-      let key = result_key ~fp ~mode ~faults ~data:data_id in
+      let key = result_key ~fp ~mode ~faults ~seed in
       match Lru.find t.results key with
       | Some r ->
           count1 t "serve.result_hits";
@@ -216,17 +187,16 @@ let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
              duplicate results are identical and insertion is idempotent. *)
           let run data =
             timed t "serve.run_s" (fun () ->
-                Api.run ~mode ?domains:t.domains ?profile ?faults plan ~data)
+                Api.run ~mode ?domains:t.domains ?faults plan ~data)
           in
           (* A Model-mode run never reads tensor contents (its stats depend
              only on the spec), so a seed costs nothing there: building
              the inputs would only spend memory, and at paper-scale sizes
              more memory than the host has. *)
           let ran =
-            match data_id with
-            | `Data d -> run d
-            | `Seed seed when mode = Api.Exec.Full -> with_seeded_inputs t ~seed plan run
-            | `Seed _ | `None -> run []
+            match mode with
+            | Api.Exec.Full -> with_seeded_inputs t ~seed plan run
+            | Api.Exec.Model -> run []
           in
           match ran with
           | Error e -> Error e
@@ -241,8 +211,8 @@ let run ?(mode = Api.Exec.Full) ?faults ?profile ?seed ?data t req =
               gauge_set t "serve.result_bytes" (float_of_int (Lru.weight t.results));
               Ok { result; fingerprint = fp; plan_cached; result_cached = false }))
 
-let run_exn ?mode ?faults ?profile ?seed ?data t req =
-  match run ?mode ?faults ?profile ?seed ?data t req with
+let run_exn ?mode ?faults ~seed t req =
+  match run ?mode ?faults ~seed t req with
   | Ok o -> o
   | Error e -> invalid_arg e
 
@@ -277,6 +247,7 @@ let counters t =
 
 let cached_plans t = Lru.length t.plans
 let cached_results t = Lru.length t.results
+let result_capacity t = Lru.capacity t.results
 
 let clear t =
   Lru.clear t.plans;

@@ -16,8 +16,7 @@
 
     Sessions are safe under concurrent use from {!Distal_support.Pool}
     domains. Counters surface as [serve.*] metrics through the session's
-    {!Distal_obs.Metrics} registry; with a [profile], plan-cache lookups
-    appear as spans on the profile's compiler track. *)
+    {!Distal_obs.Metrics} registry. *)
 
 module Api = Distal.Api
 
@@ -69,12 +68,11 @@ val timed : t -> string -> (unit -> 'a) -> 'a
 (** [timed t name f] runs [f] and observes its wall seconds into the
     histogram [name] of {!metrics} (decade buckets from 1 µs). *)
 
-val compile :
-  ?profile:Distal_obs.Profile.t -> t -> Api.request -> (Api.plan * bool, string) result
+val compile : t -> Api.request -> (Api.plan * bool, string) result
 (** The plan tier alone: the compiled plan and whether it was a cache
     hit. *)
 
-val compile_exn : ?profile:Distal_obs.Profile.t -> t -> Api.request -> Api.plan * bool
+val compile_exn : t -> Api.request -> Api.plan * bool
 
 type outcome = {
   result : Api.Exec.result;
@@ -86,29 +84,23 @@ type outcome = {
 val run :
   ?mode:Api.Exec.mode ->
   ?faults:Api.Fault.t ->
-  ?profile:Distal_obs.Profile.t ->
-  ?seed:int ->
-  ?data:(string * Distal_tensor.Dense.t) list ->
+  seed:int ->
   t ->
   Api.request ->
   (outcome, string) result
-(** Serve one request (default mode [Full]). Input data comes from
-    [data] when given, else from [Api.random_inputs ~seed] when [seed]
-    is given (on blocks from a session-owned pool, returned when the run
-    ends, whether it succeeded or not), else the request runs with no
-    data. A [Model] request never
-    builds inputs from its seed: modeled stats do not read tensor
-    contents.
-    The result-cache key covers mode, fault plan and input identity
-    (seed, or a bit-exact digest of [data]), so a hit is only ever
-    returned for a run that would have produced identical bytes. *)
+(** Serve one request (default mode [Full]). A [Full] request runs on
+    [Api.random_inputs ~seed], drawn on blocks from a session-owned pool
+    that get returned when the run ends, whether it succeeded or not. A
+    [Model] request never builds its inputs: modeled stats do not read
+    tensor contents.
+    The result-cache key covers mode, fault plan and seed, so a hit is
+    only ever returned for a run that would have produced identical
+    bytes. *)
 
 val run_exn :
   ?mode:Api.Exec.mode ->
   ?faults:Api.Fault.t ->
-  ?profile:Distal_obs.Profile.t ->
-  ?seed:int ->
-  ?data:(string * Distal_tensor.Dense.t) list ->
+  seed:int ->
   t ->
   Api.request ->
   outcome
@@ -127,6 +119,9 @@ val counters : t -> counters
 
 val cached_plans : t -> int
 val cached_results : t -> int
+
+val result_capacity : t -> int
+(** The result tier's capacity, as {!create} resolved it. *)
 
 val clear : t -> unit
 (** Drop both tiers (counters are kept). *)

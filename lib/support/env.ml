@@ -16,8 +16,6 @@ let lookup name =
 let malformed name s expect =
   invalid_arg (Printf.sprintf "%s must be %s, got %S" name expect s)
 
-let string_var name = lookup name
-
 let int_var name =
   match lookup name with
   | None -> None
@@ -41,23 +39,6 @@ let float_var name =
       match float_of_string_opt s with
       | Some f when Float.is_finite f -> Some f
       | Some _ | None -> malformed name s "a finite number")
-
-let bool_var ~default name =
-  match lookup name with
-  | None -> default
-  | Some s -> (
-      match String.lowercase_ascii s with
-      | "1" | "true" | "yes" | "on" -> true
-      | "0" | "false" | "no" | "off" -> false
-      | _ -> malformed name s "a boolean (0/1/true/false/yes/no/on/off)")
-
-let non_negative_int_var name =
-  match lookup name with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Some n
-      | Some _ | None -> malformed name s "a non-negative integer")
 
 let non_negative_float_var name =
   match lookup name with

@@ -4,11 +4,7 @@
     malformed values fail loudly and uniformly ([Invalid_argument] naming
     the variable and the offending value) rather than being silently
     ignored at individual call sites. An unset variable, or one set to
-    whitespace only, always means "use the default" and returns [None]
-    (or [default] for {!bool_var}). *)
-
-val string_var : string -> string option
-(** The trimmed value, [None] when unset or blank. *)
+    whitespace only, always means "use the default" and returns [None]. *)
 
 val int_var : string -> int option
 (** @raise Invalid_argument when set but not an integer. *)
@@ -18,13 +14,6 @@ val positive_int_var : string -> int option
 
 val float_var : string -> float option
 (** @raise Invalid_argument when set but not a finite number. *)
-
-val bool_var : default:bool -> string -> bool
-(** Accepts [0/1/true/false/yes/no/on/off] (case-insensitive).
-    @raise Invalid_argument on anything else. *)
-
-val non_negative_int_var : string -> int option
-(** @raise Invalid_argument when set but not an integer [>= 0]. *)
 
 val non_negative_float_var : string -> float option
 (** @raise Invalid_argument when set but not a finite number [>= 0]. *)

@@ -50,15 +50,17 @@ let rec read_exact fd buf off len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_exact fd buf off len
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> `Eof off
 
+(* Exactly eight decimal digits and a newline: no sign, no radix prefix,
+   no underscores, which int_of_string would all accept. *)
+let is_digit c = c >= '0' && c <= '9'
+
 let parse_header bytes =
   let s = Bytes.sub_string bytes 0 (header_len - 1) in
-  if Bytes.get bytes (header_len - 1) <> '\n' then
+  if Bytes.get bytes (header_len - 1) <> '\n' || not (String.for_all is_digit s) then
     Error (Printf.sprintf "bad frame header %S" s)
   else
-    match int_of_string_opt s with
-    | Some n when n >= 0 && n <= max_frame -> Ok n
-    | Some n -> Error (Printf.sprintf "frame length %d out of range" n)
-    | None -> Error (Printf.sprintf "bad frame header %S" s)
+    let n = int_of_string s in
+    if n <= max_frame then Ok n else Error (Printf.sprintf "frame length %d out of range" n)
 
 let recv fd =
   let hdr = Bytes.create header_len in

@@ -144,16 +144,6 @@ let rows_iter ~big_shape ~r f =
     done
   end
 
-let extract t r =
-  check_subset "extract" r t.shape;
-  let out = create (Rect.extents r) in
-  let s = t.data and d = out.data in
-  rows_iter ~big_shape:t.shape ~r (fun soff doff len ->
-      for i = 0 to len - 1 do
-        A1.unsafe_set d (doff + i) (A1.unsafe_get s (soff + i))
-      done);
-  out
-
 let accumulate_into ~src ~dst r =
   check_subset "accumulate_into" r dst.shape;
   check_extents "accumulate_into" ~what:"source" src.shape r;
@@ -169,14 +159,6 @@ let check_same_shape fn a b =
     invalid_arg
       (Printf.sprintf "Dense.%s: shapes %s and %s differ" fn (shape_str a.shape)
          (shape_str b.shape))
-
-let map2 f a b =
-  check_same_shape "map2" a b;
-  let out = create a.shape in
-  for i = 0 to size a - 1 do
-    out.data.{i} <- f a.data.{i} b.data.{i}
-  done;
-  out
 
 let fold f init t =
   let acc = ref init in

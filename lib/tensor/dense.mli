@@ -69,20 +69,11 @@ val of_buf : buf -> int array -> t
     exceed the shape) to tensor views; contents are whatever the block
     holds. @raise Invalid_argument when [b] is too small. *)
 
-val extract : t -> Rect.t -> t
-(** [extract t r] copies the sub-box [r] of [t] into a fresh tensor whose
-    shape is [Rect.extents r]. This models a runtime copy into a local
-    instance. @raise Invalid_argument when [r] is not inside [t]'s shape
-    (message carries the rect and the shape). *)
-
 val accumulate_into : src:t -> dst:t -> Rect.t -> unit
 (** [accumulate_into ~src ~dst r] adds [src] (shaped [Rect.extents r]) into
     the sub-box [r] of [dst] (reduction write-back). @raise
     Invalid_argument on a rect outside [dst] or a source shape
     mismatch. *)
-
-val map2 : (float -> float -> float) -> t -> t -> t
-(** @raise Invalid_argument when the shapes differ. *)
 
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 

@@ -84,5 +84,3 @@ let to_string t =
   else
     String.concat "x"
       (List.init (dim t) (fun d -> Printf.sprintf "[%d,%d)" t.lo.(d) t.hi.(d)))
-
-let pp fmt t = Stdlib.Format.pp_print_string fmt (to_string t)

@@ -46,5 +46,3 @@ val extents : t -> int array
 
 val to_string : t -> string
 (** E.g. ["[0,4)x[2,6)"]. *)
-
-val pp : Stdlib.Format.formatter -> t -> unit

@@ -12,7 +12,6 @@ type 'a t = {
   buckets : int array array;
       (* per dim: every slab's tile ids, ascending, slab after slab *)
   prefix : int array array;  (* per dim: where each slab's ids start *)
-  default_cursor : cursor;  (* used when the caller doesn't pass one *)
 }
 
 (* Index of the first element >= x in a sorted array. *)
@@ -101,7 +100,7 @@ let build tile_list =
         (ids, start))
   in
   let buckets = Array.map fst built and prefix = Array.map snd built in
-  { entries; dims; cuts; buckets; prefix; default_cursor = cursor () }
+  { entries; dims; cuts; buckets; prefix }
 
 let length t = Array.length t.entries
 let tiles t = Array.to_list t.entries
@@ -117,7 +116,7 @@ let slab_range t d lo hi =
     let a = Int.max 0 (upper_bound cuts lo - 1) in
     if a >= b then None else Some (a, b)
 
-let query ?cursor:cur t (rect : Rect.t) =
+let query ~cursor:c t (rect : Rect.t) =
   let n = Array.length t.entries in
   if n = 0 || Rect.is_empty rect then []
   else if t.dims = 0 then
@@ -148,7 +147,6 @@ let query ?cursor:cur t (rect : Rect.t) =
            order without sorting the (possibly tens of thousands of)
            candidates. Non-overlapping candidates are rejected with scalar
            compares before allocating the intersection. *)
-        let c = match cur with Some c -> c | None -> t.default_cursor in
         if Array.length c.seen < n then begin
           c.seen <- Array.make (max n (2 * Array.length c.seen)) (-1);
           c.stamp <- 0

@@ -14,12 +14,10 @@
 type 'a t
 
 type cursor
-(** Mutable per-query scratch (visited stamps). An index carries a default
-    cursor, so single-threaded callers never see this type — but that
-    default makes plain {!query} unsafe to run concurrently. Code that
-    queries one index from several domains must give each domain its own
-    cursor. A cursor grows on demand and may be shared across any number
-    of indexes (of any size) within one domain. *)
+(** Mutable per-query scratch (visited stamps). Code that queries one
+    index from several domains must give each domain its own cursor. A
+    cursor grows on demand and may be shared across any number of
+    indexes (of any size) within one domain. *)
 
 val cursor : unit -> cursor
 (** A fresh, empty cursor. *)
@@ -35,10 +33,9 @@ val length : 'a t -> int
 val tiles : 'a t -> (Rect.t * 'a) list
 (** The indexed tiles, in insertion order. *)
 
-val query : ?cursor:cursor -> 'a t -> Rect.t -> (Rect.t * 'a) list
+val query : cursor:cursor -> 'a t -> Rect.t -> (Rect.t * 'a) list
 (** [query t rect] returns [(piece, payload)] for every indexed tile whose
     intersection [piece] with [rect] is non-empty, in insertion order —
     exactly [List.filter_map] of the intersection over {!tiles}, but
-    touching only candidate tiles. Uses the index's built-in cursor unless
-    [?cursor] is given; concurrent queries against the same index must
-    pass distinct cursors. *)
+    touching only candidate tiles. Concurrent queries against the same
+    index must pass distinct cursors. *)

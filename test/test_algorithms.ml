@@ -31,10 +31,10 @@ let test_solomonik () =
   ignore (validate "solomonik" (M.solomonik ~n:8 ~machine:(Machine.grid [| 2; 2; 2 |])))
 
 let test_cosma () =
-  ignore (validate "cosma" (M.cosma ~n:8 ~machine:(Machine.grid [| 2; 2; 2 |]) ()))
+  ignore (validate "cosma" (M.cosma ~n:8 ~machine:(Machine.grid [| 2; 2; 2 |])))
 
 let test_cosma_degenerate_2d () =
-  ignore (validate "cosma 2d" (M.cosma ~n:8 ~machine:(Machine.grid [| 2; 2; 1 |]) ()))
+  ignore (validate "cosma 2d" (M.cosma ~n:8 ~machine:(Machine.grid [| 2; 2; 1 |])))
 
 let test_rectangular_2d_algorithms () =
   List.iter
@@ -64,8 +64,8 @@ let test_cannon_beats_summa_on_comm_pattern () =
 let test_johnson_replication_uses_memory () =
   let m2d = Machine.grid [| 4; 4; 1 |] in
   let m3d = Machine.grid [| 2; 2; 4 |] in
-  let flat = Result.get_ok (M.cosma ~n:32 ~machine:m2d ()) in
-  let deep = Result.get_ok (M.cosma ~n:32 ~machine:m3d ()) in
+  let flat = Result.get_ok (M.cosma ~n:32 ~machine:m2d) in
+  let deep = Result.get_ok (M.cosma ~n:32 ~machine:m3d) in
   let pf = (Api.estimate flat.M.plan).Stats.peak_mem in
   let pd = (Api.estimate deep.M.plan).Stats.peak_mem in
   Alcotest.(check bool) "k-split uses more memory per proc" true (pd > pf)

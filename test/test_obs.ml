@@ -168,7 +168,7 @@ let test_critical_path_fig9 () =
       M.summa ~n ~machine:m2 ();
       M.johnson ~n ~machine:m3 ();
       M.solomonik ~n ~machine:m3;
-      M.cosma ~n ~machine:m3 ();
+      M.cosma ~n ~machine:m3;
     ]
 
 (* {2 Redistribution} *)

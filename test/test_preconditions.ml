@@ -59,8 +59,6 @@ let cases =
         (fun () -> ignore (Dense.get d2 [| 0 |])) ] );
     ("Dense.set", [ (fun () -> Dense.set d2 [| 1; 3 |] 1.0) ]);
     ("Dense.add_at", [ (fun () -> Dense.add_at d2 [| 0; 0; 0 |] 1.0) ]);
-    ( "Dense.map2",
-      [ (fun () -> ignore (Dense.map2 ( +. ) d2 (Dense.create [| 3; 2 |]))) ] );
     ( "Dense.max_abs_diff",
       [ (fun () -> ignore (Dense.max_abs_diff d2 (Dense.create [| 6 |]))) ] );
   ]

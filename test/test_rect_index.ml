@@ -23,7 +23,7 @@ let show_pieces ps =
 
 let check_same ~what tiles rect =
   let idx = Rect_index.build tiles in
-  let got = Rect_index.query idx rect in
+  let got = Rect_index.query ~cursor:(Rect_index.cursor ()) idx rect in
   let want = linear tiles rect in
   if got <> want then
     QCheck.Test.fail_reportf "%s: query %s over %d tiles:\n  index  %s\n  linear %s"
@@ -74,17 +74,18 @@ let qcheck_distribution =
 
 let test_edge_cases () =
   (* No tiles; empty query; query outside all tiles; scalar tiles. *)
+  let cursor = Rect_index.cursor () in
   Alcotest.(check int) "empty index" 0
-    (List.length (Rect_index.query (Rect_index.build []) (Rect.make ~lo:[| 0 |] ~hi:[| 4 |])));
+    (List.length (Rect_index.query ~cursor (Rect_index.build []) (Rect.make ~lo:[| 0 |] ~hi:[| 4 |])));
   let tiles = [ (Rect.make ~lo:[| 0 |] ~hi:[| 4 |], 0); (Rect.make ~lo:[| 4 |] ~hi:[| 8 |], 1) ] in
   let idx = Rect_index.build tiles in
   Alcotest.(check int) "empty query" 0
-    (List.length (Rect_index.query idx (Rect.make ~lo:[| 2 |] ~hi:[| 2 |])));
+    (List.length (Rect_index.query ~cursor idx (Rect.make ~lo:[| 2 |] ~hi:[| 2 |])));
   Alcotest.(check int) "query past the tiles" 0
-    (List.length (Rect_index.query idx (Rect.make ~lo:[| 9 |] ~hi:[| 12 |])));
+    (List.length (Rect_index.query ~cursor idx (Rect.make ~lo:[| 9 |] ~hi:[| 12 |])));
   let scalar = Rect.make ~lo:[||] ~hi:[||] in
   Alcotest.(check int) "scalar tiles" 1
-    (List.length (Rect_index.query (Rect_index.build [ (scalar, 0) ]) scalar))
+    (List.length (Rect_index.query ~cursor (Rect_index.build [ (scalar, 0) ]) scalar))
 
 let suites =
   [

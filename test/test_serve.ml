@@ -334,23 +334,6 @@ let test_session_defensive_copies () =
   Alcotest.(check (pair (list int64) string)) "cache unharmed by mutation" expected
     (observe_outcome o2)
 
-let test_session_explicit_data_key () =
-  let session = Session.create ~domains:1 () in
-  let req = gemm_request () in
-  let plan = Api.compile_request_exn req in
-  let data = Api.random_inputs ~seed:11 plan in
-  let o1 = Session.run_exn ~data session req in
-  Alcotest.(check bool) "explicit data executes" false o1.Session.result_cached;
-  let o2 = Session.run_exn ~data session req in
-  Alcotest.(check bool) "bit-identical data replays" true o2.Session.result_cached;
-  (* Flip one bit of one input: the digest must separate the runs. *)
-  let data2 = List.map (fun (n, d) -> (n, Dense.copy d)) data in
-  (match data2 with
-  | (_, d) :: _ -> Dense.set_lin d 0 (Dense.get_lin d 0 +. 1.0)
-  | [] -> Alcotest.fail "expected inputs");
-  let o3 = Session.run_exn ~data:data2 session req in
-  Alcotest.(check bool) "perturbed data re-executes" false o3.Session.result_cached
-
 let test_session_eviction () =
   let session = Session.create ~plan_cache:1 ~domains:1 () in
   let a = gemm_request ~chunks:2 () in
@@ -467,17 +450,15 @@ let test_session_stamps () =
   ignore (Session.run_exn ~seed:1 session req);
   ignore (Session.run_exn ~seed:1 session req);
   ignore (Session.run_exn ~mode:Exec.Model ~seed:2 session req);
-  let plan, _ = Session.compile_exn session req in
-  ignore (Session.run_exn ~data:(Api.random_inputs ~seed:3 plan) session req);
   (match Session.run ~faults:bad ~seed:4 session req with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a kill on a missing processor must fail the run");
-  (match Session.run session { req with Api.req_stmt = "A(i,j) = " } with
+  (match Session.run ~seed:5 session { req with Api.req_stmt = "A(i,j) = " } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a statement that does not parse must fail");
   Alcotest.(check (list (pair string int)))
     "requests through each layer"
-    [ ("serve.compile_s", 6); ("serve.inputs_s", 2); ("serve.run_s", 4); ("serve.copy_s", 4) ]
+    [ ("serve.compile_s", 5); ("serve.inputs_s", 2); ("serve.run_s", 3); ("serve.copy_s", 3) ]
     (List.map
        (fun n -> (n, count n))
        [ "serve.compile_s"; "serve.inputs_s"; "serve.run_s"; "serve.copy_s" ])
@@ -577,9 +558,27 @@ let test_wire_bad_header () =
   let dec2 = Wire.decoder () in
   let s2 = "not-num!\n" in
   Wire.feed dec2 (Bytes.of_string s2) 0 (String.length s2);
-  match Wire.next dec2 with
+  (match Wire.next dec2 with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed header must be rejected"
+  | Ok _ -> Alcotest.fail "malformed header must be rejected");
+  (* A header is exactly eight decimal digits: signs, radix prefixes and
+     underscores are malformed even where they spell a valid length. *)
+  List.iter
+    (fun (header, payload) ->
+      let dec = Wire.decoder () in
+      let s = header ^ "\n" ^ payload ^ "\n" in
+      Wire.feed dec (Bytes.of_string s) 0 (String.length s);
+      match Wire.next dec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "header %S must be rejected" header)
+    [
+      ("0x000003", "abc");
+      ("0000_003", "abc");
+      ("+0000003", "abc");
+      ("0b000011", "abc");
+      ("0o000003", "abc");
+      ("-0000000", "");
+    ]
 
 let test_wire_socketpair () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1191,6 +1190,29 @@ let test_server_end_to_end () =
       Client.close c1;
       Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists socket))
 
+(* A negative cache capacity is a configuration error: Server.config
+   rejects it, so distald exits with a usage error before it binds and
+   leaves no socket file behind. *)
+let test_server_negative_capacities () =
+  let module Server = Distal_serve.Server in
+  List.iter
+    (fun (flag, config) ->
+      (match config () with
+      | _ -> Alcotest.failf "%s: Server.config accepted it" flag
+      | exception Invalid_argument _ -> ());
+      let socket = socket_path () in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists socket then Sys.remove socket)
+        (fun () ->
+          match Unix.waitpid [] (spawn_server ~args:[ flag ] socket) with
+          | _, Unix.WEXITED 124 ->
+              Alcotest.(check bool) (flag ^ " leaves no socket") false (Sys.file_exists socket)
+          | _ -> Alcotest.failf "%s: distald did not exit with a usage error" flag))
+    [
+      ("--cache=-1", fun () -> Server.config ~plan_cache:(-1) ~socket_path:"unused" ());
+      ("--results=-5", fun () -> Server.config ~result_cache:(-5) ~socket_path:"unused" ());
+    ]
+
 (* distald serves what each read brings in. Frames written in one
    [write] arrive in one read, so the server admits them in one round and
    serves them in one flush: that is how these tests hold requests
@@ -1609,7 +1631,6 @@ let suites =
         Alcotest.test_case "request fingerprint" `Quick test_fingerprint;
         Alcotest.test_case "session byte identity" `Quick test_session_identity;
         Alcotest.test_case "session defensive copies" `Quick test_session_defensive_copies;
-        Alcotest.test_case "session explicit data keys" `Quick test_session_explicit_data_key;
         Alcotest.test_case "session eviction" `Quick test_session_eviction;
         Alcotest.test_case "session cache off" `Quick test_session_cache_off;
         Alcotest.test_case "session result size cap" `Quick test_session_result_size_cap;
@@ -1631,6 +1652,8 @@ let suites =
         Alcotest.test_case "protocol reply allocation" `Quick test_protocol_reply_allocation;
         QCheck_alcotest.to_alcotest qcheck_decode_differential;
         Alcotest.test_case "distald end to end" `Quick test_server_end_to_end;
+        Alcotest.test_case "distald rejects negative capacities" `Quick
+          test_server_negative_capacities;
         Alcotest.test_case "distald batching" `Quick test_server_batching;
         Alcotest.test_case "distald layer stamps" `Quick test_server_stamps;
         Alcotest.test_case "distald admission control" `Quick test_server_admission;

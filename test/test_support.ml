@@ -225,7 +225,7 @@ let test_env_parsing () =
       Unix.putenv v "";
       Alcotest.(check (option int)) "empty means unset" None (Env.int_var v);
       Unix.putenv v "   ";
-      Alcotest.(check (option string)) "blank means unset" None (Env.string_var v);
+      Alcotest.(check (option int)) "blank means unset" None (Env.int_var v);
       Unix.putenv v "-3";
       Alcotest.(check (option int)) "negative int" (Some (-3)) (Env.int_var v);
       (match Env.positive_int_var v with
@@ -238,23 +238,11 @@ let test_env_parsing () =
       | _ -> Alcotest.fail "float_var accepted nan"
       | exception Invalid_argument _ -> ());
       Unix.putenv v "zero";
-      (match Env.int_var v with
+      match Env.int_var v with
       | _ -> Alcotest.fail "int_var accepted a word"
       | exception Invalid_argument e ->
           if not (Astring_contains.contains e "DISTAL_TEST_ENV_VAR") then
-            Alcotest.failf "error does not name the variable: %s" e);
-      List.iter
-        (fun (s, b) ->
-          Unix.putenv v s;
-          Alcotest.(check bool) s b (Env.bool_var ~default:(not b) v))
-        [
-          ("1", true); ("0", false); ("TRUE", true); ("no", false);
-          ("On", true); ("off", false); ("Yes", true); ("false", false);
-        ];
-      Unix.putenv v "maybe";
-      match Env.bool_var ~default:true v with
-      | _ -> Alcotest.fail "bool_var accepted 'maybe'"
-      | exception Invalid_argument _ -> ())
+            Alcotest.failf "error does not name the variable: %s" e)
 
 let suites =
   [

@@ -46,13 +46,9 @@ let test_dense_get_set () =
   Alcotest.(check (float 0.0)) "other zero" 0.0 (Dense.get t [| 0; 0 |]);
   Alcotest.(check int) "bytes" 48 (Dense.bytes t)
 
-let test_dense_extract_accumulate () =
-  let t = Dense.init [| 4; 4 |] (fun c -> float_of_int ((c.(0) * 10) + c.(1))) in
+let test_dense_accumulate () =
   let r = rect [| 1; 2 |] [| 3; 4 |] in
-  let sub = Dense.extract t r in
-  Alcotest.(check (array int)) "shape" [| 2; 2 |] (Dense.shape sub);
-  Alcotest.(check (float 0.0)) "corner" 12.0 (Dense.get sub [| 0; 0 |]);
-  Alcotest.(check (float 0.0)) "last" 23.0 (Dense.get sub [| 1; 1 |]);
+  let sub = Dense.init [| 2; 2 |] (fun c -> float_of_int (((c.(0) + 1) * 10) + c.(1) + 2)) in
   let dst = Dense.create [| 4; 4 |] in
   Dense.accumulate_into ~src:sub ~dst r;
   Alcotest.(check (float 0.0)) "into zeros" 23.0 (Dense.get dst [| 2; 3 |]);
@@ -76,7 +72,6 @@ let test_dense_invalid_args () =
   in
   let t = Dense.init [| 4; 4 |] (fun c -> float_of_int (c.(0) + c.(1))) in
   let oob = rect [| 2; 2 |] [| 5; 4 |] in
-  expect_invalid "extract" "[2,5)x[2,4)" (fun () -> Dense.extract t oob);
   let sub = Dense.create [| 2; 2 |] in
   let inb = rect [| 0; 0 |] [| 2; 2 |] in
   expect_invalid "accumulate_into" "[2,5)x[2,4)" (fun () ->
@@ -92,11 +87,9 @@ let test_dense_invalid_args () =
   let v = Dense.of_buf b [| 3 |] in
   Dense.set v [| 1 |] 9.0;
   Alcotest.(check (float 0.0)) "of_buf shares storage" 9.0
-    (Bigarray.Array1.get b 1);
-  Alcotest.(check (float 0.0)) "extract" 4.0
-    (Dense.get (Dense.extract t (rect [| 1; 1 |] [| 3; 3 |])) [| 1; 1 |])
+    (Bigarray.Array1.get b 1)
 
-(* Sub-box copies against a per-element reference, ranks 0-4. Per
+(* Sub-box accumulation against a per-element reference, ranks 0-4. Per
    dimension the rect spans the whole extent, touches the upper edge,
    is one wide, is random, or is empty; an empty rect must leave the
    destination untouched. Every comparison is bit-exact. *)
@@ -128,9 +121,6 @@ let test_row_copies () =
     let r = rect (Array.map fst b) (Array.map snd b) in
     let local c = Array.mapi (fun d x -> x - (Array.map fst b).(d)) c in
     let big = Dense.random rng shape and small = Dense.random rng (Rect.extents r) in
-    let got = Dense.extract big r and want = Dense.copy small in
-    Rect.iter r (fun c -> Dense.set want (local c) (Dense.get big c));
-    check "extract" ~got ~want r;
     let got = Dense.copy big and want = Dense.copy big in
     Dense.accumulate_into ~src:small ~dst:got r;
     Rect.iter r (fun c -> Dense.add_at want c (Dense.get small (local c)));
@@ -242,7 +232,7 @@ let test_flops () =
   Alcotest.(check (float 0.0)) "gemm flops" 2000.0 (Kernels.flops "gemm" [| 10; 10; 10 |]);
   Alcotest.(check (float 0.0)) "mttkrp flops" 3000.0 (Kernels.flops "mttkrp" [| 10; 10; 10 |])
 
-let qcheck_extract_accumulate_roundtrip =
+let qcheck_accumulate_roundtrip =
   QCheck.Test.make ~name:"sub-box roundtrip" ~count:100
     QCheck.(pair (int_range 1 6) (int_range 1 6))
     (fun (h, w) ->
@@ -250,7 +240,7 @@ let qcheck_extract_accumulate_roundtrip =
       let t = Dense.random rng [| h; w |] in
       let r = Rect.full [| h; w |] in
       let copy = Dense.create [| h; w |] in
-      Dense.accumulate_into ~src:(Dense.extract t r) ~dst:copy r;
+      Dense.accumulate_into ~src:t ~dst:copy r;
       Dense.approx_equal t copy)
 
 let suites =
@@ -266,12 +256,12 @@ let suites =
     ( "dense",
       [
         Alcotest.test_case "get/set" `Quick test_dense_get_set;
-        Alcotest.test_case "extract/accumulate" `Quick test_dense_extract_accumulate;
+        Alcotest.test_case "accumulate_into" `Quick test_dense_accumulate;
         Alcotest.test_case "invalid args" `Quick test_dense_invalid_args;
         Alcotest.test_case "row copies" `Quick test_row_copies;
         Alcotest.test_case "scalar" `Quick test_dense_scalar;
         Alcotest.test_case "approx_equal" `Quick test_approx_equal;
-        QCheck_alcotest.to_alcotest qcheck_extract_accumulate_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_accumulate_roundtrip;
       ] );
     ( "kernels",
       [
