@@ -121,7 +121,8 @@ let parse_remote_tensor s =
   | _ -> errf "bad tensor declaration %S (expected name:dims:dist)" s
 
 (* One line per served-path stamp: requests through the layer and their
-   mean wall time. *)
+   mean wall time; then one line of the replay pool's counts, with the
+   share of items its worker domains ran. *)
 let print_layer_stamps metrics =
   let module J = Distal_support.Json in
   let field name f = Option.bind (Option.bind (J.member name metrics) (J.member f)) J.to_float in
@@ -134,7 +135,15 @@ let print_layer_stamps metrics =
     [
       "serve.decode_s"; "serve.compile_s"; "serve.inputs_s"; "serve.run_s"; "serve.copy_s";
       "serve.reply_s";
-    ]
+    ];
+  let pool g = field ("pool." ^ g) "value" in
+  match List.map pool [ "jobs"; "items"; "worker_items"; "busy_fallbacks" ] with
+  | [ Some jobs; Some items; Some workers; Some busy ] ->
+      Printf.printf "pool jobs=%.0f items=%.0f worker_items=%.0f (%.1f%%) busy_fallbacks=%.0f\n"
+        jobs items workers
+        (if items > 0.0 then 100.0 *. workers /. items else 0.0)
+        busy
+  | _ -> ()
 
 let run_connect ~socket ~serve_stats ~serve_shutdown ~machine_dims ~gpu ~tensors ~stmt
     ~schedule ~estimate ~seed ~faults =

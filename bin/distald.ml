@@ -60,9 +60,9 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Domain-pool size that replays Full requests, shared by all requests. \
-           Simulation runs on the serving domain. Defaults to \\$DISTAL_NUM_DOMAINS, \
-           else the available cores.")
+          "Domain-pool size that replays Full requests and fills their seeded \
+           inputs, shared by all requests. Simulation runs on the serving domain. \
+           Defaults to \\$DISTAL_NUM_DOMAINS, else the available cores.")
 
 let stall_arg =
   Arg.(

@@ -407,15 +407,10 @@ let run_search ?cost ?domains ~machine_of ~procs ~stmt ~shapes () =
         let n = Array.length wave in
         if n > 0 then begin
           let results = Array.make n (Error "unprobed") in
-          let lanes = max 1 (min n (Pool.size pool)) in
-          Pool.run pool ~lanes (fun lane ->
-              let i = ref lane in
-              while !i < n do
-                results.(!i) <- probe ~stmt ~parsed wave.(!i);
-                i := !i + lanes
-              done);
+          Pool.parallel_for pool ~n (fun ~lane:_ i ->
+              results.(i) <- probe ~stmt ~parsed wave.(i));
           (* Deterministic reduction: fold the wave in candidate order,
-             whatever the lane striping was. *)
+             whichever domain probed which candidate. *)
           Array.iteri
             (fun i r ->
               let spec = wave.(i) in

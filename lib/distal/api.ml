@@ -201,8 +201,8 @@ let resilience ?cost ~faults plan =
 
 let resilience_exn ?cost ~faults plan = or_invalid (resilience ?cost ~faults plan)
 
-let random_inputs ?alloc ?(seed = 42) plan =
-  let rng = Rng.create seed in
+let random_inputs ?alloc ?domains ?(seed = 42) plan =
+  let rng = Rng.create seed and pool = Distal_support.Pool.get ?size:domains () in
   let stmt = plan.problem.stmt in
   let out_name = stmt.lhs.tensor in
   (* The output needs input data when it is accumulated into, or when it is
@@ -211,7 +211,7 @@ let random_inputs ?alloc ?(seed = 42) plan =
   List.filter_map
     (fun t ->
       if String.equal t.name out_name && not out_needs_data then None
-      else Some (t.name, Dense.random ?alloc rng t.shape))
+      else Some (t.name, Dense.random ?alloc ~pool rng t.shape))
     plan.problem.tensors
 
 (* The data seed and the tolerance of [validate] and [validate_pipeline]. *)

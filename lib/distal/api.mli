@@ -161,11 +161,14 @@ val resilience_exn :
   ?cost:Cost_model.t -> faults:Fault.t -> plan -> Stats.t * Stats.t * string
 
 val random_inputs :
-  ?alloc:(int -> Dense.buf) -> ?seed:int -> plan -> (string * Dense.t) list
+  ?alloc:(int -> Dense.buf) -> ?domains:int -> ?seed:int -> plan -> (string * Dense.t) list
 (** Deterministic random data for every tensor of the plan (including the
     output, for [+=] statements). Each tensor's storage comes from
-    [alloc n] (a block of at least [n] elements; default a fresh one),
-    and the data does not depend on where it lives. *)
+    [alloc n] (a block of at least [n] elements; default a fresh one).
+    Tensors larger than {!Distal_support.Rng.fill_chunk} elements fill
+    in chunks on the shared domain pool of size [domains] (default
+    {!Distal_support.Pool.default_size}, as {!run}). The data depends on
+    neither where it lives nor the pool size. *)
 
 val validate : plan -> (unit, string) result
 (** Run the plan on random data (seed 42) and compare against the serial

@@ -1506,7 +1506,7 @@ module Buf_pool = Distal_support.Buf_pool
    against new tensor data. The plan is one simulation whose walk binds
    every data operation as it reaches it ([bop]), so the run phase only
    zero-fills output instances, from a size-classed pool ({!Buf_pool})
-   with per-lane arenas, calls the bound leaves and merges. *)
+   with an arena per launch point, calls the bound leaves and merges. *)
 
 type eplan = {
   ep_spec : spec;
@@ -1554,7 +1554,7 @@ let plan ?coalesce ?faults ?trace ?profile spec =
       ep_points =
         List.map (fun v -> (v, Provenance.raw_point_fn prog.prov v)) (Expr.index_vars stmt);
       ep_leaf_vars = Array.of_list c.leaf_vars; ep_reads_out = c.reads_out;
-      ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor; ep_pool = Buf_pool.create ();
+      ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor; ep_pool = Buf_pool.create (max 1 (Array.length ep_ops));
       ep_m = Mutex.create (); ep_runs = 0 }
 
 type leaf_tiers = { tiled : int; staged : int; eval : int }
@@ -1612,92 +1612,88 @@ let run_plan ?domains ep ~data =
     else Dense.create ep.ep_shapes.(name_index ep.ep_tensors out_name 0)
   in
   let npoints = Array.length ep.ep_ops in
-  (* Per-point merge contributions in flush order: (rect, view, block,
-     acquiring lane). Blocks outlive their task — they are released to
-     their lane's arena only after the serial merge reads them. *)
-  let contribs : (Rect.t * Dense.t * Buf_pool.buf * int) list array =
-    Array.make npoints []
-  in
+  (* Per-point merge contributions in flush order: (rect, view, block).
+     Blocks outlive their task — they go back to their point's arena
+     only after the serial merge reads them. *)
+  let contribs = Array.make npoints [] in
+  (* One runner per lane, made on its first point. A lane is one domain
+     for the whole loop, so a runner's state has one owner. *)
   let hpool = Pool.get ?size:domains () in
-  let lanes = max 1 (min (Pool.size hpool) npoints) in
-  Pool.run hpool ~lanes (fun lane ->
-      let arena = Buf_pool.arena pool lane in
-      let out : (Rect.t * Dense.t * Buf_pool.buf) option ref = ref None in
-      let cur_out () =
-        match !out with
-        | Some o -> o
-        | None -> invalid_arg ("plan leaf executed without an instance of " ^ out_name)
+  let runners = Array.make (Pool.size hpool) None in
+  let lane_runner () =
+    let out : (Rect.t * Dense.t * Buf_pool.buf) option ref = ref None in
+    let cur_out () =
+      match !out with
+      | Some o -> o
+      | None -> invalid_arg ("plan leaf executed without an instance of " ^ out_name)
+    in
+    let buf_of src =
+      if src <> out_src then bufs.(src) else match cur_out () with _, _, b -> b
+    in
+    let eval_leaf env =
+      (* The generic loop, for nests staging cannot express: every
+         point's guards, index points and statement tree evaluated
+         through the environment. *)
+      let out_rect, out_v, _ = cur_out () in
+      let envf = Hashtbl.find_opt env in
+      let lookup (a : Expr.access) coord =
+        Dense.get caller.(name_index ep.ep_tensors a.tensor 0) coord
       in
-      let buf_of src =
-        if src = out_src then
-          let _, _, b = cur_out () in
-          b
-        else bufs.(src)
-      in
-      let eval_leaf env =
-        (* The generic loop, for nests staging cannot express: every
-           point's guards, index points and statement tree evaluated
-           through the environment. *)
-        let out_rect, out_v, _ = cur_out () in
-        let envf = Hashtbl.find_opt env in
-        let lookup (a : Expr.access) coord =
-          Dense.get caller.(name_index ep.ep_tensors a.tensor 0) coord
-        in
-        Ints.iter_box (Array.map (Provenance.extent prov) ep.ep_leaf_vars) (fun pt ->
-            Array.iteri (fun i v -> Hashtbl.replace env v pt.(i)) ep.ep_leaf_vars;
-            if ep.ep_guards envf then begin
-              let point v =
-                match (List.assoc v ep.ep_points) envf with
-                | Some x -> x
-                | None -> invalid_arg ("unbound index variable " ^ v)
-              in
-              let value = Expr.eval stmt ~lookup ~point in
-              let coord = Array.of_list (List.map point stmt.lhs.indices) in
-              let local = Array.mapi (fun d c -> c - (out_rect : Rect.t).lo.(d)) coord in
-              Dense.add_at out_v local value
-            end)
-      in
-      let release () =
-        Option.iter (fun (_, _, b) -> Buf_pool.release pool arena b) !out;
-        out := None
-      in
-      let lo = lane * npoints / lanes and hi = (lane + 1) * npoints / lanes in
-      for i = lo to hi - 1 do
-        let out_contribs = ref [] in
-        Array.iter
-          (function
-            | B_out rect ->
-                release ();
-                let b = Buf_pool.acquire pool arena (Rect.volume rect) in
-                let v = Dense.of_buf b (Rect.extents rect) in
-                Dense.fill v 0.0;
-                out := Some (rect, v, b)
-            | B_leaf (Expr_stage.Kernel { kernel; dims; operands }) ->
-                let view (o : Expr_stage.operand) =
-                  { Kreg.buf = buf_of o.src; off = o.off; st = o.st }
-                in
-                Kreg.run_views ~kernel ~dims (Array.map view operands)
-            | B_leaf (Expr_stage.Nest nest) -> Expr_stage.run_nest nest buf_of
-            | B_leaf Expr_stage.Empty -> ()
-            | B_eval env -> eval_leaf env
-            | B_flush ->
-                Option.iter
-                  (fun (rect, v, b) -> out_contribs := (rect, v, b, lane) :: !out_contribs)
-                  !out;
-                out := None)
-          ep.ep_ops.(i);
-        contribs.(i) <- List.rev !out_contribs;
-        release ()
-      done);
+      Ints.iter_box (Array.map (Provenance.extent prov) ep.ep_leaf_vars) (fun pt ->
+          Array.iteri (fun i v -> Hashtbl.replace env v pt.(i)) ep.ep_leaf_vars;
+          if ep.ep_guards envf then begin
+            let point v =
+              match (List.assoc v ep.ep_points) envf with
+              | Some x -> x
+              | None -> invalid_arg ("unbound index variable " ^ v)
+            in
+            let value = Expr.eval stmt ~lookup ~point in
+            let coord = Array.of_list (List.map point stmt.lhs.indices) in
+            let local = Array.mapi (fun d c -> c - (out_rect : Rect.t).lo.(d)) coord in
+            Dense.add_at out_v local value
+          end)
+    in
+    let release arena =
+      (match !out with Some (_, _, b) -> Buf_pool.release pool arena b | None -> ());
+      out := None
+    in
+    fun i ->
+      let arena = Buf_pool.arena pool i and out_contribs = ref [] in
+      for k = 0 to Array.length ep.ep_ops.(i) - 1 do
+        match ep.ep_ops.(i).(k) with
+        | B_out rect ->
+            release arena;
+            let b = Buf_pool.acquire pool arena (Rect.volume rect) in
+            let v = Dense.of_buf b (Rect.extents rect) in
+            Dense.fill v 0.0;
+            out := Some (rect, v, b)
+        | B_leaf (Expr_stage.Kernel { kernel; dims; operands }) ->
+            let view (o : Expr_stage.operand) =
+              { Kreg.buf = buf_of o.src; off = o.off; st = o.st }
+            in
+            Kreg.run_views ~kernel ~dims (Array.map view operands)
+        | B_leaf (Expr_stage.Nest nest) -> Expr_stage.run_nest nest buf_of
+        | B_leaf Expr_stage.Empty -> ()
+        | B_eval env -> eval_leaf env
+        | B_flush ->
+            (match !out with Some o -> out_contribs := o :: !out_contribs | None -> ());
+            out := None
+      done;
+      contribs.(i) <- List.rev !out_contribs;
+      release arena
+  in
+  Pool.parallel_for hpool ~n:npoints (fun ~lane i ->
+      if Option.is_none runners.(lane) then runners.(lane) <- Some (lane_runner ());
+      Option.get runners.(lane) i);
   (* Serial merge in launch-point order, flush order within a task: one
      accumulation order whatever the domain count, so outputs are
      byte-identical across pool sizes. *)
   for i = 0 to npoints - 1 do
     List.iter
-      (fun (rect, v, b, lane) ->
+      (fun (rect, v, b) ->
         if not (Rect.is_empty rect) then
           Dense.accumulate_into ~src:v ~dst:out_global rect;
-        Buf_pool.release pool (Buf_pool.arena pool lane) b)
+        Buf_pool.release pool (Buf_pool.arena pool i) b)
       contribs.(i)
   done;
   ep.ep_runs <- ep.ep_runs + 1;

@@ -35,6 +35,7 @@
 
 module Api = Distal.Api
 module Obs = Distal_obs
+module Pool = Distal_support.Pool
 module Wire = Distal_support.Wire
 
 type config = {
@@ -223,6 +224,13 @@ let write_ready t fds =
 
 let stats_reply t =
   set_gauge t "serve.queue_depth" (float_of_int (queue_depth t));
+  let p = Pool.stats (Pool.get ?size:t.cfg.domains ()) in
+  List.iter
+    (fun (name, v) -> set_gauge t name (float_of_int v))
+    [
+      ("pool.jobs", p.Pool.jobs); ("pool.items", p.Pool.items);
+      ("pool.worker_items", p.Pool.worker_items); ("pool.busy_fallbacks", p.Pool.busy_fallbacks);
+    ];
   Protocol.StatsReply
     {
       queue_depth = queue_depth t;

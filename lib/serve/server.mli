@@ -22,7 +22,10 @@
     The loop stamps its own layers into the session's registry, always
     on: [serve.decode_s] (decoding each client frame) and
     [serve.reply_s] (framing each reply and its first write), beside the
-    session's per-request stamps (see {!Session.metrics}). *)
+    session's per-request stamps (see {!Session.metrics}). A stats reply
+    also carries the replay pool's {!Distal_support.Pool.stats} as the
+    gauges [pool.jobs], [pool.items], [pool.worker_items] and
+    [pool.busy_fallbacks]. *)
 
 type config = {
   socket_path : string;
@@ -47,7 +50,7 @@ val config :
   config
 (** Omitted fields take the built-in defaults (queue 64, stall timeout
     30 s, caches per {!Session.create}). [domains] sizes the pool that
-    replays Full requests.
+    replays Full requests and fills their seeded inputs.
     @raise Invalid_argument on a non-positive queue or stall timeout, or a
     negative cache capacity. *)
 

@@ -81,7 +81,7 @@ let create ?(plan_cache = default_plan_capacity) ?result_cache ?domains () =
         ~weight:output_bytes;
     metrics = Obs.Metrics.create ();
     domains;
-    inputs = Buf_pool.create ();
+    inputs = Buf_pool.create 1;
     m = Mutex.create ();
   }
 
@@ -136,7 +136,8 @@ let compile_exn t req =
 (* {2 Pooled inputs} *)
 
 (* Seeded inputs on pooled blocks, handed to [run], then returned to the
-   pool however [run] ends. Same draws as [Api.random_inputs ~seed]. *)
+   pool however [run] ends. Same draws as [Api.random_inputs ~seed]; large
+   tensors fill in chunks on the domain pool that replays the run. *)
 let with_seeded_inputs t ~seed plan run =
   let arena = Buf_pool.arena t.inputs 0 in
   let taken = ref [] in
@@ -151,7 +152,7 @@ let with_seeded_inputs t ~seed plan run =
       let s = Buf_pool.stats t.inputs in
       gauge_set t "serve.input_allocs" (float_of_int s.Buf_pool.allocs);
       gauge_set t "serve.input_parked_bytes" s.Buf_pool.cached_bytes)
-    (fun () -> run (timed t "serve.inputs_s" (fun () -> Api.random_inputs ~alloc ~seed plan)))
+    (fun () -> run (timed t "serve.inputs_s" (fun () -> Api.random_inputs ~alloc ?domains:t.domains ~seed plan)))
 
 (* {2 The result tier} *)
 

@@ -44,8 +44,9 @@ val create : ?plan_cache:int -> ?result_cache:int -> ?domains:int -> unit -> t
     request compiles and runs). [result_cache] defaults to 1024, or [0]
     whenever the plan cache is disabled.
     [domains] pins the host domain-pool size that replays Full requests
-    ({!Distal.Api.Exec.run_plan}); simulation always runs on the calling
-    domain. *)
+    ({!Distal.Api.Exec.run_plan}) and fills their seeded inputs
+    ({!Distal.Api.random_inputs}); simulation always runs on the calling
+    domain and never touches the pool. *)
 
 val metrics : t -> Distal_obs.Metrics.registry
 (** The [serve.*] registry: [serve.requests], [serve.plan_hits]/

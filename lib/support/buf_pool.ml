@@ -1,4 +1,4 @@
-(* Size-classed pool of float64 bigarray buffers with per-lane arenas.
+(* Size-classed pool of float64 bigarray buffers with single-owner arenas.
 
    The executor's run phase (lib/runtime/exec) materializes a fragment
    buffer per communicate point per task; allocating those fresh on every
@@ -11,9 +11,11 @@
      in the same class — the fragmentation-proof policy of classic slab
      allocators;
 
-   - each pool lane owns an arena of free lists and touches only it
-     during replay, so acquire/release on the hot path is a
-     list cons with no lock and no cross-domain traffic.
+   - each arena's free lists have one user at a time (the executor gives
+     every launch point its own arena, and a point runs on one domain),
+     so acquire/release on the hot path is a list cons with no lock and
+     no cross-domain traffic. Because a point always draws from its own
+     arena, a warm run allocates nothing whichever domain runs it.
 
    The pool hands out raw [Bigarray.Array1] blocks (this library sits
    below [Distal_tensor]); callers wrap them into tensor views. Blocks
@@ -28,11 +30,6 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
    elements. 2^47 * 8 bytes is far beyond any addressable tensor. *)
 let nclasses = 48
 
-(* Lane indices come from Distal_support.Pool, whose pools are capped at
-   64 domains; preallocating every arena keeps [arena] allocation-free
-   and safe to call concurrently from the lanes themselves. *)
-let max_lanes = 64
-
 type stats = {
   allocs : int;  (** fresh bigarray allocations since [create] *)
   alloc_bytes : float;  (** bytes of those allocations *)
@@ -41,14 +38,11 @@ type stats = {
   dropped : int;  (** releases discarded because the byte cap was reached *)
 }
 
-type arena = {
-  free : buf list array;  (* per class, owner-lane access only *)
-  owner : int;  (* lane index, for diagnostics *)
-}
+type arena = buf list array  (* free lists per class, one user at a time *)
 
 type t = {
   arenas : arena array;
-  (* Counters cross domains (lanes release concurrently), so they are
+  (* Counters cross domains (arenas release concurrently), so they are
      atomics, not plain ints. [cached] is advisory: the cap check and the
      update are separate steps, so the cap is approximate by design. *)
   cached : int Atomic.t;
@@ -60,11 +54,10 @@ type t = {
 
 let max_bytes = 64 * 1024 * 1024
 
-let create () =
+let create n =
+  if n < 1 then invalid_arg "Buf_pool.create: need at least one arena";
   {
-    arenas =
-      Array.init max_lanes (fun owner ->
-          { free = Array.make nclasses []; owner });
+    arenas = Array.init n (fun _ -> Array.make nclasses []);
     cached = Atomic.make 0;
     allocs = Atomic.make 0;
     alloc_bytes = Atomic.make 0;
@@ -72,11 +65,11 @@ let create () =
     dropped = Atomic.make 0;
   }
 
-let arena t lane =
-  if lane < 0 || lane >= max_lanes then
+let arena t i =
+  if i < 0 || i >= Array.length t.arenas then
     invalid_arg
-      (Printf.sprintf "Buf_pool.arena: lane %d outside [0, %d)" lane max_lanes);
-  t.arenas.(lane)
+      (Printf.sprintf "Buf_pool.arena: arena %d outside [0, %d)" i (Array.length t.arenas));
+  t.arenas.(i)
 
 (* Smallest class whose capacity [2^c] holds [n] elements. *)
 let class_of n =
@@ -95,9 +88,9 @@ let alloc_class t c =
 
 let acquire t arena n =
   let c = class_of (max 1 n) in
-  match arena.free.(c) with
+  match arena.(c) with
   | b :: rest ->
-      arena.free.(c) <- rest;
+      arena.(c) <- rest;
       ignore (Atomic.fetch_and_add t.cached (-class_bytes c));
       Atomic.incr t.hits;
       b
@@ -111,7 +104,7 @@ let release t arena b =
   if 1 lsl c <> n || Atomic.get t.cached + class_bytes c > max_bytes then
     Atomic.incr t.dropped
   else begin
-    arena.free.(c) <- b :: arena.free.(c);
+    arena.(c) <- b :: arena.(c);
     ignore (Atomic.fetch_and_add t.cached (class_bytes c))
   end
 

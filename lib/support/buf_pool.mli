@@ -1,11 +1,11 @@
-(** Size-classed pool of float64 bigarray buffers with per-lane arenas.
+(** Size-classed pool of float64 bigarray buffers with single-owner arenas.
 
     Backs the executor's run phase: output instances and reduction
     partials are acquired here instead of allocated fresh, so a steady-state run
     against a compiled plan performs no bigarray allocation at all.
-    Capacities round up to powers of two (one free list per class); each
-    pool lane owns an arena it alone touches during replay
-    (lock-free acquire/release).
+    Capacities round up to powers of two (one free list per class); the
+    executor gives each launch point an arena of its own, which only the
+    domain running that point touches (lock-free acquire/release).
 
     Total parked bytes are capped at 64 MiB: a release that would
     exceed the cap drops the block to the GC. The cap check is advisory
@@ -27,15 +27,15 @@ type stats = {
   dropped : int;  (** releases discarded because the byte cap was reached *)
 }
 
-val create : unit -> t
-(** A fresh, empty pool. *)
+val create : int -> t
+(** A fresh, empty pool of [n] arenas.
+    @raise Invalid_argument when [n < 1]. *)
 
 val arena : t -> int -> arena
-(** The arena of the given pool lane (0-based, below
-    {!Distal_support.Pool}'s 64-domain cap). Stable across calls and
-    allocation-free, so lanes may call it concurrently — but each arena
-    must only ever be used by one domain at a time.
-    @raise Invalid_argument on a lane outside [0, 64). *)
+(** Arena [i] (0-based). Stable across calls and allocation-free, so
+    domains may call it concurrently — but each arena must only ever be
+    used by one domain at a time.
+    @raise Invalid_argument on an index outside [0, n). *)
 
 val acquire : t -> arena -> int -> buf
 (** [acquire t a n] returns a block of capacity at least [n] elements

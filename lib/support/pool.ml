@@ -1,17 +1,33 @@
-(* A reusable pool of OCaml 5 domains for data-parallel sections.
+(* A reusable pool of OCaml 5 domains for data-parallel loops.
 
    Workers are spawned lazily on first use and then parked on a condition
-   variable between jobs, so repeated [run] calls (one per executed plan)
-   pay no spawn cost. The caller participates as lane 0; workers take
-   lanes 1..n-1. Exceptions raised by any lane are re-raised in the
-   caller after every lane has finished (first one wins).
+   variable between jobs, so repeated [parallel_for] calls (one per
+   executed plan) pay no spawn cost. A job is a counter over [0, n): the
+   caller and every worker that wakes while items remain claim indices
+   from it with one atomic add each, so the caller never waits for a
+   worker that has not started. The caller runs as lane 0; worker [k]
+   always runs as lane [k], so per-lane state stays single-owner.
 
-   A pool runs one job at a time. A [run] that finds the pool busy —
-   another domain's job in flight, or a call from inside a lane body —
-   runs its lanes one after another in the caller instead. Lanes are
-   independent by contract, so the result is the same; only the
-   parallelism is lost. Two callers must never share the job slot: each
-   would overwrite the other's job. *)
+   The caller returns once every item has finished: it waits only for
+   items a worker has already claimed. When it returns it swaps the job
+   for an empty one, so a worker that wakes later finds nothing to claim.
+   After an item raises, the remaining items are claimed and skipped; the
+   first exception is re-raised in the caller.
+
+   A pool runs one job at a time. A call that finds the pool busy —
+   another domain's job in flight, or a call from inside an item — runs
+   its items in order on the caller as lane 0. Items are independent by
+   contract, so the result is the same; only the parallelism is lost. *)
+
+type job = {
+  f : lane:int -> int -> unit;
+  n : int;
+  next : int Atomic.t;  (* the next unclaimed index *)
+  left : int Atomic.t;  (* items not yet finished *)
+  failed : (exn * Printexc.raw_backtrace) option Atomic.t;
+}
+
+type stats = { jobs : int; items : int; worker_items : int; busy_fallbacks : int }
 
 type t = {
   size : int;
@@ -19,13 +35,14 @@ type t = {
   work : Condition.t;
   donec : Condition.t;
   mutable epoch : int;
-  mutable job : int -> unit;
-  mutable lanes : int;  (* lanes participating in the current epoch *)
-  mutable pending : int;  (* workers still running the current epoch *)
-  mutable failed : (exn * Printexc.raw_backtrace) option;
+  mutable job : job;
   mutable stop : bool;
-  mutable busy : bool;  (* a multi-lane job owns the workers *)
-  mutable workers : unit Domain.t list;  (* spawned on first multi-lane run *)
+  mutable busy : bool;  (* a job owns the workers *)
+  mutable workers : unit Domain.t list;  (* spawned on first parallel job *)
+  jobs : int Atomic.t;
+  items : int Atomic.t;
+  worker_items : int Atomic.t;
+  busy_fallbacks : int Atomic.t;
 }
 
 let max_domains = 64
@@ -35,6 +52,11 @@ let default_size () =
   | Some n -> min n max_domains
   | None -> min max_domains (Domain.recommended_domain_count ())
 
+let new_job f n =
+  { f; n; next = Atomic.make 0; left = Atomic.make n; failed = Atomic.make None }
+
+let idle = new_job (fun ~lane:_ _ -> ()) 0
+
 let create size =
   if size < 1 then invalid_arg "Pool.create: size must be >= 1";
   {
@@ -43,24 +65,50 @@ let create size =
     work = Condition.create ();
     donec = Condition.create ();
     epoch = 0;
-    job = ignore;
-    lanes = 0;
-    pending = 0;
-    failed = None;
+    job = idle;
     stop = false;
     busy = false;
     workers = [];
+    jobs = Atomic.make 0;
+    items = Atomic.make 0;
+    worker_items = Atomic.make 0;
+    busy_fallbacks = Atomic.make 0;
   }
 
 let size t = t.size
 
-let record_failure t e =
-  let bt = Printexc.get_raw_backtrace () in
-  Mutex.lock t.m;
-  if t.failed = None then t.failed <- Some (e, bt);
-  Mutex.unlock t.m
+let stats t =
+  {
+    jobs = Atomic.get t.jobs;
+    items = Atomic.get t.items;
+    worker_items = Atomic.get t.worker_items;
+    busy_fallbacks = Atomic.get t.busy_fallbacks;
+  }
 
-let worker t slot epoch0 =
+(* Claim and run items of [j] as [lane] until none is left; the number
+   this domain ran. The domain that finishes the last item wakes the
+   caller. *)
+let drain t j ~lane =
+  let rec go ran =
+    let i = Atomic.fetch_and_add j.next 1 in
+    if i >= j.n then ran
+    else begin
+      (if Atomic.get j.failed = None then
+         try j.f ~lane i
+         with e ->
+           let bt = Printexc.get_raw_backtrace () in
+           ignore (Atomic.compare_and_set j.failed None (Some (e, bt))));
+      if Atomic.fetch_and_add j.left (-1) = 1 then begin
+        Mutex.lock t.m;
+        Condition.broadcast t.donec;
+        Mutex.unlock t.m
+      end;
+      go (ran + 1)
+    end
+  in
+  go 0
+
+let worker t lane epoch0 =
   let last = ref epoch0 in
   Mutex.lock t.m;
   let rec loop () =
@@ -71,15 +119,11 @@ let worker t slot epoch0 =
     end
     else begin
       last := t.epoch;
-      let f = t.job and lanes = t.lanes in
-      let mine = slot < lanes in
+      let j = t.job in
       Mutex.unlock t.m;
-      if mine then (try f slot with e -> record_failure t e);
+      let ran = drain t j ~lane in
+      if ran > 0 then ignore (Atomic.fetch_and_add t.worker_items ran);
       Mutex.lock t.m;
-      if mine then begin
-        t.pending <- t.pending - 1;
-        if t.pending = 0 then Condition.broadcast t.donec
-      end;
       loop ()
     end
   in
@@ -89,7 +133,7 @@ let ensure_started t =
   if t.workers = [] && t.size > 1 then begin
     (* Capture the epoch before spawning: a worker must not mistake the
        last finished job for fresh work, nor skip the next one. Only the
-       caller advances [epoch], so reading it here is race-free. *)
+       job's owner advances [epoch], so reading it here is race-free. *)
     let epoch0 = t.epoch in
     t.workers <-
       List.init (t.size - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1) epoch0))
@@ -103,7 +147,7 @@ let shutdown t =
     Mutex.unlock t.m;
     List.iter Domain.join t.workers;
     t.workers <- [];
-    (* Re-arm so a later [run] can respawn workers. *)
+    (* Re-arm so a later job can respawn workers. *)
     t.stop <- false
   end
 
@@ -114,36 +158,40 @@ let acquire t =
   Mutex.unlock t.m;
   free
 
-let run t ~lanes f =
-  let lanes = max 1 (min lanes t.size) in
-  if lanes = 1 then f 0
-  else if not (acquire t) then
-    for lane = 0 to lanes - 1 do
-      f lane
-    done
-  else begin
-    ensure_started t;
-    Mutex.lock t.m;
-    t.job <- f;
-    t.lanes <- lanes;
-    t.pending <- lanes - 1;
-    t.failed <- None;
-    t.epoch <- t.epoch + 1;
-    Condition.broadcast t.work;
-    Mutex.unlock t.m;
-    (try f 0 with e -> record_failure t e);
-    Mutex.lock t.m;
-    while t.pending > 0 do
-      Condition.wait t.donec t.m
-    done;
-    let fl = t.failed in
-    t.failed <- None;
-    t.job <- ignore;
-    t.busy <- false;
-    Mutex.unlock t.m;
-    match fl with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
+let serial n f =
+  for i = 0 to n - 1 do
+    f ~lane:0 i
+  done
+
+let parallel_for t ~n f =
+  if n > 0 then begin
+    Atomic.incr t.jobs;
+    ignore (Atomic.fetch_and_add t.items n);
+    if n = 1 || t.size = 1 then serial n f
+    else if not (acquire t) then begin
+      Atomic.incr t.busy_fallbacks;
+      serial n f
+    end
+    else begin
+      ensure_started t;
+      let j = new_job f n in
+      Mutex.lock t.m;
+      t.job <- j;
+      t.epoch <- t.epoch + 1;
+      Condition.broadcast t.work;
+      Mutex.unlock t.m;
+      ignore (drain t j ~lane:0);
+      Mutex.lock t.m;
+      while Atomic.get j.left > 0 do
+        Condition.wait t.donec t.m
+      done;
+      t.job <- idle;
+      t.busy <- false;
+      Mutex.unlock t.m;
+      match Atomic.get j.failed with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ()
+    end
   end
 
 (* One shared pool per size, shut down at exit so idle worker domains

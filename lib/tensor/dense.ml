@@ -94,9 +94,9 @@ let copy t =
 
 (* One pass over uninitialized storage: the draws land in row-major
    order, exactly where a coordinate walk of [init] would put them. *)
-let random ?(alloc = alloc) rng shape =
+let random ?(alloc = alloc) ?pool rng shape =
   let t = of_buf (alloc (Ints.prod shape)) shape in
-  Distal_support.Rng.fill_float rng 1.0 t.data;
+  Distal_support.Rng.fill_float ?pool rng 1.0 t.data;
   t
 
 let to_le_bytes t =

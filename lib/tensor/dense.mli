@@ -53,9 +53,12 @@ val offset : t -> int array -> int
 
 val copy : t -> t
 
-val random : ?alloc:(int -> buf) -> Distal_support.Rng.t -> int array -> t
+val random :
+  ?alloc:(int -> buf) -> ?pool:Distal_support.Pool.t -> Distal_support.Rng.t -> int array -> t
 (** Uniform entries in [\[0, 1)], drawn in row-major order into the first
-    elements of [alloc n] (default: a fresh block of [n] elements). *)
+    elements of [alloc n] (default: a fresh block of [n] elements). With
+    [pool], a large tensor fills in chunks on the pool's domains, with
+    the same contents ({!Distal_support.Rng.fill_float}). *)
 
 val to_le_bytes : t -> Bytes.t
 (** The elements' IEEE-754 bit patterns, 8 little-endian bytes each, in

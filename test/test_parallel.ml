@@ -1,36 +1,76 @@
-(* The host domain pool behind Full-mode replay: every lane runs, lane
-   exceptions propagate, and DISTAL_NUM_DOMAINS sizes the default pool.
+(* The host domain pool behind Full-mode replay: every item runs once on
+   a lane that names one domain, item exceptions propagate after the
+   claimed items finish, and DISTAL_NUM_DOMAINS sizes the default pool.
    That replay is byte-identical at every pool size is the differential
    oracle's business (test_oracle). *)
 
 module Pool = Distal_support.Pool
 
-let test_pool_lanes () =
-  let pool = Pool.create 4 in
-  let hits = Array.make 4 0 in
-  Pool.run pool ~lanes:4 (fun lane -> hits.(lane) <- hits.(lane) + 1);
-  Alcotest.(check (array int)) "every lane ran once" [| 1; 1; 1; 1 |] hits;
-  (* Lane counts beyond the pool size are clamped to the pool size. *)
-  let hits2 = Array.make 4 0 in
-  Pool.run pool ~lanes:10 (fun lane -> hits2.(lane) <- hits2.(lane) + 1);
-  Alcotest.(check (array int)) "clamped to pool size" [| 1; 1; 1; 1 |] hits2;
-  Pool.shutdown pool
+(* Runs [n] items on [pool]; fails unless each ran exactly once, on a
+   lane in [0, size) that stayed on one domain for the whole job. *)
+let check_items pool n =
+  let size = Pool.size pool in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  let lane_dom = Array.init size (fun _ -> Atomic.make (-1)) in
+  let bad_lane = Atomic.make false in
+  Pool.parallel_for pool ~n (fun ~lane i ->
+      Atomic.incr hits.(i);
+      if lane < 0 || lane >= size then Atomic.set bad_lane true
+      else
+        let d = (Domain.self () :> int) in
+        if not (Atomic.compare_and_set lane_dom.(lane) (-1) d || Atomic.get lane_dom.(lane) = d)
+        then Atomic.set bad_lane true);
+  let label = Printf.sprintf "size %d, n %d" size n in
+  Alcotest.(check (array int)) (label ^ ": every item once") (Array.make n 1)
+    (Array.map Atomic.get hits);
+  Alcotest.(check bool) (label ^ ": lanes in range, one domain each") false (Atomic.get bad_lane)
+
+let test_pool_items () =
+  for size = 1 to 4 do
+    let pool = Pool.create size in
+    List.iter (check_items pool) [ 0; 1; size - 1; size; (10 * size) + 3 ];
+    Pool.shutdown pool
+  done
 
 let test_pool_exception () =
   let pool = Pool.create 3 in
-  (match Pool.run pool ~lanes:3 (fun lane -> if lane = 1 then failwith "boom") with
-  | () -> Alcotest.fail "expected the lane's exception to propagate"
-  | exception Failure m -> Alcotest.(check string) "message" "boom" m);
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  (match
+     Pool.parallel_for pool ~n:30 (fun ~lane:_ i ->
+         Atomic.incr started;
+         if i = 1 then begin
+           Atomic.incr finished;
+           failwith "boom"
+         end;
+         Unix.sleepf 0.001;
+         Atomic.incr finished)
+   with
+  | () -> Alcotest.fail "expected the item's exception to propagate"
+  | exception Failure m ->
+      Alcotest.(check string) "message" "boom" m;
+      Alcotest.(check int) "every claimed item finished first" (Atomic.get started)
+        (Atomic.get finished));
   (* The pool survives a failed job, and survives an explicit shutdown
-     (workers respawn on the next multi-lane run). *)
-  let hits = Array.make 3 0 in
-  Pool.run pool ~lanes:3 (fun lane -> hits.(lane) <- hits.(lane) + 1);
-  Alcotest.(check (array int)) "reusable after failure" [| 1; 1; 1 |] hits;
+     (workers respawn on the next parallel job). *)
+  check_items pool 7;
   Pool.shutdown pool;
-  Array.fill hits 0 3 0;
-  Pool.run pool ~lanes:3 (fun lane -> hits.(lane) <- hits.(lane) + 1);
-  Alcotest.(check (array int)) "reusable after shutdown" [| 1; 1; 1 |] hits;
+  check_items pool 7;
   Pool.shutdown pool
+
+(* A call from inside an item finds the pool owned and runs serially;
+   the stats count it, and count only the outer items as worker-run
+   candidates. *)
+let test_pool_stats () =
+  let pool = Pool.create 2 in
+  Pool.parallel_for pool ~n:4 (fun ~lane:_ i ->
+      if i = 0 then Pool.parallel_for pool ~n:3 (fun ~lane _ -> ignore lane));
+  let s = Pool.stats pool in
+  Pool.shutdown pool;
+  Alcotest.(check int) "jobs" 2 s.Pool.jobs;
+  Alcotest.(check int) "items" 7 s.Pool.items;
+  Alcotest.(check int) "busy fallbacks" 1 s.Pool.busy_fallbacks;
+  if s.Pool.worker_items < 0 || s.Pool.worker_items > 4 then
+    Alcotest.failf "worker items %d outside [0, 4]" s.Pool.worker_items
 
 let test_default_size () =
   let old = Option.value (Sys.getenv_opt "DISTAL_NUM_DOMAINS") ~default:"" in
@@ -51,8 +91,9 @@ let suites =
   [
     ( "parallel",
       [
-        Alcotest.test_case "pool runs every lane" `Quick test_pool_lanes;
+        Alcotest.test_case "pool runs every lane" `Quick test_pool_items;
         Alcotest.test_case "pool re-raises lane exceptions" `Quick test_pool_exception;
+        Alcotest.test_case "pool stats" `Quick test_pool_stats;
         Alcotest.test_case "DISTAL_NUM_DOMAINS parsing" `Quick test_default_size;
       ] );
   ]

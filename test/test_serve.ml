@@ -476,6 +476,20 @@ let test_session_model_no_inputs () =
     (Stats.to_string (Api.estimate (Api.compile_request_exn req)))
     (Stats.to_string o.Session.result.Exec.stats)
 
+(* Model traffic never touches the domain pool, so serving it spawns no
+   worker domain; a Full request on the same session does use the pool. *)
+let test_session_model_no_pool () =
+  let session = Session.create ~domains:2 () in
+  let pool = Pool.get ~size:2 () in
+  let jobs () = (Pool.stats pool).Pool.jobs in
+  let before = jobs () in
+  List.iter
+    (fun (seed, req) -> ignore (Session.run_exn ~mode:Exec.Model ~seed session req))
+    [ (1, gemm_request ()); (2, gemm_request ~n:64 ~chunks:4 ()); (1, gemm_request ()) ];
+  Alcotest.(check int) "Model requests ran no pool job" before (jobs ());
+  ignore (Session.run_exn ~seed:1 session (gemm_request ()));
+  if jobs () = before then Alcotest.fail "a Full request ran no pool job"
+
 (* Caching off: every request is compile + run, and the bytes still
    match. *)
 let test_session_cache_off () =
@@ -491,10 +505,11 @@ let test_session_cache_off () =
   Alcotest.(check (pair (list int64) string)) "uncached = direct" expected
     (observe_outcome o2)
 
-(* One shared session driven concurrently from pool lanes (the session
-   replays on one domain, leaving the pool to the lanes): every lane must see
-   exactly the bytes of a direct run, whatever interleaving of hits,
-   misses and single-flight compiles the lanes produce. *)
+(* One shared session driven concurrently from pool items, one per
+   simulated lane (the session replays on one domain, leaving the pool to
+   the lanes): every lane must see exactly the bytes of a direct run,
+   whatever interleaving of hits, misses and single-flight compiles the
+   lanes produce. *)
 let test_session_concurrent () =
   let session = Session.create ~domains:1 () in
   let reqs = [| gemm_request ~chunks:2 (); gemm_request ~chunks:4 (); gemm_request ~n:16 () |] in
@@ -502,7 +517,7 @@ let test_session_concurrent () =
   let lanes = 3 and rounds = 5 in
   let failures = Array.make lanes "" in
   let pool = Pool.create lanes in
-  Pool.run pool ~lanes (fun lane ->
+  Pool.parallel_for pool ~n:lanes (fun ~lane:_ lane ->
       for round = 0 to rounds - 1 do
         let i = (lane + round) mod Array.length reqs in
         let o = Session.run_exn ~seed:9 session reqs.(i) in
@@ -1637,6 +1652,7 @@ let suites =
         Alcotest.test_case "session result byte budget" `Quick test_session_result_byte_budget;
         Alcotest.test_case "session pooled inputs" `Quick test_session_pooled_inputs;
         Alcotest.test_case "session model builds no inputs" `Quick test_session_model_no_inputs;
+        Alcotest.test_case "session model uses no pool" `Quick test_session_model_no_pool;
         Alcotest.test_case "session concurrent lanes" `Quick test_session_concurrent;
         Alcotest.test_case "session layer stamps" `Quick test_session_stamps;
         Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;

@@ -103,6 +103,58 @@ let test_rng_fill_float () =
         (Rng.next_int64 a))
     [ 0; 1; 7; 1000 ]
 
+(* A pooled fill splits the array into chunks that start from the state
+   their first draw has in the serial loop. Lengths straddle the chunk
+   boundaries, so a chunk that starts a draw off shows here; the oracle
+   cannot see it, since its reference draws through the same fill. *)
+let test_rng_pooled_fill () =
+  let module Pool = Distal_support.Pool in
+  let c = Rng.fill_chunk in
+  List.iter
+    (fun size ->
+      let pool = Pool.create size in
+      List.iter
+        (fun n ->
+          let a = Rng.create 11 and b = Rng.create 11 in
+          let buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+          Rng.fill_float ~pool a 2.5 buf;
+          let first_bad = ref (-1) in
+          for i = 0 to n - 1 do
+            if Int64.bits_of_float (Rng.float b 2.5) <> Int64.bits_of_float buf.{i} && !first_bad < 0
+            then first_bad := i
+          done;
+          let label = Printf.sprintf "pool %d, length %d" size n in
+          Alcotest.(check int) (label ^ ": first differing draw") (-1) !first_bad;
+          Alcotest.(check int64) (label ^ ": generator advanced past the fill")
+            (Rng.next_int64 b) (Rng.next_int64 a))
+        [ 0; 1; c - 1; c; c + 1; (3 * c) + 5 ];
+      Pool.shutdown pool)
+    [ 1; 2; 3 ]
+
+(* Seeded inputs hold the same bytes whatever pool fills them: B and C
+   span three chunks each. *)
+let test_random_inputs_pool_sizes () =
+  let module Api = Distal.Api in
+  let module Dense = Distal_tensor.Dense in
+  let n = 300 in
+  let p =
+    Api.problem_exn ~machine:(Api.Machine.grid [| 2; 2 |]) ~stmt:"A(i,j) = B(i,j) + C(i,j)"
+      ~tensors:
+        (List.map (fun t -> Api.tensor t [| n; n |] ~dist:"[x,y] -> [x,y]") [ "A"; "B"; "C" ])
+      ()
+  in
+  let plan =
+    Api.compile_script_exn p ~schedule:"distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2])"
+  in
+  let bytes domains =
+    List.map
+      (fun (name, d) -> (name, Bytes.to_string (Dense.to_le_bytes d)))
+      (Api.random_inputs ~domains ~seed:7 plan)
+  in
+  let one = bytes 1 in
+  Alcotest.(check (list string)) "tensors drawn" [ "B"; "C" ] (List.map fst one);
+  Alcotest.(check bool) "identical bytes at 1 and 3 domains" true (one = bytes 3)
+
 (* Dense.random fills in one linear pass; it must agree with the
    coordinate walk it replaced (row-major draws through [Dense.init]). *)
 let test_dense_random_order () =
@@ -191,23 +243,23 @@ let qcheck_json_string_roundtrip =
 (* {2 Pool} *)
 
 (* Several domains drive one shared pool at once: whichever caller finds
-   it busy runs its lanes itself, and every caller's lanes all run. *)
+   it busy runs its items itself, and every caller's items all run. *)
 let test_pool_concurrent_callers () =
   let module Pool = Distal_support.Pool in
   let pool = Pool.create 3 in
-  let callers = 3 and rounds = 50 in
+  let callers = 3 and rounds = 50 and n = 7 in
   let work c =
     let ok = ref true in
     for _ = 1 to rounds do
-      let hits = Array.make 3 0 in
-      Pool.run pool ~lanes:3 (fun lane -> hits.(lane) <- hits.(lane) + 1 + c);
-      if hits <> Array.make 3 (1 + c) then ok := false
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      Pool.parallel_for pool ~n (fun ~lane:_ i -> ignore (Atomic.fetch_and_add hits.(i) (1 + c)));
+      if Array.exists (fun h -> Atomic.get h <> 1 + c) hits then ok := false
     done;
     !ok
   in
   let results = List.map Domain.join (List.init callers (fun c -> Domain.spawn (fun () -> work c))) in
   Pool.shutdown pool;
-  Alcotest.(check (list bool)) "every lane of every call ran once" (List.init callers (fun _ -> true))
+  Alcotest.(check (list bool)) "every item of every call ran once" (List.init callers (fun _ -> true))
     results
 
 (* Env: every DISTAL_* knob goes through one parser that rejects
@@ -262,6 +314,9 @@ let suites =
         Alcotest.test_case "DISTAL_* env parsing" `Quick test_env_parsing;
         QCheck_alcotest.to_alcotest qcheck_linearize;
         Alcotest.test_case "rng fill_float = float stream" `Quick test_rng_fill_float;
+        Alcotest.test_case "rng pooled fill = float stream" `Quick test_rng_pooled_fill;
+        Alcotest.test_case "random inputs across pool sizes" `Quick
+          test_random_inputs_pool_sizes;
         Alcotest.test_case "dense random row-major" `Quick test_dense_random_order;
         Alcotest.test_case "dense little-endian bytes" `Quick test_dense_le_bytes;
         Alcotest.test_case "base64 vectors and rejects" `Quick test_base64_vectors;
