@@ -20,12 +20,13 @@
    cost model's digest, so repeated searches — the serving layer's
    steady state — skip straight to the stats.
 
-   Probing runs in fixed-size waves fanned out on the Pool domain pool.
-   Determinism at every pool size comes from three invariants: the wave
-   size is a constant (not the pool size), lanes stripe statically over a
-   results array indexed by candidate, and the reduction folds that array
-   in enumeration order. Each probe model-runs on its own lane: the
-   simulation itself uses no pool. *)
+   Probing runs in fixed-size waves, each one Pool.parallel_for over its
+   candidates. Determinism at every pool size comes from three
+   invariants: the wave size is a constant (not the pool size), each
+   probe writes the slot of a results array indexed by candidate,
+   whichever domain claimed it, and the reduction folds that array in
+   enumeration order. Each probe model-runs on the domain that claimed
+   it: the simulation itself uses no pool. *)
 
 module Api = Distal.Api
 module Machine = Distal_machine.Machine

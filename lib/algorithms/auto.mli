@@ -25,8 +25,9 @@
     {!Distal_support.Lru} keyed on the candidate's request fingerprint
     plus the cost model digest (512 entries).
     The chosen plan is byte-identical at every pool size: waves have a
-    constant width, lanes stripe into a results array by candidate
-    index, and the reduction folds that array in enumeration order.
+    constant width, each probe lands in a results array at its candidate
+    index whichever domain claimed it, and the reduction folds that
+    array in enumeration order.
 
     When no [?cost] is given, the machine's default cost model is used
     with its [pack_overhead] replaced by the measured value from

@@ -1554,8 +1554,8 @@ let plan ?coalesce ?faults ?trace ?profile spec =
       ep_points =
         List.map (fun v -> (v, Provenance.raw_point_fn prog.prov v)) (Expr.index_vars stmt);
       ep_leaf_vars = Array.of_list c.leaf_vars; ep_reads_out = c.reads_out;
-      ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor; ep_pool = Buf_pool.create (max 1 (Array.length ep_ops));
-      ep_m = Mutex.create (); ep_runs = 0 }
+      ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor;
+      ep_pool = Buf_pool.create (max 1 (Array.length ep_ops)); ep_m = Mutex.create (); ep_runs = 0 }
 
 type leaf_tiers = { tiled : int; staged : int; eval : int }
 

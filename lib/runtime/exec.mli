@@ -144,7 +144,7 @@ val execute :
     operand's buffer, offset and strides. Input
     instances are read in place from the caller's tensors; output
     instances and reduction partials come from a size-classed pool with
-    per-lane arenas ({!Distal_support.Buf_pool}, capped at 64 MiB), so a
+    an arena per launch point ({!Distal_support.Buf_pool}, capped at 64 MiB), so a
     warm run performs no per-fragment buffer allocation at all. *)
 
 type eplan
@@ -175,7 +175,12 @@ val run_plan :
     value for [+=] or self-reading statements); a missing one is an
     error, and so is one whose shape differs from the spec's, naming
     the tensor. The caller's tensors are read in place and never
-    written: the output is a fresh tensor. The output is byte-identical for every [domains] setting,
+    written: the output is a fresh tensor. Launch points run through
+    {!Distal_support.Pool.parallel_for} on the shared pool of size
+    [domains] (default {!Distal_support.Pool.default_size}): each
+    domain claims the next point as it frees up, and the contributions
+    are merged serially in launch-point order afterwards. So the output
+    is byte-identical for every [domains] setting,
     every pool size and whatever fault plan the plan was compiled with;
     the returned stats are a copy of the plan-time stats. Runs of one
     plan serialize on an internal lock (the buffer arenas and the bound

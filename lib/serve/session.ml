@@ -152,7 +152,10 @@ let with_seeded_inputs t ~seed plan run =
       let s = Buf_pool.stats t.inputs in
       gauge_set t "serve.input_allocs" (float_of_int s.Buf_pool.allocs);
       gauge_set t "serve.input_parked_bytes" s.Buf_pool.cached_bytes)
-    (fun () -> run (timed t "serve.inputs_s" (fun () -> Api.random_inputs ~alloc ?domains:t.domains ~seed plan)))
+    (fun () ->
+      run
+        (timed t "serve.inputs_s" (fun () ->
+             Api.random_inputs ~alloc ?domains:t.domains ~seed plan)))
 
 (* {2 The result tier} *)
 

@@ -120,8 +120,8 @@ let test_rng_pooled_fill () =
           Rng.fill_float ~pool a 2.5 buf;
           let first_bad = ref (-1) in
           for i = 0 to n - 1 do
-            if Int64.bits_of_float (Rng.float b 2.5) <> Int64.bits_of_float buf.{i} && !first_bad < 0
-            then first_bad := i
+            let want = Int64.bits_of_float (Rng.float b 2.5) in
+            if want <> Int64.bits_of_float buf.{i} && !first_bad < 0 then first_bad := i
           done;
           let label = Printf.sprintf "pool %d, length %d" size n in
           Alcotest.(check int) (label ^ ": first differing draw") (-1) !first_bad;
@@ -259,7 +259,8 @@ let test_pool_concurrent_callers () =
   in
   let results = List.map Domain.join (List.init callers (fun c -> Domain.spawn (fun () -> work c))) in
   Pool.shutdown pool;
-  Alcotest.(check (list bool)) "every item of every call ran once" (List.init callers (fun _ -> true))
+  Alcotest.(check (list bool)) "every item of every call ran once"
+    (List.init callers (fun _ -> true))
     results
 
 (* Env: every DISTAL_* knob goes through one parser that rejects
