@@ -93,7 +93,7 @@ let drain t j ~lane =
     let i = Atomic.fetch_and_add j.next 1 in
     if i >= j.n then ran
     else begin
-      (if Atomic.get j.failed = None then
+      (if Option.is_none (Atomic.get j.failed) then
          try j.f ~lane i
          with e ->
            let bt = Printexc.get_raw_backtrace () in
