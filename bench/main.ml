@@ -217,9 +217,9 @@ let now () = Distal_support.Pool.now ()
    [reps] timed runs, keeping the best: the minimum over repetitions is
    the standard de-noising for wall-clock measurement — scheduler and GC
    interference only ever add time. *)
-let simperf_measure ?(coalesce = true) plan ~reps =
+let simperf_measure plan ~reps =
   let profile = Profile.create () in
-  (match Api.run ~mode:Api.Exec.Model ~coalesce ~profile plan ~data:[] with
+  (match Api.run ~mode:Api.Exec.Model ~profile plan ~data:[] with
   | Ok _ -> ()
   | Error e -> failwith ("simperf run failed: " ^ e));
   let metric name run =
@@ -232,48 +232,13 @@ let simperf_measure ?(coalesce = true) plan ~reps =
   let best = ref infinity in
   for _ = 1 to reps do
     let t0 = now () in
-    (match Api.run ~mode:Api.Exec.Model ~coalesce plan ~data:[] with
+    (match Api.run ~mode:Api.Exec.Model plan ~data:[] with
     | Ok _ -> ()
     | Error e -> failwith ("simperf run failed: " ^ e));
     let w = now () -. t0 in
     if w < !best then best := w
   done;
   (tasks, groups, ratio, !best)
-
-(* The planner's before/after comparison wants a noise-immune ratio:
-   runtest executes this next to the whole alcotest suite on however
-   many cores the host has, and whole-run timing under that contention
-   says more about the scheduler and the GC than about the planner —
-   planning is a percent or two of a run that is otherwise identical on
-   both sides. So the ratio comes from the executor's own
-   [exec.plan_wall_s] metric: the per-step pass that turns each step's
-   message table into broadcast groups (unioning payloads per triple, or
-   one message per piece without [~coalesce]) plus pricing them. Filling
-   the tables during the task walk costs the same either way and is not
-   in it. Best-of-[reps] per side over interleaved runs — the minimum
-   discards samples where a GC pause landed inside the stage's timing
-   window. *)
-let planner_speedup plan ~reps =
-  let run coalesce =
-    let profile = Profile.create () in
-    (match Api.run ~mode:Api.Exec.Model ~coalesce ~profile plan ~data:[] with
-    | Ok _ -> ()
-    | Error e -> failwith ("simperf run failed: " ^ e));
-    let run = List.hd (Profile.runs profile) in
-    match Metrics.value run.Profile.metrics "exec.plan_wall_s" with
-    | Some v -> v
-    | None -> 0.0
-  in
-  ignore (run true);
-  ignore (run false);
-  let plan_on = ref infinity and plan_off = ref infinity in
-  for _ = 1 to reps do
-    let on = run true in
-    if on < !plan_on then plan_on := on;
-    let off = run false in
-    if off < !plan_off then plan_off := off
-  done;
-  if !plan_on > 0.0 then !plan_off /. !plan_on else 1.0
 
 (* Best wall clock of [f] over [reps] timed calls, after one warm-up
    call. *)
@@ -313,64 +278,47 @@ let simperf_run ~small () =
   Printf.printf "== simperf: simulator throughput (real wall clock%s) ==\n"
     (if small then ", small config" else "");
   let module H = Distal_algorithms.Higher_order in
-  (* The last component marks workloads whose fragment counts make
-     communication planning matter: those are also run with [~coalesce:false]
-     for a before/after comparison of the planner itself. *)
   let specs =
     if small then
       [
-        ("cyclic-gemm", simperf_gemm ~n:64 ~grid:4 ~chunks:8, 3, true);
-        ("cyclic-ttv", simperf_cyclic_ttv ~i:512 ~jk:32 ~procs:4 ~vprocs:128, 3, true);
+        ("cyclic-gemm", simperf_gemm ~n:64 ~grid:4 ~chunks:8, 3);
+        ("cyclic-ttv", simperf_cyclic_ttv ~i:512 ~jk:32 ~procs:4 ~vprocs:128, 3);
         ( "ttv",
           (Result.get_ok
              (H.ttv ~i:256 ~j:64 ~k:64
                 ~machine:(Machine.grid ~kind:Machine.Cpu ~mem_per_proc:256e9 [| 4 |])))
             .H.plan,
-          3,
-          false );
+          3 );
       ]
     else
       [
-        ("cyclic-gemm", simperf_gemm ~n:256 ~grid:4 ~chunks:64, 1, true);
-        ("cyclic-ttv", simperf_cyclic_ttv ~i:8192 ~jk:512 ~procs:16 ~vprocs:2048, 3, true);
+        ("cyclic-gemm", simperf_gemm ~n:256 ~grid:4 ~chunks:64, 1);
+        ("cyclic-ttv", simperf_cyclic_ttv ~i:8192 ~jk:512 ~procs:16 ~vprocs:2048, 3);
         ( "ttv",
           (Result.get_ok
              (H.ttv ~i:8192 ~j:512 ~k:512
                 ~machine:(Machine.grid ~kind:Machine.Cpu ~mem_per_proc:256e9 [| 16 |])))
             .H.plan,
-          3,
-          false );
+          3 );
       ]
   in
   let table =
     Distal_support.Table.create
-      ~header:
-        [ "workload"; "wall/run"; "uncoalesced"; "speedup"; "frag/msg"; "tasks/s";
-          "copy groups/s" ]
+      ~header:[ "workload"; "wall/run"; "frag/msg"; "tasks/s"; "copy groups/s" ]
+  in
+  let comparisons =
+    Distal_support.Table.create
+      ~header:[ "comparison"; "measured"; "baseline"; "ratio"; "note" ]
   in
   let metrics = ref [] in
   List.iter
-    (fun (name, plan, reps, compare) ->
+    (fun (name, plan, reps) ->
       let tasks, groups, ratio, wall = simperf_measure plan ~reps in
       let per v = if wall > 0.0 then v /. wall else 0.0 in
-      let raw_wall =
-        if compare then begin
-          let _, _, _, w = simperf_measure ~coalesce:false plan ~reps in
-          Some w
-        end
-        else None
-      in
-      let speedup =
-        if compare then Some (planner_speedup plan ~reps:(max reps 9)) else None
-      in
       Distal_support.Table.add_row table
         [
           name;
           Printf.sprintf "%.3f ms" (wall *. 1e3);
-          (match raw_wall with
-          | Some w -> Printf.sprintf "%.3f ms" (w *. 1e3)
-          | None -> "-");
-          (match speedup with Some s -> Printf.sprintf "%.1fx" s | None -> "-");
           Printf.sprintf "%.1f" ratio;
           Printf.sprintf "%.0f" (per tasks);
           Printf.sprintf "%.0f" (per groups);
@@ -382,14 +330,7 @@ let simperf_run ~small () =
             (name ^ ".tasks_per_s", per tasks, "tasks/s");
             (name ^ ".copy_groups_per_s", per groups, "groups/s");
             (name ^ ".coalesce_ratio", ratio, "fragments/msg");
-          ]
-        @ (match raw_wall with
-          | Some w -> [ (name ^ ".nocoalesce_wall_s", w, "s") ]
-          | None -> [])
-        @
-        match speedup with
-        | Some s -> [ (name ^ ".coalesce_speedup", s, "x") ]
-        | None -> [])
+          ])
     specs;
   (* The executor's leaf dispatch on real arithmetic (a Full run on one
      domain, so it measures the leaf, not the pool) against the
@@ -431,23 +372,21 @@ let simperf_run ~small () =
     if leaf_native > 0.0 then leaf_reference /. leaf_native else 0.0
   in
   let leaf_gflops = Distal_machine.Calibrate.kernel_rate "gemm" /. 1e9 in
-  Distal_support.Table.add_row table
+  Distal_support.Table.add_row comparisons
     [
       "leaf (executor vs Expr.eval)";
       Printf.sprintf "%.3f ms" (leaf_wall *. 1e3);
       Printf.sprintf "%.3f ms" (leaf_generic *. 1e3);
       Printf.sprintf "%.1fx" leaf_speedup;
-      "-"; "-"; "-"; "-"; "-";
+      "-";
     ];
-  Distal_support.Table.add_row table
+  Distal_support.Table.add_row comparisons
     [
       "leaf kernel (tiled vs off)";
       Printf.sprintf "%.3f ms" (leaf_native *. 1e3);
       Printf.sprintf "%.3f ms" (leaf_reference *. 1e3);
       Printf.sprintf "%.1fx" leaf_native_speedup;
-      "-"; "-"; "-";
-      Printf.sprintf "%.2f GF/s" leaf_gflops;
-      "-";
+      Printf.sprintf "calibrated %.2f GF/s" leaf_gflops;
     ];
   metrics :=
     !metrics
@@ -489,13 +428,13 @@ let simperf_run ~small () =
       faulted_stats.Api.Stats.time /. base_stats.Api.Stats.time
     else 0.0
   in
-  Distal_support.Table.add_row table
+  Distal_support.Table.add_row comparisons
     [
       "fault (kill+ckpt vs clean)";
       Printf.sprintf "%.3f ms" (faulted_stats.Api.Stats.time *. 1e3);
       Printf.sprintf "%.3f ms" (base_stats.Api.Stats.time *. 1e3);
       Printf.sprintf "%.1fx" recovery_overhead;
-      "-"; "-"; "-"; "-"; "-";
+      "modeled time";
     ];
   metrics :=
     !metrics
@@ -545,13 +484,13 @@ let simperf_run ~small () =
     in
     Auto_compare.min_ratio rows
   in
-  Distal_support.Table.add_row table
+  Distal_support.Table.add_row comparisons
     [
       "auto (cold vs memoized)";
       Printf.sprintf "%.3f ms" (cold.Auto.wall_s *. 1e3);
       Printf.sprintf "%.3f ms" (warm.Auto.wall_s *. 1e3);
       Printf.sprintf "%.1fx" memo_speedup;
-      "-"; "-"; "-"; "-"; "-";
+      "-";
     ];
   metrics :=
     !metrics
@@ -615,17 +554,14 @@ let simperf_run ~small () =
   in
   let replan_alloc = alloc_words replan in
   let reuse_alloc = alloc_words (reuse ~domains:1) in
-  Distal_support.Table.add_row table
+  Distal_support.Table.add_row comparisons
     [
       "plan reuse (warm vs replan)";
       Printf.sprintf "%.3f ms" (reuse_wall *. 1e3);
       Printf.sprintf "%.3f ms" (replan_wall *. 1e3);
       Printf.sprintf "%.1fx" plan_reuse_speedup;
-      "-";
-      Printf.sprintf "%.3f ms" (reuse_wall_d4 *. 1e3);
-      "-";
-      Printf.sprintf "%.2f/%.2f Mw" (reuse_alloc /. 1e6) (replan_alloc /. 1e6);
-      "-";
+      Printf.sprintf "%.3f ms at 4 domains, %.2f/%.2f Mw" (reuse_wall_d4 *. 1e3)
+        (reuse_alloc /. 1e6) (replan_alloc /. 1e6);
     ];
   metrics :=
     !metrics
@@ -636,6 +572,7 @@ let simperf_run ~small () =
         ("cyclic-gemm.parallel_efficiency", parallel_efficiency, "ratio");
       ];
   Distal_support.Table.print table;
+  Distal_support.Table.print comparisons;
   let json =
     Json.Obj
       [

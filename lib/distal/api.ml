@@ -93,7 +93,7 @@ let problem_exn ?profile ?virtual_grid ~machine ~stmt ~tensors () =
   or_invalid (problem ?profile ?virtual_grid ~machine ~stmt ~tensors ())
 
 (* The lazily compiled executable plan of the default options
-   (coalesced, the machine's cost model, no faults). Lives on the plan
+   (the machine's cost model, no faults). Lives on the plan
    itself so every consumer of the same [plan] value — repeated [run]
    calls, the serving layer's plan cache — shares it. One entry per
    plan: other options would let a client grow the cache without bound,
@@ -155,26 +155,24 @@ let eplan plan =
 
 let eplan_exn plan = or_invalid (eplan plan)
 
-let run ?(mode = Exec.Full) ?coalesce ?domains ?cost ?trace ?profile ?faults plan
-    ~data =
+let run ?(mode = Exec.Full) ?domains ?cost ?trace ?profile ?faults plan ~data =
   (* Full runs with the default options and no trace or profile replay
      the plan's cached executable plan. Everything else — Model mode,
      other options, copy traces, per-run profiles — asks for a
      simulation, which [Exec.execute] runs (and, in Full mode, replays
      once). *)
   let default_options =
-    coalesce <> Some false && Option.is_none cost && Option.is_none faults
-    && Option.is_none trace && Option.is_none profile
+    Option.is_none cost && Option.is_none faults && Option.is_none trace
+    && Option.is_none profile
   in
   if mode = Exec.Full && default_options then
     let* ep = eplan plan in
     Exec.run_plan ?domains ep ~data
   else
-    Exec.execute ~mode ?coalesce ?domains ?trace ?profile ?faults (spec ?cost plan)
-      ~data
+    Exec.execute ~mode ?domains ?trace ?profile ?faults (spec ?cost plan) ~data
 
-let run_exn ?mode ?coalesce ?domains ?cost ?trace ?profile ?faults plan ~data =
-  or_invalid (run ?mode ?coalesce ?domains ?cost ?trace ?profile ?faults plan ~data)
+let run_exn ?mode ?domains ?cost ?trace ?profile ?faults plan ~data =
+  or_invalid (run ?mode ?domains ?cost ?trace ?profile ?faults plan ~data)
 
 let estimate ?cost ?profile plan =
   match Exec.execute ~mode:Exec.Model ?profile (spec ?cost plan) ~data:[] with

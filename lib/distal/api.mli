@@ -102,8 +102,8 @@ val spec : ?cost:Cost_model.t -> plan -> Exec.spec
     {!default_cost}) — what {!run} hands {!Exec.execute}. *)
 
 val eplan : plan -> (Exec.eplan, string) result
-(** The executable plan of the default options (coalesced, the machine's
-    cost model, no faults), compiled on first use and cached on the
+(** The executable plan of the default options (the machine's cost
+    model, no faults), compiled on first use and cached on the
     plan's {!exec_cache} (single-flight). Repeated {!run} calls on one
     plan — and serving-layer hits on a cached plan — replan nothing.
     Other options are not cached: {!run} plans them afresh. *)
@@ -112,7 +112,6 @@ val eplan_exn : plan -> Exec.eplan
 
 val run :
   ?mode:Exec.mode ->
-  ?coalesce:bool ->
   ?domains:int ->
   ?cost:Cost_model.t ->
   ?trace:Exec.trace_event list ref ->
@@ -122,17 +121,16 @@ val run :
   data:(string * Dense.t) list ->
   (Exec.result, string) result
 (** With [profile], the execution registers as a run of the profile and
-    emits spans, copy events, metrics and a step timeline; [coalesce]
-    (default [true]) controls the communication-planning pass; [domains]
-    the host domain-pool size of a Full run's replay (the simulation
+    emits spans, copy events, metrics and a step timeline; [domains]
+    sizes the host domain pool of a Full run's replay (the simulation
     always runs on the calling domain), which affects no output, trace,
-    stat or event stream; [faults] injects a deterministic fault plan whose kills
-    are recovered by checkpoint/replay, bit-identically (see
+    stat or event stream; [faults] injects a deterministic fault plan
+    whose kills are recovered by checkpoint/replay, bit-identically (see
     {!Exec.execute}).
 
     A Full-mode call with the default options (no [trace], [profile],
-    [cost] or [faults], [coalesce] not [false]) replays the plan's cached
-    executable plan ({!eplan} + {!Exec.run_plan}): plan once, then run
+    [cost] or [faults]) replays the plan's cached executable plan
+    ({!eplan} + {!Exec.run_plan}): plan once, then run
     each call against its data with pooled buffers. Any other Full-mode
     call compiles a fresh executable plan under its options and replays
     that once ({!Exec.execute}); its output bytes are those of the
@@ -140,7 +138,7 @@ val run :
     either way. *)
 
 val run_exn :
-  ?mode:Exec.mode -> ?coalesce:bool -> ?domains:int ->
+  ?mode:Exec.mode -> ?domains:int ->
   ?cost:Cost_model.t -> ?trace:Exec.trace_event list ref ->
   ?profile:Obs.Profile.t -> ?faults:Fault.t -> plan ->
   data:(string * Dense.t) list -> Exec.result

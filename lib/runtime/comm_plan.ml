@@ -240,7 +240,7 @@ let sort_range key a lo hi =
    (tensor, src, payload) order and receivers ascending. A bucket's
    messages are sorted by payload only when they are not already in
    order, as a broadcast's are: they share one payload value. *)
-let groups ~coalesce ~link tab =
+let groups ~link tab =
   let n = tab.n and ends = tab.ends and loads = tab.loads in
   let tensor i = ends.(i) lsr (2 * bits) and src i = (ends.(i) lsr bits) land mask in
   let nt = ref 0 and nsrc = ref 0 in
@@ -288,13 +288,7 @@ let groups ~coalesce ~link tab =
           incr j
         done;
         let p = loads.(order.(!k)) in
-        (if not coalesce then
-           for m = !k to !j - 1 do
-             List.iter
-               (fun r -> msgs := ([ r ], Rect.volume r, d) :: !msgs)
-               loads.(order.(m)).pieces
-           done
-         else if !j = !k + 1 then msgs := (p.merged, p.volume, d) :: !msgs
+        (if !j = !k + 1 then msgs := (p.merged, p.volume, d) :: !msgs
          else begin
            (* Several payloads on one triple: their union, newest first. *)
            let run = ref [] and volume = ref 0 in

@@ -83,12 +83,12 @@ type group = {
 (** One payload sent from one source: a point-to-point message, or a
     broadcast when it has several receivers. *)
 
-val groups : coalesce:bool -> link:(int -> int -> Cost.link) -> table -> group list
+val groups : link:(int -> int -> Cost.link) -> table -> group list
 (** The step's wire messages, grouped into broadcasts: one message per
-    (tensor, src, dst) triple, or one per fragment when [coalesce] is off
-    (the uncoalesced baseline). [link src dst] is the link a message
-    takes. The order is canonical — by tensor name, src, then payload —
-    whatever order the fetches arrived in. *)
+    (tensor, src, dst) triple, carrying the union of that triple's
+    payloads as one block or strided run. [link src dst] is the link a
+    message takes. The order is canonical — by tensor name, src, then
+    payload — whatever order the fetches arrived in. *)
 
 val describe : Rect.t list -> string
 (** Human-readable payload label for profiles: the rectangle itself for a

@@ -254,9 +254,7 @@ let step_obs reg =
        Filling the tables happens during the task walk and is not
        included. Wall-clock observability only: like
        [exec.compute_wall_s] it never feeds events or simulated time, so
-       determinism is untouched. The simperf bench reads it to compare
-       the planner against the planner-off path without the noise of
-       timing whole runs. *)
+       determinism is untouched. *)
     m_plan_host = Metrics.counter reg "exec.plan_wall_s";
     h_copy_bytes = Metrics.histogram reg "exec.copy_bytes";
     h_step_time = Metrics.histogram reg "exec.step_time";
@@ -353,17 +351,17 @@ let emit_copy_instants sink ~pid ~ts glist =
 
 (* The one pricing of a bulk-synchronous step, shared by [execute] and
    [redistribute]. The step's message table is planned into wire
-   messages (one per (tensor, src, dst), or one per piece when
-   [coalesce] is off) and identical payloads bundled into broadcasts;
+   messages (one per (tensor, src, dst)) and identical payloads bundled
+   into broadcasts;
    their occupancies, and the retransmissions and delays of any message
    faults, are charged to the endpoints. The step costs the max over
    processors of overlapped compute and communication, or the rack
    fabric's occupancy when that is larger. [kernel] prices leaf compute
    (see [resolve]). Returns the timeline row (with per-processor slots
    only when [profiling]) and the planned groups. *)
-let price_step machine cost obs ~coalesce ~link ~kernel ~faults ~profiling ~step ~start a =
+let price_step machine cost obs ~link ~kernel ~faults ~profiling ~step ~start a =
   let t_plan = now () in
-  let glist = Comm_plan.groups ~coalesce ~link a.msgs in
+  let glist = Comm_plan.groups ~link a.msgs in
   observe_groups obs glist;
   (* A processor's communication time in a step combines its send and
      receive occupancies per the cost model's duplex mode (full-duplex
@@ -493,7 +491,6 @@ type ctx = {
   machine : Machine.t;
   cost : Cost.t;
   stmt : Expr.stmt;
-  coalesce : bool;
   trace : trace_event list ref option;
   profile : (Profile.t * Profile.run) option;
   reg : Metrics.registry;
@@ -631,7 +628,7 @@ let tile_geometry prog ~dists ~vmachine ~nprocs ~lin_of_virtual tensors =
    alone: machine maps, tile geometry, slots, footprint sites and the
    compiled task tree. Registers the run's instruments (fault instruments
    only for a non-empty fault plan). *)
-let resolve ?(coalesce = true) ?trace ?profile ?faults spec =
+let resolve ?trace ?profile ?faults spec =
   (* Register this execution as a run of the profile (its own pid, metrics
      registry and timeline slot). Without a profile the registry is private
      to this call; either way it is the single accumulator the final
@@ -812,7 +809,7 @@ let resolve ?(coalesce = true) ?trace ?profile ?faults spec =
     List.exists derives lvars
   in
   let c =
-    { machine; cost; stmt; coalesce; trace; profile; reg; faults; named; priced_kernel;
+    { machine; cost; stmt; trace; profile; reg; faults; named; priced_kernel;
       leaf_vars = (match leaf with Taskir.Scalar_loops vars -> vars | Named _ -> []);
       reads_out; reduction; ops = ops_per_point stmt; nprocs; node_of_lin;
       rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin;
@@ -1335,9 +1332,8 @@ let price c =
     | None -> ()
     | Some a ->
         let row, glist =
-          price_step c.machine cost c.obs ~coalesce:c.coalesce
-            ~link:(link_between c.node_of_lin) ~kernel:c.priced_kernel ~faults:c.faults
-            ~profiling ~step ~start:!start a
+          price_step c.machine cost c.obs ~link:(link_between c.node_of_lin)
+            ~kernel:c.priced_kernel ~faults:c.faults ~profiling ~step ~start:!start a
         in
         if profiling then groups.(step) <- glist;
         total_fragments := !total_fragments + Comm_plan.fragments a.msgs;
@@ -1526,10 +1522,10 @@ type eplan = {
   mutable ep_runs : int;
 }
 
-let plan ?coalesce ?faults ?trace ?profile spec =
+let plan ?faults ?trace ?profile spec =
   let prog = spec.program in
   let stmt = prog.stmt in
-  let* c = resolve ?coalesce ?faults ?trace ?profile spec in
+  let* c = resolve ?faults ?trace ?profile spec in
   let tensors = Array.of_list (List.sort_uniq compare (Expr.tensors stmt)) in
   let index tn = name_index c.tensors tn 0 in
   (* Staged leaf evaluation: the scalar loop nest compiled once into flat
@@ -1701,14 +1697,14 @@ let run_plan ?domains ep ~data =
 
 (* {2 One-shot execution} *)
 
-let execute ?(mode = Full) ?coalesce ?domains ?trace ?profile ?faults spec ~data =
+let execute ?(mode = Full) ?domains ?trace ?profile ?faults spec ~data =
   match mode with
   | Model ->
-      let* c = resolve ?coalesce ?trace ?profile ?faults spec in
+      let* c = resolve ?trace ?profile ?faults spec in
       ignore (walk c None);
       Ok { output = None; stats = finish c }
   | Full ->
-      let* ep = plan ?coalesce ?faults ?trace ?profile spec in
+      let* ep = plan ?faults ?trace ?profile spec in
       run_plan ?domains ep ~data
 
 (* {2 Redistribution} *)
@@ -1754,7 +1750,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
         downers)
     (tiles dst);
   let row, glist =
-    price_step machine cost (step_obs reg) ~coalesce:true ~link:link_of ~kernel:None ~faults:None
+    price_step machine cost (step_obs reg) ~link:link_of ~kernel:None ~faults:None
       ~profiling:(Option.is_some prun) ~step:0 ~start:0.0 a
   in
   Metrics.set (Metrics.gauge reg "exec.time") row.Cp.cost;

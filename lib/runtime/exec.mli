@@ -59,7 +59,6 @@ val trace_to_string : trace_event -> string
 
 val execute :
   ?mode:mode ->
-  ?coalesce:bool ->
   ?domains:int ->
   ?trace:trace_event list ref ->
   ?profile:Distal_obs.Profile.t ->
@@ -72,12 +71,11 @@ val execute :
     and [output] is [None]. With [trace], every copy event is appended to
     the list (in issue order) — the communication pattern of Fig. 8/12.
 
-    [coalesce] (default [true]) has {!Comm_plan} send each step's
-    fetches as one block or strided-run message per (tensor, source,
-    destination) before they are priced — functional results,
-    traces and byte totals are unchanged; message counts, copy-group
-    structure and charged times reflect the merged plan. Pass [false] to
-    price every fragment as its own message (the pre-planning model).
+    Each step's fetches are priced as {!Comm_plan} plans them: one block
+    or strided-run message per (tensor, source, destination). The copy
+    trace still lists every fragment; byte totals are the fragments'
+    sum, while message counts, copy-group structure and charged times
+    reflect the planned messages.
 
     The simulation runs on the calling domain, one task after another in
     launch-point order, each task's effects landing as it produces them.
@@ -148,17 +146,16 @@ val execute :
     warm run performs no per-fragment buffer allocation at all. *)
 
 type eplan
-(** A compiled executable plan for one (spec, coalesce, faults) triple. *)
+(** A compiled executable plan for one (spec, faults) pair. *)
 
 val plan :
-  ?coalesce:bool ->
   ?faults:Distal_fault.Fault.t ->
   ?trace:trace_event list ref ->
   ?profile:Distal_obs.Profile.t ->
   spec ->
   (eplan, string) Stdlib.result
-(** Compile the spec into an executable plan. [coalesce] and [faults]
-    affect only the plan-time stats ({!plan_stats}) — the replayed data
+(** Compile the spec into an executable plan. [faults] affects only
+    the plan-time stats ({!plan_stats}) — the replayed data
     path is fault-oblivious, which is exact: {!execute}'s recovery
     contract makes a killed-and-replayed run's output bit-identical to
     the fault-free run. [trace] and [profile] observe the planning

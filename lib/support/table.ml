@@ -22,4 +22,4 @@ let to_string t =
   List.iter add_row rows;
   Buffer.contents buf
 
-let print ?(oc = stdout) t = output_string oc (to_string t)
+let print t = print_string (to_string t)

@@ -4,8 +4,9 @@ type t
 
 val create : header:string list -> t
 val add_row : t -> string list -> unit
-val print : ?oc:out_channel -> t -> unit
-(** Print with columns padded to the widest cell, header underlined. *)
+val print : t -> unit
+(** Print to stdout with columns padded to the widest cell, header
+    underlined. *)
 
 val to_string : t -> string
 (** The same rendering as {!print}, as a string. *)

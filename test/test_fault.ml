@@ -208,13 +208,10 @@ let grid_plan () = Api.compile_request_exn Test_oracle.grid_gemm
 let reduction_plan () = Api.compile_request_exn Test_oracle.reduction
 
 (* Everything observable about a Full-mode run. *)
-let observe ?faults ?(coalesce = true) ?(domains = 1) plan ~data =
+let observe ?faults ?(domains = 1) plan ~data =
   let profile = Profile.create () in
   let trace = ref [] in
-  let r =
-    Api.run_exn ~mode:Exec.Full ~coalesce ~domains ~trace ~profile ?faults plan
-      ~data
-  in
+  let r = Api.run_exn ~mode:Exec.Full ~domains ~trace ~profile ?faults plan ~data in
   let bits =
     match r.Exec.output with
     | None -> []
@@ -278,14 +275,9 @@ let test_kill_recovers_bit_identically () =
       let faults = kill_plan () in
       let bits, _, _, _ = observe ~faults plan ~data in
       Alcotest.(check bool) "replayed output bit-identical" true (bits = clean_bits);
-      (* And independently of the planner switch and the domain count. *)
-      List.iter
-        (fun (coalesce, domains) ->
-          let b, _, _, _ = observe ~faults ~coalesce ~domains plan ~data in
-          Alcotest.(check bool)
-            (Printf.sprintf "coalesce=%b domains=%d" coalesce domains)
-            true (b = clean_bits))
-        [ (false, 1); (true, 3); (false, 3) ])
+      (* And independently of the domain count. *)
+      let b, _, _, _ = observe ~faults ~domains:3 plan ~data in
+      Alcotest.(check bool) "domains=3" true (b = clean_bits))
     [ grid_plan (); reduction_plan () ]
 
 let test_kill_prices_recovery () =

@@ -55,11 +55,11 @@ let timeline_text (tl : Cp.timeline) =
 
 (* One line per observation; a mismatch prints the whole line so a
    legitimate re-recording is a copy-paste. *)
-let model_fingerprint ?(coalesce = true) ?faults ~domains plan =
+let model_fingerprint ?faults ~domains plan =
   let profile = Profile.create () in
   let trace = ref [] in
   let r =
-    Api.run_exn ~mode:Exec.Model ~coalesce ?faults ~domains ~trace ~profile plan ~data:[]
+    Api.run_exn ~mode:Exec.Model ?faults ~domains ~trace ~profile plan ~data:[]
   in
   let timeline =
     match Profile.runs profile with
@@ -73,9 +73,9 @@ let model_fingerprint ?(coalesce = true) ?faults ~domains plan =
     (md5 (trace_text !trace)) (md5 timeline)
     (md5 (Chrome_trace.to_string (Profile.events profile)))
 
-let full_fingerprint ?(coalesce = true) ?faults ~domains plan =
+let full_fingerprint ?faults ~domains plan =
   let data = Api.random_inputs ~seed:7 plan in
-  let r = Api.run_exn ~mode:Exec.Full ~coalesce ?faults ~domains plan ~data in
+  let r = Api.run_exn ~mode:Exec.Full ?faults ~domains plan ~data in
   match r.Exec.output with
   | None -> Alcotest.fail "Full run without output"
   | Some out ->
@@ -160,15 +160,14 @@ let faults =
 type case = {
   name : string;
   plan : unit -> Api.plan;
-  coalesce : bool;
   faults : Fault.t option;
   full : bool;  (* small enough to also replay with data *)
   expect_model : string;
   expect_full : string;
 }
 
-let case ?(coalesce = true) ?faults ?(full = true) name plan ~model ~full_out =
-  { name; plan; coalesce; faults; full; expect_model = model; expect_full = full_out }
+let case ?faults ?(full = true) name plan ~model ~full_out =
+  { name; plan; faults; full; expect_model = model; expect_full = full_out }
 
 let cases =
   [
@@ -194,10 +193,6 @@ let cases =
       ~model:
         "time=3f6c222c556c7484 flops=40f0000000000000 intra=0 inter=40ee000000000000 msgs=3840 peak=40a0000000000000 oom=false tasks=16 steps=8 trace=684d153bc0936bb610dfafd4ab4aacee timeline=85c4d9fe3e0bf75cb960cdeb7f16ec4f events=3b4ad1b5346f21d7ef2d6af700848a0e"
       ~full_out:"time=3f6c222c556c7484 flops=40f0000000000000 intra=0 inter=40ee000000000000 msgs=3840 peak=40a0000000000000 oom=false tasks=16 steps=8 output=2fd48ed310000245cc27e5c2d833be14";
-    case "cyclic gemm uncoalesced" ~coalesce:false cyclic_gemm
-      ~model:
-        "time=3f7bbb22d91a6634 flops=40f0000000000000 intra=0 inter=40ee000000000000 msgs=7680 peak=40a0000000000000 oom=false tasks=16 steps=8 trace=684d153bc0936bb610dfafd4ab4aacee timeline=2beb389e0749394069490db7078e1a71 events=b1ac4d4bb157ab4f7e958e9657ca0341"
-      ~full_out:"time=3f7bbb22d91a6634 flops=40f0000000000000 intra=0 inter=40ee000000000000 msgs=7680 peak=40a0000000000000 oom=false tasks=16 steps=8 output=2fd48ed310000245cc27e5c2d833be14";
     case "cyclic ttv virtual grid" cyclic_ttv
       ~model:
         "time=3f21508ed75ff978 flops=40c0000000000000 intra=0 inter=40db000000000000 msgs=24 peak=40cb400000000000 oom=false tasks=8 steps=1 trace=7700f57c2d12b8355952ce9753b1f662 timeline=3a03ca809e284a9791a18d404a15cde1 events=eebc65802c337591960eb28e7e2a1d9b"
@@ -221,10 +216,10 @@ let check_case c () =
   let plan = c.plan () in
   List.iter
     (fun domains ->
-      let got = model_fingerprint ~coalesce:c.coalesce ?faults:c.faults ~domains plan in
+      let got = model_fingerprint ?faults:c.faults ~domains plan in
       Alcotest.(check string) (Printf.sprintf "model, %d domains" domains) c.expect_model got;
       if c.full then
-        let got = full_fingerprint ~coalesce:c.coalesce ?faults:c.faults ~domains plan in
+        let got = full_fingerprint ?faults:c.faults ~domains plan in
         Alcotest.(check string) (Printf.sprintf "full, %d domains" domains) c.expect_full got)
     [ 1; 4 ]
 

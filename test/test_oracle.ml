@@ -3,29 +3,29 @@
 
    A case is a request (machine x statement x distribution x schedule)
    and a data seed. The harness runs it through every axis that must not
-   change the result and checks four things:
+   change the result and checks five things:
 
-   1. The canonical run — [Exec.execute ~mode:Full ~domains:1], coalesced
-      and fault-free — is within 1e-9 of [Exec.serial_reference], and its
+   1. The canonical run — [Exec.execute ~mode:Full ~domains:1],
+      fault-free — is within 1e-9 of [Exec.serial_reference], and its
       stats equal a Model run's.
    2. Every axis point yields the canonical output bits for the same
-      data. The axes: domains {1, 3}; coalesce {on, off}; faults {none, a
-      seeded single kill with checkpointing (given at least two
-      processors), a message drop}; entry point {one-shot
-      [Exec.execute], cached [Api.run] replayed on a second data seed, a
-      [Session] with caches on (run twice, so the second run is a result
-      hit, then on the second seed), a [Session] with caches off}.
+      data. The axes: domains {1, 3}; faults {none, a seeded single kill
+      with checkpointing (given at least two processors), a message
+      drop}; entry point {one-shot [Exec.execute], cached [Api.run]
+      replayed on a second data seed, a [Session] with caches on (run
+      twice, so the second run is a result hit, then on the second
+      seed), a [Session] with caches off}.
    3. Modeled stats are identical across domains, entry points and data
-      seeds; under each (coalesce, faults) setting Full stats equal Model
-      stats.
-   4. Copy traces and the Chrome event stream are identical at 1 and 3
-      domains.
+      seeds; under each fault setting Full stats equal Model stats.
+   4. Copy traces and the profile's event stream are equal, event for
+      event, at 1 and 3 domains.
    5. No Full run writes the caller's tensors: replay reads inputs in
       place, so every tensor handed to a run keeps its bits.
 
-   A case runs a seeded sample of the axis points in which every axis
-   value appears. Generated cases and the named worst-case plans go
-   through the same harness. *)
+   The one-shot entry point runs every (domains, faults) point; the other
+   entry points run a seeded sample in which every axis value appears.
+   Generated cases and the named worst-case plans go through the same
+   harness. *)
 
 module Api = Distal.Api
 module Machine = Api.Machine
@@ -38,7 +38,6 @@ module Fault = Api.Fault
 module Rng = Distal_support.Rng
 module Session = Distal_serve.Session
 module Profile = Distal_obs.Profile
-module Chrome_trace = Distal_obs.Chrome_trace
 
 (* {2 DISTAL_SEED: reproducible fuzzing}
 
@@ -430,11 +429,22 @@ let check ~rng ~seed req =
     handed := List.map (fun (name, t) -> (name, t, Dense.to_le_bytes t)) d @ !handed;
     d
   in
-  (* 1. The canonical run, per data seed, against the serial reference. *)
-  let canonical seed =
-    get "canonical run" (Exec.execute ~mode:Exec.Full ~domains:1 spec ~data:(data seed))
+  (* A one-shot Exec.execute on [seed]'s data, traced and profiled. *)
+  let traced ?faults ~domains seed =
+    let trace = ref [] and profile = Profile.create () in
+    let r =
+      get "one-shot run"
+        (Exec.execute ~mode:Exec.Full ~domains ~trace ~profile ?faults spec ~data:(data seed))
+    in
+    (r, (!trace, Profile.events profile))
   in
-  let canon = canonical seed and canon2 = canonical seed2 in
+  (* 1. The canonical run, per data seed, against the serial reference.
+     On the first seed it is also the fault-free one-shot run at one
+     domain. *)
+  let canon, canon_observed = traced ~domains:1 seed in
+  let canon2 =
+    get "canonical run" (Exec.execute ~mode:Exec.Full ~domains:1 spec ~data:(data seed2))
+  in
   let expected =
     let p = plan.Api.problem in
     Exec.serial_reference p.Api.stmt
@@ -447,89 +457,85 @@ let check ~rng ~seed req =
       fail "canonical run differs from the serial reference (max |diff| %g)"
         (Dense.max_abs_diff got expected)
   | None -> fail "canonical run produced no output");
-  (* 3. Modeled stats: every Full run under one (coalesce, faults)
-     setting reports that setting's Model stats. *)
+  (* 3. Modeled stats: every Full run under one fault setting reports
+     that setting's Model stats. *)
   let models = Hashtbl.create 4 in
-  let model ~coalesce faults =
-    let key = (coalesce, Option.map Fault.to_string faults) in
+  let model faults =
+    let key = Option.map Fault.to_string faults in
     match Hashtbl.find_opt models key with
     | Some m -> m
     | None ->
         let m =
           Stats.to_string
-            (get "model run" (Exec.execute ~mode:Exec.Model ~coalesce ?faults spec ~data:[]))
+            (get "model run" (Exec.execute ~mode:Exec.Model ?faults spec ~data:[]))
               .Exec.stats
         in
         Hashtbl.add models key m;
         m
   in
-  let expect what ~coalesce faults ~seed (r : Exec.result) =
+  let expect what faults ~seed (r : Exec.result) =
     let want = if seed = seed2 then canon2 else canon in
     if bits r <> bits want then fail "%s: output bits differ from the canonical run" what;
-    let m = model ~coalesce faults and s = Stats.to_string r.Exec.stats in
+    let m = model faults and s = Stats.to_string r.Exec.stats in
     if not (String.equal m s) then
       fail "%s: stats differ from the Model run:\n%s\nvs\n%s" what s m
   in
-  expect "canonical run" ~coalesce:true None ~seed canon;
-  expect "canonical run, second seed" ~coalesce:true None ~seed:seed2 canon2;
-  (* 2. The sample: each fault value on one of the three entry points
-     that take faults; one-shot runs uncoalesced at 1 and 3 domains. *)
+  expect "canonical run" None ~seed canon;
+  expect "canonical run, second seed" None ~seed:seed2 canon2;
+  (* 2. One-shot runs under every fault setting at 1 and 3 domains; the
+     sessions each take one fault value. *)
   let nprocs = Machine.num_procs plan.Api.problem.Api.machine in
   let kill = Fault.random_kill ~seed ~nprocs ~nsteps:4 in
   let drop = Fault.plan ~messages:[ Fault.drop ~step:(Rng.int rng 3) () ] () in
-  let settings =
-    if nprocs >= 2 then [| None; Some kill; Some drop |] else [| None; Some drop; None |]
-  in
+  let settings = if nprocs >= 2 then [ None; Some kill; Some drop ] else [ None; Some drop ] in
   let shift = Rng.int rng 3 in
-  let faults i = settings.((i + shift) mod 3) in
+  let faults i = List.nth settings ((i + shift) mod List.length settings) in
   let domains () = if Rng.int rng 2 = 0 then 1 else 3 in
   let label f fmt =
     let faults = match f with Some f -> Fault.to_string f | None -> "none" in
     Printf.ksprintf (fun what -> Printf.sprintf "%s, faults [%s]" what faults) fmt
   in
   (* One-shot Exec.execute, traced and profiled, at 1 and 3 domains. *)
-  let f = faults 0 in
-  let observed domains =
-    let trace = ref [] and profile = Profile.create () in
-    let r =
-      get "one-shot run"
-        (Exec.execute ~mode:Exec.Full ~coalesce:false ~domains ~trace ~profile ?faults:f spec
-           ~data:(data seed))
+  let one_shot f =
+    let observed domains =
+      let r, o = traced ?faults:f ~domains seed in
+      expect (label f "Exec.execute, %d domains" domains) f ~seed r;
+      o
     in
-    expect (label f "uncoalesced Exec.execute, %d domains" domains) ~coalesce:false f ~seed r;
-    (List.map Exec.trace_to_string !trace, Chrome_trace.to_string (Profile.events profile))
+    let trace1, events1 = if Option.is_none f then canon_observed else observed 1 in
+    let trace3, events3 = observed 3 in
+    (* 4. The planning simulation's trace and events ignore the domains. *)
+    let what = label f "Exec.execute at 1 and 3 domains" in
+    if trace1 <> trace3 then fail "%s: copy trace differs" what;
+    if events1 <> events3 then fail "%s: event stream differs" what
   in
-  let trace1, events1 = observed 1 and trace3, events3 = observed 3 in
-  (* 4. The planning simulation's trace and events ignore the domains. *)
-  let what = label f "Exec.execute at 1 and 3 domains" in
-  if trace1 <> trace3 then fail "%s: copy trace differs" what;
-  if not (String.equal events1 events3) then fail "%s: event stream differs" what;
+  List.iter one_shot settings;
   (* The plan's cached executable plan, replayed on both seeds. *)
   let d = domains () in
   List.iter
     (fun seed ->
       let r = get "Api.run" (Api.run ~domains:d plan ~data:(data seed)) in
-      expect (label None "cached Api.run, %d domains, seed %d" d seed) ~coalesce:true None ~seed r)
+      expect (label None "cached Api.run, %d domains, seed %d" d seed) None ~seed r)
     [ seed; seed2 ];
   (* A session with caches on: a miss, a result hit, then the second
      seed, which must miss again. *)
-  let f = faults 1 and d = domains () in
+  let f = faults 0 and d = domains () in
   let session = Session.create ~domains:d () in
   let served ~hit seed =
     let o = get "Session.run" (Session.run ?faults:f ~seed session req) in
     let what = label f "Session, %d domains, seed %d" d seed in
     if o.Session.result_cached <> hit then
       fail "%s: result_cached is %b" what o.Session.result_cached;
-    expect what ~coalesce:true f ~seed o.Session.result
+    expect what f ~seed o.Session.result
   in
   served ~hit:false seed;
   served ~hit:true seed;
   served ~hit:false seed2;
   (* A session with caches off. *)
-  let f = faults 2 and d = domains () in
+  let f = faults 1 and d = domains () in
   let session = Session.create ~plan_cache:0 ~domains:d () in
   let o = get "Session.run" (Session.run ?faults:f ~seed session req) in
-  expect (label f "uncached Session, %d domains" d) ~coalesce:true f ~seed o.Session.result;
+  expect (label f "uncached Session, %d domains" d) f ~seed o.Session.result;
   (* 5. The caller's tensors kept their bits. *)
   List.iter
     (fun (name, t, before) ->

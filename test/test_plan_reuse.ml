@@ -104,17 +104,16 @@ let test_traced_full_run () =
     variants
 
 (* One executable plan per compiled plan: repeated eplan calls share it,
-   default-options runs replay it, and runs with any other option
-   (coalesce off, a cost model, a fault plan) plan afresh and leave it
-   alone. *)
+   default-options runs (whatever their domain count) replay it, and
+   runs with any other option (a cost model, a fault plan) plan afresh
+   and leave it alone. *)
 let test_eplan_cache_keys () =
   let plan = compile (Test_oracle.cyclic_gemm ~substitute:true) in
   let ep = Api.eplan_exn plan in
   Alcotest.(check bool) "eplan calls share the plan" true (ep == Api.eplan_exn plan);
   let data = Api.random_inputs plan in
   ignore (Api.run_exn plan ~data);
-  ignore (Api.run_exn ~coalesce:true plan ~data);
-  ignore (Api.run_exn ~coalesce:false plan ~data);
+  ignore (Api.run_exn ~domains:1 plan ~data);
   ignore (Api.run_exn ~cost:Distal_machine.Cost_model.cpu_distal plan ~data);
   ignore (Api.run_exn ~faults:kill_plan plan ~data);
   Alcotest.(check int) "only default-options runs replay it" 2 (Exec.plan_runs ep)
