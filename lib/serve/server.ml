@@ -378,34 +378,37 @@ let serve_entry t ~batch e =
     | None -> Ok None
     | Some spec -> Result.map Option.some (Api.Fault.parse spec)
   in
-  let reply =
+  let failed reason = (Protocol.Failed { rid = s.Protocol.id; reason }, ignore) in
+  let reply, release =
     match faults with
-    | Error reason -> Protocol.Failed { rid = s.Protocol.id; reason }
+    | Error reason -> failed reason
     | Ok faults -> (
         match
           Session.run ~mode:s.Protocol.mode ?faults ~seed:s.Protocol.seed t.session
             e.request
         with
-        | Error reason -> Protocol.Failed { rid = s.Protocol.id; reason }
+        | Error reason -> failed reason
         | Ok o ->
             t.served <- t.served + 1;
-            Protocol.Result
-              {
-                rid = s.Protocol.id;
-                plan_cached = o.Session.plan_cached;
-                result_cached = o.Session.result_cached;
-                batch;
-                stats = o.Session.result.Api.Exec.stats;
-                output = o.Session.result.Api.Exec.output;
-              }
+            ( Protocol.Result
+                {
+                  rid = s.Protocol.id;
+                  plan_cached = o.Session.plan_cached;
+                  result_cached = o.Session.result_cached;
+                  batch;
+                  stats = o.Session.result.Api.Exec.stats;
+                  output = o.Session.result.Api.Exec.output;
+                },
+              o.Session.release )
         | exception exn ->
             (* Last resort: a request that escapes validation fails alone
                instead of taking the server down. *)
             metric t "serve.internal_errors";
-            Protocol.Failed
-              { rid = s.Protocol.id; reason = "internal error: " ^ Printexc.to_string exn })
+            failed ("internal error: " ^ Printexc.to_string exn))
   in
-  if Hashtbl.mem t.clients e.owner then ignore (send t e.owner reply)
+  if Hashtbl.mem t.clients e.owner then ignore (send t e.owner reply);
+  (* The reply is framed, so the output's pooled block can be reused. *)
+  release ()
 
 let flush t =
   let entries = List.of_seq (Queue.to_seq t.queue) in

@@ -27,7 +27,10 @@
 
    Full inputs drawn from a seed come from a session-owned buffer pool
    and go back to it when the run ends, failed or not, so a steady
-   stream of seeded requests reuses the same input blocks.
+   stream of seeded requests reuses the same input blocks. A replayed
+   miss's output is drawn from the same pool and goes back when the
+   caller releases the outcome (distald: once the reply is framed), so
+   its pages are not new on every request either.
 
    Both caches are safe under concurrent use from lib/support/pool
    domains (Lru serializes internally; the metrics registry is guarded
@@ -44,6 +47,7 @@ type outcome = {
   fingerprint : string;
   plan_cached : bool;
   result_cached : bool;
+  release : unit -> unit;
 }
 
 type t = {
@@ -51,7 +55,7 @@ type t = {
   results : (string, Api.Exec.result) Lru.t;
   metrics : Obs.Metrics.registry;
   domains : int option;
-  inputs : Buf_pool.t;  (* seeded Full inputs; one arena, guarded by [m] *)
+  inputs : Buf_pool.t;  (* seeded Full inputs and outputs; one arena, guarded by [m] *)
   m : Mutex.t;  (* guards the metrics registry and [inputs] *)
 }
 
@@ -133,22 +137,28 @@ let compile t req =
 let compile_exn t req =
   match compile t req with Ok r -> r | Error e -> invalid_arg e
 
-(* {2 Pooled inputs} *)
+(* {2 Pooled inputs and outputs} *)
+
+let acquire t n =
+  Mutex.protect t.m (fun () -> Buf_pool.acquire t.inputs (Buf_pool.arena t.inputs 0) n)
+
+let give_back t bufs =
+  Mutex.protect t.m (fun () ->
+      List.iter (Buf_pool.release t.inputs (Buf_pool.arena t.inputs 0)) bufs)
 
 (* Seeded inputs on pooled blocks, handed to [run], then returned to the
    pool however [run] ends. Same draws as [Api.random_inputs ~seed]; large
    tensors fill in chunks on the domain pool that replays the run. *)
 let with_seeded_inputs t ~seed plan run =
-  let arena = Buf_pool.arena t.inputs 0 in
   let taken = ref [] in
   let alloc n =
-    let b = Mutex.protect t.m (fun () -> Buf_pool.acquire t.inputs arena n) in
+    let b = acquire t n in
     taken := b :: !taken;
     b
   in
   Fun.protect
     ~finally:(fun () ->
-      Mutex.protect t.m (fun () -> List.iter (Buf_pool.release t.inputs arena) !taken);
+      give_back t !taken;
       let s = Buf_pool.stats t.inputs in
       gauge_set t "serve.input_allocs" (float_of_int s.Buf_pool.allocs);
       gauge_set t "serve.input_parked_bytes" s.Buf_pool.cached_bytes)
@@ -167,6 +177,13 @@ let copy_result (r : Api.Exec.result) =
     stats = copy_stats r.Api.Exec.stats;
   }
 
+(* Hands a pooled output block back at most once. *)
+let release_once t = function
+  | None -> ignore
+  | Some b ->
+      let held = Atomic.make true in
+      fun () -> if Atomic.exchange held false then give_back t [ b ]
+
 let result_key ~fp ~mode ~faults ~seed =
   let mode_s = match mode with Api.Exec.Model -> "model" | Api.Exec.Full -> "full" in
   let faults_s = match faults with None -> "-" | Some f -> Api.Fault.to_string f in
@@ -183,15 +200,32 @@ let run ?(mode = Api.Exec.Full) ?faults ~seed t req =
       | Some r ->
           count1 t "serve.result_hits";
           let result = timed t "serve.copy_s" (fun () -> copy_result r) in
-          Ok { result; fingerprint = fp; plan_cached; result_cached = true }
+          Ok { result; fingerprint = fp; plan_cached; result_cached = true; release = ignore }
       | None -> (
           count1 t "serve.result_misses";
+          let out = ref None in
+          let alloc n =
+            let b = acquire t n in
+            out := Some b;
+            b
+          in
           (* The run happens outside any cache lock: concurrent misses on
              one key may race, but the simulator is deterministic so the
-             duplicate results are identical and insertion is idempotent. *)
+             duplicate results are identical and insertion is idempotent.
+             A Full run without a fault plan replays the plan's cached
+             executable plan, as [Api.run] would, with its output on a
+             pooled block that [release] hands back. *)
           let run data =
             timed t "serve.run_s" (fun () ->
-                Api.run ~mode ?domains:t.domains ?faults plan ~data)
+                match (mode, faults) with
+                | Api.Exec.Full, None ->
+                    Result.bind (Api.eplan plan) (fun ep ->
+                        let r = Api.Exec.run_plan ~alloc ?domains:t.domains ep ~data in
+                        count1 t
+                          (if Api.Exec.plan_writes_in_place ep then "serve.in_place_runs"
+                           else "serve.merged_runs");
+                        r)
+                | _ -> Api.run ~mode ?domains:t.domains ?faults plan ~data)
           in
           (* A Model-mode run never reads tensor contents (its stats depend
              only on the spec), so a seed costs nothing there: building
@@ -213,7 +247,14 @@ let run ?(mode = Api.Exec.Full) ?faults ~seed t req =
               else count1 t "serve.result_uncached";
               gauge_set t "serve.result_entries" (float_of_int (Lru.length t.results));
               gauge_set t "serve.result_bytes" (float_of_int (Lru.weight t.results));
-              Ok { result; fingerprint = fp; plan_cached; result_cached = false }))
+              Ok
+                {
+                  result;
+                  fingerprint = fp;
+                  plan_cached;
+                  result_cached = false;
+                  release = release_once t !out;
+                }))
 
 let run_exn ?mode ?faults ~seed t req =
   match run ?mode ?faults ~seed t req with

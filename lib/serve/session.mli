@@ -54,9 +54,12 @@ val metrics : t -> Distal_obs.Metrics.registry
     [serve.result_uncached] (results served without caching because
     their output exceeds {!max_cached_result_bytes}), the
     [serve.plan_entries]/[serve.result_entries] gauges, the
-    [serve.result_bytes] gauge (cached output bytes), and the
+    [serve.result_bytes] gauge (cached output bytes), the
     [serve.input_allocs]/[serve.input_parked_bytes] gauges of the pool
-    seeded Full inputs are drawn from.
+    seeded Full inputs and replayed outputs are drawn from, and the
+    [serve.in_place_runs]/[serve.merged_runs] counters: replays whose
+    plan writes its output in place, and replays that merge instance
+    blocks ({!Distal.Api.Exec.plan_writes_in_place}).
 
     {!run} also stamps the wall seconds of each layer a request passes
     through, always on, as histograms: [serve.compile_s] (the plan tier,
@@ -80,6 +83,10 @@ type outcome = {
   fingerprint : string;
   plan_cached : bool;
   result_cached : bool;
+  release : unit -> unit;
+      (** Hands the pooled block behind a replayed miss's output back to
+          the session (see {!run}); the output must not be read after.
+          A no-op for every other outcome and after the first call. *)
 }
 
 val run :
@@ -94,6 +101,15 @@ val run :
     that get returned when the run ends, whether it succeeded or not. A
     [Model] request never builds its inputs: modeled stats do not read
     tensor contents.
+
+    A [Full] miss without a fault plan replays the plan's cached
+    executable plan ({!Distal.Api.Exec.run_plan}) with its output on a
+    block from the same pool. That output is the outcome's until
+    [release] hands the block back; distald releases it once the reply
+    is framed, which is after the result cache took its own copy. An
+    outcome never released leaves its block to the GC. Hits return
+    copies and Model or faulted runs fresh tensors, which nothing
+    hands back.
     The result-cache key covers mode, fault plan and seed, so a hit is
     only ever returned for a run that would have produced identical
     bytes. *)

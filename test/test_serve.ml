@@ -410,7 +410,9 @@ let test_session_result_byte_budget () =
 (* Seeded Full inputs come from the session's buffer pool. Outputs served
    on reused blocks are bit-identical to Api.run on fresh
    Api.random_inputs, and a run that fails after drawing its inputs
-   still returns them: later runs of the shape allocate nothing new. *)
+   still returns them. A replayed output comes from the same pool and
+   goes back on release: after the first run drew it, later runs of the
+   shape allocate nothing new. *)
 let test_session_pooled_inputs () =
   let session = Session.create ~domains:1 () in
   let req = gemm_request ~n:16 () in
@@ -427,12 +429,40 @@ let test_session_pooled_inputs () =
   Alcotest.(check (float 0.0)) "and returned" (float_of_int (2 * 8 * 16 * 16))
     (metric "serve.input_parked_bytes");
   for seed = 2 to 6 do
+    let o = Session.run_exn ~seed session req in
     Alcotest.(check (pair (list int64) string))
       (Printf.sprintf "seed %d on reused blocks = direct run" seed)
-      (observe_direct ~seed req)
-      (observe_outcome (Session.run_exn ~seed session req))
+      (observe_direct ~seed req) (observe_outcome o);
+    o.Session.release ()
   done;
-  Alcotest.(check (float 0.0)) "no new blocks" 2.0 (metric "serve.input_allocs")
+  Alcotest.(check (float 0.0)) "no new blocks" 3.0 (metric "serve.input_allocs")
+
+(* A miss's output lives on a pooled block until it is released; the
+   result cache keeps its own copy. After a second miss reused that
+   block for other data, a hit still returns the first run's bytes. The
+   gemm writes in place, and the counters say so. *)
+let test_session_pooled_output () =
+  let session = Session.create ~domains:1 () in
+  let req = gemm_request () in
+  let metric name =
+    Option.value (Distal_obs.Metrics.value (Session.metrics session) name) ~default:0.0
+  in
+  let o1 = Session.run_exn ~seed:1 session req in
+  let first = observe_outcome o1 in
+  o1.Session.release ();
+  o1.Session.release ();
+  let allocs = metric "serve.input_allocs" in
+  let o2 = Session.run_exn ~seed:2 session req in
+  Alcotest.(check (float 0.0)) "the second miss reuses the blocks" allocs
+    (metric "serve.input_allocs");
+  Alcotest.(check bool) "on other data" true (observe_outcome o2 <> first);
+  let o3 = Session.run_exn ~seed:1 session req in
+  Alcotest.(check bool) "a hit" true o3.Session.result_cached;
+  Alcotest.(check (pair (list int64) string)) "returns the first run's bytes" first
+    (observe_outcome o3);
+  o2.Session.release ();
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "in place, merged" (2.0, 0.0)
+    (metric "serve.in_place_runs", metric "serve.merged_runs")
 
 (* The session stamps each layer a request passes through, always on:
    every request is compiled, a result miss draws seeded Full inputs and
@@ -1115,7 +1145,10 @@ let qcheck_decode_differential =
    over a real Unix-domain socket: Unix.create_process rather than fork,
    because the test runner may already have spawned pool domains. *)
 
-let distald_exe = "../bin/distald.exe"
+(* Next to the test binary's directory, whatever directory the binary
+   was started from. *)
+let distald_exe =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/distald.exe"
 
 let socket_path =
   let counter = ref 0 in
@@ -1651,6 +1684,7 @@ let suites =
         Alcotest.test_case "session result size cap" `Quick test_session_result_size_cap;
         Alcotest.test_case "session result byte budget" `Quick test_session_result_byte_budget;
         Alcotest.test_case "session pooled inputs" `Quick test_session_pooled_inputs;
+        Alcotest.test_case "session pooled output" `Quick test_session_pooled_output;
         Alcotest.test_case "session model builds no inputs" `Quick test_session_model_no_inputs;
         Alcotest.test_case "session model uses no pool" `Quick test_session_model_no_pool;
         Alcotest.test_case "session concurrent lanes" `Quick test_session_concurrent;
