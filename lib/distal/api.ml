@@ -155,7 +155,7 @@ let eplan plan =
 
 let eplan_exn plan = or_invalid (eplan plan)
 
-let run ?(mode = Exec.Full) ?domains ?cost ?trace ?profile ?faults plan ~data =
+let run ?(mode = Exec.Full) ?alloc ?domains ?cost ?trace ?profile ?faults plan ~data =
   (* Full runs with the default options and no trace or profile replay
      the plan's cached executable plan. Everything else — Model mode,
      other options, copy traces, per-run profiles — asks for a
@@ -167,7 +167,7 @@ let run ?(mode = Exec.Full) ?domains ?cost ?trace ?profile ?faults plan ~data =
   in
   if mode = Exec.Full && default_options then
     let* ep = eplan plan in
-    Exec.run_plan ?domains ep ~data
+    Exec.run_plan ?alloc ?domains ep ~data
   else
     Exec.execute ~mode ?domains ?trace ?profile ?faults (spec ?cost plan) ~data
 

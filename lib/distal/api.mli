@@ -112,6 +112,7 @@ val eplan_exn : plan -> Exec.eplan
 
 val run :
   ?mode:Exec.mode ->
+  ?alloc:(int -> Dense.buf) ->
   ?domains:int ->
   ?cost:Cost_model.t ->
   ?trace:Exec.trace_event list ref ->
@@ -131,11 +132,13 @@ val run :
     A Full-mode call with the default options (no [trace], [profile],
     [cost] or [faults]) replays the plan's cached executable plan
     ({!eplan} + {!Exec.run_plan}): plan once, then run
-    each call against its data with pooled buffers. Any other Full-mode
-    call compiles a fresh executable plan under its options and replays
-    that once ({!Exec.execute}); its output bytes are those of the
-    cached path. The returned stats are the plan-time modeled stats
-    either way. *)
+    each call against its data with pooled buffers, the output on
+    [alloc n] (default a fresh tensor; no other run calls [alloc], so a
+    caller that pools outputs knows from it whether one was drawn). Any
+    other Full-mode call compiles a fresh executable plan under its
+    options and replays that once ({!Exec.execute}); its output bytes
+    are those of the cached path. The returned stats are the plan-time
+    modeled stats either way. *)
 
 val run_exn :
   ?mode:Exec.mode -> ?domains:int ->

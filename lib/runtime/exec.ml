@@ -181,8 +181,7 @@ let rec same_node_owner node_of_lin node = function
    [ep_tensors], or [out_src] for the task's current output instance),
    offset and strides; [B_eval] the [Expr.eval] fallback, whose table
    holds the launch and sequential bindings and, as it runs, the leaf
-   variables. A plan that writes in place ({!plan}) has only [B_leaf]s,
-   whose output operands index the run's output tensor like an input. *)
+   variables. *)
 type bop =
   | B_out of Rect.t  (* a zero-filled output instance *)
   | B_leaf of Expr_stage.bound
@@ -546,9 +545,7 @@ type recorder = {
   strides : int array array;  (* per tensor: the caller's row-major strides *)
   order : int array;  (* a substituted kernel's operands, kernel order *)
   slot_t : int array;  (* the tensor of each slot of the staged nest *)
-  in_place : bool;  (* bind output writes into the run's output tensor *)
   mutable bops : bop list;
-  mutable flushed : (Rect.t * unit) list;  (* in place: the output instances done *)
 }
 
 (* The task being walked: its processor; the instance it holds of each
@@ -1004,10 +1001,7 @@ let charge_fetch c tk t e = fetch_groups c ~proc:tk.proc ~step:(step_of c) t (pl
 (* The output instance is done: a reduction partial, or (owner-computes)
    its tile shipped home when a remote processor owns it. *)
 let flush_output c tk ~step e =
-  (match tk.record with
-  | Some r when r.in_place -> r.flushed <- (e.f_rect, ()) :: r.flushed
-  | Some r -> r.bops <- B_flush :: r.bops
-  | None -> ());
+  (match tk.record with Some r -> r.bops <- B_flush :: r.bops | None -> ());
   if c.reduction then add_red c ~step ~proc:tk.proc e.f_rect
   else begin
     if not (proc_owns c tk c.out_t e.f_rect) then
@@ -1053,7 +1047,7 @@ let ensure c tk t site =
          communication when the statement accumulates into — or reads —
          a tensor this processor does not own). *)
       if ((not c.reduction) && c.stmt.accum) || c.reads_out then charge_fetch c tk t e;
-      Option.iter (fun r -> if not r.in_place then r.bops <- B_out e.f_rect :: r.bops) tk.record
+      match tk.record with Some r -> r.bops <- B_out e.f_rect :: r.bops | None -> ()
     end
     else charge_fetch c tk t e;
     tk.inst.(t) <- e;
@@ -1070,8 +1064,7 @@ let ensure c tk t site =
 (* Bind the leaf the walk has reached against the instances the task
    holds and the bindings in [env]. Inputs, and the output a
    self-referencing statement reads, are read in place from the caller's
-   tensors; the output in place too when recording in place, else in
-   the block of its instance. *)
+   tensors; the output is written into the block of its instance. *)
 let bind_leaf c tk r =
   let held t (e : fentry) =
     if e == no_inst then invalid_arg ("leaf recorded without an instance of " ^ c.tensors.(t));
@@ -1093,7 +1086,7 @@ let bind_leaf c tk r =
         if not (Rect.subset need inst) then
           invalid_arg ("leaf footprint outside the instance of " ^ c.tensors.(t));
         let op =
-          if t = c.out_t && not r.in_place then
+          if t = c.out_t then
             let st = Ints.row_major_strides (Rect.extents inst) in
             let lo = Array.mapi (fun d x -> x - inst.lo.(d)) need.lo in
             { Expr_stage.src = out_src; off = offset st lo; st }
@@ -1110,7 +1103,7 @@ let bind_leaf c tk r =
           strides = r.strides.(t) }
       in
       let geom i t =
-        if t <> c.out_t || r.in_place then in_caller t (held t tk.inst.(t))
+        if t <> c.out_t then in_caller t (held t tk.inst.(t))
         else if i < Array.length r.slot_t - 1 then in_caller t (held t tk.out_read)
         else
           let rect = held t tk.inst.(t) in
@@ -1508,9 +1501,8 @@ module Buf_pool = Distal_support.Buf_pool
 (* Plan once per (program x schedule x machine x options), run many times
    against new tensor data. The plan is one simulation whose walk binds
    every data operation as it reaches it ([bop]), so the run phase only
-   zero-fills the output, calls the bound leaves and, unless the plan
-   writes in place, zero-fills and merges instance blocks from a
-   size-classed pool ({!Buf_pool}) with an arena per launch point. *)
+   zero-fills output instances, from a size-classed pool ({!Buf_pool})
+   with an arena per launch point, calls the bound leaves and merges. *)
 
 type eplan = {
   ep_spec : spec;
@@ -1524,20 +1516,11 @@ type eplan = {
   ep_leaf_vars : string array;  (* Scalar_loops nest, outermost first *)
   ep_reads_out : bool;
   ep_accum : bool;
-  ep_in_place : bool;  (* leaves write the output tensor; no blocks, no merge *)
   ep_out_name : string;
   ep_pool : Buf_pool.t;
   ep_m : Mutex.t;  (* one run at a time: arenas and bound leaves' loop state are per-plan *)
   mutable ep_runs : int;
 }
-
-(* Whether a walk recorded in place bound every leaf and flushed pairwise
-   disjoint output instances, within a launch point and across points. *)
-let writes_disjoint ops flushed =
-  let index = Rect_index.build flushed and cursor = Rect_index.cursor () in
-  let alone (r, ()) = Rect.is_empty r || List.length (Rect_index.query ~cursor index r) = 1 in
-  List.for_all alone flushed
-  && not (Array.exists (Array.exists (function B_eval _ -> true | _ -> false)) ops)
 
 let plan ?faults ?trace ?profile spec =
   let prog = spec.program in
@@ -1559,26 +1542,7 @@ let plan ?faults ?trace ?profile spec =
   in
   let src = Array.map (fun tn -> name_index tensors tn 0) c.tensors in
   let strides = Array.map (fun tn -> Ints.row_major_strides (Taskir.shape_of prog tn)) c.tensors in
-  (* In place needs each output element written by one point: no [+=], no
-     self-read, no distributed reduction (its partials overlap), bound
-     leaves and disjoint flushed instances. A plan that fails the last two,
-     known after the walk, is walked again, unobserved, binding blocks. *)
-  let try_in_place =
-    (not stmt.accum) && (not c.reads_out) && (not c.reduction)
-    && (Option.is_some staged || Option.is_some c.named)
-  in
-  let record in_place =
-    { staged; src; strides; order; slot_t; in_place; bops = []; flushed = [] }
-  in
-  let r = record try_in_place in
-  let ops = walk c (Some r) in
-  let in_place = try_in_place && writes_disjoint ops r.flushed in
-  let* ep_ops =
-    if in_place || not try_in_place then Ok ops
-    else
-      let* blocks = resolve spec in
-      Ok (walk blocks (Some (record false)))
-  in
+  let ep_ops = walk c (Some { staged; src; strides; order; slot_t; bops = [] }) in
   Ok
     { ep_spec = spec; ep_stats = finish c; ep_ops; ep_tensors = tensors;
       ep_shapes = Array.map (Taskir.shape_of prog) tensors;
@@ -1586,7 +1550,7 @@ let plan ?faults ?trace ?profile spec =
       ep_points =
         List.map (fun v -> (v, Provenance.raw_point_fn prog.prov v)) (Expr.index_vars stmt);
       ep_leaf_vars = Array.of_list c.leaf_vars; ep_reads_out = c.reads_out;
-      ep_accum = stmt.accum; ep_in_place = in_place; ep_out_name = stmt.lhs.tensor;
+      ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor;
       ep_pool = Buf_pool.create (max 1 (Array.length ep_ops)); ep_m = Mutex.create (); ep_runs = 0 }
 
 type leaf_tiers = { tiled : int; staged : int; eval : int }
@@ -1600,7 +1564,6 @@ let plan_leaf_tiers ep =
        | B_out _ | B_flush -> t))
     { tiled = 0; staged = 0; eval = 0 } ep.ep_ops
 
-let plan_writes_in_place ep = ep.ep_in_place
 let plan_stats ep = { ep.ep_stats with Stats.time = ep.ep_stats.Stats.time }
 let plan_runs ep = ep.ep_runs
 let plan_pool_stats ep = Buf_pool.stats ep.ep_pool
@@ -1639,8 +1602,6 @@ let run_plan ?(alloc = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
   if ep.ep_accum then
     Bigarray.Array1.blit (Dense.unsafe_data caller.(oi)) (Dense.unsafe_data out_global)
   else Dense.fill out_global 0.0;
-  (* In place, the leaves' output operands index the output like an input. *)
-  if ep.ep_in_place then caller.(oi) <- out_global;
   let bufs = Array.map Dense.unsafe_data caller in
   (* Runs of one plan serialize: the arenas, the parked free lists and
      the bound leaves' loop state (nest offsets, eval environments) are

@@ -139,20 +139,14 @@ val execute :
     {!run_plan} replays those operations against new tensor data. Each
     leaf is bound where the walk reaches it, holding every instance: its
     tier ({!plan_leaf_tiers}), its kernel or loop nest, and each
-    operand's buffer, offset and strides. Input instances are read in
-    place from the caller's tensors. A plan that writes in place
-    ({!plan_writes_in_place}) binds its output instances into the run's
-    output tensor the same way, so its leaves write there directly.
-    Every other plan writes each output instance and reduction partial
-    into a block from a size-classed pool with an arena per launch point
-    ({!Distal_support.Buf_pool}, capped at 64 MiB) and merges the blocks
-    afterwards, so a warm run performs no per-instance buffer allocation
-    either way. *)
+    operand's buffer, offset and strides. Input
+    instances are read in place from the caller's tensors; output
+    instances and reduction partials come from a size-classed pool with
+    an arena per launch point ({!Distal_support.Buf_pool}, capped at 64 MiB), so a
+    warm run performs no per-fragment buffer allocation at all. *)
 
 type eplan
-(** A compiled executable plan for one (spec, faults) pair: per launch
-    point its bound operations, whose leaves write the output in place
-    or into instance blocks that every run merges. *)
+(** A compiled executable plan for one (spec, faults) pair. *)
 
 val plan :
   ?faults:Distal_fault.Fault.t ->
@@ -160,13 +154,7 @@ val plan :
   ?profile:Distal_obs.Profile.t ->
   spec ->
   (eplan, string) Stdlib.result
-(** Compile the spec into an executable plan. The plan writes in place
-    when each output element is written by one launch point: the
-    statement neither accumulates into its output ([+=]) nor reads it,
-    it is no distributed reduction, every leaf is bound to a kernel or a
-    staged nest, and the output instances the walk flushed are pairwise
-    disjoint, within a launch point as well as across points.
-    [faults] affects only
+(** Compile the spec into an executable plan. [faults] affects only
     the plan-time stats ({!plan_stats}) — the replayed data
     path is fault-oblivious, which is exact: {!execute}'s recovery
     contract makes a killed-and-replayed run's output bit-identical to
@@ -187,23 +175,17 @@ val run_plan :
     the tensor. The caller's tensors are read in place and never
     written. The output lives on [alloc n] (a block of at least [n]
     elements; default a fresh tensor), zero-filled (or a copy of the
-    given output for [+=]) before any leaf runs. Launch points run
-    through {!Distal_support.Pool.parallel_for} on the shared pool of
-    size [domains] (default {!Distal_support.Pool.default_size}): each
-    domain claims the next point as it frees up. A plan that writes in
-    place has each output element written by one point, its terms
-    summed in the leaf's order from +0.0; any other plan's instance
-    blocks are merged serially in launch-point order afterwards. So
-    the output is byte-identical for every [domains] setting, every
-    pool size and whatever fault plan the plan was compiled with; the
-    returned stats are a copy of the plan-time stats. Runs of one plan
-    serialize on an internal lock (the buffer arenas and the bound
+    given output for [+=]) before any leaf runs. Launch points run through
+    {!Distal_support.Pool.parallel_for} on the shared pool of size
+    [domains] (default {!Distal_support.Pool.default_size}): each
+    domain claims the next point as it frees up, and the contributions
+    are merged serially in launch-point order afterwards. So the output
+    is byte-identical for every [domains] setting,
+    every pool size and whatever fault plan the plan was compiled with;
+    the returned stats are a copy of the plan-time stats. Runs of one
+    plan serialize on an internal lock (the buffer arenas and the bound
     leaves' loop state are per-plan state); distinct plans run
     concurrently. *)
-
-val plan_writes_in_place : eplan -> bool
-(** Whether the plan's leaves write the output tensor in place (see
-    {!plan}); [false] when its runs merge instance blocks. *)
 
 val plan_stats : eplan -> Stats.t
 (** Copy of the modeled per-run statistics fixed at plan time. *)

@@ -506,9 +506,9 @@ let encode_server m =
   write b 0;
   Bytes.unsafe_to_string b
 
-let frame_server m =
+let frame_server buf m =
   let len, write = render m in
-  Wire.frame len write
+  Wire.frame buf len write
 
 let encode_client m = Json.to_string (client_msg_to_json m)
 

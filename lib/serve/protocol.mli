@@ -78,9 +78,11 @@ val encode_server : server_msg -> string
     allocation; an output's payload goes straight from its bigarray into
     it. *)
 
-val frame_server : server_msg -> string
-(** The {!Distal_support.Wire} frame of {!encode_server}'s document, in
-    one allocation. @raise Invalid_argument beyond the frame limit,
+val frame_server : Bytes.t -> server_msg -> Bytes.t * int
+(** The {!Distal_support.Wire} frame of {!encode_server}'s document,
+    written into the given buffer when it fits, else into one fresh
+    allocation ({!Distal_support.Wire.frame}): the buffer and the
+    frame's length. @raise Invalid_argument beyond the frame limit,
     before allocating. *)
 
 val decode_server : string -> (server_msg, string) result

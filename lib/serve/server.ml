@@ -69,7 +69,7 @@ type client = {
   fd : Unix.file_descr;
   dec : Wire.decoder;
   buf : Bytes.t;
-  out : string Queue.t;  (* framed replies not yet fully written, oldest first *)
+  out : (Bytes.t * int) Queue.t;  (* framed replies (bytes, length) not yet fully sent *)
   mutable out_off : int;  (* bytes of the head frame already written *)
   mutable progress : float;
       (* when the socket last took bytes, or when the outbox last became
@@ -91,7 +91,12 @@ type t = {
   queue : entry Queue.t;
   mutable served : int;
   mutable stop : bool;
+  mutable spare : Bytes.t;  (* the reply buffer no outbox holds, framed into next *)
 }
+
+(* The largest reply buffer kept for the next reply: enough for outputs
+   of a few hundred thousand elements, without pinning a 64 MiB frame. *)
+let max_spare = 4 * 1024 * 1024
 
 let now () = Unix.gettimeofday ()
 
@@ -128,6 +133,7 @@ let create cfg =
     queue = Queue.create ();
     served = 0;
     stop = false;
+    spare = Bytes.empty;
   }
 
 let session t = t.session
@@ -155,15 +161,18 @@ let drop_client t fd ~mid_request =
 let rec write_out t c =
   match Queue.peek_opt c.out with
   | None -> true
-  | Some frame -> (
-      let len = String.length frame - c.out_off in
-      match Unix.write_substring c.fd frame c.out_off len with
+  | Some (frame, flen) -> (
+      let len = flen - c.out_off in
+      match Unix.write c.fd frame c.out_off len with
       | n ->
           c.out_off <- c.out_off + n;
           if n > 0 then c.progress <- now ();
           if n = len then begin
             ignore (Queue.pop c.out);
             c.out_off <- 0;
+            (* Sent: the next reply is framed into these bytes. *)
+            if Bytes.length frame > Bytes.length t.spare && Bytes.length frame <= max_spare then
+              t.spare <- frame;
             write_out t c
           end
           else true
@@ -179,19 +188,23 @@ let rid_of = function
   | StatsReply _ | ShutdownAck -> -1
 
 (* Frame [msg] into [fd]'s outbox and write what the socket takes; the
-   frame and that first write are stamped as [serve.reply_s]. *)
+   frame and that first write are stamped as [serve.reply_s]. The frame
+   goes into the spare buffer, which the outbox owns until it is sent, so
+   a steady stream of replies allocates no frames. *)
 let send t fd msg =
   match Hashtbl.find_opt t.clients fd with
   | None -> false
   | Some c ->
       Session.timed t.session "serve.reply_s" @@ fun () ->
+      let buf = t.spare in
+      t.spare <- Bytes.empty;
       let frame =
-        match Protocol.frame_server msg with
+        match Protocol.frame_server buf msg with
         | frame -> frame
         | exception Invalid_argument reason ->
             (* A reply the wire cannot carry fails that request alone. *)
             metric t "serve.internal_errors";
-            Protocol.frame_server (Protocol.Failed { rid = rid_of msg; reason })
+            Protocol.frame_server buf (Protocol.Failed { rid = rid_of msg; reason })
       in
       if Queue.is_empty c.out then c.progress <- now ();
       Queue.add frame c.out;

@@ -11,7 +11,9 @@
     cache). A Full request whose reply could not fit one wire frame
     fails at admission. Replies are written without blocking: each
     client has an outbox drained as its socket accepts bytes, so a
-    client that stops reading stalls only itself. A client with
+    client that stops reading stalls only itself. Replies are framed
+    into one spare buffer, owned by an outbox until the frame is sent,
+    so steady replies allocate no frames. A client with
     unwritten replies is not read from until they are out (pushback),
     and one whose socket takes no bytes for [stall_timeout] seconds is
     dropped. Clients that die mid-request are detected and their queue

@@ -212,20 +212,11 @@ let run ?(mode = Api.Exec.Full) ?faults ~seed t req =
           (* The run happens outside any cache lock: concurrent misses on
              one key may race, but the simulator is deterministic so the
              duplicate results are identical and insertion is idempotent.
-             A Full run without a fault plan replays the plan's cached
-             executable plan, as [Api.run] would, with its output on a
-             pooled block that [release] hands back. *)
+             A run that replays the plan's cached executable plan puts its
+             output on a pooled block ([out]) that [release] hands back. *)
           let run data =
             timed t "serve.run_s" (fun () ->
-                match (mode, faults) with
-                | Api.Exec.Full, None ->
-                    Result.bind (Api.eplan plan) (fun ep ->
-                        let r = Api.Exec.run_plan ~alloc ?domains:t.domains ep ~data in
-                        count1 t
-                          (if Api.Exec.plan_writes_in_place ep then "serve.in_place_runs"
-                           else "serve.merged_runs");
-                        r)
-                | _ -> Api.run ~mode ?domains:t.domains ?faults plan ~data)
+                Api.run ~mode ~alloc ?domains:t.domains ?faults plan ~data)
           in
           (* A Model-mode run never reads tensor contents (its stats depend
              only on the spec), so a seed costs nothing there: building
@@ -237,7 +228,9 @@ let run ?(mode = Api.Exec.Full) ?faults ~seed t req =
             | Api.Exec.Model -> run []
           in
           match ran with
-          | Error e -> Error e
+          | Error e ->
+              give_back t (Option.to_list !out);
+              Error e
           | Ok result ->
               (* An oversized result is not even copied. *)
               if cacheable result then begin

@@ -56,10 +56,7 @@ val metrics : t -> Distal_obs.Metrics.registry
     [serve.plan_entries]/[serve.result_entries] gauges, the
     [serve.result_bytes] gauge (cached output bytes), the
     [serve.input_allocs]/[serve.input_parked_bytes] gauges of the pool
-    seeded Full inputs and replayed outputs are drawn from, and the
-    [serve.in_place_runs]/[serve.merged_runs] counters: replays whose
-    plan writes its output in place, and replays that merge instance
-    blocks ({!Distal.Api.Exec.plan_writes_in_place}).
+    seeded Full inputs and replayed outputs are drawn from.
 
     {!run} also stamps the wall seconds of each layer a request passes
     through, always on, as histograms: [serve.compile_s] (the plan tier,
@@ -102,9 +99,10 @@ val run :
     [Model] request never builds its inputs: modeled stats do not read
     tensor contents.
 
-    A [Full] miss without a fault plan replays the plan's cached
-    executable plan ({!Distal.Api.Exec.run_plan}) with its output on a
-    block from the same pool. That output is the outcome's until
+    Every miss runs through {!Distal.Api.run} with the pool as its
+    output allocator, so a [Full] miss without a fault plan replays the
+    plan's cached executable plan with its output on a block from the
+    same pool. That output is the outcome's until
     [release] hands the block back; distald releases it once the reply
     is framed, which is after the result cache took its own copy. An
     outcome never released leaves its block to the GC. Hits return

@@ -1,11 +1,11 @@
 (* Size-classed pool of float64 bigarray buffers with single-owner arenas.
 
-   The executor's run phase (lib/runtime/exec) materializes a block per
-   output instance of a plan that merges, and the serving session a
-   block per seeded input and replayed output; allocating those fresh on
-   every run is what made allocation-heavy lanes fight the OCaml 5
-   shared major GC (and, for Bigarray payloads, malloc) instead of
-   scaling. This pool keeps the backing blocks alive across runs:
+   The executor's run phase (lib/runtime/exec) materializes a fragment
+   buffer per communicate point per task, and the serving session a block
+   per seeded input and replayed output; allocating those fresh on every
+   run is what made allocation-heavy lanes fight the OCaml 5 shared major
+   GC (and, for Bigarray payloads, malloc) instead of scaling. This pool
+   keeps the backing blocks alive across runs:
 
    - capacities are rounded up to powers of two, so a buffer freed by a
      fragment of one shape is reusable by any fragment whose volume lands

@@ -1,11 +1,10 @@
 (** Size-classed pool of float64 bigarray buffers with single-owner arenas.
 
-    Backs the executor's run phase for plans that merge: their output
-    instances and reduction partials are acquired here instead of
-    allocated fresh (a plan that writes in place needs no blocks). The
-    serving session draws seeded inputs and replayed outputs from a pool
-    of its own. So a steady-state served replay performs no bigarray
-    allocation at all.
+    Backs the executor's run phase: output instances and reduction
+    partials are acquired here instead of allocated fresh. The serving
+    session draws seeded inputs and replayed outputs from a pool of its
+    own. So a steady-state served replay performs no bigarray allocation
+    at all.
     Capacities round up to powers of two (one free list per class); the
     executor gives each launch point an arena of its own, which only the
     domain running that point touches (lock-free acquire/release).

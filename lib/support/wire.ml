@@ -16,18 +16,20 @@
 let max_frame = 64 * 1024 * 1024
 let header_len = 9 (* 8 digits + '\n' *)
 
-let frame n write =
+let frame buf n write =
   if n > max_frame then
     invalid_arg (Printf.sprintf "Wire.frame: frame of %d bytes exceeds %d" n max_frame);
-  let frame = Bytes.create (header_len + n + 1) in
+  let len = header_len + n + 1 in
+  let frame = if Bytes.length buf >= len then buf else Bytes.create len in
   Bytes.blit_string (Printf.sprintf "%08d\n" n) 0 frame 0 header_len;
   write frame header_len;
   Bytes.set frame (header_len + n) '\n';
-  Bytes.unsafe_to_string frame
+  (frame, len)
 
 let encode payload =
   let n = String.length payload in
-  frame n (fun b off -> Bytes.blit_string payload 0 b off n)
+  let write b off = Bytes.blit_string payload 0 b off n in
+  Bytes.unsafe_to_string (fst (frame Bytes.empty n write))
 
 (* {2 Blocking fd transport} *)
 

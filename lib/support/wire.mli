@@ -12,9 +12,14 @@ val encode : string -> string
 (** The full frame for a payload.
     @raise Invalid_argument beyond {!max_frame}. *)
 
-val frame : int -> (Bytes.t -> int -> unit) -> string
-(** [frame n write] is the frame of an [n]-byte payload that [write b off]
-    puts at [off] of [b]: one allocation, no copy of the payload.
+val frame : Bytes.t -> int -> (Bytes.t -> int -> unit) -> Bytes.t * int
+(** [frame buf n write] writes the frame of an [n]-byte payload, which
+    [write b off] puts at [off] of [b], at the start of [buf] when it
+    fits there, else of a fresh buffer of exactly its size: the buffer
+    and the frame's length. No copy of the payload and, beyond that
+    buffer, only a small constant is allocated, so a caller that hands
+    the buffer back once the frame is sent frames every reply in the
+    same bytes.
     @raise Invalid_argument beyond {!max_frame}, before allocating. *)
 
 val send : Unix.file_descr -> string -> unit

@@ -35,37 +35,26 @@ let kill_plan =
 (* Steady state: after the first run primed the pool, further runs are
    served entirely from free lists — the alloc counter freezes while the
    hit counter keeps climbing. This is the "no per-fragment Dense.create
-   on the data path" acceptance check, in counter form, on a distributed
-   reduction, whose partials still go through pooled blocks. A plan that
-   writes in place takes no block at all once warm. *)
+   on the data path" acceptance check, in counter form. *)
 let test_pool_steady_state () =
-  let warm req =
-    let plan = compile req in
-    let ep = Api.eplan_exn plan in
-    let run n =
-      let data = Api.random_inputs ~seed:n plan in
-      match Exec.run_plan ep ~data with
-      | Ok r -> r
-      | Error e -> Alcotest.failf "run_plan failed: %s" e
-    in
-    ignore (run 1);
-    let s1 = Exec.plan_pool_stats ep in
-    ignore (run 2);
-    ignore (run 3);
-    Alcotest.(check int) "three completed runs" 3 (Exec.plan_runs ep);
-    (ep, s1, Exec.plan_pool_stats ep)
+  let plan = compile (Test_oracle.cyclic_gemm ~substitute:true) in
+  let ep = Api.eplan_exn plan in
+  let run n =
+    let data = Api.random_inputs ~seed:n plan in
+    match Exec.run_plan ep ~data with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "run_plan failed: %s" e
   in
-  let ep, s1, s3 = warm Test_oracle.reduction in
-  Alcotest.(check bool) "the reduction merges" false (Exec.plan_writes_in_place ep);
+  ignore (run 1);
+  let s1 = Exec.plan_pool_stats ep in
+  ignore (run 2);
+  ignore (run 3);
+  let s3 = Exec.plan_pool_stats ep in
   Alcotest.(check int) "no new allocations after warmup" s1.Distal_support.Buf_pool.allocs
     s3.Distal_support.Buf_pool.allocs;
   Alcotest.(check bool) "warm runs hit the pool" true
     (s3.Distal_support.Buf_pool.hits > s1.Distal_support.Buf_pool.hits);
-  let ep, s1, s3 = warm (Test_oracle.cyclic_gemm ~substitute:true) in
-  let acquisitions (s : Distal_support.Buf_pool.stats) = s.allocs + s.hits in
-  Alcotest.(check bool) "the cyclic gemm writes in place" true (Exec.plan_writes_in_place ep);
-  Alcotest.(check int) "warm in-place runs acquire nothing" (acquisitions s1)
-    (acquisitions s3)
+  Alcotest.(check int) "three completed runs" 3 (Exec.plan_runs ep)
 
 (* The modeled stats fixed at plan time are the stats a Model run
    reports (the Full/Model parity contract, inherited by plans). *)
@@ -158,96 +147,6 @@ let test_fault_plans_not_cached () =
     Alcotest.failf "200 fault plans grew the heap by %d words (one plan: %d)" grown plan_words;
   Alcotest.(check bool) "the cached plan is unchanged" true (ep == Api.eplan_exn plan)
 
-(* The served benchmark's four replay shapes: a cyclic GEMM (16x16
-   tiles of a 64x64 GEMM on 4x4, k in chunks of 8), SUMMA n=128 on 2x2,
-   TTV over an i-cyclic B over-decomposed onto 128 virtual processors,
-   and a GEMM whose leaf is the scalar nest. *)
-let served_cyclic_gemm =
-  Api.request ~machine:(Api.Machine.grid [| 4; 4 |]) ~stmt:"A(i,j) = B(i,k) * C(k,j)"
-    ~tensors:
-      [
-        Api.tensor "A" [| 64; 64 |] ~dist:"[x,y] -> [x,y]";
-        Api.tensor "B" [| 64; 64 |] ~dist:"[x,y] -> [x%1,y%1]";
-        Api.tensor "C" [| 64; 64 |] ~dist:"[x,y] -> [x%1,y%1]";
-      ]
-    ~schedule:
-      "distribute_onto({i,j}, {io,jo}, {ii,ji}, [4,4]); split(k, ko, ki, 8); \
-       reorder(ko, ii, ji, ki); communicate(A, jo); communicate({B,C}, ko)"
-    ()
-
-let served_gemm =
-  let t = Test_oracle.tiled in
-  Test_oracle.gemm ~grid:[| 2; 2 |] ~n:96 ~dists:(t, t, t)
-    "distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); communicate(A, jo); communicate({B,C}, jo)"
-
-(* A GEMM over rows whose task walks every k chunk for every j chunk:
-   each output instance is flushed once per k chunk, so one task revisits
-   the same rect. *)
-let revisiting =
-  Test_oracle.gemm ~grid:[| 2 |] ~n:8 ~dists:("[x,y] -> [x]", "[x,y] -> [x]", "[x,y] -> [*]")
-    "divide(i, io, ii, 2); distribute(io); split(j, jo, ji, 4); split(k, ko, ki, 4); \
-     reorder(ko, jo, ii, ji, ki); communicate(A, jo); communicate({B,C}, jo)"
-
-(* Which plans write their output in place: owner-computes plans whose
-   flushed instances are disjoint do; reductions (split-k and 3D), +=,
-   self-reading statements, a task that revisits an output rect and eval
-   leaves merge. Either way the output is the serial reference's. *)
-let test_writes_in_place () =
-  let johnson =
-    match
-      Distal_algorithms.Matmul.johnson ~n:8 ~machine:(Api.Machine.grid [| 2; 2; 2 |]) ()
-    with
-    | Ok a -> a.Distal_algorithms.Matmul.plan
-    | Error e -> Alcotest.fail e
-  in
-  List.iter
-    (fun (name, plan, in_place) ->
-      Alcotest.(check bool) (name ^ " writes in place") in_place
-        (Exec.plan_writes_in_place (Api.eplan_exn plan));
-      match Api.validate plan with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: %s" name e)
-    [
-      ("summa 2x2", compile (Test_oracle.summa_gemm ~substitute:true), true);
-      ("served cyclic gemm", compile served_cyclic_gemm, true);
-      ("served summa", Test_host_gauges.summa ~n:128 ~g:2, true);
-      ("served cyclic ttv", Test_host_gauges.cyclic_ttv ~i:512 ~jk:32 ~procs:4 ~vprocs:128, true);
-      ("served gemm", compile served_gemm, true);
-      ("split-k reduction", compile Test_oracle.reduction, false);
-      ("johnson 3d", johnson, false);
-      ("accumulate", compile Test_oracle.accumulate, false);
-      ("self-reference", compile Test_oracle.aliasing_self_reference, false);
-      ("revisiting task", compile revisiting, false);
-      ("unstaged collapse", compile Test_oracle.unstaged_collapse, false);
-    ]
-
-(* Every term of row 0 of SUMMA's output is -0.0 (B's row 0 is -0.0).
-   Summed from +0.0 that is +0.0, in place as in the serial reference:
-   the whole output matches it bit for bit, sign of zero included. *)
-let test_signed_zero () =
-  let req = Test_oracle.summa_gemm ~substitute:true in
-  let plan = compile req in
-  let data =
-    List.map
-      (fun (name, d) ->
-        if name = "B" then
-          (name, Dense.init (Dense.shape d) (fun c -> if c.(0) = 0 then -0.0 else Dense.get d c))
-        else (name, d))
-      (Api.random_inputs ~seed:3 plan)
-  in
-  let shapes = List.map (fun (t : Api.tensor) -> (t.Api.name, t.Api.shape)) req.Api.req_tensors in
-  let expected = Exec.serial_reference plan.Api.problem.Api.stmt ~shapes ~data in
-  Alcotest.(check bool) "summa writes in place" true
-    (Exec.plan_writes_in_place (Api.eplan_exn plan));
-  Alcotest.(check int64) "row 0 is +0.0" 0L (Int64.bits_of_float (Dense.get expected [| 0; 1 |]));
-  List.iter
-    (fun domains ->
-      Alcotest.(check (list int64))
-        (Printf.sprintf "%d domains == serial reference" domains)
-        (bits (Some expected))
-        (bits (Api.run_exn ~domains plan ~data).Exec.output))
-    [ 1; 3 ]
-
 (* The tier every leaf takes is resolved when the plan is bound. SUMMA's
    substituted leaves call the tiled kernel, and so do the staged nests
    of the served cyclic GEMM (16x16 tiles of a 64x64 GEMM on 4x4, k in
@@ -256,6 +155,19 @@ let test_signed_zero () =
    Collapsing the local loops of an elementwise sum leaves a fused
    variable in the nest, so those leaves evaluate point by point. *)
 let test_leaf_tiers () =
+  let cyclic_gemm =
+    Api.request ~machine:(Api.Machine.grid [| 4; 4 |]) ~stmt:"A(i,j) = B(i,k) * C(k,j)"
+      ~tensors:
+        [
+          Api.tensor "A" [| 64; 64 |] ~dist:"[x,y] -> [x,y]";
+          Api.tensor "B" [| 64; 64 |] ~dist:"[x,y] -> [x%1,y%1]";
+          Api.tensor "C" [| 64; 64 |] ~dist:"[x,y] -> [x%1,y%1]";
+        ]
+      ~schedule:
+        "distribute_onto({i,j}, {io,jo}, {ii,ji}, [4,4]); split(k, ko, ki, 8); \
+         reorder(ko, ii, ji, ki); communicate(A, jo); communicate({B,C}, ko)"
+      ()
+  in
   List.iter
     (fun (name, req, (tiled, staged, eval)) ->
       let t = Exec.plan_leaf_tiers (Api.eplan_exn (compile req)) in
@@ -265,7 +177,7 @@ let test_leaf_tiers () =
         [ t.Exec.tiled; t.Exec.staged; t.Exec.eval ])
     [
       ("summa 2x2", Test_oracle.summa_gemm ~substitute:true, (12, 0, 0));
-      ("cyclic gemm", served_cyclic_gemm, (128, 0, 0));
+      ("cyclic gemm", cyclic_gemm, (128, 0, 0));
       ("staged accumulate", Test_oracle.staged_accumulate, (0, 2, 0));
       ("unstaged collapse", Test_oracle.unstaged_collapse, (0, 0, 4));
     ]
@@ -281,7 +193,5 @@ let suites =
         Alcotest.test_case "eplan cache keys" `Quick test_eplan_cache_keys;
         Alcotest.test_case "fault plans are not cached" `Quick test_fault_plans_not_cached;
         Alcotest.test_case "leaf tiers" `Quick test_leaf_tiers;
-        Alcotest.test_case "writes in place" `Quick test_writes_in_place;
-        Alcotest.test_case "signed zero in place" `Quick test_signed_zero;
       ] );
   ]

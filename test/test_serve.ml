@@ -439,8 +439,7 @@ let test_session_pooled_inputs () =
 
 (* A miss's output lives on a pooled block until it is released; the
    result cache keeps its own copy. After a second miss reused that
-   block for other data, a hit still returns the first run's bytes. The
-   gemm writes in place, and the counters say so. *)
+   block for other data, a hit still returns the first run's bytes. *)
 let test_session_pooled_output () =
   let session = Session.create ~domains:1 () in
   let req = gemm_request () in
@@ -460,9 +459,7 @@ let test_session_pooled_output () =
   Alcotest.(check bool) "a hit" true o3.Session.result_cached;
   Alcotest.(check (pair (list int64) string)) "returns the first run's bytes" first
     (observe_outcome o3);
-  o2.Session.release ();
-  Alcotest.(check (pair (float 0.0) (float 0.0))) "in place, merged" (2.0, 0.0)
-    (metric "serve.in_place_runs", metric "serve.merged_runs")
+  o2.Session.release ()
 
 (* The session stamps each layer a request passes through, always on:
    every request is compiled, a result miss draws seeded Full inputs and
@@ -883,14 +880,27 @@ let test_protocol_golden_frames () =
 
 (* {2 The one-pass reply path} *)
 
-(* The server's frame is written in one allocation, byte for byte the
-   golden frame. *)
+(* The server's frame is byte for byte the golden frame. Framed into a
+   buffer with room, it takes the buffer's first bytes and leaves the
+   rest; without room, it takes one allocation of its exact size. *)
 let test_protocol_frame_server () =
+  let room = Bytes.make 4096 '#' in
   List.iter
     (fun (what, msg, frame) ->
-      Alcotest.(check string) what frame (Protocol.frame_server msg))
+      let n = String.length frame in
+      let b, len = Protocol.frame_server room msg in
+      Alcotest.(check bool) (what ^ ": into the given buffer") true (b == room);
+      Alcotest.(check string) what frame (Bytes.sub_string b 0 len);
+      Alcotest.(check char) (what ^ ": nothing written past it") '#' (Bytes.get room n);
+      Bytes.fill room 0 n '#';
+      let b, len = Protocol.frame_server (Bytes.create (n - 1)) msg in
+      Alcotest.(check (pair int string)) (what ^ ": fresh when it does not fit") (n, frame)
+        (Bytes.length b, Bytes.sub_string b 0 len))
     golden_frames;
-  match Wire.frame (Wire.max_frame + 1) (fun _ _ -> Alcotest.fail "wrote an oversize frame") with
+  match
+    Wire.frame Bytes.empty (Wire.max_frame + 1) (fun _ _ ->
+        Alcotest.fail "wrote an oversize frame")
+  with
   | _ -> Alcotest.fail "an oversize frame must be refused"
   | exception Invalid_argument _ -> ()
 
@@ -950,10 +960,11 @@ let test_protocol_output_length () =
   Alcotest.(check (option string)) "a negative extent is left to Api.problem" None
     (Distal_serve.Server.oversize_reply (one_d_submit ~mode:Exec.Full (-1)))
 
-(* A warm 128x128 reply: encoding allocates the frame and a small
-   constant, decoding only a small constant (the output's bigarray lies
-   outside the OCaml heap). Measured on OCaml 5.1: 104 words beyond the
-   frame to encode, 188 to decode. A payload copied through a byte
+(* A warm 128x128 reply: encoding (or framing without room) allocates
+   the frame and a small constant, framing into a buffer with room only
+   the small constant, decoding only a small constant (the output's
+   bigarray lies outside the OCaml heap). Measured on OCaml 5.1: 104
+   words beyond the frame to encode, 188 to decode. A payload copied through a byte
    buffer, a base64 string or a JSON string would add at least 16,384
    words, a float boxed per element 49,152; the 512-word bounds leave
    room for other compiler versions and nothing for either. *)
@@ -964,7 +975,7 @@ let test_protocol_reply_allocation () =
       { rid = 1; plan_cached = true; result_cached = false; batch = 1;
         stats = golden_stats (); output = Some d }
   in
-  let frame = Protocol.frame_server msg in
+  let frame = Wire.encode (Protocol.encode_server msg) in
   let payload = String.sub frame 9 (String.length frame - 10) in
   let words f =
     let minor, major = Test_kernels.words_of (fun () -> ignore (Sys.opaque_identity (f ()))) in
@@ -976,8 +987,11 @@ let test_protocol_reply_allocation () =
       let enc = words encode in
       if enc > frame_words +. 512.0 then
         Alcotest.failf "%s allocated %.0f words for a %.0f-word frame" what enc frame_words)
-    [ ("frame_server", fun () -> Protocol.frame_server msg);
-      ("encode_server", fun () -> Protocol.encode_server msg) ];
+    [ ("frame_server", fun () -> ignore (Protocol.frame_server Bytes.empty msg));
+      ("encode_server", fun () -> ignore (Protocol.encode_server msg)) ];
+  let room = Bytes.create (String.length frame) in
+  let into = words (fun () -> Protocol.frame_server room msg) in
+  if into > 512.0 then Alcotest.failf "framing into a buffer allocated %.0f words" into;
   let dec = words (fun () -> Protocol.decode_server payload) in
   if dec > 512.0 then Alcotest.failf "decoding allocated %.0f words" dec
 
@@ -1331,6 +1345,57 @@ let test_server_stamps () =
       Alcotest.(check int) "requests compiled" 3 (served_count c "serve.compile_s");
       Alcotest.(check int) "inputs drawn" 1 (served_count c "serve.inputs_s");
       Alcotest.(check int) "requests run" 2 (served_count c "serve.run_s");
+      stop_server c pid;
+      Client.close c)
+
+(* distald hands each replayed output back to the session's pool once
+   its reply is framed: after the first miss of a shape, misses on new
+   seeds draw no new block, and every reply still carries its own run's
+   bytes. *)
+let test_server_releases_outputs () =
+  with_server (fun socket pid ->
+      let c = Client.connect_exn socket in
+      let serve seed =
+        let s = gemm_submit ~id:(Client.fresh_id c) ~seed ~n:16 () in
+        let r = expect_result (Client.submit c s) in
+        Alcotest.(check (pair (list int64) string))
+          (Printf.sprintf "seed %d bytes" seed) (submit_expected s)
+          (bits r.Protocol.output, Stats.to_string r.Protocol.stats)
+      in
+      serve 1;
+      let blocks = served_metric c "serve.input_allocs" in
+      Alcotest.(check (float 0.0)) "B, C and the output" 3.0 blocks;
+      List.iter serve [ 2; 3; 4; 5 ];
+      Alcotest.(check (float 0.0)) "no new blocks" blocks (served_metric c "serve.input_allocs");
+      stop_server c pid;
+      Client.close c)
+
+(* A reply the socket cannot take at once stays in the outbox while the
+   next reply is framed, and must keep its own bytes. A first 256x256
+   reply (about 700 KB of frame, more than a socket buffer) leaves a
+   spare buffer of that size; then two such replies on other seeds are
+   framed before the client reads either. *)
+let test_server_queued_frames () =
+  with_server (fun socket pid ->
+      let submit ~id ~seed = gemm_submit ~id ~seed ~n:256 () in
+      let output fd =
+        match recv_raw fd with
+        | Protocol.Result r -> (bits r.Protocol.output, Stats.to_string r.Protocol.stats)
+        | _ -> Alcotest.fail "expected a result"
+      in
+      let s0 = submit ~id:1 ~seed:1 in
+      let fd = send_together socket [ client_frame (Submit s0) ] in
+      Alcotest.(check (pair (list int64) string)) "first reply" (submit_expected s0) (output fd);
+      let s1 = submit ~id:2 ~seed:2 and s2 = submit ~id:3 ~seed:3 in
+      let frames = client_frame (Submit s1) ^ client_frame (Submit s2) in
+      if Unix.write_substring fd frames 0 (String.length frames) <> String.length frames then
+        Alcotest.fail "short write";
+      let o1 = output fd in
+      let o2 = output fd in
+      Unix.close fd;
+      Alcotest.(check (pair (list int64) string)) "queued reply" (submit_expected s1) o1;
+      Alcotest.(check (pair (list int64) string)) "reply framed behind it" (submit_expected s2) o2;
+      let c = Client.connect_exn socket in
       stop_server c pid;
       Client.close c)
 
@@ -1706,6 +1771,8 @@ let suites =
           test_server_negative_capacities;
         Alcotest.test_case "distald batching" `Quick test_server_batching;
         Alcotest.test_case "distald layer stamps" `Quick test_server_stamps;
+        Alcotest.test_case "distald releases outputs" `Quick test_server_releases_outputs;
+        Alcotest.test_case "distald queued frames" `Quick test_server_queued_frames;
         Alcotest.test_case "distald admission control" `Quick test_server_admission;
         Alcotest.test_case "distald client killed mid-request" `Quick test_server_client_killed;
         Alcotest.test_case "distald killed mid-batch and restarted" `Quick
