@@ -236,14 +236,6 @@ let describe plan =
     (Cin.to_string plan.cin)
     (Taskir.to_string plan.program)
 
-let input_bytes plan =
-  List.fold_left
-    (fun acc t ->
-      if List.mem t.name (Expr.tensors plan.problem.stmt) then
-        acc +. (8.0 *. float_of_int (Distal_support.Ints.prod t.shape))
-      else acc)
-    0.0 plan.problem.tensors
-
 
 (* {2 Requests: the serving layer's unit of work}
 
@@ -339,13 +331,15 @@ let pipeline_script ~machine ~tensors ~stages =
 
 let stage_output (plan : plan) = plan.problem.stmt.Expr.lhs.tensor
 
-let run_pipeline ?cost pl ~data =
+(* Every stage in order: each stage's output (by tensor name) and the
+   summed statistics. *)
+let run_pipeline pl ~data =
   let* outputs, stats =
     List.fold_left
       (fun acc plan ->
         let* outputs, stats = acc in
         let data = outputs @ data in
-        let* r = run ?cost plan ~data in
+        let* r = run plan ~data in
         match r.Exec.output with
         | None -> Error "pipeline stage produced no output"
         | Some out ->

@@ -181,9 +181,6 @@ val describe : plan -> string
 (** The scheduled concrete index notation and the generated task-IR
     pseudo-code. *)
 
-val input_bytes : plan -> float
-(** Total payload bytes of the statement's tensors (for GB/s reporting). *)
-
 
 (** {2 Requests: the serving layer's unit of work}
 
@@ -233,27 +230,13 @@ val compile_request_exn : ?profile:Obs.Profile.t -> request -> plan
 
 type pipeline = { machine : Machine.t; tensors : tensor list; stages : plan list }
 
-val pipeline :
-  machine:Machine.t ->
-  tensors:tensor list ->
-  stages:(string * Schedule.t list) list ->
-  (pipeline, string) result
-(** Each stage is a statement and its schedule. A stage may read tensors
-    produced by earlier stages. *)
-
 val pipeline_script :
   machine:Machine.t ->
   tensors:tensor list ->
   stages:(string * string) list ->
   (pipeline, string) result
-
-val run_pipeline :
-  ?cost:Cost_model.t ->
-  pipeline ->
-  data:(string * Dense.t) list ->
-  ((string * Dense.t) list * Stats.t, string) result
-(** Execute all stages in order; returns every stage's output (by tensor
-    name) and the summed statistics. *)
+(** Each stage is a statement and its schedule script. A stage may read
+    tensors produced by earlier stages. *)
 
 val estimate_pipeline : ?cost:Cost_model.t -> pipeline -> Stats.t
 

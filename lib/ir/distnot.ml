@@ -189,91 +189,130 @@ let procs_of_color lvl ~mdims color =
       if matches coord then coord :: acc else acc)
   |> List.rev
 
-(* Tiles of [seg] (a processor coordinate in this level's machine dims)
-   within the sub-box [rect] of the tensor; empty if a fixed dimension
-   excludes the processor. Blocked axes keep one segment per dimension;
-   cyclic axes produce one segment per strip, so the result is the
-   cartesian product of the per-dimension segment lists. *)
-let level_tiles lvl ~mdims ~(rect : Rect.t) seg =
-  let ok_fix =
-    List.for_all
-      (fun ok -> ok)
-      (List.mapi
-         (fun m axis -> match axis with Fix c -> seg.(m) = c | _ -> true)
-         lvl.machine_axes)
+(* A level's per-processor work, fixed once per tile sweep: the machine
+   coordinates its [Fix] axes require, and per partitioned axis its
+   machine dimension, tensor dimension and kind (both dimensions index the
+   whole machine and tensor). *)
+type sweep_level = {
+  fixes : (int * int) array;
+  parts : (int * int * [ `Block | `Cyclic of int ]) array;
+}
+
+let sweep_levels t =
+  let rec go off = function
+    | [] -> []
+    | lvl :: rest ->
+        let fixes =
+          List.mapi (fun m axis -> match axis with Fix c -> Some (off + m, c) | _ -> None)
+            lvl.machine_axes
+          |> List.filter_map Fun.id |> Array.of_list
+        in
+        let parts =
+          List.filter_map (fun (m, d) -> Option.map (fun (d, kind) -> (off + m, d, kind)) d)
+            (partition_map lvl)
+          |> Array.of_list
+        in
+        { fixes; parts } :: go (off + List.length lvl.machine_axes) rest
   in
-  if not ok_fix then []
-  else begin
-    (* Per tensor dimension: the list of [lo, hi) segments this processor
-       owns within [rect]. *)
-    let rank = Rect.dim rect in
-    let segments = Array.init rank (fun d -> [ (rect.lo.(d), rect.hi.(d)) ]) in
-    List.iter
-      (fun (m, d) ->
-        match d with
-        | None -> ()
-        | Some (d, `Block) ->
-            let ext = rect.hi.(d) - rect.lo.(d) in
-            let bs = Ints.ceil_div (Int.max ext 1) mdims.(m) in
-            let lo = Int.min rect.hi.(d) (rect.lo.(d) + (seg.(m) * bs)) in
-            let hi = Int.min rect.hi.(d) (rect.lo.(d) + ((seg.(m) + 1) * bs)) in
-            segments.(d) <- (if hi > lo then [ (lo, hi) ] else [])
-        | Some (d, `Cyclic b) ->
-            let g = mdims.(m) in
-            let acc = ref [] in
-            let strip = ref (rect.lo.(d) + (seg.(m) * b)) in
-            while !strip < rect.hi.(d) do
-              let hi = Int.min rect.hi.(d) (!strip + b) in
-              if hi > !strip then acc := (!strip, hi) :: !acc;
-              strip := !strip + (b * g)
-            done;
-            segments.(d) <- List.rev !acc)
-      (partition_map lvl);
-    (* Cartesian product of the segment choices, dimension 0 varying
-       fastest. *)
-    let lo = Array.make rank 0 and hi = Array.make rank 0 and acc = ref [] in
-    let rec product d =
-      if d < 0 then acc := Rect.make ~lo:(Array.copy lo) ~hi:(Array.copy hi) :: !acc
+  go 0 t
+
+(* Per tensor dimension, the segments a processor owns within one rect:
+   [count] segments starting at [first], [stride] apart, each [width]
+   wide and clipped at [clip]; [tile_lo] and [tile_hi] hold the tile
+   being built. Blocked axes keep one segment per dimension; cyclic axes
+   produce one segment per strip. One set per tile sweep, reused for
+   every processor. *)
+type segs = {
+  first : int array;
+  stride : int array;
+  count : int array;
+  width : int array;
+  clip : int array;
+  tile_lo : int array;
+  tile_hi : int array;
+}
+
+let segs rank =
+  let z () = Array.make rank 0 in
+  { first = z (); stride = z (); count = z (); width = z (); clip = z (); tile_lo = z ();
+    tile_hi = z () }
+
+(* The non-empty tiles processor [proc] owns within [rect] under level
+   [sl], consed onto [acc] last first: the cartesian product of the
+   per-dimension segments, dimension 0 varying fastest. *)
+let level_tiles sg sl ~mdims ~(rect : Rect.t) proc acc =
+  let rank = Rect.dim rect in
+  for d = 0 to rank - 1 do
+    sg.first.(d) <- rect.lo.(d);
+    sg.count.(d) <- (if rect.hi.(d) > rect.lo.(d) then 1 else 0);
+    sg.width.(d) <- rect.hi.(d) - rect.lo.(d);
+    sg.clip.(d) <- rect.hi.(d)
+  done;
+  Array.iter
+    (fun (m, d, kind) ->
+      let lo = rect.lo.(d) and hi = rect.hi.(d) and seg = proc.(m) in
+      match kind with
+      | `Block ->
+          let bs = Ints.ceil_div (Int.max (hi - lo) 1) mdims.(m) in
+          let l = Int.min hi (lo + (seg * bs)) and h = Int.min hi (lo + ((seg + 1) * bs)) in
+          sg.first.(d) <- l;
+          sg.count.(d) <- (if h > l then 1 else 0);
+          sg.width.(d) <- h - l;
+          sg.clip.(d) <- h
+      | `Cyclic b ->
+          let step = b * mdims.(m) and start = lo + (seg * b) in
+          sg.first.(d) <- start;
+          sg.stride.(d) <- step;
+          sg.count.(d) <- (if start >= hi then 0 else Ints.ceil_div (hi - start) step);
+          sg.width.(d) <- b;
+          sg.clip.(d) <- hi)
+    sl.parts;
+  let rec product d acc =
+    if d < 0 then Rect.make ~lo:(Array.copy sg.tile_lo) ~hi:(Array.copy sg.tile_hi) :: acc
+    else begin
+      let acc = ref acc in
+      for j = sg.count.(d) - 1 downto 0 do
+        let l = sg.first.(d) + (j * sg.stride.(d)) in
+        sg.tile_lo.(d) <- l;
+        sg.tile_hi.(d) <- Int.min sg.clip.(d) (l + sg.width.(d));
+        acc := product (d - 1) !acc
+      done;
+      !acc
+    end
+  in
+  product (rank - 1) acc
+
+(* A processor's tiles: each level subdivides the tiles of the level
+   before; a level whose fixed coordinates exclude the processor leaves
+   none. *)
+let sweep_rects sg levels ~mdims ~full proc =
+  List.fold_left
+    (fun rects sl ->
+      if not (Array.for_all (fun (m, c) -> proc.(m) = c) sl.fixes) then []
       else
-        List.iter
-          (fun (l, h) ->
-            lo.(d) <- l;
-            hi.(d) <- h;
-            product (d - 1))
-          segments.(d)
-    in
-    product (rank - 1);
-    List.rev !acc
-  end
+        List.fold_left
+          (fun acc rect -> level_tiles sg sl ~mdims ~rect proc acc)
+          [] (List.rev rects))
+    (if Rect.is_empty full then [] else [ full ])
+    levels
 
 let rects_of_proc t ~shape ~machine proc =
-  let mdims = (machine : Machine.t).dims in
-  let rec go levels off rects =
-    match levels with
-    | [] -> rects
-    | lvl :: rest ->
-        let k = List.length lvl.machine_axes in
-        let seg = Array.sub proc off k in
-        let rects =
-          List.concat_map
-            (fun rect -> level_tiles lvl ~mdims:(Array.sub mdims off k) ~rect seg)
-            rects
-        in
-        go rest (off + k) rects
-  in
-  List.filter (fun r -> not (Rect.is_empty r)) (go t 0 [ Rect.full shape ])
+  sweep_rects (segs (Array.length shape)) (sweep_levels t) ~mdims:(machine : Machine.t).dims
+    ~full:(Rect.full shape) proc
 
 let rect_of_proc t ~shape ~machine proc =
   match rects_of_proc t ~shape ~machine proc with [ r ] -> Some r | _ -> None
 
 let tiles t ~shape ~machine =
   let procs = Machine.proc_coords machine in
+  let sg = segs (Array.length shape) and levels = sweep_levels t and full = Rect.full shape in
+  let rects = sweep_rects sg levels ~mdims:(machine : Machine.t).dims ~full in
   if not (List.exists (fun lvl -> List.mem Bcast lvl.machine_axes) t) then
     (* Without a broadcast axis no two processors share a tile: blocks and
        cyclic strips of distinct coordinates are disjoint. *)
-    List.concat_map
-      (fun proc -> List.map (fun r -> (r, [ proc ])) (rects_of_proc t ~shape ~machine proc))
-      procs
+    List.fold_left
+      (fun acc proc -> List.fold_right (fun r acc -> (r, [ proc ]) :: acc) (rects proc) acc)
+      [] (List.rev procs)
   else begin
     (* Replicated tiles are merged by their bounds; cyclic distributions
        produce tens of thousands of tiles, so the table hashes ints. *)
@@ -289,7 +328,7 @@ let tiles t ~shape ~machine =
                 let owners = ref [ proc ] in
                 Rect.Tbl.add table r owners;
                 order := (r, owners) :: !order)
-          (rects_of_proc t ~shape ~machine proc))
+          (rects proc))
       procs;
     List.rev_map (fun (r, owners) -> (r, List.rev !owners)) !order
   end

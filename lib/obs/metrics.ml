@@ -81,19 +81,26 @@ let histogram ?(buckets = default_buckets) reg name =
       h)
     (function Histogram h -> Some h | _ -> None)
 
-let observe h v =
-  h.count <- h.count + 1;
-  let st = h.st in
-  st.sum <- st.sum +. v;
-  if v < st.min_v then st.min_v <- v;
-  if v > st.max_v then st.max_v <- v;
-  let rec slot i =
-    if i >= Array.length h.buckets then i
-    else if v <= h.buckets.(i) then i
-    else slot (i + 1)
-  in
-  let i = slot 0 in
-  h.bucket_counts.(i) <- h.bucket_counts.(i) + 1
+let observe_n h v k =
+  if k > 0 then begin
+    h.count <- h.count + k;
+    let st = h.st in
+    (* Added [k] times, so the sum keeps the bits of [k] [observe]s. *)
+    for _ = 1 to k do
+      st.sum <- st.sum +. v
+    done;
+    if v < st.min_v then st.min_v <- v;
+    if v > st.max_v then st.max_v <- v;
+    let rec slot i =
+      if i >= Array.length h.buckets then i
+      else if v <= h.buckets.(i) then i
+      else slot (i + 1)
+    in
+    let i = slot 0 in
+    h.bucket_counts.(i) <- h.bucket_counts.(i) + k
+  end
+
+let observe h v = observe_n h v 1
 
 let histogram_count h = h.count
 

@@ -40,6 +40,12 @@ val histogram : ?buckets:float array -> registry -> string -> histogram
     (suits both bytes and flops). *)
 
 val observe : histogram -> float -> unit
+
+val observe_n : histogram -> float -> int -> unit
+(** [observe_n h v k] records [v] [k] times: the histogram equals the one
+    [k] calls of [observe h v] leave, its sum included, bit for bit.
+    Nothing for [k <= 0]. *)
+
 val histogram_count : histogram -> int
 
 val value : registry -> string -> float option

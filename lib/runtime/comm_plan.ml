@@ -1,6 +1,5 @@
 module Ints = Distal_support.Ints
 module Rect = Distal_tensor.Rect
-module Cost = Distal_machine.Cost_model
 
 type payload = {
   tensor : string;
@@ -16,7 +15,7 @@ type group = {
   fragments : int;
   src : int;
   bytes : float;
-  mutable receivers : (int * Cost.link) list;
+  receivers : int array;
 }
 
 let icmp (a : int) (b : int) = if a < b then -1 else if a > b then 1 else 0
@@ -200,11 +199,15 @@ let mask = (1 lsl bits) - 1
 let table () = { loads = [||]; ends = [||]; n = 0; frags = 0 }
 let fragments tab = tab.frags
 
+(* Fills grown tables: a constant, so a large table is made without the
+   minor collection [Array.make] runs when its initial value is young. *)
+let no_payload = { tensor = ""; pieces = []; merged = []; nfrag = 0; volume = 0 }
+
 let add tab ~t ~src ~dst (p : payload) =
   if (src lor dst) lsr bits <> 0 then invalid_arg "Comm_plan.add: processor index out of range";
   if tab.n = Array.length tab.ends then begin
     let cap = Int.max 16 (2 * tab.n) in
-    let loads = Array.make cap p and ends = Array.make cap 0 in
+    let loads = Array.make cap no_payload and ends = Array.make cap 0 in
     Array.blit tab.loads 0 loads 0 tab.n;
     Array.blit tab.ends 0 ends 0 tab.n;
     tab.loads <- loads;
@@ -216,31 +219,42 @@ let add tab ~t ~src ~dst (p : payload) =
   tab.frags <- tab.frags + p.nfrag
 
 (* [groups]' working arrays, one set per domain, grown as needed and
-   kept for the domain's life: the fetch indices bucketed, and the bucket
-   bounds. Allocating them per step costs more than the grouping: at a
-   few hundred fetches they land on the major heap. *)
-type scratch = { mutable order : int array; mutable count : int array }
+   kept for the domain's life: the fetch indices bucketed, the bucket
+   bounds, where a bucket's messages start among the fetches, the unions
+   of multi-payload messages, and the messages' order. Allocating them
+   per step costs more than the grouping: at a few hundred fetches they
+   land on the major heap. *)
+type scratch = {
+  mutable order : int array;
+  mutable count : int array;
+  mutable start : int array;
+  mutable unions : Rect.t list array;
+  mutable by_msg : int array;
+}
 
-let scratch = Domain.DLS.new_key (fun () -> { order = [||]; count = [||] })
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { order = [||]; count = [||]; start = [||]; unions = [||]; by_msg = [||] })
 
-(* Sort [a.(lo .. hi-1)] by [key], in place; equal keys keep their order.
-   Buckets are usually in order already. *)
-let sort_range key a lo hi =
-  let rec ordered i = i >= hi || (key a.(i - 1) <= key a.(i) && ordered (i + 1)) in
+(* Sort [a.(lo .. hi-1)] by [cmp], in place, unless it is in order
+   already; equal elements keep their order. *)
+let sort_range cmp a lo hi =
+  let rec ordered i = i >= hi || (cmp a.(i - 1) a.(i) <= 0 && ordered (i + 1)) in
   if not (ordered (lo + 1)) then begin
     let sub = Array.sub a lo (hi - lo) in
-    Array.stable_sort (fun x y -> icmp (key x) (key y)) sub;
+    Array.stable_sort cmp sub;
     Array.blit sub 0 a lo (hi - lo)
   end
 
 (* One pass in canonical order: the fetches are bucketed by (tensor name,
    src) with a counting sort, and each bucket is sorted by destination,
-   charge order kept, so a triple's payloads sit together. Buckets and
-   their messages are visited backwards and consed, so groups come out in
-   (tensor, src, payload) order and receivers ascending. A bucket's
-   messages are sorted by payload only when they are not already in
-   order, as a broadcast's are: they share one payload value. *)
-let groups ~link tab =
+   charge order kept, so a triple's payloads sit together. A bucket's
+   messages land in the scratch arrays in destination order and are
+   sorted by (payload, destination) only when they are not in that order
+   already, as a broadcast's are: they share one payload value. Runs of
+   one payload become groups; buckets and runs are visited backwards and
+   consed, so groups come out in (tensor, src, payload) order. *)
+let groups tab =
   let n = tab.n and ends = tab.ends and loads = tab.loads in
   let tensor i = ends.(i) lsr (2 * bits) and src i = (ends.(i) lsr bits) land mask in
   let nt = ref 0 and nsrc = ref 0 in
@@ -248,17 +262,23 @@ let groups ~link tab =
     nt := Int.max !nt (tensor i + 1);
     nsrc := Int.max !nsrc (src i + 1)
   done;
-  let names = Array.make !nt "" and rank = Array.make !nt 0 in
+  let names = Array.make !nt "" in
   for i = 0 to n - 1 do
     names.(tensor i) <- loads.(i).tensor
   done;
-  List.iteri
-    (fun r t -> rank.(t) <- r)
-    (List.sort (fun a b -> String.compare names.(a) names.(b)) (List.init !nt Fun.id));
+  let by_name = Array.init !nt Fun.id and rank = Array.make !nt 0 in
+  sort_range (fun a b -> String.compare names.(a) names.(b)) by_name 0 !nt;
+  Array.iteri (fun r t -> rank.(t) <- r) by_name;
   let nb = !nt * !nsrc and sc = Domain.DLS.get scratch in
-  if Array.length sc.order < n then sc.order <- Array.make (2 * n) 0;
+  if Array.length sc.order < n then begin
+    sc.order <- Array.make (2 * n) 0;
+    sc.start <- Array.make ((2 * n) + 1) 0;
+    sc.unions <- Array.make (2 * n) [];
+    sc.by_msg <- Array.make (2 * n) 0
+  end;
   if Array.length sc.count < nb + 1 then sc.count <- Array.make (2 * (nb + 1)) 0;
   let order = sc.order and count = sc.count and bucket i = (rank.(tensor i) * !nsrc) + src i in
+  let start = sc.start and unions = sc.unions and by_msg = sc.by_msg in
   Array.fill count 0 (nb + 1) 0;
   for i = 0 to n - 1 do
     let b = bucket i in
@@ -275,47 +295,57 @@ let groups ~link tab =
     count.(b) <- count.(b) + 1
   done;
   let dst i = ends.(i) land mask and out = ref [] in
+  (* Message [m] of a bucket sends the payloads of fetches
+     [order.(start.(m)) .. order.(start.(m+1) - 1)], one destination's:
+     its one payload, or their union. *)
+  let single m = start.(m + 1) = start.(m) + 1 in
+  let rects_of m = if single m then loads.(order.(start.(m))).merged else unions.(m) in
+  let dst_of m = dst order.(start.(m)) in
+  let by_payload x y =
+    let c = compare_rects (rects_of x) (rects_of y) in
+    if c <> 0 then c else icmp (dst_of x) (dst_of y)
+  in
   for b = nb - 1 downto 0 do
     let lo = if b = 0 then 0 else count.(b - 1) and hi = count.(b) in
     if hi > lo then begin
-      sort_range dst order lo hi;
-      let t = tensor order.(lo) and s = src order.(lo) in
-      (* The bucket's messages, (payload, volume, dst), descending. *)
-      let msgs = ref [] and k = ref lo in
-      while !k < hi do
-        let d = dst order.(!k) and j = ref !k in
-        while !j < hi && dst order.(!j) = d do
-          incr j
-        done;
-        let p = loads.(order.(!k)) in
-        (if !j = !k + 1 then msgs := (p.merged, p.volume, d) :: !msgs
-         else begin
-           (* Several payloads on one triple: their union, newest first. *)
-           let run = ref [] and volume = ref 0 in
-           for m = !k to !j - 1 do
-             let p = loads.(order.(m)) in
-             run := p :: !run;
-             volume := !volume + p.volume
-           done;
-           msgs := (union !run, !volume, d) :: !msgs
-         end);
-        k := !j
+      sort_range (fun x y -> icmp (dst x) (dst y)) order lo hi;
+      let t = tensor order.(lo) and s = src order.(lo) and nm = ref 0 in
+      start.(0) <- lo;
+      for k = lo + 1 to hi do
+        if k = hi || dst order.(k) <> dst order.(k - 1) then begin
+          let first = start.(!nm) in
+          (* Several payloads on one triple: their union, newest first. *)
+          if k > first + 1 then
+            unions.(!nm) <- union (List.init (k - first) (fun i -> loads.(order.(k - 1 - i))));
+          by_msg.(!nm) <- !nm;
+          incr nm;
+          start.(!nm) <- k
+        end
       done;
-      let desc (r1, _, d1) (r2, _, d2) =
-        let c = compare_rects r2 r1 in
-        if c <> 0 then c else icmp d2 d1
-      in
-      let msgs = if sorted desc !msgs then !msgs else List.stable_sort desc !msgs in
-      List.iter
-        (fun (rects, volume, d) ->
-          match !out with
-          | g :: _ when g.src = s && g.tensor == names.(t) && compare_rects g.rects rects = 0 ->
-              g.receivers <- (d, link s d) :: g.receivers
-          | _ ->
-              let bytes = 8.0 *. float_of_int volume and fragments = List.length rects in
-              let receivers = [ (d, link s d) ] in
-              out := { tensor = names.(t); rects; fragments; src = s; bytes; receivers } :: !out)
-        msgs
+      sort_range by_payload by_msg 0 !nm;
+      (* Runs of one payload, last first; a group's receivers ascend. *)
+      let e = ref !nm in
+      while !e > 0 do
+        let last = by_msg.(!e - 1) and a = ref (!e - 1) in
+        let rects = rects_of last in
+        while !a > 0 && compare_rects (rects_of by_msg.(!a - 1)) rects = 0 do
+          decr a
+        done;
+        let first = !a and volume = ref 0 in
+        let receivers = Array.make (!e - first) 0 in
+        for r = 0 to !e - first - 1 do
+          receivers.(r) <- dst_of by_msg.(first + r)
+        done;
+        for i = start.(last) to start.(last + 1) - 1 do
+          volume := !volume + loads.(order.(i)).volume
+        done;
+        let bytes = 8.0 *. float_of_int !volume and fragments = List.length rects in
+        out := { tensor = names.(t); rects; fragments; src = s; bytes; receivers } :: !out;
+        e := first
+      done;
+      for m = 0 to !nm - 1 do
+        if not (single m) then unions.(m) <- []
+      done
     end
   done;
   !out

@@ -30,7 +30,6 @@
     message rather than riding a broadcast. *)
 
 module Rect = Distal_tensor.Rect
-module Cost = Distal_machine.Cost_model
 
 type payload = {
   tensor : string;
@@ -78,17 +77,19 @@ type group = {
   fragments : int;  (** [List.length rects] *)
   src : int;
   bytes : float;  (** payload bytes, 8 per element *)
-  mutable receivers : (int * Cost.link) list;  (** in ascending order *)
+  receivers : int array;  (** destinations, ascending *)
 }
 (** One payload sent from one source: a point-to-point message, or a
     broadcast when it has several receivers. *)
 
-val groups : link:(int -> int -> Cost.link) -> table -> group list
+val groups : table -> group list
 (** The step's wire messages, grouped into broadcasts: one message per
     (tensor, src, dst) triple, carrying the union of that triple's
-    payloads as one block or strided run. [link src dst] is the link a
-    message takes. The order is canonical — by tensor name, src, then
-    payload — whatever order the fetches arrived in. *)
+    payloads as one block or strided run. The order is canonical — by
+    tensor name, src, then payload — whatever order the fetches arrived
+    in. Building them allocates the groups, their receiver arrays and
+    the unions of multi-payload triples, nothing per message: a step's
+    messages are formed and ordered in per-domain scratch arrays. *)
 
 val describe : Rect.t list -> string
 (** Human-readable payload label for profiles: the rectangle itself for a

@@ -104,6 +104,9 @@ type fentry = {
   mutable f_plan : fetch_group list option;
 }
 
+(* The absent entry: no instance held, no footprint memoized yet. *)
+let no_inst = { f_rect = Rect.full [||]; f_bytes = 0.0; f_plan = None }
+
 (* Turns a task's slot environment into one int at a fixed site of the
    walk: the mixed-radix number of the values a footprint or interval
    depends on ({!Provenance.key_deps}) — a bound slot, or the rotated
@@ -129,6 +132,9 @@ let key_of k (env : int array) =
     acc := !acc + (x * k.k_strides.(i))
   done;
   !acc
+
+(* How many keys a keyer can produce: every key is below this. *)
+let key_range k = if Array.length k.k_mods = 0 then 1 else k.k_strides.(0) * k.k_mods.(0)
 
 (* The task tree with names resolved: loop variables to slots, tensors to
    indices, each [Ensure] to its footprint site. *)
@@ -270,30 +276,29 @@ let observe_groups obs glist =
     (fun (g : Comm_plan.group) ->
       Metrics.inc_int obs.m_copy_groups 1;
       if g.fragments > 1 then Metrics.inc_int obs.m_coalesced 1;
-      let k = List.length g.receivers in
+      let k = Array.length g.receivers in
       Metrics.inc_int obs.m_messages k;
-      for _ = 1 to k do
-        Metrics.observe obs.h_copy_bytes g.bytes
-      done)
+      Metrics.observe_n obs.h_copy_bytes g.bytes k)
     glist
 
 (* Charge one step's copy groups into the per-processor send/recv occupancy
    arrays; returns (payload bytes moved, messages). A processor's two
    occupancies are later combined per the cost model's duplex mode.
    Broadcasts use the large-message collective model; a strided run
-   additionally pays the packing cost on its endpoints. *)
-let price_groups cost ~send ~recv ~mtouch glist =
+   additionally pays the packing cost on its endpoints. [link src dst]
+   is the link a message takes. *)
+let price_groups cost ~link ~send ~recv ~mtouch glist =
   let bytes = ref 0.0 and messages = ref 0 in
   List.iter
     (fun (g : Comm_plan.group) ->
-      let k = List.length g.receivers in
+      let k = Array.length g.receivers in
       bytes := !bytes +. (g.bytes *. float_of_int k);
       messages := !messages + k;
       let pack = Cost.pack_time cost ~fragments:g.fragments in
       if k = 1 then begin
-        let dst, link = List.hd g.receivers in
+        let dst = g.receivers.(0) in
         let t =
-          Cost.strided_copy_time cost link ~bytes:g.bytes ~fragments:g.fragments
+          Cost.strided_copy_time cost (link g.src dst) ~bytes:g.bytes ~fragments:g.fragments
         in
         recv.(dst) <- recv.(dst) +. t;
         mtouch.(dst) <- true;
@@ -309,9 +314,9 @@ let price_groups cost ~send ~recv ~mtouch glist =
         let send_intra = part Cost.Intra and send_inter = part Cost.Inter in
         let bcast_intra = bcast Cost.Intra and bcast_inter = bcast Cost.Inter in
         let inter = ref false in
-        List.iter
-          (fun (dst, link) ->
-            let is_inter = link = Cost.Inter in
+        Array.iter
+          (fun dst ->
+            let is_inter = link g.src dst = Cost.Inter in
             if is_inter then inter := true;
             send.(dst) <- send.(dst) +. if is_inter then send_inter else send_intra;
             recv.(dst) <- recv.(dst) +. (if is_inter then bcast_inter else bcast_intra) +. pack;
@@ -324,12 +329,12 @@ let price_groups cost ~send ~recv ~mtouch glist =
   (!bytes, !messages)
 
 (* One profile instant per wire message, on the receiver's track. *)
-let emit_copy_instants sink ~pid ~ts glist =
+let emit_copy_instants sink ~pid ~link ~ts glist =
   List.iter
     (fun (g : Comm_plan.group) ->
-      let k = List.length g.receivers in
-      List.iter
-        (fun (dst, link) ->
+      let k = Array.length g.receivers in
+      Array.iter
+        (fun dst ->
           Span.instant sink ~name:g.tensor ~cat:"copy" ~pid ~tid:dst ~ts
             ~attrs:
               [
@@ -341,7 +346,7 @@ let emit_copy_instants sink ~pid ~ts glist =
                 ("bytes", Event.Float g.bytes);
                 ( "link",
                   Event.Str
-                    (match link with Cost.Intra -> "intra" | Cost.Inter -> "inter")
+                    (match link g.src dst with Cost.Intra -> "intra" | Cost.Inter -> "inter")
                 );
                 ("receivers", Event.Int k);
               ]
@@ -361,12 +366,14 @@ let emit_copy_instants sink ~pid ~ts glist =
    only when [profiling]) and the planned groups. *)
 let price_step machine cost obs ~link ~kernel ~faults ~profiling ~step ~start a =
   let t_plan = now () in
-  let glist = Comm_plan.groups ~link a.msgs in
+  let glist = Comm_plan.groups a.msgs in
   observe_groups obs glist;
   (* A processor's communication time in a step combines its send and
      receive occupancies per the cost model's duplex mode (full-duplex
      NICs overlap them; framebuffer DMA serializes them). *)
-  let bytes, messages = price_groups cost ~send:a.send ~recv:a.recv ~mtouch:a.mtouch glist in
+  let bytes, messages =
+    price_groups cost ~link ~send:a.send ~recv:a.recv ~mtouch:a.mtouch glist
+  in
   Metrics.inc obs.m_plan_host (now () -. t_plan);
   (* Message faults: a matched drop costs its endpoints a retransmission
      (timeout + full resend), a matched delay holds the receiver back.
@@ -376,13 +383,14 @@ let price_step machine cost obs ~link ~kernel ~faults ~profiling ~step ~start a 
   | Some f when f.msg_faults ->
       List.iter
         (fun (g : Comm_plan.group) ->
-          List.iter
-            (fun (dst, link) ->
+          Array.iter
+            (fun dst ->
               match Injector.msg_action f.inj ~step ~tensor:g.tensor ~src:g.src ~dst with
               | Some Fault.Drop ->
                   Metrics.inc_int f.m_injected 1;
                   let t =
-                    Cost.retransmit_time cost link ~bytes:g.bytes ~fragments:g.fragments
+                    Cost.retransmit_time cost (link g.src dst) ~bytes:g.bytes
+                      ~fragments:g.fragments
                   in
                   a.send.(g.src) <- a.send.(g.src) +. t;
                   a.recv.(dst) <- a.recv.(dst) +. t;
@@ -430,7 +438,7 @@ let price_step machine cost obs ~link ~kernel ~faults ~profiling ~step ~start a 
 (* A priced step's processor tracks: a compute span (with the flops and
    bytes it touched) and the exposed part of the communication on each
    busy processor, then one instant per wire message. *)
-let emit_step sink ~pid (row : Cp.step) a glist =
+let emit_step sink ~pid ~link (row : Cp.step) a glist =
   List.iter
     (fun (sl : Cp.slot) ->
       let proc = sl.Cp.proc in
@@ -450,7 +458,7 @@ let emit_step sink ~pid (row : Cp.step) a glist =
           ~attrs:[ ("occupancy", Event.Float sl.Cp.comm) ]
           ())
     row.Cp.slots;
-  emit_copy_instants sink ~pid ~ts:row.Cp.start glist
+  emit_copy_instants sink ~pid ~link ~ts:row.Cp.start glist
 
 (* Raw fragments per wire message (1.0 when no data moved, or when
    nothing merged). *)
@@ -521,18 +529,16 @@ type ctx = {
   ikeys : keyer array;  (* per index variable: its interval's key and function *)
   ifns : (int array -> int * int) array;
   cursor : Rect_index.cursor;
-  site_memo : fentry Ints.Tbl.t array;
+  site_memo : fentry array array;  (* per site, by key; [no_inst] until computed *)
   rect_memo : fentry Rect.Tbl.t array;
-  ival_memo : int Ints.Tbl.t array;
+  ival_memo : int array array;  (* per index variable, by key; -1 until computed *)
   mutable footprints : int;
   steps_acc : step_acc option array;
   red_contribs : (float * int list) Rect.Tbl.t;
   dyn_peak : float array;
-  m_flops : Metrics.counter;
-  m_bytes_intra : Metrics.counter;
-  m_bytes_inter : Metrics.counter;
+  tally : float array;  (* the walk's flops, intra and inter bytes, then bytes per tensor *)
+  tallied : Metrics.counter array;  (* the counters [tally] reaches, same order *)
   m_tasks : Metrics.counter;
-  m_bytes_t : Metrics.counter array;
   obs : step_obs;
   alloc0 : float * float;
 }
@@ -565,8 +571,6 @@ type task = {
   record : recorder option;
 }
 
-let no_inst = { f_rect = Rect.full [||]; f_bytes = 0.0; f_plan = None }
-
 (* {3 Resolve} *)
 
 let rec leaf_of = function
@@ -577,6 +581,12 @@ let rec seq_loops = function
   | Taskir.Launch { body; _ } | Ensure { body; _ } -> seq_loops body
   | Seq_loop { var; extent; body } -> (var, extent) :: seq_loops body
   | Leaf _ -> []
+
+(* What an index entry array holds before its tiles are written: a
+   value allocated once, so a large entry array is made without a minor
+   collection (the runtime runs one when [Array.make]'s initial value is
+   still young). *)
+let no_tile = (Rect.full [||], [])
 
 (* Per tensor: a spatial index over the distribution's tiles (cyclic
    distributions produce many) and the tiles each physical processor
@@ -594,29 +604,18 @@ let tile_geometry prog ~dists ~vmachine ~nprocs ~lin_of_virtual tensors =
     | Some g -> g
     | None ->
         let vtiles = Distnot.tiles dist ~shape ~machine:vmachine in
-        let dedup owners =
-          match owners with
-          | [ o ] -> [ lin_of_virtual o ]
-          | _ ->
-              List.fold_left
-                (fun acc o ->
-                  let l = lin_of_virtual o in
-                  if mem_int l acc then acc else l :: acc)
-                [] owners
-              |> List.rev
-        in
-        let index = Rect_index.build (List.map (fun (r, owners) -> (r, dedup owners)) vtiles) in
-        (* The owned-tile lists fall out of the same tile sweep ([tiles]
-           already ran [rects_of_proc] for every virtual processor). *)
-        let rects = Array.make nprocs [] in
-        List.iter
-          (fun (r, owners) ->
-            List.iter
-              (fun vc ->
-                let p = lin_of_virtual vc in
-                rects.(p) <- r :: rects.(p))
-              owners)
+        (* One pass fills the index's entries (owners deduped, in order)
+           and the owned-tile lists. *)
+        let entries = Array.make (List.length vtiles) no_tile and rects = Array.make nprocs [] in
+        let dedup acc l = if mem_int l acc then acc else l :: acc in
+        List.iteri
+          (fun i (r, owners) ->
+            let lins = List.map lin_of_virtual owners in
+            List.iter (fun p -> rects.(p) <- r :: rects.(p)) lins;
+            let owners = match lins with [ _ ] -> lins | _ -> List.rev (List.fold_left dedup [] lins) in
+            entries.(i) <- (r, owners))
           vtiles;
+        let index = Rect_index.build entries in
         Hashtbl.add memo key (index, rects);
         (index, rects)
   in
@@ -637,9 +636,6 @@ let resolve ?trace ?profile ?faults spec =
   let reg = match profile with Some (_, r) -> r.Profile.metrics | None -> Metrics.create () in
   let wall_start = now () in
   let alloc0 = alloc_words () in
-  let m_flops = Metrics.counter reg "exec.flops" in
-  let m_bytes_intra = Metrics.counter reg "exec.bytes_intra" in
-  let m_bytes_inter = Metrics.counter reg "exec.bytes_inter" in
   let m_tasks = Metrics.counter reg "exec.tasks" in
   let obs = step_obs reg in
   let prog = spec.program in
@@ -793,6 +789,7 @@ let resolve ?trace ?profile ?faults spec =
   (* The leaf's iteration count is a product of per-variable interval
      lengths, each keyed by the slots that variable depends on. *)
   let ivars = Array.of_list (Expr.index_vars stmt) in
+  let ikeys = Array.map (fun v -> keyer [ v ]) ivars in
   (* Leaf compute is priced as the substituted kernel when the tree names
      one, else the kernel the statement structurally matches. The latter
      covers unsubstituted leaves, which the registry also runs at native
@@ -814,33 +811,43 @@ let resolve ?trace ?profile ?faults spec =
       reads_out; reduction; ops = ops_per_point stmt; nprocs; node_of_lin;
       rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin;
       tensors; out_t = tensor_index out_name; index_t; proc_rects_t;
+      (* Filled in place: [Array.of_list] of more than 256 young values
+         runs a minor collection. *)
       points =
-        (if Array.length ldims = 0 then [| [||] |]
-         else Array.of_list (List.rev (Ints.fold_box ldims ~init:[] ~f:(fun acc c -> c :: acc))));
+        (let pts = Array.make (Ints.prod ldims) [||] in
+         Array.iteri (fun i _ -> pts.(i) <- Ints.delinearize ~dims:ldims i) pts;
+         pts);
       ldims; seq_strides = Ints.row_major_strides seq_dims; nsteps; slot_vars;
       env = Array.make nslots (-1); tree; sites; leaf_site;
       footprint_fns =
         Array.map
           (fun tn -> Bounds.footprint_fn prov ~slot ~stmt ~shape:(Taskir.shape_of prog tn) tn)
           tensors;
-      ikeys = Array.map (fun v -> keyer [ v ]) ivars;
+      ikeys;
       ifns = Array.map (Provenance.interval_fn prov ~slot) ivars;
       (* The walk's memos, shared by every task: tasks hit the same
          footprints, fetch plans and interval lengths whenever their
-         dependent bindings agree. A footprint reached under different
-         keys (or at different sites) resolves to one entry per (tensor,
-         rect), so its fetch plan is built once. *)
+         dependent bindings agree. Site and interval memos are flat
+         arrays over their keys' range, which is at most the number of
+         times the walk reaches the site (DESIGN.md, "Flat memos"). A
+         footprint reached under different keys (or at different sites)
+         resolves to one entry per (tensor, rect), so its fetch plan is
+         built once. *)
       cursor = Rect_index.cursor ();
-      site_memo = Array.map (fun _ -> Ints.Tbl.create 64) sites;
+      site_memo = Array.map (fun (_, k) -> Array.make (key_range k) no_inst) sites;
       rect_memo = Array.map (fun _ -> Rect.Tbl.create 64) tensors;
-      ival_memo = Array.map (fun _ -> Ints.Tbl.create 16) ivars;
+      ival_memo = Array.map (fun k -> Array.make (key_range k) (-1)) ikeys;
       footprints = 0; steps_acc = Array.make nsteps None; red_contribs = Rect.Tbl.create 16;
-      dyn_peak = Array.make nprocs 0.0; m_flops; m_bytes_intra; m_bytes_inter; m_tasks;
+      dyn_peak = Array.make nprocs 0.0;
+      tally = Array.make (3 + Array.length tensors) 0.0;
       (* Per-operand traffic for the utilization report, registered up
          front so zero-traffic operands still show up. *)
-      m_bytes_t =
-        Array.map (fun tn -> Metrics.counter reg ("exec.bytes_by_tensor." ^ tn)) tensors;
-      obs; alloc0 }
+      tallied =
+        Array.map (Metrics.counter reg)
+          (Array.append
+             [| "exec.flops"; "exec.bytes_intra"; "exec.bytes_inter" |]
+             (Array.map (fun tn -> "exec.bytes_by_tensor." ^ tn) tensors));
+      m_tasks; obs; alloc0 }
   in
   Metrics.set (Metrics.gauge reg "exec.setup_wall_s") (now () -. wall_start);
   Ok c
@@ -872,23 +879,23 @@ let acc_of c step =
 (* The footprint a site needs under the current bindings. *)
 let entry c site =
   let t, k = c.sites.(site) in
-  let key = key_of k c.env in
-  let tbl = c.site_memo.(site) in
-  match Ints.Tbl.find tbl key with
-  | e -> e
-  | exception Not_found ->
-      let rect = c.footprint_fns.(t) c.env in
-      c.footprints <- c.footprints + 1;
-      let e =
-        match Rect.Tbl.find c.rect_memo.(t) rect with
-        | e -> e
-        | exception Not_found ->
-            let e = { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None } in
-            Rect.Tbl.add c.rect_memo.(t) rect e;
-            e
-      in
-      Ints.Tbl.add tbl key e;
-      e
+  let memo = c.site_memo.(site) and key = key_of k c.env in
+  let e = memo.(key) in
+  if e != no_inst then e
+  else begin
+    let rect = c.footprint_fns.(t) c.env in
+    c.footprints <- c.footprints + 1;
+    let e =
+      match Rect.Tbl.find c.rect_memo.(t) rect with
+      | e -> e
+      | exception Not_found ->
+          let e = { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None } in
+          Rect.Tbl.add c.rect_memo.(t) rect e;
+          e
+    in
+    memo.(key) <- e;
+    e
+  end
 
 (* Placement under faults: an effect landing on a processor that is dead
    at its step executes on its failover target instead ({!Mapper.fallback}
@@ -912,10 +919,9 @@ let charge_batch c ~step ~t ~src ~dst (p : Comm_plan.payload) =
     let a = acc_of c step in
     let bytes = 8.0 *. float_of_int p.volume in
     Comm_plan.add a.msgs ~t ~src ~dst p;
-    (match link_between c.node_of_lin src dst with
-    | Cost.Intra -> Metrics.inc c.m_bytes_intra bytes
-    | Cost.Inter -> Metrics.inc c.m_bytes_inter bytes);
-    Metrics.inc c.m_bytes_t.(t) bytes;
+    let l = if link_between c.node_of_lin src dst = Cost.Intra then 1 else 2 in
+    c.tally.(l) <- c.tally.(l) +. bytes;
+    c.tally.(3 + t) <- c.tally.(3 + t) +. bytes;
     if c.rack_of_lin.(src) <> c.rack_of_lin.(dst) then a.cross.(0) <- a.cross.(0) +. bytes;
     match c.trace with
     | Some log ->
@@ -1028,7 +1034,7 @@ let ensure c tk t site =
   let cur = tk.inst.(t) in
   let fresh =
     if cur == no_inst then true
-    else if Rect.equal cur.f_rect e.f_rect then false
+    else if cur == e then false
     else begin
       if t = c.out_t then flush_output c tk ~step:(step_of c) cur;
       if tk.counted.(t) then shrink tk cur.f_bytes;
@@ -1129,17 +1135,12 @@ let exec_leaf c tk =
   (* Leaf iteration count: a product of per-variable interval lengths. *)
   let points = ref 1.0 in
   for i = 0 to Array.length c.ikeys - 1 do
-    let tbl = c.ival_memo.(i) and key = key_of c.ikeys.(i) c.env in
-    let len =
-      match Ints.Tbl.find tbl key with
-      | len -> len
-      | exception Not_found ->
-          let lo, hi = c.ifns.(i) c.env in
-          let len = Int.max 0 (hi - lo) in
-          Ints.Tbl.add tbl key len;
-          len
-    in
-    points := !points *. float_of_int len
+    let memo = c.ival_memo.(i) and key = key_of c.ikeys.(i) c.env in
+    if memo.(key) < 0 then begin
+      let lo, hi = c.ifns.(i) c.env in
+      memo.(key) <- Int.max 0 (hi - lo)
+    end;
+    points := !points *. float_of_int memo.(key)
   done;
   let bytes = ref 0.0 in
   for t = 0 to Array.length tk.inst - 1 do
@@ -1151,7 +1152,7 @@ let exec_leaf c tk =
   a.cflops.(proc) <- a.cflops.(proc) +. flops;
   a.cbytes.(proc) <- a.cbytes.(proc) +. !bytes;
   a.ctouch.(proc) <- true;
-  Metrics.inc c.m_flops flops;
+  c.tally.(0) <- c.tally.(0) +. flops;
   match tk.record with Some r -> r.bops <- bind_leaf c tk r :: r.bops | None -> ()
 
 let rec walk_node c tk = function
@@ -1211,10 +1212,13 @@ let walk c record =
         | None -> [||])
       c.points
   in
-  (* Pricing needs none of the walk's memos: let them go before it runs. *)
-  Array.iter Ints.Tbl.reset c.site_memo;
+  (* The tallies reach their counters once, each as one sum in walk
+     order. Pricing needs none of the walk's memos: let them go before it
+     runs. *)
+  Array.iteri (fun i m -> Metrics.inc m c.tally.(i)) c.tallied;
+  Array.fill c.site_memo 0 (Array.length c.site_memo) [||];
   Array.iter Rect.Tbl.reset c.rect_memo;
-  Array.iter Ints.Tbl.reset c.ival_memo;
+  Array.fill c.ival_memo 0 (Array.length c.ival_memo) [||];
   Metrics.set (Metrics.gauge c.reg "exec.compute_wall_s") (now () -. t0);
   bops
 
@@ -1359,9 +1363,9 @@ let price c =
                then Cost.Intra
                else Cost.Inter
              in
-             (match link with
-             | Cost.Intra -> Metrics.inc c.m_bytes_intra (bytes *. float_of_int (k - 1))
-             | Cost.Inter -> Metrics.inc c.m_bytes_inter (bytes *. float_of_int (k - 1)));
+             Metrics.inc
+               c.tallied.(if link = Cost.Intra then 1 else 2)
+               (bytes *. float_of_int (k - 1));
              Metrics.inc_int c.obs.m_messages (k - 1);
              max acc (Cost.reduce_time cost link ~bytes ~contributors:k)
            end)
@@ -1428,7 +1432,7 @@ let emit c p =
               ]
             ();
           Span.counter sink ~name:"bytes moved" ~pid ~tid:rt ~ts:row.Cp.start row.Cp.bytes;
-          emit_step sink ~pid row
+          emit_step sink ~pid ~link:(link_between c.node_of_lin) row
             (Option.get c.steps_acc.(row.Cp.index))
             p.groups.(row.Cp.index))
         p.rows;
@@ -1762,7 +1766,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
   | Some p, Some run ->
       let sink = Profile.sink p and pid = run.Profile.pid in
       name_proc_tracks sink ~pid machine;
-      emit_step sink ~pid row a glist;
+      emit_step sink ~pid ~link:link_of row a glist;
       run.Profile.timeline <-
         Some
           { Cp.nprocs; overhead = 0.0; reduction = 0.0; recovery = 0.0; steps = [ row ];

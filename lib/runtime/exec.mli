@@ -79,6 +79,11 @@ val execute :
 
     The simulation runs on the calling domain, one task after another in
     launch-point order, each task's effects landing as it produces them.
+    Tasks share the walk's footprints, fetch plans and interval lengths
+    through flat arrays indexed by a mixed-radix key of the bindings
+    they depend on, each no longer than the number of times the walk
+    reaches its site ([exec.footprints] counts the footprints computed);
+    the walk frees them before pricing.
     [domains] sizes only the host domain pool that replays a [Full] run
     ({!run_plan}; default: [DISTAL_NUM_DOMAINS], else the available
     cores). Determinism contract: results, copy traces, stats and event

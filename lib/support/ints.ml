@@ -51,13 +51,6 @@ let mix h x =
   let h = (h lxor x) * 0x2127599bf4325c37 in
   h lxor (h lsr 29)
 
-module Tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash x = mix 0 x land max_int
-end)
-
 let to_string a =
   "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"
 

@@ -37,6 +37,3 @@ val mix : int -> int -> int
 (** [mix h x] folds [x] into the running hash [h], spreading regular
     inputs (multiples of a tile size, say) over all bits, so hash tables
     keyed by coordinates do not pile into a few buckets. *)
-
-module Tbl : Hashtbl.S with type key = int
-(** Hash tables keyed by ints, hashed with {!mix}. *)

@@ -32,62 +32,83 @@ let upper_bound (a : int array) (x : int) =
   done;
   !lo
 
-(* The sorted distinct values of [vals], and a function from each of
-   them to its position. Tile bounds are coordinates inside a tensor, so
-   they usually span a range not much wider than their count: mark them
-   in a table over that range, which then maps each value to its
-   position directly. Otherwise sort and binary-search. *)
-let cuts_of (vals : int array) =
-  let n = Array.length vals in
-  let lo = Array.fold_left Int.min max_int vals and hi = Array.fold_left Int.max min_int vals in
-  if n = 0 || hi - lo > (4 * n) + 64 then
-    let cuts = Array.of_list (List.sort_uniq Int.compare (Array.to_list vals)) in
-    (cuts, lower_bound cuts)
+(* The sorted distinct bounds of [entries] along dimension [d], and the
+   position of each among them. Tile bounds are coordinates inside a
+   tensor, so they usually span a range not much wider than their count:
+   mark them in a table over that range ([pos], from [base]), which then
+   maps each bound to its position directly. Otherwise sort a copy and
+   binary-search ([pos] empty). No intermediate list either way. *)
+type cuts = { bounds : int array; pos : int array; base : int }
+
+let position c v = if Array.length c.pos = 0 then lower_bound c.bounds v else c.pos.(v - c.base)
+
+let cuts_along (entries : (Rect.t * _) array) d =
+  let n = Array.length entries in
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun ((r : Rect.t), _) ->
+      lo := Int.min !lo (Int.min r.lo.(d) r.hi.(d));
+      hi := Int.max !hi (Int.max r.lo.(d) r.hi.(d)))
+    entries;
+  let lo = !lo and hi = !hi in
+  if n = 0 || hi - lo > (8 * n) + 64 then begin
+    let vals = Array.make (2 * n) 0 in
+    Array.iteri
+      (fun i ((r : Rect.t), _) ->
+        vals.(2 * i) <- r.lo.(d);
+        vals.((2 * i) + 1) <- r.hi.(d))
+      entries;
+    Array.sort Int.compare vals;
+    let m = ref 0 in
+    Array.iter
+      (fun v ->
+        if !m = 0 || vals.(!m - 1) <> v then begin
+          vals.(!m) <- v;
+          incr m
+        end)
+      vals;
+    { bounds = Array.sub vals 0 !m; pos = [||]; base = 0 }
+  end
   else begin
     let pos = Array.make (hi - lo + 1) (-1) in
-    Array.iter (fun v -> pos.(v - lo) <- 0) vals;
-    let out = ref [] and m = ref 0 in
+    Array.iter
+      (fun ((r : Rect.t), _) ->
+        pos.(r.lo.(d) - lo) <- 0;
+        pos.(r.hi.(d) - lo) <- 0)
+      entries;
+    let m = ref 0 in
     for i = 0 to hi - lo do
       if pos.(i) = 0 then begin
         pos.(i) <- !m;
-        incr m;
-        out := (i + lo) :: !out
+        incr m
       end
     done;
-    (Array.of_list (List.rev !out), fun v -> pos.(v - lo))
+    let bounds = Array.make !m 0 in
+    for i = 0 to hi - lo do
+      if pos.(i) >= 0 then bounds.(pos.(i)) <- i + lo
+    done;
+    { bounds; pos; base = lo }
   end
 
-let build tile_list =
-  let entries = Array.of_list tile_list in
+let build entries =
   let n = Array.length entries in
   let dims = if n = 0 then 0 else Rect.dim (fst entries.(0)) in
-  let cuts_pos =
-    Array.init dims (fun d ->
-        let vals = Array.make (2 * n) 0 in
-        Array.iteri
-          (fun i ((r : Rect.t), _) ->
-            vals.(2 * i) <- r.lo.(d);
-            vals.((2 * i) + 1) <- r.hi.(d))
-          entries;
-        cuts_of vals)
-  in
-  let cuts = Array.map fst cuts_pos in
+  let cuts = Array.init dims (cuts_along entries) in
   (* Per dimension, each non-empty tile covers the slab range [a, b);
      count the slabs' populations first, then fill the slabs in one flat
      array in ascending tile-id order. *)
   let slabs d f =
-    let pos = snd cuts_pos.(d) in
     for id = 0 to n - 1 do
       let r : Rect.t = fst entries.(id) in
       if not (Rect.is_empty r) then
-        for s = pos r.lo.(d) to pos r.hi.(d) - 1 do
+        for s = position cuts.(d) r.lo.(d) to position cuts.(d) r.hi.(d) - 1 do
           f id s
         done
     done
   in
   let built =
     Array.init dims (fun d ->
-        let nslabs = Int.max 0 (Array.length cuts.(d) - 1) in
+        let nslabs = Int.max 0 (Array.length cuts.(d).bounds - 1) in
         let start = Array.make (nslabs + 1) 0 in
         slabs d (fun _ s -> start.(s + 1) <- start.(s + 1) + 1);
         for s = 1 to nslabs do
@@ -100,7 +121,7 @@ let build tile_list =
         (ids, start))
   in
   let buckets = Array.map fst built and prefix = Array.map snd built in
-  { entries; dims; cuts; buckets; prefix }
+  { entries; dims; cuts = Array.map (fun c -> c.bounds) cuts; buckets; prefix }
 
 let length t = Array.length t.entries
 let tiles t = Array.to_list t.entries

@@ -22,10 +22,11 @@ type cursor
 val cursor : unit -> cursor
 (** A fresh, empty cursor. *)
 
-val build : (Rect.t * 'a) list -> 'a t
-(** Index the given tiles. Tiles may overlap (replicated distributions
-    store one entry per distinct tile, so they usually do not). All rects
-    must have the same dimensionality. *)
+val build : (Rect.t * 'a) array -> 'a t
+(** Index the given tiles, in array order; the index keeps the array, so
+    the caller must not change it afterwards. Tiles may overlap
+    (replicated distributions store one entry per distinct tile, so they
+    usually do not). All rects must have the same dimensionality. *)
 
 val length : 'a t -> int
 (** Number of indexed tiles. *)

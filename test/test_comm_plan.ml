@@ -72,11 +72,11 @@ let elements groups =
   List.concat_map
     (fun (g : Comm_plan.group) ->
       List.concat_map
-        (fun (dst, _) ->
+        (fun dst ->
           List.concat_map
             (fun r -> List.map (fun p -> (g.Comm_plan.tensor, p, g.Comm_plan.src, dst)) (points r))
             g.Comm_plan.rects)
-        g.Comm_plan.receivers)
+        (Array.to_list g.Comm_plan.receivers))
     groups
   |> List.sort compare
 
@@ -90,13 +90,11 @@ let fetched batches =
     batches
   |> List.sort compare
 
-let link src dst = if src / 2 = dst / 2 then Cost.Intra else Cost.Inter
-
 (* One step's plan: the batches added to a table in order, then grouped. *)
 let plan batches =
   let tab = Comm_plan.table () in
   List.iter (fun (t, src, dst, p) -> Comm_plan.add tab ~t ~src ~dst p) batches;
-  Comm_plan.groups ~link tab
+  Comm_plan.groups tab
 
 (* Random batches: disjoint unit cells of a small box per batch, random
    (tensor, src, dst) per batch — collisions across batches exercise the
@@ -143,7 +141,7 @@ let fuzz_multiset seed =
       let vol = List.fold_left (fun acc r -> acc + Rect.volume r) 0 g.Comm_plan.rects in
       if g.Comm_plan.bytes <> 8.0 *. float_of_int vol then
         QCheck.Test.fail_reportf "bytes %g /= 8 x payload volume %d" g.Comm_plan.bytes vol;
-      let dsts = List.map fst g.Comm_plan.receivers in
+      let dsts = Array.to_list g.Comm_plan.receivers in
       if List.sort compare dsts <> dsts then
         QCheck.Test.fail_reportf "receivers out of order in %s" (show g.Comm_plan.rects))
     planned;
@@ -171,7 +169,9 @@ let fuzz_multiset seed =
   let messages =
     List.concat_map
       (fun (g : Comm_plan.group) ->
-        List.map (fun (d, _) -> (g.Comm_plan.tensor, g.Comm_plan.src, d)) g.Comm_plan.receivers)
+        List.map
+          (fun d -> (g.Comm_plan.tensor, g.Comm_plan.src, d))
+          (Array.to_list g.Comm_plan.receivers))
       planned
   in
   let triples =
@@ -201,7 +201,7 @@ let test_two_batches_separated () =
   Alcotest.(check string) "strided run" "[0,2) (+1 fragments)" (show g.Comm_plan.rects);
   Alcotest.(check int) "fragments" 2 g.Comm_plan.fragments;
   Alcotest.(check (float 0.0)) "bytes" 32.0 g.Comm_plan.bytes;
-  Alcotest.(check (list int)) "receivers" [ 2 ] (List.map fst g.Comm_plan.receivers)
+  Alcotest.(check (array int)) "receivers" [| 2 |] g.Comm_plan.receivers
 
 let test_two_batches_overlapping () =
   (* Hulls [0,3) and [1,4) overlap: the union goes through [merge_rects],

@@ -45,20 +45,6 @@ let test_schedule_purity_on_failure () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "original cin unusable after failed schedule: %s" e
 
-let test_input_bytes () =
-  let machine = Api.Machine.grid [| 2 |] in
-  let p =
-    Api.problem_exn ~machine ~stmt:"A(i) = B(i)"
-      ~tensors:
-        [
-          Api.tensor "A" [| 10 |] ~dist:"[x] -> [x]";
-          Api.tensor "B" [| 10 |] ~dist:"[x] -> [x]";
-        ]
-      ()
-  in
-  let plan = Api.compile_script_exn p ~schedule:"" in
-  Alcotest.(check (float 0.0)) "A and B bytes" 160.0 (Api.input_bytes plan)
-
 let test_default_cost_by_kind () =
   let cpu = Api.Machine.grid [| 2 |] in
   let gpu = Api.Machine.grid ~kind:Api.Machine.Gpu [| 2 |] in
@@ -135,7 +121,6 @@ let suites =
       [
         Alcotest.test_case "stats arithmetic" `Quick test_stats_arithmetic;
         Alcotest.test_case "schedule purity" `Quick test_schedule_purity_on_failure;
-        Alcotest.test_case "input bytes" `Quick test_input_bytes;
         Alcotest.test_case "default cost" `Quick test_default_cost_by_kind;
         Alcotest.test_case "random inputs" `Quick test_random_inputs_deterministic;
         Alcotest.test_case "deterministic simulation" `Quick test_simulation_deterministic;

@@ -76,6 +76,42 @@ let test_metrics_registry () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("metrics json: " ^ e)
 
+(* [observe_n h v k] leaves the histogram k [observe h v] calls leave:
+   count, buckets, min, max and the sum's bits, which depend on adding
+   [v] one at a time (0.1 added three times is not 0.3). *)
+let test_observe_n () =
+  List.iter
+    (fun (prior, v, k) ->
+      let hist () =
+        let reg = Metrics.create () in
+        let h = Metrics.histogram reg "h" in
+        List.iter (Metrics.observe h) prior;
+        (reg, h)
+      in
+      let reg_n, h_n = hist () and reg_1, h_1 = hist () in
+      Metrics.observe_n h_n v k;
+      for _ = 1 to k do
+        Metrics.observe h_1 v
+      done;
+      let what = Printf.sprintf "%g x %d" v k in
+      Alcotest.(check int) (what ^ " count") (Metrics.histogram_count h_1)
+        (Metrics.histogram_count h_n);
+      Alcotest.(check (option int64))
+        (what ^ " sum bits")
+        (Option.map Int64.bits_of_float (Metrics.value reg_1 "h"))
+        (Option.map Int64.bits_of_float (Metrics.value reg_n "h"));
+      Alcotest.(check string) (what ^ " json") (Json.to_string (Metrics.to_json reg_1))
+        (Json.to_string (Metrics.to_json reg_n)))
+    [
+      ([], 0.1, 3);
+      ([ 1e-3 ], 0.1, 7);
+      ([ 5.0; 2e6 ], 4096.0, 15);
+      ([ 3.0 ], 1e13, 2);
+      ([ 3.0 ], 7.0, 1);
+      ([ 3.0 ], 7.0, 0);
+      ([], 2.5, 0);
+    ]
+
 let test_stats_of_registry () =
   let reg = Metrics.create () in
   Metrics.set (Metrics.gauge reg "exec.time") 2.5;
@@ -269,6 +305,7 @@ let suites =
         Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "json errors" `Quick test_json_errors;
         Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+        Alcotest.test_case "histogram observe_n" `Quick test_observe_n;
         Alcotest.test_case "stats of registry" `Quick test_stats_of_registry;
         Alcotest.test_case "trace valid json" `Quick test_trace_valid_json;
         Alcotest.test_case "full/model deterministic" `Quick

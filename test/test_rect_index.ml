@@ -22,7 +22,7 @@ let show_pieces ps =
     (List.map (fun (r, v) -> Printf.sprintf "%s=%d" (Rect.to_string r) v) ps)
 
 let check_same ~what tiles rect =
-  let idx = Rect_index.build tiles in
+  let idx = Rect_index.build (Array.of_list tiles) in
   let got = Rect_index.query ~cursor:(Rect_index.cursor ()) idx rect in
   let want = linear tiles rect in
   if got <> want then
@@ -76,16 +76,16 @@ let test_edge_cases () =
   (* No tiles; empty query; query outside all tiles; scalar tiles. *)
   let cursor = Rect_index.cursor () in
   Alcotest.(check int) "empty index" 0
-    (List.length (Rect_index.query ~cursor (Rect_index.build []) (Rect.make ~lo:[| 0 |] ~hi:[| 4 |])));
+    (List.length (Rect_index.query ~cursor (Rect_index.build [||]) (Rect.make ~lo:[| 0 |] ~hi:[| 4 |])));
   let tiles = [ (Rect.make ~lo:[| 0 |] ~hi:[| 4 |], 0); (Rect.make ~lo:[| 4 |] ~hi:[| 8 |], 1) ] in
-  let idx = Rect_index.build tiles in
+  let idx = Rect_index.build (Array.of_list tiles) in
   Alcotest.(check int) "empty query" 0
     (List.length (Rect_index.query ~cursor idx (Rect.make ~lo:[| 2 |] ~hi:[| 2 |])));
   Alcotest.(check int) "query past the tiles" 0
     (List.length (Rect_index.query ~cursor idx (Rect.make ~lo:[| 9 |] ~hi:[| 12 |])));
   let scalar = Rect.make ~lo:[||] ~hi:[||] in
   Alcotest.(check int) "scalar tiles" 1
-    (List.length (Rect_index.query ~cursor (Rect_index.build [ (scalar, 0) ]) scalar))
+    (List.length (Rect_index.query ~cursor (Rect_index.build [| (scalar, 0) |]) scalar))
 
 let suites =
   [
