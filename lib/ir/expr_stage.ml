@@ -1,4 +1,3 @@
-module Ints = Distal_support.Ints
 module Rect = Distal_tensor.Rect
 module Dense = Distal_tensor.Dense
 module Kreg = Distal_tensor.Kernel_registry
@@ -6,28 +5,38 @@ module A1 = Bigarray.Array1
 
 (* Staged leaf evaluation.
 
-   The generic leaf loop walks every point of the leaf box, re-resolves
-   each index variable through [Provenance.raw_point_fn], re-checks
-   [Provenance.guards_fn], and evaluates the statement tree with a
-   hashtable-backed environment — per element. All of that is loop
-   structure, not data: for a fixed statement and leaf-variable nest,
-   every access coordinate is an affine function of the leaf variables
-   (integer base plus nonnegative per-variable coefficients), and every
-   guard is either constant across the leaf or the same kind of affine
-   form, whose passing set along the innermost contributing variable is a
+   Every scalar leaf runs as flat loops. Evaluating a leaf point by
+   point would walk every point of the leaf box, re-resolve each index
+   variable through [Provenance.raw_point_fn], re-check
+   [Provenance.guards_fn], and evaluate the statement tree with a
+   hashtable-backed environment. All of that is loop structure, not
+   data: for a fixed statement and leaf-variable nest, every access
+   coordinate is an affine function of the leaf variables (integer base
+   plus nonnegative per-variable coefficients), and every guard is
+   either constant across the leaf or the same kind of affine form,
+   whose passing set along the innermost contributing variable is a
    prefix [0, hi).
+
+   Two derivations are affine only piecewise, and the nest follows
+   them. A fused leaf variable [f = first * ext second + second] visits
+   the points of the nest (first, second) in the same order, so the
+   nest has a level for each part. A rotated leaf variable, shifted by
+   enclosing variables, gives its target [(x + c) mod E]: [x + c] below
+   [E - c] and [x + c - E] from there, two affine segments of one level
+   with a constant jump between them. Each coefficient vector has a
+   column per level and a wrap column per level, the jump's share.
 
    [plan] runs that analysis once per (provenance, statement, leaf nest):
    it classifies every access index and every consumed (guarded) variable
-   as constant / affine / neither, compiles the statement into a closure
-   over the instances' bigarray buffers and precomputed slot offsets, and
-   turns affine guards into per-level upper clamps. [bind] then
-   specializes a plan to one leaf — concrete outer environment and
-   instance geometry, both known when the executable plan is compiled —
-   producing flat loops over per-slot offsets and strides; [run_nest]
-   runs them over the buffers of one run. Executed points, order and
-   float operations match the generic path exactly; non-affine shapes
-   fall back to the caller's oracle ([Expr.eval]).
+   as constant / affine, compiles the statement into a closure over the
+   instances' bigarray buffers and precomputed slot offsets, and turns
+   affine guards into per-level upper clamps. Any other shape is an
+   error that names the variable. [bind] then specializes a plan to one
+   leaf — concrete outer environment and instance geometry, both known
+   when the executable plan is compiled — producing flat loops over
+   per-slot offsets and strides; [run_nest] runs them over the buffers of
+   one run. Executed points, order and float operations match
+   [Expr.eval] over the leaf box exactly.
 
    On top of the nest, [plan] also asks [Kernel_match] whether the
    statement is one of the registry's leaf kernels with the nest mapping
@@ -41,7 +50,9 @@ module A1 = Bigarray.Array1
    keeps its loop state (current offsets and guard values) as scratch,
    so one bound nest runs on one domain at a time. *)
 
-type cls = C | A of int array  (* per-leaf-var coefficients, all >= 0 *)
+(* Per-column coefficients, all >= 0 on the [nv] level columns and <= 0
+   on the [nv] wrap columns that follow them. *)
+type cls = C | A of int array
 
 type aguard = { g_coeffs : int array; g_ext : int; g_dmax : int }
 
@@ -60,60 +71,77 @@ type plan = {
   points : (Ident.t, (Ident.t -> int option) -> int option) Hashtbl.t;
       (* [Provenance.raw_point_fn] of each guarded or accessed variable,
          compiled once *)
-  leaf_vars : Ident.t array;
-  extents : int array;  (* per leaf var *)
-  leaf_index : (Ident.t, int) Hashtbl.t;
+  leaf_vars : Ident.t list;  (* the nest's loops, all 0 at the leaf's first point *)
+  extents : int array;  (* per level *)
+  wraps : Ident.t option array;  (* per level: the target a rotation shifts *)
   slots : slot array;  (* rhs accesses left-to-right, then lhs last *)
-  c_guards : (Ident.t * int) list;  (* consumed vars constant across the leaf *)
-  a_guards : (Ident.t * aguard) list;
+  guards : (Ident.t * aguard) list;  (* [g_dmax < 0]: constant across the leaf *)
   kdisp : kdisp option;
   rhs : Dense.buf array -> int array -> float;
 }
 
 let slots p = Array.map (fun s -> s.s_access) p.slots
 
-(* Classify a variable's raw point value as a function of the leaf
-   variables. [None] = not representable (affine composed through a
-   fuse or rotation of a leaf-dependent value). *)
-let classify prov ~leaf_index ~nv =
-  let memo : (Ident.t, cls option) Hashtbl.t = Hashtbl.create 16 in
-  let zeros () = Array.make nv 0 in
-  let norm a = if Array.for_all (fun c -> c = 0) a then C else A a in
+exception Unstageable of string
+
+let unstageable fmt = Printf.ksprintf (fun s -> raise (Unstageable s)) fmt
+
+(* The nest's levels for one leaf variable: the variable, or the two
+   parts it was fused from, which enumerate the same points in the same
+   order. *)
+let levels prov v =
+  let part pos =
+    List.find_opt
+      (fun u -> Provenance.consumption prov u = Some (Provenance.Fused_into { fused = v; pos }))
+      (Provenance.consumed prov)
+  in
+  match (part `First, part `Second) with Some a, Some b -> [ a; b ] | _ -> [ v ]
+
+(* Classify a variable's raw point value as a function of the [nv]
+   levels. A rotation whose result is a level, shifted by leaf-constant
+   variables, records its target in [wraps]. Raises [Unstageable] for
+   any other leaf-dependent fuse or rotation. *)
+let classify prov ~leaf_vars ~leaf_index ~wraps ~nv =
+  let zeros () = Array.make (2 * nv) 0 in
+  let unit l =
+    let a = zeros () in
+    a.(l) <- 1;
+    a
+  in
+  let arr = function C -> zeros () | A a -> a in
   let rec go v =
-    match Hashtbl.find_opt memo v with
-    | Some c -> c
-    | None ->
-        let c =
-          match Hashtbl.find_opt leaf_index v with
-          | Some l ->
-              let a = zeros () in
-              a.(l) <- 1;
-              Some (A a)
-          | None -> (
-              if Provenance.is_live prov v then Some C
-              else
-                match Provenance.consumption prov v with
-                | None -> Some C  (* unknown or unconsumed: resolved at bind *)
-                | Some (Provenance.Divided_into { outer; inner; inner_size }) -> (
-                    match (go outer, go inner) with
-                    | Some C, Some C -> Some C
-                    | Some co, Some ci ->
-                        let arr = function C -> zeros () | A a -> a in
-                        let ao = arr co and ai = arr ci in
-                        Some
-                          (norm
-                             (Array.init nv (fun l ->
-                                  (ao.(l) * inner_size) + ai.(l))))
-                    | _ -> None)
-                | Some (Provenance.Fused_into { fused; _ }) -> (
-                    match go fused with Some C -> Some C | _ -> None)
-                | Some (Provenance.Rotated_into { result; by }) ->
-                    if List.for_all (fun w -> go w = Some C) (result :: by) then
-                      Some C
-                    else None)
-        in
-        Hashtbl.replace memo v c;
-        c
+    match Hashtbl.find_opt leaf_index v with
+    | Some l -> A (unit l)
+    | None -> (
+        if Provenance.is_live prov v then
+          if List.mem v leaf_vars then unstageable "the fused leaf loop %s is read whole" v else C
+        else
+          match Provenance.consumption prov v with
+          | None -> C  (* unknown or unconsumed: resolved at bind *)
+          | Some (Provenance.Divided_into { outer; inner; inner_size }) -> (
+              match (go outer, go inner) with
+              | C, C -> C
+              | co, ci ->
+                  let ao = arr co and ai = arr ci in
+                  A (Array.init (2 * nv) (fun l -> (ao.(l) * inner_size) + ai.(l))))
+          | Some (Provenance.Fused_into { fused; _ }) -> (
+              match go fused with
+              | C -> C
+              | A _ ->
+                  unstageable "%s is a part of %s, which the leaf loops split or fuse again" v
+                    fused)
+          | Some (Provenance.Rotated_into { result; by }) -> (
+              if List.exists (fun w -> go w <> C) by then
+                unstageable "the rotation of %s is shifted by a leaf loop" v;
+              match (Hashtbl.find_opt leaf_index result, go result) with
+              | Some l, _ ->
+                  wraps.(l) <- Some v;
+                  let a = unit l in
+                  a.(nv + l) <- -Provenance.extent prov v;
+                  A a
+              | None, C -> C
+              | None, A _ ->
+                  unstageable "the rotation of %s yields %s, which the leaf loops split" v result))
   in
   go
 
@@ -179,7 +207,7 @@ let kdisp_of (stmt : Expr.stmt) ~cls ~nv =
         else
           let lv_of v =
             match cls v with
-            | Some (A coeffs) ->
+            | A coeffs ->
                 let l = ref (-1) and ok = ref true in
                 Array.iteri
                   (fun i c ->
@@ -187,7 +215,7 @@ let kdisp_of (stmt : Expr.stmt) ~cls ~nv =
                       if c = 1 && !l < 0 then l := i else ok := false)
                   coeffs;
                 if !ok && !l >= 0 then Some !l else None
-            | _ -> None
+            | C -> None
           in
           let letter_lv = Array.make nl (-1) in
           let ok = ref true in
@@ -229,64 +257,51 @@ let kdisp_of (stmt : Expr.stmt) ~cls ~nv =
             Some { kd_name = b.kernel; kd_lv = letter_lv; kd_slot_lv }
 
 let plan prov ~(stmt : Expr.stmt) ~leaf_vars =
-  let leaf_vars = Array.of_list leaf_vars in
-  let nv = Array.length leaf_vars in
+  let lv = Array.of_list (List.concat_map (levels prov) leaf_vars) in
+  let nv = Array.length lv in
   let leaf_index = Hashtbl.create (max 1 nv) in
-  Array.iteri (fun i v -> Hashtbl.replace leaf_index v i) leaf_vars;
-  let cls = classify prov ~leaf_index ~nv in
-  let exception Bail in
+  Array.iteri (fun i v -> Hashtbl.replace leaf_index v i) lv;
+  let wraps = Array.make nv None in
+  let cls = classify prov ~leaf_vars ~leaf_index ~wraps ~nv in
   try
+    let coeffs v = match cls v with C -> Array.make (2 * nv) 0 | A c -> c in
     let slot_of (a : Expr.access) =
-      {
-        s_access = a;
-        s_coeffs =
-          Array.of_list
-            (List.map
-               (fun v ->
-                 match cls v with
-                 | Some C -> Array.make nv 0
-                 | Some (A c) -> c
-                 | None -> raise Bail)
-               a.indices);
-      }
+      { s_access = a; s_coeffs = Array.of_list (List.map coeffs a.indices) }
     in
     let slots =
       Array.of_list (List.map slot_of (Expr.accesses stmt.rhs @ [ stmt.lhs ]))
     in
     (* Guard set: exactly the consumed variables ([Provenance.guards_fn]
        auto-passes live ones). Sorted for a deterministic plan layout. *)
-    let c_guards = ref [] and a_guards = ref [] in
-    List.iter
-      (fun v ->
-        let ext = Provenance.extent prov v in
-        match cls v with
-        | Some C -> c_guards := (v, ext) :: !c_guards
-        | Some (A coeffs) ->
-            let dmax = ref (-1) in
-            Array.iteri (fun l c -> if c > 0 then dmax := l) coeffs;
-            a_guards :=
-              (v, { g_coeffs = coeffs; g_ext = ext; g_dmax = !dmax })
-              :: !a_guards
-        | None -> raise Bail)
-      (List.sort compare (Provenance.consumed prov));
+    let guards =
+      List.map
+        (fun v ->
+          let g_coeffs = coeffs v and g_dmax = ref (-1) in
+          for l = 0 to nv - 1 do
+            if g_coeffs.(l) > 0 then g_dmax := l
+          done;
+          (v, { g_coeffs; g_ext = Provenance.extent prov v; g_dmax = !g_dmax }))
+        (List.sort compare (Provenance.consumed prov))
+    in
     let points = Hashtbl.create 16 in
     List.iter
       (fun v -> Hashtbl.replace points v (Provenance.raw_point_fn prov v))
       (Provenance.consumed prov
       @ List.concat_map (fun s -> s.s_access.indices) (Array.to_list slots));
-    Some
+    Ok
       {
         points;
         leaf_vars;
-        extents = Array.map (Provenance.extent prov) leaf_vars;
-        leaf_index;
+        extents = Array.map (Provenance.extent prov) lv;
+        wraps;
         slots;
-        c_guards = !c_guards;
-        a_guards = !a_guards;
+        guards;
         kdisp = kdisp_of stmt ~cls ~nv;
         rhs = compile_rhs stmt.rhs;
       }
-  with Bail -> None
+  with Unstageable why ->
+    Error
+      (Printf.sprintf "cannot stage the leaf loops (%s): %s" (String.concat ", " leaf_vars) why)
 
 type geom = { src : int; rect : Rect.t; base : int; strides : int array }
 type operand = { src : int; off : int; st : int array }
@@ -298,13 +313,14 @@ type bound_guard = { coeffs : int array; ext : int; start : int; mutable curr : 
 type nest = {
   srcs : int array;  (* per slot *)
   rhs : Dense.buf array -> int array -> float;
-  extents : int array;  (* per leaf var *)
+  extents : int array;  (* per level *)
+  cuts : int array;  (* per level: where its second segment starts, or its extent *)
   base_offs : int array;  (* per slot: offset of the leaf's first point *)
   offs : int array;  (* per slot: offset of the current point (scratch) *)
-  str : int array array;  (* slot -> leaf var -> linear stride *)
+  str : int array array;  (* slot -> column -> linear stride *)
   guards : bound_guard list;
-  clamps : bound_guard array array;  (* per leaf var *)
-  bumps : bound_guard array array;  (* per leaf var *)
+  clamps : bound_guard array array;  (* per level *)
+  bumps : bound_guard array array;  (* per level *)
 }
 
 type bound =
@@ -312,34 +328,35 @@ type bound =
   | Nest of nest
   | Empty
 
-let bind p ~env ~(geoms : geom array) =
-  let nv = Array.length p.leaf_vars in
+(* The walk binds every live variable a leaf reads: the launch and
+   sequential variables through [env], the leaf's own as 0 at its first
+   point. So every point below resolves. Raw points are never negative
+   (divide, fuse and rotate reconstruct from nonnegative values), and an
+   instance covers the leaf's footprint, whose lower corner is at most
+   the first point's coordinates, so no offset is negative either. *)
+let bind (p : plan) ~env ~(geoms : geom array) =
+  let nv = Array.length p.extents in
   let naccs = Array.length p.slots in
   if Array.length geoms <> naccs then invalid_arg "Expr_stage.bind: bad geoms";
-  let env0 v = if Hashtbl.mem p.leaf_index v then Some 0 else env v in
-  let point0 v = Hashtbl.find p.points v env0 in
-  let exception Bail in
-  try
-    (* Leaf-constant guards: decided here, once. A failing one excludes
-       every point, so the leaf binds to [Empty] (not a bail: the generic
-       path would execute nothing too). *)
-    let c_pass =
-      List.for_all
-        (fun (v, ext) ->
-          match point0 v with None -> true | Some x -> 0 <= x && x < ext)
-        p.c_guards
-    in
-    (* Affine guards: value over the leaf is base + sum(coeff * x). Bases
-       must be known, nonnegative points here. *)
-    let guards =
-      List.map
-        (fun (v, g) ->
-          match point0 v with
-          | Some base when base >= 0 ->
-              (g, { coeffs = g.g_coeffs; ext = g.g_ext; start = base; curr = base })
-          | _ -> raise Bail)
-        p.a_guards
-    in
+  let env0 v = if List.mem v p.leaf_vars then Some 0 else env v in
+  let point0 v =
+    match Hashtbl.find p.points v env0 with
+    | Some x when x >= 0 -> x
+    | Some x -> invalid_arg (Printf.sprintf "Expr_stage.bind: %s starts at %d" v x)
+    | None -> invalid_arg ("Expr_stage.bind: unbound variable under " ^ v)
+  in
+  (* Guards: value over the leaf is base + sum(coeff * x). A failing
+     leaf-constant one excludes every point, so the leaf binds to
+     [Empty]. *)
+  let guards =
+    List.map
+      (fun (v, g) ->
+        let base = point0 v in
+        (g, { coeffs = g.g_coeffs; ext = g.g_ext; start = base; curr = base }))
+      p.guards
+  in
+  if List.exists (fun (g, b) -> g.g_dmax < 0 && b.start >= b.ext) guards then Empty
+  else
     let select f =
       Array.init nv (fun l ->
           Array.of_list
@@ -347,21 +364,28 @@ let bind p ~env ~(geoms : geom array) =
                (fun (g, b) -> if f g l then Some b else None)
                guards))
     in
-    (* Per-slot base offsets and per-level linear strides in the slot's
+    (* A rotated level wraps where its target, [c] at the first point,
+       reaches its extent. *)
+    let cuts =
+      Array.mapi
+        (fun l e -> match p.wraps.(l) with Some t -> e - point0 t | None -> e)
+        p.extents
+    in
+    (* Per-slot base offsets and per-column linear strides in the slot's
        buffer. *)
     let offs = Array.make naccs 0 in
-    let str = Array.make_matrix naccs nv 0 in
+    let str = Array.make_matrix naccs (2 * nv) 0 in
     Array.iteri
       (fun i s ->
         let g = geoms.(i) in
         let off = ref g.base in
         List.iteri
           (fun d v ->
-            let x0 = match point0 v with Some x -> x | None -> raise Bail in
-            let local = x0 - g.rect.Rect.lo.(d) in
-            if local < 0 then raise Bail;
+            let local = point0 v - g.rect.Rect.lo.(d) in
+            if local < 0 then
+              invalid_arg ("Expr_stage.bind: leaf outside the instance of " ^ s.s_access.tensor);
             off := !off + (local * g.strides.(d));
-            for l = 0 to nv - 1 do
+            for l = 0 to (2 * nv) - 1 do
               str.(i).(l) <- str.(i).(l) + (s.s_coeffs.(d).(l) * g.strides.(d))
             done)
           s.s_access.indices;
@@ -372,7 +396,9 @@ let bind p ~env ~(geoms : geom array) =
        empty extents and every affine guard vacuously true over the box,
        so the nest's clamps never bind. The clamp bound at a guard's
        innermost level is >= the extent exactly when the guard's worst
-       point stays below its bound, which is the check below. *)
+       point stays below its bound, which is the check below. [kdisp_of]
+       admits no variable with a wrap column, so a dispatched leaf has no
+       cut. *)
     let dispatch =
       match p.kdisp with
       | Some kd ->
@@ -381,53 +407,50 @@ let bind p ~env ~(geoms : geom array) =
             List.for_all
               (fun (_, (b : bound_guard)) ->
                 let worst = ref b.start in
-                Array.iteri
-                  (fun l c -> worst := !worst + (c * (p.extents.(l) - 1)))
-                  b.coeffs;
+                for l = 0 to nv - 1 do
+                  worst := !worst + (b.coeffs.(l) * (p.extents.(l) - 1))
+                done;
                 !worst <= b.ext - 1)
               guards
           in
           if nonempty && vacuous then Some kd else None
       | _ -> None
     in
-    if not c_pass then Some Empty
-    else
-      match dispatch with
-      | Some kd ->
-          let operand slot =
-            {
-              src = geoms.(slot).src;
-              off = offs.(slot);
-              st = Array.map (fun l -> str.(slot).(l)) kd.kd_slot_lv.(slot);
-            }
-          in
-          Some
-            (Kernel
-               {
-                 kernel = kd.kd_name;
-                 dims = Array.map (fun l -> p.extents.(l)) kd.kd_lv;
-                 operands =
-                   Array.init naccs (fun i -> operand (if i = 0 then oslot else i - 1));
-               })
-      | None ->
-          Some
-            (Nest
-               {
-                 srcs = Array.map (fun (g : geom) -> g.src) geoms;
-                 rhs = p.rhs;
-                 extents = p.extents;
-                 base_offs = offs;
-                 offs = Array.copy offs;
-                 str;
-                 guards = List.map snd guards;
-                 clamps = select (fun g l -> g.g_dmax = l);
-                 bumps = select (fun g l -> g.g_coeffs.(l) > 0 && g.g_dmax > l);
-               })
-  with Bail -> None
+    match dispatch with
+    | Some kd ->
+        let operand slot =
+          {
+            src = geoms.(slot).src;
+            off = offs.(slot);
+            st = Array.map (fun l -> str.(slot).(l)) kd.kd_slot_lv.(slot);
+          }
+        in
+        Kernel
+          {
+            kernel = kd.kd_name;
+            dims = Array.map (fun l -> p.extents.(l)) kd.kd_lv;
+            operands = Array.init naccs (fun i -> operand (if i = 0 then oslot else i - 1));
+          }
+    | None ->
+        Nest
+          {
+            srcs = Array.map (fun (g : geom) -> g.src) geoms;
+            rhs = p.rhs;
+            extents = p.extents;
+            cuts;
+            base_offs = offs;
+            offs = Array.copy offs;
+            str;
+            guards = List.map snd guards;
+            clamps = select (fun g l -> g.g_dmax = l);
+            bumps = select (fun g l -> g.g_coeffs.(l) > 0 && g.g_dmax > l);
+          }
 
 (* The flat loops of a bound nest. Offsets and guard values start from
    the leaf's first point and each level undoes its own advance, so
-   every run starts from the same state. *)
+   every run starts from the same state. A level with a cut runs its
+   first segment, jumps to the second's first point, runs it and jumps
+   back; each segment clamps its guards separately. *)
 let run_nest n buf_of =
   let data = Array.map buf_of n.srcs in
   let naccs = Array.length n.offs in
@@ -442,8 +465,8 @@ let run_nest n buf_of =
     let o = offs.(oslot) in
     A1.unsafe_set od o (A1.unsafe_get od o +. v)
   in
-  let rec nest l =
-    let hi = ref n.extents.(l) in
+  let rec segment l len =
+    let hi = ref len in
     Array.iter
       (fun g ->
         let room = g.ext - 1 - g.curr in
@@ -464,7 +487,7 @@ let run_nest n buf_of =
     end
     else begin
       for _ = 1 to hi do
-        nest (l + 1);
+        level (l + 1);
         for a = 0 to naccs - 1 do
           offs.(a) <- offs.(a) + str.(a).(l)
         done;
@@ -475,5 +498,22 @@ let run_nest n buf_of =
       done;
       Array.iter (fun g -> g.curr <- g.curr - (hi * g.coeffs.(l))) n.bumps.(l)
     end
+  and jump l sign =
+    let cut = n.cuts.(l) in
+    for a = 0 to naccs - 1 do
+      offs.(a) <- offs.(a) + (sign * ((cut * str.(a).(l)) + str.(a).(nv + l)))
+    done;
+    let move g = g.curr <- g.curr + (sign * ((cut * g.coeffs.(l)) + g.coeffs.(nv + l))) in
+    Array.iter move n.clamps.(l);
+    Array.iter move n.bumps.(l)
+  and level l =
+    let e = n.extents.(l) and cut = n.cuts.(l) in
+    if cut >= e then segment l e
+    else begin
+      segment l cut;
+      jump l 1;
+      segment l (e - cut);
+      jump l (-1)
+    end
   in
-  if nv = 0 then body () else nest 0
+  if nv = 0 then body () else level 0

@@ -1,16 +1,18 @@
 (** Staged leaf evaluation: compile a statement's leaf loop nest once,
     run it as flat loops over precomputed linear strides.
 
-    The generic leaf path ([Ints.iter_box] + {!Expr.eval}) re-derives
-    every access coordinate through {!Provenance.raw_point_fn} and re-checks
-    {!Provenance.guards_fn} for each iteration-space point. For a fixed
-    statement and leaf-variable nest those are affine functions of the
-    leaf variables, so a plan precomputes per-access linear strides and
-    turns boundary guards into loop-bound clamps. The staged nest
-    executes exactly the points the generic path executes, in the same
-    order, with the same float-operation tree — results are bit-identical
-    — and falls back to the generic oracle whenever a shape it cannot
-    stage appears (fuses or rotations of leaf-dependent variables).
+    Evaluating a leaf point by point ([Ints.iter_box] + {!Expr.eval})
+    would re-derive every access coordinate through
+    {!Provenance.raw_point_fn} and re-check {!Provenance.guards_fn} for
+    each iteration-space point. For a fixed statement and leaf-variable
+    nest those are affine functions of the leaf variables, so a plan
+    precomputes per-access linear strides and turns boundary guards into
+    loop-bound clamps. A fused leaf variable is staged as the nest of its
+    parts, which visits the same points in the same order; a rotated one,
+    shifted by enclosing variables, as two affine segments of its level.
+    The staged nest executes exactly the points {!Expr.eval} over the leaf
+    box would, in the same order, with the same float-operation tree —
+    results are bit-identical.
 
     When the statement matches a registry kernel pattern with the nest
     mapping one-to-one onto the kernel's iteration space, a plan also
@@ -25,11 +27,13 @@
 
 type plan
 
-val plan : Provenance.t -> stmt:Expr.stmt -> leaf_vars:Ident.t list -> plan option
+val plan :
+  Provenance.t -> stmt:Expr.stmt -> leaf_vars:Ident.t list -> (plan, string) result
 (** Stage [stmt] for a leaf nest over [leaf_vars] (outermost first, the
-    [Taskir.Scalar_loops] order). [None] when some access index or guard
-    variable is not an affine function of the leaf variables — the caller
-    must keep using the generic path. *)
+    [Taskir.Scalar_loops] order). An error names the variable that is
+    not affine in the leaf variables, even in segments: a fuse the leaf
+    loops split again, or a rotation shifted by a leaf loop or whose
+    result the leaf loops split. *)
 
 val slots : plan -> Expr.access array
 (** The buffer slots a run expects: the statement's right-hand-side
@@ -59,14 +63,14 @@ type bound =
   | Nest of nest  (** run {!run_nest} *)
   | Empty  (** a leaf-constant guard excludes every point *)
 
-val bind : plan -> env:(Ident.t -> int option) -> geoms:geom array -> bound option
+val bind : plan -> env:(Ident.t -> int option) -> geoms:geom array -> bound
 (** Bind one leaf: [geoms.(i)] locates the instance backing {!slots}[(i)];
     [env] binds the launch and sequential variables (leaf variables must
-    be unbound). Leaves that qualify bind to a registry [Kernel]. [None]
-    when the concrete binding cannot be staged (the caller runs the
-    oracle). *)
+    be unbound). Leaves that qualify bind to a registry [Kernel].
+    @raise Invalid_argument when [env] leaves a variable the leaf reads
+    unbound, or an instance does not cover the leaf's first point. *)
 
 val run_nest : nest -> (int -> Distal_tensor.Dense.buf) -> unit
 (** Run a bound nest, reading each slot's buffer by its [src],
-    accumulating into the last slot like the generic path
-    ([Dense.add_at] per point). *)
+    accumulating into the last slot ([Dense.add_at] per point, as a
+    point-by-point evaluation would). *)

@@ -182,16 +182,13 @@ let rec same_node_owner node_of_lin node = function
    schedule — depends only on the spec, never on tensor contents, so the
    walk binds every data operation as it reaches it and [run_plan], the
    one data path, replays them against tensor data with pooled buffers.
-   A leaf is bound to its tier: [B_leaf] a registry kernel or a staged
-   nest whose operands are located by buffer ([src]: a tensor's index in
+   A leaf is bound to its tier, a registry kernel or a staged nest,
+   whose operands are located by buffer ([src]: a tensor's index in
    [ep_tensors], or [out_src] for the task's current output instance),
-   offset and strides; [B_eval] the [Expr.eval] fallback, whose table
-   holds the launch and sequential bindings and, as it runs, the leaf
-   variables. *)
+   offset and strides. *)
 type bop =
   | B_out of Rect.t  (* a zero-filled output instance *)
   | B_leaf of Expr_stage.bound
-  | B_eval of (string, int) Hashtbl.t
   | B_flush  (* the current output instance becomes a merge contribution *)
 
 let out_src = -1
@@ -543,14 +540,17 @@ type ctx = {
   alloc0 : float * float;
 }
 
+(* How the walk binds a leaf: a substituted kernel with its operands'
+   tensors in kernel order, or the scalar nest, staged once, with the
+   tensor of each of its slots. *)
+type leaf_binder = L_kernel of string * int array | L_nest of Expr_stage.plan * int array
+
 (* Plan compilation: what binding a leaf needs, and the bound operations
    of the task being walked, newest first. *)
 type recorder = {
-  staged : Expr_stage.plan option;  (* the scalar nest, staged once *)
+  leaf : leaf_binder;
   src : int array;  (* per tensor: its index among the plan's sorted tensors *)
   strides : int array array;  (* per tensor: the caller's row-major strides *)
-  order : int array;  (* a substituted kernel's operands, kernel order *)
-  slot_t : int array;  (* the tensor of each slot of the staged nest *)
   mutable bops : bop list;
 }
 
@@ -1081,8 +1081,8 @@ let bind_leaf c tk r =
     Array.iteri (fun d x -> off := !off + (x * st.(d))) lo;
     !off
   in
-  match c.named with
-  | Some (kernel, _) ->
+  match r.leaf with
+  | L_kernel (kernel, order) ->
       (* A substituted kernel runs over the leaf's footprint of each
          operand: an input's starts at its [lo] in the caller's tensor,
          the output's at [lo] minus the instance's [lo] in the block. *)
@@ -1100,17 +1100,17 @@ let bind_leaf c tk r =
         in
         (op, Rect.extents need)
       in
-      let ops = Array.map operand r.order in
+      let ops = Array.map operand order in
       let dims = Kreg.dims ~kernel (Array.to_list (Array.map snd ops)) in
       B_leaf (Expr_stage.Kernel { kernel; dims; operands = Array.map fst ops })
-  | None -> (
+  | L_nest (sp, slot_t) ->
       let in_caller t rect =
         { Expr_stage.src = r.src.(t); rect; base = offset r.strides.(t) rect.Rect.lo;
           strides = r.strides.(t) }
       in
       let geom i t =
         if t <> c.out_t then in_caller t (held t tk.inst.(t))
-        else if i < Array.length r.slot_t - 1 then in_caller t (held t tk.out_read)
+        else if i < Array.length slot_t - 1 then in_caller t (held t tk.out_read)
         else
           let rect = held t tk.inst.(t) in
           { src = out_src; rect; base = 0; strides = Ints.row_major_strides (Rect.extents rect) }
@@ -1120,15 +1120,7 @@ let bind_leaf c tk r =
         else if String.equal c.slot_vars.(s) v then Some c.env.(s)
         else slot_env v (s + 1)
       in
-      let bind sp =
-        Expr_stage.bind sp ~env:(fun v -> slot_env v 0) ~geoms:(Array.mapi geom r.slot_t)
-      in
-      match Option.bind r.staged bind with
-      | Some b -> B_leaf b
-      | None ->
-          let env = Hashtbl.create 16 in
-          Array.iteri (fun s v -> Hashtbl.replace env v c.env.(s)) c.slot_vars;
-          B_eval env)
+      B_leaf (Expr_stage.bind sp ~env:(fun v -> slot_env v 0) ~geoms:(Array.mapi geom slot_t))
 
 let exec_leaf c tk =
   let step = step_of c in
@@ -1514,10 +1506,6 @@ type eplan = {
   ep_ops : bop array array;  (* per launch point, launch-point order *)
   ep_tensors : string array;  (* sorted; a [src] indexes it *)
   ep_shapes : int array array;
-  ep_guards : (string -> int option) -> bool;
-  ep_points : (string * ((string -> int option) -> int option)) list;
-      (* the [Expr.eval] fallback's guard and index points, compiled once *)
-  ep_leaf_vars : string array;  (* Scalar_loops nest, outermost first *)
   ep_reads_out : bool;
   ep_accum : bool;
   ep_out_name : string;
@@ -1532,41 +1520,33 @@ let plan ?faults ?trace ?profile spec =
   let* c = resolve ?faults ?trace ?profile spec in
   let tensors = Array.of_list (List.sort_uniq compare (Expr.tensors stmt)) in
   let index tn = name_index c.tensors tn 0 in
-  (* Staged leaf evaluation: the scalar loop nest compiled once into flat
-     loops over precomputed strides ({!Expr_stage}); [None] when staging
-     cannot express the nest, leaving the [Expr.eval] fallback. *)
-  let staged =
-    match c.leaf_vars with [] -> None | vars -> Expr_stage.plan prog.prov ~stmt ~leaf_vars:vars
-  in
-  let order = match c.named with Some (_, o) -> Array.of_list (List.map index o) | None -> [||] in
-  let slot_t =
-    match staged with
-    | Some sp -> Array.map (fun (a : Expr.access) -> index a.tensor) (Expr_stage.slots sp)
-    | None -> [||]
+  (* Scalar leaves: the loop nest compiled once into flat loops over
+     precomputed strides ({!Expr_stage}). *)
+  let* leaf =
+    match c.named with
+    | Some (kernel, o) -> Ok (L_kernel (kernel, Array.of_list (List.map index o)))
+    | None ->
+        let* sp = Expr_stage.plan prog.prov ~stmt ~leaf_vars:c.leaf_vars in
+        Ok (L_nest (sp, Array.map (fun (a : Expr.access) -> index a.tensor) (Expr_stage.slots sp)))
   in
   let src = Array.map (fun tn -> name_index tensors tn 0) c.tensors in
   let strides = Array.map (fun tn -> Ints.row_major_strides (Taskir.shape_of prog tn)) c.tensors in
-  let ep_ops = walk c (Some { staged; src; strides; order; slot_t; bops = [] }) in
+  let ep_ops = walk c (Some { leaf; src; strides; bops = [] }) in
   Ok
     { ep_spec = spec; ep_stats = finish c; ep_ops; ep_tensors = tensors;
-      ep_shapes = Array.map (Taskir.shape_of prog) tensors;
-      ep_guards = Provenance.guards_fn prog.prov;
-      ep_points =
-        List.map (fun v -> (v, Provenance.raw_point_fn prog.prov v)) (Expr.index_vars stmt);
-      ep_leaf_vars = Array.of_list c.leaf_vars; ep_reads_out = c.reads_out;
+      ep_shapes = Array.map (Taskir.shape_of prog) tensors; ep_reads_out = c.reads_out;
       ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor;
       ep_pool = Buf_pool.create (max 1 (Array.length ep_ops)); ep_m = Mutex.create (); ep_runs = 0 }
 
-type leaf_tiers = { tiled : int; staged : int; eval : int }
+type leaf_tiers = { tiled : int; staged : int }
 
 let plan_leaf_tiers ep =
   Array.fold_left
     (Array.fold_left (fun t -> function
        | B_leaf (Expr_stage.Kernel _) -> { t with tiled = t.tiled + 1 }
        | B_leaf (Expr_stage.Nest _ | Expr_stage.Empty) -> { t with staged = t.staged + 1 }
-       | B_eval _ -> { t with eval = t.eval + 1 }
        | B_out _ | B_flush -> t))
-    { tiled = 0; staged = 0; eval = 0 } ep.ep_ops
+    { tiled = 0; staged = 0 } ep.ep_ops
 
 let plan_stats ep = { ep.ep_stats with Stats.time = ep.ep_stats.Stats.time }
 let plan_runs ep = ep.ep_runs
@@ -1577,7 +1557,6 @@ let no_data = Dense.create [| 0 |]
 
 let run_plan ?(alloc = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout) ?domains ep
     ~data =
-  let stmt = ep.ep_spec.program.stmt and prov = ep.ep_spec.program.prov in
   let out_name = ep.ep_out_name in
   (* Every tensor the statement reads needs data of the spec's shape; the
      output only when it is accumulated into or read on the right-hand
@@ -1608,8 +1587,8 @@ let run_plan ?(alloc = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
   else Dense.fill out_global 0.0;
   let bufs = Array.map Dense.unsafe_data caller in
   (* Runs of one plan serialize: the arenas, the parked free lists and
-     the bound leaves' loop state (nest offsets, eval environments) are
-     per-plan state. Different plans run concurrently without contact. *)
+     the bound leaves' loop state (nest offsets) are per-plan state.
+     Different plans run concurrently without contact. *)
   Mutex.lock ep.ep_m;
   Fun.protect ~finally:(fun () -> Mutex.unlock ep.ep_m) @@ fun () ->
   let pool = ep.ep_pool in
@@ -1624,36 +1603,12 @@ let run_plan ?(alloc = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
   let runners = Array.make (Pool.size hpool) None in
   let lane_runner () =
     let out : (Rect.t * Dense.t * Buf_pool.buf) option ref = ref None in
-    let cur_out () =
-      match !out with
-      | Some o -> o
-      | None -> invalid_arg ("plan leaf executed without an instance of " ^ out_name)
-    in
     let buf_of src =
-      if src <> out_src then bufs.(src) else match cur_out () with _, _, b -> b
-    in
-    let eval_leaf env =
-      (* The generic loop, for nests staging cannot express: every
-         point's guards, index points and statement tree evaluated
-         through the environment. *)
-      let out_rect, out_v, _ = cur_out () in
-      let envf = Hashtbl.find_opt env in
-      let lookup (a : Expr.access) coord =
-        Dense.get caller.(name_index ep.ep_tensors a.tensor 0) coord
-      in
-      Ints.iter_box (Array.map (Provenance.extent prov) ep.ep_leaf_vars) (fun pt ->
-          Array.iteri (fun i v -> Hashtbl.replace env v pt.(i)) ep.ep_leaf_vars;
-          if ep.ep_guards envf then begin
-            let point v =
-              match (List.assoc v ep.ep_points) envf with
-              | Some x -> x
-              | None -> invalid_arg ("unbound index variable " ^ v)
-            in
-            let value = Expr.eval stmt ~lookup ~point in
-            let coord = Array.of_list (List.map point stmt.lhs.indices) in
-            let local = Array.mapi (fun d c -> c - (out_rect : Rect.t).lo.(d)) coord in
-            Dense.add_at out_v local value
-          end)
+      if src <> out_src then bufs.(src)
+      else
+        match !out with
+        | Some (_, _, b) -> b
+        | None -> invalid_arg ("plan leaf executed without an instance of " ^ out_name)
     in
     let release arena =
       (match !out with Some (_, _, b) -> Buf_pool.release pool arena b | None -> ());
@@ -1676,7 +1631,6 @@ let run_plan ?(alloc = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
             Kreg.run_views ~kernel ~dims (Array.map view operands)
         | B_leaf (Expr_stage.Nest nest) -> Expr_stage.run_nest nest buf_of
         | B_leaf Expr_stage.Empty -> ()
-        | B_eval env -> eval_leaf env
         | B_flush ->
             (match !out with Some o -> out_contribs := o :: !out_contribs | None -> ());
             out := None

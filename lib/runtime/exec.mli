@@ -99,9 +99,9 @@ val execute :
     tiled registry kernels ({!Distal_tensor.Kernel_registry.Tiled}); scalar
     leaves run their staged loop nest ({!Distal_ir.Expr_stage}), which
     hands nests matching a registry kernel to the same tiled kernels with
-    the evaluator's per-element operation order (bit-identical), and fall
-    back to the generic [Expr.eval] loop only where staging cannot express
-    the nest.
+    the evaluator's per-element operation order (bit-identical). A
+    schedule whose leaf nest staging cannot express fails {!plan} with a
+    reason; [Model] runs do not stage leaves.
 
     With [profile], the execution registers itself as a run of the profile
     and emits structured observability data: per-step compute/comm spans
@@ -165,7 +165,8 @@ val plan :
     contract makes a killed-and-replayed run's output bit-identical to
     the fault-free run. [trace] and [profile] observe the planning
     simulation exactly as they observe {!execute}. Fails on invalid
-    distributions, fault plans or substitutions. *)
+    distributions, fault plans or substitutions, and on a scalar leaf
+    nest staging cannot express ({!Distal_ir.Expr_stage.plan}). *)
 
 val run_plan :
   ?alloc:(int -> Distal_tensor.Dense.buf) ->
@@ -201,14 +202,14 @@ val plan_runs : eplan -> int
 val plan_pool_stats : eplan -> Distal_support.Buf_pool.stats
 (** Buffer-pool counters — steady state shows hits and no new allocs. *)
 
-type leaf_tiers = { tiled : int; staged : int; eval : int }
+type leaf_tiers = { tiled : int; staged : int }
 
 val plan_leaf_tiers : eplan -> leaf_tiers
 (** How the plan's leaves run, counted over every launch point when the
     plan was bound: [tiled] leaves call a registry kernel (substituted
     leaves, and staged nests the registry runs), [staged] leaves run
     their staged loop nest (a nest a leaf-constant guard empties
-    included), [eval] leaves take the generic [Expr.eval] loop. *)
+    included). *)
 
 val serial_reference :
   Distal_ir.Expr.stmt ->

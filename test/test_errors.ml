@@ -107,6 +107,34 @@ let test_run_errors () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
+(* Full runs stage every scalar leaf; a leaf shape staging does not
+   cover fails the run with an error naming the variable, and Model runs,
+   which stage nothing, still price it. *)
+let test_unstageable_leaf_errors () =
+  List.iter
+    (fun (stmt, schedule, var) ->
+      let p = Api.problem_exn ~machine ~stmt ~tensors () in
+      let plan = Api.compile_script_exn p ~schedule in
+      let data = Api.random_inputs plan in
+      (match Api.run plan ~data with
+      | Ok _ -> Alcotest.failf "%s: expected an error" schedule
+      | Error e ->
+          Alcotest.(check bool) (schedule ^ " names " ^ var) true
+            (Astring_contains.contains e (var ^ " ")));
+      match Api.run ~mode:Api.Exec.Model plan ~data:[] with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+    [
+      ( "A(i,j) = B(i,j) + C(i,j)",
+        "distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); collapse(ii, ji, f); \
+         split(f, fo, fi, 3)",
+        "ii" );
+      ( gemm,
+        "distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); divide(k, ko, ki, 2); \
+         reorder(ii, ko, ji, ki); rotate(ko, {ii}, kos); communicate({A,B,C}, jo)",
+        "ko" );
+    ]
+
 (* Replay reads inputs in place at offsets fixed against the spec's
    shapes, so data of any other shape — smaller, larger or of another
    rank, an accumulated output included — fails the run, naming the
@@ -193,5 +221,6 @@ let suites =
         Alcotest.test_case "adversarial distributions" `Quick
           test_validate_catches_bad_distribution_pairing;
         Alcotest.test_case "pipeline errors" `Quick test_pipeline_errors;
+        Alcotest.test_case "unstageable leaf errors" `Quick test_unstageable_leaf_errors;
       ] );
   ]

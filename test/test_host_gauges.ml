@@ -146,13 +146,14 @@ let test_footprints () =
       ("cyclic ttv", cyclic_ttv ~i:1280 ~jk:16 ~procs:64 ~vprocs:128, 257.0);
     ]
 
-(* A leaf that cannot be staged: collapsing the local loops leaves a fused
-   variable in the nest, so [Exec.run_plan] evaluates it point by point
-   with [Expr.eval]. Guards and index points are compiled once per plan;
-   compiling them per iteration point allocated 1,489,182 minor words
-   here, and the uncompiled walk before the slot-indexed simulator
-   443,018. This run allocates 340,254; the budget is that plus 20%. *)
-let test_unstaged_leaf_budget () =
+(* A collapsed leaf: collapsing the local loops leaves a fused variable
+   in the nest, which replay stages as the nest of its two parts. While
+   such leaves were evaluated point by point, compiling guards and index
+   points per iteration point allocated 1,489,182 minor words here, the
+   uncompiled walk before the slot-indexed simulator 443,018 and the
+   compiled walk 340,254. Staged, this run allocates 930; the budget is
+   that plus 20%. *)
+let test_collapsed_leaf_budget () =
   let n = 32 in
   let p =
     Api.problem_exn ~machine:(Api.Machine.grid [| 2; 2 |]) ~stmt:"A(i,j) = B(i,j) + C(i,j)"
@@ -171,9 +172,9 @@ let test_unstaged_leaf_budget () =
   let expected = Exec.serial_reference p.Api.stmt ~shapes ~data in
   (match (run ()).Exec.output with
   | Some out when Distal_tensor.Dense.approx_equal ~tol:1e-9 out expected -> ()
-  | _ -> Alcotest.fail "unstaged leaf output differs from the serial reference");
+  | _ -> Alcotest.fail "collapsed leaf output differs from the serial reference");
   let words, _ = Test_kernels.words_of (fun () -> ignore (run ())) in
-  if words > 408_300.0 then Alcotest.failf "allocated %.0f minor words" words
+  if words > 1_116.0 then Alcotest.failf "allocated %.0f minor words" words
 
 (* Warm Full-mode replays of two of the served benchmark's shapes: SUMMA
    n=128 on 2x2 and TTV over an i-cyclic B (512x32x32) on 4 processors
@@ -213,7 +214,7 @@ let suites =
         Alcotest.test_case "unprofiled allocation budget" `Quick test_unprofiled_budget;
         Alcotest.test_case "estimate family allocation budgets" `Quick test_family_budgets;
         Alcotest.test_case "footprint counts" `Quick test_footprints;
-        Alcotest.test_case "unstaged leaf allocation budget" `Quick test_unstaged_leaf_budget;
+        Alcotest.test_case "collapsed leaf allocation budget" `Quick test_collapsed_leaf_budget;
         Alcotest.test_case "replay allocation budget" `Quick test_replay_budget;
       ] );
   ]

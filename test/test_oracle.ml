@@ -341,12 +341,30 @@ let virtual_grid_collision =
     ~tensors:[ ("A", [| 6 |], "[x] -> [x]"); ("B", [| 6 |], "[x] -> [x]") ]
     "divide(i, io, ii, 3); distribute(io); communicate({A,B}, io)"
 
-(* Collapsing the local loops leaves a fused variable in the nest, so the
-   leaf cannot be staged and replay takes the [Expr.eval] fallback. *)
+(* Collapsing the local loops leaves a fused variable in the nest, which
+   replay stages as the nest of its two parts. Its name is from when such
+   leaves were evaluated point by point. *)
 let unstaged_collapse =
   Api.request ~machine:(Machine.grid [| 2; 2 |]) ~stmt:"A(i,j) = B(i,j) + C(i,j)"
     ~tensors:(List.map (fun t -> Api.tensor t [| 8; 8 |] ~dist:tiled) [ "A"; "B"; "C" ])
     ~schedule:"distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); collapse(ii, ji, f)" ()
+
+(* Cannon with B and C communicated at [jo] instead of [kos]: the
+   rotated [kos] stays in the leaf nest, shifted by the launch point, so
+   the leaf walks [ko] in two affine segments. The 10x10 tensors on 3x3
+   leave boundary guards on i, j and k inside both segments. *)
+let leaf_rotation =
+  gemm ~grid:[| 3; 3 |] ~n:10 ~dists:(tiled, tiled, tiled)
+    "distribute_onto({i,j}, {io,jo}, {ii,ji}, [3,3]); divide(k, ko, ki, 3); \
+     reorder(ko, ii, ji, ki); rotate(ko, {io,jo}, kos); communicate(A, jo); \
+     communicate({B,C}, jo)"
+
+(* Communicating at the innermost loop leaves every leaf an empty nest:
+   one point each, and none past the boundary of the 7-element vectors. *)
+let empty_leaf_nest =
+  vector ~grid:[| 2 |] ~stmt:"A(i) = B(i)"
+    ~tensors:[ ("A", [| 7 |], "[x] -> [x]"); ("B", [| 7 |], "[x] -> [x]") ]
+    "divide(i, io, ii, 2); distribute(io); communicate({A,B}, ii)"
 
 (* Aliasing: replay reads input and read-out instances in place from
    the caller's tensors, so these must come back bit-identical. An
@@ -390,6 +408,8 @@ let named =
     ("aliasing accumulate", aliasing_accumulate);
     ("aliasing self-reference", aliasing_self_reference);
     ("aliasing sliced output", aliasing_sliced_output);
+    ("leaf rotation", leaf_rotation);
+    ("empty leaf nest", empty_leaf_nest);
   ]
 
 (* {2 The harness} *)

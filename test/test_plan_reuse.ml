@@ -151,9 +151,8 @@ let test_fault_plans_not_cached () =
    substituted leaves call the tiled kernel, and so do the staged nests
    of the served cyclic GEMM (16x16 tiles of a 64x64 GEMM on 4x4, k in
    chunks of 8), which match the gemm kernel with no guard left to
-   clamp. A sum matches no kernel, so its leaves run the staged nest.
-   Collapsing the local loops of an elementwise sum leaves a fused
-   variable in the nest, so those leaves evaluate point by point. *)
+   clamp. A sum matches no kernel, so its leaves run the staged nest, and
+   so do a collapsed nest, a rotated one and empty ones. *)
 let test_leaf_tiers () =
   let cyclic_gemm =
     Api.request ~machine:(Api.Machine.grid [| 4; 4 |]) ~stmt:"A(i,j) = B(i,k) * C(k,j)"
@@ -169,17 +168,50 @@ let test_leaf_tiers () =
       ()
   in
   List.iter
-    (fun (name, req, (tiled, staged, eval)) ->
+    (fun (name, req, (tiled, staged)) ->
       let t = Exec.plan_leaf_tiers (Api.eplan_exn (compile req)) in
       Alcotest.(check (list int))
-        (name ^ ": tiled, staged, eval leaves")
-        [ tiled; staged; eval ]
-        [ t.Exec.tiled; t.Exec.staged; t.Exec.eval ])
+        (name ^ ": tiled, staged leaves")
+        [ tiled; staged ]
+        [ t.Exec.tiled; t.Exec.staged ])
     [
-      ("summa 2x2", Test_oracle.summa_gemm ~substitute:true, (12, 0, 0));
-      ("cyclic gemm", cyclic_gemm, (128, 0, 0));
-      ("staged accumulate", Test_oracle.staged_accumulate, (0, 2, 0));
-      ("unstaged collapse", Test_oracle.unstaged_collapse, (0, 0, 4));
+      ("summa 2x2", Test_oracle.summa_gemm ~substitute:true, (12, 0));
+      ("cyclic gemm", cyclic_gemm, (128, 0));
+      ("staged accumulate", Test_oracle.staged_accumulate, (0, 2));
+      ("unstaged collapse", Test_oracle.unstaged_collapse, (0, 4));
+      ("leaf rotation", Test_oracle.leaf_rotation, (0, 9));
+      ("empty leaf nest", Test_oracle.empty_leaf_nest, (0, 8));
+    ]
+
+(* Output digests of leaves that once took a point-by-point fallback,
+   pinned from that fallback's output on seed 1: staging them must keep
+   every bit. The collapsed reduction sums over a fused (j, k), so it
+   also pins the order of the fused variable's parts. *)
+let test_leaf_digests () =
+  let collapsed_reduction =
+    Api.request ~machine:(Api.Machine.grid [| 2 |]) ~stmt:"A(i) = B(i,j,k)"
+      ~tensors:
+        [
+          Api.tensor "A" [| 6 |] ~dist:"[x] -> [x]";
+          Api.tensor "B" [| 6; 3; 4 |] ~dist:"[x,y,z] -> [x]";
+        ]
+      ~schedule:"distribute_onto({i}, {io}, {ii}, [2]); collapse(j, k, f)" ()
+  in
+  List.iter
+    (fun (name, req, want) ->
+      let plan = compile req in
+      let r = Api.run_exn plan ~data:(Api.random_inputs ~seed:1 plan) in
+      let got =
+        match r.Exec.output with
+        | Some d -> Digest.to_hex (Digest.bytes (Dense.to_le_bytes d))
+        | None -> "no output"
+      in
+      Alcotest.(check string) name want got)
+    [
+      ("unstaged collapse", Test_oracle.unstaged_collapse, "81f5182ec63ccbce15e4f67ff61c14a2");
+      ("leaf rotation", Test_oracle.leaf_rotation, "319a0069d3f11db7c6cc16b207cb60b3");
+      ("empty leaf nest", Test_oracle.empty_leaf_nest, "422c8833dc23621031af53dafd189c55");
+      ("collapsed reduction", collapsed_reduction, "5636ca7ffdc9d274952402694995049b");
     ]
 
 let suites =
@@ -193,5 +225,6 @@ let suites =
         Alcotest.test_case "eplan cache keys" `Quick test_eplan_cache_keys;
         Alcotest.test_case "fault plans are not cached" `Quick test_fault_plans_not_cached;
         Alcotest.test_case "leaf tiers" `Quick test_leaf_tiers;
+        Alcotest.test_case "leaf output digests" `Quick test_leaf_digests;
       ] );
   ]
