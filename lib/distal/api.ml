@@ -18,7 +18,7 @@ module Fault = Distal_fault.Fault
 
 (* Wall-clock span around one compiler phase, when a profile is given. *)
 let phase profile name f =
-  Obs.Span.wall (Option.map Obs.Profile.sink profile) ~name ~cat:"compile" f
+  Obs.Span.wall (Option.map Obs.Profile.sink profile) ~name f
 
 type tensor = { name : string; shape : int array; dist : Distnot.t }
 

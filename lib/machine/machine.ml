@@ -53,6 +53,7 @@ let with_ppn ?(kind = Gpu) ?(mem_per_proc = 16e9) dims ~ppn =
   else grid ~kind ~mem_per_proc ~node_factors:factors dims
 
 let num_procs t = Ints.prod t.dims
+let dims t = Array.copy t.dims
 let dim t = Array.length t.dims
 
 let node_dims t = Array.mapi (fun d n -> n / t.node_factors.(d)) t.dims

@@ -47,6 +47,7 @@ val with_ppn :
     when no block decomposition divides the grid. *)
 
 val num_procs : t -> int
+val dims : t -> int array
 val num_nodes : t -> int
 val dim : t -> int
 

@@ -1,4 +1,20 @@
-type slot = { proc : int; compute : float; comm : float; busy : float }
+type slot = {
+  proc : int;
+  compute : float;
+  comm : float;
+  busy : float;
+  flops : float;
+  bytes_touched : float;
+}
+
+type copy = {
+  tensor : string;
+  rects : Distal_tensor.Rect.t list;
+  fragments : int;
+  src : int;
+  bytes : float;
+  receivers : int array;
+}
 
 type step = {
   index : int;
@@ -8,15 +24,30 @@ type step = {
   bytes : float;
   messages : int;
   fabric : float;
+  copies : copy list;
+}
+
+type episode = {
+  victim : int;
+  kill_step : int;
+  from_step : int;
+  detect : float;
+  restore : float;
+  replay : float;
 }
 
 type timeline = {
   nprocs : int;
+  grid : int array;
+  node_of : int array;
+  tasks_per_proc : int;
   overhead : float;
   reduction : float;
   recovery : float;
+  episodes : episode list;
   steps : step list;
   total : float;
+  exchange : bool;
 }
 
 type node = {
@@ -63,44 +94,17 @@ let step_bottleneck s =
          (or, with no slots at all, pure fabric traffic). *)
       { step = s.index; resource = "fabric"; compute = 0.0; comm = s.cost; cost = s.cost }
 
-let analyse tl =
-  let step_nodes = List.map step_bottleneck tl.steps in
+let analyse (tl : timeline) =
+  (* The fixed links: launch overhead before the steps, the reduction and
+     recovery epilogues after them, each only when it costs anything. *)
+  let fixed resource ~comm cost =
+    if cost > 0.0 then [ { step = -1; resource; compute = 0.0; comm; cost } ] else []
+  in
   let nodes =
-    (if tl.overhead > 0.0 then
-       [
-         {
-           step = -1;
-           resource = "runtime";
-           compute = 0.0;
-           comm = 0.0;
-           cost = tl.overhead;
-         };
-       ]
-     else [])
-    @ step_nodes
-    @ (if tl.reduction > 0.0 then
-         [
-           {
-             step = -1;
-             resource = "reduction";
-             compute = 0.0;
-             comm = tl.reduction;
-             cost = tl.reduction;
-           };
-         ]
-       else [])
-    @
-    if tl.recovery > 0.0 then
-      [
-        {
-          step = -1;
-          resource = "recovery";
-          compute = 0.0;
-          comm = 0.0;
-          cost = tl.recovery;
-        };
-      ]
-    else []
+    fixed "runtime" ~comm:0.0 tl.overhead
+    @ List.map step_bottleneck tl.steps
+    @ fixed "reduction" ~comm:tl.reduction tl.reduction
+    @ fixed "recovery" ~comm:0.0 tl.recovery
   in
   let compute_time = List.fold_left (fun acc n -> acc +. n.compute) 0.0 nodes in
   let comm_time = List.fold_left (fun acc n -> acc +. n.comm) 0.0 nodes in

@@ -16,6 +16,21 @@ type slot = {
   compute : float;  (** compute occupancy, seconds *)
   comm : float;  (** communication occupancy (after duplex combining) *)
   busy : float;  (** combined occupancy under the overlap model *)
+  flops : float;  (** leaf flops charged to it this step *)
+  bytes_touched : float;  (** instance bytes its leaves touched this step *)
+}
+
+(** One wire payload of a step, sent from one source: a point-to-point
+    message, or a broadcast when it has several receivers. *)
+type copy = {
+  tensor : string;
+  rects : Distal_tensor.Rect.t list;
+      (** the payload, in canonical order; a single-element list is a
+          plain contiguous block copy *)
+  fragments : int;  (** [List.length rects] *)
+  src : int;
+  bytes : float;  (** payload bytes, 8 per element *)
+  receivers : int array;  (** destinations, ascending *)
 }
 
 type step = {
@@ -26,19 +41,38 @@ type step = {
   bytes : float;  (** payload moved this step *)
   messages : int;
   fabric : float;  (** rack-uplink occupancy this step *)
+  copies : copy list;  (** the step's wire payloads, in canonical order *)
 }
 
-(** The per-run schedule skeleton the simulator hands to analysis. *)
+(** One recovery from an injected kill. *)
+type episode = {
+  victim : int;  (** the killed processor *)
+  kill_step : int;
+  from_step : int;  (** the checkpoint boundary the replay starts from *)
+  detect : float;
+  restore : float;
+  replay : float;
+}
+
+(** A simulated run's priced record: the step table and everything its
+    profile shows. It is the run's profile; {!Profile.events} renders its
+    events on demand. *)
 type timeline = {
   nprocs : int;
+  grid : int array;  (** processor [p] sits at [p]'s row-major coordinate *)
+  node_of : int array;  (** per processor, its node *)
+  tasks_per_proc : int;
   overhead : float;  (** per-task launch overhead, charged up front *)
   reduction : float;  (** distributed-reduction epilogue *)
   recovery : float;
       (** fault detection + checkpoint restore + replay after injected
           kills (see [lib/fault]); 0 on a fault-free run *)
+  episodes : episode list;  (** in strike order *)
   steps : step list;  (** ascending by [index] *)
   total : float;
       (** overhead + step costs + reduction + recovery = [Stats.time] *)
+  exchange : bool;
+      (** a redistribution: one exchange step with no runtime track *)
 }
 
 (** One link of the critical path. *)

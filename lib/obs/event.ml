@@ -12,16 +12,11 @@ type t = {
   attrs : (string * value) list;
 }
 
-type sink = { mutable rev_events : t list; mutable n : int }
+type sink = { mutable rev_events : t list }
 
-let sink () = { rev_events = []; n = 0 }
-
-let emit s e =
-  s.rev_events <- e :: s.rev_events;
-  s.n <- s.n + 1
-
+let sink () = { rev_events = [] }
+let emit s e = s.rev_events <- e :: s.rev_events
 let events s = List.rev s.rev_events
-let count s = s.n
 
 let value_to_json = function
   | Bool b -> Json.Bool b

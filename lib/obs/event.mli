@@ -25,8 +25,9 @@ type t = {
   attrs : (string * value) list;
 }
 
-(** An append-only event sink. Emission order is preserved; the simulator
-    emits in a deterministic order so traces are reproducible. *)
+(** An append-only event sink. Emission order is preserved; a simulated
+    run's events are rendered in a deterministic order so traces are
+    reproducible. *)
 type sink
 
 val sink : unit -> sink
@@ -34,5 +35,4 @@ val emit : sink -> t -> unit
 val events : sink -> t list
 (** In emission order. *)
 
-val count : sink -> int
 val value_to_json : value -> Json.t

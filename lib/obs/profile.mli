@@ -1,17 +1,19 @@
-(** A profile: one event stream plus per-run metrics and timelines.
+(** A profile: one event stream plus per-run metrics and records.
 
     A profile is created once and threaded through any number of compiled
     runs ([Exec.execute ?profile], [Api.run ?profile], a whole harness
     figure). Each simulated execution registers itself as a {e run} — it
     gets a fresh pid for its events, its own metrics registry, and a slot
-    for its step timeline — so several executions coexist in one exported
-    trace. Pid 0 is reserved for the compiler's wall-clock spans. *)
+    for its priced record — so several executions coexist in one exported
+    trace. Pid 0 is reserved for the compiler's wall-clock spans. A run's
+    events are not stored: {!events} renders them from its record. *)
 
 type run = {
   pid : int;
   name : string;
   metrics : Metrics.registry;
   mutable timeline : Critical_path.timeline option;
+      (** the run's priced record, once its simulation has finished *)
 }
 
 type t
@@ -33,4 +35,6 @@ val runs : t -> run list
 (** In registration order. *)
 
 val events : t -> Event.t list
-(** The full stream, in emission order. *)
+(** The full stream: the sink's events in emission order, each run's
+    events, rendered from its record, right after its process-name
+    metadata. Every call renders afresh and returns an equal stream. *)

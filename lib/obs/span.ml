@@ -33,15 +33,13 @@ let thread_name sink ~pid ~tid name =
     }
 
 (* The compiler track: pid 0, everything on one thread. *)
-let compiler_pid = 0
-
-let wall sink ~name ?(cat = "compile") ?(pid = compiler_pid) ?(attrs = []) f =
+let wall sink ~name f =
   match sink with
   | None -> f ()
   | Some sink ->
       let t0 = Sys.time () in
       let finish () =
-        complete sink ~name ~cat ~pid ~tid:0 ~ts:t0 ~dur:(Sys.time () -. t0) ~attrs ()
+        complete sink ~name ~cat:"compile" ~pid:0 ~tid:0 ~ts:t0 ~dur:(Sys.time () -. t0) ()
       in
       let r = try f () with e -> finish (); raise e in
       finish ();

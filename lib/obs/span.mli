@@ -1,9 +1,9 @@
 (** Emission helpers: build {!Event.t} values with less ceremony.
 
-    Two producers exist. The runtime simulator knows exact simulated
-    start/duration pairs after its timing assembly and uses {!complete} /
-    {!instant} / {!counter}; the compiler measures its own phases with the
-    process clock and wraps them with {!wall}. *)
+    Two producers exist. {!Profile.events} renders a simulated run's
+    record, whose simulated start/duration pairs are exact, with
+    {!complete} / {!instant} / {!counter}; the compiler measures its own
+    phases with the process clock and wraps them with {!wall}. *)
 
 val complete :
   Event.sink ->
@@ -35,15 +35,8 @@ val counter :
 val process_name : Event.sink -> pid:int -> string -> unit
 val thread_name : Event.sink -> pid:int -> tid:int -> string -> unit
 
-val wall :
-  Event.sink option ->
-  name:string ->
-  ?cat:string ->
-  ?pid:int ->
-  ?attrs:(string * Event.value) list ->
-  (unit -> 'a) ->
-  'a
+val wall : Event.sink option -> name:string -> (unit -> 'a) -> 'a
 (** [wall sink ~name f] runs [f] and, when [sink] is [Some _], records a
-    span of its process-clock duration (compiler phases). With [None] it
-    just runs [f] — call sites stay a single line whether or not a profile
-    is attached. *)
+    ["compile"] span of its process-clock duration on the compiler's
+    track (pid 0). With [None] it just runs [f] — call sites stay a single
+    line whether or not a profile is attached. *)

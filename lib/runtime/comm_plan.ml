@@ -9,7 +9,7 @@ type payload = {
   volume : int;
 }
 
-type group = {
+type group = Distal_obs.Critical_path.copy = {
   tensor : string;
   rects : Rect.t list;
   fragments : int;
@@ -349,9 +349,3 @@ let groups tab =
     end
   done;
   !out
-
-let describe = function
-  | [] -> "(empty)"
-  | [ r ] -> Rect.to_string r
-  | r :: rest ->
-      Printf.sprintf "%s (+%d fragments)" (Rect.to_string r) (List.length rest)

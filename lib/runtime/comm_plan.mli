@@ -69,18 +69,17 @@ val add : table -> t:int -> src:int -> dst:int -> payload -> unit
 val fragments : table -> int
 (** Fragments added so far, summed over payloads ([nfrag]). *)
 
-type group = {
+type group = Distal_obs.Critical_path.copy = {
   tensor : string;
   rects : Rect.t list;
-      (** the payload, in canonical order; a single-element list is a
-          plain contiguous block copy *)
-  fragments : int;  (** [List.length rects] *)
+  fragments : int;
   src : int;
-  bytes : float;  (** payload bytes, 8 per element *)
-  receivers : int array;  (** destinations, ascending *)
+  bytes : float;
+  receivers : int array;
 }
 (** One payload sent from one source: a point-to-point message, or a
-    broadcast when it has several receivers. *)
+    broadcast when it has several receivers. A priced step keeps its
+    groups as its wire payloads ({!Distal_obs.Critical_path.copy}). *)
 
 val groups : table -> group list
 (** The step's wire messages, grouped into broadcasts: one message per
@@ -90,8 +89,3 @@ val groups : table -> group list
     in. Building them allocates the groups, their receiver arrays and
     the unions of multi-payload triples, nothing per message: a step's
     messages are formed and ordered in per-domain scratch arrays. *)
-
-val describe : Rect.t list -> string
-(** Human-readable payload label for profiles: the rectangle itself for a
-    contiguous transfer, or the first rectangle plus a fragment count for a
-    strided run. *)

@@ -18,8 +18,6 @@ module Injector = Distal_fault.Injector
 module Checkpoint = Distal_fault.Checkpoint
 module Metrics = Distal_obs.Metrics
 module Profile = Distal_obs.Profile
-module Span = Distal_obs.Span
-module Event = Distal_obs.Event
 module Cp = Distal_obs.Critical_path
 
 type mode = Full | Model
@@ -159,13 +157,6 @@ let nodes_of_procs machine =
   Array.init (Machine.num_procs machine) (fun p ->
       Machine.node_of machine (Machine.delinearize machine p))
 
-(* One profile track per processor, named by its grid coordinate. *)
-let name_proc_tracks sink ~pid machine =
-  for proc = 0 to Machine.num_procs machine - 1 do
-    Span.thread_name sink ~pid ~tid:proc
-      (Printf.sprintf "proc %d %s" proc (Ints.to_string (Machine.delinearize machine proc)))
-  done
-
 (* The link between two processors, given each one's node. *)
 let link_between node_of_lin src dst =
   if node_of_lin.(src) = node_of_lin.(dst) then Cost.Intra else Cost.Inter
@@ -256,8 +247,8 @@ let step_obs reg =
        triples, grouping, sorting) and charging them ([price_groups]).
        Filling the tables happens during the task walk and is not
        included. Wall-clock observability only: like
-       [exec.compute_wall_s] it never feeds events or simulated time, so
-       determinism is untouched. *)
+       [exec.compute_wall_s] it never feeds the run's record or
+       simulated time, so determinism is untouched. *)
     m_plan_host = Metrics.counter reg "exec.plan_wall_s";
     h_copy_bytes = Metrics.histogram reg "exec.copy_bytes";
     h_step_time = Metrics.histogram reg "exec.step_time";
@@ -325,32 +316,6 @@ let price_groups cost ~link ~send ~recv ~mtouch glist =
     glist;
   (!bytes, !messages)
 
-(* One profile instant per wire message, on the receiver's track. *)
-let emit_copy_instants sink ~pid ~link ~ts glist =
-  List.iter
-    (fun (g : Comm_plan.group) ->
-      let k = Array.length g.receivers in
-      Array.iter
-        (fun dst ->
-          Span.instant sink ~name:g.tensor ~cat:"copy" ~pid ~tid:dst ~ts
-            ~attrs:
-              [
-                ("tensor", Event.Str g.tensor);
-                ("piece", Event.Str (Comm_plan.describe g.rects));
-                ("fragments", Event.Int g.fragments);
-                ("src", Event.Int g.src);
-                ("dst", Event.Int dst);
-                ("bytes", Event.Float g.bytes);
-                ( "link",
-                  Event.Str
-                    (match link g.src dst with Cost.Intra -> "intra" | Cost.Inter -> "inter")
-                );
-                ("receivers", Event.Int k);
-              ]
-            ())
-        g.receivers)
-    glist
-
 (* The one pricing of a bulk-synchronous step, shared by [execute] and
    [redistribute]. The step's message table is planned into wire
    messages (one per (tensor, src, dst)) and identical payloads bundled
@@ -359,8 +324,8 @@ let emit_copy_instants sink ~pid ~link ~ts glist =
    faults, are charged to the endpoints. The step costs the max over
    processors of overlapped compute and communication, or the rack
    fabric's occupancy when that is larger. [kernel] prices leaf compute
-   (see [resolve]). Returns the timeline row (with per-processor slots
-   only when [profiling]) and the planned groups. *)
+   (see [resolve]). Returns the timeline row, with its per-processor
+   slots and wire payloads only when [profiling]. *)
 let price_step machine cost obs ~link ~kernel ~faults ~profiling ~step ~start a =
   let t_plan = now () in
   let glist = Comm_plan.groups a.msgs in
@@ -425,37 +390,16 @@ let price_step machine cost obs ~link ~kernel ~faults ~profiling ~step ~start a 
       in
       let busy = Cost.step_time cost ~compute:cmp ~comm:cm in
       cost_step := Float.max !cost_step busy;
-      if profiling then slots := { Cp.proc; compute = cmp; comm = cm; busy } :: !slots
+      if profiling then
+        slots :=
+          { Cp.proc; compute = cmp; comm = cm; busy; flops = a.cflops.(proc);
+            bytes_touched = a.cbytes.(proc) }
+          :: !slots
     end
   done;
   Metrics.observe obs.h_step_time !cost_step;
-  ( { Cp.index = step; start; cost = !cost_step; slots = !slots; bytes; messages; fabric },
-    glist )
-
-(* A priced step's processor tracks: a compute span (with the flops and
-   bytes it touched) and the exposed part of the communication on each
-   busy processor, then one instant per wire message. *)
-let emit_step sink ~pid ~link (row : Cp.step) a glist =
-  List.iter
-    (fun (sl : Cp.slot) ->
-      let proc = sl.Cp.proc in
-      if sl.Cp.compute > 0.0 then
-        Span.complete sink ~name:"compute" ~cat:"compute" ~pid ~tid:proc ~ts:row.Cp.start
-          ~dur:sl.Cp.compute
-          ~attrs:
-            [
-              ("flops", Event.Float a.cflops.(proc));
-              ("bytes_touched", Event.Float a.cbytes.(proc));
-            ]
-          ();
-      let exposed = sl.Cp.busy -. sl.Cp.compute in
-      if exposed > 0.0 then
-        Span.complete sink ~name:"comm" ~cat:"comm" ~pid ~tid:proc
-          ~ts:(row.Cp.start +. sl.Cp.compute) ~dur:exposed
-          ~attrs:[ ("occupancy", Event.Float sl.Cp.comm) ]
-          ())
-    row.Cp.slots;
-  emit_copy_instants sink ~pid ~link ~ts:row.Cp.start glist
+  { Cp.index = step; start; cost = !cost_step; slots = !slots; bytes; messages; fabric;
+    copies = (if profiling then glist else []) }
 
 (* Raw fragments per wire message (1.0 when no data moved, or when
    nothing merged). *)
@@ -477,16 +421,17 @@ let ops_per_point (stmt : Expr.stmt) =
 (* {2 The simulator}
 
    One simulation prices the program on the cost model without touching
-   tensor data, in four phases over one resolved context: [resolve]
+   tensor data, in three phases over one resolved context: [resolve]
    checks the spec and fixes everything that depends on it alone; [walk]
    runs one task per launch point into per-step tables, reduction
    contributions and memory peaks, binding each leaf as it reaches it
    when a plan is being compiled; [price] turns the tables into simulated
-   time; [emit] writes the profile. [Model]-mode [execute] is exactly
-   this; {!plan} is this with recording on, and [Full]-mode [execute] is
-   {!plan} followed by [run_plan]. *)
+   time and the run's priced record ({!Cp.timeline}), which a profile
+   keeps and renders as events only when they are asked for. [Model]-mode
+   [execute] is exactly this; {!plan} is this with recording on, and
+   [Full]-mode [execute] is {!plan} followed by [run_plan]. *)
 
-(* Everything the walk, pricing and emission read, fixed by [resolve],
+(* Everything the walk and pricing read, fixed by [resolve],
    and the tables the walk fills. Tensors are addressed by their index in
    [tensors] (statement order); processors by physical linear index. The
    walk binds launch variables (from the point) and sequential loop
@@ -497,7 +442,7 @@ type ctx = {
   cost : Cost.t;
   stmt : Expr.stmt;
   trace : trace_event list ref option;
-  profile : (Profile.t * Profile.run) option;
+  run : Profile.run option;  (* the profile's run this simulation records *)
   reg : Metrics.registry;
   faults : faults option;
   named : (string * string list) option;  (* substituted kernel, operand order *)
@@ -632,8 +577,8 @@ let resolve ?trace ?profile ?faults spec =
      registry and timeline slot). Without a profile the registry is private
      to this call; either way it is the single accumulator the final
      [Stats.t] view derives from. *)
-  let profile = Option.map (fun p -> (p, Profile.begin_run ~fallback:"execute" p)) profile in
-  let reg = match profile with Some (_, r) -> r.Profile.metrics | None -> Metrics.create () in
+  let run = Option.map (Profile.begin_run ~fallback:"execute") profile in
+  let reg = match run with Some r -> r.Profile.metrics | None -> Metrics.create () in
   let wall_start = now () in
   let alloc0 = alloc_words () in
   let m_tasks = Metrics.counter reg "exec.tasks" in
@@ -806,7 +751,7 @@ let resolve ?trace ?profile ?faults spec =
     List.exists derives lvars
   in
   let c =
-    { machine; cost; stmt; trace; profile; reg; faults; named; priced_kernel;
+    { machine; cost; stmt; trace; run; reg; faults; named; priced_kernel;
       leaf_vars = (match leaf with Taskir.Scalar_loops vars -> vars | Named _ -> []);
       reads_out; reduction; ops = ops_per_point stmt; nprocs; node_of_lin;
       rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin;
@@ -1216,21 +1161,6 @@ let walk c record =
 
 (* {3 Price} *)
 
-(* What pricing hands emission. *)
-type priced = {
-  overhead : float;
-  tasks_per_proc : int;
-  rows : Cp.step list;
-  groups : Comm_plan.group list array;  (* per step, when profiling *)
-  time : float;  (* of the steps *)
-  red_time : float;
-  episodes : (int * int * int * float * float * float) list;
-      (* per kill, in strike order: proc, kill step, replay-from, detect,
-         restore, replay *)
-  recovery : float;
-  total : float;
-}
-
 (* Each kill is an independent recovery episode: the failure is detected
    (a heartbeat timeout), every processor rolls back to the last
    checkpoint boundary — restoring from its buddy replica the snapshots
@@ -1284,7 +1214,8 @@ let recover c f rows =
                   (fun q bytes -> Cost.restore_time c.cost (buddy_link q) ~bytes)
             | None -> 0.0
           in
-          (proc, k, b, Cost.detect_time c.cost, restore, !replay))
+          { Cp.victim = proc; kill_step = k; from_step = b; detect = Cost.detect_time c.cost;
+            restore; replay = !replay })
         (Injector.kills f.inj)
     end
   in
@@ -1308,30 +1239,28 @@ let recover c f rows =
 
 (* Deterministic order throughout: steps ascending, copy groups sorted by
    key within each step, processors ascending — so two runs of the same
-   spec produce identical event streams and bit-identical times.
-   Everything is read off the flat per-step accumulators. *)
+   spec produce identical records and bit-identical times. Everything is
+   read off the flat per-step accumulators. *)
 let price c =
   let t0 = now () in
   let cost = c.cost and nprocs = c.nprocs in
   let tasks_per_proc = Ints.ceil_div (Array.length c.points) nprocs in
   let overhead = float_of_int tasks_per_proc *. cost.Cost.task_overhead in
   let start = ref overhead in
-  (* Per-processor slots and planned copy groups only feed the profile's
-     timeline and events; without a profile the step cost (the max over
-     processors, which any order computes exactly) is all that is kept. *)
-  let profiling = Option.is_some c.profile in
-  let groups = Array.make c.nsteps [] in
+  (* Per-processor slots and wire payloads only feed the profile; without
+     one the step cost (the max over processors, which any order computes
+     exactly) is all that is kept. *)
+  let profiling = Option.is_some c.run in
   let total_fragments = ref 0 and total_messages = ref 0 in
   let rev_rows = ref [] in
   for step = 0 to c.nsteps - 1 do
     match c.steps_acc.(step) with
     | None -> ()
     | Some a ->
-        let row, glist =
+        let row =
           price_step c.machine cost c.obs ~link:(link_between c.node_of_lin)
             ~kernel:c.priced_kernel ~faults:c.faults ~profiling ~step ~start:!start a
         in
-        if profiling then groups.(step) <- glist;
         total_fragments := !total_fragments + Comm_plan.fragments a.msgs;
         total_messages := !total_messages + row.Cp.messages;
         start := !start +. row.Cp.cost;
@@ -1366,7 +1295,7 @@ let price c =
   let episodes = match c.faults with Some f -> recover c f rows | None -> [] in
   let recovery =
     List.fold_left
-      (fun acc (_, _, _, detect, restore, replay) -> acc +. detect +. restore +. replay)
+      (fun acc (e : Cp.episode) -> acc +. e.detect +. e.restore +. e.replay)
       0.0 episodes
   in
   let reg = c.reg in
@@ -1393,90 +1322,14 @@ let price c =
     if m > mem_limit then Metrics.set g_oom 1.0
   done;
   Metrics.set (Metrics.gauge reg "exec.assembly_wall_s") (now () -. t0);
-  { overhead; tasks_per_proc; rows; groups; time; red_time; episodes; recovery; total }
+  { Cp.nprocs; grid = Machine.dims c.machine; node_of = c.node_of_lin; tasks_per_proc;
+    overhead; reduction = red_time; recovery; episodes; steps = rows; total; exchange = false }
 
-(* {3 Emit} *)
-
-let emit c p =
-  match c.profile with
-  | None -> ()
-  | Some (profile, run) ->
-      let sink = Profile.sink profile in
-      let pid = run.Profile.pid in
-      let rt = c.nprocs in
-      Span.thread_name sink ~pid ~tid:rt "runtime";
-      name_proc_tracks sink ~pid c.machine;
-      if p.overhead > 0.0 then
-        Span.complete sink ~name:"task launch overhead" ~cat:"runtime" ~pid ~tid:rt ~ts:0.0
-          ~dur:p.overhead
-          ~attrs:[ ("tasks_per_proc", Event.Int p.tasks_per_proc) ]
-          ();
-      List.iter
-        (fun (row : Cp.step) ->
-          Span.complete sink
-            ~name:(Printf.sprintf "step %d" row.Cp.index)
-            ~cat:"step" ~pid ~tid:rt ~ts:row.Cp.start ~dur:row.Cp.cost
-            ~attrs:
-              [
-                ("bytes", Event.Float row.Cp.bytes);
-                ("messages", Event.Int row.Cp.messages);
-                ("fabric", Event.Float row.Cp.fabric);
-              ]
-            ();
-          Span.counter sink ~name:"bytes moved" ~pid ~tid:rt ~ts:row.Cp.start row.Cp.bytes;
-          emit_step sink ~pid ~link:(link_between c.node_of_lin) row
-            (Option.get c.steps_acc.(row.Cp.index))
-            p.groups.(row.Cp.index))
-        p.rows;
-      if p.red_time > 0.0 then
-        Span.complete sink ~name:"distributed reduction" ~cat:"reduction" ~pid ~tid:rt
-          ~ts:(p.overhead +. p.time) ~dur:p.red_time ();
-      (* Fault lanes: a kill instant on the victim's own track at the step
-         it strikes, and one recovery span per episode (detect + restore +
-         replay) chained after the reduction epilogue. Only emitted when a
-         kill actually strikes, so fault-free event streams are untouched. *)
-      let start_of k =
-        match List.find_opt (fun (r : Cp.step) -> r.Cp.index = k) p.rows with
-        | Some r -> r.Cp.start
-        | None -> p.overhead
-      in
-      let cursor = ref (p.overhead +. p.time +. p.red_time) in
-      List.iter
-        (fun (proc, k, b, detect, restore, replay) ->
-          Span.instant sink
-            ~name:(Printf.sprintf "kill proc %d" proc)
-            ~cat:"fault" ~pid ~tid:proc ~ts:(start_of k)
-            ~attrs:[ ("step", Event.Int k) ]
-            ();
-          let dur = detect +. restore +. replay in
-          Span.complete sink
-            ~name:(Printf.sprintf "recover proc %d: replay steps %d..%d" proc b k)
-            ~cat:"fault" ~pid ~tid:rt ~ts:!cursor ~dur
-            ~attrs:
-              [
-                ("detect", Event.Float detect);
-                ("restore", Event.Float restore);
-                ("replay", Event.Float replay);
-                ("from_step", Event.Int b);
-                ("kill_step", Event.Int k);
-              ]
-            ();
-          cursor := !cursor +. dur)
-        p.episodes;
-      run.Profile.timeline <-
-        Some
-          {
-            Cp.nprocs = c.nprocs;
-            overhead = p.overhead;
-            reduction = p.red_time;
-            recovery = p.recovery;
-            steps = p.rows;
-            total = p.total;
-          }
-
-(* Price and emit a walked simulation; its modeled stats. *)
+(* Price a walked simulation, hand its record to the profile; its
+   modeled stats. *)
 let finish c =
-  emit c (price c);
+  let tl = price c in
+  Option.iter (fun (r : Profile.run) -> r.timeline <- Some tl) c.run;
   (* Host allocation accounting: OCaml words this simulation allocated
      (bigarray payloads live outside the heap and are not counted).
      Gauges only — [Stats.of_registry] reads a fixed name set, so the
@@ -1670,7 +1523,7 @@ let execute ?(mode = Full) ?domains ?trace ?profile ?faults spec ~data =
 (* {2 Redistribution} *)
 
 let redistribute ?profile machine cost ~shape ~src ~dst =
-  let prun = Option.map (fun p -> Profile.begin_run ~fallback:"redistribute" p) profile in
+  let prun = Option.map (Profile.begin_run ~fallback:"redistribute") profile in
   let reg = match prun with Some r -> r.Profile.metrics | None -> Metrics.create () in
   let m_bytes_intra = Metrics.counter reg "exec.bytes_intra" in
   let m_bytes_inter = Metrics.counter reg "exec.bytes_inter" in
@@ -1709,21 +1562,19 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
             src_tiles)
         downers)
     (tiles dst);
-  let row, glist =
+  let row =
     price_step machine cost (step_obs reg) ~link:link_of ~kernel:None ~faults:None
       ~profiling:(Option.is_some prun) ~step:0 ~start:0.0 a
   in
   Metrics.set (Metrics.gauge reg "exec.time") row.Cp.cost;
   Metrics.set (Metrics.gauge reg "exec.steps") 1.0;
   set_coalesce_ratio reg ~fragments:(Comm_plan.fragments a.msgs) ~messages:row.Cp.messages;
-  (match (profile, prun) with
-  | Some p, Some run ->
-      let sink = Profile.sink p and pid = run.Profile.pid in
-      name_proc_tracks sink ~pid machine;
-      emit_step sink ~pid ~link:link_of row a glist;
-      run.Profile.timeline <-
+  Option.iter
+    (fun (run : Profile.run) ->
+      run.timeline <-
         Some
-          { Cp.nprocs; overhead = 0.0; reduction = 0.0; recovery = 0.0; steps = [ row ];
-            total = row.Cp.cost }
-  | _ -> ());
+          { Cp.nprocs; grid = Machine.dims machine; node_of = node_of_lin; tasks_per_proc = 0;
+            overhead = 0.0; reduction = 0.0; recovery = 0.0; episodes = []; steps = [ row ];
+            total = row.Cp.cost; exchange = true })
+    prun;
   Stats.of_registry reg

@@ -9,8 +9,8 @@
     real arithmetic on the local instances.
 
     Execution is deterministic and doubles as a performance simulation:
-    every copy and leaf execution is also logged as a timed event in a
-    bulk-synchronous step structure (one step per iteration of the
+    every copy and leaf execution is also charged to a bulk-synchronous
+    step structure (one step per iteration of the
     sequential loops all tasks execute in lockstep). Steps are charged
     max-over-processors of compute combined with communication under the
     cost model's overlap factor; copies of the same data to many
@@ -22,7 +22,7 @@
     256-node scales where functional execution would be infeasible
     (see DESIGN.md, substitutions). The simulation runs in phases over
     one resolved context: resolve the spec, walk the tasks, price the
-    steps, emit the profile. [Full] mode is the same simulation with
+    steps into the run's record. [Full] mode is the same simulation with
     recording on ({!plan}), whose walk binds each data operation as it
     reaches it, followed by one replay of the bound operations against
     the caller's data ({!run_plan}): there is one data path. *)
@@ -104,13 +104,15 @@ val execute :
     reason; [Model] runs do not stage leaves.
 
     With [profile], the execution registers itself as a run of the profile
-    and emits structured observability data: per-step compute/comm spans
-    for every processor, copy/broadcast instants with tensor, piece and
-    byte attributes, a per-step timeline for
-    {!Distal_obs.Critical_path.analyse}, and an [exec.*] metrics registry.
-    The event stream is deterministic — [Full] and [Model] runs of the
-    same spec produce identical streams — and the timeline's [total]
-    equals the returned [Stats.time] exactly. A [Full] run's trace and
+    and keeps its priced record ({!Distal_obs.Critical_path.timeline}:
+    the step table with per-processor slots, each step's wire payloads,
+    the recovery episodes) and an [exec.*] metrics registry. The
+    simulation builds no event: {!Distal_obs.Profile.events} renders the
+    run's per-step compute/comm spans and copy/broadcast instants from
+    the record when the profile is exported. The record and its events
+    are deterministic — [Full] and [Model] runs of the same spec produce
+    identical streams — and the timeline's [total] equals the returned
+    [Stats.time] exactly. A [Full] run's trace and
     profile come from its planning simulation, so they are those of the
     [Model] run of the same spec.
 
@@ -231,9 +233,9 @@ val redistribute :
     transform data between distributed layouts to match the computation").
     One bulk-synchronous exchange step with no compute: the transfers each
     destination owner needs are discovered tile by tile, then the step is
-    priced and profiled by the executor's own step assembler, the code that
-    prices every step of {!execute} — planning ({!Comm_plan}), broadcast
+    priced by the executor's own step assembler, the code that prices
+    every step of {!execute} — planning ({!Comm_plan}), broadcast
     grouping, the duplex rule that combines per-processor occupancies and
-    the rack fabric's charge for cross-rack traffic. With [profile], every
-    transfer is recorded as a copy event and the exchange becomes a
-    one-step timeline. *)
+    the rack fabric's charge for cross-rack traffic. With [profile], the
+    exchange becomes a one-step timeline marked [exchange], whose export
+    shows every wire message as a copy event. *)

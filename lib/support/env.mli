@@ -15,9 +15,6 @@ val positive_int_var : string -> int option
 val float_var : string -> float option
 (** @raise Invalid_argument when set but not a finite number. *)
 
-val non_negative_float_var : string -> float option
-(** @raise Invalid_argument when set but not a finite number [>= 0]. *)
-
 (** {2 Leaf-kernel knobs} *)
 
 val kernel_rate : unit -> float option

@@ -52,13 +52,16 @@ let test_phase_gauges () =
   Alcotest.(check (list int64))
     "stats with and without a profile" (stats_bits without) (stats_bits with_profile)
 
-(* SUMMA n=256 on 8x8, Model mode, with a profile. Before the
-   slot-indexed task walk this run allocated 2,441,472 minor words; the
-   walk brought it to 1,431,240, applying effects without a tape to
-   1,412,160, and folding fetches into per-step message tables instead of
-   raw batch records to 1,262,934 (1,246,250 before the next change).
-   Flat walk memos and list-free step grouping took it to 1,159,415. The
-   budget is that plus 20%. *)
+(* SUMMA n=256 on 8x8 and on 16x16, Model mode, with a profile. Before
+   the slot-indexed task walk the 8x8 run allocated 2,441,472 minor
+   words; the walk brought it to 1,431,240, applying effects without a
+   tape to 1,412,160, and folding fetches into per-step message tables
+   instead of raw batch records to 1,262,934 (1,246,250 before the next
+   change). Flat walk memos and list-free step grouping took it to
+   1,159,415, and the 16x16 run allocated 8,949,772. Both counted the
+   profile's events, which the simulation built eagerly. It now keeps
+   only the priced record and builds no event: 270,219 and 1,465,178.
+   Each budget is that plus 20%. *)
 let model_words plan =
   ignore (profiled plan);
   (* The least of three runs, as in [Test_kernels.words_of]. *)
@@ -66,12 +69,18 @@ let model_words plan =
     (List.init 3 (fun _ -> gauge (snd (profiled plan)) "exec.alloc_minor_words"))
 
 let test_alloc_budget () =
-  let words = model_words (summa ~n:256 ~g:8) in
-  if words > 1_391_298.0 then Alcotest.failf "allocated %.0f minor words" words
+  List.iter
+    (fun (name, plan, budget) ->
+      let words = model_words plan in
+      if words > budget then Alcotest.failf "%s allocated %.0f minor words" name words)
+    [
+      ("summa 8x8", summa ~n:256 ~g:8, 324_263.0);
+      ("summa 16x16", summa ~n:256 ~g:16, 1_758_214.0);
+    ]
 
 (* SUMMA n=256 on 16x16, Model mode, without a profile: the simulation
-   itself, which the profiled budgets above hide under [emit]'s events.
-   The hash-keyed walk memos and per-message grouping tuples allocated
+   alone, without the per-processor slots and wire payloads a profiled
+   run keeps in its record. The hash-keyed walk memos and per-message grouping tuples allocated
    1,829,082 minor words here; flat memos and list-free grouping
    1,119,506. The budget is that plus 20%. *)
 let test_unprofiled_budget () =
@@ -109,16 +118,17 @@ let cyclic_ttv ~i ~jk ~procs ~vprocs =
    cyclic TTV (i=1280, jk=16, 64 processors over 128 virtual) 1,057,884
    before the simulator was split into phases, and 2,796,259 and
    1,035,325 before flat walk memos, list-free grouping and the hoisted
-   tile sweep took them to 2,648,931 and 876,620; each budget is that
-   plus 20%. *)
+   tile sweep took them to 2,648,931 and 876,620. Keeping the priced
+   record instead of building the profile's events took them to 694,349
+   and 484,186; each budget is that plus 20%. *)
 let test_family_budgets () =
   List.iter
     (fun (name, plan, budget) ->
       let words = model_words plan in
       if words > budget then Alcotest.failf "%s allocated %.0f minor words" name words)
     [
-      ("cannon", cannon ~n:256 ~g:16, 3_178_717.0);
-      ("cyclic ttv", cyclic_ttv ~i:1280 ~jk:16 ~procs:64 ~vprocs:128, 1_051_944.0);
+      ("cannon", cannon ~n:256 ~g:16, 833_219.0);
+      ("cyclic ttv", cyclic_ttv ~i:1280 ~jk:16 ~procs:64 ~vprocs:128, 581_024.0);
     ]
 
 (* Footprints a Model run computes: one per distinct key per site. Cannon

@@ -298,6 +298,74 @@ let test_compile_spans () =
       Alcotest.(check bool) (name ^ " span present") true (List.mem name phases))
     [ "parse"; "typecheck"; "cin"; "schedule rewrites"; "lower" ]
 
+(* {2 One stream, several runs} *)
+
+(* Compile spans, a Model run, a redistribution and a Model run with a
+   kill plan share one profile. Two digests pin the stream: the
+   (pid, tid, cat, kind) sequence of every event, which fixes where each
+   run's events sit among the wall-clock compile spans of pid 0, and the
+   full Chrome trace of every event off pid 0. Exporting twice gives the
+   same stream. *)
+let test_interleaved_runs () =
+  let machine = Machine.grid [| 3; 3 |] in
+  let p = Profile.create () in
+  let problem () =
+    Api.problem_exn ~profile:p ~machine ~stmt:"A(i,j) = B(i,k) * C(k,j)"
+      ~tensors:
+        (List.map (fun n -> Api.tensor n [| 9; 9 |] ~dist:"[x,y] -> [x,y]") [ "A"; "B"; "C" ])
+      ()
+  in
+  let schedule =
+    "distribute_onto({i,j}, {io,jo}, {ii,ji}, [3,3]); split(k, ko, ki, 3);\n\
+     reorder(ko, ii, ji, ki); communicate(A, jo); communicate({B,C}, ko)"
+  in
+  let plan = Api.compile_script_exn ~profile:p (problem ()) ~schedule in
+  ignore (Api.run_exn ~mode:Api.Exec.Model ~profile:p plan ~data:[]);
+  ignore
+    (Api.redistribute ~machine ~profile:p ~shape:[| 9; 9 |]
+       ~src:(Distal_ir.Distnot.parse_exn "[x,y] -> [x,y]")
+       ~dst:(Distal_ir.Distnot.parse_exn "[x,y] -> [y,x]")
+       ());
+  let plan = Api.compile_script_exn ~profile:p (problem ()) ~schedule in
+  let faults =
+    Distal_fault.Fault.plan ~checkpoint:true
+      ~kills:[ Distal_fault.Fault.kill ~proc:4 ~step:1 () ]
+      ~messages:[ Distal_fault.Fault.drop ~tensor:"B" ~step:2 () ]
+      ()
+  in
+  ignore (Api.run_exn ~mode:Api.Exec.Model ~profile:p ~faults plan ~data:[]);
+  let digests events =
+    let kind (e : Event.t) =
+      match e.Event.kind with
+      | Event.Span _ -> "X"
+      | Event.Instant -> "i"
+      | Event.Counter _ -> "C"
+      | Event.Meta -> "M"
+    in
+    let tracks =
+      String.concat "\n"
+        (List.map
+           (fun (e : Event.t) ->
+             Printf.sprintf "%d %d %s %s" e.Event.pid e.Event.tid e.Event.cat (kind e))
+           events)
+    in
+    let simulated = List.filter (fun (e : Event.t) -> e.Event.pid <> 0) events in
+    ( Digest.to_hex (Digest.string tracks),
+      Digest.to_hex (Digest.string (Obs.Chrome_trace.to_string simulated)) )
+  in
+  let events = Profile.events p in
+  List.iter
+    (fun cat ->
+      Alcotest.(check bool) (cat ^ " events present") true
+        (List.exists (fun (e : Event.t) -> e.Event.cat = cat) events))
+    [ "compile"; "step"; "copy"; "fault" ];
+  let first = digests events in
+  Alcotest.(check (pair string string))
+    "pinned stream"
+    ("0c4a3eeada23bf49dc19bf9bf1e14e78", "db1c9561c64eba8b830610f99526546f")
+    first;
+  Alcotest.(check (pair string string)) "second export" first (digests (Profile.events p))
+
 let suites =
   [
     ( "obs",
@@ -316,5 +384,6 @@ let suites =
         Alcotest.test_case "run report" `Quick test_report;
         Alcotest.test_case "figure json" `Quick test_figure_json;
         Alcotest.test_case "compile spans" `Quick test_compile_spans;
+        Alcotest.test_case "interleaved runs" `Quick test_interleaved_runs;
       ] );
   ]

@@ -154,9 +154,11 @@ let gen_dist2 rng ~rank ~mdims =
 
 (* A random legal schedule over the statement's root variables:
    distribute a subset (reduction variables allowed — that makes a
-   distributed reduction), maybe split one remaining variable, move the
-   split-outer loop below the distributed band and maybe rotate it by the
-   distributed variables. *)
+   distributed reduction), maybe fuse the two local loops of a
+   two-variable distribution (a fused leaf variable, staged as the nest of
+   its parts; nothing splits it later), maybe split one remaining
+   variable, move the split-outer loop below the distributed band and
+   maybe rotate it by the distributed variables. *)
 let gen_schedule rng ~rhs_vars =
   let dist =
     List.filter (fun _ -> Rng.int rng 3 = 0) rhs_vars |> List.filteri (fun i _ -> i < 2)
@@ -175,6 +177,14 @@ let gen_schedule rng ~rhs_vars =
       ]
   in
   let rest = List.filter (fun v -> not (List.mem v dist)) rhs_vars in
+  (* The local loops sit where their variables did; moving them to the
+     head of the loops below the band makes them adjacent. *)
+  let collapse =
+    match dist with
+    | [ a; b ] when Rng.int rng 2 = 0 ->
+        [ S.Reorder ((a ^ "i") :: (b ^ "i") :: rest); S.Collapse (a ^ "i", b ^ "i", a ^ b ^ "f") ]
+    | _ -> []
+  in
   let split =
     if rest = [] || Rng.int rng 2 = 1 then []
     else
@@ -188,7 +198,7 @@ let gen_schedule rng ~rhs_vars =
         ]
       else []
   in
-  distribute @ split
+  distribute @ collapse @ split
 
 let script cmds = String.concat "; " (List.map S.to_string cmds)
 
