@@ -1,7 +1,9 @@
 (* distald — the compile-and-serve daemon.
 
-   Listens on a Unix-domain socket for length-prefixed JSONL requests
-   (see lib/serve/protocol.mli), sharing one plan cache, result cache
+   Listens on a Unix-domain socket for length-prefixed frames, each a
+   single-line JSON request (see lib/serve/protocol.mli); a reply that
+   carries an output follows its JSON head with the output's raw
+   little-endian float64 bytes. It shares one plan cache, result cache
    and replay domain pool across all clients. Requests are served as
    soon as they are read; same-shape requests read together share one
    compile, and submits beyond the admission bound are rejected with a

@@ -108,20 +108,27 @@ let analyse (tl : timeline) =
   in
   let compute_time = List.fold_left (fun acc n -> acc +. n.compute) 0.0 nodes in
   let comm_time = List.fold_left (fun acc n -> acc +. n.comm) 0.0 nodes in
+  (* Each step's slots are indexed by processor once; the first slot of
+     a processor counts. Each processor's idle time sums over the steps
+     in order. *)
   let slack =
-    List.init tl.nprocs (fun p ->
-        let idle =
-          List.fold_left
-            (fun acc s ->
-              let busy =
-                match List.find_opt (fun sl -> sl.proc = p) s.slots with
-                | Some sl -> Float.min sl.busy s.cost
-                | None -> 0.0
-              in
-              acc +. (s.cost -. busy))
-            0.0 tl.steps
-        in
-        (p, idle))
+    let n = tl.nprocs in
+    let idle = Array.make n 0.0 and busy = Array.make n 0.0 and seen = Array.make n (-1) in
+    List.iteri
+      (fun k (s : step) ->
+        List.iter
+          (fun (sl : slot) ->
+            if sl.proc >= 0 && sl.proc < n && seen.(sl.proc) <> k then begin
+              seen.(sl.proc) <- k;
+              busy.(sl.proc) <- Float.min sl.busy s.cost
+            end)
+          s.slots;
+        for p = 0 to n - 1 do
+          let b = if seen.(p) = k then busy.(p) else 0.0 in
+          idle.(p) <- idle.(p) +. (s.cost -. b)
+        done)
+      tl.steps;
+    List.init n (fun p -> (p, idle.(p)))
   in
   let bottleneck =
     let totals = Hashtbl.create 8 in

@@ -5,6 +5,7 @@ type payload = {
   tensor : string;
   pieces : Rect.t list;
   merged : Rect.t list;
+  hull : Rect.t option;
   nfrag : int;
   volume : int;
 }
@@ -120,13 +121,14 @@ let merge_rects = function
       if not (sorted_by compare_rect res) then Array.sort compare_rect res;
       Array.to_list res
 
-let payload tensor pieces =
-  let volume = List.fold_left (fun acc r -> acc + Rect.volume r) 0 pieces in
-  { tensor; pieces; merged = merge_rects pieces; nfrag = List.length pieces; volume }
-
 let hull_of = function
   | [] -> None
   | (r : Rect.t) :: rest -> Some (List.fold_left Rect.hull r rest)
+
+let payload tensor pieces =
+  let volume = List.fold_left (fun acc r -> acc + Rect.volume r) 0 pieces in
+  let merged = merge_rects pieces in
+  { tensor; pieces; merged; hull = hull_of merged; nfrag = List.length pieces; volume }
 
 (* No rect of a payload with bounding box [a] can ever merge with one of a
    payload with bounding box [b] when some dimension leaves a strict gap
@@ -146,7 +148,7 @@ let hull_of = function
 let chain_separated loads =
   let rec start = function
     | [] -> true
-    | (p : payload) :: tl -> ( match hull_of p.merged with None -> start tl | Some b0 -> walk b0 tl)
+    | (p : payload) :: tl -> ( match p.hull with None -> start tl | Some b0 -> walk b0 tl)
   and walk b0 tl =
     let d = Array.length b0.Rect.lo in
     d <= 62
@@ -155,7 +157,7 @@ let chain_separated loads =
     let rec go (prev : Rect.t) asc desc = function
       | [] -> true
       | (p : payload) :: tl -> (
-          match hull_of p.merged with
+          match p.hull with
           | None -> go prev asc desc tl
           | Some (b : Rect.t) ->
               let asc = ref asc and desc = ref desc in
@@ -201,7 +203,7 @@ let fragments tab = tab.frags
 
 (* Fills grown tables: a constant, so a large table is made without the
    minor collection [Array.make] runs when its initial value is young. *)
-let no_payload = { tensor = ""; pieces = []; merged = []; nfrag = 0; volume = 0 }
+let no_payload = { tensor = ""; pieces = []; merged = []; hull = None; nfrag = 0; volume = 0 }
 
 let add tab ~t ~src ~dst (p : payload) =
   if (src lor dst) lsr bits <> 0 then invalid_arg "Comm_plan.add: processor index out of range";

@@ -35,6 +35,7 @@ type payload = {
   tensor : string;
   pieces : Rect.t list;  (** disjoint fragments as discovered *)
   merged : Rect.t list;  (** the same elements with adjacent rects unioned *)
+  hull : Rect.t option;  (** the bounding box of [merged]; [None] when empty *)
   nfrag : int;  (** [List.length pieces] *)
   volume : int;  (** total elements over [pieces] *)
 }
@@ -45,7 +46,7 @@ type payload = {
 
 val payload : string -> Rect.t list -> payload
 (** [payload tensor pieces] from disjoint fragments: computes [merged],
-    [nfrag] and [volume]. *)
+    [hull], [nfrag] and [volume]. *)
 
 val merge_rects : Rect.t list -> Rect.t list
 (** Union adjacent rects of a disjoint set to a fixed point: rectangles

@@ -6,21 +6,16 @@
 
    All JSON goes through the shared lib/support writer/parser, so string
    escaping and float round-tripping are fixed in exactly one place.
-   Dense outputs travel as base64 of their raw IEEE-754 bytes, which
-   reproduce the bits on decode — the byte-identity guarantee of the
-   serving layer survives the wire.
-
-   A result's payload moves between the output's bigarray and the frame
-   in one pass on each side: the encoder writes it straight into the
-   one allocation that becomes the frame, and the decoder reads it from
-   the received frame straight into a fresh tensor; only the small JSON
-   around it is rendered or parsed as a tree. The bytes on the wire are
-   those of rendering the whole message as one JSON tree. *)
+   A result's output follows its JSON head as a tail of raw
+   little-endian IEEE-754 bytes, which reproduce the bits on decode —
+   the byte-identity guarantee of the serving layer survives the wire.
+   The tail moves between the output's bigarray and the frame in one
+   pass on each side; only the small head is rendered or parsed as a
+   tree. *)
 
 module Api = Distal.Api
 module Dense = Distal_tensor.Dense
 module Json = Distal_support.Json
-module Base64 = Distal_support.Base64
 module Wire = Distal_support.Wire
 
 let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
@@ -125,13 +120,12 @@ let int_array_of_json ~what = function
 
 let opt_field k = function None -> [] | Some v -> [ (k, v) ]
 
-(* An output travels as its raw little-endian IEEE-754 bytes in base64
-   ("f64le"): every bit survives, including NaN payloads, infinities and
-   signed zeros. The tree holds the output's shape and an empty payload;
-   the encoder writes the payload between those quotes and the decoder
-   reads it from the frame, each in one pass (see {2 Wire payloads}). *)
-let json_of_output shape =
-  Json.Obj [ ("shape", json_of_int_array shape); ("f64le", Json.String "") ]
+(* An output travels as its raw little-endian IEEE-754 bytes ("f64le"):
+   every bit survives, including NaN payloads, infinities and signed
+   zeros. The head holds the output's shape and the byte count of the
+   tail that carries them (see {2 Wire payloads}). *)
+let json_of_output shape n =
+  Json.Obj [ ("shape", json_of_int_array shape); ("f64le", Json.Int (8 * n)) ]
 
 (* The element count of a shape off the wire, when it is a plain
    non-negative int whose bytes do not overflow. *)
@@ -146,14 +140,15 @@ let elements shape =
 let output_length shape =
   if Array.exists (fun e -> e < 0) shape then None
   else
-    let wrapper = String.length (Json.to_string (json_of_output shape)) in
     match elements shape with
-    | Some n when n <= max_int / 16 -> Some (wrapper + Base64.f64_length n)
+    | Some n when n <= max_int / 16 ->
+        Some (String.length (Json.to_string (json_of_output shape n)) + 1 + (8 * n))
     | _ -> Some max_int
 
-(* [span] is where the payload's characters are when the decoder cut
-   them out of the frame before parsing; otherwise they are the tree's. *)
-let dense_of_json ~span j =
+(* The output a head describes, read from the [tail] bytes of [payload]
+   that follow it. The tail's length is checked before anything is sized
+   by the shape. *)
+let dense_of_json ~tail:(payload, off, len) j =
   let* shape =
     match Json.member "shape" j with
     | Some s -> int_array_of_json ~what:"output shape" s
@@ -161,19 +156,19 @@ let dense_of_json ~span j =
   in
   match (elements shape, Json.member "f64le" j) with
   | None, _ -> Error "output shape is negative or too large"
-  | Some n, Some (Json.String b64) -> (
-      let s, off, len = Option.value span ~default:(b64, 0, String.length b64) in
-      (* The length is checked before anything is sized by the shape. *)
-      if Option.is_some span && b64 <> "" then Error "output payload is not where it was cut"
-      else if n > len || len <> Base64.f64_length n then
-        errf "output payload: %d base64 characters cannot carry %d float64 values" len n
+  | Some n, Some (Json.Int bytes) ->
+      if bytes <> 8 * n || len <> bytes then
+        errf "output payload: %d bytes (head says %d) cannot carry %d float64 values" len
+          bytes n
       else
         let buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-        match Base64.decode_f64 s off len buf with
-        | Ok () -> Ok (Dense.of_buf buf shape)
-        | Error e -> errf "output payload: %s" e)
-  | Some _, Some _ -> Error "output f64le must be a base64 string"
-  | Some _, None -> Error "output missing f64le payload"
+        for i = 0 to n - 1 do
+          Bigarray.Array1.unsafe_set buf i
+            (Int64.float_of_bits (String.get_int64_le payload (off + (8 * i))))
+        done;
+        Ok (Dense.of_buf buf shape)
+  | Some _, Some _ -> Error "output f64le must be the payload's byte count"
+  | Some _, None -> Error "output missing f64le byte count"
 
 let json_of_stats (s : Api.Stats.t) =
   Json.Obj
@@ -366,7 +361,7 @@ let client_msg_of_json j =
   | Some (Json.String t) -> errf "unknown client message type %S" t
   | _ -> Error "client message missing type"
 
-(* The message's tree, with any output's payload left empty. *)
+(* The message's head: any output's values follow it as its tail. *)
 let server_msg_to_json = function
   | Result r ->
       Json.Obj
@@ -379,7 +374,9 @@ let server_msg_to_json = function
           ("batch", Json.Int r.batch);
           ("stats", json_of_stats r.stats);
           ( "output",
-            match r.output with None -> Json.Null | Some d -> json_of_output (Dense.shape d) );
+            match r.output with
+            | None -> Json.Null
+            | Some d -> json_of_output (Dense.shape d) (Dense.size d) );
         ]
   | Rejected { rid; retry_after_s; reason } ->
       Json.Obj
@@ -408,7 +405,7 @@ let server_msg_to_json = function
         ]
   | ShutdownAck -> Json.Obj [ ("type", Json.String "shutdown_ack") ]
 
-let server_msg_of_json ~span j =
+let server_msg_of_json ~tail j =
   match Json.member "type" j with
   | Some (Json.String "shutdown_ack") -> Ok ShutdownAck
   | Some (Json.String "stats") ->
@@ -447,9 +444,10 @@ let server_msg_of_json ~span j =
             | None -> Error "result missing stats"
           in
           let* output =
-            match Json.member "output" j with
-            | None | Some Json.Null -> Ok None
-            | Some d -> Result.map Option.some (dense_of_json ~span d)
+            match (Json.member "output" j, tail) with
+            | (None | Some Json.Null), _ -> Ok None
+            | Some _, None -> Error "result output has no tail"
+            | Some d, Some tail -> Result.map Option.some (dense_of_json ~tail d)
           in
           Ok (Result { rid; plan_cached; result_cached; batch; stats; output })
       | Some (Json.String "rejected") ->
@@ -473,32 +471,35 @@ let server_msg_of_json ~span j =
 
 (* {2 Wire payloads}
 
-   A result's payload is nearly all of its bytes, so it never passes
-   through a JSON string or an intermediate byte buffer. The encoder
-   renders the small tree around it, sizes the reply exactly and writes
-   the base64 straight from the output's bigarray into the one
-   allocation that becomes the frame. The decoder finds the payload's
-   span in the received frame, parses only the text around it and
-   decodes the span straight into a fresh tensor. The bytes on the wire
-   are exactly what rendering the whole tree would give. *)
+   A result's output is nearly all of its bytes, so it never passes
+   through JSON, a string or an intermediate byte buffer. Its payload is
+   the head, a single-line JSON document ([Json.to_string] escapes every
+   newline), then ['\n'], then the tail: the output's values as
+   little-endian IEEE-754 bytes in row-major order, as many as the head's
+   ["f64le"] count states. The encoder writes the tail straight from the
+   output's bigarray into the one allocation that becomes the frame; the
+   decoder parses only the head and reads the tail from the received
+   frame straight into a fresh tensor. Every other message is its head
+   alone. *)
 
-(* The exact length of [m] and a writer for it at an offset. With an
-   output, the tree renders as [..."f64le":""}}]: the output is the
-   result's last field and the payload its last, so the payload goes
-   before the closing three bytes. *)
+(* The exact length of [m] and a writer for it at an offset. *)
 let render m =
-  let text = Json.to_string (server_msg_to_json m) in
-  let n = String.length text in
+  let head = Json.to_string (server_msg_to_json m) in
+  let h = String.length head in
   match m with
   | Result { output = Some d; _ } ->
       let data = Dense.unsafe_data d in
-      let len = n + Base64.f64_length (Bigarray.Array1.dim data) in
-      ( len,
+      let n = Dense.size d in
+      ( h + 1 + (8 * n),
         fun b off ->
-          Bytes.blit_string text 0 b off (n - 3);
-          Base64.encode_f64 data b (off + n - 3);
-          Bytes.blit_string text (n - 3) b (off + len - 3) 3 )
-  | _ -> (n, fun b off -> Bytes.blit_string text 0 b off n)
+          Bytes.blit_string head 0 b off h;
+          Bytes.set b (off + h) '\n';
+          let off = off + h + 1 in
+          for i = 0 to n - 1 do
+            Bytes.set_int64_le b (off + (8 * i))
+              (Int64.bits_of_float (Bigarray.Array1.unsafe_get data i))
+          done )
+  | _ -> (h, fun b off -> Bytes.blit_string head 0 b off h)
 
 let encode_server m =
   let len, write = render m in
@@ -517,97 +518,12 @@ let decode payload parse =
 
 let decode_client payload = decode payload client_msg_of_json
 
-(* {3 Locating the payload}
-
-   A walk over the frame's structure — strings with their escapes,
-   brackets by depth, the first occurrence of each key as [Json.member]
-   takes it — finds where the string at ["output"]["f64le"] opens. It
-   does not validate: [Json.parse] does, on what is left. A key with an
-   escape stops the walk. *)
-
-let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-let rec skip_ws s i = if i < String.length s && is_ws s.[i] then skip_ws s (i + 1) else i
-
-(* Index just past the string whose contents start at [i]; -1 if it
-   does not end. *)
-let rec string_end s i =
-  if i >= String.length s then -1
-  else
-    match String.unsafe_get s i with
-    | '"' -> i + 1
-    | '\\' -> string_end s (i + 2)
-    | _ -> string_end s (i + 1)
-
-(* Index just past the value at [i]; -1 if it does not end. *)
-let value_end s i =
-  let n = String.length s in
-  let rec container j depth =
-    if j >= n then -1
-    else
-      match s.[j] with
-      | '"' ->
-          let e = string_end s (j + 1) in
-          if e < 0 then -1 else container e depth
-      | '{' | '[' -> container (j + 1) (depth + 1)
-      | '}' | ']' -> if depth = 1 then j + 1 else container (j + 1) (depth - 1)
-      | _ -> container (j + 1) depth
-  in
-  let rec scalar j =
-    if j >= n then j
-    else match s.[j] with ',' | '}' | ']' -> j | c when is_ws c -> j | _ -> scalar (j + 1)
-  in
-  if i >= n then -1
-  else
-    match s.[i] with
-    | '"' -> string_end s (i + 1)
-    | '{' | '[' -> container (i + 1) 1
-    | _ -> scalar i
-
-(* Where the value of key [k] starts in the object at [i]; -1 if absent. *)
-let field s i k =
-  let n = String.length s in
-  let rec member j =
-    let j = skip_ws s j in
-    if j >= n || s.[j] <> '"' then -1
-    else
-      let e = string_end s (j + 1) in
-      if e < 0 || String.contains (String.sub s j (e - j - 1)) '\\' then -1
-      else
-        let colon = skip_ws s e in
-        if colon >= n || s.[colon] <> ':' then -1
-        else
-          let v = skip_ws s (colon + 1) in
-          if e - j - 2 = String.length k && String.sub s (j + 1) (e - j - 2) = k then v
-          else
-            let next = value_end s v in
-            let next = if next < 0 then n else skip_ws s next in
-            if next < n && s.[next] = ',' then member (next + 1) else -1
-  in
-  if i < 0 || i >= n || s.[i] <> '{' then -1 else member (i + 1)
-
-(* The frame with the payload cut out, and the payload's span — when
-   the payload string is the frame's last one. The span is a guess until
-   its characters decode: a '"' or '\\' in it (a later string, or an
-   escape) is outside the base64 alphabet, and the whole frame is then
-   parsed instead. *)
-let cut_payload s =
-  let lo = field s (field s (skip_ws s 0) "output") "f64le" in
-  if lo < 0 || lo >= String.length s || s.[lo] <> '"' then None
-  else
-    match String.rindex_opt s '"' with
-    | Some hi when hi > lo ->
-        let skeleton = Bytes.create (String.length s - (hi - lo - 1)) in
-        Bytes.blit_string s 0 skeleton 0 (lo + 1);
-        Bytes.blit_string s hi skeleton (lo + 1) (String.length s - hi);
-        Some (Bytes.unsafe_to_string skeleton, (s, lo + 1, hi - lo - 1))
-    | _ -> None
-
 let decode_server payload =
-  let whole () = decode payload (server_msg_of_json ~span:None) in
-  match cut_payload payload with
-  | None -> whole ()
-  | Some (skeleton, span) -> (
-      (* Only a decoded output vouches for the span. *)
-      match decode skeleton (server_msg_of_json ~span:(Some span)) with
+  match String.index_opt payload '\n' with
+  | None -> decode payload (server_msg_of_json ~tail:None)
+  | Some h ->
+      let tail = Some (payload, h + 1, String.length payload - h - 1) in
+      match decode (String.sub payload 0 h) (server_msg_of_json ~tail) with
       | Ok (Result { output = Some _; _ }) as ok -> ok
-      | _ -> whole ())
+      | Ok _ -> Error "only a result's output may follow its head"
+      | Error _ as e -> e

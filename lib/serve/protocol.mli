@@ -5,13 +5,14 @@
     and [shutdown]. Server to client: [result] (status [ok], [rejected]
     by admission control, or [error]), [stats] and [shutdown_ack]. All
     JSON goes through the shared {!Distal_support.Json} writer and
-    parser. A result's output tensor is carried as
-    [{"shape": [...], "f64le": "<base64>"}]: base64 of its raw
-    little-endian IEEE-754 bytes, so served outputs survive the wire
-    byte-identical. The payload moves between the output's bigarray and
-    the frame in one pass on each side ({!Distal_support.Base64.encode_f64}
-    and [decode_f64]); only the JSON around it is rendered or parsed as
-    a tree. *)
+    parser. A result that carries an output is the one message with a
+    binary tail: its payload is the JSON head, which holds
+    [{"shape": [...], "f64le": <bytes>}], then ['\n'], then exactly that
+    many bytes: the output's IEEE-754 values, little-endian, in
+    row-major order. Served outputs survive the wire byte-identical. The
+    tail moves between the output's bigarray and the frame in one pass
+    on each side; only the head is rendered or parsed as a tree. Every
+    other message is its JSON document alone. *)
 
 module Api = Distal.Api
 
@@ -74,27 +75,29 @@ val encode_client : client_msg -> string
 val decode_client : string -> (client_msg, string) result
 
 val encode_server : server_msg -> string
-(** The message's JSON document, sized exactly and written in one
-    allocation; an output's payload goes straight from its bigarray into
-    it. *)
+(** The message's payload, sized exactly and written in one allocation;
+    an output's tail goes straight from its bigarray into it. *)
 
 val frame_server : Bytes.t -> server_msg -> Bytes.t * int
-(** The {!Distal_support.Wire} frame of {!encode_server}'s document,
+(** The {!Distal_support.Wire} frame of {!encode_server}'s payload,
     written into the given buffer when it fits, else into one fresh
     allocation ({!Distal_support.Wire.frame}): the buffer and the
     frame's length. @raise Invalid_argument beyond the frame limit,
     before allocating. *)
 
 val decode_server : string -> (server_msg, string) result
-(** Accepts keys in any order, any whitespace and any JSON escape; an
-    output's payload is decoded from the document's bytes straight into
-    a fresh tensor. Rejects, as an [Error], an output shape with a
-    negative extent or an element count that overflows, invalid base64,
-    and a payload that is not 8 bytes per element. *)
+(** Splits the payload at its first ['\n'], parses only the head (keys
+    in any order, any JSON escape) and reads an output's tail from the
+    payload straight into a fresh tensor. Rejects, as an [Error], a tail
+    that is not 8 bytes per element or not the head's ["f64le"] count,
+    an output without a tail, a tail after a message with no output, and
+    an output shape with a negative extent or an element count that
+    overflows. *)
 
 val output_length : int array -> int option
-(** The exact bytes an output of this shape takes in a result reply,
-    [{"shape":[...],"f64le":"<base64>"}]; saturates at [max_int] when
-    the element count overflows. [None] for a negative extent. *)
+(** The exact bytes an output of this shape adds to a result reply: its
+    [{"shape":[...],"f64le":<bytes>}] in the head, the ['\n'] and 8
+    bytes per element. Saturates at [max_int] when the element count
+    overflows. [None] for a negative extent. *)
 
 val json_of_stats : Api.Stats.t -> Distal_support.Json.t

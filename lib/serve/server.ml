@@ -251,8 +251,8 @@ let stats_reply t =
       metrics = Obs.Metrics.to_json (Session.metrics t.session);
     }
 
-(* A Full reply carries its output as [Protocol.output_length] bytes of
-   JSON before anything around it. Known from the output's declared shape
+(* A Full reply carries its output in [Protocol.output_length] bytes
+   before anything around it. Known from the output's declared shape
    before any work runs; [Some reason] when that alone exceeds one wire
    frame. A negative extent is left to [Api.problem] to name. *)
 let oversize_reply (s : Protocol.submit) =

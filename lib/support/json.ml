@@ -10,7 +10,7 @@ type t =
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
 (* Runs of characters that need no escaping are copied as one substring,
-   so a long plain string (a base64 payload) costs a scan and a blit. *)
+   so a long plain string costs a scan and a blit. *)
 let add_escaped buf s =
   let n = String.length s in
   let run = ref 0 in

@@ -1,16 +1,18 @@
-(* Length-prefixed JSONL framing for the distald wire protocol.
+(* Length-prefixed framing for the distald wire protocol.
 
    A frame is an 8-digit zero-padded decimal byte length, a newline, the
-   payload (one JSON document, by convention on a single line), and a
-   trailing newline:
+   payload and a trailing newline:
 
      00000042\n{"type":"submit","id":1,...}\n
 
-   The fixed-width prefix keeps framing trivial to parse incrementally
-   (no escaping questions — the payload length is known before the
-   payload is read) while `socat`/`nc` transcripts stay human-readable
-   JSONL. Reads distinguish a clean EOF on a frame boundary (None) from
-   a connection dying mid-frame (Error), which is how the server detects
+   A payload starts with one JSON document on a single line. A result
+   that carries an output follows it with a newline and the output's raw
+   little-endian float64 bytes (lib/serve/protocol.ml), which need no
+   escaping: the payload length is known before the payload is read.
+   The fixed-width prefix keeps framing trivial to parse incrementally,
+   and `socat`/`nc` transcripts of every head stay readable JSON lines.
+   Reads distinguish a clean EOF on a frame boundary (None) from a
+   connection dying mid-frame (Error), which is how the server detects
    clients killed mid-request. *)
 
 let max_frame = 64 * 1024 * 1024

@@ -1,9 +1,11 @@
-(** Length-prefixed JSONL framing for the [distald] wire protocol.
+(** Length-prefixed framing for the [distald] wire protocol.
 
-    A frame is [%08d\n] (payload byte length), the payload (one JSON
-    document on a single line), and a trailing newline. See
-    [lib/serve/protocol.mli] for the message vocabulary carried inside
-    frames. *)
+    A frame is [%08d\n] (payload byte length), the payload, and a
+    trailing newline. A payload starts with one JSON document on a
+    single line; a result that carries an output follows it with a
+    newline and the output's raw bytes. The length prefix means the
+    binary tail needs no escaping. See [lib/serve/protocol.mli] for the
+    message vocabulary carried inside frames. *)
 
 val max_frame : int
 (** Hard bound on payload size (64 MiB); both ends reject beyond it. *)

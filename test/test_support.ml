@@ -163,11 +163,10 @@ let test_dense_random_order () =
         (List.init (Dense.size got) (fun i -> Int64.bits_of_float (Dense.get_lin got i))))
     [ [||]; [| 0 |]; [| 5 |]; [| 3; 4 |]; [| 2; 3; 4 |] ]
 
-(* The float codec writes exactly the base64 of a tensor's little-endian
-   bytes, at an offset, and reads them back bit for bit. *)
+(* A tensor's little-endian image holds every element's bits, 8 bytes
+   each in row-major order, special values included. *)
 let test_dense_le_bytes () =
   let module Dense = Distal_tensor.Dense in
-  let module Base64 = Distal_support.Base64 in
   let specials = [| 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324; 1.5 |] in
   let d = Dense.create [| 7 |] in
   Array.iteri (Dense.set_lin d) specials;
@@ -175,55 +174,11 @@ let test_dense_le_bytes () =
   let b = Dense.to_le_bytes d in
   Alcotest.(check int) "8 bytes per element" 56 (Bytes.length b);
   Alcotest.(check int64) "little-endian" 0x3FF8000000000000L (Bytes.get_int64_le b 48);
-  let n = Base64.f64_length 7 in
-  Alcotest.(check int) "f64_length" (Base64.encoded_length 56) n;
-  let out = Bytes.make (n + 4) '#' in
-  Base64.encode_f64 (Dense.unsafe_data d) out 2;
-  let text = Bytes.to_string out in
-  Alcotest.(check string) "base64 of the bytes" ("##" ^ Base64.encode b ^ "##") text;
-  let back = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 7 in
-  (match Base64.decode_f64 text 2 n back with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "decode_f64: %s" e);
   for i = 0 to 6 do
     Alcotest.(check int64) "bits survive"
       (Int64.bits_of_float (Dense.get_lin d i))
-      (Int64.bits_of_float back.{i})
-  done;
-  let wrong = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 8 in
-  match Base64.decode_f64 text 2 n wrong with
-  | Ok () -> Alcotest.fail "a wrong element count must be rejected"
-  | Error _ -> ()
-
-(* {2 Base64} *)
-
-module Base64 = Distal_support.Base64
-
-let test_base64_vectors () =
-  (* RFC 4648, section 10. *)
-  List.iter
-    (fun (plain, enc) ->
-      Alcotest.(check string) ("encode " ^ plain) enc (Base64.encode (Bytes.of_string plain));
-      Alcotest.(check (result string string))
-        ("decode " ^ enc) (Ok plain)
-        (Result.map Bytes.to_string (Base64.decode enc)))
-    [
-      ("", ""); ("f", "Zg=="); ("fo", "Zm8="); ("foo", "Zm9v"); ("foob", "Zm9vYg==");
-      ("fooba", "Zm9vYmE="); ("foobar", "Zm9vYmFy");
-    ];
-  Alcotest.(check string) "high bytes" "/+8A" (Base64.encode (Bytes.of_string "\xff\xef\x00"));
-  List.iter
-    (fun bad ->
-      match Base64.decode bad with
-      | Ok _ -> Alcotest.failf "%S must be rejected" bad
-      | Error _ -> ())
-    [ "Zg="; "Zg=a"; "Z==="; "===="; "Zm9v!A=="; "Zh=="; "Zm9="; "Zm 9v"; "Zg==Zg==" ]
-
-let qcheck_base64_roundtrip =
-  QCheck.Test.make ~name:"base64 roundtrip" ~count:300 QCheck.string (fun s ->
-      let enc = Base64.encode (Bytes.of_string s) in
-      String.length enc = Base64.encoded_length (String.length s)
-      && Base64.decode enc = Ok (Bytes.of_string s))
+      (Bytes.get_int64_le b (8 * i))
+  done
 
 (* The JSON writer copies runs of plain characters in bulk and the
    parser reads them back the same way; any byte string must survive. *)
@@ -313,8 +268,6 @@ let suites =
           test_random_inputs_pool_sizes;
         Alcotest.test_case "dense random row-major" `Quick test_dense_random_order;
         Alcotest.test_case "dense little-endian bytes" `Quick test_dense_le_bytes;
-        Alcotest.test_case "base64 vectors and rejects" `Quick test_base64_vectors;
-        QCheck_alcotest.to_alcotest qcheck_base64_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_json_string_roundtrip;
         Alcotest.test_case "pool concurrent callers" `Quick test_pool_concurrent_callers;
       ] );
