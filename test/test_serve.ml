@@ -992,7 +992,7 @@ let test_protocol_output_length () =
     (Protocol.output_length [| 9; 9; 103563 |]);
   Alcotest.(check (option string)) "an output of exactly one frame admitted" None
     (admitted [| 9; 9; 103563 |]);
-  Alcotest.(check bool) "one element row more refused" true
+  Alcotest.(check bool) "81 elements more refused" true
     (Option.is_some (admitted [| 9; 9; 103564 |]));
   (* The largest 1-D output that fits one frame, found by bisection. *)
   let fits n =
