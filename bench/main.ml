@@ -165,11 +165,12 @@ let headline () =
    not the machine it models: tasks simulated per second, copy groups
    formed per second, and wall-clock per execution, on a fig16-sized
    tensor kernel and on cyclically-distributed workloads whose huge tile
-   sets exercise the executor's spatial index. *)
+   sets exercise the closed-form tile queries ([Distnot.pieces] and
+   [Distnot.holders]). *)
 
 (* SUMMA-style GEMM over cyclically distributed operands: every
    communicate point intersects its footprint with a per-element tile set,
-   the hot path the per-tensor spatial index serves. *)
+   the hot path the closed-form tile queries ([Distnot.pieces]) serve. *)
 let simperf_gemm ~n ~grid ~chunks =
   let machine = Machine.grid [| grid; grid |] in
   let p =

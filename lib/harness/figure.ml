@@ -51,7 +51,7 @@ let save_csv ~dir t =
   close_out oc;
   path
 
-module Json = Distal_obs.Json
+module Json = Distal_support.Json
 
 let cell_to_json = function
   | Value v -> Json.Float v

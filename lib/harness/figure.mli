@@ -28,7 +28,7 @@ val to_csv : t -> string
 val save_csv : dir:string -> t -> string
 (** Write [to_csv] to [dir/<id>.csv]; returns the path. *)
 
-val to_json : t -> Distal_obs.Json.t
+val to_json : t -> Distal_support.Json.t
 (** Machine-readable rendering ([distal-bench/v1] schema): the figure's
     identity plus one object per series with its per-node-count cells
     (OOM cells read ["oom"], unavailable cells read [null]). *)

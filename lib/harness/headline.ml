@@ -38,7 +38,7 @@ let compute ~fig15a ~fig16 ~nodes =
     ho f16d "mttkrp" "1.8x-3.7x band";
   ]
 
-module Json = Distal_obs.Json
+module Json = Distal_support.Json
 
 let to_json ~nodes rows =
   Json.Obj

@@ -23,7 +23,7 @@ val compute :
 
 val print : row list -> unit
 
-val to_json : nodes:int -> row list -> Distal_obs.Json.t
+val to_json : nodes:int -> row list -> Distal_support.Json.t
 (** Machine-readable rendering ([distal-bench/v1] schema, id ["headline"]):
     one object per comparison with the paper's claim and the measured
     factor (non-finite factors read [null]). *)

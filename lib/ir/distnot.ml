@@ -307,31 +307,22 @@ let tiles t ~shape ~machine =
   let procs = Machine.proc_coords machine in
   let sg = segs (Array.length shape) and levels = sweep_levels t and full = Rect.full shape in
   let rects = sweep_rects sg levels ~mdims:(machine : Machine.t).dims ~full in
-  if not (List.exists (fun lvl -> List.mem Bcast lvl.machine_axes) t) then
-    (* Without a broadcast axis no two processors share a tile: blocks and
-       cyclic strips of distinct coordinates are disjoint. *)
-    List.fold_left
-      (fun acc proc -> List.fold_right (fun r acc -> (r, [ proc ]) :: acc) (rects proc) acc)
-      [] (List.rev procs)
-  else begin
-    (* Replicated tiles are merged by their bounds; cyclic distributions
-       produce tens of thousands of tiles, so the table hashes ints. *)
-    let table : int array list ref Rect.Tbl.t = Rect.Tbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (fun proc ->
-        List.iter
-          (fun (r : Rect.t) ->
-            match Rect.Tbl.find table r with
-            | owners -> owners := proc :: !owners
-            | exception Not_found ->
-                let owners = ref [ proc ] in
-                Rect.Tbl.add table r owners;
-                order := (r, owners) :: !order)
-          (rects proc))
-      procs;
-    List.rev_map (fun (r, owners) -> (r, List.rev !owners)) !order
-  end
+  (* Replicated (broadcast) tiles are merged by their bounds. *)
+  let table : int array list ref Rect.Tbl.t = Rect.Tbl.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun proc ->
+      List.iter
+        (fun (r : Rect.t) ->
+          match Rect.Tbl.find table r with
+          | owners -> owners := proc :: !owners
+          | exception Not_found ->
+              let owners = ref [ proc ] in
+              Rect.Tbl.add table r owners;
+              order := (r, owners) :: !order)
+        (rects proc))
+    procs;
+  List.rev_map (fun (r, owners) -> (r, List.rev !owners)) !order
 
 let replication_factor t ~machine =
   let mdims = (machine : Machine.t).dims in
@@ -349,18 +340,230 @@ let replication_factor t ~machine =
   in
   go t 0 1
 
-let bytes_per_proc t ~shape ~machine =
-  List.fold_left
-    (fun acc proc ->
-      let owned =
-        List.fold_left
-          (fun b r -> b +. (8.0 *. float_of_int (Rect.volume r)))
-          0.0
-          (rects_of_proc t ~shape ~machine proc)
+(* {2 Tile queries} *)
+
+(* A partitioned machine axis: machine dimension [m] of extent [ext]
+   splits tensor dimension [d] at level [lev], blocked ([blk = 0]) or
+   cyclic with block [blk]. *)
+type part = { m : int; ext : int; d : int; lev : int; blk : int }
+
+(* A color is a processor's coordinates on the partitioned axes, indexed
+   row-major over [parts] (machine-dimension order). The processors of
+   one color hold the same tiles: a [Fix] axis admits one coordinate, a
+   broadcast axis any. Per level and tensor dimension a color's tiles
+   take the segments [level_tiles] cuts from the segment chosen at the
+   level before, so its tiles are the product of per-dimension segment
+   lists, and different colors' tiles are disjoint. *)
+type 'a layout = {
+  shape : int array;
+  levels : int;
+  parts : part array;
+  axis : int array;  (* per level and tensor dimension: its part, or -1 *)
+  radix : int array;  (* per part: its stride in a color *)
+  color_of : int array;  (* per processor: its color, -1 when a [Fix] excludes it *)
+  owners : 'a array;  (* per color *)
+  volume : int array;  (* per color: the elements of its tiles *)
+  seg_lo : int array;  (* per level and tensor dimension: the segment being visited *)
+  seg_hi : int array;
+}
+
+let coord_of g col p = col / g.radix.(p) mod g.parts.(p).ext
+
+(* The width of a part's segments inside [a, b). A blocked part is the
+   cyclic one whose single strip per coordinate is its block: strip [k]
+   starts at [a + k * width] and belongs to coordinate [k mod ext]. *)
+let width pt a b = if pt.blk = 0 then Ints.ceil_div (Int.max (b - a) 1) pt.ext else pt.blk
+
+(* The elements color [col] holds along dimension [d] inside [a, b),
+   from level [l] on. *)
+let rec span g col d l a b =
+  if l = g.levels then b - a
+  else
+    let p = g.axis.((l * Array.length g.shape) + d) in
+    if p < 0 then span g col d (l + 1) a b
+    else begin
+      let pt = g.parts.(p) in
+      let w = width pt a b in
+      let sum = ref 0 and lo = ref (a + (coord_of g col p * w)) in
+      while !lo < b do
+        sum := !sum + span g col d (l + 1) !lo (Int.min b (!lo + w));
+        lo := !lo + (w * pt.ext)
+      done;
+      !sum
+    end
+
+let layout t ~shape ~machine ~owners =
+  let mdims = (machine : Machine.t).dims and rank = Array.length shape in
+  let sls = sweep_levels t in
+  let parts =
+    Array.concat
+      (List.mapi
+         (fun lev sl ->
+           Array.map
+             (fun (m, d, kind) ->
+               { m; ext = mdims.(m); d; lev; blk = (match kind with `Block -> 0 | `Cyclic b -> b) })
+             (sl : sweep_level).parts)
+         sls)
+  in
+  let fixes = Array.concat (List.map (fun sl -> sl.fixes) sls) in
+  let np = Array.length parts in
+  let radix = Array.make np 1 in
+  for p = np - 2 downto 0 do
+    radix.(p) <- radix.(p + 1) * parts.(p + 1).ext
+  done;
+  let levels = List.length t in
+  let axis = Array.make (levels * rank) (-1) in
+  Array.iteri (fun p pt -> axis.((pt.lev * rank) + pt.d) <- p) parts;
+  let mstrides = Ints.row_major_strides mdims in
+  let coord v m = v / mstrides.(m) mod mdims.(m) in
+  let color_of = Array.make (Ints.prod mdims) 0 in
+  for v = 0 to Array.length color_of - 1 do
+    for p = 0 to np - 1 do
+      color_of.(v) <- color_of.(v) + (coord v parts.(p).m * radix.(p))
+    done;
+    for i = 0 to Array.length fixes - 1 do
+      let m, c = fixes.(i) in
+      if coord v m <> c then color_of.(v) <- -1
+    done
+  done;
+  let ncolors = if np = 0 then 1 else radix.(0) * parts.(0).ext in
+  let held = Array.make ncolors [] in
+  for v = Array.length color_of - 1 downto 0 do
+    let col = color_of.(v) in
+    if col >= 0 then held.(col) <- v :: held.(col)
+  done;
+  let g =
+    { shape = Array.copy shape; levels; parts; axis; radix; color_of;
+      owners = Array.map owners held; volume = Array.make ncolors 1;
+      seg_lo = Array.make (levels * rank) 0; seg_hi = Array.make (levels * rank) 0 }
+  in
+  for col = 0 to ncolors - 1 do
+    for d = 0 to rank - 1 do
+      g.volume.(col) <- g.volume.(col) * span g col d 0 0 shape.(d)
+    done
+  done;
+  g
+
+(* Cons onto [acc], last first, the pieces of color [col]'s tiles that
+   meet [f]. Slot [s] visits level [s / rank] and tensor dimension
+   [rank - 1 - s mod rank], so within a level dimension 0 varies fastest
+   and each level subdivides the segments chosen at the level before:
+   [tiles]' order. Every segment visited meets [f]. *)
+let rec visit g (f : Rect.t) col s acc =
+  let rank = Array.length g.shape in
+  if s = g.levels * rank then begin
+    let last = s - rank in
+    let lo = Array.make rank 0 and hi = Array.make rank 0 in
+    for d = 0 to rank - 1 do
+      lo.(d) <- Int.max f.lo.(d) g.seg_lo.(last + d);
+      hi.(d) <- Int.min f.hi.(d) g.seg_hi.(last + d)
+    done;
+    (Rect.make ~lo ~hi, g.owners.(col)) :: acc
+  end
+  else begin
+    let l = s / rank and d = rank - 1 - (s mod rank) in
+    let i = (l * rank) + d in
+    let a = if l = 0 then 0 else g.seg_lo.(i - rank)
+    and b = if l = 0 then g.shape.(d) else g.seg_hi.(i - rank) in
+    let p = g.axis.(i) in
+    if p < 0 then enter g f col s i a b acc
+    else begin
+      (* Strips [start + j * step, + w) clipped at [b]; those meeting [f]
+         are a range of [j]. *)
+      let pt = g.parts.(p) in
+      let w = width pt a b in
+      let step = w * pt.ext and start = a + (coord_of g col p * w) in
+      let past = f.lo.(d) - start - w + 1 in
+      let j0 = if past <= 0 then 0 else Ints.ceil_div past step in
+      let j1 =
+        if f.hi.(d) <= start || start >= b then -1
+        else Int.min ((b - 1 - start) / step) ((f.hi.(d) - 1 - start) / step)
       in
-      max acc owned)
-    0.0
-    (Machine.proc_coords machine)
+      let acc = ref acc in
+      for j = j1 downto j0 do
+        let lo = start + (j * step) in
+        acc := enter g f col s i lo (Int.min b (lo + w)) !acc
+      done;
+      !acc
+    end
+  end
+
+(* Visit segment [lo, hi) at slot [s] (index [i]), then the slots after. *)
+and enter g f col s i lo hi acc =
+  g.seg_lo.(i) <- lo;
+  g.seg_hi.(i) <- hi;
+  visit g f col (s + 1) acc
+
+(* Cons the pieces of every color from part [p] on, coordinates
+   descending. A first-level part's strips [k0, k1] meet [f] (clipped to
+   the tensor), so its coordinates are all of them or those from
+   [k0 mod ext] on, which may wrap past [ext - 1] to 0 (blocked ones
+   never do). Deeper parts try every coordinate; [visit] prunes them. *)
+let rec colors g (f : Rect.t) p col acc =
+  if p = Array.length g.parts then visit g f col 0 acc
+  else begin
+    let pt = g.parts.(p) in
+    let n = g.shape.(pt.d) in
+    let w = width pt 0 n in
+    let k0 = Int.max 0 f.lo.(pt.d) / w and k1 = (Int.min n f.hi.(pt.d) - 1) / w in
+    let all = pt.lev > 0 || k1 - k0 + 1 >= pt.ext in
+    let c0 = if all then 0 else k0 mod pt.ext in
+    let c1 = if all then pt.ext - 1 else c0 + k1 - k0 in
+    let acc = ref acc in
+    for c = Int.min c1 (pt.ext - 1) downto c0 do
+      acc := colors g f (p + 1) (col + (c * g.radix.(p))) !acc
+    done;
+    for c = c1 - pt.ext downto 0 do
+      acc := colors g f (p + 1) (col + (c * g.radix.(p))) !acc
+    done;
+    !acc
+  end
+
+let rec meets_tensor g (f : Rect.t) d =
+  d = Array.length g.shape
+  || (Int.max 0 f.lo.(d) < Int.min g.shape.(d) f.hi.(d) && meets_tensor g f (d + 1))
+
+let pieces g f = if meets_tensor g f 0 then colors g f 0 0 [] else []
+
+(* [col] plus the coordinates of the one color whose segment at every
+   level from [l] on holds [lo, hi) (non-empty, inside [a, b)) along
+   dimension [d]; -1 when the range crosses a segment's end. *)
+let rec holder_along g d lo hi l a b col =
+  if l = g.levels then col
+  else
+    let p = g.axis.((l * Array.length g.shape) + d) in
+    if p < 0 then holder_along g d lo hi (l + 1) a b col
+    else
+      let pt = g.parts.(p) in
+      let w = width pt a b in
+      let k = (lo - a) / w in
+      let slo = a + (k * w) in
+      let shi = Int.min b (slo + w) in
+      if hi > shi then -1
+      else holder_along g d lo hi (l + 1) slo shi (col + (k mod pt.ext * g.radix.(p)))
+
+let holders g (r : Rect.t) =
+  let rec go d col =
+    if d = Array.length g.shape then Some g.owners.(col)
+    else
+      let lo = r.lo.(d) and hi = r.hi.(d) in
+      if lo < 0 || hi > g.shape.(d) || lo >= hi then None
+      else
+        match holder_along g d lo hi 0 0 g.shape.(d) col with
+        | -1 -> None
+        | col -> go (d + 1) col
+  in
+  go 0 0
+
+let owned_volume g proc =
+  let col = g.color_of.(proc) in
+  if col < 0 then 0 else g.volume.(col)
+
+let bytes_per_proc t ~shape ~machine =
+  let g = layout t ~shape ~machine ~owners:ignore in
+  Array.fold_left
+    (fun acc col -> if col < 0 then acc else max acc (8.0 *. float_of_int g.volume.(col)))
+    0.0 g.color_of
 
 (* {2 Lowering to concrete index notation (§5.3)} *)
 

@@ -68,6 +68,36 @@ val tiles :
     tiles are pairwise disjoint and jointly cover the tensor; replicated
     (broadcast) tiles list several owners. *)
 
+(** {2 Tile queries}
+
+    The tiles of {!tiles}, answered in closed form from each level's
+    per-dimension segments (blocked or block-cyclic), so a query costs
+    in proportion to the pieces it returns, not to the tiles the tensor
+    has. Processors are linear (row-major) machine indices. *)
+
+type 'a layout
+
+val layout :
+  t -> shape:int array -> machine:Distal_machine.Machine.t -> owners:(int list -> 'a) ->
+  'a layout
+(** The layout of a distribution that passes {!validate}. The
+    processors that share a set of tiles (they differ only on broadcast
+    axes) are passed to [owners] once, ascending; {!pieces} returns
+    what it makes of them. Queries write into the layout's scratch, so
+    one layout must not be queried from several domains at once. *)
+
+val pieces : 'a layout -> Distal_tensor.Rect.t -> (Distal_tensor.Rect.t * 'a) list
+(** [pieces l rect]: every tile of {!tiles} that meets [rect], in the
+    same order, as its non-empty intersection with [rect] and its
+    owners — exactly {!tiles} filtered by [Rect.inter]. *)
+
+val holders : 'a layout -> Distal_tensor.Rect.t -> 'a option
+(** [holders l rect]: the owners of the tile of {!tiles} that contains
+    [rect], if one does ([None] for an empty [rect]). *)
+
+val owned_volume : 'a layout -> int -> int
+(** The elements of processor [p]'s tiles. *)
+
 val replication_factor : t -> machine:Distal_machine.Machine.t -> int
 (** How many copies of each element the distribution stores (product of the
     broadcast machine-dimension extents) — drives memory accounting. *)

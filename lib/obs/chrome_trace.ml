@@ -1,3 +1,5 @@
+module Json = Distal_support.Json
+
 let us s = s *. 1e6
 
 let event_to_json (e : Event.t) =

@@ -1,3 +1,5 @@
+module Json = Distal_support.Json
+
 type value = Bool of bool | Int of int | Float of float | Str of string
 
 type kind = Span of float | Instant | Counter of float | Meta

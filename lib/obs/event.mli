@@ -35,4 +35,4 @@ val emit : sink -> t -> unit
 val events : sink -> t list
 (** In emission order. *)
 
-val value_to_json : value -> Json.t
+val value_to_json : value -> Distal_support.Json.t

@@ -1,3 +1,5 @@
+module Json = Distal_support.Json
+
 (* A flat float record: updating it stores the float in place, so the
    simulator's per-effect increments allocate nothing. *)
 type cell = { mutable v : float }

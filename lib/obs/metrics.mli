@@ -54,7 +54,7 @@ val value : registry -> string -> float option
 val names : registry -> string list
 (** Sorted. *)
 
-val to_json : registry -> Json.t
+val to_json : registry -> Distal_support.Json.t
 (** Deterministic (name-sorted) snapshot of every instrument. *)
 
 val render : registry -> string

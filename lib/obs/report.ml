@@ -1,3 +1,4 @@
+module Json = Distal_support.Json
 module Table = Distal_support.Table
 module Cp = Critical_path
 

@@ -26,6 +26,6 @@ val resilience_report : baseline:Profile.run -> faulty:Profile.run -> string
     [exec.recovery_time]) and the checkpoint traffic
     ([exec.checkpoint_bytes] / [exec.restore_bytes]). *)
 
-val run_to_json : Profile.run -> Json.t
+val run_to_json : Profile.run -> Distal_support.Json.t
 (** The run's timeline, critical path and metrics (no raw events — those
     are {!Chrome_trace}'s job). *)

@@ -2,7 +2,6 @@ module Ints = Distal_support.Ints
 module Pool = Distal_support.Pool
 module Dense = Distal_tensor.Dense
 module Rect = Distal_tensor.Rect
-module Rect_index = Distal_tensor.Rect_index
 module Kreg = Distal_tensor.Kernel_registry
 module Machine = Distal_machine.Machine
 module Cost = Distal_machine.Cost_model
@@ -95,15 +94,17 @@ type fetch_group = { fg_owners : int list; fg_load : Comm_plan.payload }
 
 (* One footprint of one tensor at one site of the task walk, shared by
    every task whose dependent loop variables take the same values
-   there. The rect is computed once, the fetch plan on first use. *)
+   there. The rect and the owners of the one tile holding it
+   ({!Distnot.holders}) are computed once, the fetch plan on first use. *)
 type fentry = {
   f_rect : Rect.t;
   f_bytes : float;
+  f_holders : int list option;
   mutable f_plan : fetch_group list option;
 }
 
 (* The absent entry: no instance held, no footprint memoized yet. *)
-let no_inst = { f_rect = Rect.full [||]; f_bytes = 0.0; f_plan = None }
+let no_inst = { f_rect = Rect.full [||]; f_bytes = 0.0; f_holders = None; f_plan = None }
 
 (* Turns a task's slot environment into one int at a fixed site of the
    walk: the mixed-radix number of the values a footprint or interval
@@ -148,9 +149,6 @@ let rec name_index (names : string array) name i =
   else name_index names name (i + 1)
 
 let rec mem_int (x : int) = function [] -> false | y :: ys -> x = y || mem_int x ys
-
-(* Whether [rect] lies within one of [rects]. *)
-let rec within rect = function [] -> false | r :: rs -> Rect.subset rect r || within rect rs
 
 (* The node of each processor, by linear index. *)
 let nodes_of_procs machine =
@@ -456,8 +454,8 @@ type ctx = {
   rack_of_lin : int array;
   tensors : string array;
   out_t : int;
-  index_t : int list Rect_index.t array;  (* tiles to their owners *)
-  proc_rects_t : Rect.t list array array;  (* the tiles each processor owns *)
+  layouts : int list Distnot.layout array;  (* per tensor; owners are physical *)
+  vprocs : int;  (* processors of the grid the distributions name *)
   points : int array array;  (* launch points, in launch-point order *)
   ldims : int array;
   seq_strides : int array;
@@ -470,7 +468,6 @@ type ctx = {
   footprint_fns : (int array -> Rect.t) array;
   ikeys : keyer array;  (* per index variable: its interval's key and function *)
   ifns : (int array -> int * int) array;
-  cursor : Rect_index.cursor;
   site_memo : fentry array array;  (* per site, by key; [no_inst] until computed *)
   rect_memo : fentry Rect.Tbl.t array;
   ival_memo : int array array;  (* per index variable, by key; -1 until computed *)
@@ -527,49 +524,9 @@ let rec seq_loops = function
   | Seq_loop { var; extent; body } -> (var, extent) :: seq_loops body
   | Leaf _ -> []
 
-(* What an index entry array holds before its tiles are written: a
-   value allocated once, so a large entry array is made without a minor
-   collection (the runtime runs one when [Array.make]'s initial value is
-   still young). *)
-let no_tile = (Rect.full [||], [])
-
-(* Per tensor: a spatial index over the distribution's tiles (cyclic
-   distributions produce many) and the tiles each physical processor
-   owns (several under over-decomposition). Owners are physical linear
-   indices. Tensors sharing a distribution and shape (e.g. both GEMM
-   operands cyclic over the same grid) share one tile sweep, index and
-   owned-tile table — the index is read-only under query interleaving. *)
-let tile_geometry prog ~dists ~vmachine ~nprocs ~lin_of_virtual tensors =
-  let memo = Hashtbl.create 8 in
-  let geom tn =
-    let shape = Taskir.shape_of prog tn in
-    let dist = List.assoc tn dists in
-    let key = Distnot.to_string dist ^ "|" ^ Ints.to_string shape in
-    match Hashtbl.find_opt memo key with
-    | Some g -> g
-    | None ->
-        let vtiles = Distnot.tiles dist ~shape ~machine:vmachine in
-        (* One pass fills the index's entries (owners deduped, in order)
-           and the owned-tile lists. *)
-        let entries = Array.make (List.length vtiles) no_tile and rects = Array.make nprocs [] in
-        let dedup acc l = if mem_int l acc then acc else l :: acc in
-        List.iteri
-          (fun i (r, owners) ->
-            let lins = List.map lin_of_virtual owners in
-            List.iter (fun p -> rects.(p) <- r :: rects.(p)) lins;
-            let owners = match lins with [ _ ] -> lins | _ -> List.rev (List.fold_left dedup [] lins) in
-            entries.(i) <- (r, owners))
-          vtiles;
-        let index = Rect_index.build entries in
-        Hashtbl.add memo key (index, rects);
-        (index, rects)
-  in
-  let g = Array.map geom tensors in
-  (Array.map fst g, Array.map snd g)
-
 (* Checks the spec — distributions, the substituted kernel, the fault
    plan — and fixes everything the walk needs that depends on the spec
-   alone: machine maps, tile geometry, slots, footprint sites and the
+   alone: machine maps, tile layouts, slots, footprint sites and the
    compiled task tree. Registers the run's instruments (fault instruments
    only for a non-empty fault plan). *)
 let resolve ?trace ?profile ?faults spec =
@@ -663,17 +620,27 @@ let resolve ?trace ?profile ?faults spec =
   (* Per-linear-processor node and rack ids: link and rack decisions in the
      walk are plain array lookups instead of coordinate arithmetic. *)
   let node_of_lin = nodes_of_procs machine in
-  (* Folding a virtual owner to a physical linear index needs no coordinate
-     round-trip: delinearize and linearize on the same machine cancel. *)
-  let lin_of_virtual =
-    if spec.virtual_grid = None then Machine.linearize machine
-    else fun vc -> Machine.linearize vmachine vc mod nprocs
-  in
   let tensors = Array.of_list tensor_list in
   let tensor_index tn = name_index tensors tn 0 in
-  let index_t, proc_rects_t =
-    tile_geometry prog ~dists ~vmachine ~nprocs ~lin_of_virtual tensors
+  (* Per tensor, its distribution's tiles as closed-form queries, one
+     layout per distinct distribution and shape. Virtual processor [v]
+     folds onto physical [v mod nprocs]; a tile's owners are folded,
+     first occurrences kept. *)
+  let fold vs =
+    let dedup acc v = if mem_int (v mod nprocs) acc then acc else (v mod nprocs) :: acc in
+    match vs with [ v ] -> [ v mod nprocs ] | _ -> List.rev (List.fold_left dedup [] vs)
   in
+  let built = ref [] in
+  let layout_of tn =
+    let dist = List.assoc tn dists and shape = Taskir.shape_of prog tn in
+    match List.find_opt (fun (d, s, _) -> d = dist && Ints.equal s shape) !built with
+    | Some (_, _, l) -> l
+    | None ->
+        let l = Distnot.layout dist ~shape ~machine:vmachine ~owners:fold in
+        built := (dist, shape, l) :: !built;
+        l
+  in
+  let layouts = Array.map layout_of tensors in
   (* {3 Slots and footprint sites} *)
   (* Footprints and intervals are compiled against the slots once, so no
      name is looked up per task step. *)
@@ -755,7 +722,7 @@ let resolve ?trace ?profile ?faults spec =
       leaf_vars = (match leaf with Taskir.Scalar_loops vars -> vars | Named _ -> []);
       reads_out; reduction; ops = ops_per_point stmt; nprocs; node_of_lin;
       rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin;
-      tensors; out_t = tensor_index out_name; index_t; proc_rects_t;
+      tensors; out_t = tensor_index out_name; layouts; vprocs = Machine.num_procs vmachine;
       (* Filled in place: [Array.of_list] of more than 256 young values
          runs a minor collection. *)
       points =
@@ -778,7 +745,6 @@ let resolve ?trace ?profile ?faults spec =
          footprint reached under different keys (or at different sites)
          resolves to one entry per (tensor, rect), so its fetch plan is
          built once. *)
-      cursor = Rect_index.cursor ();
       site_memo = Array.map (fun (_, k) -> Array.make (key_range k) no_inst) sites;
       rect_memo = Array.map (fun _ -> Rect.Tbl.create 64) tensors;
       ival_memo = Array.map (fun k -> Array.make (key_range k) (-1)) ikeys;
@@ -834,7 +800,10 @@ let entry c site =
       match Rect.Tbl.find c.rect_memo.(t) rect with
       | e -> e
       | exception Not_found ->
-          let e = { f_rect = rect; f_bytes = bytes_of_rect rect; f_plan = None } in
+          let e =
+            { f_rect = rect; f_bytes = bytes_of_rect rect;
+              f_holders = Distnot.holders c.layouts.(t) rect; f_plan = None }
+          in
           Rect.Tbl.add c.rect_memo.(t) rect e;
           e
     in
@@ -899,8 +868,12 @@ let add_red c ~step ~proc rect =
         Rect.Tbl.replace c.red_contribs rect (b, rproc :: procs)
   | None -> Rect.Tbl.add c.red_contribs rect (bytes_of_rect rect, [ rproc ])
 
-let proc_owns c tk t rect = within rect c.proc_rects_t.(t).(tk.proc)
-let pieces_of c t e = Rect_index.query ~cursor:c.cursor c.index_t.(t) e.f_rect
+(* Whether the task's processor holds footprint [e] in one of its tiles.
+   An empty footprint has no holders; it has no bytes and no pieces, so
+   owning it would change nothing. *)
+let proc_owns tk e = match e.f_holders with Some os -> mem_int tk.proc os | None -> false
+
+let pieces_of c t e = Distnot.pieces c.layouts.(t) e.f_rect
 
 let rec same_owners (a : int list) (b : int list) =
   match (a, b) with
@@ -955,7 +928,7 @@ let flush_output c tk ~step e =
   (match tk.record with Some r -> r.bops <- B_flush :: r.bops | None -> ());
   if c.reduction then add_red c ~step ~proc:tk.proc e.f_rect
   else begin
-    if not (proc_owns c tk c.out_t e.f_rect) then
+    if not (proc_owns tk e) then
       List.iter
         (fun (piece, os) ->
           let dst = List.hd os in
@@ -990,7 +963,7 @@ let ensure c tk t site =
   if fresh then begin
     (* An instance of a locally-owned subrect aliases the owned tile;
        reduction partials for the output are fresh allocations. *)
-    let counted = (t = c.out_t && c.reduction) || not (proc_owns c tk t e.f_rect) in
+    let counted = (t = c.out_t && c.reduction) || not (proc_owns tk e) in
     if counted then grow tk e.f_bytes;
     if t = c.out_t then begin
       (* Reduction partials start at zero; stationary/owner-computes
@@ -1005,7 +978,7 @@ let ensure c tk t site =
     tk.counted.(t) <- counted;
     if t = c.out_t && c.reads_out then begin
       if tk.out_read != no_inst && tk.out_read_counted then shrink tk tk.out_read.f_bytes;
-      let counted_r = not (proc_owns c tk t e.f_rect) in
+      let counted_r = not (proc_owns tk e) in
       if counted_r then grow tk e.f_bytes;
       tk.out_read <- e;
       tk.out_read_counted <- counted_r
@@ -1310,9 +1283,12 @@ let price c =
      dynamic peak. *)
   let static_mem = Array.make nprocs 0.0 in
   Array.iter
-    (Array.iteri (fun p rs ->
-         List.iter (fun r -> static_mem.(p) <- static_mem.(p) +. bytes_of_rect r) rs))
-    c.proc_rects_t;
+    (fun l ->
+      for v = 0 to c.vprocs - 1 do
+        let p = v mod nprocs in
+        static_mem.(p) <- static_mem.(p) +. (8.0 *. float_of_int (Distnot.owned_volume l v))
+      done)
+    c.layouts;
   let mem_limit = Machine.mem_per_proc_bytes c.machine in
   let g_peak = Metrics.gauge reg "exec.peak_mem" in
   let g_oom = Metrics.gauge reg "exec.oom" in
@@ -1531,24 +1507,20 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
   let node_of_lin = nodes_of_procs machine in
   let rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin in
   let link_of src dst = link_between node_of_lin src dst in
-  let tiles dist =
-    List.map
-      (fun (r, os) -> (r, List.map (Machine.linearize machine) os))
-      (Distnot.tiles dist ~shape ~machine)
-  in
-  let src_tiles = tiles src in
+  let layout dist = Distnot.layout dist ~shape ~machine ~owners:Fun.id in
+  let src_layout = layout src in
   (* A redistribution is one exchange step with no compute: every piece a
      destination owner lacks comes from an owner of the overlapping source
      tile, a same-node one when there is one. *)
   let a = new_step_acc nprocs in
   List.iter
     (fun (dr, downers) ->
+      let pieces = Distnot.pieces src_layout dr in
       List.iter
         (fun d ->
           List.iter
-            (fun (sr, sowners) ->
-              let piece = Rect.inter dr sr in
-              if (not (Rect.is_empty piece)) && not (List.mem d sowners) then begin
+            (fun (piece, sowners) ->
+              if not (List.mem d sowners) then begin
                 let s =
                   match same_node_owner node_of_lin node_of_lin.(d) sowners with
                   | -1 -> List.hd sowners
@@ -1559,9 +1531,9 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
                 if rack_of_lin.(s) <> rack_of_lin.(d) then a.cross.(0) <- a.cross.(0) +. bytes;
                 Comm_plan.add a.msgs ~t:0 ~src:s ~dst:d (Comm_plan.payload "" [ piece ])
               end)
-            src_tiles)
+            pieces)
         downers)
-    (tiles dst);
+    (Distnot.pieces (layout dst) (Rect.full shape));
   let row =
     price_step machine cost (step_obs reg) ~link:link_of ~kernel:None ~faults:None
       ~profiling:(Option.is_some prun) ~step:0 ~start:0.0 a

@@ -55,16 +55,21 @@ let rec read_exact fd buf off len =
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> `Eof off
 
 (* Exactly eight decimal digits and a newline: no sign, no radix prefix,
-   no underscores, which int_of_string would all accept. *)
-let is_digit c = c >= '0' && c <= '9'
-
-let parse_header bytes =
-  let s = Bytes.sub_string bytes 0 (header_len - 1) in
-  if Bytes.get bytes (header_len - 1) <> '\n' || not (String.for_all is_digit s) then
-    Error (Printf.sprintf "bad frame header %S" s)
-  else
-    let n = int_of_string s in
-    if n <= max_frame then Ok n else Error (Printf.sprintf "frame length %d out of range" n)
+   no underscores, which int_of_string would all accept. Read in place at
+   [off]. *)
+let parse_header b off =
+  let rec digits i n =
+    if i = header_len - 1 then n
+    else
+      match Bytes.get b (off + i) with
+      | '0' .. '9' as c -> digits (i + 1) ((n * 10) + Char.code c - Char.code '0')
+      | _ -> -1
+  in
+  let n = if Bytes.get b (off + header_len - 1) <> '\n' then -1 else digits 0 0 in
+  if n < 0 then
+    Error (Printf.sprintf "bad frame header %S" (Bytes.sub_string b off (header_len - 1)))
+  else if n <= max_frame then Ok n
+  else Error (Printf.sprintf "frame length %d out of range" n)
 
 let recv fd =
   let hdr = Bytes.create header_len in
@@ -72,7 +77,7 @@ let recv fd =
   | `Eof 0 -> Ok None (* clean close on a frame boundary *)
   | `Eof _ -> Error "connection closed inside a frame header"
   | `Done -> (
-      match parse_header hdr with
+      match parse_header hdr 0 with
       | Error _ as e -> e
       | Ok n -> (
           (* The payload is read into its own buffer and handed over
@@ -89,31 +94,40 @@ let recv fd =
 
 (* {2 Incremental decoding (for select-driven loops)} *)
 
-type decoder = { buf : Buffer.t }
+(* The unread bytes are [buf.[off, len)]. [next] reads each frame where
+   it lies and only advances [off]; [feed] moves the unread bytes to the
+   front once, then appends, doubling [buf] when they do not fit. *)
+type decoder = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
-let decoder () = { buf = Buffer.create 256 }
-let feed d s off len = Buffer.add_subbytes d.buf s off len
-let pending d = Buffer.length d.buf > 0
+let decoder () = { buf = Bytes.create 256; off = 0; len = 0 }
+
+let feed d s off n =
+  let unread = d.len - d.off in
+  if unread + n > Bytes.length d.buf then begin
+    let buf = Bytes.create (Int.max (unread + n) (2 * Bytes.length d.buf)) in
+    Bytes.blit d.buf d.off buf 0 unread;
+    d.buf <- buf
+  end
+  else if d.off > 0 then Bytes.blit d.buf d.off d.buf 0 unread;
+  Bytes.blit s off d.buf unread n;
+  d.off <- 0;
+  d.len <- unread + n
+
+let pending d = d.len > d.off
 
 let next d =
-  let len = Buffer.length d.buf in
-  if len < header_len then Ok None
-  else begin
-    let hdr = Bytes.of_string (Buffer.sub d.buf 0 header_len) in
-    match parse_header hdr with
+  let avail = d.len - d.off in
+  if avail < header_len then Ok None
+  else
+    match parse_header d.buf d.off with
     | Error _ as e -> e
     | Ok n ->
         let total = header_len + n + 1 in
-        if len < total then Ok None
+        if avail < total then Ok None
+        else if Bytes.get d.buf (d.off + total - 1) <> '\n' then
+          Error "frame missing trailing newline"
         else begin
-          let payload = Buffer.sub d.buf header_len n in
-          if Buffer.nth d.buf (total - 1) <> '\n' then
-            Error "frame missing trailing newline"
-          else begin
-            let rest = Buffer.sub d.buf total (len - total) in
-            Buffer.clear d.buf;
-            Buffer.add_string d.buf rest;
-            Ok (Some payload)
-          end
+          let payload = Bytes.sub_string d.buf (d.off + header_len) n in
+          d.off <- d.off + total;
+          Ok (Some payload)
         end
-  end

@@ -6,7 +6,7 @@
 module Api = Distal.Api
 module Machine = Api.Machine
 module Obs = Distal_obs
-module Json = Obs.Json
+module Json = Distal_support.Json
 module Event = Obs.Event
 module Metrics = Obs.Metrics
 module Profile = Obs.Profile

@@ -622,6 +622,34 @@ let test_wire_bad_header () =
       ("-0000000", "");
     ]
 
+(* Frames that arrive in one read are decoded where they lie: decoding
+   5,000 of them allocates the buffer, the payloads and a constant per
+   frame, not a copy of the unread remainder per frame (which came to
+   264 MB here). *)
+let test_wire_one_read () =
+  let n = 5_000 in
+  let payloads = List.init n (fun i -> Printf.sprintf "{\"id\":%d}" i) in
+  let stream = Bytes.of_string (String.concat "" (List.map Wire.encode payloads)) in
+  let decode () =
+    let dec = Wire.decoder () in
+    Wire.feed dec stream 0 (Bytes.length stream);
+    let rec drain acc =
+      match Wire.next dec with
+      | Ok (Some p) -> drain (p :: acc)
+      | Ok None -> (List.rev acc, Wire.pending dec)
+      | Error e -> Alcotest.failf "decode error: %s" e
+    in
+    drain []
+  in
+  let got, pending = decode () in
+  Alcotest.(check (list string)) "frames in order" payloads got;
+  Alcotest.(check bool) "nothing left" false pending;
+  let minor, major = Test_kernels.words_of (fun () -> ignore (decode ())) in
+  let bound = Bytes.length stream + (32 * n) in
+  if minor +. major > float_of_int bound then
+    Alcotest.failf "decoding %d bytes allocated %.0f minor + %.0f major words (bound %d)"
+      (Bytes.length stream) minor major bound
+
 let test_wire_socketpair () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Wire.send a "hello";
@@ -1811,6 +1839,7 @@ let suites =
         Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
         Alcotest.test_case "wire bad headers" `Quick test_wire_bad_header;
         Alcotest.test_case "wire over a socketpair" `Quick test_wire_socketpair;
+        Alcotest.test_case "wire frames of one read" `Quick test_wire_one_read;
         Alcotest.test_case "protocol client roundtrip" `Quick test_protocol_client_roundtrip;
         Alcotest.test_case "protocol server roundtrip" `Quick test_protocol_server_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_output_bits_exact;
