@@ -2,8 +2,8 @@ type link = Intra | Inter
 
 (* Stdlib's [max]/[min] at type float: the comparison compiles inline
    instead of calling the polymorphic compare, with the same results. *)
-let max (a : float) b = if a >= b then a else b
-let min (a : float) b = if a <= b then a else b
+let[@inline] max (a : float) b = if a >= b then a else b
+let[@inline] min (a : float) b = if a <= b then a else b
 
 type duplex = Full | Half
 
@@ -55,7 +55,7 @@ let digest t =
     t.kernel_rates;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let combine_sr t ~send ~recv =
+let[@inline] combine_sr t ~send ~recv =
   match t.duplex with Full -> max send recv | Half -> send +. recv
 
 let fabric_time t ~cross_rack_bytes ~racks =
@@ -145,8 +145,23 @@ let leaf_rate t ~kernel =
 let leaf_compute_time t ~kernel ~flops ~bytes_touched =
   max (flops /. leaf_rate t ~kernel) (bytes_touched /. t.mem_bw)
 
-let step_time t ~compute ~comm =
+let[@inline] step_time t ~compute ~comm =
   compute +. max 0.0 (comm -. (t.overlap *. min compute comm))
+
+(* The formulas above inlined into one loop per step. The running maximum
+   keeps a NaN, as [Float.max] does; a step time is never -0. *)
+let step_times t ~kernel ~flops ~bytes_touched ~off ~send ~recv ~compute ~comm =
+  let rate = match kernel with Some kernel -> leaf_rate t ~kernel | None -> t.compute_rate in
+  let worst = ref 0.0 in
+  for p = 0 to Array.length send - 1 do
+    let c = max (flops.(off + p) /. rate) (bytes_touched.(off + p) /. t.mem_bw)
+    and m = combine_sr t ~send:send.(p) ~recv:recv.(p) in
+    compute.(p) <- c;
+    comm.(p) <- m;
+    let busy = step_time t ~compute:c ~comm:m in
+    if busy > !worst || busy <> busy then worst := busy
+  done;
+  !worst
 
 (* Calibration anchors (see DESIGN.md):
    - Power9 node dgemm: ~20 GF/s per core; 36 work cores -> 720 GF/s,

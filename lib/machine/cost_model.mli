@@ -124,6 +124,15 @@ val step_time : t -> compute:float -> comm:float -> float
 (** Combine one bulk-synchronous step's compute and communication time with
     the model's overlap factor: compute + max(0, comm - overlap * compute). *)
 
+val step_times :
+  t -> kernel:string option -> flops:float array -> bytes_touched:float array -> off:int ->
+  send:float array -> recv:float array -> compute:float array -> comm:float array -> float
+(** One step over processors [p < Array.length send]: [compute.(p)] gets
+    [p]'s compute time on [flops.(off + p)] and [bytes_touched.(off + p)]
+    ({!leaf_compute_time} of [kernel], else {!compute_time}), [comm.(p)]
+    {!combine_sr} of [send.(p)] and [recv.(p)]; returns their largest
+    {!step_time}. *)
+
 (** {2 Presets} *)
 
 val cpu_distal : t

@@ -93,13 +93,11 @@ let observe_n h v k =
     done;
     if v < st.min_v then st.min_v <- v;
     if v > st.max_v then st.max_v <- v;
-    let rec slot i =
-      if i >= Array.length h.buckets then i
-      else if v <= h.buckets.(i) then i
-      else slot (i + 1)
-    in
-    let i = slot 0 in
-    h.bucket_counts.(i) <- h.bucket_counts.(i) + k
+    (* A loop, not a local recursive function: that would be a closure
+       allocated per observation. *)
+    let i = ref 0 in
+    while !i < Array.length h.buckets && not (v <= h.buckets.(!i)) do incr i done;
+    h.bucket_counts.(!i) <- h.bucket_counts.(!i) + k
   end
 
 let observe h v = observe_n h v 1

@@ -1,8 +1,7 @@
-module Ints = Distal_support.Ints
 module Rect = Distal_tensor.Rect
 
 type payload = {
-  tensor : string;
+  id : int;
   pieces : Rect.t list;
   merged : Rect.t list;
   hull : Rect.t option;
@@ -125,11 +124,6 @@ let hull_of = function
   | [] -> None
   | (r : Rect.t) :: rest -> Some (List.fold_left Rect.hull r rest)
 
-let payload tensor pieces =
-  let volume = List.fold_left (fun acc r -> acc + Rect.volume r) 0 pieces in
-  let merged = merge_rects pieces in
-  { tensor; pieces; merged; hull = hull_of merged; nfrag = List.length pieces; volume }
-
 (* No rect of a payload with bounding box [a] can ever merge with one of a
    payload with bounding box [b] when some dimension leaves a strict gap
    between the boxes: merging requires abutting coordinates ([hi = lo],
@@ -184,106 +178,121 @@ let union loads =
     if sorted compare_rect rects then rects else List.sort compare_rect rects
   else merge_rects rects
 
-(* A step's fetches in charge order: the payloads, and beside them their
-   (tensor, src, dst) triples packed into one int each — 22 bits each for
-   src and dst, the tensor number above. Appending touches two arrays,
-   whatever the step's size; the triples are keyed when the step is
-   priced, in one pass that stays in cache. *)
+(* A simulation's fetches and the payloads they carry. Each step keeps
+   its fetches in an int array of its own, two ints a fetch: the
+   payload's id (its index in [loads]) and its (tensor, src, dst) triple
+   packed into one int — 22 bits each for src and dst, the tensor number
+   above. *)
 type table = {
+  names : string array;
+  rank : int array;  (* per tensor number, its place in name order *)
   mutable loads : payload array;
-  mutable ends : int array;
-  mutable n : int;
+  mutable nloads : int;
+  steps : int array array;
+  used : int array;  (* per step, the ints its array holds *)
   mutable frags : int;
+  mutable nsrc : int;  (* above every src added *)
 }
 
 let bits = 22
 let mask = (1 lsl bits) - 1
-let table () = { loads = [||]; ends = [||]; n = 0; frags = 0 }
+
+let table ~names ~steps =
+  let by_name = Array.init (Array.length names) Fun.id in
+  Array.stable_sort (fun a b -> String.compare names.(a) names.(b)) by_name;
+  let rank = Array.make (Array.length names) 0 in
+  Array.iteri (fun r t -> rank.(t) <- r) by_name;
+  { names; rank; loads = [||]; nloads = 0; steps = Array.make steps [||];
+    used = Array.make steps 0; frags = 0; nsrc = 0 }
+
 let fragments tab = tab.frags
 
-(* Fills grown tables: a constant, so a large table is made without the
-   minor collection [Array.make] runs when its initial value is young. *)
-let no_payload = { tensor = ""; pieces = []; merged = []; hull = None; nfrag = 0; volume = 0 }
+(* Arrays grow by appending them to themselves: [Array.append] copies
+   without the write barrier of [Array.blit] into the major heap, or the
+   minor collection of [Array.make] filling a large array with a young
+   value. *)
+let grown a ~empty = if Array.length a = 0 then empty () else Array.append a a
 
-let add tab ~t ~src ~dst (p : payload) =
+let payload tab pieces =
+  let volume = List.fold_left (fun acc r -> acc + Rect.volume r) 0 pieces in
+  let merged = merge_rects pieces in
+  let p =
+    { id = tab.nloads; pieces; merged; hull = hull_of merged; nfrag = List.length pieces;
+      volume }
+  in
+  if tab.nloads = Array.length tab.loads then
+    tab.loads <- grown tab.loads ~empty:(fun () -> Array.make 16 p);
+  tab.loads.(tab.nloads) <- p;
+  tab.nloads <- tab.nloads + 1;
+  p
+
+let add tab ~step ~t ~src ~dst (p : payload) =
   if (src lor dst) lsr bits <> 0 then invalid_arg "Comm_plan.add: processor index out of range";
-  if tab.n = Array.length tab.ends then begin
-    let cap = Int.max 16 (2 * tab.n) in
-    let loads = Array.make cap no_payload and ends = Array.make cap 0 in
-    Array.blit tab.loads 0 loads 0 tab.n;
-    Array.blit tab.ends 0 ends 0 tab.n;
-    tab.loads <- loads;
-    tab.ends <- ends
-  end;
-  tab.loads.(tab.n) <- p;
-  tab.ends.(tab.n) <- (((t lsl bits) lor src) lsl bits) lor dst;
-  tab.n <- tab.n + 1;
-  tab.frags <- tab.frags + p.nfrag
+  if t < 0 || t >= Array.length tab.names || step < 0 || step >= Array.length tab.steps then
+    invalid_arg "Comm_plan.add: no such tensor or step";
+  if p.id >= tab.nloads || tab.loads.(p.id) != p then invalid_arg "Comm_plan.add: foreign payload";
+  let e = tab.used.(step) in
+  if e = Array.length tab.steps.(step) then
+    tab.steps.(step) <- grown tab.steps.(step) ~empty:(fun () -> Array.make 32 0);
+  let a = tab.steps.(step) in
+  a.(e) <- p.id;
+  a.(e + 1) <- (((t lsl bits) lor src) lsl bits) lor dst;
+  tab.used.(step) <- e + 2;
+  tab.frags <- tab.frags + p.nfrag;
+  if src >= tab.nsrc then tab.nsrc <- src + 1
 
-(* [groups]' working arrays, one set per domain, grown as needed and
-   kept for the domain's life: the fetch indices bucketed, the bucket
-   bounds, where a bucket's messages start among the fetches, the unions
-   of multi-payload messages, and the messages' order. Allocating them
-   per step costs more than the grouping: at a few hundred fetches they
-   land on the major heap. *)
+(* [groups]' working arrays, one set per domain, grown as needed: the
+   fetches in bucket order, the bucket bounds, per message of a bucket
+   its first fetch, key and union, and the messages' order. Allocated per
+   step, they would land on the major heap and cost more than grouping. *)
 type scratch = {
   mutable order : int array;
   mutable count : int array;
   mutable start : int array;
+  mutable key : int array;
   mutable unions : Rect.t list array;
   mutable by_msg : int array;
 }
 
 let scratch =
   Domain.DLS.new_key (fun () ->
-      { order = [||]; count = [||]; start = [||]; unions = [||]; by_msg = [||] })
+      { order = [||]; count = [||]; start = [||]; key = [||]; unions = [||]; by_msg = [||] })
 
-(* Sort [a.(lo .. hi-1)] by [cmp], in place, unless it is in order
-   already; equal elements keep their order. *)
+(* Stable-sort [a.(lo .. hi-1)] by [cmp], in place. *)
 let sort_range cmp a lo hi =
-  let rec ordered i = i >= hi || (cmp a.(i - 1) a.(i) <= 0 && ordered (i + 1)) in
-  if not (ordered (lo + 1)) then begin
-    let sub = Array.sub a lo (hi - lo) in
-    Array.stable_sort cmp sub;
-    Array.blit sub 0 a lo (hi - lo)
-  end
+  let sub = Array.sub a lo (hi - lo) in
+  Array.stable_sort cmp sub;
+  Array.blit sub 0 a lo (hi - lo)
 
-(* One pass in canonical order: the fetches are bucketed by (tensor name,
-   src) with a counting sort, and each bucket is sorted by destination,
-   charge order kept, so a triple's payloads sit together. A bucket's
-   messages land in the scratch arrays in destination order and are
-   sorted by (payload, destination) only when they are not in that order
-   already, as a broadcast's are: they share one payload value. Runs of
-   one payload become groups; buckets and runs are visited backwards and
-   consed, so groups come out in (tensor, src, payload) order. *)
-let groups tab =
-  let n = tab.n and ends = tab.ends and loads = tab.loads in
-  let tensor i = ends.(i) lsr (2 * bits) and src i = (ends.(i) lsr bits) land mask in
-  let nt = ref 0 and nsrc = ref 0 in
-  for i = 0 to n - 1 do
-    nt := Int.max !nt (tensor i + 1);
-    nsrc := Int.max !nsrc (src i + 1)
-  done;
-  let names = Array.make !nt "" in
-  for i = 0 to n - 1 do
-    names.(tensor i) <- loads.(i).tensor
-  done;
-  let by_name = Array.init !nt Fun.id and rank = Array.make !nt 0 in
-  sort_range (fun a b -> String.compare names.(a) names.(b)) by_name 0 !nt;
-  Array.iteri (fun r t -> rank.(t) <- r) by_name;
-  let nb = !nt * !nsrc and sc = Domain.DLS.get scratch in
+(* One step in canonical order. Its fetches are bucketed by (tensor
+   name, src) with a counting sort, and each bucket is sorted by
+   destination, charge order kept, so a triple's payloads sit together:
+   one message per destination, carrying its one payload or their union.
+   A message's key is its payload's id (a union's is past every id), and
+   messages are sorted by (value, destination) comparing keys first: a
+   broadcast, whose receivers share one payload, costs int compares
+   alone. Runs of one value become groups, visited backwards and consed
+   into (tensor, src, payload) order. Orders are checked before they are
+   sorted, in loops that read the arrays: a local function is a call. *)
+let groups tab ~step =
+  let n = if step < 0 || step >= Array.length tab.steps then 0 else tab.used.(step) / 2 in
+  let ents = if n = 0 then [||] else tab.steps.(step) and loads = tab.loads and nsrc = tab.nsrc in
+  let nb = Array.length tab.names * nsrc and sc = Domain.DLS.get scratch in
   if Array.length sc.order < n then begin
     sc.order <- Array.make (2 * n) 0;
     sc.start <- Array.make ((2 * n) + 1) 0;
+    sc.key <- Array.make (2 * n) 0;
     sc.unions <- Array.make (2 * n) [];
     sc.by_msg <- Array.make (2 * n) 0
   end;
   if Array.length sc.count < nb + 1 then sc.count <- Array.make (2 * (nb + 1)) 0;
-  let order = sc.order and count = sc.count and bucket i = (rank.(tensor i) * !nsrc) + src i in
-  let start = sc.start and unions = sc.unions and by_msg = sc.by_msg in
+  let order = sc.order and count = sc.count and start = sc.start and key = sc.key in
+  let unions = sc.unions and by_msg = sc.by_msg in
+  (* Fetch [k]: payload id [ents.(2k)], triple [ents.(2k+1)]; [order] holds [2k]. *)
   Array.fill count 0 (nb + 1) 0;
-  for i = 0 to n - 1 do
-    let b = bucket i in
+  for k = 0 to n - 1 do
+    let tri = ents.((2 * k) + 1) in
+    let b = (tab.rank.(tri lsr (2 * bits)) * nsrc) + ((tri lsr bits) land mask) in
     count.(b + 1) <- count.(b + 1) + 1
   done;
   for b = 1 to nb do
@@ -291,59 +300,78 @@ let groups tab =
   done;
   (* Bucket [b] fills [count.(b) .. count.(b+1)-1], leaving [count.(b)]
      at its end. *)
-  for i = 0 to n - 1 do
-    let b = bucket i in
-    order.(count.(b)) <- i;
+  for k = 0 to n - 1 do
+    let tri = ents.((2 * k) + 1) in
+    let b = (tab.rank.(tri lsr (2 * bits)) * nsrc) + ((tri lsr bits) land mask) in
+    order.(count.(b)) <- 2 * k;
     count.(b) <- count.(b) + 1
   done;
-  let dst i = ends.(i) land mask and out = ref [] in
   (* Message [m] of a bucket sends the payloads of fetches
-     [order.(start.(m)) .. order.(start.(m+1) - 1)], one destination's:
-     its one payload, or their union. *)
+     [order.(start.(m)) .. order.(start.(m+1) - 1)], one destination's. *)
   let single m = start.(m + 1) = start.(m) + 1 in
-  let rects_of m = if single m then loads.(order.(start.(m))).merged else unions.(m) in
-  let dst_of m = dst order.(start.(m)) in
-  let by_payload x y =
-    let c = compare_rects (rects_of x) (rects_of y) in
+  let rects_of m = if single m then loads.(ents.(order.(start.(m)))).merged else unions.(m) in
+  let dst_of m = ents.(order.(start.(m)) + 1) land mask in
+  let same x y = key.(x) = key.(y) || compare_rects (rects_of x) (rects_of y) = 0 in
+  let by_value x y =
+    let c = if key.(x) = key.(y) then 0 else compare_rects (rects_of x) (rects_of y) in
     if c <> 0 then c else icmp (dst_of x) (dst_of y)
   in
+  let out = ref [] in
   for b = nb - 1 downto 0 do
     let lo = if b = 0 then 0 else count.(b - 1) and hi = count.(b) in
     if hi > lo then begin
-      sort_range (fun x y -> icmp (dst x) (dst y)) order lo hi;
-      let t = tensor order.(lo) and s = src order.(lo) and nm = ref 0 in
+      let sorted = ref true in
+      for q = lo + 1 to hi - 1 do
+        if ents.(order.(q) + 1) land mask < ents.(order.(q - 1) + 1) land mask then sorted := false
+      done;
+      if not !sorted then
+        sort_range (fun x y -> icmp (ents.(x + 1) land mask) (ents.(y + 1) land mask)) order lo hi;
+      let nm = ref 0 and keyed = ref true in
       start.(0) <- lo;
-      for k = lo + 1 to hi do
-        if k = hi || dst order.(k) <> dst order.(k - 1) then begin
-          let first = start.(!nm) in
+      for q = lo + 1 to hi do
+        if q = hi || ents.(order.(q) + 1) land mask <> ents.(order.(q - 1) + 1) land mask then begin
+          let m = !nm and first = start.(!nm) in
           (* Several payloads on one triple: their union, newest first. *)
-          if k > first + 1 then
-            unions.(!nm) <- union (List.init (k - first) (fun i -> loads.(order.(k - 1 - i))));
-          by_msg.(!nm) <- !nm;
-          incr nm;
-          start.(!nm) <- k
+          if q > first + 1 then begin
+            unions.(m) <- union (List.init (q - first) (fun i -> loads.(ents.(order.(q - 1 - i)))));
+            key.(m) <- tab.nloads + m
+          end
+          else key.(m) <- ents.(order.(first));
+          if m > 0 && key.(m) <> key.(m - 1) then keyed := false;
+          by_msg.(m) <- m;
+          nm := m + 1;
+          start.(m + 1) <- q
         end
       done;
-      sort_range by_payload by_msg 0 !nm;
-      (* Runs of one payload, last first; a group's receivers ascend. *)
-      let e = ref !nm in
+      (* One key: in destination order, the messages are sorted. *)
+      if not !keyed then begin
+        let rec ordered m = m >= !nm || (by_value (m - 1) m <= 0 && ordered (m + 1)) in
+        if not (ordered 1) then sort_range by_value by_msg 0 !nm
+      end;
+      (* Runs of one value, last first; a group's receivers ascend, and
+         its bytes are those of its last receiver's message: the
+         payloads of one triple are summed, so a payload fetched twice
+         counts twice. *)
+      let tri = ents.(order.(lo) + 1) and e = ref !nm in
       while !e > 0 do
         let last = by_msg.(!e - 1) and a = ref (!e - 1) in
-        let rects = rects_of last in
-        while !a > 0 && compare_rects (rects_of by_msg.(!a - 1)) rects = 0 do
-          decr a
+        while !a > 0 && same by_msg.(!a - 1) last do decr a done;
+        (* A literal is allocated inline; [Array.make] is a C call. *)
+        let receivers = if !e - !a = 1 then [| 0 |] else Array.make (!e - !a) 0 in
+        for r = 0 to !e - !a - 1 do
+          receivers.(r) <- ents.(order.(start.(by_msg.(!a + r))) + 1) land mask
         done;
-        let first = !a and volume = ref 0 in
-        let receivers = Array.make (!e - first) 0 in
-        for r = 0 to !e - first - 1 do
-          receivers.(r) <- dst_of by_msg.(first + r)
-        done;
+        let volume = ref 0 in
         for i = start.(last) to start.(last + 1) - 1 do
-          volume := !volume + loads.(order.(i)).volume
+          volume := !volume + loads.(ents.(order.(i))).volume
         done;
+        let rects = rects_of last in
         let bytes = 8.0 *. float_of_int !volume and fragments = List.length rects in
-        out := { tensor = names.(t); rects; fragments; src = s; bytes; receivers } :: !out;
-        e := first
+        out :=
+          { tensor = tab.names.(tri lsr (2 * bits)); rects; fragments;
+            src = (tri lsr bits) land mask; bytes; receivers }
+          :: !out;
+        e := !a
       done;
       for m = 0 to !nm - 1 do
         if not (single m) then unions.(m) <- []

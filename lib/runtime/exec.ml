@@ -80,12 +80,12 @@ let serial_reference stmt ~shapes ~data =
 
 (* {2 The distributed executor} *)
 
-(* Words the calling domain has allocated so far: minor (read off the
-   live allocation pointer, so short runs count too) and major (direct
-   major allocations plus promotions). Both counters are per domain. *)
+(* Words the calling domain has allocated so far, exactly: minor (off the
+   live allocation pointer) and straight on the major heap ([Gc.counters]'
+   major words less its promoted ones). Both counters are per domain. *)
 let alloc_words () =
-  let _, _, major = Gc.counters () in
-  (Gc.minor_words (), major)
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), major -. promoted)
 
 (* One owner-group of a memoized fetch plan: the pieces of a footprint a
    given owner set holds, pre-merged into block/strided form. Owners are
@@ -94,17 +94,20 @@ type fetch_group = { fg_owners : int list; fg_load : Comm_plan.payload }
 
 (* One footprint of one tensor at one site of the task walk, shared by
    every task whose dependent loop variables take the same values
-   there. The rect and the owners of the one tile holding it
-   ({!Distnot.holders}) are computed once, the fetch plan on first use. *)
+   there. The rect, its volume and the owners of the one tile holding it
+   ({!Distnot.holders}; [[]] when no tile does, as a tile has at least
+   one owner) are computed once, the fetch plan on first use. *)
 type fentry = {
   f_rect : Rect.t;
-  f_bytes : float;
-  f_holders : int list option;
+  f_vol : int;
+  f_holders : int list;
   mutable f_plan : fetch_group list option;
 }
 
+let[@inline] f_bytes e = 8.0 *. float_of_int e.f_vol
+
 (* The absent entry: no instance held, no footprint memoized yet. *)
-let no_inst = { f_rect = Rect.full [||]; f_bytes = 0.0; f_holders = None; f_plan = None }
+let no_inst = { f_rect = Rect.full [||]; f_vol = 0; f_holders = []; f_plan = None }
 
 (* Turns a task's slot environment into one int at a fixed site of the
    walk: the mixed-radix number of the values a footprint or interval
@@ -136,9 +139,10 @@ let key_of k (env : int array) =
 let key_range k = if Array.length k.k_mods = 0 then 1 else k.k_strides.(0) * k.k_mods.(0)
 
 (* The task tree with names resolved: loop variables to slots, tensors to
-   indices, each [Ensure] to its footprint site. *)
+   indices, each [Ensure] to its footprint site. A sequential loop's
+   value moves the bulk-synchronous step by [stride]. *)
 type node =
-  | N_seq of { slot : int; extent : int; body : node }
+  | N_seq of { slot : int; extent : int; stride : int; body : node }
   | N_ensure of { t : int; site : int; body : node }
   | N_leaf
 
@@ -156,7 +160,7 @@ let nodes_of_procs machine =
       Machine.node_of machine (Machine.delinearize machine p))
 
 (* The link between two processors, given each one's node. *)
-let link_between node_of_lin src dst =
+let[@inline] link_between node_of_lin src dst =
   if node_of_lin.(src) = node_of_lin.(dst) then Cost.Intra else Cost.Inter
 
 (* The first owner on [node], or -1. *)
@@ -197,33 +201,35 @@ type faults = {
   m_restore_bytes : Metrics.counter;
 }
 
-(* Per-step accumulators, preallocated per physical processor. One record
-   per *active* step (a step some copy or compute touched), so pricing
-   walks flat arrays instead of hashing (step, proc) pairs and
-   sorting the result. Copies land in the step's message table as they
-   are charged ([Comm_plan.add]) and become groups when it is priced. *)
-type step_acc = {
+(* A run's step state, allocated once. The walk's charges are flat over
+   (step, processor), at [step * nprocs + proc]: leaf flops, bytes
+   touched, whether the processor computed; per step, whether anything
+   touched it (only such a step is priced), its cross-rack bytes and its
+   fetches. Pricing's per-processor occupancies, communication flags and
+   times hold one step. *)
+type steps = {
   msgs : Comm_plan.table;
   cflops : float array;
   cbytes : float array;
-  ctouch : bool array;
+  computed : Bytes.t;
+  active : Bytes.t;
+  cross : float array;
   send : float array;
   recv : float array;
-  mtouch : bool array;
-  cross : float array;  (* cross-rack bytes this step, in one unboxed cell *)
+  sent : Bytes.t;
+  compute : float array;
+  comm : float array;
 }
 
-let new_step_acc nprocs =
-  {
-    msgs = Comm_plan.table ();
-    cflops = Array.make nprocs 0.0;
-    cbytes = Array.make nprocs 0.0;
-    ctouch = Array.make nprocs false;
-    send = Array.make nprocs 0.0;
-    recv = Array.make nprocs 0.0;
-    mtouch = Array.make nprocs false;
-    cross = [| 0.0 |];
-  }
+let new_steps ~names ~nsteps nprocs =
+  let floats n = Array.make n 0.0 and flags n = Bytes.make n '\000' in
+  { msgs = Comm_plan.table ~names ~steps:nsteps; cflops = floats (nsteps * nprocs);
+    cbytes = floats (nsteps * nprocs); computed = flags (nsteps * nprocs); active = flags nsteps;
+    cross = floats nsteps; send = floats nprocs; recv = floats nprocs; sent = flags nprocs;
+    compute = floats nprocs; comm = floats nprocs }
+
+let on b i = Bytes.get b i <> '\000'
+let set_on b i = Bytes.set b i '\001'
 
 (* The instruments step pricing feeds, registered once per run. *)
 type step_obs = {
@@ -252,87 +258,83 @@ let step_obs reg =
     h_step_time = Metrics.histogram reg "exec.step_time";
   }
 
-(* Post-planning observability: group counts, merged-run counts and
-   per-message payload sizes are recorded after grouping, so
-   [exec.messages] counts wire messages, not raw fragments (raw traffic
-   totals stay in [exec.bytes_intra]/[exec.bytes_inter], which planning
-   never changes). *)
-let observe_groups obs glist =
-  List.iter
-    (fun (g : Comm_plan.group) ->
-      Metrics.inc_int obs.m_copy_groups 1;
-      if g.fragments > 1 then Metrics.inc_int obs.m_coalesced 1;
-      let k = Array.length g.receivers in
-      Metrics.inc_int obs.m_messages k;
-      Metrics.observe_n obs.h_copy_bytes g.bytes k)
-    glist
-
 (* Charge one step's copy groups into the per-processor send/recv occupancy
-   arrays; returns (payload bytes moved, messages). A processor's two
-   occupancies are later combined per the cost model's duplex mode.
-   Broadcasts use the large-message collective model; a strided run
-   additionally pays the packing cost on its endpoints. [link src dst]
-   is the link a message takes. *)
-let price_groups cost ~link ~send ~recv ~mtouch glist =
-  let bytes = ref 0.0 and messages = ref 0 in
-  List.iter
-    (fun (g : Comm_plan.group) ->
-      let k = Array.length g.receivers in
-      bytes := !bytes +. (g.bytes *. float_of_int k);
-      messages := !messages + k;
-      let pack = Cost.pack_time cost ~fragments:g.fragments in
-      if k = 1 then begin
-        let dst = g.receivers.(0) in
-        let t =
-          Cost.strided_copy_time cost (link g.src dst) ~bytes:g.bytes ~fragments:g.fragments
-        in
-        recv.(dst) <- recv.(dst) +. t;
-        mtouch.(dst) <- true;
-        send.(g.src) <- send.(g.src) +. t;
-        mtouch.(g.src) <- true
-      end
-      else begin
-        (* A receiver's charges depend only on its link, so each is
-           priced once per link kind. *)
-        let part link =
-          Cost.broadcast_participant_send cost link ~bytes:g.bytes ~receivers:k
-        and bcast link = Cost.broadcast_time cost link ~bytes:g.bytes ~receivers:k in
-        let send_intra = part Cost.Intra and send_inter = part Cost.Inter in
-        let bcast_intra = bcast Cost.Intra and bcast_inter = bcast Cost.Inter in
-        let inter = ref false in
-        Array.iter
-          (fun dst ->
-            let is_inter = link g.src dst = Cost.Inter in
-            if is_inter then inter := true;
-            send.(dst) <- send.(dst) +. if is_inter then send_inter else send_intra;
-            recv.(dst) <- recv.(dst) +. (if is_inter then bcast_inter else bcast_intra) +. pack;
-            mtouch.(dst) <- true)
-          g.receivers;
-        send.(g.src) <- send.(g.src) +. (if !inter then bcast_inter else bcast_intra) +. pack;
-        mtouch.(g.src) <- true
-      end)
-    glist;
+   arrays, and observe them (so [exec.messages] counts wire messages, not
+   raw fragments); returns (payload bytes moved, messages). Broadcasts use
+   the large-message collective model; a strided run also pays the
+   packing cost on its endpoints. The cost model is pure, so alike
+   messages are priced once: consecutive point-to-point ones (a shift),
+   and a broadcast's receivers per link kind. Plain loops, no closures:
+   a float a closure updates is boxed at every update. *)
+let price_groups cost obs ~node_of ~send ~recv glist =
+  let bytes = ref 0.0 and messages = ref 0 and coalesced = ref 0 and rest = ref glist in
+  (* The last point-to-point price and its link, bytes and fragments. *)
+  let p2p = ref 0.0 and p2p_inter = ref false and p2p_bytes = ref (-1.0) and p2p_frags = ref 0 in
+  while !rest != [] do
+    let (g : Comm_plan.group) = List.hd !rest in
+    rest := List.tl !rest;
+    let k = Array.length g.receivers in
+    bytes := !bytes +. (g.bytes *. float_of_int k);
+    messages := !messages + k;
+    if g.fragments > 1 then incr coalesced;
+    Metrics.observe_n obs.h_copy_bytes g.bytes k;
+    if k = 1 then begin
+      let dst = g.receivers.(0) in
+      let inter = node_of.(g.src) <> node_of.(dst) in
+      if not (inter = !p2p_inter && g.bytes = !p2p_bytes && g.fragments = !p2p_frags) then begin
+        let link = if inter then Cost.Inter else Cost.Intra in
+        p2p := Cost.strided_copy_time cost link ~bytes:g.bytes ~fragments:g.fragments;
+        p2p_inter := inter;
+        p2p_bytes := g.bytes;
+        p2p_frags := g.fragments
+      end;
+      recv.(dst) <- recv.(dst) +. !p2p;
+      send.(g.src) <- send.(g.src) +. !p2p
+    end
+    else begin
+      (* Each link kind in use (0 intra, 1 inter) is priced when a
+         receiver first takes it. *)
+      let pack = Cost.pack_time cost ~fragments:g.fragments and src_node = node_of.(g.src) in
+      let priced = [| false; false |] and part = [| 0.0; 0.0 |] and bcast = [| 0.0; 0.0 |] in
+      for r = 0 to k - 1 do
+        let dst = g.receivers.(r) in
+        let l = if node_of.(dst) <> src_node then 1 else 0 in
+        if not priced.(l) then begin
+          let link = if l = 1 then Cost.Inter else Cost.Intra in
+          priced.(l) <- true;
+          part.(l) <- Cost.broadcast_participant_send cost link ~bytes:g.bytes ~receivers:k;
+          bcast.(l) <- Cost.broadcast_time cost link ~bytes:g.bytes ~receivers:k
+        end;
+        send.(dst) <- send.(dst) +. part.(l);
+        recv.(dst) <- recv.(dst) +. bcast.(l) +. pack
+      done;
+      send.(g.src) <- send.(g.src) +. bcast.(if priced.(1) then 1 else 0) +. pack
+    end
+  done;
+  Metrics.inc_int obs.m_copy_groups (List.length glist);
+  Metrics.inc_int obs.m_coalesced !coalesced;
+  Metrics.inc_int obs.m_messages !messages;
   (!bytes, !messages)
 
 (* The one pricing of a bulk-synchronous step, shared by [execute] and
-   [redistribute]. The step's message table is planned into wire
-   messages (one per (tensor, src, dst)) and identical payloads bundled
-   into broadcasts;
-   their occupancies, and the retransmissions and delays of any message
-   faults, are charged to the endpoints. The step costs the max over
-   processors of overlapped compute and communication, or the rack
-   fabric's occupancy when that is larger. [kernel] prices leaf compute
-   (see [resolve]). Returns the timeline row, with its per-processor
-   slots and wire payloads only when [profiling]. *)
-let price_step machine cost obs ~link ~kernel ~faults ~profiling ~step ~start a =
+   [redistribute]. The step's fetches are planned into wire messages
+   (one per (tensor, src, dst)) and identical payloads bundled into
+   broadcasts; their occupancies, and the retransmissions and delays of
+   any message faults, are charged to the endpoints. The step costs the
+   max over processors of overlapped compute and communication, priced
+   in one [Cost.step_times] call, or the rack fabric's occupancy when
+   that is larger. [kernel] prices leaf compute (see [resolve]). Returns
+   the timeline row, with its per-processor slots and wire payloads only
+   when [profiling], and leaves pricing's per-processor arrays cleared
+   for the next step. *)
+let price_step machine cost obs ~node_of ~kernel ~faults ~profiling ~step ~start a =
   let t_plan = now () in
-  let glist = Comm_plan.groups a.msgs in
-  observe_groups obs glist;
+  let glist = Comm_plan.groups a.msgs ~step in
   (* A processor's communication time in a step combines its send and
      receive occupancies per the cost model's duplex mode (full-duplex
      NICs overlap them; framebuffer DMA serializes them). *)
   let bytes, messages =
-    price_groups cost ~link ~send:a.send ~recv:a.recv ~mtouch:a.mtouch glist
+    price_groups cost obs ~node_of ~send:a.send ~recv:a.recv glist
   in
   Metrics.inc obs.m_plan_host (now () -. t_plan);
   (* Message faults: a matched drop costs its endpoints a retransmission
@@ -349,54 +351,57 @@ let price_step machine cost obs ~link ~kernel ~faults ~profiling ~step ~start a 
               | Some Fault.Drop ->
                   Metrics.inc_int f.m_injected 1;
                   let t =
-                    Cost.retransmit_time cost (link g.src dst) ~bytes:g.bytes
+                    Cost.retransmit_time cost (link_between node_of g.src dst) ~bytes:g.bytes
                       ~fragments:g.fragments
                   in
                   a.send.(g.src) <- a.send.(g.src) +. t;
                   a.recv.(dst) <- a.recv.(dst) +. t;
-                  a.mtouch.(g.src) <- true;
-                  a.mtouch.(dst) <- true
+                  set_on a.sent g.src;
+                  set_on a.sent dst
               | Some (Fault.Delay d) ->
                   Metrics.inc_int f.m_injected 1;
                   a.recv.(dst) <- a.recv.(dst) +. d;
-                  a.mtouch.(dst) <- true
+                  set_on a.sent dst
               | None -> ())
             g.receivers)
         glist
   | _ -> ());
   let fabric =
-    if a.cross.(0) > 0.0 then
+    if a.cross.(step) > 0.0 then
       let racks = Ints.ceil_div (Machine.num_nodes machine) cost.Cost.rack_nodes in
-      Cost.fabric_time cost ~cross_rack_bytes:a.cross.(0) ~racks
+      Cost.fabric_time cost ~cross_rack_bytes:a.cross.(step) ~racks
     else 0.0
   in
-  let cost_step = ref fabric and slots = ref [] in
-  for proc = Array.length a.send - 1 downto 0 do
-    if a.ctouch.(proc) || a.mtouch.(proc) then begin
-      let cmp =
-        if a.ctouch.(proc) then
-          match kernel with
-          | Some k ->
-              Cost.leaf_compute_time cost ~kernel:k ~flops:a.cflops.(proc)
-                ~bytes_touched:a.cbytes.(proc)
-          | None -> Cost.compute_time cost ~flops:a.cflops.(proc) ~bytes_touched:a.cbytes.(proc)
-        else 0.0
-      in
-      let cm =
-        if a.mtouch.(proc) then Cost.combine_sr cost ~send:a.send.(proc) ~recv:a.recv.(proc)
-        else 0.0
-      in
-      let busy = Cost.step_time cost ~compute:cmp ~comm:cm in
-      cost_step := Float.max !cost_step busy;
-      if profiling then
+  let nprocs = Array.length a.send in
+  let off = step * nprocs in
+  let cost_step =
+    Float.max fabric
+      (Cost.step_times cost ~kernel ~flops:a.cflops ~bytes_touched:a.cbytes ~off ~send:a.send
+         ~recv:a.recv ~compute:a.compute ~comm:a.comm)
+  in
+  (* The record's slots: every processor that computed or communicated. *)
+  let slots = ref [] in
+  if profiling then begin
+    List.iter
+      (fun (g : Comm_plan.group) ->
+        set_on a.sent g.src;
+        for r = 0 to Array.length g.receivers - 1 do set_on a.sent g.receivers.(r) done)
+      glist;
+    for proc = nprocs - 1 downto 0 do
+      if on a.computed (off + proc) || on a.sent proc then begin
+        let compute = a.compute.(proc) and comm = a.comm.(proc) in
         slots :=
-          { Cp.proc; compute = cmp; comm = cm; busy; flops = a.cflops.(proc);
-            bytes_touched = a.cbytes.(proc) }
+          { Cp.proc; compute; comm; busy = Cost.step_time cost ~compute ~comm;
+            flops = a.cflops.(off + proc); bytes_touched = a.cbytes.(off + proc) }
           :: !slots
-    end
-  done;
-  Metrics.observe obs.h_step_time !cost_step;
-  { Cp.index = step; start; cost = !cost_step; slots = !slots; bytes; messages; fabric;
+      end
+    done
+  end;
+  Array.fill a.send 0 nprocs 0.0;
+  Array.fill a.recv 0 nprocs 0.0;
+  Bytes.fill a.sent 0 nprocs '\000';
+  Metrics.observe obs.h_step_time cost_step;
+  { Cp.index = step; start; cost = cost_step; slots = !slots; bytes; messages; fabric;
     copies = (if profiling then glist else []) }
 
 (* Raw fragments per wire message (1.0 when no data moved, or when
@@ -458,8 +463,8 @@ type ctx = {
   vprocs : int;  (* processors of the grid the distributions name *)
   points : int array array;  (* launch points, in launch-point order *)
   ldims : int array;
-  seq_strides : int array;
   nsteps : int;
+  mutable step : int;  (* the bulk-synchronous step of the current bindings *)
   slot_vars : string array;
   env : int array;
   tree : node;
@@ -472,7 +477,7 @@ type ctx = {
   rect_memo : fentry Rect.Tbl.t array;
   ival_memo : int array array;  (* per index variable, by key; -1 until computed *)
   mutable footprints : int;
-  steps_acc : step_acc option array;
+  steps : steps;
   red_contribs : (float * int list) Rect.Tbl.t;
   dyn_peak : float array;
   tally : float array;  (* the walk's flops, intra and inter bytes, then bytes per tensor *)
@@ -682,12 +687,14 @@ let resolve ?trace ?profile ?faults spec =
     !nsites - 1
   in
   let leaf_site = Array.make (Array.length tensors) (-1) in
+  let seq_strides = Ints.row_major_strides seq_dims in
   let rec compile = function
     | Taskir.Launch { body; _ } -> compile body
     | Seq_loop { var; extent; body } ->
         let slot = Hashtbl.find slot_tbl var in
         bound.(slot) <- true;
-        N_seq { slot; extent; body = compile body }
+        let stride = seq_strides.(slot - Array.length ldims) in
+        N_seq { slot; extent; stride; body = compile body }
     | Ensure { tensor; body } ->
         let t = tensor_index tensor in
         let site = new_site t in
@@ -729,7 +736,7 @@ let resolve ?trace ?profile ?faults spec =
         (let pts = Array.make (Ints.prod ldims) [||] in
          Array.iteri (fun i _ -> pts.(i) <- Ints.delinearize ~dims:ldims i) pts;
          pts);
-      ldims; seq_strides = Ints.row_major_strides seq_dims; nsteps; slot_vars;
+      ldims; nsteps; step = 0; slot_vars;
       env = Array.make nslots (-1); tree; sites; leaf_site;
       footprint_fns =
         Array.map
@@ -746,9 +753,13 @@ let resolve ?trace ?profile ?faults spec =
          resolves to one entry per (tensor, rect), so its fetch plan is
          built once. *)
       site_memo = Array.map (fun (_, k) -> Array.make (key_range k) no_inst) sites;
-      rect_memo = Array.map (fun _ -> Rect.Tbl.create 64) tensors;
+      (* Sized for every key of the tensor's sites: it never rehashes. *)
+      rect_memo =
+        (let keys t = Array.fold_left (fun n (u, k) -> n + if u = t then key_range k else 0) 0 in
+         Array.mapi (fun t _ -> Rect.Tbl.create (keys t sites)) tensors);
       ival_memo = Array.map (fun k -> Array.make (key_range k) (-1)) ikeys;
-      footprints = 0; steps_acc = Array.make nsteps None; red_contribs = Rect.Tbl.create 16;
+      footprints = 0; steps = new_steps ~names:tensors ~nsteps nprocs;
+      red_contribs = Rect.Tbl.create 16;
       dyn_peak = Array.make nprocs 0.0;
       tally = Array.make (3 + Array.length tensors) 0.0;
       (* Per-operand traffic for the utilization report, registered up
@@ -769,24 +780,6 @@ let resolve ?trace ?profile ?faults spec =
    another in launch-point order, so metrics, traces, step accumulators,
    checkpoints and reduction bookkeeping see one fixed sequence. *)
 
-(* The bulk-synchronous step of the current bindings. *)
-let step_of c =
-  let s = ref 0 in
-  for i = 0 to Array.length c.seq_strides - 1 do
-    let x = c.env.(Array.length c.ldims + i) in
-    if x >= 0 then s := !s + (x * c.seq_strides.(i))
-  done;
-  !s
-
-(* The step's accumulator, preallocated on first touch. *)
-let acc_of c step =
-  match c.steps_acc.(step) with
-  | Some a -> a
-  | None ->
-      let a = new_step_acc c.nprocs in
-      c.steps_acc.(step) <- Some a;
-      a
-
 (* The footprint a site needs under the current bindings. *)
 let entry c site =
   let t, k = c.sites.(site) in
@@ -797,12 +790,13 @@ let entry c site =
     let rect = c.footprint_fns.(t) c.env in
     c.footprints <- c.footprints + 1;
     let e =
-      match Rect.Tbl.find c.rect_memo.(t) rect with
-      | e -> e
-      | exception Not_found ->
+      match Rect.Tbl.find_opt c.rect_memo.(t) rect with
+      | Some e -> e
+      | None ->
           let e =
-            { f_rect = rect; f_bytes = bytes_of_rect rect;
-              f_holders = Distnot.holders c.layouts.(t) rect; f_plan = None }
+            { f_rect = rect; f_vol = Rect.volume rect;
+              f_holders = Option.value (Distnot.holders c.layouts.(t) rect) ~default:[];
+              f_plan = None }
           in
           Rect.Tbl.add c.rect_memo.(t) rect e;
           e
@@ -815,11 +809,12 @@ let entry c site =
    at its step executes on its failover target instead ({!Mapper.fallback}
    — the next live linear processor, which also holds the checkpoint
    replica). *)
-let remap c ~step p =
-  match c.faults with
-  | Some f when Injector.has_kills f.inj && Injector.dead f.inj ~step ~proc:p ->
-      Mapper.fallback ~nprocs:c.nprocs ~dead:(fun q -> Injector.dead f.inj ~step ~proc:q) p
-  | _ -> p
+let remap_dead c f ~step p =
+  if Injector.has_kills f.inj && Injector.dead f.inj ~step ~proc:p then
+    Mapper.fallback ~nprocs:c.nprocs ~dead:(fun q -> Injector.dead f.inj ~step ~proc:q) p
+  else p
+
+let[@inline] remap c ~step p = match c.faults with None -> p | Some f -> remap_dead c f ~step p
 
 (* Record one payload of tensor [t] moving src -> dst, after remapping; a
    transfer whose ends collapse onto one processor disappears. Traffic
@@ -830,13 +825,14 @@ let remap c ~step p =
 let charge_batch c ~step ~t ~src ~dst (p : Comm_plan.payload) =
   let src = remap c ~step src and dst = remap c ~step dst in
   if src <> dst && p.volume > 0 then begin
-    let a = acc_of c step in
+    let a = c.steps in
     let bytes = 8.0 *. float_of_int p.volume in
-    Comm_plan.add a.msgs ~t ~src ~dst p;
+    set_on a.active step;
+    Comm_plan.add a.msgs ~step ~t ~src ~dst p;
     let l = if link_between c.node_of_lin src dst = Cost.Intra then 1 else 2 in
     c.tally.(l) <- c.tally.(l) +. bytes;
     c.tally.(3 + t) <- c.tally.(3 + t) +. bytes;
-    if c.rack_of_lin.(src) <> c.rack_of_lin.(dst) then a.cross.(0) <- a.cross.(0) +. bytes;
+    if c.rack_of_lin.(src) <> c.rack_of_lin.(dst) then a.cross.(step) <- a.cross.(step) +. bytes;
     match c.trace with
     | Some log ->
         let src = Machine.delinearize c.machine src in
@@ -844,7 +840,8 @@ let charge_batch c ~step ~t ~src ~dst (p : Comm_plan.payload) =
         List.iter
           (fun piece ->
             log :=
-              { step; tensor = p.tensor; piece; src; dst; bytes = bytes_of_rect piece } :: !log)
+              { step; tensor = c.tensors.(t); piece; src; dst; bytes = bytes_of_rect piece }
+              :: !log)
           p.pieces
     | None -> ()
   end
@@ -871,7 +868,7 @@ let add_red c ~step ~proc rect =
 (* Whether the task's processor holds footprint [e] in one of its tiles.
    An empty footprint has no holders; it has no bytes and no pieces, so
    owning it would change nothing. *)
-let proc_owns tk e = match e.f_holders with Some os -> mem_int tk.proc os | None -> false
+let proc_owns tk e = mem_int tk.proc e.f_holders
 
 let pieces_of c t e = Distnot.pieces c.layouts.(t) e.f_rect
 
@@ -884,11 +881,16 @@ let rec same_owners (a : int list) (b : int list) =
 (* The entry's fetch plan: its pieces grouped by owner set, each group
    pre-merged ([Comm_plan.merge_rects]). For cyclic distributions this is
    where thousands of per-piece decisions collapse into a handful of
-   per-owner batches. *)
+   per-owner batches. A footprint inside one tile is that tile's only
+   piece, so its plan comes from its holders alone. *)
 let plan_of c t e =
-  match e.f_plan with
-  | Some plan -> plan
-  | None ->
+  match (e.f_plan, e.f_holders) with
+  | Some plan, _ -> plan
+  | None, (_ :: _ as os) ->
+      let plan = [ { fg_owners = os; fg_load = Comm_plan.payload c.steps.msgs [ e.f_rect ] } ] in
+      e.f_plan <- Some plan;
+      plan
+  | None, [] ->
       let groups : (int list * Rect.t list ref) list ref = ref [] in
       List.iter
         (fun (piece, owners) ->
@@ -899,7 +901,7 @@ let plan_of c t e =
       let plan =
         List.rev_map
           (fun (os, ps) ->
-            { fg_owners = os; fg_load = Comm_plan.payload c.tensors.(t) (List.rev !ps) })
+            { fg_owners = os; fg_load = Comm_plan.payload c.steps.msgs (List.rev !ps) })
           !groups
       in
       e.f_plan <- Some plan;
@@ -910,17 +912,16 @@ let plan_of c t e =
 let rec fetch_groups c ~proc ~step t = function
   | [] -> ()
   | g :: gs ->
-      if not (mem_int proc g.fg_owners) then begin
-        let src =
-          match same_node_owner c.node_of_lin c.node_of_lin.(proc) g.fg_owners with
-          | -1 -> List.hd g.fg_owners
-          | o -> o
-        in
-        charge_batch c ~step ~t ~src ~dst:proc g.fg_load
-      end;
+      (match g.fg_owners with
+      | [ o ] -> if o <> proc then charge_batch c ~step ~t ~src:o ~dst:proc g.fg_load
+      | os when not (mem_int proc os) ->
+          let node = c.node_of_lin.(proc) in
+          let src = match same_node_owner c.node_of_lin node os with -1 -> List.hd os | o -> o in
+          charge_batch c ~step ~t ~src ~dst:proc g.fg_load
+      | _ -> ());
       fetch_groups c ~proc ~step t gs
 
-let charge_fetch c tk t e = fetch_groups c ~proc:tk.proc ~step:(step_of c) t (plan_of c t e)
+let charge_fetch c tk t e = fetch_groups c ~proc:tk.proc ~step:c.step t (plan_of c t e)
 
 (* The output instance is done: a reduction partial, or (owner-computes)
    its tile shipped home when a remote processor owns it. *)
@@ -934,16 +935,16 @@ let flush_output c tk ~step e =
           let dst = List.hd os in
           if dst <> tk.proc then
             charge_batch c ~step ~t:c.out_t ~src:tk.proc ~dst
-              (Comm_plan.payload c.stmt.lhs.tensor [ piece ]))
+              (Comm_plan.payload c.steps.msgs [ piece ]))
         (pieces_of c c.out_t e);
     checkpoint c ~step ~proc:(remap c ~step tk.proc) e.f_rect
   end
 
-let grow tk bytes =
+let[@inline] grow tk bytes =
   tk.mem.(0) <- tk.mem.(0) +. bytes;
   if tk.mem.(0) > tk.mem.(1) then tk.mem.(1) <- tk.mem.(0)
 
-let shrink tk bytes = tk.mem.(0) <- tk.mem.(0) -. bytes
+let[@inline] shrink tk bytes = tk.mem.(0) <- tk.mem.(0) -. bytes
 
 (* Materialize the footprint of [site] as the task's instance of tensor
    [t], unless the task already holds exactly that instance. *)
@@ -954,8 +955,8 @@ let ensure c tk t site =
     if cur == no_inst then true
     else if cur == e then false
     else begin
-      if t = c.out_t then flush_output c tk ~step:(step_of c) cur;
-      if tk.counted.(t) then shrink tk cur.f_bytes;
+      if t = c.out_t then flush_output c tk ~step:c.step cur;
+      if tk.counted.(t) then shrink tk (f_bytes cur);
       tk.inst.(t) <- no_inst;
       true
     end
@@ -964,7 +965,7 @@ let ensure c tk t site =
     (* An instance of a locally-owned subrect aliases the owned tile;
        reduction partials for the output are fresh allocations. *)
     let counted = (t = c.out_t && c.reduction) || not (proc_owns tk e) in
-    if counted then grow tk e.f_bytes;
+    if counted then grow tk (f_bytes e);
     if t = c.out_t then begin
       (* Reduction partials start at zero; stationary/owner-computes
          outputs are seeded with current values (which only costs
@@ -977,9 +978,9 @@ let ensure c tk t site =
     tk.inst.(t) <- e;
     tk.counted.(t) <- counted;
     if t = c.out_t && c.reads_out then begin
-      if tk.out_read != no_inst && tk.out_read_counted then shrink tk tk.out_read.f_bytes;
+      if tk.out_read != no_inst && tk.out_read_counted then shrink tk (f_bytes tk.out_read);
       let counted_r = not (proc_owns tk e) in
-      if counted_r then grow tk e.f_bytes;
+      if counted_r then grow tk (f_bytes e);
       tk.out_read <- e;
       tk.out_read_counted <- counted_r
     end
@@ -1041,7 +1042,7 @@ let bind_leaf c tk r =
       B_leaf (Expr_stage.bind sp ~env:(fun v -> slot_env v 0) ~geoms:(Array.mapi geom slot_t))
 
 let exec_leaf c tk =
-  let step = step_of c in
+  let step = c.step in
   (* Leaf iteration count: a product of per-variable interval lengths. *)
   let points = ref 1.0 in
   for i = 0 to Array.length c.ikeys - 1 do
@@ -1054,24 +1055,28 @@ let exec_leaf c tk =
   done;
   let bytes = ref 0.0 in
   for t = 0 to Array.length tk.inst - 1 do
-    if tk.inst.(t) != no_inst then bytes := !bytes +. tk.inst.(t).f_bytes
+    if tk.inst.(t) != no_inst then bytes := !bytes +. f_bytes tk.inst.(t)
   done;
-  if tk.out_read != no_inst then bytes := !bytes +. tk.out_read.f_bytes;
+  if tk.out_read != no_inst then bytes := !bytes +. f_bytes tk.out_read;
   let proc = remap c ~step tk.proc and flops = float_of_int c.ops *. !points in
-  let a = acc_of c step in
-  a.cflops.(proc) <- a.cflops.(proc) +. flops;
-  a.cbytes.(proc) <- a.cbytes.(proc) +. !bytes;
-  a.ctouch.(proc) <- true;
+  let a = c.steps and i = (step * c.nprocs) + proc in
+  a.cflops.(i) <- a.cflops.(i) +. flops;
+  a.cbytes.(i) <- a.cbytes.(i) +. !bytes;
+  set_on a.computed i;
+  set_on a.active step;
   c.tally.(0) <- c.tally.(0) +. flops;
   match tk.record with Some r -> r.bops <- bind_leaf c tk r :: r.bops | None -> ()
 
 let rec walk_node c tk = function
-  | N_seq { slot; extent; body } ->
+  | N_seq { slot; extent; stride; body } ->
+      let base = c.step in
       for x = 0 to extent - 1 do
         c.env.(slot) <- x;
+        c.step <- base + (x * stride);
         walk_node c tk body
       done;
-      c.env.(slot) <- -1
+      c.env.(slot) <- -1;
+      c.step <- base
   | N_ensure { t; site; body } ->
       ensure c tk t site;
       walk_node c tk body
@@ -1224,20 +1229,18 @@ let price c =
      one the step cost (the max over processors, which any order computes
      exactly) is all that is kept. *)
   let profiling = Option.is_some c.run in
-  let total_fragments = ref 0 and total_messages = ref 0 in
+  let total_messages = ref 0 in
   let rev_rows = ref [] in
   for step = 0 to c.nsteps - 1 do
-    match c.steps_acc.(step) with
-    | None -> ()
-    | Some a ->
-        let row =
-          price_step c.machine cost c.obs ~link:(link_between c.node_of_lin)
-            ~kernel:c.priced_kernel ~faults:c.faults ~profiling ~step ~start:!start a
-        in
-        total_fragments := !total_fragments + Comm_plan.fragments a.msgs;
-        total_messages := !total_messages + row.Cp.messages;
-        start := !start +. row.Cp.cost;
-        rev_rows := row :: !rev_rows
+    if on c.steps.active step then begin
+      let row =
+        price_step c.machine cost c.obs ~node_of:c.node_of_lin
+          ~kernel:c.priced_kernel ~faults:c.faults ~profiling ~step ~start:!start c.steps
+      in
+      total_messages := !total_messages + row.Cp.messages;
+      start := !start +. row.Cp.cost;
+      rev_rows := row :: !rev_rows
+    end
   done;
   let rows = List.rev !rev_rows in
   let time = List.fold_left (fun acc (r : Cp.step) -> acc +. r.Cp.cost) 0.0 rows in
@@ -1278,7 +1281,7 @@ let price c =
   Metrics.set (Metrics.gauge reg "exec.steps") (float_of_int c.nsteps);
   Metrics.set (Metrics.gauge reg "exec.overhead_time") overhead;
   Metrics.set (Metrics.gauge reg "exec.reduction_time") red_time;
-  set_coalesce_ratio reg ~fragments:!total_fragments ~messages:!total_messages;
+  set_coalesce_ratio reg ~fragments:(Comm_plan.fragments c.steps.msgs) ~messages:!total_messages;
   (* Memory accounting: the owned tiles of every tensor, plus the walk's
      dynamic peak. *)
   let static_mem = Array.make nprocs 0.0 in
@@ -1512,7 +1515,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
   (* A redistribution is one exchange step with no compute: every piece a
      destination owner lacks comes from an owner of the overlapping source
      tile, a same-node one when there is one. *)
-  let a = new_step_acc nprocs in
+  let a = new_steps ~names:[| "" |] ~nsteps:1 nprocs in
   List.iter
     (fun (dr, downers) ->
       let pieces = Distnot.pieces src_layout dr in
@@ -1529,13 +1532,14 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
                 let bytes = bytes_of_rect piece in
                 Metrics.inc (if link_of s d = Cost.Intra then m_bytes_intra else m_bytes_inter) bytes;
                 if rack_of_lin.(s) <> rack_of_lin.(d) then a.cross.(0) <- a.cross.(0) +. bytes;
-                Comm_plan.add a.msgs ~t:0 ~src:s ~dst:d (Comm_plan.payload "" [ piece ])
+                set_on a.active 0;
+                Comm_plan.add a.msgs ~step:0 ~t:0 ~src:s ~dst:d (Comm_plan.payload a.msgs [ piece ])
               end)
             pieces)
         downers)
     (Distnot.pieces (layout dst) (Rect.full shape));
   let row =
-    price_step machine cost (step_obs reg) ~link:link_of ~kernel:None ~faults:None
+    price_step machine cost (step_obs reg) ~node_of:node_of_lin ~kernel:None ~faults:None
       ~profiling:(Option.is_some prun) ~step:0 ~start:0.0 a
   in
   Metrics.set (Metrics.gauge reg "exec.time") row.Cp.cost;

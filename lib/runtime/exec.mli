@@ -92,7 +92,7 @@ val execute :
     [Stats]: the wall clock of the simulator's resolve, walk and price
     phases ([exec.setup_wall_s], [exec.compute_wall_s],
     [exec.assembly_wall_s], with step planning inside pricing as
-    [exec.plan_wall_s]), and the words the simulation allocated
+    [exec.plan_wall_s]), and its minor and direct major words
     ([exec.alloc_minor_words], [exec.alloc_major_words]).
 
     Leaves have one dispatch ({!run_plan}): substituted leaves run the

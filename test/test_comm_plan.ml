@@ -80,59 +80,108 @@ let elements groups =
     groups
   |> List.sort compare
 
+let names = [| "A"; "B" |]
+
 (* The multiset the fetches themselves move. *)
 let fetched batches =
   List.concat_map
-    (fun (_, src, dst, (p : Comm_plan.payload)) ->
+    (fun (_, t, src, dst, (p : Comm_plan.payload)) ->
       List.concat_map
-        (fun r -> List.map (fun pt -> (p.Comm_plan.tensor, pt, src, dst)) (points r))
+        (fun r -> List.map (fun pt -> (names.(t), pt, src, dst)) (points r))
         p.Comm_plan.pieces)
     batches
   |> List.sort compare
 
-(* One step's plan: the batches added to a table in order, then grouped. *)
-let plan batches =
-  let tab = Comm_plan.table () in
-  List.iter (fun (t, src, dst, p) -> Comm_plan.add tab ~t ~src ~dst p) batches;
-  Comm_plan.groups tab
+(* A generated run: per payload its tensor and pieces, and the fetches as
+   (step, payload number, src, dst). [realize] makes the payloads in one
+   fresh table, in order, and adds the fetches in the order given. *)
+type gen = { loads : (int * Rect.t list) array; fetches : (int * int * int * int) list }
 
-(* Random batches: disjoint unit cells of a small box per batch, random
-   (tensor, src, dst) per batch — collisions across batches exercise the
-   triples that receive several payloads in one step. *)
+let realize g fetches =
+  let tab = Comm_plan.table ~names ~steps:2 in
+  let loads = Array.map (fun (t, pieces) -> (t, Comm_plan.payload tab pieces)) g.loads in
+  let batches =
+    List.map
+      (fun (step, k, src, dst) ->
+        let t, p = loads.(k) in
+        Comm_plan.add tab ~step ~t ~src ~dst p;
+        (step, t, src, dst, p))
+      fetches
+  in
+  (tab, batches)
+
+(* Each step's groups, tagged with the step. *)
+let plan g fetches =
+  let tab, batches = realize g fetches in
+  let tagged step = List.map (fun x -> (step, x)) (Comm_plan.groups tab ~step) in
+  (List.concat_map tagged [ 0; 1 ], batches)
+
+(* Random runs of two steps: disjoint unit cells of a small box per
+   payload, random (step, src, dst) per fetch. Collisions exercise the
+   triples that receive several payloads in one step; some payloads copy
+   an earlier one's tensor and value, so two objects with one value can
+   share a (tensor, src) bucket; and some payloads go from one source to
+   several destinations in one step, as a broadcast's do. *)
 let gen_batches rng =
   let dims = 1 + Rng.int rng 3 in
   let extent = 2 + Rng.int rng 4 in
-  let nbatches = 1 + Rng.int rng 4 in
-  List.init nbatches (fun _ ->
-      let cells = ref [] in
-      let coord = Array.make dims 0 in
-      let rec sweep d =
-        if d = dims then begin
-          if Rng.int rng 3 > 0 then
-            cells :=
-              Rect.make ~lo:(Array.copy coord)
-                ~hi:(Array.map succ coord)
-              :: !cells
-        end
-        else
-          for x = 0 to extent - 1 do
-            coord.(d) <- x;
-            sweep (d + 1)
-          done
-      in
-      sweep 0;
-      let pieces = if !cells = [] then [ rect [ 0 ] [ 1 ] ] else !cells in
-      let t = Rng.int rng 2 in
-      (t, Rng.int rng 4, Rng.int rng 4, Comm_plan.payload (if t = 0 then "A" else "B") pieces))
+  let cells () =
+    let cells = ref [] in
+    let coord = Array.make dims 0 in
+    let rec sweep d =
+      if d = dims then begin
+        if Rng.int rng 3 > 0 then
+          cells := Rect.make ~lo:(Array.copy coord) ~hi:(Array.map succ coord) :: !cells
+      end
+      else
+        for x = 0 to extent - 1 do
+          coord.(d) <- x;
+          sweep (d + 1)
+        done
+    in
+    sweep 0;
+    if !cells = [] then [ rect [ 0 ] [ 1 ] ] else !cells
+  in
+  let npayloads = 1 + Rng.int rng 4 in
+  let loads = Array.make npayloads (0, []) in
+  for k = 0 to npayloads - 1 do
+    loads.(k) <-
+      (if k > 0 && Rng.int rng 3 = 0 then loads.(Rng.int rng k) else (Rng.int rng 2, cells ()))
+  done;
+  let fetch () = (Rng.int rng 2, Rng.int rng npayloads, Rng.int rng 4, Rng.int rng 4) in
+  let fetches = List.init (1 + Rng.int rng 6) (fun _ -> fetch ()) in
+  let broadcast =
+    if Rng.int rng 2 = 0 then []
+    else
+      let step, k, src, _ = fetch () in
+      List.filter_map
+        (fun dst -> if Rng.int rng 4 > 0 then Some (step, k, src, dst) else None)
+        [ 0; 1; 2; 3 ]
+  in
+  { loads; fetches = fetches @ broadcast }
 
-let key (g : Comm_plan.group) = (g.Comm_plan.tensor, g.Comm_plan.src, g.Comm_plan.rects)
+let key (step, (g : Comm_plan.group)) =
+  (step, g.Comm_plan.tensor, g.Comm_plan.src, g.Comm_plan.rects)
 
 let fuzz_multiset seed =
   let rng = Rng.create (seed * 257) in
-  let batches = gen_batches rng in
-  let planned = plan batches in
-  if elements planned <> fetched batches then
-    QCheck.Test.fail_reportf "plan moves a different element multiset";
+  let g = gen_batches rng in
+  let tagged, batches = plan g g.fetches in
+  let planned = List.map snd tagged in
+  let moved =
+    List.concat_map
+      (fun (step, grp) -> List.map (fun (t, pt, s, d) -> (step, t, pt, s, d)) (elements [ grp ]))
+      tagged
+    |> List.sort compare
+  in
+  let want =
+    List.concat_map
+      (fun ((step, _, _, _, _) as b) ->
+        List.map (fun (t, pt, s, d) -> (step, t, pt, s, d)) (fetched [ b ]))
+      batches
+    |> List.sort compare
+  in
+  if moved <> want then QCheck.Test.fail_reportf "plan moves a different element multiset";
   (* Internal consistency of every planned group. *)
   List.iter
     (fun (g : Comm_plan.group) ->
@@ -142,41 +191,39 @@ let fuzz_multiset seed =
       if g.Comm_plan.bytes <> 8.0 *. float_of_int vol then
         QCheck.Test.fail_reportf "bytes %g /= 8 x payload volume %d" g.Comm_plan.bytes vol;
       let dsts = Array.to_list g.Comm_plan.receivers in
-      if List.sort compare dsts <> dsts then
+      if List.sort_uniq compare dsts <> dsts then
         QCheck.Test.fail_reportf "receivers out of order in %s" (show g.Comm_plan.rects))
     planned;
-  (* Canonical order: strictly ascending (tensor, src, payload)... *)
+  (* Canonical order: strictly ascending (step, tensor, src, payload)... *)
   let rec ascending = function
     | a :: (b :: _ as rest) ->
-        let ta, sa, ra = key a and tb, sb, rb = key b in
-        let c = compare (ta, sa) (tb, sb) in
+        let sa, ta, xa, ra = key a and sb, tb, xb, rb = key b in
+        let c = compare (sa, ta, xa) (sb, tb, xb) in
         (c < 0 || (c = 0 && Comm_plan.compare_rects ra rb < 0)) && ascending rest
     | _ -> true
   in
-  if not (ascending planned) then
-    QCheck.Test.fail_reportf "groups out of canonical order";
-  (* ...whatever order the batches arrived in. *)
+  if not (ascending tagged) then QCheck.Test.fail_reportf "groups out of canonical order";
+  (* ...whatever order the fetches arrived in. *)
   let same a b =
     List.length a = List.length b
     && List.for_all2
-         (fun (x : Comm_plan.group) (y : Comm_plan.group) ->
-           key x = key y && x.Comm_plan.receivers = y.Comm_plan.receivers)
+         (fun ((_, (x : Comm_plan.group)) as kx) ((_, (y : Comm_plan.group)) as ky) ->
+           key kx = key ky && x.Comm_plan.receivers = y.Comm_plan.receivers
+           && x.Comm_plan.bytes = y.Comm_plan.bytes)
          a b
   in
-  if not (same planned (plan (List.rev batches))) then
-    QCheck.Test.fail_reportf "plan depends on the order batches arrived in";
-  (* One message per (tensor, src, dst) triple. *)
+  if not (same tagged (fst (plan g (List.rev g.fetches)))) then
+    QCheck.Test.fail_reportf "plan depends on the order fetches arrived in";
+  (* One message per (step, tensor, src, dst) triple. *)
   let messages =
     List.concat_map
-      (fun (g : Comm_plan.group) ->
+      (fun (step, (g : Comm_plan.group)) ->
         List.map
-          (fun d -> (g.Comm_plan.tensor, g.Comm_plan.src, d))
+          (fun d -> (step, g.Comm_plan.tensor, g.Comm_plan.src, d))
           (Array.to_list g.Comm_plan.receivers))
-      planned
+      tagged
   in
-  let triples =
-    List.map (fun (_, s, d, (p : Comm_plan.payload)) -> (p.Comm_plan.tensor, s, d)) batches
-  in
+  let triples = List.map (fun (step, t, s, d, _) -> (step, names.(t), s, d)) batches in
   List.sort compare messages = List.sort_uniq compare triples
   || QCheck.Test.fail_reportf "plan is not one message per triple"
 
@@ -185,19 +232,25 @@ let qcheck_multiset =
     QCheck.small_nat
     (fun seed -> fuzz_multiset (succ seed))
 
-(* Two batches on one (tensor, src, dst) triple in one step become one
-   message: their union. *)
-let single_message batches =
-  match plan batches with
-  | [ g ] -> g
+(* The one group of a step whose payloads (tensor A) are made in one
+   table in order and fetched from processor 1 as (payload, dst). *)
+let single_group loads fetches =
+  let g = { loads = Array.of_list (List.map (fun pieces -> (0, pieces)) loads);
+            fetches = List.map (fun (k, dst) -> (0, k, 1, dst)) fetches } in
+  match fst (plan g g.fetches) with
+  | [ (_, grp) ] -> grp
   | gs -> Alcotest.failf "expected one group, got %d" (List.length gs)
 
+(* Two batches on one (tensor, src, dst) triple in one step become one
+   message: their union. *)
 let test_two_batches_separated () =
   (* Hulls [0,2) and [4,6) leave a gap: no rect of one can merge with one
      of the other, so the union is their canonical concatenation. *)
-  let a = Comm_plan.payload "A" [ rect [ 4 ] [ 5 ]; rect [ 5 ] [ 6 ] ] in
-  let b = Comm_plan.payload "A" [ rect [ 0 ] [ 1 ]; rect [ 1 ] [ 2 ] ] in
-  let g = single_message [ (0, 1, 2, a); (0, 1, 2, b) ] in
+  let g =
+    single_group
+      [ [ rect [ 4 ] [ 5 ]; rect [ 5 ] [ 6 ] ]; [ rect [ 0 ] [ 1 ]; rect [ 1 ] [ 2 ] ] ]
+      [ (0, 2); (1, 2) ]
+  in
   Alcotest.(check string) "strided run" "[0,2) [4,6)" (show g.Comm_plan.rects);
   Alcotest.(check int) "fragments" 2 g.Comm_plan.fragments;
   Alcotest.(check (float 0.0)) "bytes" 32.0 g.Comm_plan.bytes;
@@ -206,12 +259,25 @@ let test_two_batches_separated () =
 let test_two_batches_overlapping () =
   (* Hulls [0,3) and [1,4) overlap: the union goes through [merge_rects],
      which closes the interleaved cells into one block. *)
-  let a = Comm_plan.payload "A" [ rect [ 0 ] [ 1 ]; rect [ 2 ] [ 3 ] ] in
-  let b = Comm_plan.payload "A" [ rect [ 1 ] [ 2 ]; rect [ 3 ] [ 4 ] ] in
-  let g = single_message [ (0, 1, 2, a); (0, 1, 2, b) ] in
+  let g =
+    single_group
+      [ [ rect [ 0 ] [ 1 ]; rect [ 2 ] [ 3 ] ]; [ rect [ 1 ] [ 2 ]; rect [ 3 ] [ 4 ] ] ]
+      [ (0, 2); (1, 2) ]
+  in
   Alcotest.(check string) "one block" "[0,4)" (show g.Comm_plan.rects);
   Alcotest.(check int) "fragments" 1 g.Comm_plan.fragments;
   Alcotest.(check (float 0.0)) "bytes" 32.0 g.Comm_plan.bytes
+
+(* Two payload objects with one value, sent from one source to
+   interleaved destinations, are one broadcast: one group, its receivers
+   merged and ascending. *)
+let test_equal_values_one_group () =
+  let block = [ rect [ 0; 0 ] [ 2; 1 ]; rect [ 0; 1 ] [ 2; 2 ] ] in
+  let g = single_group [ block; block ] [ (0, 5); (1, 0); (0, 3); (1, 4) ] in
+  Alcotest.(check string) "value" "[0,2)x[0,2)" (show g.Comm_plan.rects);
+  Alcotest.(check (array int)) "receivers" [| 0; 3; 4; 5 |] g.Comm_plan.receivers;
+  Alcotest.(check (float 0.0)) "bytes" 32.0 g.Comm_plan.bytes;
+  Alcotest.(check int) "src" 1 g.Comm_plan.src
 
 (* {2 Full-mode byte accounting} *)
 
@@ -338,6 +404,8 @@ let suites =
           test_two_batches_separated;
         Alcotest.test_case "overlapping batches on one triple" `Quick
           test_two_batches_overlapping;
+        Alcotest.test_case "equal payload values form one group" `Quick
+          test_equal_values_one_group;
         Alcotest.test_case "Full trace sums to totals" `Quick test_full_identity;
         Alcotest.test_case "redistribute == single-step execute" `Quick
           test_redistribute_parity;

@@ -223,6 +223,74 @@ let check_case c () =
         Alcotest.(check string) (Printf.sprintf "full, %d domains" domains) c.expect_full got)
     [ 1; 4 ]
 
+(* {2 The served estimate sweep}
+
+   The Model runs of the served [estimate] workload's three families
+   (SUMMA, Cannon and TTV cyclic over i on a virtual grid twice the
+   machine), built as the benchmark builds them, at n in {128, 320, 512}
+   on 4x4, 8x8 and 16x16: 27 runs whose [Stats] bits are digested
+   together. Recorded before step grouping went by payload id. *)
+
+let sweep_gemm ~n ~g schedule =
+  let tiled = "[x,y] -> [x,y]" in
+  let p =
+    Api.problem_exn ~machine:(grid2 g) ~stmt:"A(i,j) = B(i,k) * C(k,j)"
+      ~tensors:(List.map (fun t -> Api.tensor t [| n; n |] ~dist:tiled) [ "A"; "B"; "C" ])
+      ()
+  in
+  Api.compile_script_exn p
+    ~schedule:(Printf.sprintf "distribute_onto({i,j}, {io,jo}, {ii,ji}, [%d,%d]); %s" g g schedule)
+
+let sweep_shape ~family ~n ~g =
+  match family with
+  | `Summa ->
+      sweep_gemm ~n ~g
+        (Printf.sprintf
+           "split(k, ko, ki, %d); reorder(ko, ii, ji, ki); communicate(A, jo); \
+            communicate({B,C}, ko); substitute({ii,ji,ki}, gemm)"
+           (max 1 (Distal_support.Ints.ceil_div n (g * 4))))
+  | `Cannon ->
+      sweep_gemm ~n ~g
+        (Printf.sprintf
+           "divide(k, ko, ki, %d); reorder(ko, ii, ji, ki); rotate(ko, {io,jo}, kos); \
+            communicate(A, jo); communicate({B,C}, kos); substitute({ii,ji,ki}, gemm)"
+           g)
+  | `Ttv ->
+      let i = 4 * n and jk = 16 and vprocs = 2 * g * g in
+      let p =
+        Api.problem_exn ~virtual_grid:[| vprocs |] ~machine:(Machine.grid [| g * g |])
+          ~stmt:"A(i,j) = B(i,j,k) * c(k)"
+          ~tensors:
+            [
+              Api.tensor "A" [| i; jk |] ~dist:"[x,y] -> [x%1]";
+              Api.tensor "B" [| i; jk; jk |] ~dist:"[x,y,z] -> [x%1]";
+              Api.tensor "c" [| jk |] ~dist:"[x] -> [*]";
+            ]
+          ()
+      in
+      Api.compile_script_exn p
+        ~schedule:
+          (Printf.sprintf "divide(i, io, ii, %d); distribute(io); communicate({A,B,c}, io)"
+             vprocs)
+
+let test_estimate_sweep () =
+  let lines =
+    List.concat_map
+      (fun family ->
+        List.concat_map
+          (fun g ->
+            List.map
+              (fun n ->
+                let plan = sweep_shape ~family ~n ~g in
+                stats_line (Api.run_exn ~mode:Exec.Model plan ~data:[]).Exec.stats)
+              [ 128; 320; 512 ])
+          [ 4; 8; 16 ])
+      [ `Summa; `Cannon; `Ttv ]
+  in
+  Alcotest.(check string)
+    "27 estimate runs" "29e5251428c3a978dcfb38b3ed5a241b"
+    (md5 (String.concat "\n" lines))
+
 (* {2 Redistribution} *)
 
 (* [Exec.redistribute] prices one exchange step. These values were
@@ -301,5 +369,6 @@ let suites =
       @ List.map
           (fun ((name, _, _) as c) ->
             Alcotest.test_case ("redistribute " ^ name) `Quick (check_redistribute c))
-          redistribute_cases );
+          redistribute_cases
+      @ [ Alcotest.test_case "estimate sweep" `Quick test_estimate_sweep ] );
   ]

@@ -190,26 +190,35 @@ let alloc_shapes =
     ("innerprod", [| 8; 8; 16 |], [| 2; 3; 4 |]);
   ]
 
-(* Minor and major words one call of [f] allocates, net of the
-   measurement's own: the least of three windows. When a minor collection
-   runs inside a window, the OCaml 5.1 runtime can credit it with words
-   allocated elsewhere (about 115k per live domain), never with fewer, so
-   the least window holds the call's own count. *)
+(* Minor and major words one call of [f] allocates on the calling domain,
+   net of the measurement's own, exactly: minor words off the live
+   allocation pointer ([Gc.minor_words]), and the words allocated straight
+   on the major heap as [Gc.counters]' major words less its promoted ones.
+   ([Gc.counters]' minor field moves with minor collections, not with
+   allocation, and [Gc.quick_stat]'s promoted words lag its major words.)
+   One window each, for [f] and for the counters' own allocation. *)
 let words_of f =
   let window f =
-    let mi0, _, ma0 = Gc.counters () in
+    let m0 = Gc.minor_words () in
+    let _, p0, ma0 = Gc.counters () in
     f ();
-    let mi1, _, ma1 = Gc.counters () in
-    (mi1 -. mi0, ma1 -. ma0)
+    let _, p1, ma1 = Gc.counters () in
+    (Gc.minor_words () -. m0, ma1 -. ma0 -. (p1 -. p0))
   in
-  let least f =
-    List.fold_left
-      (fun (a, b) (c, d) -> (Float.min a c, Float.min b d))
-      (window f) [ window f; window f ]
-  in
-  let bmi, bma = least ignore in
-  let mi, ma = least f in
+  let bmi, bma = window ignore in
+  let mi, ma = window f in
   (mi -. bmi, ma -. bma)
+
+(* The counter is exact whatever the minor heap's size: a list's cells
+   are minor words, a large float array is allocated straight on the
+   major heap, header included. *)
+let test_words_of () =
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    "list" (3000.0, 0.0)
+    (words_of (fun () -> ignore (Sys.opaque_identity (List.init 1000 Fun.id))));
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    "float array" (0.0, 100_001.0)
+    (words_of (fun () -> ignore (Sys.opaque_identity (Array.make 100_000 0.0))))
 
 let test_kernels_allocate_nothing () =
   let rng = Rng.create 3 in
@@ -327,6 +336,7 @@ let suites =
         Test_oracle.to_alcotest ~long:false qcheck_run_named_matches_views;
         Alcotest.test_case "strided views" `Quick test_strided_views;
         Alcotest.test_case "warm calls allocate nothing" `Quick test_kernels_allocate_nothing;
+        Alcotest.test_case "allocation counter is exact" `Quick test_words_of;
         Alcotest.test_case "shape class" `Quick test_shape_class;
         Alcotest.test_case "flops table" `Quick test_flops_table;
         Alcotest.test_case "shape diagnostics" `Quick test_shape_diagnostics;

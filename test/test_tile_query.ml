@@ -177,6 +177,24 @@ let check_holders seed =
               (describe c) v (D.owned_volume g v) want)
        (List.init (Machine.num_procs c.vmachine) Fun.id)
 
+(* A rect that lies within one tile is that tile's only piece: whenever
+   [holders] answers, [pieces] returns the rect itself with the same
+   owners. The simulator builds such a footprint's fetch plan from its
+   holders alone, without asking for its pieces. *)
+let check_sole_piece seed =
+  let rng = Rng.create (seed * 6700417) in
+  let c = gen_case rng in
+  let tiles = tiles c and g = layout c in
+  List.for_all
+    (fun f ->
+      match D.holders g f with
+      | None -> true
+      | Some os ->
+          D.pieces g f = [ (f, os) ]
+          || QCheck.Test.fail_reportf "%s, rect %s: holders %s, pieces %s" (describe c)
+               (Rect.to_string f) (show [ (f, os) ]) (show (D.pieces g f)))
+    (footprints rng c tiles @ List.map fst tiles)
+
 (* Static bytes per processor, as the simulator sums them: every tile
    once per virtual owner that folds onto the processor. *)
 let check_bytes seed =
@@ -239,6 +257,7 @@ let suites =
       [
         qcheck "pieces == filtered tiles" check_pieces;
         qcheck "holders == containing tile" check_holders;
+        qcheck "holders == sole piece" check_sole_piece;
         qcheck "static bytes == tile sum" check_bytes;
         Alcotest.test_case "edge cases" `Quick test_edge_cases;
       ] );
