@@ -324,22 +324,6 @@ let tiles t ~shape ~machine =
     procs;
   List.rev_map (fun (r, owners) -> (r, List.rev !owners)) !order
 
-let replication_factor t ~machine =
-  let mdims = (machine : Machine.t).dims in
-  let rec go levels off acc =
-    match levels with
-    | [] -> acc
-    | lvl :: rest ->
-        let acc =
-          List.fold_left ( * ) acc
-            (List.mapi
-               (fun m axis -> match axis with Bcast -> mdims.(off + m) | _ -> 1)
-               lvl.machine_axes)
-        in
-        go rest (off + List.length lvl.machine_axes) acc
-  in
-  go t 0 1
-
 (* {2 Tile queries} *)
 
 (* A partitioned machine axis: machine dimension [m] of extent [ext]
@@ -558,12 +542,6 @@ let holders g (r : Rect.t) =
 let owned_volume g proc =
   let col = g.color_of.(proc) in
   if col < 0 then 0 else g.volume.(col)
-
-let bytes_per_proc t ~shape ~machine =
-  let g = layout t ~shape ~machine ~owners:ignore in
-  Array.fold_left
-    (fun acc col -> if col < 0 then acc else max acc (8.0 *. float_of_int g.volume.(col)))
-    0.0 g.color_of
 
 (* {2 Lowering to concrete index notation (§5.3)} *)
 

@@ -98,14 +98,6 @@ val holders : 'a layout -> Distal_tensor.Rect.t -> 'a option
 val owned_volume : 'a layout -> int -> int
 (** The elements of processor [p]'s tiles. *)
 
-val replication_factor : t -> machine:Distal_machine.Machine.t -> int
-(** How many copies of each element the distribution stores (product of the
-    broadcast machine-dimension extents) — drives memory accounting. *)
-
-val bytes_per_proc : t -> shape:int array -> machine:Distal_machine.Machine.t -> float
-(** Largest per-processor footprint of a tensor stored in this
-    distribution. *)
-
 val lower_to_cin :
   level ->
   tensor:string ->

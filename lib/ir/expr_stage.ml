@@ -46,9 +46,9 @@ module A1 = Bigarray.Array1
    cache-blocked tiled kernels preserve the nest's per-output-element
    operation order, so the dispatch is bit-identical (see DESIGN.md).
 
-   Plans are immutable and safe to share between domains. A bound nest
-   keeps its loop state (current offsets and guard values) as scratch,
-   so one bound nest runs on one domain at a time. *)
+   Plans and bound nests are immutable and safe to share between
+   domains: each [run_nest] call keeps its loop state (current offsets
+   and guard values) in an array of its own. *)
 
 (* Per-column coefficients, all >= 0 on the [nv] level columns and <= 0
    on the [nv] wrap columns that follow them. *)
@@ -306,19 +306,17 @@ let plan prov ~(stmt : Expr.stmt) ~leaf_vars =
 type geom = { src : int; rect : Rect.t; base : int; strides : int array }
 type operand = { src : int; off : int; st : int array }
 
-(* An affine guard bound to one leaf: [curr] is its value at the nest's
-   current point, [start] its value at the leaf's first point. *)
-type bound_guard = { coeffs : int array; ext : int; start : int; mutable curr : int }
+(* An affine guard bound to one leaf: a run keeps its value at the
+   nest's current point at [at] in its state (after the slot offsets). *)
+type bound_guard = { coeffs : int array; ext : int; at : int }
 
 type nest = {
   srcs : int array;  (* per slot *)
   rhs : Dense.buf array -> int array -> float;
   extents : int array;  (* per level *)
   cuts : int array;  (* per level: where its second segment starts, or its extent *)
-  base_offs : int array;  (* per slot: offset of the leaf's first point *)
-  offs : int array;  (* per slot: offset of the current point (scratch) *)
+  start : int array;  (* a run's state at the leaf's first point: slot offsets, then guard values *)
   str : int array array;  (* slot -> column -> linear stride *)
-  guards : bound_guard list;
   clamps : bound_guard array array;  (* per level *)
   bumps : bound_guard array array;  (* per level *)
 }
@@ -349,20 +347,15 @@ let bind (p : plan) ~env ~(geoms : geom array) =
      leaf-constant one excludes every point, so the leaf binds to
      [Empty]. *)
   let guards =
-    List.map
-      (fun (v, g) ->
-        let base = point0 v in
-        (g, { coeffs = g.g_coeffs; ext = g.g_ext; start = base; curr = base }))
+    List.mapi
+      (fun k (v, g) -> (g, point0 v, { coeffs = g.g_coeffs; ext = g.g_ext; at = naccs + k }))
       p.guards
   in
-  if List.exists (fun (g, b) -> g.g_dmax < 0 && b.start >= b.ext) guards then Empty
+  if List.exists (fun (g, start, _) -> g.g_dmax < 0 && start >= g.g_ext) guards then Empty
   else
     let select f =
       Array.init nv (fun l ->
-          Array.of_list
-            (List.filter_map
-               (fun (g, b) -> if f g l then Some b else None)
-               guards))
+          Array.of_list (List.filter_map (fun (g, _, b) -> if f g l then Some b else None) guards))
     in
     (* A rotated level wraps where its target, [c] at the first point,
        reaches its extent. *)
@@ -405,8 +398,8 @@ let bind (p : plan) ~env ~(geoms : geom array) =
           let nonempty = Array.for_all (fun e -> e > 0) p.extents in
           let vacuous =
             List.for_all
-              (fun (_, (b : bound_guard)) ->
-                let worst = ref b.start in
+              (fun (_, start, (b : bound_guard)) ->
+                let worst = ref start in
                 for l = 0 to nv - 1 do
                   worst := !worst + (b.coeffs.(l) * (p.extents.(l) - 1))
                 done;
@@ -438,74 +431,77 @@ let bind (p : plan) ~env ~(geoms : geom array) =
             rhs = p.rhs;
             extents = p.extents;
             cuts;
-            base_offs = offs;
-            offs = Array.copy offs;
+            start = Array.append offs (Array.of_list (List.map (fun (_, start, _) -> start) guards));
             str;
-            guards = List.map snd guards;
             clamps = select (fun g l -> g.g_dmax = l);
             bumps = select (fun g l -> g.g_coeffs.(l) > 0 && g.g_dmax > l);
           }
 
-(* The flat loops of a bound nest. Offsets and guard values start from
-   the leaf's first point and each level undoes its own advance, so
-   every run starts from the same state. A level with a cut runs its
-   first segment, jumps to the second's first point, runs it and jumps
-   back; each segment clamps its guards separately. *)
-let run_nest n buf_of =
-  let data = Array.map buf_of n.srcs in
-  let naccs = Array.length n.offs in
+(* The flat loops of a bound nest, over the buffers [bufs] (indexed by
+   a slot's [src]). The call owns the loop state: the slot offsets and
+   guard values of the current point, from the leaf's first point on,
+   each level undoing its own advance. A level with a cut runs its first
+   segment, jumps to the second's first point, runs it and jumps back;
+   each segment clamps its guards separately. *)
+let run_nest n (bufs : Dense.buf array) =
+  let naccs = Array.length n.srcs in
   let nv = Array.length n.extents in
-  let offs = n.offs and str = n.str in
-  Array.blit n.base_offs 0 offs 0 naccs;
-  List.iter (fun g -> g.curr <- g.start) n.guards;
-  let oslot = naccs - 1 in
+  let data = Array.make naccs bufs.(n.srcs.(0)) in
+  for a = 1 to naccs - 1 do
+    data.(a) <- bufs.(n.srcs.(a))
+  done;
+  let st = Array.copy n.start and str = n.str in
+  let od = data.(naccs - 1) in
   let body () =
-    let v = n.rhs data offs in
-    let od = data.(oslot) in
-    let o = offs.(oslot) in
+    let v = n.rhs data st in
+    let o = st.(naccs - 1) in
     A1.unsafe_set od o (A1.unsafe_get od o +. v)
   in
+  (* Move the current point [d] steps along column [l]: the offsets, and
+     the guards [gs] with them. *)
+  let shift l d =
+    for a = 0 to naccs - 1 do
+      st.(a) <- st.(a) + (d * str.(a).(l))
+    done
+  in
+  let bump gs l d =
+    for k = 0 to Array.length gs - 1 do
+      let g = gs.(k) in
+      st.(g.at) <- st.(g.at) + (d * g.coeffs.(l))
+    done
+  in
   let rec segment l len =
-    let hi = ref len in
-    Array.iter
-      (fun g ->
-        let room = g.ext - 1 - g.curr in
-        let h = if room < 0 then 0 else (room / g.coeffs.(l)) + 1 in
-        if h < !hi then hi := h)
-      n.clamps.(l);
-    let hi = !hi in
-    if l = nv - 1 then begin
+    let hi = ref len and clamps = n.clamps.(l) in
+    for k = 0 to Array.length clamps - 1 do
+      let g = clamps.(k) in
+      let room = g.ext - 1 - st.(g.at) in
+      let h = if room < 0 then 0 else (room / g.coeffs.(l)) + 1 in
+      if h < !hi then hi := h
+    done;
+    let hi = !hi and bumps = n.bumps.(l) in
+    if l = nv - 1 then
       for _ = 1 to hi do
         body ();
         for a = 0 to naccs - 1 do
-          offs.(a) <- offs.(a) + str.(a).(l)
+          st.(a) <- st.(a) + str.(a).(l)
         done
-      done;
-      for a = 0 to naccs - 1 do
-        offs.(a) <- offs.(a) - (hi * str.(a).(l))
       done
-    end
-    else begin
+    else
       for _ = 1 to hi do
         level (l + 1);
-        for a = 0 to naccs - 1 do
-          offs.(a) <- offs.(a) + str.(a).(l)
-        done;
-        Array.iter (fun g -> g.curr <- g.curr + g.coeffs.(l)) n.bumps.(l)
+        shift l 1;
+        bump bumps l 1
       done;
-      for a = 0 to naccs - 1 do
-        offs.(a) <- offs.(a) - (hi * str.(a).(l))
-      done;
-      Array.iter (fun g -> g.curr <- g.curr - (hi * g.coeffs.(l))) n.bumps.(l)
-    end
+    shift l (-hi);
+    bump bumps l (-hi)
   and jump l sign =
-    let cut = n.cuts.(l) in
-    for a = 0 to naccs - 1 do
-      offs.(a) <- offs.(a) + (sign * ((cut * str.(a).(l)) + str.(a).(nv + l)))
-    done;
-    let move g = g.curr <- g.curr + (sign * ((cut * g.coeffs.(l)) + g.coeffs.(nv + l))) in
-    Array.iter move n.clamps.(l);
-    Array.iter move n.bumps.(l)
+    let d = sign * n.cuts.(l) and w = nv + l in
+    shift l d;
+    bump n.clamps.(l) l d;
+    bump n.bumps.(l) l d;
+    shift w sign;
+    bump n.clamps.(l) w sign;
+    bump n.bumps.(l) w sign
   and level l =
     let e = n.extents.(l) and cut = n.cuts.(l) in
     if cut >= e then segment l e

@@ -22,8 +22,8 @@
     order, so tiled dispatch is bit-identical to the staged nest (see
     DESIGN.md "Leaf kernel registry").
 
-    Plans are immutable, so one plan may be used from several domains
-    concurrently; a bound nest runs on one domain at a time. *)
+    Plans and bound leaves are immutable, so one plan or bound nest may
+    be used from several domains concurrently. *)
 
 type plan
 
@@ -54,7 +54,7 @@ type operand = { src : int; off : int; st : int array }
 
 type nest
 (** A leaf bound to its loop nest: per-slot offsets, strides and guard
-    clamps, plus the loop state it runs with. *)
+    clamps. Immutable: each {!run_nest} call keeps its own loop state. *)
 
 type bound =
   | Kernel of { kernel : string; dims : int array; operands : operand array }
@@ -70,7 +70,7 @@ val bind : plan -> env:(Ident.t -> int option) -> geoms:geom array -> bound
     @raise Invalid_argument when [env] leaves a variable the leaf reads
     unbound, or an instance does not cover the leaf's first point. *)
 
-val run_nest : nest -> (int -> Distal_tensor.Dense.buf) -> unit
-(** Run a bound nest, reading each slot's buffer by its [src],
-    accumulating into the last slot ([Dense.add_at] per point, as a
+val run_nest : nest -> Distal_tensor.Dense.buf array -> unit
+(** Run a bound nest, reading each slot's buffer at its [src] in the
+    array, accumulating into the last slot ([Dense.add_at] per point, as a
     point-by-point evaluation would). *)

@@ -175,16 +175,15 @@ let rec same_node_owner node_of_lin node = function
    schedule — depends only on the spec, never on tensor contents, so the
    walk binds every data operation as it reaches it and [run_plan], the
    one data path, replays them against tensor data with pooled buffers.
-   A leaf is bound to its tier, a registry kernel or a staged nest,
-   whose operands are located by buffer ([src]: a tensor's index in
-   [ep_tensors], or [out_src] for the task's current output instance),
-   offset and strides. *)
+   The plan numbers its output instances ("slots") in launch-point order,
+   then in walk order within a point. A leaf is bound to its tier, a
+   registry kernel or a staged nest, whose operands are located by
+   buffer ([src] in a run's buffer table: a tensor's index in
+   [ep_tensors], or past them, [k] more for output slot [k]), offset and
+   strides. *)
 type bop =
-  | B_out of Rect.t  (* a zero-filled output instance *)
+  | B_out of int  (* zero-fill slot [k]'s block; the leaves after it write there *)
   | B_leaf of Expr_stage.bound
-  | B_flush  (* the current output instance becomes a merge contribution *)
-
-let out_src = -1
 
 (* A non-empty fault plan resolved against the run: the injector, the
    checkpoint store when the plan checkpoints, whether it has message
@@ -498,6 +497,9 @@ type recorder = {
   leaf : leaf_binder;
   src : int array;  (* per tensor: its index among the plan's sorted tensors *)
   strides : int array array;  (* per tensor: the caller's row-major strides *)
+  ntensors : int;  (* the plan's tensors: output slot [k] is buffer [ntensors + k] *)
+  mutable slots : Rect.t list;  (* the output slots so far, newest first *)
+  mutable nslots : int;
   mutable bops : bop list;
 }
 
@@ -926,7 +928,6 @@ let charge_fetch c tk t e = fetch_groups c ~proc:tk.proc ~step:c.step t (plan_of
 (* The output instance is done: a reduction partial, or (owner-computes)
    its tile shipped home when a remote processor owns it. *)
 let flush_output c tk ~step e =
-  (match tk.record with Some r -> r.bops <- B_flush :: r.bops | None -> ());
   if c.reduction then add_red c ~step ~proc:tk.proc e.f_rect
   else begin
     if not (proc_owns tk e) then
@@ -972,7 +973,12 @@ let ensure c tk t site =
          communication when the statement accumulates into — or reads —
          a tensor this processor does not own). *)
       if ((not c.reduction) && c.stmt.accum) || c.reads_out then charge_fetch c tk t e;
-      match tk.record with Some r -> r.bops <- B_out e.f_rect :: r.bops | None -> ()
+      match tk.record with
+      | Some r ->
+          r.bops <- B_out r.nslots :: r.bops;
+          r.slots <- e.f_rect :: r.slots;
+          r.nslots <- r.nslots + 1
+      | None -> ()
     end
     else charge_fetch c tk t e;
     tk.inst.(t) <- e;
@@ -989,8 +995,10 @@ let ensure c tk t site =
 (* Bind the leaf the walk has reached against the instances the task
    holds and the bindings in [env]. Inputs, and the output a
    self-referencing statement reads, are read in place from the caller's
-   tensors; the output is written into the block of its instance. *)
+   tensors; the output is written into the block of its instance, the
+   newest slot. *)
 let bind_leaf c tk r =
+  let out_src = r.ntensors + r.nslots - 1 in
   let held t (e : fentry) =
     if e == no_inst then invalid_arg ("leaf recorded without an instance of " ^ c.tensors.(t));
     e.f_rect
@@ -1329,21 +1337,23 @@ module Buf_pool = Distal_support.Buf_pool
 (* Plan once per (program x schedule x machine x options), run many times
    against new tensor data. The plan is one simulation whose walk binds
    every data operation as it reaches it ([bop]), so the run phase only
-   zero-fills output instances, from a size-classed pool ({!Buf_pool})
-   with an arena per launch point, calls the bound leaves and merges. *)
+   zero-fills output slots, calls the bound leaves and merges. The plan
+   is immutable: a run takes its slots' blocks from the plan's
+   size-classed pool ({!Buf_pool}, which locks itself), and every bound
+   leaf keeps its loop state per call, so runs of one plan may overlap. *)
 
 type eplan = {
   ep_spec : spec;
   ep_stats : Stats.t;  (* modeled per-run stats, fixed at plan time *)
   ep_ops : bop array array;  (* per launch point, launch-point order *)
-  ep_tensors : string array;  (* sorted; a [src] indexes it *)
+  ep_slots : Rect.t array;  (* per output slot: its instance *)
+  ep_tensors : string array;  (* sorted; a [src] below their count indexes it *)
   ep_shapes : int array array;
   ep_reads_out : bool;
   ep_accum : bool;
   ep_out_name : string;
   ep_pool : Buf_pool.t;
-  ep_m : Mutex.t;  (* one run at a time: arenas and bound leaves' loop state are per-plan *)
-  mutable ep_runs : int;
+  ep_runs : int Atomic.t;
 }
 
 let plan ?faults ?trace ?profile spec =
@@ -1363,12 +1373,15 @@ let plan ?faults ?trace ?profile spec =
   in
   let src = Array.map (fun tn -> name_index tensors tn 0) c.tensors in
   let strides = Array.map (fun tn -> Ints.row_major_strides (Taskir.shape_of prog tn)) c.tensors in
-  let ep_ops = walk c (Some { leaf; src; strides; bops = [] }) in
+  let r =
+    { leaf; src; strides; ntensors = Array.length tensors; slots = []; nslots = 0; bops = [] }
+  in
+  let ep_ops = walk c (Some r) in
   Ok
-    { ep_spec = spec; ep_stats = finish c; ep_ops; ep_tensors = tensors;
-      ep_shapes = Array.map (Taskir.shape_of prog) tensors; ep_reads_out = c.reads_out;
-      ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor;
-      ep_pool = Buf_pool.create (max 1 (Array.length ep_ops)); ep_m = Mutex.create (); ep_runs = 0 }
+    { ep_spec = spec; ep_stats = finish c; ep_ops; ep_slots = Array.of_list (List.rev r.slots);
+      ep_tensors = tensors; ep_shapes = Array.map (Taskir.shape_of prog) tensors;
+      ep_reads_out = c.reads_out; ep_accum = stmt.accum; ep_out_name = stmt.lhs.tensor;
+      ep_pool = Buf_pool.create (); ep_runs = Atomic.make 0 }
 
 type leaf_tiers = { tiled : int; staged : int }
 
@@ -1377,11 +1390,11 @@ let plan_leaf_tiers ep =
     (Array.fold_left (fun t -> function
        | B_leaf (Expr_stage.Kernel _) -> { t with tiled = t.tiled + 1 }
        | B_leaf (Expr_stage.Nest _ | Expr_stage.Empty) -> { t with staged = t.staged + 1 }
-       | B_out _ | B_flush -> t))
+       | B_out _ -> t))
     { tiled = 0; staged = 0 } ep.ep_ops
 
 let plan_stats ep = { ep.ep_stats with Stats.time = ep.ep_stats.Stats.time }
-let plan_runs ep = ep.ep_runs
+let plan_runs ep = Atomic.get ep.ep_runs
 let plan_pool_stats ep = Buf_pool.stats ep.ep_pool
 
 (* The buffer a tensor the run does not read stands in for. *)
@@ -1417,74 +1430,41 @@ let run_plan ?(alloc = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
   if ep.ep_accum then
     Bigarray.Array1.blit (Dense.unsafe_data caller.(oi)) (Dense.unsafe_data out_global)
   else Dense.fill out_global 0.0;
-  let bufs = Array.map Dense.unsafe_data caller in
-  (* Runs of one plan serialize: the arenas, the parked free lists and
-     the bound leaves' loop state (nest offsets) are per-plan state.
-     Different plans run concurrently without contact. *)
-  Mutex.lock ep.ep_m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock ep.ep_m) @@ fun () ->
-  let pool = ep.ep_pool in
-  let npoints = Array.length ep.ep_ops in
-  (* Per-point merge contributions in flush order: (rect, view, block).
-     Blocks outlive their task — they go back to their point's arena
-     only after the serial merge reads them. *)
-  let contribs = Array.make npoints [] in
-  (* One runner per lane, made on its first point. A lane is one domain
-     for the whole loop, so a runner's state has one owner. *)
-  let hpool = Pool.get ?size:domains () in
-  let runners = Array.make (Pool.size hpool) None in
-  let lane_runner () =
-    let out : (Rect.t * Dense.t * Buf_pool.buf) option ref = ref None in
-    let buf_of src =
-      if src <> out_src then bufs.(src)
-      else
-        match !out with
-        | Some (_, _, b) -> b
-        | None -> invalid_arg ("plan leaf executed without an instance of " ^ out_name)
-    in
-    let release arena =
-      (match !out with Some (_, _, b) -> Buf_pool.release pool arena b | None -> ());
-      out := None
-    in
-    fun i ->
-      let arena = Buf_pool.arena pool i and out_contribs = ref [] in
-      for k = 0 to Array.length ep.ep_ops.(i) - 1 do
-        match ep.ep_ops.(i).(k) with
-        | B_out rect ->
-            release arena;
-            let b = Buf_pool.acquire pool arena (Rect.volume rect) in
-            let v = Dense.of_buf b (Rect.extents rect) in
-            Dense.fill v 0.0;
-            out := Some (rect, v, b)
-        | B_leaf (Expr_stage.Kernel { kernel; dims; operands }) ->
-            let view (o : Expr_stage.operand) =
-              { Kreg.buf = buf_of o.src; off = o.off; st = o.st }
-            in
-            Kreg.run_views ~kernel ~dims (Array.map view operands)
-        | B_leaf (Expr_stage.Nest nest) -> Expr_stage.run_nest nest buf_of
-        | B_leaf Expr_stage.Empty -> ()
-        | B_flush ->
-            (match !out with Some o -> out_contribs := o :: !out_contribs | None -> ());
-            out := None
-      done;
-      contribs.(i) <- List.rev !out_contribs;
-      release arena
+  (* The run's buffer table: the caller's tensors, then a block per output
+     slot, all taken from the pool before any point runs and handed back
+     after the merge. Every block stays live until the merge anyway, and
+     the lanes never touch the pool. *)
+  let pool = ep.ep_pool and slots = ep.ep_slots and nt = Array.length caller in
+  let bufs =
+    Array.init (nt + Array.length slots) (fun i ->
+        if i < nt then Dense.unsafe_data caller.(i)
+        else Buf_pool.acquire pool (Rect.volume slots.(i - nt)))
   in
-  Pool.parallel_for hpool ~n:npoints (fun ~lane i ->
-      if Option.is_none runners.(lane) then runners.(lane) <- Some (lane_runner ());
-      Option.get runners.(lane) i);
-  (* Serial merge in launch-point order, flush order within a task: one
-     accumulation order whatever the domain count, so outputs are
-     byte-identical across pool sizes. *)
-  for i = 0 to npoints - 1 do
-    List.iter
-      (fun (rect, v, b) ->
-        if not (Rect.is_empty rect) then
-          Dense.accumulate_into ~src:v ~dst:out_global rect;
-        Buf_pool.release pool (Buf_pool.arena pool i) b)
-      contribs.(i)
-  done;
-  ep.ep_runs <- ep.ep_runs + 1;
+  let view (o : Expr_stage.operand) = { Kreg.buf = bufs.(o.src); off = o.off; st = o.st } in
+  let run_op = function
+    | B_out k ->
+        let b = bufs.(nt + k) in
+        for j = 0 to Rect.volume slots.(k) - 1 do
+          Bigarray.Array1.unsafe_set b j 0.0
+        done
+    | B_leaf (Expr_stage.Kernel { kernel; dims; operands }) ->
+        Kreg.run_views ~kernel ~dims (Array.map view operands)
+    | B_leaf (Expr_stage.Nest nest) -> Expr_stage.run_nest nest bufs
+    | B_leaf Expr_stage.Empty -> ()
+  in
+  Pool.parallel_for (Pool.get ?size:domains ()) ~n:(Array.length ep.ep_ops) (fun ~lane:_ i ->
+      Array.iter run_op ep.ep_ops.(i));
+  (* Serial merge in slot order (launch-point order, then the order a
+     point opened its instances): one accumulation order whatever the
+     domain count, so outputs are byte-identical across pool sizes. *)
+  Array.iteri
+    (fun k rect ->
+      let b = bufs.(nt + k) in
+      if not (Rect.is_empty rect) then
+        Dense.accumulate_into ~src:(Dense.of_buf b (Rect.extents rect)) ~dst:out_global rect;
+      Buf_pool.release pool b)
+    slots;
+  Atomic.incr ep.ep_runs;
   Ok { output = Some out_global; stats = plan_stats ep }
 
 (* {2 One-shot execution} *)

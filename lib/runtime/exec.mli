@@ -148,12 +148,14 @@ val execute :
     tier ({!plan_leaf_tiers}), its kernel or loop nest, and each
     operand's buffer, offset and strides. Input
     instances are read in place from the caller's tensors; output
-    instances and reduction partials come from a size-classed pool with
-    an arena per launch point ({!Distal_support.Buf_pool}, capped at 64 MiB), so a
-    warm run performs no per-fragment buffer allocation at all. *)
+    instances and reduction partials come from the plan's size-classed
+    pool ({!Distal_support.Buf_pool}, capped at 64 MiB), so a warm run
+    performs no per-fragment buffer allocation at all. *)
 
 type eplan
-(** A compiled executable plan for one (spec, faults) pair. *)
+(** A compiled executable plan for one (spec, faults) pair. Immutable:
+    its only run state is its buffer pool, which locks itself, and its
+    run counter. *)
 
 val plan :
   ?faults:Distal_fault.Fault.t ->
@@ -190,10 +192,11 @@ val run_plan :
     are merged serially in launch-point order afterwards. So the output
     is byte-identical for every [domains] setting,
     every pool size and whatever fault plan the plan was compiled with;
-    the returned stats are a copy of the plan-time stats. Runs of one
-    plan serialize on an internal lock (the buffer arenas and the bound
-    leaves' loop state are per-plan state); distinct plans run
-    concurrently. *)
+    the returned stats are a copy of the plan-time stats. The run takes
+    one pool block per output instance before its launch points run and
+    returns them after the merge, and each bound leaf keeps its loop
+    state per call, so runs of one plan, from any number of domains,
+    may overlap. *)
 
 val plan_stats : eplan -> Stats.t
 (** Copy of the modeled per-run statistics fixed at plan time. *)

@@ -32,9 +32,10 @@
    caller releases the outcome (distald: once the reply is framed), so
    its pages are not new on every request either.
 
-   Both caches are safe under concurrent use from lib/support/pool
-   domains (Lru serializes internally; the metrics registry is guarded
-   here). Counters surface through lib/obs as serve.* metrics. *)
+   Both caches and the pool are safe under concurrent use from
+   lib/support/pool domains (Lru and Buf_pool serialize internally; the
+   metrics registry is guarded here). Counters surface through lib/obs
+   as serve.* metrics. *)
 
 module Api = Distal.Api
 module Dense = Distal_tensor.Dense
@@ -55,8 +56,8 @@ type t = {
   results : (string, Api.Exec.result) Lru.t;
   metrics : Obs.Metrics.registry;
   domains : int option;
-  inputs : Buf_pool.t;  (* seeded Full inputs and outputs; one arena, guarded by [m] *)
-  m : Mutex.t;  (* guards the metrics registry and [inputs] *)
+  inputs : Buf_pool.t;  (* seeded Full inputs and outputs; locks itself *)
+  m : Mutex.t;  (* guards the metrics registry *)
 }
 
 let default_plan_capacity = 128
@@ -85,7 +86,7 @@ let create ?(plan_cache = default_plan_capacity) ?result_cache ?domains () =
         ~weight:output_bytes;
     metrics = Obs.Metrics.create ();
     domains;
-    inputs = Buf_pool.create 1;
+    inputs = Buf_pool.create ();
     m = Mutex.create ();
   }
 
@@ -139,26 +140,19 @@ let compile_exn t req =
 
 (* {2 Pooled inputs and outputs} *)
 
-let acquire t n =
-  Mutex.protect t.m (fun () -> Buf_pool.acquire t.inputs (Buf_pool.arena t.inputs 0) n)
-
-let give_back t bufs =
-  Mutex.protect t.m (fun () ->
-      List.iter (Buf_pool.release t.inputs (Buf_pool.arena t.inputs 0)) bufs)
-
 (* Seeded inputs on pooled blocks, handed to [run], then returned to the
    pool however [run] ends. Same draws as [Api.random_inputs ~seed]; large
    tensors fill in chunks on the domain pool that replays the run. *)
 let with_seeded_inputs t ~seed plan run =
   let taken = ref [] in
   let alloc n =
-    let b = acquire t n in
+    let b = Buf_pool.acquire t.inputs n in
     taken := b :: !taken;
     b
   in
   Fun.protect
     ~finally:(fun () ->
-      give_back t !taken;
+      List.iter (Buf_pool.release t.inputs) !taken;
       let s = Buf_pool.stats t.inputs in
       gauge_set t "serve.input_allocs" (float_of_int s.Buf_pool.allocs);
       gauge_set t "serve.input_parked_bytes" s.Buf_pool.cached_bytes)
@@ -182,7 +176,7 @@ let release_once t = function
   | None -> ignore
   | Some b ->
       let held = Atomic.make true in
-      fun () -> if Atomic.exchange held false then give_back t [ b ]
+      fun () -> if Atomic.exchange held false then Buf_pool.release t.inputs b
 
 let result_key ~fp ~mode ~faults ~seed =
   let mode_s = match mode with Api.Exec.Model -> "model" | Api.Exec.Full -> "full" in
@@ -205,7 +199,7 @@ let run ?(mode = Api.Exec.Full) ?faults ~seed t req =
           count1 t "serve.result_misses";
           let out = ref None in
           let alloc n =
-            let b = acquire t n in
+            let b = Buf_pool.acquire t.inputs n in
             out := Some b;
             b
           in
@@ -229,7 +223,7 @@ let run ?(mode = Api.Exec.Full) ?faults ~seed t req =
           in
           match ran with
           | Error e ->
-              give_back t (Option.to_list !out);
+              Option.iter (Buf_pool.release t.inputs) !out;
               Error e
           | Ok result ->
               (* An oversized result is not even copied. *)

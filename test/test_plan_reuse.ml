@@ -214,6 +214,64 @@ let test_leaf_digests () =
       ("collapsed reduction", collapsed_reduction, "5636ca7ffdc9d274952402694995049b");
     ]
 
+(* {2 Concurrent runs} *)
+
+(* An executable plan is immutable and its pool locks itself, so runs of
+   one plan may overlap: two domains replay one plan at once, one on a
+   single domain and one on the default pool. Every output must be a
+   serial run's, bit for bit, the caller's tensors must be untouched and
+   the run counter must count every run. Besides the substituted cyclic
+   GEMM, the plans run staged nests: rotated, collapsed (with 64x64
+   leaves, long enough for runs to meet inside one) and self-reading
+   leaves. *)
+let test_concurrent_runs () =
+  let rounds = 20 in
+  let collapsed n =
+    Api.request ~machine:(Api.Machine.grid [| 2; 2 |]) ~stmt:"A(i,j) = B(i,j) + C(i,j)"
+      ~tensors:(List.map (fun t -> Api.tensor t [| n; n |] ~dist:"[x,y] -> [x,y]") [ "A"; "B"; "C" ])
+      ~schedule:"distribute_onto({i,j}, {io,jo}, {ii,ji}, [2,2]); collapse(ii, ji, f)" ()
+  in
+  List.iter
+    (fun (name, req, staged) ->
+      let plan = compile req in
+      let ep = Api.eplan_exn plan in
+      if staged && (Exec.plan_leaf_tiers ep).Exec.staged = 0 then
+        Alcotest.failf "%s: no staged leaf" name;
+      let data = Api.random_inputs ~seed:3 plan in
+      let input_bits () = List.map (fun (tn, d) -> (tn, bits (Some d))) data in
+      let inputs = input_bits () in
+      let run domains =
+        match Exec.run_plan ?domains ep ~data with
+        | Ok r -> bits r.Exec.output
+        | Error e -> failwith e
+      in
+      let serial = run (Some 1) in
+      (* Both domains start replaying together, so their runs overlap. *)
+      let ready = Atomic.make 0 in
+      let replay domains () =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        List.init rounds (fun _ -> run domains)
+      in
+      let outs = List.map Domain.join [ Domain.spawn (replay (Some 1)); Domain.spawn (replay None) ] in
+      List.iteri
+        (fun k outs ->
+          List.iteri
+            (fun i out ->
+              if out <> serial then Alcotest.failf "%s: run %d of domain %d differs" name i k)
+            outs)
+        outs;
+      Alcotest.(check bool) (name ^ ": inputs unchanged") true (input_bits () = inputs);
+      Alcotest.(check int) (name ^ ": every run counted") (1 + (2 * rounds)) (Exec.plan_runs ep))
+    [
+      ("cyclic gemm", Test_oracle.cyclic_gemm ~substitute:true, false);
+      ("leaf rotation", Test_oracle.leaf_rotation, true);
+      ("collapsed leaf", collapsed 128, true);
+      ("staged accumulate", Test_oracle.staged_accumulate, true);
+    ]
+
 let suites =
   [
     ( "plan_reuse",
@@ -226,5 +284,6 @@ let suites =
         Alcotest.test_case "fault plans are not cached" `Quick test_fault_plans_not_cached;
         Alcotest.test_case "leaf tiers" `Quick test_leaf_tiers;
         Alcotest.test_case "leaf output digests" `Quick test_leaf_digests;
+        Alcotest.test_case "one plan from two domains" `Quick test_concurrent_runs;
       ] );
   ]

@@ -211,6 +211,130 @@ let test_pool_concurrent_callers () =
     (List.init callers (fun _ -> true))
     results
 
+(* Buf_pool: power-of-two classes, exact counters, an exact cap on
+   parked bytes, and one owner per block under concurrent use. *)
+module Buf_pool = Distal_support.Buf_pool
+
+let pool_stats_list (s : Buf_pool.stats) =
+  [ s.allocs; int_of_float s.alloc_bytes; s.hits; int_of_float s.cached_bytes; s.dropped ]
+
+let check_pool_stats what t ~allocs ~alloc_bytes ~hits ~cached_bytes ~dropped =
+  Alcotest.(check (list int)) what
+    [ allocs; alloc_bytes; hits; cached_bytes; dropped ]
+    (pool_stats_list (Buf_pool.stats t))
+
+let test_buf_pool_classes () =
+  let t = Buf_pool.create () in
+  List.iter
+    (fun (n, cap) ->
+      let b = Buf_pool.acquire t n in
+      check_int (Printf.sprintf "capacity for %d" n) cap (Bigarray.Array1.dim b))
+    [ (0, 1); (1, 1); (2, 2); (3, 4); (4, 4); (5, 8); (1000, 1024); (1024, 1024); (1025, 2048) ];
+  List.iter
+    (fun n ->
+      match Buf_pool.acquire t n with
+      | _ -> Alcotest.failf "acquired a block of %d elements, past the largest class" n
+      | exception Invalid_argument _ -> ())
+    [ (1 lsl 47) + 1; max_int ];
+  check_int "usable after a refused size" 4 (Bigarray.Array1.dim (Buf_pool.acquire t 3))
+
+let test_buf_pool_counts () =
+  let t = Buf_pool.create () in
+  check_pool_stats "fresh" t ~allocs:0 ~alloc_bytes:0 ~hits:0 ~cached_bytes:0 ~dropped:0;
+  let a = Buf_pool.acquire t 5 and b = Buf_pool.acquire t 8 and c = Buf_pool.acquire t 100 in
+  check_pool_stats "three misses" t ~allocs:3 ~alloc_bytes:(8 * (8 + 8 + 128)) ~hits:0
+    ~cached_bytes:0 ~dropped:0;
+  List.iter (Buf_pool.release t) [ a; b; c ];
+  check_pool_stats "all parked" t ~allocs:3 ~alloc_bytes:1152 ~hits:0 ~cached_bytes:1152
+    ~dropped:0;
+  let d = Buf_pool.acquire t 6 in
+  let e = Buf_pool.acquire t 7 in
+  Alcotest.(check bool) "distinct blocks of one class" true (d != e);
+  Alcotest.(check bool) "both came from the free list" true
+    ((d == a || d == b) && (e == a || e == b));
+  check_pool_stats "two hits" t ~allocs:3 ~alloc_bytes:1152 ~hits:2 ~cached_bytes:1024
+    ~dropped:0;
+  let f = Buf_pool.acquire t 8 in
+  check_pool_stats "class empty: a miss" t ~allocs:4 ~alloc_bytes:1216 ~hits:2 ~cached_bytes:1024
+    ~dropped:0;
+  (* A block the pool did not size is never parked. *)
+  Buf_pool.release t (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 3);
+  check_pool_stats "foreign block dropped" t ~allocs:4 ~alloc_bytes:1216 ~hits:2
+    ~cached_bytes:1024 ~dropped:1;
+  List.iter (Buf_pool.release t) [ d; e; f ];
+  check_pool_stats "all parked again" t ~allocs:4 ~alloc_bytes:1216 ~hits:2 ~cached_bytes:1216
+    ~dropped:1
+
+(* Eight 8 MiB blocks fill the 64 MiB cap exactly; the ninth release and
+   any later one, however small, is refused. Bigarray blocks are not
+   touched, so they cost address space, not resident memory. *)
+let test_buf_pool_cap () =
+  let t = Buf_pool.create () in
+  let n = 1 lsl 20 in
+  let block = 8 * n in
+  check_int "eight blocks make the cap" Buf_pool.max_bytes (8 * block);
+  let bs = List.init 9 (fun _ -> Buf_pool.acquire t n) in
+  let small = Buf_pool.acquire t 1 in
+  List.iteri
+    (fun i b ->
+      Buf_pool.release t b;
+      let s = Buf_pool.stats t in
+      if s.cached_bytes > float_of_int Buf_pool.max_bytes then
+        Alcotest.failf "%.0f bytes parked after %d releases" s.cached_bytes (i + 1))
+    bs;
+  Buf_pool.release t small;
+  check_pool_stats "cap reached" t ~allocs:10 ~alloc_bytes:((9 * block) + 8) ~hits:0
+    ~cached_bytes:Buf_pool.max_bytes ~dropped:2;
+  ignore (Buf_pool.acquire t n);
+  Buf_pool.release t (Buf_pool.acquire t 1);
+  check_pool_stats "room for one small block" t ~allocs:11 ~alloc_bytes:((9 * block) + 16)
+    ~hits:1 ~cached_bytes:(Buf_pool.max_bytes - block + 8) ~dropped:2
+
+(* Four domains take and return blocks at once, from four classes. Each
+   writes its own tag into every block it holds and checks the tags
+   before handing the blocks back: a block handed to two holders at once
+   loses a tag. Every block is returned, so the counters must balance
+   exactly: one hit or alloc per acquisition, every allocated byte
+   parked. *)
+let test_buf_pool_concurrent () =
+  let t = Buf_pool.create () in
+  let domains = 4 and rounds = 10_000 and ready = Atomic.make 0 in
+  let work id =
+    let rng = Random.State.make [| id |] in
+    Atomic.incr ready;
+    while Atomic.get ready < domains do
+      Domain.cpu_relax ()
+    done;
+    let ok = ref true and taken = ref 0 in
+    for round = 1 to rounds do
+      let tag = float_of_int ((id * 1_000_000) + round) in
+      let held = List.init (1 + Random.State.int rng 4) (fun _ -> 1 + Random.State.int rng 8) in
+      taken := !taken + List.length held;
+      let bs = List.map (fun n -> (n, Buf_pool.acquire t n)) held in
+      List.iter (fun (n, b) -> Bigarray.Array1.fill (Bigarray.Array1.sub b 0 n) tag) bs;
+      Domain.cpu_relax ();
+      List.iter
+        (fun (n, b) ->
+          for j = 0 to n - 1 do
+            if Bigarray.Array1.get b j <> tag then ok := false
+          done;
+          Buf_pool.release t b)
+        bs
+    done;
+    (!ok, !taken)
+  in
+  let results =
+    List.map Domain.join (List.init domains (fun id -> Domain.spawn (fun () -> work id)))
+  in
+  Alcotest.(check (list bool)) "no block had two holders" (List.init domains (fun _ -> true))
+    (List.map fst results);
+  let s = Buf_pool.stats t in
+  check_int "one hit or alloc per acquisition" (List.fold_left (fun acc (_, n) -> acc + n) 0 results)
+    (s.hits + s.allocs);
+  check_int "nothing dropped" 0 s.dropped;
+  Alcotest.(check (float 0.0)) "every block parked" s.alloc_bytes s.cached_bytes;
+  Alcotest.(check bool) "blocks were reused" true (s.hits > s.allocs)
+
 (* Env: every DISTAL_* knob goes through one parser that rejects
    malformed values loudly instead of silently falling back. *)
 let test_env_parsing () =
@@ -270,5 +394,9 @@ let suites =
         Alcotest.test_case "dense little-endian bytes" `Quick test_dense_le_bytes;
         QCheck_alcotest.to_alcotest qcheck_json_string_roundtrip;
         Alcotest.test_case "pool concurrent callers" `Quick test_pool_concurrent_callers;
+        Alcotest.test_case "buf pool classes" `Quick test_buf_pool_classes;
+        Alcotest.test_case "buf pool counts" `Quick test_buf_pool_counts;
+        Alcotest.test_case "buf pool cap" `Quick test_buf_pool_cap;
+        Alcotest.test_case "buf pool concurrent" `Quick test_buf_pool_concurrent;
       ] );
   ]
