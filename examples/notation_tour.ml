@@ -21,11 +21,13 @@ let show_tiles label dist shape machine =
   Printf.printf "%-24s (tensor %s on %s)\n" label
     (Distal_support.Ints.to_string shape)
     (Machine.to_string machine);
+  (* The pieces of the whole tensor are its tiles, each with its owners. *)
+  let owners = List.map (fun p -> Distal_support.Ints.to_string (Machine.delinearize machine p)) in
   List.iter
     (fun (r, owners) ->
       Printf.printf "  tile %-14s -> processors %s\n" (Rect.to_string r)
-        (String.concat ", " (List.map Distal_support.Ints.to_string owners)))
-    (D.tiles (D.parse_exn dist) ~shape ~machine);
+        (String.concat ", " owners))
+    (D.pieces (D.layout (D.parse_exn dist) ~shape ~machine ~owners) (Rect.full shape));
   print_newline ()
 
 let part1 () =

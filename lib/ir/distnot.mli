@@ -48,32 +48,16 @@ val validate : t -> tensor_rank:int -> machine:Distal_machine.Machine.t -> (unit
 val color_of_point : level -> shape:int array -> mdims:int array -> int array -> int array
 val procs_of_color : level -> mdims:int array -> int array -> int array list
 
-(** {2 Tiles} *)
-
-val rects_of_proc :
-  t -> shape:int array -> machine:Distal_machine.Machine.t -> int array ->
-  Distal_tensor.Rect.t list
-(** The (possibly many, for cyclic distributions) non-empty tiles of the
-    tensor held by a processor; empty when a fixed dimension excludes the
-    processor from owning any data. *)
-
-val rect_of_proc :
-  t -> shape:int array -> machine:Distal_machine.Machine.t -> int array -> Distal_tensor.Rect.t option
-(** The single tile of a blocked distribution ([None] for excluded
-    processors, and for cyclic owners of several tiles). *)
-
-val tiles :
-  t -> shape:int array -> machine:Distal_machine.Machine.t -> (Distal_tensor.Rect.t * int array list) list
-(** All distinct non-empty tiles with their owner processors. Distinct
-    tiles are pairwise disjoint and jointly cover the tensor; replicated
-    (broadcast) tiles list several owners. *)
-
 (** {2 Tile queries}
 
-    The tiles of {!tiles}, answered in closed form from each level's
-    per-dimension segments (blocked or block-cyclic), so a query costs
-    in proportion to the pieces it returns, not to the tiles the tensor
-    has. Processors are linear (row-major) machine indices. *)
+    A distribution's tiles are the non-empty boxes it gives processors:
+    distinct tiles are pairwise disjoint and jointly cover the tensor,
+    and a replicated (broadcast) tile has several owners. Tile queries
+    are answered in closed form from each level's per-dimension segments
+    (blocked or block-cyclic), so a query costs in proportion to the
+    pieces it returns, not to the tiles the tensor has; the pieces of
+    the whole tensor are its tiles. Processors are linear (row-major)
+    machine indices. *)
 
 type 'a layout
 
@@ -87,13 +71,14 @@ val layout :
     one layout must not be queried from several domains at once. *)
 
 val pieces : 'a layout -> Distal_tensor.Rect.t -> (Distal_tensor.Rect.t * 'a) list
-(** [pieces l rect]: every tile of {!tiles} that meets [rect], in the
-    same order, as its non-empty intersection with [rect] and its
-    owners — exactly {!tiles} filtered by [Rect.inter]. *)
+(** [pieces l rect]: every tile that meets [rect], as its non-empty
+    intersection with [rect] and its owners, in a fixed order: by
+    lowest owner, then in each owner's sweep order (dimension 0 varying
+    fastest). *)
 
 val holders : 'a layout -> Distal_tensor.Rect.t -> 'a option
-(** [holders l rect]: the owners of the tile of {!tiles} that contains
-    [rect], if one does ([None] for an empty [rect]). *)
+(** [holders l rect]: the owners of the tile that contains [rect], if
+    one does ([None] for an empty [rect]). *)
 
 val owned_volume : 'a layout -> int -> int
 (** The elements of processor [p]'s tiles. *)

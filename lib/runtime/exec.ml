@@ -87,27 +87,85 @@ let alloc_words () =
   let _, promoted, major = Gc.counters () in
   (Gc.minor_words (), major -. promoted)
 
-(* One owner-group of a memoized fetch plan: the pieces of a footprint a
-   given owner set holds, pre-merged into block/strided form. Owners are
-   physical linear indices, deduped, in discovery order. *)
-type fetch_group = { fg_owners : int list; fg_load : Comm_plan.payload }
-
-(* One footprint of one tensor at one site of the task walk, shared by
-   every task whose dependent loop variables take the same values
-   there. The rect, its volume and the owners of the one tile holding it
-   ({!Distnot.holders}; [[]] when no tile does, as a tile has at least
-   one owner) are computed once, the fetch plan on first use. *)
-type fentry = {
-  f_rect : Rect.t;
-  f_vol : int;
-  f_holders : int list;
-  mutable f_plan : fetch_group list option;
+(* The footprints of one tensor that the walk has met ("entries"), each
+   shared by every task whose dependent loop variables take the same
+   values at a site, numbered from 0. Entry [e]'s rect is [2 * rank]
+   ints at [co.(e * 2 * rank)], lo and hi interleaved; [ent_w] ints at
+   [ent.(e * ent_w)] hold its volume, the owner set of the one tile
+   holding it ({!Distnot.holders}; -1 when no tile does), and where its
+   fetch plan and its write-back start in [pl] (-1 until first used). A
+   plan is a pair count, then per pair an owner set (a fetch) or a
+   destination (a write-back) and the id of the payload it moves.
+   [slots] finds an entry by its rect: open addressing over a power of
+   two, entry + 1, 0 when free. Nothing here is a per-entry object, so
+   the walk's state is four int arrays per tensor whatever the number of
+   tasks. *)
+type fstore = {
+  rank : int;
+  mutable co : int array;
+  mutable ent : int array;
+  mutable n : int;
+  mutable pl : int array;
+  mutable npl : int;
+  mutable slots : int array;
 }
 
-let[@inline] f_bytes e = 8.0 *. float_of_int e.f_vol
+let ent_w = 4
+let e_vol = 0
+let e_hold = 1
+let e_fplan = 2
+let e_wplan = 3
 
-(* The absent entry: no instance held, no footprint memoized yet. *)
-let no_inst = { f_rect = Rect.full [||]; f_vol = 0; f_holders = []; f_plan = None }
+(* The arrays of the stores a finished walk gave back, per domain and
+   tensor index (the first 8): the next walk's store of that tensor
+   index starts from them, so a warm domain's walks grow no store. Grown
+   per walk instead, they would be allocated on the major heap at every
+   doubling. *)
+let spares = Distal_support.Spare.create 8
+
+let new_fstore t rank =
+  let co, ent, pl, slots =
+    match Distal_support.Spare.take spares t with
+    | Some arrays -> arrays
+    | None -> (Array.make 64 0, Array.make 64 0, Array.make 64 0, Array.make 64 0)
+  in
+  Array.fill slots 0 (Array.length slots) 0;
+  { rank; co; ent; n = 0; pl; npl = 0; slots }
+
+let free_fstore t fs =
+  Distal_support.Spare.give spares t (fs.co, fs.ent, fs.pl, fs.slots);
+  fs.co <- [||];
+  fs.ent <- [||];
+  fs.pl <- [||];
+  fs.slots <- [||]
+
+let room = Ints.room
+
+let rect_hash (co : int array) o w =
+  let h = ref 0 in
+  for i = o to o + w - 1 do
+    h := Ints.mix !h co.(i)
+  done;
+  !h land max_int
+
+let rec same_coords (a : int array) x (b : int array) y i w =
+  i = w || (a.(x + i) = b.(y + i) && same_coords a x b y (i + 1) w)
+
+(* The slot of the entry at [co.(o)] in [slots] of length a power of
+   two: where it sits, or the free slot where it goes. *)
+let rec probe fs slots (co : int array) o w i =
+  let e = slots.(i) - 1 in
+  if e < 0 || same_coords fs.co (e * w) co o 0 w then i
+  else probe fs slots co o w ((i + 1) land (Array.length slots - 1))
+
+let rehash fs =
+  let w = 2 * fs.rank in
+  let slots = Array.make (2 * Array.length fs.slots) 0 in
+  for e = 0 to fs.n - 1 do
+    let o = e * w in
+    slots.(probe fs slots fs.co o w (rect_hash fs.co o w land (Array.length slots - 1))) <- e + 1
+  done;
+  fs.slots <- slots
 
 (* Turns a task's slot environment into one int at a fixed site of the
    walk: the mixed-radix number of the values a footprint or interval
@@ -152,8 +210,6 @@ let rec name_index (names : string array) name i =
   else if names.(i) == name || String.equal names.(i) name then i
   else name_index names name (i + 1)
 
-let rec mem_int (x : int) = function [] -> false | y :: ys -> x = y || mem_int x ys
-
 (* The node of each processor, by linear index. *)
 let nodes_of_procs machine =
   Array.init (Machine.num_procs machine) (fun p ->
@@ -163,10 +219,11 @@ let nodes_of_procs machine =
 let[@inline] link_between node_of_lin src dst =
   if node_of_lin.(src) = node_of_lin.(dst) then Cost.Intra else Cost.Inter
 
-(* The first owner on [node], or -1. *)
-let rec same_node_owner node_of_lin node = function
-  | [] -> -1
-  | o :: os -> if node_of_lin.(o) = node then o else same_node_owner node_of_lin node os
+(* The owner a fetch reads from: the first on [node], else the first. *)
+let rec source node_of_lin node (os : int array) i =
+  if i = Array.length os then os.(0)
+  else if node_of_lin.(os.(i)) = node then os.(i)
+  else source node_of_lin node os (i + 1)
 
 (* {2 Bound operations} *)
 
@@ -246,7 +303,7 @@ let step_obs reg =
     m_copy_groups = Metrics.counter reg "exec.copy_groups";
     m_coalesced = Metrics.counter reg "exec.coalesced_groups";
     (* Host seconds spent turning each step's message table into
-       broadcast groups ([Comm_plan.groups]: unioning multi-payload
+       broadcast groups ([Comm_plan.plan]: unioning multi-payload
        triples, grouping, sorting) and charging them ([price_groups]).
        Filling the tables happens during the task walk and is not
        included. Wall-clock observability only: like
@@ -265,52 +322,53 @@ let step_obs reg =
    messages are priced once: consecutive point-to-point ones (a shift),
    and a broadcast's receivers per link kind. Plain loops, no closures:
    a float a closure updates is boxed at every update. *)
-let price_groups cost obs ~node_of ~send ~recv glist =
-  let bytes = ref 0.0 and messages = ref 0 and coalesced = ref 0 and rest = ref glist in
+let price_groups cost obs ~node_of ~send ~recv gs =
+  let bytes = ref 0.0 and messages = ref 0 and coalesced = ref 0 in
   (* The last point-to-point price and its link, bytes and fragments. *)
   let p2p = ref 0.0 and p2p_inter = ref false and p2p_bytes = ref (-1.0) and p2p_frags = ref 0 in
-  while !rest != [] do
-    let (g : Comm_plan.group) = List.hd !rest in
-    rest := List.tl !rest;
-    let k = Array.length g.receivers in
-    bytes := !bytes +. (g.bytes *. float_of_int k);
+  (* A broadcast's per-link-kind prices (0 intra, 1 inter). *)
+  let priced = [| false; false |] and part = [| 0.0; 0.0 |] and bcast = [| 0.0; 0.0 |] in
+  for g = 0 to Comm_plan.count gs - 1 do
+    let k = Comm_plan.receivers gs g and src = Comm_plan.src gs g in
+    let gbytes = 8.0 *. float_of_int (Comm_plan.volume_of gs g) and frags = Comm_plan.nfrag gs g in
+    bytes := !bytes +. (gbytes *. float_of_int k);
     messages := !messages + k;
-    if g.fragments > 1 then incr coalesced;
-    Metrics.observe_n obs.h_copy_bytes g.bytes k;
+    if frags > 1 then incr coalesced;
+    Metrics.observe_n obs.h_copy_bytes gbytes k;
     if k = 1 then begin
-      let dst = g.receivers.(0) in
-      let inter = node_of.(g.src) <> node_of.(dst) in
-      if not (inter = !p2p_inter && g.bytes = !p2p_bytes && g.fragments = !p2p_frags) then begin
+      let dst = Comm_plan.receiver gs g 0 in
+      let inter = node_of.(src) <> node_of.(dst) in
+      if not (inter = !p2p_inter && gbytes = !p2p_bytes && frags = !p2p_frags) then begin
         let link = if inter then Cost.Inter else Cost.Intra in
-        p2p := Cost.strided_copy_time cost link ~bytes:g.bytes ~fragments:g.fragments;
+        p2p := Cost.strided_copy_time cost link ~bytes:gbytes ~fragments:frags;
         p2p_inter := inter;
-        p2p_bytes := g.bytes;
-        p2p_frags := g.fragments
+        p2p_bytes := gbytes;
+        p2p_frags := frags
       end;
       recv.(dst) <- recv.(dst) +. !p2p;
-      send.(g.src) <- send.(g.src) +. !p2p
+      send.(src) <- send.(src) +. !p2p
     end
     else begin
-      (* Each link kind in use (0 intra, 1 inter) is priced when a
-         receiver first takes it. *)
-      let pack = Cost.pack_time cost ~fragments:g.fragments and src_node = node_of.(g.src) in
-      let priced = [| false; false |] and part = [| 0.0; 0.0 |] and bcast = [| 0.0; 0.0 |] in
+      (* Each link kind in use is priced when a receiver first takes it. *)
+      let pack = Cost.pack_time cost ~fragments:frags and src_node = node_of.(src) in
+      priced.(0) <- false;
+      priced.(1) <- false;
       for r = 0 to k - 1 do
-        let dst = g.receivers.(r) in
+        let dst = Comm_plan.receiver gs g r in
         let l = if node_of.(dst) <> src_node then 1 else 0 in
         if not priced.(l) then begin
           let link = if l = 1 then Cost.Inter else Cost.Intra in
           priced.(l) <- true;
-          part.(l) <- Cost.broadcast_participant_send cost link ~bytes:g.bytes ~receivers:k;
-          bcast.(l) <- Cost.broadcast_time cost link ~bytes:g.bytes ~receivers:k
+          part.(l) <- Cost.broadcast_participant_send cost link ~bytes:gbytes ~receivers:k;
+          bcast.(l) <- Cost.broadcast_time cost link ~bytes:gbytes ~receivers:k
         end;
         send.(dst) <- send.(dst) +. part.(l);
         recv.(dst) <- recv.(dst) +. bcast.(l) +. pack
       done;
-      send.(g.src) <- send.(g.src) +. bcast.(if priced.(1) then 1 else 0) +. pack
+      send.(src) <- send.(src) +. bcast.(if priced.(1) then 1 else 0) +. pack
     end
   done;
-  Metrics.inc_int obs.m_copy_groups (List.length glist);
+  Metrics.inc_int obs.m_copy_groups (Comm_plan.count gs);
   Metrics.inc_int obs.m_coalesced !coalesced;
   Metrics.inc_int obs.m_messages !messages;
   (!bytes, !messages)
@@ -328,14 +386,16 @@ let price_groups cost obs ~node_of ~send ~recv glist =
    for the next step. *)
 let price_step machine cost obs ~node_of ~kernel ~faults ~profiling ~step ~start a =
   let t_plan = now () in
-  let glist = Comm_plan.groups a.msgs ~step in
+  let gs = Comm_plan.plan a.msgs ~step in
   (* A processor's communication time in a step combines its send and
      receive occupancies per the cost model's duplex mode (full-duplex
      NICs overlap them; framebuffer DMA serializes them). *)
-  let bytes, messages =
-    price_groups cost obs ~node_of ~send:a.send ~recv:a.recv glist
-  in
+  let bytes, messages = price_groups cost obs ~node_of ~send:a.send ~recv:a.recv gs in
   Metrics.inc obs.m_plan_host (now () -. t_plan);
+  (* The groups as records, only for what reads them: message faults
+     and the profile's wire payloads. *)
+  let msg_faults = match faults with Some f -> f.msg_faults | None -> false in
+  let glist = if profiling || msg_faults then Comm_plan.copies a.msgs gs else [] in
   (* Message faults: a matched drop costs its endpoints a retransmission
      (timeout + full resend), a matched delay holds the receiver back.
      Payload byte/message counts are untouched — the data still arrives,
@@ -381,11 +441,12 @@ let price_step machine cost obs ~node_of ~kernel ~faults ~profiling ~step ~start
   (* The record's slots: every processor that computed or communicated. *)
   let slots = ref [] in
   if profiling then begin
-    List.iter
-      (fun (g : Comm_plan.group) ->
-        set_on a.sent g.src;
-        for r = 0 to Array.length g.receivers - 1 do set_on a.sent g.receivers.(r) done)
-      glist;
+    for g = 0 to Comm_plan.count gs - 1 do
+      set_on a.sent (Comm_plan.src gs g);
+      for r = 0 to Comm_plan.receivers gs g - 1 do
+        set_on a.sent (Comm_plan.receiver gs g r)
+      done
+    done;
     for proc = nprocs - 1 downto 0 do
       if on a.computed (off + proc) || on a.sent proc then begin
         let compute = a.compute.(proc) and comm = a.comm.(proc) in
@@ -458,7 +519,9 @@ type ctx = {
   rack_of_lin : int array;
   tensors : string array;
   out_t : int;
-  layouts : int list Distnot.layout array;  (* per tensor; owners are physical *)
+  layouts : int Distnot.layout array;  (* per tensor; owners are owner sets *)
+  osets : int array array;  (* per owner set, its physical owners, first occurrences in order *)
+  omember : Bytes.t array;  (* per owner set of several, a flag per processor *)
   vprocs : int;  (* processors of the grid the distributions name *)
   points : int array array;  (* launch points, in launch-point order *)
   ldims : int array;
@@ -472,8 +535,8 @@ type ctx = {
   footprint_fns : (int array -> Rect.t) array;
   ikeys : keyer array;  (* per index variable: its interval's key and function *)
   ifns : (int array -> int * int) array;
-  site_memo : fentry array array;  (* per site, by key; [no_inst] until computed *)
-  rect_memo : fentry Rect.Tbl.t array;
+  site_memo : int array array;  (* per site, by key, its entry; -1 until computed *)
+  fs : fstore array;  (* per tensor *)
   ival_memo : int array array;  (* per index variable, by key; -1 until computed *)
   mutable footprints : int;
   steps : steps;
@@ -503,8 +566,8 @@ type recorder = {
   mutable bops : bop list;
 }
 
-(* The task being walked: its processor; the instance it holds of each
-   tensor ([no_inst] when none) and whether that instance counts against
+(* The task being walked: its processor; the entry it holds an instance
+   of, per tensor (-1 when none) and whether that instance counts against
    dynamic memory (instances of locally-owned tiles alias the owned
    data); the read-only instance of the output a self-referencing
    statement reads, kept apart from the write instance; [mem.(0)] live
@@ -512,9 +575,9 @@ type recorder = {
    task. *)
 type task = {
   mutable proc : int;
-  inst : fentry array;
+  inst : int array;
   counted : bool array;
-  mutable out_read : fentry;
+  mutable out_read : int;
   mutable out_read_counted : bool;
   mem : float array;
   record : recorder option;
@@ -632,10 +695,38 @@ let resolve ?trace ?profile ?faults spec =
   (* Per tensor, its distribution's tiles as closed-form queries, one
      layout per distinct distribution and shape. Virtual processor [v]
      folds onto physical [v mod nprocs]; a tile's owners are folded,
-     first occurrences kept. *)
+     first occurrences kept (a stamp per processor, so folding is linear
+     in the virtual owners), and numbered: equal owner lists share one
+     owner set, with a flag per processor when they are several. *)
+  let stamp = Array.make nprocs (-1) and folds = ref 0 in
+  let oset_ids = Hashtbl.create 16 and rev_osets = ref [] and nosets = ref 0 in
   let fold vs =
-    let dedup acc v = if mem_int (v mod nprocs) acc then acc else (v mod nprocs) :: acc in
-    match vs with [ v ] -> [ v mod nprocs ] | _ -> List.rev (List.fold_left dedup [] vs)
+    let os =
+      match vs with
+      | [ v ] -> [| v mod nprocs |]
+      | _ ->
+          let id = !folds in
+          incr folds;
+          Array.of_list
+            (List.rev
+               (List.fold_left
+                  (fun acc v ->
+                    let p = v mod nprocs in
+                    if stamp.(p) = id then acc
+                    else begin
+                      stamp.(p) <- id;
+                      p :: acc
+                    end)
+                  [] vs))
+    in
+    match Hashtbl.find_opt oset_ids os with
+    | Some id -> id
+    | None ->
+        let id = !nosets in
+        Hashtbl.add oset_ids os id;
+        rev_osets := os :: !rev_osets;
+        incr nosets;
+        id
   in
   let built = ref [] in
   let layout_of tn =
@@ -648,6 +739,18 @@ let resolve ?trace ?profile ?faults spec =
         l
   in
   let layouts = Array.map layout_of tensors in
+  let osets = Array.of_list (List.rev !rev_osets) in
+  let omember =
+    Array.map
+      (fun os ->
+        if Array.length os = 1 then Bytes.empty
+        else begin
+          let b = Bytes.make nprocs '\000' in
+          Array.iter (fun p -> Bytes.set b p '\001') os;
+          b
+        end)
+      osets
+  in
   (* {3 Slots and footprint sites} *)
   (* Footprints and intervals are compiled against the slots once, so no
      name is looked up per task step. *)
@@ -731,7 +834,8 @@ let resolve ?trace ?profile ?faults spec =
       leaf_vars = (match leaf with Taskir.Scalar_loops vars -> vars | Named _ -> []);
       reads_out; reduction; ops = ops_per_point stmt; nprocs; node_of_lin;
       rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin;
-      tensors; out_t = tensor_index out_name; layouts; vprocs = Machine.num_procs vmachine;
+      tensors; out_t = tensor_index out_name; layouts; osets; omember;
+      vprocs = Machine.num_procs vmachine;
       (* Filled in place: [Array.of_list] of more than 256 young values
          runs a minor collection. *)
       points =
@@ -754,11 +858,8 @@ let resolve ?trace ?profile ?faults spec =
          footprint reached under different keys (or at different sites)
          resolves to one entry per (tensor, rect), so its fetch plan is
          built once. *)
-      site_memo = Array.map (fun (_, k) -> Array.make (key_range k) no_inst) sites;
-      (* Sized for every key of the tensor's sites: it never rehashes. *)
-      rect_memo =
-        (let keys t = Array.fold_left (fun n (u, k) -> n + if u = t then key_range k else 0) 0 in
-         Array.mapi (fun t _ -> Rect.Tbl.create (keys t sites)) tensors);
+      site_memo = Array.map (fun (_, k) -> Array.make (key_range k) (-1)) sites;
+      fs = Array.mapi (fun t tn -> new_fstore t (Array.length (Taskir.shape_of prog tn))) tensors;
       ival_memo = Array.map (fun k -> Array.make (key_range k) (-1)) ikeys;
       footprints = 0; steps = new_steps ~names:tensors ~nsteps nprocs;
       red_contribs = Rect.Tbl.create 16;
@@ -782,30 +883,49 @@ let resolve ?trace ?profile ?faults spec =
    another in launch-point order, so metrics, traces, step accumulators,
    checkpoints and reduction bookkeeping see one fixed sequence. *)
 
+(* The entry of [rect], a footprint of tensor [t]: found by its rect,
+   or added. *)
+let entry_of c t (rect : Rect.t) =
+  let fs = c.fs.(t) in
+  let w = 2 * fs.rank and e = fs.n in
+  fs.co <- room fs.co ((e + 1) * w);
+  Rect.to_ints fs.co (e * w) rect;
+  let h = rect_hash fs.co (e * w) w land (Array.length fs.slots - 1) in
+  let i = probe fs fs.slots fs.co (e * w) w h in
+  if fs.slots.(i) > 0 then fs.slots.(i) - 1
+  else begin
+    fs.slots.(i) <- e + 1;
+    fs.n <- e + 1;
+    fs.ent <- room fs.ent ((e + 1) * ent_w);
+    let b = e * ent_w and ent = fs.ent in
+    ent.(b + e_vol) <- Rect.volume rect;
+    ent.(b + e_hold) <- (match Distnot.holders c.layouts.(t) rect with Some s -> s | None -> -1);
+    ent.(b + e_fplan) <- -1;
+    ent.(b + e_wplan) <- -1;
+    if 2 * fs.n > Array.length fs.slots then rehash fs;
+    e
+  end
+
 (* The footprint a site needs under the current bindings. *)
 let entry c site =
   let t, k = c.sites.(site) in
   let memo = c.site_memo.(site) and key = key_of k c.env in
   let e = memo.(key) in
-  if e != no_inst then e
+  if e >= 0 then e
   else begin
     let rect = c.footprint_fns.(t) c.env in
     c.footprints <- c.footprints + 1;
-    let e =
-      match Rect.Tbl.find_opt c.rect_memo.(t) rect with
-      | Some e -> e
-      | None ->
-          let e =
-            { f_rect = rect; f_vol = Rect.volume rect;
-              f_holders = Option.value (Distnot.holders c.layouts.(t) rect) ~default:[];
-              f_plan = None }
-          in
-          Rect.Tbl.add c.rect_memo.(t) rect e;
-          e
-    in
+    let e = entry_of c t rect in
     memo.(key) <- e;
     e
   end
+
+let rect_of c t e =
+  let fs = c.fs.(t) in
+  Rect.of_ints fs.co (e * 2 * fs.rank) fs.rank
+
+let[@inline] e_field c t e f = c.fs.(t).ent.((e * ent_w) + f)
+let[@inline] e_bytes c t e = 8.0 *. float_of_int (e_field c t e e_vol)
 
 (* Placement under faults: an effect landing on a processor that is dead
    at its step executes on its failover target instead ({!Mapper.fallback}
@@ -824,11 +944,12 @@ let[@inline] remap c ~step p = match c.faults with None -> p | Some f -> remap_d
    changes totals); the payload joins its step's message table, which
    [price] plans into wire messages. Trace consumers see one event per
    fragment. *)
-let charge_batch c ~step ~t ~src ~dst (p : Comm_plan.payload) =
+let charge_batch c ~step ~t ~src ~dst p =
   let src = remap c ~step src and dst = remap c ~step dst in
-  if src <> dst && p.volume > 0 then begin
-    let a = c.steps in
-    let bytes = 8.0 *. float_of_int p.volume in
+  let a = c.steps in
+  let volume = Comm_plan.volume a.msgs p in
+  if src <> dst && volume > 0 then begin
+    let bytes = 8.0 *. float_of_int volume in
     set_on a.active step;
     Comm_plan.add a.msgs ~step ~t ~src ~dst p;
     let l = if link_between c.node_of_lin src dst = Cost.Intra then 1 else 2 in
@@ -844,20 +965,21 @@ let charge_batch c ~step ~t ~src ~dst (p : Comm_plan.payload) =
             log :=
               { step; tensor = c.tensors.(t); piece; src; dst; bytes = bytes_of_rect piece }
               :: !log)
-          p.pieces
+          (Comm_plan.pieces a.msgs p)
     | None -> ()
   end
 
-let checkpoint c ~step ~proc rect =
+let checkpoint c ~step ~proc t e =
   match c.faults with
-  | Some { ckpt = Some ck; _ } when not (Rect.is_empty rect) ->
-      Checkpoint.record ck ~step ~proc rect
+  | Some { ckpt = Some ck; _ } when e_field c t e e_vol > 0 ->
+      Checkpoint.record ck ~step ~proc (rect_of c t e)
   | _ -> ()
 
 (* A reduction partial: register the contribution. *)
-let add_red c ~step ~proc rect =
+let add_red c ~step ~proc e =
   let rproc = remap c ~step proc in
-  checkpoint c ~step ~proc:rproc rect;
+  checkpoint c ~step ~proc:rproc c.out_t e;
+  let rect = rect_of c c.out_t e in
   match Rect.Tbl.find_opt c.red_contribs rect with
   | Some (b, procs) ->
       (* Under kills, remapping can fold two contributors onto one
@@ -867,78 +989,116 @@ let add_red c ~step ~proc rect =
         Rect.Tbl.replace c.red_contribs rect (b, rproc :: procs)
   | None -> Rect.Tbl.add c.red_contribs rect (bytes_of_rect rect, [ rproc ])
 
-(* Whether the task's processor holds footprint [e] in one of its tiles.
-   An empty footprint has no holders; it has no bytes and no pieces, so
-   owning it would change nothing. *)
-let proc_owns tk e = mem_int tk.proc e.f_holders
+(* Whether [proc] holds entry [e] of tensor [t] in one of its tiles: the
+   holding tile's one owner, or its owner set's flag. An empty footprint
+   has no holders; it has no bytes and no pieces, so owning it would
+   change nothing. *)
+let owns c s proc =
+  let os = c.osets.(s) in
+  if Array.length os = 1 then os.(0) = proc else Bytes.unsafe_get c.omember.(s) proc <> '\000'
 
-let pieces_of c t e = Distnot.pieces c.layouts.(t) e.f_rect
+let holds c t e proc =
+  let s = e_field c t e e_hold in
+  s >= 0 && owns c s proc
 
-let rec same_owners (a : int list) (b : int list) =
-  match (a, b) with
-  | [], [] -> true
-  | x :: xs, y :: ys -> x = y && same_owners xs ys
-  | _ -> false
+let pieces_of c t e = Distnot.pieces c.layouts.(t) (rect_of c t e)
+
+(* Append a plan of [pairs] (owner set or destination, payload id), in
+   order, to tensor [t]'s plans; where it starts. *)
+let add_plan c t pairs =
+  let fs = c.fs.(t) in
+  let off = fs.npl and n = List.length pairs in
+  fs.pl <- room fs.pl (off + 1 + (2 * n));
+  fs.pl.(off) <- n;
+  List.iteri
+    (fun i (x, p) ->
+      fs.pl.(off + 1 + (2 * i)) <- x;
+      fs.pl.(off + 2 + (2 * i)) <- p)
+    pairs;
+  fs.npl <- off + 1 + (2 * n);
+  off
+
+(* A fetch plan's pieces so far of owner set [s], or [no_group]. *)
+let no_group : Rect.t list ref = ref []
+
+let rec group_of (s : int) = function
+  | [] -> no_group
+  | (s', ps) :: tl -> if s = s' then ps else group_of s tl
 
 (* The entry's fetch plan: its pieces grouped by owner set, each group
-   pre-merged ([Comm_plan.merge_rects]). For cyclic distributions this is
-   where thousands of per-piece decisions collapse into a handful of
-   per-owner batches. A footprint inside one tile is that tile's only
-   piece, so its plan comes from its holders alone. *)
+   one payload, pre-merged ([Comm_plan.payload]). For cyclic
+   distributions this is where thousands of per-piece decisions collapse
+   into a handful of per-owner batches. A footprint inside one tile is
+   that tile's only piece, so its plan comes from its holders alone. *)
 let plan_of c t e =
-  match (e.f_plan, e.f_holders) with
-  | Some plan, _ -> plan
-  | None, (_ :: _ as os) ->
-      let plan = [ { fg_owners = os; fg_load = Comm_plan.payload c.steps.msgs [ e.f_rect ] } ] in
-      e.f_plan <- Some plan;
-      plan
-  | None, [] ->
-      let groups : (int list * Rect.t list ref) list ref = ref [] in
-      List.iter
-        (fun (piece, owners) ->
-          match List.find_opt (fun (os, _) -> same_owners os owners) !groups with
-          | Some (_, ps) -> ps := piece :: !ps
-          | None -> groups := (owners, ref [ piece ]) :: !groups)
-        (pieces_of c t e);
-      let plan =
-        List.rev_map
-          (fun (os, ps) ->
-            { fg_owners = os; fg_load = Comm_plan.payload c.steps.msgs (List.rev !ps) })
-          !groups
-      in
-      e.f_plan <- Some plan;
-      plan
+  if e_field c t e e_fplan >= 0 then e_field c t e e_fplan
+  else begin
+    let msgs = c.steps.msgs in
+    let pairs =
+      let s = e_field c t e e_hold in
+      if s >= 0 then [ (s, Comm_plan.payload msgs [ rect_of c t e ]) ]
+      else begin
+        let groups = ref [] in
+        List.iter
+          (fun (piece, s) ->
+            let ps = group_of s !groups in
+            if ps == no_group then groups := (s, ref [ piece ]) :: !groups else ps := piece :: !ps)
+          (pieces_of c t e);
+        List.rev_map (fun (s, ps) -> (s, Comm_plan.payload msgs (List.rev !ps))) !groups
+      end
+    in
+    let off = add_plan c t pairs in
+    c.fs.(t).ent.((e * ent_w) + e_fplan) <- off;
+    off
+  end
 
 (* Fetch cost: groups the processor itself owns are free, the rest
    become one fragment batch each (same-node owners preferred). *)
-let rec fetch_groups c ~proc ~step t = function
-  | [] -> ()
-  | g :: gs ->
-      (match g.fg_owners with
-      | [ o ] -> if o <> proc then charge_batch c ~step ~t ~src:o ~dst:proc g.fg_load
-      | os when not (mem_int proc os) ->
-          let node = c.node_of_lin.(proc) in
-          let src = match same_node_owner c.node_of_lin node os with -1 -> List.hd os | o -> o in
-          charge_batch c ~step ~t ~src ~dst:proc g.fg_load
-      | _ -> ());
-      fetch_groups c ~proc ~step t gs
+let charge_fetch c tk t e =
+  let off = plan_of c t e and proc = tk.proc and step = c.step in
+  let pl = c.fs.(t).pl in
+  for i = 0 to pl.(off) - 1 do
+    let s = pl.(off + 1 + (2 * i)) and p = pl.(off + 2 + (2 * i)) in
+    let os = c.osets.(s) in
+    if Array.length os = 1 then begin
+      if os.(0) <> proc then charge_batch c ~step ~t ~src:os.(0) ~dst:proc p
+    end
+    else if not (owns c s proc) then
+      charge_batch c ~step ~t ~src:(source c.node_of_lin c.node_of_lin.(proc) os 0) ~dst:proc p
+  done
 
-let charge_fetch c tk t e = fetch_groups c ~proc:tk.proc ~step:c.step t (plan_of c t e)
+(* The output entry's write-back: per piece, in discovery order, the
+   first owner of its tile and a payload of the piece. *)
+let write_back c e =
+  let t = c.out_t in
+  if e_field c t e e_wplan >= 0 then e_field c t e e_wplan
+  else begin
+    let msgs = c.steps.msgs in
+    let pairs =
+      List.map
+        (fun (piece, s) -> (c.osets.(s).(0), Comm_plan.payload msgs [ piece ]))
+        (pieces_of c t e)
+    in
+    let off = add_plan c t pairs in
+    c.fs.(t).ent.((e * ent_w) + e_wplan) <- off;
+    off
+  end
 
 (* The output instance is done: a reduction partial, or (owner-computes)
    its tile shipped home when a remote processor owns it. *)
 let flush_output c tk ~step e =
-  if c.reduction then add_red c ~step ~proc:tk.proc e.f_rect
+  if c.reduction then add_red c ~step ~proc:tk.proc e
   else begin
-    if not (proc_owns tk e) then
-      List.iter
-        (fun (piece, os) ->
-          let dst = List.hd os in
-          if dst <> tk.proc then
-            charge_batch c ~step ~t:c.out_t ~src:tk.proc ~dst
-              (Comm_plan.payload c.steps.msgs [ piece ]))
-        (pieces_of c c.out_t e);
-    checkpoint c ~step ~proc:(remap c ~step tk.proc) e.f_rect
+    if not (holds c c.out_t e tk.proc) then begin
+      let off = write_back c e in
+      let pl = c.fs.(c.out_t).pl in
+      for i = 0 to pl.(off) - 1 do
+        let dst = pl.(off + 1 + (2 * i)) in
+        if dst <> tk.proc then
+          charge_batch c ~step ~t:c.out_t ~src:tk.proc ~dst pl.(off + 2 + (2 * i))
+      done
+    end;
+    checkpoint c ~step ~proc:(remap c ~step tk.proc) c.out_t e
   end
 
 let[@inline] grow tk bytes =
@@ -953,20 +1113,20 @@ let ensure c tk t site =
   let e = entry c site in
   let cur = tk.inst.(t) in
   let fresh =
-    if cur == no_inst then true
-    else if cur == e then false
+    if cur < 0 then true
+    else if cur = e then false
     else begin
       if t = c.out_t then flush_output c tk ~step:c.step cur;
-      if tk.counted.(t) then shrink tk (f_bytes cur);
-      tk.inst.(t) <- no_inst;
+      if tk.counted.(t) then shrink tk (e_bytes c t cur);
+      tk.inst.(t) <- -1;
       true
     end
   in
   if fresh then begin
     (* An instance of a locally-owned subrect aliases the owned tile;
        reduction partials for the output are fresh allocations. *)
-    let counted = (t = c.out_t && c.reduction) || not (proc_owns tk e) in
-    if counted then grow tk (f_bytes e);
+    let counted = (t = c.out_t && c.reduction) || not (holds c t e tk.proc) in
+    if counted then grow tk (e_bytes c t e);
     if t = c.out_t then begin
       (* Reduction partials start at zero; stationary/owner-computes
          outputs are seeded with current values (which only costs
@@ -976,7 +1136,7 @@ let ensure c tk t site =
       match tk.record with
       | Some r ->
           r.bops <- B_out r.nslots :: r.bops;
-          r.slots <- e.f_rect :: r.slots;
+          r.slots <- rect_of c t e :: r.slots;
           r.nslots <- r.nslots + 1
       | None -> ()
     end
@@ -984,9 +1144,9 @@ let ensure c tk t site =
     tk.inst.(t) <- e;
     tk.counted.(t) <- counted;
     if t = c.out_t && c.reads_out then begin
-      if tk.out_read != no_inst && tk.out_read_counted then shrink tk (f_bytes tk.out_read);
-      let counted_r = not (proc_owns tk e) in
-      if counted_r then grow tk (f_bytes e);
+      if tk.out_read >= 0 && tk.out_read_counted then shrink tk (e_bytes c t tk.out_read);
+      let counted_r = not (holds c t e tk.proc) in
+      if counted_r then grow tk (e_bytes c t e);
       tk.out_read <- e;
       tk.out_read_counted <- counted_r
     end
@@ -999,9 +1159,9 @@ let ensure c tk t site =
    newest slot. *)
 let bind_leaf c tk r =
   let out_src = r.ntensors + r.nslots - 1 in
-  let held t (e : fentry) =
-    if e == no_inst then invalid_arg ("leaf recorded without an instance of " ^ c.tensors.(t));
-    e.f_rect
+  let held t e =
+    if e < 0 then invalid_arg ("leaf recorded without an instance of " ^ c.tensors.(t));
+    rect_of c t e
   in
   let offset st lo =
     let off = ref 0 in
@@ -1015,7 +1175,7 @@ let bind_leaf c tk r =
          the output's at [lo] minus the instance's [lo] in the block. *)
       let operand t =
         let inst = held t tk.inst.(t) in
-        let need = (entry c c.leaf_site.(t)).f_rect in
+        let need = rect_of c t (entry c c.leaf_site.(t)) in
         if not (Rect.subset need inst) then
           invalid_arg ("leaf footprint outside the instance of " ^ c.tensors.(t));
         let op =
@@ -1063,9 +1223,9 @@ let exec_leaf c tk =
   done;
   let bytes = ref 0.0 in
   for t = 0 to Array.length tk.inst - 1 do
-    if tk.inst.(t) != no_inst then bytes := !bytes +. f_bytes tk.inst.(t)
+    if tk.inst.(t) >= 0 then bytes := !bytes +. e_bytes c t tk.inst.(t)
   done;
-  if tk.out_read != no_inst then bytes := !bytes +. f_bytes tk.out_read;
+  if tk.out_read >= 0 then bytes := !bytes +. e_bytes c c.out_t tk.out_read;
   let proc = remap c ~step tk.proc and flops = float_of_int c.ops *. !points in
   let a = c.steps and i = (step * c.nprocs) + proc in
   a.cflops.(i) <- a.cflops.(i) +. flops;
@@ -1095,9 +1255,9 @@ let run_task c tk point =
     Machine.linearize c.machine (Mapper.proc_of_point c.machine ~launch_dims:c.ldims point)
   in
   tk.proc <- proc;
-  Array.fill tk.inst 0 (Array.length tk.inst) no_inst;
+  Array.fill tk.inst 0 (Array.length tk.inst) (-1);
   Array.fill tk.counted 0 (Array.length tk.counted) false;
-  tk.out_read <- no_inst;
+  tk.out_read <- -1;
   tk.out_read_counted <- false;
   tk.mem.(0) <- 0.0;
   tk.mem.(1) <- 0.0;
@@ -1108,7 +1268,7 @@ let run_task c tk point =
      sequential loop vars are gone by now, so attribute the flush to the
      final step explicitly — it is the step whose end produced this state
      (matters only to fault remapping and checkpoints). *)
-  if tk.inst.(c.out_t) != no_inst then flush_output c tk ~step:(c.nsteps - 1) tk.inst.(c.out_t);
+  if tk.inst.(c.out_t) >= 0 then flush_output c tk ~step:(c.nsteps - 1) tk.inst.(c.out_t);
   Metrics.inc_int c.m_tasks 1;
   if tk.mem.(1) > c.dyn_peak.(proc) then c.dyn_peak.(proc) <- tk.mem.(1)
 
@@ -1120,7 +1280,7 @@ let walk c record =
   let t0 = now () in
   let n = Array.length c.tensors in
   let tk =
-    { proc = 0; inst = Array.make n no_inst; counted = Array.make n false; out_read = no_inst;
+    { proc = 0; inst = Array.make n (-1); counted = Array.make n false; out_read = -1;
       out_read_counted = false; mem = Array.make 2 0.0; record }
   in
   let bops =
@@ -1140,7 +1300,7 @@ let walk c record =
      runs. *)
   Array.iteri (fun i m -> Metrics.inc m c.tally.(i)) c.tallied;
   Array.fill c.site_memo 0 (Array.length c.site_memo) [||];
-  Array.iter Rect.Tbl.reset c.rect_memo;
+  Array.iteri free_fstore c.fs;
   Array.fill c.ival_memo 0 (Array.length c.ival_memo) [||];
   Metrics.set (Metrics.gauge c.reg "exec.compute_wall_s") (now () -. t0);
   bops
@@ -1316,6 +1476,7 @@ let price c =
    modeled stats. *)
 let finish c =
   let tl = price c in
+  Comm_plan.release c.steps.msgs;
   Option.iter (fun (r : Profile.run) -> r.timeline <- Some tl) c.run;
   (* Host allocation accounting: OCaml words this simulation allocated
      (bigarray payloads live outside the heap and are not counted).
@@ -1490,7 +1651,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
   let node_of_lin = nodes_of_procs machine in
   let rack_of_lin = Array.map (fun n -> n / cost.Cost.rack_nodes) node_of_lin in
   let link_of src dst = link_between node_of_lin src dst in
-  let layout dist = Distnot.layout dist ~shape ~machine ~owners:Fun.id in
+  let layout dist = Distnot.layout dist ~shape ~machine ~owners:Array.of_list in
   let src_layout = layout src in
   (* A redistribution is one exchange step with no compute: every piece a
      destination owner lacks comes from an owner of the overlapping source
@@ -1503,12 +1664,8 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
         (fun d ->
           List.iter
             (fun (piece, sowners) ->
-              if not (List.mem d sowners) then begin
-                let s =
-                  match same_node_owner node_of_lin node_of_lin.(d) sowners with
-                  | -1 -> List.hd sowners
-                  | o -> o
-                in
+              if not (Array.mem d sowners) then begin
+                let s = source node_of_lin node_of_lin.(d) sowners 0 in
                 let bytes = bytes_of_rect piece in
                 Metrics.inc (if link_of s d = Cost.Intra then m_bytes_intra else m_bytes_inter) bytes;
                 if rack_of_lin.(s) <> rack_of_lin.(d) then a.cross.(0) <- a.cross.(0) +. bytes;
@@ -1516,7 +1673,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
                 Comm_plan.add a.msgs ~step:0 ~t:0 ~src:s ~dst:d (Comm_plan.payload a.msgs [ piece ])
               end)
             pieces)
-        downers)
+        (Array.to_list downers))
     (Distnot.pieces (layout dst) (Rect.full shape));
   let row =
     price_step machine cost (step_obs reg) ~node_of:node_of_lin ~kernel:None ~faults:None
@@ -1525,6 +1682,7 @@ let redistribute ?profile machine cost ~shape ~src ~dst =
   Metrics.set (Metrics.gauge reg "exec.time") row.Cp.cost;
   Metrics.set (Metrics.gauge reg "exec.steps") 1.0;
   set_coalesce_ratio reg ~fragments:(Comm_plan.fragments a.msgs) ~messages:row.Cp.messages;
+  Comm_plan.release a.msgs;
   Option.iter
     (fun (run : Profile.run) ->
       run.timeline <-

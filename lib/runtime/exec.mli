@@ -82,8 +82,14 @@ val execute :
     Tasks share the walk's footprints, fetch plans and interval lengths
     through flat arrays indexed by a mixed-radix key of the bindings
     they depend on, each no longer than the number of times the walk
-    reaches its site ([exec.footprints] counts the footprints computed);
-    the walk frees them before pricing.
+    reaches its site ([exec.footprints] counts the footprints computed).
+    What the walk keeps until pricing is int arrays, not per-piece
+    objects: per tensor its footprint entries (rect, volume, the owner
+    set holding it, fetch plan and write-back as payload ids), and in
+    the run's {!Comm_plan} table every payload's pieces, merged rects,
+    hull, fragment count and volume. The walk frees its memos before
+    pricing, and a finished run hands its arrays to the next run on the
+    same domain.
     [domains] sizes only the host domain pool that replays a [Full] run
     ({!run_plan}; default: [DISTAL_NUM_DOMAINS], else the available
     cores). Determinism contract: results, copy traces, stats and event

@@ -56,3 +56,7 @@ let to_string a =
 
 let take k a = Array.sub a 0 k
 let drop k a = Array.sub a k (Array.length a - k)
+
+let rec room a need =
+  if Array.length a >= need then a
+  else room (if Array.length a = 0 then Array.make 64 0 else Array.append a a) need

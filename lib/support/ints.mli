@@ -37,3 +37,10 @@ val mix : int -> int -> int
 (** [mix h x] folds [x] into the running hash [h], spreading regular
     inputs (multiples of a tile size, say) over all bits, so hash tables
     keyed by coordinates do not pile into a few buckets. *)
+
+val room : int array -> int -> int array
+(** [room a n]: [a] when it holds at least [n] ints, else [a] appended
+    to itself (64 zeros when empty) until it does. [Array.append]
+    copies without the write barrier of [Array.blit] into the major
+    heap, or the minor collection of [Array.make] filling a large array
+    with a young value. *)

@@ -74,6 +74,20 @@ module Tbl = Hashtbl.Make (struct
     !h land max_int
 end)
 
+let to_ints (a : int array) o t =
+  for d = 0 to Array.length t.lo - 1 do
+    a.(o + (2 * d)) <- t.lo.(d);
+    a.(o + (2 * d) + 1) <- t.hi.(d)
+  done
+
+let of_ints (a : int array) o dims =
+  let lo = Array.make dims 0 and hi = Array.make dims 0 in
+  for d = 0 to dims - 1 do
+    lo.(d) <- a.(o + (2 * d));
+    hi.(d) <- a.(o + (2 * d) + 1)
+  done;
+  make ~lo ~hi
+
 let iter t f =
   if not (is_empty t) then
     Distal_support.Ints.iter_box (extents t) (fun off ->

@@ -37,6 +37,16 @@ module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by rects, compared and hashed by their bounds
     without polymorphic hashing. *)
 
+val to_ints : int array -> int -> t -> unit
+(** [to_ints a o r] writes [r] as [2 * dim r] ints from [a.(o)]: per
+    dimension its [lo], then its [hi]. Read in that order, the ints of
+    two rects compare lexicographically in the canonical order of rect
+    sets (interleaved lo, hi). *)
+
+val of_ints : int array -> int -> int -> t
+(** [of_ints a o dims]: the rect of rank [dims] {!to_ints} wrote at
+    [a.(o)]. *)
+
 val iter : t -> (int array -> unit) -> unit
 (** Iterate the points of the rect in row-major order; the callback receives a
     fresh coordinate array each time. *)

@@ -20,6 +20,30 @@ module Cp = Distal_obs.Critical_path
 let rect lo hi = Rect.make ~lo:(Array.of_list lo) ~hi:(Array.of_list hi)
 let show rs = String.concat " " (List.map Rect.to_string rs)
 
+(* The canonical order on rects of equal rank: lexicographic on the
+   interleaved (lo, hi) coordinates; on rect lists, lexicographic. *)
+let compare_rect (a : Rect.t) (b : Rect.t) =
+  let n = Array.length a.lo in
+  let rec go i =
+    if i = n then 0
+    else
+      let c = compare a.lo.(i) b.lo.(i) in
+      if c <> 0 then c
+      else
+        let c = compare a.hi.(i) b.hi.(i) in
+        if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+let rec compare_rects a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | x :: xs, y :: ys ->
+      let c = compare_rect x y in
+      if c <> 0 then c else compare_rects xs ys
+
 (* {2 Merge behaviour} *)
 
 let test_merge_units () =
@@ -45,8 +69,8 @@ let test_merge_strided () =
   let merged = Comm_plan.merge_rects strided in
   Alcotest.(check int) "stride-2 keeps its fragments" 4 (List.length merged);
   (* ...and merging is idempotent on it. *)
-  Alcotest.(check int) "idempotent" 0
-    (Comm_plan.compare_rects merged (Comm_plan.merge_rects merged))
+  Alcotest.(check bool) "idempotent" true
+    (List.equal Rect.equal merged (Comm_plan.merge_rects merged))
 
 (* {2 The multiset property} *)
 
@@ -82,13 +106,14 @@ let elements groups =
 
 let names = [| "A"; "B" |]
 
+(* A step's groups as records. *)
+let groups tab ~step = Comm_plan.copies tab (Comm_plan.plan tab ~step)
+
 (* The multiset the fetches themselves move. *)
 let fetched batches =
   List.concat_map
-    (fun (_, t, src, dst, (p : Comm_plan.payload)) ->
-      List.concat_map
-        (fun r -> List.map (fun pt -> (names.(t), pt, src, dst)) (points r))
-        p.Comm_plan.pieces)
+    (fun (_, t, src, dst, pieces) ->
+      List.concat_map (fun r -> List.map (fun pt -> (names.(t), pt, src, dst)) (points r)) pieces)
     batches
   |> List.sort compare
 
@@ -105,7 +130,7 @@ let realize g fetches =
       (fun (step, k, src, dst) ->
         let t, p = loads.(k) in
         Comm_plan.add tab ~step ~t ~src ~dst p;
-        (step, t, src, dst, p))
+        (step, t, src, dst, Comm_plan.pieces tab p))
       fetches
   in
   (tab, batches)
@@ -113,7 +138,7 @@ let realize g fetches =
 (* Each step's groups, tagged with the step. *)
 let plan g fetches =
   let tab, batches = realize g fetches in
-  let tagged step = List.map (fun x -> (step, x)) (Comm_plan.groups tab ~step) in
+  let tagged step = List.map (fun x -> (step, x)) (groups tab ~step) in
   (List.concat_map tagged [ 0; 1 ], batches)
 
 (* Random runs of two steps: disjoint unit cells of a small box per
@@ -199,7 +224,7 @@ let fuzz_multiset seed =
     | a :: (b :: _ as rest) ->
         let sa, ta, xa, ra = key a and sb, tb, xb, rb = key b in
         let c = compare (sa, ta, xa) (sb, tb, xb) in
-        (c < 0 || (c = 0 && Comm_plan.compare_rects ra rb < 0)) && ascending rest
+        (c < 0 || (c = 0 && compare_rects ra rb < 0)) && ascending rest
     | _ -> true
   in
   if not (ascending tagged) then QCheck.Test.fail_reportf "groups out of canonical order";
@@ -231,6 +256,221 @@ let qcheck_multiset =
   QCheck.Test.make ~name:"plan == fetched multiset" ~count:500
     QCheck.small_nat
     (fun seed -> fuzz_multiset (succ seed))
+
+(* {2 The Rect-list oracle}
+
+   The grouping [Comm_plan] did on rect lists before its payloads moved
+   into int arrays, kept as the reference the store-based grouping must
+   equal group for group: the same tensor, source, rects, fragments,
+   bytes and receivers, in the same order. *)
+
+module Oracle = struct
+  let sorted_by cmp a =
+    let n = Array.length a in
+    let rec go i = i >= n || (cmp a.(i - 1) a.(i) <= 0 && go (i + 1)) in
+    go 1
+
+  (* One merging pass along [d]: sort (unless in order) so that rects
+     equal in every other dimension are consecutive and ordered by
+     [lo.(d)], then hull neighbours that abut. *)
+  let merge_along d a =
+    let cmp (x : Rect.t) (y : Rect.t) =
+      let n = Array.length x.lo in
+      let rec go i =
+        if i = n then compare x.lo.(d) y.lo.(d)
+        else if i = d then go (i + 1)
+        else
+          let c = compare x.lo.(i) y.lo.(i) in
+          if c <> 0 then c
+          else
+            let c = compare x.hi.(i) y.hi.(i) in
+            if c <> 0 then c else go (i + 1)
+      in
+      go 0
+    in
+    let mergeable (x : Rect.t) (y : Rect.t) =
+      let n = Array.length x.lo in
+      let rec same i =
+        i = n || ((i = d || (x.lo.(i) = y.lo.(i) && x.hi.(i) = y.hi.(i))) && same (i + 1))
+      in
+      x.hi.(d) = y.lo.(d) && same 0
+    in
+    if not (sorted_by cmp a) then Array.sort cmp a;
+    let n = Array.length a in
+    if n <= 1 then a
+    else begin
+      let out = ref 0 in
+      for i = 1 to n - 1 do
+        let r = a.(i) in
+        if mergeable a.(!out) r then a.(!out) <- Rect.hull a.(!out) r
+        else begin
+          incr out;
+          a.(!out) <- r
+        end
+      done;
+      Array.sub a 0 (!out + 1)
+    end
+
+  let merge_rects = function
+    | ([] | [ _ ]) as rects -> rects
+    | r0 :: _ as rects ->
+        let a = ref (Array.of_list rects) in
+        let rec fix () =
+          let n = Array.length !a in
+          for d = 0 to Rect.dim r0 - 1 do
+            a := merge_along d !a
+          done;
+          if Array.length !a < n then fix ()
+        in
+        fix ();
+        let res = !a in
+        if not (sorted_by compare_rect res) then Array.sort compare_rect res;
+        Array.to_list res
+
+  let hull_of = function
+    | [] -> None
+    | (r : Rect.t) :: rest -> Some (List.fold_left Rect.hull r rest)
+
+  (* Consecutive boxes keep a strict gap along one fixed dimension. *)
+  let chain_separated boxes =
+    match List.filter_map Fun.id boxes with
+    | [] -> true
+    | (b0 : Rect.t) :: _ as bs ->
+        let d = Rect.dim b0 in
+        let apart ok = List.exists Fun.id (List.init d ok) in
+        let rec pairs = function
+          | (a : Rect.t) :: ((b : Rect.t) :: _ as rest) -> (a, b) :: pairs rest
+          | _ -> []
+        in
+        let ps = pairs bs in
+        d <= 62
+        && apart (fun k ->
+               List.for_all (fun ((a : Rect.t), (b : Rect.t)) -> a.hi.(k) < b.lo.(k)) ps
+               || List.for_all (fun ((a : Rect.t), (b : Rect.t)) -> b.hi.(k) < a.lo.(k)) ps)
+
+  (* A message's value: its one payload's merged rects, or the union of
+     its payloads (newest first). *)
+  let value payloads =
+    match payloads with
+    | [ p ] -> merge_rects p
+    | _ ->
+        let loads = List.rev_map merge_rects payloads in
+        let rects = List.concat loads in
+        if chain_separated (List.map hull_of loads) then List.sort compare_rect rects
+        else merge_rects rects
+
+  let volume = List.fold_left (fun acc r -> acc + Rect.volume r) 0
+
+  (* The groups of one step: fetches as (tensor, src, dst, pieces), in
+     fetch order. *)
+  let groups fetches =
+    let triples =
+      List.sort_uniq compare (List.map (fun (t, src, dst, _) -> (names.(t), src, dst)) fetches)
+    in
+    let messages =
+      List.map
+        (fun (tn, src, dst) ->
+          let payloads =
+            List.filter_map
+              (fun (t, s, d, pieces) ->
+                if names.(t) = tn && s = src && d = dst then Some pieces else None)
+              fetches
+          in
+          (tn, src, value payloads, dst, List.fold_left (fun acc p -> acc + volume p) 0 payloads))
+        triples
+    in
+    let messages =
+      List.stable_sort
+        (fun (ta, sa, va, da, _) (tb, sb, vb, db, _) ->
+          let c = compare (ta, sa) (tb, sb) in
+          if c <> 0 then c
+          else
+            let c = compare_rects va vb in
+            if c <> 0 then c else compare da db)
+        messages
+    in
+    let rec runs = function
+      | [] -> []
+      | (tn, src, v, _, _) :: _ as ms ->
+          let same, rest =
+            List.partition (fun (t, s, w, _, _) -> t = tn && s = src && compare_rects w v = 0) ms
+          in
+          let _, _, _, _, vol = List.nth same (List.length same - 1) in
+          { Comm_plan.tensor = tn; rects = v; fragments = List.length v; src;
+            bytes = 8.0 *. float_of_int vol;
+            receivers = Array.of_list (List.map (fun (_, _, _, d, _) -> d) same) }
+          :: runs rest
+    in
+    runs messages
+end
+
+let show_group (g : Comm_plan.group) =
+  Printf.sprintf "%s src=%d [%s] frags=%d bytes=%g to [%s]" g.tensor g.src (show g.rects)
+    g.fragments g.bytes
+    (String.concat "," (List.map string_of_int (Array.to_list g.receivers)))
+
+let same_group (a : Comm_plan.group) (b : Comm_plan.group) =
+  a.tensor = b.tensor && a.src = b.src && List.equal Rect.equal a.rects b.rects
+  && a.fragments = b.fragments && a.bytes = b.bytes && a.receivers = b.receivers
+
+(* Every step's groups equal the oracle's, and every payload keeps its
+   pieces in the order they were given. *)
+let check_oracle g =
+  let tab, batches = realize g g.fetches in
+  Array.iteri
+    (fun k (_, pieces) ->
+      if not (List.equal Rect.equal (Comm_plan.pieces tab k) pieces) then
+        QCheck.Test.fail_reportf "payload %d keeps [%s], not [%s]" k
+          (show (Comm_plan.pieces tab k)) (show pieces))
+    g.loads;
+  List.iter
+    (fun step ->
+      let got = groups tab ~step in
+      let want =
+        Oracle.groups
+          (List.filter_map
+             (fun (s, t, src, dst, pieces) -> if s = step then Some (t, src, dst, pieces) else None)
+             batches)
+      in
+      if not (List.length got = List.length want && List.for_all2 same_group got want) then
+        QCheck.Test.fail_reportf "step %d: groups\n  %s\nthe oracle\n  %s" step
+          (String.concat "\n  " (List.map show_group got))
+          (String.concat "\n  " (List.map show_group want)))
+    [ 0; 1 ];
+  true
+
+(* Payloads of one triple that tile a box between them: their union is
+   not separated and merges. Cells of a random box go to 2-3 payloads at
+   random; each payload is fetched once, from one source by one
+   destination in one step, in a random order, and sometimes a second
+   time. *)
+let gen_merging rng =
+  let dims = 1 + Rng.int rng 3 in
+  let ext = Array.init dims (fun d -> if d = 0 then 3 + Rng.int rng 2 else 1 + Rng.int rng 3) in
+  let np = 2 + Rng.int rng 2 in
+  let parts = Array.make np [] and i = ref 0 in
+  Distal_support.Ints.iter_box ext (fun c ->
+      let k = if !i < np then !i else Rng.int rng np in
+      incr i;
+      parts.(k) <- Rect.make ~lo:(Array.copy c) ~hi:(Array.map succ c) :: parts.(k));
+  let fetches = List.init np (fun k -> (0, k, 1, 2)) in
+  let fetches = if Rng.int rng 2 = 0 then fetches else List.rev fetches in
+  let twice = if Rng.int rng 3 = 0 then [ (0, Rng.int rng np, 1, 2) ] else [] in
+  { loads = Array.map (fun cells -> (0, List.rev cells)) parts; fetches = fetches @ twice }
+
+(* The generator above, with some fetches made twice: one destination
+   fetching one payload twice in one step. *)
+let gen_oracle seed =
+  let rng = Rng.create (seed * 131) in
+  if Rng.int rng 3 = 0 then gen_merging rng
+  else
+    let g = gen_batches rng in
+    let again = List.filter (fun _ -> Rng.int rng 4 = 0) g.fetches in
+    { g with fetches = g.fetches @ again }
+
+let qcheck_oracle =
+  QCheck.Test.make ~name:"groups == Rect-list oracle" ~count:1000 QCheck.small_nat (fun seed ->
+      check_oracle (gen_oracle (succ seed)))
 
 (* The one group of a step whose payloads (tensor A) are made in one
    table in order and fetched from processor 1 as (payload, dst). *)
@@ -400,6 +640,7 @@ let suites =
         Alcotest.test_case "adjacent rects merge" `Quick test_merge_units;
         Alcotest.test_case "cyclic stride stays a strided run" `Quick test_merge_strided;
         QCheck_alcotest.to_alcotest qcheck_multiset;
+        QCheck_alcotest.to_alcotest qcheck_oracle;
         Alcotest.test_case "chain-separated batches on one triple" `Quick
           test_two_batches_separated;
         Alcotest.test_case "overlapping batches on one triple" `Quick

@@ -25,12 +25,12 @@ let test_cyclic_strips () =
   (* 12 elements, 3 processors, block 2: processor 1 owns [2,4) and [8,10). *)
   let machine = Machine.grid [| 3 |] in
   let d = D.parse_exn "[x] -> [x%2]" in
-  let rects = D.rects_of_proc d ~shape:[| 12 |] ~machine [| 1 |] in
+  let rects = Tile_ref.rects_of_proc d ~shape:[| 12 |] ~machine [| 1 |] in
   Alcotest.(check (list string)) "strips" [ "[2,4)"; "[8,10)" ]
     (List.map Rect.to_string rects);
   (* The blocked accessor reports None for multi-tile owners. *)
   Alcotest.(check bool) "rect_of_proc is None" true
-    (D.rect_of_proc d ~shape:[| 12 |] ~machine [| 1 |] = None)
+    (Tile_ref.rect_of_proc d ~shape:[| 12 |] ~machine [| 1 |] = None)
 
 let test_cyclic_color_of_point () =
   let lvl = List.hd (D.parse_exn "[x] -> [x%2]") in
@@ -43,7 +43,7 @@ let test_cyclic_color_of_point () =
     [ (0, 0); (1, 0); (2, 1); (3, 1); (4, 2); (6, 0); (11, 2) ]
 
 let check_cover d shape machine =
-  let tiles = D.tiles d ~shape ~machine in
+  let tiles = Tile_ref.tiles d ~shape ~machine in
   let total = List.fold_left (fun acc (r, _) -> acc + Rect.volume r) 0 tiles in
   Alcotest.(check int) "covers" (Ints.prod shape) total;
   List.iteri
@@ -61,7 +61,7 @@ let test_cyclic_tiles_cover () =
   (* Mixed with broadcast: each replica covers the tensor. *)
   let d = D.parse_exn "[x,y] -> [x%2,*]" in
   let machine = Machine.grid [| 2; 2 |] in
-  let tiles = D.tiles d ~shape:[| 8; 4 |] ~machine in
+  let tiles = Tile_ref.tiles d ~shape:[| 8; 4 |] ~machine in
   let total = List.fold_left (fun acc (r, _) -> acc + Rect.volume r) 0 tiles in
   Alcotest.(check int) "covers once (tiles are shared by replicas)" 32 total;
   List.iter

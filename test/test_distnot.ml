@@ -75,38 +75,38 @@ let test_fix_restricts_owners () =
 let test_fig5_row_partition () =
   let m = Machine.grid [| 4 |] in
   let d = parse "[x,y] -> [x]" in
-  let r = Option.get (D.rect_of_proc d ~shape:[| 100; 100 |] ~machine:m [| 1 |]) in
+  let r = Option.get (Tile_ref.rect_of_proc d ~shape:[| 100; 100 |] ~machine:m [| 1 |]) in
   Alcotest.(check string) "row block spans columns" "[25,50)x[0,100)" (Rect.to_string r)
 
 let test_fig5_col_partition () =
   let m = Machine.grid [| 4 |] in
   let d = parse "[x,y] -> [y]" in
-  let r = Option.get (D.rect_of_proc d ~shape:[| 100; 100 |] ~machine:m [| 3 |]) in
+  let r = Option.get (Tile_ref.rect_of_proc d ~shape:[| 100; 100 |] ~machine:m [| 3 |]) in
   Alcotest.(check string) "column block spans rows" "[0,100)x[75,100)" (Rect.to_string r)
 
 let test_fig5_tile_partition () =
   let m = Machine.grid [| 2; 2 |] in
   let d = parse "[x,y] -> [x,y]" in
-  let r = Option.get (D.rect_of_proc d ~shape:[| 100; 100 |] ~machine:m [| 1; 0 |]) in
+  let r = Option.get (Tile_ref.rect_of_proc d ~shape:[| 100; 100 |] ~machine:m [| 1; 0 |]) in
   Alcotest.(check string) "tile" "[50,100)x[0,50)" (Rect.to_string r)
 
 let test_fig5_fixed_face () =
   let m = Machine.grid [| 2; 2; 2 |] in
   let d = parse "[x,y] -> [x,y,0]" in
   Alcotest.(check bool) "off-face proc owns nothing" true
-    (D.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 0; 0; 1 |] = None);
+    (Tile_ref.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 0; 0; 1 |] = None);
   Alcotest.(check bool) "on-face proc owns a tile" true
-    (D.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 0; 0; 0 |] <> None)
+    (Tile_ref.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 0; 0; 0 |] <> None)
 
 let test_fig5_broadcast_replicates () =
   let m = Machine.grid [| 2; 2; 2 |] in
   let d = parse "[x,y] -> [x,y,*]" in
-  let r0 = Option.get (D.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 0; 1; 0 |]) in
-  let r1 = Option.get (D.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 0; 1; 1 |]) in
+  let r0 = Option.get (Tile_ref.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 0; 1; 0 |]) in
+  let r1 = Option.get (Tile_ref.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 0; 1; 1 |]) in
   Alcotest.(check bool) "same tile on both" true (Rect.equal r0 r1)
 
 let check_tiles_cover_and_disjoint d shape machine =
-  let tiles = D.tiles d ~shape ~machine in
+  let tiles = Tile_ref.tiles d ~shape ~machine in
   let total = List.fold_left (fun acc (r, _) -> acc + Rect.volume r) 0 tiles in
   Alcotest.(check int) "tiles cover the tensor" (Ints.prod shape) total;
   List.iteri
@@ -128,7 +128,7 @@ let test_transposed_mapping () =
   (* [x,y] -> [y,x]: the SECOND machine dim partitions rows. *)
   let m = Machine.grid [| 2; 2 |] in
   let d = parse "[x,y] -> [y,x]" in
-  let r = Option.get (D.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 1; 0 |]) in
+  let r = Option.get (Tile_ref.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 1; 0 |]) in
   Alcotest.(check string) "transposed tile" "[0,4)x[4,8)" (Rect.to_string r)
 
 let test_hierarchical_tiles () =
@@ -137,14 +137,14 @@ let test_hierarchical_tiles () =
   let d = parse "[x,y] -> [x,y]; [z,w] -> [z]" in
   Alcotest.(check bool) "valid" true
     (Result.is_ok (D.validate d ~tensor_rank:2 ~machine:m));
-  let r = Option.get (D.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 1; 0; 1 |]) in
+  let r = Option.get (Tile_ref.rect_of_proc d ~shape:[| 8; 8 |] ~machine:m [| 1; 0; 1 |]) in
   Alcotest.(check string) "inner row half of outer tile" "[6,8)x[0,4)" (Rect.to_string r);
   check_tiles_cover_and_disjoint d [| 8; 8 |] m
 
 let test_scalar_distribution () =
   let m = Machine.grid [| 4 |] in
   let d = parse "[] -> [0]" in
-  let tiles = D.tiles d ~shape:[||] ~machine:m in
+  let tiles = Tile_ref.tiles d ~shape:[||] ~machine:m in
   Alcotest.(check int) "one scalar tile" 1 (List.length tiles);
   let _, owners = List.hd tiles in
   Alcotest.(check (list (array int))) "owner proc 0" [ [| 0 |] ] owners
@@ -156,7 +156,7 @@ let test_uneven_blocks () =
   let widths =
     List.map
       (fun p ->
-        match D.rect_of_proc d ~shape:[| 10 |] ~machine:m [| p |] with
+        match Tile_ref.rect_of_proc d ~shape:[| 10 |] ~machine:m [| p |] with
         | Some r -> Rect.volume r
         | None -> 0)
       [ 0; 1; 2; 3 ]
@@ -190,7 +190,7 @@ let qcheck_tiles_cover =
       let machine = Machine.grid [| g1; g2 |] in
       let shape = [| s1; s2 |] in
       let d = parse "[x,y] -> [x,y]" in
-      let tiles = D.tiles d ~shape ~machine in
+      let tiles = Tile_ref.tiles d ~shape ~machine in
       let total = List.fold_left (fun acc (r, _) -> acc + Rect.volume r) 0 tiles in
       total = s1 * s2)
 
@@ -207,7 +207,7 @@ let test_tiles_match_merge () =
             match List.find_opt (fun (r', _) -> Rect.equal r r') !acc with
             | Some (_, owners) -> owners := proc :: !owners
             | None -> acc := (r, ref [ proc ]) :: !acc)
-          (D.rects_of_proc d ~shape ~machine proc))
+          (Tile_ref.rects_of_proc d ~shape ~machine proc))
       (Machine.proc_coords machine);
     List.rev_map (fun (r, owners) -> (r, List.rev !owners)) !acc
   in
@@ -222,7 +222,7 @@ let test_tiles_match_merge () =
     in
     let machine = Machine.grid mdims in
     let show ts = String.concat " " (List.map (fun (r, _) -> Rect.to_string r) ts) in
-    let got = D.tiles d ~shape ~machine and want = merge d ~shape ~machine in
+    let got = Tile_ref.tiles d ~shape ~machine and want = merge d ~shape ~machine in
     if
       List.length got <> List.length want
       || not (List.for_all2 (fun (r, o) (r', o') -> Rect.equal r r' && o = o') got want)

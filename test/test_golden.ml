@@ -227,69 +227,144 @@ let check_case c () =
 
    The Model runs of the served [estimate] workload's three families
    (SUMMA, Cannon and TTV cyclic over i on a virtual grid twice the
-   machine), built as the benchmark builds them, at n in {128, 320, 512}
-   on 4x4, 8x8 and 16x16: 27 runs whose [Stats] bits are digested
-   together. Recorded before step grouping went by payload id. *)
+   machine), built as the benchmark builds them: 49 sizes (n = 128 to
+   512 in steps of 8) on 4x4, 8x8 and 16x16, 441 runs, and the four
+   [replay] shapes in Model mode. Their [Stats] bits are digested
+   together; the 27 runs at n in {128, 320, 512} were recorded before
+   step grouping went by payload id, the whole set before the
+   simulation's payloads and footprints moved into flat int tables. *)
 
-let sweep_gemm ~n ~g schedule =
-  let tiled = "[x,y] -> [x,y]" in
+let sweep_gemm ?(operands = "[x,y] -> [x,y]") ~n ~g schedule =
   let p =
     Api.problem_exn ~machine:(grid2 g) ~stmt:"A(i,j) = B(i,k) * C(k,j)"
-      ~tensors:(List.map (fun t -> Api.tensor t [| n; n |] ~dist:tiled) [ "A"; "B"; "C" ])
+      ~tensors:
+        [
+          Api.tensor "A" [| n; n |] ~dist:"[x,y] -> [x,y]";
+          Api.tensor "B" [| n; n |] ~dist:operands;
+          Api.tensor "C" [| n; n |] ~dist:operands;
+        ]
       ()
   in
   Api.compile_script_exn p
     ~schedule:(Printf.sprintf "distribute_onto({i,j}, {io,jo}, {ii,ji}, [%d,%d]); %s" g g schedule)
 
+let sweep_ttv ~i ~jk ~procs ~vprocs =
+  let p =
+    Api.problem_exn ~virtual_grid:[| vprocs |] ~machine:(Machine.grid [| procs |])
+      ~stmt:"A(i,j) = B(i,j,k) * c(k)"
+      ~tensors:
+        [
+          Api.tensor "A" [| i; jk |] ~dist:"[x,y] -> [x%1]";
+          Api.tensor "B" [| i; jk; jk |] ~dist:"[x,y,z] -> [x%1]";
+          Api.tensor "c" [| jk |] ~dist:"[x] -> [*]";
+        ]
+      ()
+  in
+  Api.compile_script_exn p
+    ~schedule:
+      (Printf.sprintf "divide(i, io, ii, %d); distribute(io); communicate({A,B,c}, io)" vprocs)
+
+let summa_schedule n g =
+  Printf.sprintf
+    "split(k, ko, ki, %d); reorder(ko, ii, ji, ki); communicate(A, jo); \
+     communicate({B,C}, ko); substitute({ii,ji,ki}, gemm)"
+    (max 1 (Distal_support.Ints.ceil_div n (g * 4)))
+
 let sweep_shape ~family ~n ~g =
   match family with
-  | `Summa ->
-      sweep_gemm ~n ~g
-        (Printf.sprintf
-           "split(k, ko, ki, %d); reorder(ko, ii, ji, ki); communicate(A, jo); \
-            communicate({B,C}, ko); substitute({ii,ji,ki}, gemm)"
-           (max 1 (Distal_support.Ints.ceil_div n (g * 4))))
+  | `Summa -> sweep_gemm ~n ~g (summa_schedule n g)
   | `Cannon ->
       sweep_gemm ~n ~g
         (Printf.sprintf
            "divide(k, ko, ki, %d); reorder(ko, ii, ji, ki); rotate(ko, {io,jo}, kos); \
             communicate(A, jo); communicate({B,C}, kos); substitute({ii,ji,ki}, gemm)"
            g)
-  | `Ttv ->
-      let i = 4 * n and jk = 16 and vprocs = 2 * g * g in
-      let p =
-        Api.problem_exn ~virtual_grid:[| vprocs |] ~machine:(Machine.grid [| g * g |])
-          ~stmt:"A(i,j) = B(i,j,k) * c(k)"
-          ~tensors:
-            [
-              Api.tensor "A" [| i; jk |] ~dist:"[x,y] -> [x%1]";
-              Api.tensor "B" [| i; jk; jk |] ~dist:"[x,y,z] -> [x%1]";
-              Api.tensor "c" [| jk |] ~dist:"[x] -> [*]";
-            ]
-          ()
-      in
-      Api.compile_script_exn p
-        ~schedule:
-          (Printf.sprintf "divide(i, io, ii, %d); distribute(io); communicate({A,B,c}, io)"
-             vprocs)
+  | `Ttv -> sweep_ttv ~i:(4 * n) ~jk:16 ~procs:(g * g) ~vprocs:(2 * g * g)
+
+(* The served [replay] workload's shapes: a cyclic GEMM gathering
+   per-element pieces, SUMMA, TTV on 4 processors over 128 virtual ones,
+   and GEMM with the scalar leaf. *)
+let replay_shapes () =
+  [
+    sweep_gemm ~operands:"[x,y] -> [x%1,y%1]" ~n:64 ~g:4
+      "split(k, ko, ki, 8); reorder(ko, ii, ji, ki); communicate(A, jo); \
+       communicate({B,C}, ko)";
+    sweep_gemm ~n:128 ~g:2 (summa_schedule 128 2);
+    sweep_ttv ~i:512 ~jk:32 ~procs:4 ~vprocs:128;
+    sweep_gemm ~n:96 ~g:2 "communicate(A, jo); communicate({B,C}, jo)";
+  ]
+
+let sweep_families = [ `Summa; `Cannon; `Ttv ]
+let sweep_grids = [ 4; 8; 16 ]
+let sweep_sizes = List.init 49 (fun k -> 128 + (8 * k))
+let estimate_line plan = stats_line (Api.run_exn ~mode:Exec.Model plan ~data:[]).Exec.stats
 
 let test_estimate_sweep () =
-  let lines =
+  let runs =
     List.concat_map
       (fun family ->
         List.concat_map
           (fun g ->
-            List.map
-              (fun n ->
-                let plan = sweep_shape ~family ~n ~g in
-                stats_line (Api.run_exn ~mode:Exec.Model plan ~data:[]).Exec.stats)
-              [ 128; 320; 512 ])
-          [ 4; 8; 16 ])
-      [ `Summa; `Cannon; `Ttv ]
+            List.map (fun n -> (n, estimate_line (sweep_shape ~family ~n ~g))) sweep_sizes)
+          sweep_grids)
+      sweep_families
+  in
+  let pinned =
+    List.filter_map (fun (n, l) -> if List.mem n [ 128; 320; 512 ] then Some l else None) runs
   in
   Alcotest.(check string)
     "27 estimate runs" "29e5251428c3a978dcfb38b3ed5a241b"
-    (md5 (String.concat "\n" lines))
+    (md5 (String.concat "\n" pinned));
+  let replay = List.map estimate_line (replay_shapes ()) in
+  Alcotest.(check string)
+    "441 estimate runs and 4 replay shapes" "587eb0ad6762d9fb706dda8025d689f6"
+    (md5 (String.concat "\n" (List.map snd runs @ replay)))
+
+(* Every wire message and slot of the profiled runs at n in {128, 320,
+   512}, and of the four [replay] shapes: per step, each group's tensor,
+   source, rects, fragments, bytes and receivers in order, and each
+   slot's processor and busy time. Recorded before the simulation's
+   payloads moved into flat int tables. *)
+let groups_text (tl : Cp.timeline) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s : Cp.step) ->
+      Printf.bprintf b "step %d\n" s.index;
+      List.iter
+        (fun (g : Cp.copy) ->
+          Printf.bprintf b "%s %d %s %d %s [%s]\n" g.tensor g.src
+            (String.concat " " (List.map Rect.to_string g.rects))
+            g.fragments (bits g.bytes)
+            (String.concat "," (List.map string_of_int (Array.to_list g.receivers))))
+        s.copies;
+      List.iter (fun (sl : Cp.slot) -> Printf.bprintf b " %d/%s" sl.proc (bits sl.busy)) s.slots;
+      Buffer.add_char b '\n')
+    tl.steps;
+  Buffer.contents b
+
+let test_estimate_groups () =
+  let plans =
+    List.concat_map
+      (fun family ->
+        List.concat_map
+          (fun g -> List.map (fun n -> sweep_shape ~family ~n ~g) [ 128; 320; 512 ])
+          sweep_grids)
+      sweep_families
+    @ replay_shapes ()
+  in
+  let texts =
+    List.map
+      (fun plan ->
+        let profile = Profile.create () in
+        ignore (Api.run_exn ~mode:Exec.Model ~profile plan ~data:[]);
+        match Profile.runs profile with
+        | [ { Profile.timeline = Some tl; _ } ] -> md5 (groups_text tl)
+        | _ -> Alcotest.fail "expected exactly one profiled run with a timeline")
+      plans
+  in
+  Alcotest.(check string)
+    "31 profiled runs" "e57ac9622709885336dacd1bb4d4809b"
+    (md5 (String.concat "\n" texts))
 
 (* {2 Redistribution} *)
 
@@ -370,5 +445,8 @@ let suites =
           (fun ((name, _, _) as c) ->
             Alcotest.test_case ("redistribute " ^ name) `Quick (check_redistribute c))
           redistribute_cases
-      @ [ Alcotest.test_case "estimate sweep" `Quick test_estimate_sweep ] );
+      @ [
+          Alcotest.test_case "estimate sweep" `Quick test_estimate_sweep;
+          Alcotest.test_case "estimate sweep groups" `Quick test_estimate_groups;
+        ] );
   ]

@@ -1,5 +1,5 @@
 (* The closed-form tile queries of [Distnot.layout] must answer exactly
-   what the tile list answers: [pieces] is [Distnot.tiles] filtered by
+   what the tile list answers: [pieces] is [Tile_ref.tiles] filtered by
    [Rect.inter] (same pieces, same owners, same order), [holders] are
    the owners of the one tile containing a rect, and [owned_volume] is
    the sum of a processor's tiles' volumes. Distributions are drawn over every form the
@@ -84,7 +84,7 @@ let fold c vs =
 let tiles c =
   List.map
     (fun (r, os) -> (r, List.map (Machine.linearize c.vmachine) os))
-    (D.tiles c.dist ~shape:c.shape ~machine:c.vmachine)
+    (Tile_ref.tiles c.dist ~shape:c.shape ~machine:c.vmachine)
 
 let layout c = D.layout c.dist ~shape:c.shape ~machine:c.vmachine ~owners:(fold c)
 
